@@ -280,6 +280,24 @@ if [ "$net_audit_ok" -ne 1 ]; then
 fi
 echo "loopback mesh traces audited clean under window [$((net_d - net_u)), $net_d]"
 
+echo "== benchmark smoke (each workload once, untraced, 5 s) =="
+# Correctness only: the result line must say every gate held and no
+# operation failed. The numbers of a 5 s pass are not compared with
+# anything. Traced passes stay out until the trace-join closure gate has
+# an absolute floor (at 70-90 us a constant ~17 us of median
+# non-additivity is over its 20 %; see CHANGES.md, PR 12).
+for workload in net-queue-mixed net-register-writes engine-sharded mc-register; do
+  # run.sh exits non-zero on a failed gate; the result line says which.
+  result=$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 5 --trace 0 | tail -n 1) || true
+  case "$result" in
+    *'"correct": true'*'"failed": 0,'*) echo "$workload: correct, 0 failed" ;;
+    *)
+      echo "benchmark smoke failed on $workload: $result" >&2
+      exit 1
+      ;;
+  esac
+done
+
 if [ "$deep" -eq 1 ]; then
   echo "== deep: Miri over sim slab/equeue/timers =="
   if cargo miri --version >/dev/null 2>&1; then

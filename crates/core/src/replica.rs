@@ -397,8 +397,7 @@ impl<S: SequentialSpec> Replica<S> {
                 break;
             }
             let Reverse(entry) = self.to_execute.pop().expect("peeked");
-            let (next, resp) = self.spec.apply(&self.local, &entry.op);
-            self.local = next;
+            let resp = self.spec.apply_mut(&mut self.local, &entry.op);
             self.executed += 1;
             self.executed_order.push(entry.ts);
             if self.own_other_pending == Some(entry.ts) {
@@ -435,7 +434,7 @@ impl<S: SequentialSpec> Actor for Replica<S> {
                     // A pure mutator's response is state-independent
                     // (verified by `classify::check_class_consistency`),
                     // so it can be computed now and delivered at `ε + X`.
-                    let resp = self.spec.apply(&self.local, &op).1;
+                    let resp = self.spec.peek(&self.local, &op);
                     ctx.set_timer(
                         self.profile.mutator_wait,
                         ReplicaTimer::MutatorRespond { resp },
@@ -489,7 +488,7 @@ impl<S: SequentialSpec> Actor for Replica<S> {
                 self.execute_up_to(ts, false, ctx);
                 // Pure accessors read without committing state (they are
                 // state-preserving by class consistency).
-                let (_, resp) = self.spec.apply(&self.local, &op);
+                let resp = self.spec.peek(&self.local, &op);
                 ctx.respond(resp);
             }
         }

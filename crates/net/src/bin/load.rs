@@ -23,7 +23,7 @@ use std::sync::{Barrier, Mutex};
 use skewbound_bench::netreport::NetReport;
 use skewbound_core::params::Params;
 use skewbound_lin::checker::check_history;
-use skewbound_net::runtime::{NetClient, TimeBase};
+use skewbound_net::runtime::{tighten_timer_slack, NetClient, TimeBase};
 use skewbound_net::wire::{Decode, Encode};
 use skewbound_sim::history::History;
 use skewbound_sim::ids::ProcessId;
@@ -268,6 +268,7 @@ where
 }
 
 fn main() {
+    tighten_timer_slack();
     let args = parse_args();
     let code = match args.object {
         ObjectKind::Register => run_load(&RwRegister::default(), &args, |session, i| {

@@ -20,7 +20,7 @@ use std::process::exit;
 
 use skewbound_core::params::Params;
 use skewbound_mc::trace::JsonLinesSink;
-use skewbound_net::runtime::{run_server, ServerConfig};
+use skewbound_net::runtime::{run_server, tighten_timer_slack, ServerConfig};
 use skewbound_net::tcp::MeshListener;
 use skewbound_net::wire::{Decode, Encode};
 use skewbound_sim::ids::ProcessId;
@@ -179,6 +179,7 @@ where
 }
 
 fn main() {
+    tighten_timer_slack();
     let args = parse_args();
     match args.object {
         ObjectKind::Register => serve(Namespace::new(RwRegister::default()), &args),

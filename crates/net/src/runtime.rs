@@ -33,6 +33,7 @@ use rand::{Rng, SeedableRng};
 
 use skewbound_core::params::Params;
 use skewbound_core::replica::{OpMsg, Replica, ReplicaTimer};
+use skewbound_sim::deadline::PendingTimers;
 use skewbound_sim::history::History;
 use skewbound_sim::ids::{MsgId, ProcessId, TimerId};
 use skewbound_sim::node::{Activation, NodeCore, Stamp, TraceOutput};
@@ -93,20 +94,24 @@ impl TimeBase {
     }
 }
 
-/// A timer armed by the server's node, waiting for its wall-clock
-/// deadline (the socket backend's analogue of the real-thread runtime's
-/// pending list).
-struct Pending<T> {
-    fire_at: Instant,
-    id: TimerId,
-    timer: T,
+/// Asks the kernel for exact timer expiries: writes `1` (ns) to
+/// `/proc/self/timerslack_ns`. The default slack lets the kernel defer
+/// every sleeping thread's wake-up by up to 50 µs to batch timer
+/// interrupts; a replica's deadlines are the latency the paper bounds
+/// (`timer_late_p50_us` 152 → 106 µs from this line alone). Call it
+/// first thing in `main`: threads inherit the slack of their creator.
+/// Off Linux, or where `/proc` is read-only, the write fails and the
+/// default stays — slower, never wrong.
+pub fn tighten_timer_slack() {
+    let _ = std::fs::write("/proc/self/timerslack_ns", "1");
 }
 
 /// The typed [`Transport`] adapter over a byte-oriented
 /// [`WireTransport`]: outgoing replica messages are encoded into one
 /// frame per destination, stamped with a send tick and a seeded delay
-/// draw; timers wait in a local pending list exactly as in the
-/// real-thread runtime.
+/// draw; timers wait in a [`PendingTimers`] exactly as in the
+/// real-thread runtime, armed relative to the running activation's
+/// nominal instant.
 pub struct NetTransport<S: SequentialSpec> {
     wire: Box<dyn WireTransport>,
     base: TimeBase,
@@ -118,7 +123,12 @@ pub struct NetTransport<S: SequentialSpec> {
     /// `prefix | seq`, monotone per sender, disjoint across senders.
     msg_prefix: u64,
     next_seq: u64,
-    pending: Vec<Pending<ReplicaTimer<S>>>,
+    timers: PendingTimers<ReplicaTimer<S>>,
+    /// The nominal instant of the running activation, set by
+    /// [`run_server`] before every node call: a timer's own deadline, a
+    /// held batch's `deliver_at`, "now" for an invoke. Timers arm at
+    /// `anchor + delay`, as the engine arms at `virtual now + delay`.
+    anchor: Instant,
 }
 
 impl<S: SequentialSpec> core::fmt::Debug for NetTransport<S> {
@@ -132,13 +142,16 @@ impl<S: SequentialSpec> core::fmt::Debug for NetTransport<S> {
 }
 
 impl<S: SequentialSpec> NetTransport<S> {
-    /// Builds the adapter for one server process.
+    /// Builds the adapter for one server process. `base` is the
+    /// server's one timebase: send stamps taken here and delivery
+    /// instants computed by [`run_server`] must come from the same
+    /// wall-clock/monotonic sample pair.
     #[must_use]
-    pub fn new(wire: Box<dyn WireTransport>, cfg: &ServerConfig) -> Self {
+    pub fn new(wire: Box<dyn WireTransport>, cfg: &ServerConfig, base: TimeBase) -> Self {
         let (delay_lo, delay_hi) = cfg.delay_draw_bounds();
         NetTransport {
             wire,
-            base: TimeBase::new(cfg.epoch_micros),
+            base,
             rng: StdRng::seed_from_u64(cfg.seed ^ u64::from(cfg.pid.as_u32())),
             delay_lo,
             delay_hi,
@@ -146,7 +159,8 @@ impl<S: SequentialSpec> NetTransport<S> {
             // id can never collide with a client request id.
             msg_prefix: (u64::from(cfg.pid.as_u32()) + 1) << 40,
             next_seq: 0,
-            pending: Vec::new(),
+            timers: PendingTimers::new(),
+            anchor: Instant::now(),
         }
     }
 
@@ -168,28 +182,6 @@ impl<S: SequentialSpec> NetTransport<S> {
         let frame = encode_frame(&header, &payload);
         self.wire.send_frame(to, &frame)?;
         Ok(first)
-    }
-
-    /// Pops the due pending timer with the earliest `(deadline, id)`,
-    /// if any.
-    fn pop_due(&mut self) -> Option<Pending<ReplicaTimer<S>>> {
-        let now = Instant::now();
-        let due = self
-            .pending
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.fire_at <= now)
-            .min_by_key(|(_, t)| (t.fire_at, t.id))
-            .map(|(i, _)| i)?;
-        Some(self.pending.swap_remove(due))
-    }
-
-    fn next_deadline(&self) -> Option<Instant> {
-        self.pending.iter().map(|t| t.fire_at).min()
-    }
-
-    fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
     }
 }
 
@@ -227,15 +219,15 @@ where
         delay: SimDuration,
         timer: ReplicaTimer<S>,
     ) {
-        self.pending.push(Pending {
-            fire_at: Instant::now() + Duration::from_micros(delay.as_ticks()),
+        self.timers.arm(
             id,
+            self.anchor + Duration::from_micros(delay.as_ticks()),
             timer,
-        });
+        );
     }
 
     fn cancel_timer(&mut self, _pid: ProcessId, id: TimerId) {
-        self.pending.retain(|t| t.id != id);
+        self.timers.cancel(id);
     }
 }
 
@@ -316,12 +308,117 @@ struct ClientReq<O> {
     op: O,
 }
 
+/// Everything that has physically arrived at a server and not yet been
+/// handed to its node.
+struct Inbox<S: SequentialSpec> {
+    held: Vec<Held<S>>,
+    client_q: VecDeque<ClientReq<S::Op>>,
+    /// A client has said [`FrameKind::Bye`].
+    draining: bool,
+    /// The last arrival or activation, for the drain's quiet period.
+    last_activity: Instant,
+}
+
+impl<S> Inbox<S>
+where
+    S: SequentialSpec,
+    S::Op: Decode,
+{
+    /// Files one raw mesh arrival: a peer batch under its delivery
+    /// instant, a client request in the queue, a `Bye` as the drain flag.
+    fn accept(&mut self, event: RawEvent, base: &TimeBase) {
+        match event {
+            RawEvent::Peer {
+                from,
+                header,
+                payload,
+            } => {
+                let msgs: Vec<OpMsg<S>> = decode_batch(&payload, header.batch as usize)
+                    .expect("peer sent an undecodable message batch");
+                self.held.push(Held {
+                    deliver_at: base
+                        .instant_for(header.sent_at_micros + u64::from(header.delay_micros)),
+                    from,
+                    first_id: MsgId::new(header.msg_id),
+                    msgs,
+                });
+            }
+            RawEvent::Client {
+                conn,
+                header,
+                payload,
+            } => match header.kind {
+                FrameKind::ClientReq => {
+                    let op: S::Op =
+                        from_bytes(&payload).expect("client sent an undecodable operation");
+                    self.client_q.push_back(ClientReq {
+                        conn,
+                        req_id: header.msg_id,
+                        op,
+                    });
+                }
+                FrameKind::Bye => self.draining = true,
+                _ => {}
+            },
+            RawEvent::ClientGone { .. } => return,
+        }
+        self.last_activity = Instant::now();
+    }
+}
+
+/// What [`run_server`] fires next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Due {
+    /// The earliest pending timer.
+    Timer,
+    /// The held batch at this index.
+    Held(usize),
+}
+
+/// The earliest item due at `now` across the pending timers (of which
+/// only the earliest deadline matters) and the held batches, ordered by
+/// nominal instant, timers before deliveries on a tie, then message id.
+///
+/// One order for both kinds is what makes anchored arming safe after a
+/// stall: a wake-up that finds a delivery and a younger timer both
+/// overdue replays them as the model prescribes, instead of letting a
+/// cascade of overdue timers run ahead of the older delivery.
+fn next_due(
+    now: Instant,
+    next_timer: Option<Instant>,
+    held: impl Iterator<Item = (Instant, MsgId)>,
+) -> Option<Due> {
+    let timer = next_timer.filter(|&at| at <= now);
+    let batch = held
+        .enumerate()
+        .filter(|&(_, (at, _))| at <= now)
+        .min_by_key(|&(_, key)| key);
+    match (timer, batch) {
+        (Some(t), Some((i, (at, _)))) => Some(if t <= at { Due::Timer } else { Due::Held(i) }),
+        (Some(_), None) => Some(Due::Timer),
+        (None, Some((i, _))) => Some(Due::Held(i)),
+        (None, None) => None,
+    }
+}
+
+/// How long a server with no deadline ahead sleeps between looks at its
+/// state.
+const IDLE_POLL: Duration = Duration::from_millis(10);
+
 /// Runs one replica server over `mesh` until it has been told to stop
 /// (a [`FrameKind::Bye`] frame) *and* has drained: no held peer
 /// batches, no queued or in-flight client operation, no armed timer,
 /// and a full `2d` of quiet — by which point every frame another
 /// replica sent before its own drain has long arrived. Returns the
 /// server-side history.
+///
+/// The loop schedules as the virtual engine does. Every activation has
+/// a *nominal instant* — a timer's deadline, a held batch's
+/// `deliver_at`, "now" for an invoke — and timers it arms are due at
+/// `nominal + delay`; due timers and due batches fire in one
+/// nominal-time order (`next_due`); and each deadline is reached by
+/// [`TcpMesh::wait`], which polls the last stretch while an operation
+/// is pending here. Trace stamps stay actual time.
 ///
 /// # Panics
 ///
@@ -340,20 +437,22 @@ where
 {
     let base = TimeBase::new(cfg.epoch_micros);
     let mut node = NodeCore::new(cfg.pid, cfg.n, Replica::new(spec, &cfg.params));
-    let mut transport: NetTransport<S> = NetTransport::new(Box::new(mesh.peer_sender()), cfg);
+    let mut transport: NetTransport<S> = NetTransport::new(Box::new(mesh.peer_sender()), cfg, base);
     let mut trace = SinkOutput {
         sink: sink.take().map(|s| s as &mut dyn TraceSink),
     };
     let mut history: History<S::Op, S::Resp> = History::new();
-    let mut held: Vec<Held<S>> = Vec::new();
-    let mut client_q: VecDeque<ClientReq<S::Op>> = VecDeque::new();
+    let mut inbox: Inbox<S> = Inbox {
+        held: Vec::new(),
+        client_q: VecDeque::new(),
+        draining: false,
+        last_activity: Instant::now(),
+    };
     // The (connection, request id) awaiting the pending op's response.
     let mut in_flight: Option<(u64, u64)> = None;
-    let mut draining = false;
     let grace = Duration::from_micros(2 * cfg.params.d().as_ticks());
-    let mut last_activity = Instant::now();
 
-    let stamp_now = |base: &TimeBase| {
+    let stamp_now = || {
         let now = SimTime::from_ticks(base.now_ticks());
         Stamp {
             now,
@@ -361,136 +460,105 @@ where
         }
     };
 
-    let start = stamp_now(&base);
-    node.on_start(start, &mut transport, &mut trace, &mut history)
+    transport.anchor = Instant::now();
+    node.on_start(stamp_now(), &mut transport, &mut trace, &mut history)
         .expect("transport failed during start");
 
     loop {
-        // 1. Fire every due timer (earliest first).
-        while let Some(t) = transport.pop_due() {
-            last_activity = Instant::now();
-            let act = node
-                .on_timer(
-                    stamp_now(&base),
-                    t.id,
-                    t.timer,
-                    &mut transport,
-                    &mut trace,
-                    &mut history,
-                )
-                .expect("transport failed during timer");
-            reply_if_completed::<S>(act, &mut in_flight, &history, mesh);
+        // 1. File everything that has physically arrived, so the due
+        // order below sees every delivery it has to place.
+        while let Some(event) = mesh.try_recv() {
+            inbox.accept(event, &base);
         }
 
-        // 2. Deliver every held peer batch whose injected delay has
-        // elapsed, in (deliver_at, first_id) order.
+        // 2. Fire what is due, timers and held batches alike, earliest
+        // nominal instant first. An activation may arm a timer that is
+        // already due; it takes its place in the same order.
         loop {
             let now = Instant::now();
-            let due = held
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| h.deliver_at <= now)
-                .min_by_key(|(_, h)| (h.deliver_at, h.first_id))
-                .map(|(i, _)| i);
-            let Some(i) = due else { break };
-            let h = held.swap_remove(i);
-            last_activity = Instant::now();
-            let act = node
-                .on_message_batch(
-                    stamp_now(&base),
-                    h.from,
-                    h.first_id,
-                    h.msgs,
-                    &mut transport,
-                    &mut trace,
-                    &mut history,
-                )
-                .expect("transport failed during delivery");
+            let held_keys = inbox.held.iter().map(|h| (h.deliver_at, h.first_id));
+            let act = match next_due(now, transport.timers.next_deadline(), held_keys) {
+                Some(Due::Timer) => {
+                    let (deadline, id, timer) =
+                        transport.timers.pop_due(now).expect("a timer is due");
+                    transport.anchor = deadline;
+                    node.on_timer(
+                        stamp_now(),
+                        id,
+                        timer,
+                        &mut transport,
+                        &mut trace,
+                        &mut history,
+                    )
+                    .expect("transport failed during timer")
+                }
+                Some(Due::Held(i)) => {
+                    let h = inbox.held.swap_remove(i);
+                    transport.anchor = h.deliver_at;
+                    node.on_message_batch(
+                        stamp_now(),
+                        h.from,
+                        h.first_id,
+                        h.msgs,
+                        &mut transport,
+                        &mut trace,
+                        &mut history,
+                    )
+                    .expect("transport failed during delivery")
+                }
+                None => break,
+            };
+            inbox.last_activity = Instant::now();
             reply_if_completed::<S>(act, &mut in_flight, &history, mesh);
         }
 
         // 3. Start the next client operation once the previous one is
         // done (the model's one-pending-operation-per-process rule).
         if node.pending_op().is_none() {
-            if let Some(req) = client_q.pop_front() {
-                last_activity = Instant::now();
+            if let Some(req) = inbox.client_q.pop_front() {
                 in_flight = Some((req.conn, req.req_id));
+                transport.anchor = Instant::now();
                 let act = node
                     .on_invoke(
-                        stamp_now(&base),
+                        stamp_now(),
                         req.op,
                         &mut transport,
                         &mut trace,
                         &mut history,
                     )
                     .expect("transport failed during invoke");
+                inbox.last_activity = Instant::now();
                 reply_if_completed::<S>(act, &mut in_flight, &history, mesh);
                 continue; // the invoke may have armed immediately-due timers
             }
         }
 
         // 4. Drained and quiet? Then stop.
-        let idle = held.is_empty()
-            && client_q.is_empty()
+        let idle = inbox.held.is_empty()
+            && inbox.client_q.is_empty()
             && node.pending_op().is_none()
-            && !transport.has_pending();
-        if draining && idle && last_activity.elapsed() >= grace {
+            && transport.timers.is_empty();
+        let quiet_for = inbox.last_activity.elapsed();
+        if inbox.draining && idle && quiet_for >= grace {
             break;
         }
 
-        // 5. Sleep until the next deadline (timer or held batch), the
-        // next mesh arrival, or a short poll.
-        let now = Instant::now();
-        let mut timeout = if draining && idle {
-            grace.saturating_sub(last_activity.elapsed())
-        } else {
-            Duration::from_millis(10)
-        };
-        for deadline in transport
+        // 5. Wait for the next deadline (timer or held batch) or the
+        // next mesh arrival, whichever is first. A late wake-up costs
+        // latency only while an operation is waiting at this replica.
+        let deadline = transport
+            .timers
             .next_deadline()
             .into_iter()
-            .chain(held.iter().map(|h| h.deliver_at))
-        {
-            timeout = timeout.min(deadline.saturating_duration_since(now));
-        }
-        match mesh.recv_timeout(timeout.max(Duration::from_micros(100))) {
-            Some(RawEvent::Peer {
-                from,
-                header,
-                payload,
-            }) => {
-                last_activity = Instant::now();
-                let msgs: Vec<OpMsg<S>> = decode_batch(&payload, header.batch as usize)
-                    .expect("peer sent an undecodable message batch");
-                held.push(Held {
-                    deliver_at: base
-                        .instant_for(header.sent_at_micros + u64::from(header.delay_micros)),
-                    from,
-                    first_id: MsgId::new(header.msg_id),
-                    msgs,
-                });
-            }
-            Some(RawEvent::Client {
-                conn,
-                header,
-                payload,
-            }) => {
-                last_activity = Instant::now();
-                match header.kind {
-                    FrameKind::ClientReq => {
-                        let op: S::Op =
-                            from_bytes(&payload).expect("client sent an undecodable operation");
-                        client_q.push_back(ClientReq {
-                            conn,
-                            req_id: header.msg_id,
-                            op,
-                        });
-                    }
-                    FrameKind::Bye => draining = true,
-                    _ => {}
-                }
-            }
-            Some(RawEvent::ClientGone { .. }) | None => {}
+            .chain(inbox.held.iter().map(|h| h.deliver_at))
+            .min();
+        let cap = if inbox.draining && idle {
+            grace.saturating_sub(quiet_for)
+        } else {
+            IDLE_POLL
+        };
+        if let Some(event) = mesh.wait(deadline, cap, node.pending_op().is_some()) {
+            inbox.accept(event, &base);
         }
     }
     history
@@ -718,4 +786,62 @@ where
         history.record_response(id, resp, SimTime::from_ticks(responded));
     }
     history
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MS: Duration = Duration::from_millis(1);
+
+    fn msg(raw: u64) -> MsgId {
+        MsgId::new(raw)
+    }
+
+    /// A late wake-up finds an older delivery and a younger timer both
+    /// overdue: the delivery goes first, as the model orders them.
+    #[test]
+    fn late_wakeup_replays_the_older_delivery_before_the_younger_timer() {
+        let t0 = Instant::now();
+        let now = t0 + 50 * MS; // the stall
+        let held = [(t0 + 3 * MS, msg(9)), (t0 + MS, msg(4))];
+        let timer = Some(t0 + 2 * MS);
+        assert_eq!(
+            next_due(now, timer, held.iter().copied()),
+            Some(Due::Held(1))
+        );
+        // With that delivery gone the timer is next, then the last batch.
+        let held = [(t0 + 3 * MS, msg(9))];
+        assert_eq!(next_due(now, timer, held.iter().copied()), Some(Due::Timer));
+        assert_eq!(
+            next_due(now, None, held.iter().copied()),
+            Some(Due::Held(0))
+        );
+    }
+
+    #[test]
+    fn ties_go_to_the_timer_then_to_the_smaller_message_id() {
+        let t0 = Instant::now();
+        let at = t0 + MS;
+        let held = [(at, msg(7)), (at, msg(2))];
+        assert_eq!(
+            next_due(at, Some(at), held.iter().copied()),
+            Some(Due::Timer)
+        );
+        assert_eq!(next_due(at, None, held.iter().copied()), Some(Due::Held(1)));
+    }
+
+    #[test]
+    fn nothing_is_due_before_its_instant() {
+        let t0 = Instant::now();
+        let held = [(t0 + 2 * MS, msg(1))];
+        let timer = Some(t0 + 3 * MS);
+        assert_eq!(next_due(t0, timer, held.iter().copied()), None);
+        assert_eq!(next_due(t0, None, std::iter::empty()), None);
+        // The batch comes due first; the timer is not yet.
+        assert_eq!(
+            next_due(t0 + 2 * MS, timer, held.iter().copied()),
+            Some(Due::Held(0))
+        );
+    }
 }

@@ -27,8 +27,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use skewbound_sim::deadline;
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::transport::{TransportError, WireTransport};
 
@@ -213,6 +214,25 @@ impl TcpMesh {
     /// Waits up to `timeout` for the next raw arrival.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<RawEvent> {
         self.event_rx.recv_timeout(timeout).ok()
+    }
+
+    /// The next raw arrival the read loops have already queued, without
+    /// waiting.
+    pub fn try_recv(&self) -> Option<RawEvent> {
+        self.event_rx.try_recv().ok()
+    }
+
+    /// Waits for the next raw arrival until `deadline` (or `cap` from
+    /// now, whichever is sooner) with [`deadline::wait`]'s guarantees:
+    /// `None` is never returned early, and with `may_spin` a long
+    /// enough wait ends on its deadline rather than a wake-up after it.
+    pub fn wait(
+        &self,
+        deadline: Option<Instant>,
+        cap: Duration,
+        may_spin: bool,
+    ) -> Option<RawEvent> {
+        deadline::wait(&self.event_rx, deadline, cap, may_spin).ok()
     }
 
     /// Writes one already-encoded frame to client connection `conn`.

@@ -56,6 +56,7 @@
 
 pub mod actor;
 pub mod clock;
+pub mod deadline;
 pub mod delay;
 pub mod engine;
 pub mod equeue;

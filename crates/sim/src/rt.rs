@@ -40,6 +40,7 @@ use rand::SeedableRng;
 
 use crate::actor::Actor;
 use crate::clock::ClockAssignment;
+use crate::deadline::{self, PendingTimers};
 use crate::delay::DelayBounds;
 use crate::history::History;
 use crate::ids::{OpId, ProcessId};
@@ -340,7 +341,8 @@ where
                 rng: StdRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 bounds,
                 msg_ids: Arc::clone(&msg_ids),
-                pending: Vec::new(),
+                timers: PendingTimers::new(),
+                anchor: epoch,
             };
 
             worker_handles.push(thread::spawn(move || {
@@ -573,6 +575,10 @@ where
     }
 }
 
+/// How long an idle worker (no timer armed) sleeps between looks at
+/// its inbox.
+const IDLE_POLL: Duration = Duration::from_millis(50);
+
 /// One worker thread: a [`NodeCore`] activated by its inbox and its due
 /// timers. All effect/trace/history semantics live in the node core;
 /// this loop only decides *when* the node activates and relays
@@ -626,6 +632,7 @@ fn worker_loop<A: Actor>(
 
     // `ChannelTransport` never fails a send, so activation errors are
     // unreachable in this backend.
+    transport.anchor = Instant::now();
     let act = node
         .on_start(
             stamp_now(epoch, offset),
@@ -637,13 +644,15 @@ fn worker_loop<A: Actor>(
     finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
 
     loop {
-        // Fire due timers first.
-        while let Some(t) = transport.pop_due() {
+        // Fire due timers first, each anchored at its own deadline so a
+        // timer it arms is due at `deadline + delay`, not a wake-up later.
+        while let Some((deadline, id, timer)) = transport.timers.pop_due(Instant::now()) {
+            transport.anchor = deadline;
             let act = node
                 .on_timer(
                     stamp_now(epoch, offset),
-                    t.id,
-                    t.timer,
+                    id,
+                    timer,
                     transport,
                     &mut trace_out,
                     &mut SharedHistory(history),
@@ -654,14 +663,19 @@ fn worker_loop<A: Actor>(
             }
             finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
         }
-        if shutdown && !transport.has_pending() {
+        if shutdown && transport.timers.is_empty() {
             break;
         }
-        let timeout = transport
-            .next_deadline()
-            .map(|at| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout) {
+        // A late timer costs latency only while an operation waits here.
+        let input = deadline::wait(
+            rx,
+            transport.timers.next_deadline(),
+            IDLE_POLL,
+            node.pending_op().is_some(),
+        );
+        // Invokes and deliveries happen when the worker sees them.
+        transport.anchor = Instant::now();
+        match input {
             Ok(Input::Shutdown) => shutdown = true,
             Ok(Input::Invoke(op_id, op)) => {
                 let act = node

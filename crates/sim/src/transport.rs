@@ -32,6 +32,7 @@ use rand::Rng;
 
 use crate::actor::Actor;
 use crate::clock::ClockAssignment;
+use crate::deadline::PendingTimers;
 use crate::delay::{DelayBounds, DelayModel, MsgMeta};
 use crate::engine::{EventKind, MsgEvent};
 use crate::equeue::CalendarQueue;
@@ -550,19 +551,11 @@ pub(crate) enum RouterMsg<M> {
     Shutdown,
 }
 
-/// A timer armed by a real-thread worker's node, waiting for its
-/// wall-clock deadline.
-pub(crate) struct PendingTimer<T> {
-    pub(crate) fire_at: Instant,
-    pub(crate) id: TimerId,
-    pub(crate) timer: T,
-}
-
 /// The real-thread runtime's [`Transport`]: sends go to the
 /// delay-injecting router thread with a seeded random delay within the
-/// cluster bounds; timers wait in the worker's own pending list (the
-/// worker sleeps until the earliest deadline). Cancels prune the
-/// pending list eagerly so shutdown never waits on a cancelled timer.
+/// cluster bounds; timers wait in the worker's own [`PendingTimers`]
+/// (the worker waits for the earliest deadline). Cancels prune the
+/// list eagerly so shutdown never waits on a cancelled timer.
 pub(crate) struct ChannelTransport<A: Actor> {
     pub(crate) router_tx: Sender<RouterMsg<A::Msg>>,
     pub(crate) rng: StdRng,
@@ -570,32 +563,12 @@ pub(crate) struct ChannelTransport<A: Actor> {
     /// Global send-order message id allocator, shared with every other
     /// worker so trace `send`/`deliver` events pair by id cluster-wide.
     pub(crate) msg_ids: Arc<AtomicU64>,
-    pub(crate) pending: Vec<PendingTimer<A::Timer>>,
-}
-
-impl<A: Actor> ChannelTransport<A> {
-    /// Pops the due pending timer with the earliest `(deadline, id)`,
-    /// if any.
-    pub(crate) fn pop_due(&mut self) -> Option<PendingTimer<A::Timer>> {
-        let now = Instant::now();
-        let due = self
-            .pending
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.fire_at <= now)
-            .min_by_key(|(_, t)| (t.fire_at, t.id))
-            .map(|(i, _)| i)?;
-        Some(self.pending.swap_remove(due))
-    }
-
-    /// The earliest pending deadline, if any timers are armed.
-    pub(crate) fn next_deadline(&self) -> Option<Instant> {
-        self.pending.iter().map(|t| t.fire_at).min()
-    }
-
-    pub(crate) fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
+    pub(crate) timers: PendingTimers<A::Timer>,
+    /// The nominal instant of the running activation, set by the worker
+    /// loop before every node call: a timer's own deadline when it
+    /// fires, "now" for an invoke or a delivery (the router does not
+    /// hand `deliver_at` to the worker). Timers arm relative to it.
+    pub(crate) anchor: Instant,
 }
 
 impl<A: Actor> Transport<A> for ChannelTransport<A> {
@@ -646,15 +619,12 @@ impl<A: Actor> Transport<A> for ChannelTransport<A> {
     }
 
     fn set_timer(&mut self, _pid: ProcessId, id: TimerId, delay: SimDuration, timer: A::Timer) {
-        self.pending.push(PendingTimer {
-            fire_at: Instant::now() + ticks_to_duration(delay),
-            id,
-            timer,
-        });
+        self.timers
+            .arm(id, self.anchor + ticks_to_duration(delay), timer);
     }
 
     fn cancel_timer(&mut self, _pid: ProcessId, id: TimerId) {
-        self.pending.retain(|t| t.id != id);
+        self.timers.cancel(id);
     }
 }
 

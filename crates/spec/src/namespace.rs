@@ -14,6 +14,7 @@
 //! runner (to partition the key universe) and workload generators (to
 //! keep every generated op inside its shard's key set).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use crate::seqspec::{OpClass, SequentialSpec};
@@ -100,6 +101,37 @@ impl<S: SequentialSpec> SequentialSpec for Namespace<S> {
         (next, resp)
     }
 
+    /// Touches the one entry `op` addresses instead of cloning the map:
+    /// a long-lived replica pays per operation, not per key ever seen.
+    fn apply_mut(&self, state: &mut Self::State, op: &Self::Op) -> Self::Resp {
+        let init = self.inner.initial();
+        match state.entry(op.key) {
+            Entry::Occupied(mut slot) => {
+                let resp = self.inner.apply_mut(slot.get_mut(), &op.op);
+                if *slot.get() == init {
+                    // Keep the map canonical: initial-state objects are absent.
+                    slot.remove();
+                }
+                resp
+            }
+            Entry::Vacant(slot) => {
+                let mut object = init.clone();
+                let resp = self.inner.apply_mut(&mut object, &op.op);
+                if object != init {
+                    slot.insert(object);
+                }
+                resp
+            }
+        }
+    }
+
+    fn peek(&self, state: &Self::State, op: &Self::Op) -> Self::Resp {
+        match state.get(&op.key) {
+            Some(object) => self.inner.peek(object, &op.op),
+            None => self.inner.peek(&self.inner.initial(), &op.op),
+        }
+    }
+
     fn class(&self, op: &Self::Op) -> OpClass {
         self.inner.class(&op.op)
     }
@@ -168,6 +200,7 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::{Queue, QueueOp};
     use crate::register::{RmwOp, RmwRegister, RmwResp};
 
     fn ns() -> Namespace<RmwRegister> {
@@ -199,6 +232,67 @@ mod tests {
         // A read never materializes an entry.
         let (s, _) = ns.apply(&ns.initial(), &NsOp::new(8, RmwOp::Read));
         assert_eq!(s, ns.initial());
+    }
+
+    /// Drives one seeded operation sequence through the in-place
+    /// overrides and through `apply` (which the trait defaults are
+    /// written in terms of) side by side: same responses, same state,
+    /// map canonical after every step.
+    fn assert_in_place_matches_apply<S, G>(ns: &Namespace<S>, seed: u64, steps: usize, gen: G)
+    where
+        S: SequentialSpec,
+        G: Fn(u64) -> S::Op,
+    {
+        let init = ns.inner().initial();
+        let mut in_place = ns.initial();
+        let mut by_apply = ns.initial();
+        let mut x = seed;
+        for step in 0..steps {
+            x = splitmix64(x);
+            // Few keys, so entries are revisited, emptied and refilled.
+            let op = NsOp::new(x % 5, gen(x >> 8));
+            let (next, resp) = ns.apply(&by_apply, &op);
+            assert_eq!(
+                ns.peek(&in_place, &op),
+                resp,
+                "peek, seed {seed} step {step}"
+            );
+            assert_eq!(
+                ns.apply_mut(&mut in_place, &op),
+                resp,
+                "apply_mut, seed {seed} step {step}"
+            );
+            by_apply = next;
+            assert_eq!(in_place, by_apply, "state, seed {seed} step {step}");
+            assert!(
+                in_place.values().all(|object| *object != init),
+                "an initial-state object stayed in the map, seed {seed} step {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn in_place_register_matches_apply_on_seeded_sequences() {
+        for seed in 1..=16 {
+            assert_in_place_matches_apply(&ns(), seed, 300, |r| match r % 3 {
+                0 => RmwOp::Read,
+                // Writing 0 returns the key to its initial state.
+                _ => RmwOp::Write((r >> 2) as i64 % 3),
+            });
+        }
+    }
+
+    #[test]
+    fn in_place_queue_matches_apply_on_seeded_sequences() {
+        let ns = Namespace::new(Queue::<i64>::new());
+        for seed in 1..=16 {
+            assert_in_place_matches_apply(&ns, seed, 300, |r| match r % 4 {
+                0 => QueueOp::Enqueue((r >> 2) as i64 % 100),
+                // More dequeues than enqueues: queues keep running empty.
+                1 | 2 => QueueOp::Dequeue,
+                _ => QueueOp::Peek,
+            });
+        }
     }
 
     #[test]

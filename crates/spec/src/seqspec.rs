@@ -80,6 +80,25 @@ pub trait SequentialSpec {
     /// like `dequeue` on an empty queue return an "empty" response).
     fn apply(&self, state: &Self::State, op: &Self::Op) -> (Self::State, Self::Resp);
 
+    /// Applies `op` to `state` in place and returns the response — what
+    /// a replica does to its one long-lived copy. Must be observably
+    /// identical to [`SequentialSpec::apply`] followed by an assignment;
+    /// the default is exactly that. Override it when `apply`'s fresh
+    /// successor state costs more than the operation touches (a keyed
+    /// map cloned to change one entry).
+    fn apply_mut(&self, state: &mut Self::State, op: &Self::Op) -> Self::Resp {
+        let (next, resp) = self.apply(state, op);
+        *state = next;
+        resp
+    }
+
+    /// The response `op` would get in `state`, leaving the state alone.
+    /// Must equal `self.apply(state, op).1`; the default is exactly
+    /// that. Override it together with [`SequentialSpec::apply_mut`].
+    fn peek(&self, state: &Self::State, op: &Self::Op) -> Self::Resp {
+        self.apply(state, op).1
+    }
+
     /// The operation's [`OpClass`], used by Algorithm 1 to pick its code
     /// path. Must be consistent with `apply`: a [`OpClass::PureAccessor`]
     /// must never change the state and a [`OpClass::PureMutator`]'s

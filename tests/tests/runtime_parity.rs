@@ -14,7 +14,7 @@
 use std::time::Duration;
 
 use skewbound_core::params::Params;
-use skewbound_core::prelude::{run_history, run_history_rt, Replica};
+use skewbound_core::prelude::{bounds, run_history, run_history_rt, Replica};
 use skewbound_integration::assert_linearizable;
 use skewbound_lin::checker::check_history;
 use skewbound_net::runtime::run_history_net;
@@ -252,4 +252,59 @@ fn kv_workload_parity_across_three_backends() {
             _ => KvOp::Remove { key: 1 - key },
         }
     });
+}
+
+/// Anchored arming removes timer *lateness*, never the wait itself: on
+/// real sockets every client-observed latency is still at least its
+/// class's prescribed time (`ε + X`, `d + ε − X`, `d + ε`). A response
+/// that beats it would mean a timer fired ahead of its nominal instant.
+#[test]
+fn net_responses_never_beat_their_class_bound() {
+    const OPS: usize = 6;
+    let n = 3;
+    let params = Params::with_optimal_skew(
+        n,
+        SimDuration::from_ticks(20_000),
+        SimDuration::from_ticks(8_000),
+        SimDuration::ZERO,
+    )
+    .unwrap();
+    let spec = Queue::<i64>::new();
+    let gen = |pid: ProcessId, idx: usize| match (idx + pid.index()) % 3 {
+        0 => QueueOp::Enqueue(i64::from(pid.as_u32()) * 10 + idx as i64),
+        1 => QueueOp::Dequeue,
+        _ => QueueOp::Peek,
+    };
+
+    // As in the parity test above, only linearizability may be retried
+    // (a host stall longer than the headroom breaks the timing model);
+    // completeness and the latency floor must hold on every run.
+    for attempt in 1..=3 {
+        let history = run_history_net(Queue::<i64>::new, &params, 11, OPS, gen);
+        assert!(history.is_complete(), "incomplete history");
+        assert_eq!(history.len(), n * OPS, "wrong op count");
+        for rec in history.records() {
+            let bound = match spec.class(&rec.op) {
+                OpClass::PureMutator => bounds::ub_mop(&params),
+                OpClass::PureAccessor => bounds::ub_aop(&params),
+                OpClass::Other => bounds::ub_oop(&params),
+            };
+            let latency = rec.latency().expect("complete history");
+            assert!(
+                latency >= bound,
+                "{:?} at {} answered in {latency:?}, before its bound {bound:?}",
+                rec.op,
+                rec.pid
+            );
+        }
+        if check_history(&spec, &history).is_linearizable() {
+            return;
+        }
+        assert!(
+            attempt < 3,
+            "non-linearizable history on {attempt} attempts: {:?}",
+            history.records()
+        );
+        eprintln!("latency-floor attempt {attempt} hit a timing-model violation; retrying");
+    }
 }
