@@ -30,6 +30,9 @@ cargo test -q --workspace
 echo "== parallel grid determinism (forced 4-worker pool) =="
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test parallel_grid
 
+echo "== shard golden (fixed-value histories, forced 4-worker pool) =="
+SKEWBOUND_THREADS=4 cargo test -q -p skewbound-core shard
+
 echo "== cross-runtime parity (engine vs real threads) =="
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test runtime_parity
 

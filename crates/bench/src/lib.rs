@@ -20,7 +20,6 @@
 
 pub mod figures;
 pub mod measure;
-pub mod netreport;
 pub mod report;
 
 use skewbound_core::params::Params;

@@ -1,11 +1,12 @@
 //! Convenience runners: build a simulation (or a real-thread cluster),
-//! run a workload, return the history (and optionally check it).
+//! run a workload, return the complete history.
 //!
 //! These wrappers keep examples, integration tests and benches concise;
 //! everything they do can also be done directly with
-//! [`skewbound_sim::engine::Simulation`] or
-//! [`skewbound_sim::rt::RtCluster`]. Histories and traces are returned
-//! by move — no clone of the full run record.
+//! [`skewbound_sim::engine::Simulation`] (which is also where to go for
+//! the final actor states, the message log or a trace) or
+//! [`skewbound_sim::rt::RtCluster`]. Histories are returned by move — no
+//! clone of the full run record.
 
 use std::time::Duration;
 
@@ -15,7 +16,6 @@ use skewbound_sim::delay::{DelayBounds, DelayModel};
 use skewbound_sim::engine::{SimError, Simulation};
 use skewbound_sim::history::History;
 use skewbound_sim::rt::RtCluster;
-use skewbound_sim::trace::Trace;
 use skewbound_sim::workload::Driver;
 
 /// Runs `actors` under `clocks`/`delays` with `driver` until quiescence
@@ -48,68 +48,6 @@ where
         "run reached quiescence with pending operations (termination bug)"
     );
     Ok(sim.into_history())
-}
-
-/// Like [`run_history`] but returns the final simulation for state
-/// inspection — read the history with
-/// [`Simulation::history`] or take it with [`Simulation::into_history`]
-/// / [`Simulation::into_parts`].
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-pub fn run_simulation<A, D, Dr>(
-    actors: Vec<A>,
-    clocks: ClockAssignment,
-    delays: D,
-    driver: &mut Dr,
-) -> Result<Simulation<A, D>, SimError>
-where
-    A: Actor,
-    D: DelayModel,
-    Dr: Driver<A::Op, A::Resp> + ?Sized,
-{
-    let mut sim = Simulation::new(actors, clocks, delays);
-    // Callers inspect the returned simulation, so keep the message log.
-    sim.enable_msg_log();
-    sim.run_with(driver)?;
-    Ok(sim)
-}
-
-/// Like [`run_history`] but with engine tracing enabled: also returns
-/// the structured event [`Trace`] of the run (every invoke, send,
-/// deliver, timer arm/fire and response, stamped with real time, local
-/// clock reading and process id).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine.
-///
-/// # Panics
-///
-/// Panics if the run ends with an incomplete history, as in
-/// [`run_history`].
-#[allow(clippy::type_complexity)]
-pub fn run_history_traced<A, D, Dr>(
-    actors: Vec<A>,
-    clocks: ClockAssignment,
-    delays: D,
-    driver: &mut Dr,
-) -> Result<(History<A::Op, A::Resp>, Trace), SimError>
-where
-    A: Actor,
-    D: DelayModel,
-    Dr: Driver<A::Op, A::Resp> + ?Sized,
-{
-    let mut sim = Simulation::new(actors, clocks, delays);
-    sim.enable_trace();
-    sim.run_with(driver)?;
-    assert!(
-        sim.history().is_complete(),
-        "run reached quiescence with pending operations (termination bug)"
-    );
-    let trace = sim.take_trace().expect("tracing enabled");
-    Ok((sim.into_history(), trace))
 }
 
 /// Runs the same closed-loop workload on the **real-thread runtime**:
@@ -185,63 +123,6 @@ mod tests {
         .unwrap();
         assert_eq!(history.len(), 12);
         assert!(history.is_complete());
-    }
-
-    #[test]
-    fn run_history_traced_returns_matching_trace() {
-        let params = Params::with_optimal_skew(
-            2,
-            SimDuration::from_ticks(100),
-            SimDuration::from_ticks(30),
-            SimDuration::ZERO,
-        )
-        .unwrap();
-        let mut script = Script::new().at(ProcessId::new(0), SimTime::ZERO, CounterOp::Add(5));
-        let (history, trace) = run_history_traced(
-            Replica::group(Counter::default(), &params),
-            ClockAssignment::zero(2),
-            FixedDelay::maximal(params.delay_bounds()),
-            &mut script,
-        )
-        .unwrap();
-        assert_eq!(history.len(), 1);
-        // One invoke and one respond per history record, at the right
-        // process and times.
-        let rec = &history.records()[0];
-        let invokes: Vec<_> = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, TraceEventKind::Invoke { .. }))
-            .collect();
-        assert_eq!(invokes.len(), 1);
-        assert_eq!(invokes[0].pid, rec.pid);
-        assert_eq!(invokes[0].at, rec.invoked_at);
-        assert!(trace
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, TraceEventKind::TimerSet { .. })));
-    }
-
-    #[test]
-    fn run_simulation_exposes_state() {
-        let params = Params::with_optimal_skew(
-            2,
-            SimDuration::from_ticks(100),
-            SimDuration::from_ticks(30),
-            SimDuration::ZERO,
-        )
-        .unwrap();
-        let mut script = Script::new().at(ProcessId::new(0), SimTime::ZERO, CounterOp::Add(5));
-        let sim = run_simulation(
-            Replica::group(Counter::default(), &params),
-            ClockAssignment::zero(2),
-            FixedDelay::maximal(params.delay_bounds()),
-            &mut script,
-        )
-        .unwrap();
-        assert_eq!(sim.history().len(), 1);
-        assert_eq!(sim.actor(ProcessId::new(0)).local_state(), &5);
-        assert_eq!(sim.actor(ProcessId::new(1)).local_state(), &5);
     }
 
     #[test]

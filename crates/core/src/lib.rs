@@ -7,6 +7,11 @@
 //!   implementation of an arbitrary data type that beats the folklore
 //!   `2d` bound: pure mutators respond in `ε + X`, pure accessors in
 //!   `d + ε − X`, and everything else in at most `d + ε`;
+//! * [`nsreplica::NsReplica`] — the same algorithm invoked in
+//!   class-homogeneous batches over a keyed namespace. The two are
+//!   invocation front-ends over one crate-private `To_Execute` core in
+//!   [`replica`]: there is one local copy, one priority queue and one
+//!   execute pass in this crate;
 //! * [`centralized::Centralized`] — the `2d` folklore baseline;
 //! * [`foils`] — deliberately too-fast implementations used by the
 //!   lower-bound experiments (they *must* fail, and do);
@@ -67,8 +72,8 @@ pub mod prelude {
     pub use crate::bounds;
     pub use crate::centralized::{CentralMsg, Centralized};
     pub use crate::foils::LocalFirstReplica;
-    pub use crate::harness::{run_history, run_history_rt, run_history_traced, run_simulation};
-    pub use crate::nsreplica::{NsOpMsg, NsReplica, NsTimer};
+    pub use crate::harness::{run_history, run_history_rt};
+    pub use crate::nsreplica::{NsReplica, NsTimer};
     pub use crate::params::{ParamError, Params};
     pub use crate::replica::{OpMsg, Replica, ReplicaTimer, TimerProfile};
     pub use crate::shard::{

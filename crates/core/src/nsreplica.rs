@@ -1,12 +1,16 @@
 //! Algorithm 1 over a keyed namespace, with batched invocations.
 //!
-//! [`NsReplica`] runs the same timers as [`Replica`](crate::replica) but
-//! its object is a [`Namespace`](skewbound_spec::namespace::Namespace):
-//! every operation carries an object key, and the local copy is a map
-//! from keys to per-object states mutated *in place* (only the touched
-//! key's entry changes — no whole-map clone per op, unlike
-//! `Namespace::apply`, which is written for checking, not for the
-//! replica hot loop).
+//! [`NsReplica`] is the batch invocation front-end over the crate's one
+//! `To_Execute` core (`ToExecute` in [`crate::replica`], shared with
+//! [`Replica`](crate::replica::Replica)): the local copy, the priority
+//! queue, the timestamp-ordered execute pass and the non-committing read
+//! live there; this module holds only what batching adds — seq-stamped
+//! timestamps, one timer per role, the class check and the framing
+//! switch. Its object is a [`Namespace`]: every operation carries an
+//! object key, the local copy is the namespace's map from keys to
+//! per-object states, mutated in place through `Namespace::apply_mut`
+//! (only the touched key's entry changes), and the broadcast message is
+//! the ordinary [`OpMsg`] over the namespace spec.
 //!
 //! Invocations are **class-homogeneous batches**: one `Vec<NsOp>` of
 //! pure mutators or pure accessors invoked together and responded
@@ -24,8 +28,8 @@
 //! * one `SelfAdd` at `d − u` carrying all `(ts, op)` pairs;
 //! * one `Execute` hold timer at `u + ε` per *delivery*, set at the
 //!   batch's largest timestamp (the inclusive, timestamp-ordered
-//!   `execute_up_to` then fires each op exactly when its own timer
-//!   would have — the "single timestamp pass");
+//!   execute pass then fires each op exactly when its own timer would
+//!   have — the "single timestamp pass");
 //! * one `MutatorRespond` at `ε + X` carrying the whole response vector,
 //!   or one `AccessorRespond` at `d + ε − X` executing everything below
 //!   the batch's first timestamp and then reading all ops back to back.
@@ -37,41 +41,18 @@
 //! transport-level batching in isolation.
 
 use core::fmt;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use skewbound_sim::actor::{Actor, Context};
 use skewbound_sim::ids::ProcessId;
-use skewbound_spec::namespace::NsOp;
+use skewbound_sim::time::SimDuration;
+use skewbound_spec::namespace::{Namespace, NsOp};
 use skewbound_spec::seqspec::{OpClass, SequentialSpec};
 
 use crate::params::Params;
-use crate::replica::TimerProfile;
+use crate::replica::{OpMsg, TimerProfile, ToExecute};
 use crate::timestamp::Timestamp;
-
-/// The broadcast message: one keyed operation and its timestamp.
-pub struct NsOpMsg<S: SequentialSpec> {
-    /// The keyed operation.
-    pub op: NsOp<S::Op>,
-    /// Its global timestamp (sequence component set per batch slot).
-    pub ts: Timestamp,
-}
-
-impl<S: SequentialSpec> Clone for NsOpMsg<S> {
-    fn clone(&self) -> Self {
-        NsOpMsg {
-            op: self.op.clone(),
-            ts: self.ts,
-        }
-    }
-}
-
-impl<S: SequentialSpec> fmt::Debug for NsOpMsg<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "NsOpMsg({:?} @ {})", self.op, self.ts)
-    }
-}
 
 /// Timers of the batched namespace replica (one per batch, not per op —
 /// see the [module docs](self)).
@@ -123,29 +104,6 @@ impl<S: SequentialSpec> fmt::Debug for NsTimer<S> {
     }
 }
 
-/// An entry of the `To_Execute` priority queue.
-struct Queued<S: SequentialSpec> {
-    ts: Timestamp,
-    op: NsOp<S::Op>,
-}
-
-impl<S: SequentialSpec> PartialEq for Queued<S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.ts == other.ts
-    }
-}
-impl<S: SequentialSpec> Eq for Queued<S> {}
-impl<S: SequentialSpec> PartialOrd for Queued<S> {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<S: SequentialSpec> Ord for Queued<S> {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        self.ts.cmp(&other.ts)
-    }
-}
-
 /// One process of the batched namespace replica group.
 ///
 /// Only **pure** batches are supported: every op of a batch must be a
@@ -191,132 +149,65 @@ impl<S: SequentialSpec> Ord for Queued<S> {
 /// # Ok::<(), skewbound_core::params::ParamError>(())
 /// ```
 pub struct NsReplica<S: SequentialSpec> {
-    /// The per-key base spec, shared across the group.
-    inner: Arc<S>,
-    x: skewbound_sim::time::SimDuration,
+    core: ToExecute<Namespace<S>>,
+    x: SimDuration,
     profile: TimerProfile,
-    /// Per-key local states; untouched keys are absent (= inner initial).
-    local: BTreeMap<u64, S::State>,
-    to_execute: BinaryHeap<Reverse<Queued<S>>>,
     /// Frame broadcasts as delivery batches (`true`) or per-op messages.
     batched: bool,
-    /// Count of operations executed on the local copy (diagnostics).
-    executed: u64,
 }
 
 impl<S: SequentialSpec> fmt::Debug for NsReplica<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NsReplica")
-            .field("keys", &self.local.len())
-            .field("queued", &self.to_execute.len())
-            .field("executed", &self.executed)
+            .field("keys", &self.core.local().len())
+            .field("queued", &self.core.queued_len())
+            .field("executed", &self.core.executed())
             .field("batched", &self.batched)
             .finish_non_exhaustive()
     }
 }
 
 impl<S: SequentialSpec> NsReplica<S> {
-    /// A replica with the honest timer profile from `params`.
-    #[must_use]
-    pub fn new(inner: S, params: &Params, batched: bool) -> Self {
-        Self::with_shared(Arc::new(inner), params, batched)
-    }
-
-    /// Like [`NsReplica::new`], but sharing an existing inner spec.
-    #[must_use]
-    pub fn with_shared(inner: Arc<S>, params: &Params, batched: bool) -> Self {
-        NsReplica {
-            inner,
-            x: params.x(),
-            profile: TimerProfile::from_params(params),
-            local: BTreeMap::new(),
-            to_execute: BinaryHeap::new(),
-            batched,
-            executed: 0,
-        }
-    }
-
-    /// One replica per process, sharing the inner spec.
+    /// One replica per process with the honest timer profile from
+    /// `params`, sharing the namespace spec over `inner`.
     #[must_use]
     pub fn group(inner: S, params: &Params, batched: bool) -> Vec<Self> {
-        let inner = Arc::new(inner);
+        let spec = Arc::new(Namespace::new(inner));
         (0..params.n())
-            .map(|_| Self::with_shared(Arc::clone(&inner), params, batched))
+            .map(|_| NsReplica {
+                core: ToExecute::new(Arc::clone(&spec)),
+                x: params.x(),
+                profile: TimerProfile::from_params(params),
+                batched,
+            })
             .collect()
     }
 
     /// Per-key local states (absent keys are at the inner initial state).
     #[must_use]
     pub fn local_states(&self) -> &BTreeMap<u64, S::State> {
-        &self.local
+        self.core.local()
     }
 
     /// Number of operations executed on the local copy so far.
     #[must_use]
     pub fn executed(&self) -> u64 {
-        self.executed
+        self.core.executed()
     }
 
     /// Number of operations waiting in `To_Execute`.
     #[must_use]
     pub fn queued_len(&self) -> usize {
-        self.to_execute.len()
+        self.core.queued_len()
     }
 
-    /// Applies `op` to the touched key's entry in place, committing the
-    /// new state and returning the response.
-    fn apply_local(&mut self, op: &NsOp<S::Op>) -> S::Resp {
-        let inner = &self.inner;
-        let st = self.local.entry(op.key).or_insert_with(|| inner.initial());
-        let (next, resp) = inner.apply(st, &op.op);
-        *st = next;
-        self.executed += 1;
-        resp
-    }
-
-    /// Reads `op`'s response off the current local copy without
-    /// committing state (sound for pure accessors, which are
-    /// state-preserving, and for pure mutators, whose responses are
-    /// state-independent).
-    fn read_local(&self, op: &NsOp<S::Op>) -> S::Resp {
-        match self.local.get(&op.key) {
-            Some(st) => self.inner.apply(st, &op.op).1,
-            None => {
-                let init = self.inner.initial();
-                self.inner.apply(&init, &op.op).1
-            }
-        }
-    }
-
-    /// Executes every queued operation with timestamp `≤ bound` (or
-    /// `< bound` when `inclusive` is false) in timestamp order.
-    fn execute_up_to(&mut self, bound: Timestamp, inclusive: bool) {
-        while let Some(Reverse(head)) = self.to_execute.peek() {
-            let within = if inclusive {
-                head.ts <= bound
-            } else {
-                head.ts < bound
-            };
-            if !within {
-                break;
-            }
-            let Reverse(entry) = self.to_execute.pop().expect("peeked");
-            let _ = self.apply_local(&entry.op);
-        }
-    }
-
-    /// Pushes a batch and sets the single hold timer at its largest
-    /// timestamp.
-    fn enqueue_batch<I>(&mut self, pairs: I, ctx: &mut Context<'_, Self>)
-    where
-        I: IntoIterator<Item = (Timestamp, NsOp<S::Op>)>,
-    {
-        let mut max_ts: Option<Timestamp> = None;
-        for (ts, op) in pairs {
-            max_ts = Some(max_ts.map_or(ts, |m| m.max(ts)));
-            self.to_execute.push(Reverse(Queued { ts, op }));
-        }
-        if let Some(ts) = max_ts {
+    /// Queues one arrival and sets its hold timer.
+    fn enqueue(
+        &mut self,
+        pairs: impl IntoIterator<Item = (Timestamp, NsOp<S::Op>)>,
+        ctx: &mut Context<'_, Self>,
+    ) {
+        if let Some(ts) = self.core.push_all(pairs) {
             ctx.set_timer(self.profile.hold, NsTimer::Execute { ts });
         }
     }
@@ -328,16 +219,15 @@ impl<S: SequentialSpec> NsReplica<S> {
     /// Panics on an empty batch, a mixed-class batch, or an `Other`-class
     /// op (unsupported here; see the type docs).
     fn batch_class(&self, batch: &[NsOp<S::Op>]) -> OpClass {
-        let class = self
-            .inner
-            .class(&batch.first().expect("empty batch invoked").op);
+        let spec = self.core.spec();
+        let class = spec.class(batch.first().expect("empty batch invoked"));
         assert!(
             class != OpClass::Other,
             "NsReplica batches must be pure mutators or pure accessors"
         );
         for op in &batch[1..] {
             assert!(
-                self.inner.class(&op.op) == class,
+                spec.class(op) == class,
                 "mixed-class batch: {:?} is not {class:?}",
                 op.op
             );
@@ -347,37 +237,29 @@ impl<S: SequentialSpec> NsReplica<S> {
 }
 
 impl<S: SequentialSpec> Actor for NsReplica<S> {
-    type Msg = NsOpMsg<S>;
+    type Msg = OpMsg<Namespace<S>>;
     type Op = Vec<NsOp<S::Op>>;
     type Resp = Vec<S::Resp>;
     type Timer = NsTimer<S>;
 
     fn on_invoke(&mut self, batch: Vec<NsOp<S::Op>>, ctx: &mut Context<'_, Self>) {
+        let (clock, pid) = (ctx.clock(), ctx.pid());
         match self.batch_class(&batch) {
             OpClass::PureAccessor => {
-                let (clock, pid) = (ctx.clock(), ctx.pid());
-                let ops: Vec<_> = batch
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, op)| {
-                        (
-                            Timestamp::accessor_with_seq(clock, self.x, pid, j as u32),
-                            op,
-                        )
-                    })
+                let ops = (0u32..)
+                    .zip(batch)
+                    .map(|(j, op)| (Timestamp::accessor_with_seq(clock, self.x, pid, j), op))
                     .collect();
                 ctx.set_timer(self.profile.accessor_wait, NsTimer::AccessorRespond { ops });
             }
             _ => {
-                let (clock, pid) = (ctx.clock(), ctx.pid());
                 // Pure-mutator responses are state-independent, so the
                 // whole response vector is computable at invocation.
-                let resps: Vec<_> = batch.iter().map(|op| self.read_local(op)).collect();
-                let msgs: Vec<NsOpMsg<S>> = batch
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, op)| NsOpMsg {
-                        ts: Timestamp::with_seq(clock, pid, j as u32),
+                let resps = batch.iter().map(|op| self.core.peek(op)).collect();
+                let msgs: Vec<Self::Msg> = (0u32..)
+                    .zip(batch)
+                    .map(|(j, op)| OpMsg {
+                        ts: Timestamp::with_seq(clock, pid, j),
                         op,
                     })
                     .collect();
@@ -395,38 +277,32 @@ impl<S: SequentialSpec> Actor for NsReplica<S> {
         }
     }
 
-    fn on_message(&mut self, _from: ProcessId, msg: NsOpMsg<S>, ctx: &mut Context<'_, Self>) {
-        self.to_execute.push(Reverse(Queued {
-            ts: msg.ts,
-            op: msg.op,
-        }));
-        ctx.set_timer(self.profile.hold, NsTimer::Execute { ts: msg.ts });
+    fn on_message(&mut self, _from: ProcessId, msg: Self::Msg, ctx: &mut Context<'_, Self>) {
+        self.enqueue([(msg.ts, msg.op)], ctx);
     }
 
     fn on_message_batch(
         &mut self,
         _from: ProcessId,
-        msgs: Vec<NsOpMsg<S>>,
+        msgs: Vec<Self::Msg>,
         ctx: &mut Context<'_, Self>,
     ) {
-        // One hold timer at the batch's largest timestamp — the single
-        // timestamp pass (see the module docs).
-        self.enqueue_batch(msgs.into_iter().map(|m| (m.ts, m.op)), ctx);
+        self.enqueue(msgs.into_iter().map(|m| (m.ts, m.op)), ctx);
     }
 
     fn on_timer(&mut self, timer: NsTimer<S>, ctx: &mut Context<'_, Self>) {
         match timer {
-            NsTimer::SelfAdd { ops } => self.enqueue_batch(ops, ctx),
-            NsTimer::Execute { ts } => self.execute_up_to(ts, true),
+            NsTimer::SelfAdd { ops } => self.enqueue(ops, ctx),
+            NsTimer::Execute { ts } => self.core.execute_up_to(ts, true, |_, _| {}),
             NsTimer::MutatorRespond { resps } => ctx.respond(resps),
             NsTimer::AccessorRespond { ops } => {
                 let first = ops.first().expect("empty accessor batch").0;
-                self.execute_up_to(first, false);
+                self.core.execute_up_to(first, false, |_, _| {});
                 // The batch's timestamps are adjacent in the global
                 // order (same clock/pid, consecutive seq), so reading
                 // back to back observes exactly the executions below
                 // each op's own timestamp.
-                let resps = ops.iter().map(|(_, op)| self.read_local(op)).collect();
+                let resps = ops.iter().map(|(_, op)| self.core.peek(op)).collect();
                 ctx.respond(resps);
             }
         }
@@ -544,6 +420,66 @@ mod tests {
         assert_eq!(states[0].get(&9), Some(&3));
         // Three broadcast writes → three executions on every replica.
         assert!((0..3).all(|i| sim.actor(p(i)).executed() == 3));
+    }
+
+    #[test]
+    fn one_op_batches_match_the_single_op_front_end() {
+        // The two front-ends run the same algorithm: a pure-op workload
+        // invoked as one-op batches here and as single ops on
+        // `Replica<Namespace<_>>` yields the same history, record for
+        // record, instants included.
+        use crate::replica::Replica;
+        use rand::rngs::StdRng;
+        use rand::Rng;
+
+        let params = Params::with_optimal_skew(
+            3,
+            SimDuration::from_ticks(100),
+            SimDuration::from_ticks(30),
+            SimDuration::from_ticks(7),
+        )
+        .unwrap();
+        let gen = |_pid: ProcessId, _idx: usize, rng: &mut StdRng| {
+            let key = rng.gen_range(0..5);
+            if rng.gen_bool(0.5) {
+                NsOp::new(key, RmwOp::Write(rng.gen_range(1..100)))
+            } else {
+                NsOp::new(key, RmwOp::Read)
+            }
+        };
+        let pids: Vec<_> = ProcessId::all(3).collect();
+        let clocks = || ClockAssignment::spread(3, params.eps());
+        let delays = || FixedDelay::maximal(params.delay_bounds());
+
+        let batches = crate::harness::run_history(
+            NsReplica::group(RmwRegister::default(), &params, true),
+            clocks(),
+            delays(),
+            &mut ClosedLoop::new(pids.clone(), 40, 23, |p, i, r: &mut StdRng| {
+                vec![gen(p, i, r)]
+            }),
+        )
+        .unwrap();
+        let singles = crate::harness::run_history(
+            Replica::group(Namespace::new(RmwRegister::default()), &params),
+            clocks(),
+            delays(),
+            &mut ClosedLoop::new(pids, 40, 23, gen),
+        )
+        .unwrap();
+
+        assert_eq!(batches.len(), 120);
+        assert_eq!(batches.len(), singles.len());
+        let mut classes = [0usize; 2];
+        for (b, s) in batches.records().iter().zip(singles.records()) {
+            assert_eq!(b.pid, s.pid);
+            assert_eq!(b.op, vec![s.op.clone()]);
+            assert_eq!(b.invoked_at, s.invoked_at);
+            let (resp, at) = s.response.clone().expect("complete history");
+            assert_eq!(b.response, Some((vec![resp], at)));
+            classes[usize::from(matches!(s.op.op, RmwOp::Read))] += 1;
+        }
+        assert!(classes.iter().all(|&c| c > 20), "both classes exercised");
     }
 
     #[test]

@@ -24,6 +24,13 @@
 //! The resulting worst-case times are `|OOP| ≤ d + ε`, `|MOP| = ε + X`,
 //! `|AOP| = d + ε − X` (Theorems D.1/D.2 of Chapter V).
 //!
+//! The local copy, `To_Execute` and the execute pass are one
+//! crate-private struct, `ToExecute`, defined here. [`Replica`] (one
+//! operation at a time, all three classes) and
+//! [`NsReplica`](crate::nsreplica::NsReplica) (class-homogeneous batches
+//! over a keyed namespace) are the two invocation front-ends over it and
+//! share the broadcast message [`OpMsg`].
+//!
 //! [`TimerProfile`] isolates the four wait durations so that the
 //! lower-bound experiments can build *foils* — replicas that wait less
 //! than the theory requires and therefore lose linearizability under
@@ -204,6 +211,105 @@ impl<S: SequentialSpec> Ord for Queued<S> {
     }
 }
 
+/// The part of Algorithm 1 that does not depend on how operations are
+/// invoked: the local copy of the object, the `To_Execute` priority
+/// queue, the timestamp-ordered execute pass and the non-committing
+/// read. [`Replica`] and [`NsReplica`](crate::nsreplica::NsReplica) are
+/// invocation front-ends over it; each owns its timer enum, so setting
+/// the hold timer is left to them.
+pub(crate) struct ToExecute<S: SequentialSpec> {
+    /// The sequential specification, shared by every replica of a group
+    /// (and across scenario-grid runs) instead of cloned per process.
+    spec: Arc<S>,
+    local: S::State,
+    heap: BinaryHeap<Reverse<Queued<S>>>,
+    /// Count of operations executed on the local copy (diagnostics).
+    executed: u64,
+}
+
+impl<S: SequentialSpec> ToExecute<S> {
+    pub(crate) fn new(spec: Arc<S>) -> Self {
+        let local = spec.initial();
+        ToExecute {
+            spec,
+            local,
+            heap: BinaryHeap::new(),
+            executed: 0,
+        }
+    }
+
+    pub(crate) fn spec(&self) -> &S {
+        &self.spec
+    }
+
+    pub(crate) fn local(&self) -> &S::State {
+        &self.local
+    }
+
+    pub(crate) fn queued_len(&self) -> usize {
+        self.heap.len()
+    }
+
+    pub(crate) fn executed(&self) -> u64 {
+        self.executed
+    }
+
+    /// Queues every `(ts, op)` of one arrival — a delivered message or
+    /// batch, or the process's own broadcast after `d − u` — and returns
+    /// the timestamp to set the arrival's hold timer at: the largest.
+    ///
+    /// Everything that arrives together shares one hold deadline, so a
+    /// single `Execute` timer at the largest timestamp stands in for one
+    /// timer per op: [`ToExecute::execute_up_to`] is inclusive and
+    /// timestamp-ordered, so firing once at the maximum executes each op
+    /// of the arrival exactly when its own timer would have.
+    pub(crate) fn push_all(
+        &mut self,
+        pairs: impl IntoIterator<Item = (Timestamp, S::Op)>,
+    ) -> Option<Timestamp> {
+        let mut max_ts: Option<Timestamp> = None;
+        for (ts, op) in pairs {
+            max_ts = Some(max_ts.map_or(ts, |m| m.max(ts)));
+            self.heap.push(Reverse(Queued { ts, op }));
+        }
+        max_ts
+    }
+
+    /// Executes every queued operation with timestamp `≤ bound` (or
+    /// `< bound` when `inclusive` is false) on the local copy in
+    /// timestamp order, handing each executed timestamp and its response
+    /// to `on_executed`.
+    pub(crate) fn execute_up_to(
+        &mut self,
+        bound: Timestamp,
+        inclusive: bool,
+        mut on_executed: impl FnMut(Timestamp, S::Resp),
+    ) {
+        while let Some(Reverse(head)) = self.heap.peek() {
+            let within = if inclusive {
+                head.ts <= bound
+            } else {
+                head.ts < bound
+            };
+            if !within {
+                break;
+            }
+            let Reverse(entry) = self.heap.pop().expect("peeked");
+            let resp = self.spec.apply_mut(&mut self.local, &entry.op);
+            self.executed += 1;
+            on_executed(entry.ts, resp);
+        }
+    }
+
+    /// The response `op` gets on the current local copy, without
+    /// committing state: sound for pure accessors (state-preserving) and
+    /// for pure mutators (state-independent responses), both by class
+    /// consistency (`classify::check_class_consistency`).
+    pub(crate) fn peek(&self, op: &S::Op) -> S::Resp {
+        self.spec.peek(&self.local, op)
+    }
+}
+
 /// One process of Algorithm 1.
 ///
 /// # Examples
@@ -242,18 +348,12 @@ impl<S: SequentialSpec> Ord for Queued<S> {
 /// # Ok::<(), skewbound_core::params::ParamError>(())
 /// ```
 pub struct Replica<S: SequentialSpec> {
-    /// The sequential specification, shared by every replica of a group
-    /// (and across scenario-grid runs) instead of cloned per process.
-    spec: Arc<S>,
+    core: ToExecute<S>,
     x: SimDuration,
     profile: TimerProfile,
-    local: S::State,
-    to_execute: BinaryHeap<Reverse<Queued<S>>>,
     /// Timestamp of this process's pending `OOP` operation, if any — the
     /// response fires when it is executed on the local copy.
     own_other_pending: Option<Timestamp>,
-    /// Count of operations executed on the local copy (diagnostics).
-    executed: u64,
     /// Timestamps of executed operations, in execution order. Lemma C.10
     /// says this sequence is ascending and identical across replicas at
     /// quiescence; tests assert it.
@@ -263,9 +363,9 @@ pub struct Replica<S: SequentialSpec> {
 impl<S: SequentialSpec> fmt::Debug for Replica<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Replica")
-            .field("local", &self.local)
-            .field("queued", &self.to_execute.len())
-            .field("executed", &self.executed)
+            .field("local", self.core.local())
+            .field("queued", &self.core.queued_len())
+            .field("executed", &self.core.executed())
             .finish_non_exhaustive()
     }
 }
@@ -274,27 +374,22 @@ impl<S: SequentialSpec> Replica<S> {
     /// A replica with the honest timer profile from `params`.
     #[must_use]
     pub fn new(spec: S, params: &Params) -> Self {
-        Self::with_profile(spec, params.x(), TimerProfile::from_params(params))
+        Self::with_profile_shared(
+            Arc::new(spec),
+            params.x(),
+            TimerProfile::from_params(params),
+        )
     }
 
-    /// A replica with an explicit timer profile (foils use this).
-    #[must_use]
-    pub fn with_profile(spec: S, x: SimDuration, profile: TimerProfile) -> Self {
-        Self::with_profile_shared(Arc::new(spec), x, profile)
-    }
-
-    /// Like [`Replica::with_profile`], but sharing an existing spec.
+    /// A replica with an explicit timer profile (foils use this),
+    /// sharing an existing spec.
     #[must_use]
     pub fn with_profile_shared(spec: Arc<S>, x: SimDuration, profile: TimerProfile) -> Self {
-        let local = spec.initial();
         Replica {
-            spec,
+            core: ToExecute::new(spec),
             x,
             profile,
-            local,
-            to_execute: BinaryHeap::new(),
             own_other_pending: None,
-            executed: 0,
             executed_order: Vec::new(),
         }
     }
@@ -313,30 +408,16 @@ impl<S: SequentialSpec> Replica<S> {
     /// One replica per process, sharing an existing spec.
     #[must_use]
     pub fn group_shared(spec: &Arc<S>, params: &Params) -> Vec<Self> {
-        (0..params.n())
-            .map(|_| {
-                Self::with_profile_shared(
-                    Arc::clone(spec),
-                    params.x(),
-                    TimerProfile::from_params(params),
-                )
-            })
-            .collect()
+        Self::group_of(spec, params, TimerProfile::from_params(params))
     }
 
     /// A group with an explicit profile (foils).
     #[must_use]
     pub fn group_with_profile(spec: S, params: &Params, profile: TimerProfile) -> Vec<Self> {
-        Self::group_with_profile_shared(&Arc::new(spec), params, profile)
+        Self::group_of(&Arc::new(spec), params, profile)
     }
 
-    /// A group with an explicit profile, sharing an existing spec.
-    #[must_use]
-    pub fn group_with_profile_shared(
-        spec: &Arc<S>,
-        params: &Params,
-        profile: TimerProfile,
-    ) -> Vec<Self> {
+    fn group_of(spec: &Arc<S>, params: &Params, profile: TimerProfile) -> Vec<Self> {
         (0..params.n())
             .map(|_| Self::with_profile_shared(Arc::clone(spec), params.x(), profile))
             .collect()
@@ -347,19 +428,19 @@ impl<S: SequentialSpec> Replica<S> {
     /// The current local copy of the object.
     #[must_use]
     pub fn local_state(&self) -> &S::State {
-        &self.local
+        self.core.local()
     }
 
     /// Number of operations waiting in `To_Execute`.
     #[must_use]
     pub fn queued_len(&self) -> usize {
-        self.to_execute.len()
+        self.core.queued_len()
     }
 
     /// Number of operations executed on the local copy so far.
     #[must_use]
     pub fn executed(&self) -> u64 {
-        self.executed
+        self.core.executed()
     }
 
     /// Timestamps of executed operations, in execution order.
@@ -378,33 +459,34 @@ impl<S: SequentialSpec> Replica<S> {
         &self.profile
     }
 
-    fn enqueue(&mut self, op: S::Op, ts: Timestamp, ctx: &mut Context<'_, Self>) {
-        self.to_execute.push(Reverse(Queued { ts, op }));
-        ctx.set_timer(self.profile.hold, ReplicaTimer::Execute { ts });
+    /// Queues one arrival and sets its hold timer.
+    fn enqueue(
+        &mut self,
+        pairs: impl IntoIterator<Item = (Timestamp, S::Op)>,
+        ctx: &mut Context<'_, Self>,
+    ) {
+        if let Some(ts) = self.core.push_all(pairs) {
+            ctx.set_timer(self.profile.hold, ReplicaTimer::Execute { ts });
+        }
     }
 
-    /// Executes every queued operation with timestamp `≤ bound` (or
-    /// `< bound` when `inclusive` is false) in timestamp order, responding
-    /// if one of them is this process's own pending `OOP` operation.
+    /// Runs the execute pass, recording the order (Lemma C.10) and
+    /// responding if one of the executed operations is this process's
+    /// own pending `OOP` operation.
     fn execute_up_to(&mut self, bound: Timestamp, inclusive: bool, ctx: &mut Context<'_, Self>) {
-        while let Some(Reverse(head)) = self.to_execute.peek() {
-            let within = if inclusive {
-                head.ts <= bound
-            } else {
-                head.ts < bound
-            };
-            if !within {
-                break;
-            }
-            let Reverse(entry) = self.to_execute.pop().expect("peeked");
-            let resp = self.spec.apply_mut(&mut self.local, &entry.op);
-            self.executed += 1;
-            self.executed_order.push(entry.ts);
-            if self.own_other_pending == Some(entry.ts) {
-                self.own_other_pending = None;
+        let Replica {
+            core,
+            own_other_pending,
+            executed_order,
+            ..
+        } = self;
+        core.execute_up_to(bound, inclusive, |ts, resp| {
+            executed_order.push(ts);
+            if *own_other_pending == Some(ts) {
+                *own_other_pending = None;
                 ctx.respond(resp);
             }
-        }
+        });
     }
 }
 
@@ -415,7 +497,7 @@ impl<S: SequentialSpec> Actor for Replica<S> {
     type Timer = ReplicaTimer<S>;
 
     fn on_invoke(&mut self, op: S::Op, ctx: &mut Context<'_, Self>) {
-        match self.spec.class(&op) {
+        match self.core.spec().class(&op) {
             OpClass::PureAccessor => {
                 let ts = Timestamp::accessor(ctx.clock(), self.x, ctx.pid());
                 ctx.set_timer(
@@ -434,7 +516,7 @@ impl<S: SequentialSpec> Actor for Replica<S> {
                     // A pure mutator's response is state-independent
                     // (verified by `classify::check_class_consistency`),
                     // so it can be computed now and delivered at `ε + X`.
-                    let resp = self.spec.peek(&self.local, &op);
+                    let resp = self.core.peek(&op);
                     ctx.set_timer(
                         self.profile.mutator_wait,
                         ReplicaTimer::MutatorRespond { resp },
@@ -452,7 +534,7 @@ impl<S: SequentialSpec> Actor for Replica<S> {
         msg: OpMsg<S>,
         ctx: &mut Context<'_, Self>,
     ) {
-        self.enqueue(msg.op, msg.ts, ctx);
+        self.enqueue([(msg.ts, msg.op)], ctx);
     }
 
     fn on_message_batch(
@@ -461,35 +543,17 @@ impl<S: SequentialSpec> Actor for Replica<S> {
         msgs: Vec<OpMsg<S>>,
         ctx: &mut Context<'_, Self>,
     ) {
-        // Every op of a delivery batch arrives at one instant and shares
-        // one hold deadline, so a single `Execute` timer at the largest
-        // timestamp stands in for the per-op timers: `execute_up_to` is
-        // inclusive and timestamp-ordered, so firing once at the max
-        // executes each batched op exactly when its own timer would have.
-        let mut max_ts: Option<Timestamp> = None;
-        for msg in msgs {
-            max_ts = Some(max_ts.map_or(msg.ts, |m| m.max(msg.ts)));
-            self.to_execute.push(Reverse(Queued {
-                ts: msg.ts,
-                op: msg.op,
-            }));
-        }
-        if let Some(ts) = max_ts {
-            ctx.set_timer(self.profile.hold, ReplicaTimer::Execute { ts });
-        }
+        self.enqueue(msgs.into_iter().map(|m| (m.ts, m.op)), ctx);
     }
 
     fn on_timer(&mut self, timer: ReplicaTimer<S>, ctx: &mut Context<'_, Self>) {
         match timer {
-            ReplicaTimer::SelfAdd { op, ts } => self.enqueue(op, ts, ctx),
+            ReplicaTimer::SelfAdd { op, ts } => self.enqueue([(ts, op)], ctx),
             ReplicaTimer::Execute { ts } => self.execute_up_to(ts, true, ctx),
             ReplicaTimer::MutatorRespond { resp } => ctx.respond(resp),
             ReplicaTimer::AccessorRespond { op, ts } => {
                 self.execute_up_to(ts, false, ctx);
-                // Pure accessors read without committing state (they are
-                // state-preserving by class consistency).
-                let resp = self.spec.peek(&self.local, &op);
-                ctx.respond(resp);
+                ctx.respond(self.core.peek(&op));
             }
         }
     }

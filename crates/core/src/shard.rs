@@ -266,6 +266,48 @@ mod tests {
         }
     }
 
+    /// FNV-1a over `(pid, op, response, invoked_at, responded_at)` of
+    /// every record, in history order.
+    fn digest(history: &History<NsBatch, Vec<RmwResp>>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for rec in history.records() {
+            let line = format!(
+                "{:?}|{:?}|{:?}|{:?}|{:?};",
+                rec.pid,
+                rec.op,
+                rec.resp(),
+                rec.invoked_at,
+                rec.responded_at()
+            );
+            for b in line.bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn shard_run_matches_golden() {
+        // Fixed values, not a second run of the same build: a change to
+        // timestamps, timer placement, framing or response instants
+        // shows up here, where the run-twice determinism test above
+        // would stay green. Framing moves the event count only; the
+        // histories are the same.
+        const DIGESTS: [u64; 2] = [0xe32c_bc0b_f2be_8929, 0x73b7_6d7d_ae9d_b37c];
+        for (batched, events) in [(true, 60), (false, 108)] {
+            let outcomes = run_sharded(&workload(2, batched));
+            assert_eq!(outcomes.len(), DIGESTS.len());
+            for (out, want) in outcomes.iter().zip(DIGESTS) {
+                assert_eq!(
+                    (out.run.events, digest(&out.history)),
+                    (events, want),
+                    "batched={batched} shard={}",
+                    out.shard
+                );
+            }
+        }
+    }
+
     #[test]
     fn batching_does_not_change_shard_histories() {
         let on = run_sharded(&workload(2, true));

@@ -1,7 +1,7 @@
 //! A minimal JSON value, printer, and recursive-descent parser.
 //!
-//! The workspace builds offline and the vendored `serde` is an inert
-//! API stub, so every machine-readable artifact — lint reports
+//! The workspace builds offline with no serialization framework, so
+//! every machine-readable artifact — lint reports
 //! ([`crate::diag::Report`]), JSON-lines trace files audited by
 //! [`crate::audit`], and the model checker's certificates — is emitted
 //! and re-validated with this self-contained implementation instead. It

@@ -35,9 +35,9 @@ use crate::model::ModelActor;
 pub const SCHEMA: &str = "skewbound-certificate/v1";
 
 /// One operation of the violating history, with `Debug`-rendered
-/// operation and response (the workspace serde is an inert stub, so
-/// payloads are strings by design — certificates are evidence for
-/// humans and replay coordinates for machines, not wire formats).
+/// operation and response (payloads are strings by design —
+/// certificates are evidence for humans and replay coordinates for
+/// machines, not wire formats).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertRecord {
     /// Invoking process.

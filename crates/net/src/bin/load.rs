@@ -20,9 +20,9 @@ use std::collections::BTreeMap;
 use std::process::exit;
 use std::sync::{Barrier, Mutex};
 
-use skewbound_bench::netreport::NetReport;
 use skewbound_core::params::Params;
 use skewbound_lin::checker::check_history;
+use skewbound_net::netreport::NetReport;
 use skewbound_net::runtime::{tighten_timer_slack, NetClient, TimeBase};
 use skewbound_net::wire::{Decode, Encode};
 use skewbound_sim::history::History;

@@ -4,7 +4,8 @@
 //! state machines the discrete-event engine and the real-thread runtime
 //! drive, run as separate OS processes over TCP.
 //!
-//! Three layers:
+//! Three layers, plus [`netreport`], the `BENCH_net.json` summary
+//! `skewbound-load` writes:
 //!
 //! * [`wire`] — the hand-rolled codec: length-prefixed frames with a
 //!   versioned header (message id, send timestamp, injected delay,
@@ -37,6 +38,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod netreport;
 pub mod runtime;
 pub mod tcp;
 pub mod wire;

@@ -326,7 +326,10 @@ where
 {
     /// Files one raw mesh arrival: a peer batch under its delivery
     /// instant, a client request in the queue, a `Bye` as the drain flag.
-    fn accept(&mut self, event: RawEvent, base: &TimeBase) {
+    /// A client whose operation does not decode loses its connection on
+    /// `mesh`; anyone can open a client session, so that is input to
+    /// reject, not a reason to stop serving.
+    fn accept(&mut self, event: RawEvent, base: &TimeBase, mesh: &TcpMesh) {
         match event {
             RawEvent::Peer {
                 from,
@@ -348,15 +351,14 @@ where
                 header,
                 payload,
             } => match header.kind {
-                FrameKind::ClientReq => {
-                    let op: S::Op =
-                        from_bytes(&payload).expect("client sent an undecodable operation");
-                    self.client_q.push_back(ClientReq {
+                FrameKind::ClientReq => match from_bytes(&payload) {
+                    Ok(op) => self.client_q.push_back(ClientReq {
                         conn,
                         req_id: header.msg_id,
                         op,
-                    });
-                }
+                    }),
+                    Err(_) => mesh.drop_client(conn),
+                },
                 FrameKind::Bye => self.draining = true,
                 _ => {}
             },
@@ -423,7 +425,9 @@ const IDLE_POLL: Duration = Duration::from_millis(10);
 /// # Panics
 ///
 /// Panics on peer protocol violations (undecodable peer frames) and on
-/// transport failures — for a replica process both are fatal.
+/// transport failures — for a replica process both are fatal. A client's
+/// undecodable operation is neither: that client is disconnected and the
+/// server keeps serving.
 pub fn run_server<S>(
     spec: S,
     cfg: &ServerConfig,
@@ -468,7 +472,7 @@ where
         // 1. File everything that has physically arrived, so the due
         // order below sees every delivery it has to place.
         while let Some(event) = mesh.try_recv() {
-            inbox.accept(event, &base);
+            inbox.accept(event, &base, mesh);
         }
 
         // 2. Fire what is due, timers and held batches alike, earliest
@@ -558,7 +562,7 @@ where
             IDLE_POLL
         };
         if let Some(event) = mesh.wait(deadline, cap, node.pending_op().is_some()) {
-            inbox.accept(event, &base);
+            inbox.accept(event, &base, mesh);
         }
     }
     history
@@ -843,5 +847,70 @@ mod tests {
             next_due(t0 + 2 * MS, timer, held.iter().copied()),
             Some(Due::Held(0))
         );
+    }
+
+    /// Anyone can open a client session, so a request that does not
+    /// decode costs that client its connection and nothing else.
+    #[test]
+    fn undecodable_client_operation_drops_the_client_not_the_server() {
+        use skewbound_spec::register::{RmwOp, RmwRegister, RmwResp};
+        use std::io::Read;
+
+        let params = Params::with_optimal_skew(
+            2,
+            SimDuration::from_ticks(2_000),
+            SimDuration::from_ticks(1_000),
+            SimDuration::ZERO,
+        )
+        .unwrap();
+        let epoch = TimeBase::epoch_now_micros();
+        let pids = [ProcessId::new(0), ProcessId::new(1)];
+        let listeners = pids.map(|pid| MeshListener::bind(pid, "127.0.0.1:0").unwrap());
+        let addrs = [0, 1].map(|i| listeners[i].local_addr().unwrap());
+        // Plain spawns, joined on the success path only: were the server
+        // under test to die, a scope would wait forever on the other
+        // server's drain instead of letting the assertions below fail.
+        let servers: Vec<_> = listeners
+            .into_iter()
+            .zip(pids)
+            .map(|(listener, pid)| {
+                let other = 1 - pid.index();
+                let peers = [(pids[other], addrs[other])];
+                let cfg = ServerConfig::new(pid, 2, params, 7, epoch);
+                std::thread::spawn(move || {
+                    let mesh = listener.start(&peers).expect("start mesh");
+                    run_server(RmwRegister::default(), &cfg, &mesh, None);
+                    mesh.shutdown();
+                })
+            })
+            .collect();
+
+        let mut hostile = TcpStream::connect(addrs[0]).unwrap();
+        hostile.write_all(&client_hello()).unwrap();
+        let header = FrameHeader {
+            kind: FrameKind::ClientReq,
+            msg_id: 1,
+            sent_at_micros: 0,
+            delay_micros: 0,
+            batch: 0,
+        };
+        hostile.write_all(&encode_frame(&header, &[0xEE])).unwrap();
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(
+            hostile.read(&mut [0u8; 1]).ok(),
+            Some(0),
+            "the server did not hang up on the malformed session"
+        );
+
+        let mut client = NetClient::connect(addrs[0]).unwrap();
+        let resp: RmwResp = client.invoke(&RmwOp::Write(5)).unwrap();
+        assert_eq!(resp, RmwResp::Ack);
+        client.bye().unwrap();
+        NetClient::connect(addrs[1]).unwrap().bye().unwrap();
+        for server in servers {
+            server.join().expect("server thread panicked");
+        }
     }
 }

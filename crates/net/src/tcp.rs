@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -248,6 +248,14 @@ impl TcpMesh {
             return false;
         }
         true
+    }
+
+    /// Closes client connection `conn` and forgets it — the session-level
+    /// counterpart of dropping a connection whose frames do not decode.
+    pub(crate) fn drop_client(&self, conn: u64) {
+        if let Some(stream) = self.clients.lock().unwrap().remove(&conn) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 
     /// Stops every mesh thread and joins them. Called on server exit

@@ -7,13 +7,11 @@
 //! time bound for an operation is exactly
 //! `response_real_time − invocation_real_time` in the worst case.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{OpId, ProcessId};
 use crate::time::{SimDuration, SimTime};
 
 /// One operation instance as observed at the application layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpRecord<O, R> {
     /// Run-unique operation id.
     pub id: OpId,
@@ -72,7 +70,7 @@ impl<O, R> OpRecord<O, R> {
 /// assert!(h.is_complete());
 /// assert_eq!(h.max_latency().unwrap().as_ticks(), 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct History<O, R> {
     records: Vec<OpRecord<O, R>>,
 }

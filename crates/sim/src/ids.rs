@@ -2,8 +2,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one of the `n` processes in the system, `p0 … p(n−1)`.
 ///
 /// Process ids double as the tie-breaker in operation timestamps
@@ -18,25 +16,25 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.index(), 2);
 /// assert_eq!(format!("{p}"), "p2");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(u32);
 
 /// Identifies a single operation *instance* within a run (unique across
 /// processes).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(u64);
 
 /// Identifies a message instance within a run.
 ///
 /// The thesis assumes every message carries a unique id identifying sender
 /// and recipient (Chapter III §B.2); the engine assigns these.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgId(u64);
 
 /// Identifies a pending timer at a process. Returned by
 /// [`Context::set_timer`](crate::actor::Context::set_timer) and accepted by
 /// [`Context::cancel_timer`](crate::actor::Context::cancel_timer).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(u64);
 
 impl ProcessId {

@@ -14,8 +14,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in *real time* (the global time of the run), in ticks.
 ///
 /// Real time starts at zero and never goes negative. Arithmetic that would
@@ -31,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_ticks(), 5);
 /// assert_eq!(t - SimTime::ZERO, SimDuration::from_ticks(5));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in ticks.
@@ -45,7 +43,7 @@ pub struct SimTime(u64);
 /// assert_eq!(d / 4, SimDuration::from_ticks(2_500));
 /// assert_eq!(d * 2, SimDuration::from_ticks(20_000));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 /// A *clock time*: what a process reads off its local clock.
@@ -62,7 +60,7 @@ pub struct SimDuration(u64);
 /// let c = ClockTime::from_ticks(-3) + SimDuration::from_ticks(10);
 /// assert_eq!(c, ClockTime::from_ticks(7));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClockTime(i64);
 
 /// A signed clock offset `c_i` relating a process's clock to real time
@@ -70,7 +68,7 @@ pub struct ClockTime(i64);
 ///
 /// Offsets are what the skew bound constrains: a run is admissible when
 /// `|c_i − c_j| ≤ ε` for all process pairs (Chapter III §B.3).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClockOffset(i64);
 
 impl SimTime {

@@ -13,7 +13,7 @@
 use crate::seqspec::{OpClass, SequentialSpec};
 
 /// Operations on the fixed-size integer array.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ArrayOp {
     /// `UpdateNext(i, b)`: return element `i` (1-based) and, if `i < len`,
     /// set element `i + 1` to `b`.
@@ -28,7 +28,7 @@ pub enum ArrayOp {
 }
 
 /// Responses of the array object.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ArrayResp {
     /// The element returned by `UpdateNext`, or `None` when the index is
     /// out of range.

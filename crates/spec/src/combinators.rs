@@ -21,7 +21,7 @@ use core::fmt;
 use crate::seqspec::{OpClass, SequentialSpec};
 
 /// An operation on object `index` of a [`MultiObject`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IndexedOp<O> {
     /// Which object (0-based).
     pub index: usize,
@@ -104,7 +104,7 @@ impl<S: SequentialSpec> SequentialSpec for MultiObject<S> {
 }
 
 /// An operation on one side of a [`ProductSpec`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum EitherOp<A, B> {
     /// Operation on the left object.
     Left(A),
@@ -113,7 +113,7 @@ pub enum EitherOp<A, B> {
 }
 
 /// A response from one side of a [`ProductSpec`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum EitherResp<A, B> {
     /// Response from the left object.
     Left(A),

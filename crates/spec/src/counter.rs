@@ -8,7 +8,7 @@
 use crate::seqspec::{OpClass, SequentialSpec};
 
 /// Operations on a counter.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CounterOp {
     /// Adds `delta` to the counter (may be negative). Returns nothing.
     Add(i64),
@@ -17,7 +17,7 @@ pub enum CounterOp {
 }
 
 /// Responses of a counter.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CounterResp {
     /// An `Add`'s acknowledgment.
     Ack,

@@ -19,7 +19,7 @@ use crate::register::Value;
 use crate::seqspec::{OpClass, SequentialSpec};
 
 /// Operations on a double-ended queue.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DequeOp<V = i64> {
     /// Inserts at the front.
     PushFront(V),
@@ -38,7 +38,7 @@ pub enum DequeOp<V = i64> {
 }
 
 /// Responses of a double-ended queue.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DequeResp<V = i64> {
     /// A push's acknowledgment.
     Ack,

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use crate::seqspec::{OpClass, SequentialSpec};
 
 /// Operations on the key-value store (keys and values are `i64`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum KvOp {
     /// Sets `key` to `value` (insert or overwrite). Returns nothing.
     Put {
@@ -41,7 +41,7 @@ pub enum KvOp {
 }
 
 /// Responses of the key-value store.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum KvResp {
     /// Acknowledgment of a mutation.
     Ack,

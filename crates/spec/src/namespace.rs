@@ -21,7 +21,7 @@ use crate::seqspec::{OpClass, SequentialSpec};
 
 /// An operation on one object of the namespace: the object key plus the
 /// base operation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NsOp<O> {
     /// Which object of the namespace the op addresses.
     pub key: u64,

@@ -12,7 +12,7 @@ use crate::register::Value;
 use crate::seqspec::{OpClass, SequentialSpec};
 
 /// Operations on a FIFO queue.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum QueueOp<V = i64> {
     /// Appends a value at the tail.
     Enqueue(V),
@@ -25,7 +25,7 @@ pub enum QueueOp<V = i64> {
 }
 
 /// Responses of a FIFO queue.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum QueueResp<V = i64> {
     /// An enqueue's acknowledgment.
     Ack,

@@ -18,7 +18,7 @@ impl<T: Clone + Eq + Hash + Debug> Value for T {}
 ///
 /// Kept as a closed enum (rather than arbitrary closures) so operations
 /// stay `Eq + Hash`, which the classification framework and checker need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RmwKind {
     /// `x ← x + delta`, returns the old value.
     FetchAdd(i64),
@@ -52,7 +52,7 @@ impl RmwKind {
 }
 
 /// Operations on a read/write register.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RegOp<V> {
     /// Returns the current value.
     Read,
@@ -61,7 +61,7 @@ pub enum RegOp<V> {
 }
 
 /// Responses of a read/write register.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RegResp<V> {
     /// A read's result.
     Value(V),
@@ -124,7 +124,7 @@ impl<V: Value> SequentialSpec for RwRegister<V> {
 }
 
 /// Operations on a read/write/read-modify-write register over `i64`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RmwOp {
     /// Returns the current value.
     Read,
@@ -135,7 +135,7 @@ pub enum RmwOp {
 }
 
 /// Responses of the RMW register.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RmwResp {
     /// Result of a read or RMW (the old value for RMW).
     Value(i64),

@@ -27,7 +27,7 @@ use core::hash::Hash;
 ///   (`MOP`; e.g. write, enqueue, push, insert, delete, increment).
 /// * [`OpClass::Other`] — both modifies and returns information (`OOP`;
 ///   e.g. read-modify-write, dequeue, pop).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// A pure accessor (`AOP`).
     PureAccessor,

@@ -17,7 +17,7 @@ pub trait Element: Clone + Ord + core::hash::Hash + Debug {}
 impl<T: Clone + Ord + core::hash::Hash + Debug> Element for T {}
 
 /// Operations on a set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SetOp<V = i64> {
     /// Adds an element (no-op if present).
     Insert(V),
@@ -30,7 +30,7 @@ pub enum SetOp<V = i64> {
 }
 
 /// Responses of a set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SetResp {
     /// Acknowledgment of a mutation (carries no information — inserts and
     /// removes are *pure* mutators).

@@ -11,7 +11,7 @@ use crate::register::Value;
 use crate::seqspec::{OpClass, SequentialSpec};
 
 /// Operations on a LIFO stack.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StackOp<V = i64> {
     /// Pushes a value on top.
     Push(V),
@@ -24,7 +24,7 @@ pub enum StackOp<V = i64> {
 }
 
 /// Responses of a LIFO stack.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StackResp<V = i64> {
     /// A push's acknowledgment.
     Ack,

@@ -18,7 +18,7 @@ use crate::seqspec::{OpClass, SequentialSpec};
 pub const ROOT: u32 = 0;
 
 /// Operations on a rooted tree.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TreeOp {
     /// Adds `node` as a child of `parent`. No-op if `node` already exists
     /// (or is the root) or `parent` does not exist.
@@ -44,7 +44,7 @@ pub enum TreeOp {
 }
 
 /// Responses of a rooted tree.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TreeResp {
     /// Acknowledgment of a mutation (inserts and deletes are *pure*
     /// mutators; they return nothing about the object).
