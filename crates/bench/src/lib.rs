@@ -12,8 +12,8 @@
 //!   C.1/D.1/E.1 run families, the `X` trade-off sweep, and the
 //!   clock-synchronization premise).
 //!
-//! The `tables` binary prints everything; `benches/` holds the criterion
-//! wall-time benchmarks.
+//! The `tables` binary prints everything. Performance is measured only
+//! by the standalone `benchmark/` package.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -6,9 +6,8 @@ use skewbound_sim::time::SimDuration;
 use skewbound_spec::prelude::*;
 
 use crate::measure::{
-    measure_centralized_grid_stats, measure_replica_grid_stats, queue_gen, queue_label,
-    register_gen, register_label, stack_gen, stack_label, tree_gen, tree_label, GridStats,
-    MaxLatencies,
+    measure_centralized_grid, measure_replica_grid, queue_gen, queue_label, register_gen,
+    register_label, stack_gen, stack_label, tree_gen, tree_label, MaxLatencies,
 };
 
 /// The four objects of Chapter VI.
@@ -101,27 +100,16 @@ fn lookup(measured: &MaxLatencies, operation: &str) -> Option<SimDuration> {
 /// per grid point.
 #[must_use]
 pub fn table_report(object: Object, params: &Params, ops_per_process: usize) -> TableReport {
-    table_report_stats(object, params, ops_per_process).0
-}
-
-/// [`table_report`], also returning the merged execution statistics of
-/// the replica and centralized measurement grids.
-#[must_use]
-pub fn table_report_stats(
-    object: Object,
-    params: &Params,
-    ops_per_process: usize,
-) -> (TableReport, GridStats) {
-    let ((replica, rs), (central, cs)) = match object {
+    let (replica, central) = match object {
         Object::Register => (
-            measure_replica_grid_stats(
+            measure_replica_grid(
                 RmwRegister::default(),
                 params,
                 ops_per_process,
                 register_gen,
                 register_label,
             ),
-            measure_centralized_grid_stats(
+            measure_centralized_grid(
                 RmwRegister::default(),
                 params,
                 ops_per_process,
@@ -130,14 +118,14 @@ pub fn table_report_stats(
             ),
         ),
         Object::Queue => (
-            measure_replica_grid_stats(
+            measure_replica_grid(
                 Queue::<i64>::new(),
                 params,
                 ops_per_process,
                 queue_gen,
                 queue_label,
             ),
-            measure_centralized_grid_stats(
+            measure_centralized_grid(
                 Queue::<i64>::new(),
                 params,
                 ops_per_process,
@@ -146,14 +134,14 @@ pub fn table_report_stats(
             ),
         ),
         Object::Stack => (
-            measure_replica_grid_stats(
+            measure_replica_grid(
                 Stack::<i64>::new(),
                 params,
                 ops_per_process,
                 stack_gen,
                 stack_label,
             ),
-            measure_centralized_grid_stats(
+            measure_centralized_grid(
                 Stack::<i64>::new(),
                 params,
                 ops_per_process,
@@ -162,18 +150,10 @@ pub fn table_report_stats(
             ),
         ),
         Object::Tree => (
-            measure_replica_grid_stats(Tree::new(), params, ops_per_process, tree_gen, tree_label),
-            measure_centralized_grid_stats(
-                Tree::new(),
-                params,
-                ops_per_process,
-                tree_gen,
-                tree_label,
-            ),
+            measure_replica_grid(Tree::new(), params, ops_per_process, tree_gen, tree_label),
+            measure_centralized_grid(Tree::new(), params, ops_per_process, tree_gen, tree_label),
         ),
     };
-    let mut stats = rs;
-    stats.absorb(cs);
 
     let rows = object
         .rows()
@@ -184,14 +164,11 @@ pub fn table_report_stats(
             row,
         })
         .collect();
-    (
-        TableReport {
-            object,
-            params: *params,
-            rows,
-        },
-        stats,
-    )
+    TableReport {
+        object,
+        params: *params,
+        rows,
+    }
 }
 
 fn fmt_opt(v: Option<SimDuration>) -> String {

@@ -104,9 +104,8 @@ impl ShardWorkload {
     }
 }
 
-/// One shard's complete run: its batched history plus the engine
-/// measurement that feeds
-/// [`ShardStats`](skewbound_sim::shard::ShardStats).
+/// One shard's complete run: its batched history plus its engine event
+/// count and wall time.
 #[derive(Debug)]
 pub struct ShardOutcome {
     /// The shard index.

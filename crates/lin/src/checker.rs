@@ -695,6 +695,40 @@ mod tests {
         assert_eq!(stats.memo_hits, 0);
     }
 
+    /// The memoization-stress shape: sequential waves of 8 mutually
+    /// concurrent writes of distinct values, closed by a read of a value
+    /// never written. The read makes the history non-linearizable, so the
+    /// checker must exhaust the whole `(taken-set, state)` space.
+    fn memo_stress_history(total_ops: u64) -> History<RegOp<i64>, RegResp<i64>> {
+        let mut entries = Vec::new();
+        for i in 0..total_ops - 1 {
+            let (wave, v) = (i / 8, i % 8);
+            entries.push((
+                v as u32,
+                10 * wave,
+                10 * wave + 5,
+                RegOp::Write(v as i64),
+                RegResp::Ack,
+            ));
+        }
+        let end = 10 * (total_ops - 1).div_ceil(8);
+        entries.push((0, end, end + 1, RegOp::Read, RegResp::Value(i64::MIN)));
+        reg_history(&entries)
+    }
+
+    #[test]
+    fn memo_stress_exhausts_a_pinned_node_count() {
+        // Counts pinned on the parent commit; 128 ops is the edge of the
+        // u128 taken-set mask.
+        for (ops, nodes) in [(20, 2_061), (128, 15_809)] {
+            let h = memo_stress_history(ops);
+            let CheckOutcome::NotLinearizable(v) = check_history(&RwRegister::new(0), &h) else {
+                panic!("the {ops}-op memo-stress history must be a violation");
+            };
+            assert_eq!(v.nodes, nodes, "{ops} ops");
+        }
+    }
+
     #[test]
     fn validate_rejects_wrong_order() {
         let h = reg_history(&[

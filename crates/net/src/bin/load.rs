@@ -4,7 +4,7 @@
 //! ```text
 //! skewbound-load --server 127.0.0.1:7400 --server 127.0.0.1:7401 \
 //!     --server 127.0.0.1:7402 --object register --sessions 1000 \
-//!     --d 9000 --u 2400 --out BENCH_net.json --bye
+//!     --d 9000 --u 2400 --bye
 //! ```
 //!
 //! One worker per server; sessions are dealt round-robin, each session
@@ -12,8 +12,8 @@
 //! only sent once the previous response arrived) against one namespace
 //! key. After the run, every per-key history — merged across workers in
 //! client-observed real-time order — is checked for linearizability
-//! against the object's sequential spec, and the latency percentiles
-//! are written to `--out` next to the paper's `d + ε` and `2d`
+//! against the object's sequential spec, and one summary line reports
+//! the latency percentiles next to the paper's `d + ε` and `2d`
 //! reference lines. Exits nonzero if any key's history fails the check.
 
 use std::collections::BTreeMap;
@@ -22,7 +22,6 @@ use std::sync::{Barrier, Mutex};
 
 use skewbound_core::params::Params;
 use skewbound_lin::checker::check_history;
-use skewbound_net::netreport::NetReport;
 use skewbound_net::runtime::{tighten_timer_slack, NetClient, TimeBase};
 use skewbound_net::wire::{Decode, Encode};
 use skewbound_sim::history::History;
@@ -38,7 +37,7 @@ use skewbound_spec::seqspec::SequentialSpec;
 
 const USAGE: &str = "usage: skewbound-load --server ADDR [--server ADDR ...] \
     --object register|queue|kv --d MICROS --u MICROS [--eps MICROS] [--x MICROS] \
-    [--sessions N] [--ops N] [--keys N] [--out PATH] [--bye]";
+    [--sessions N] [--ops N] [--keys N] [--bye]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("skewbound-load: {msg}\n{USAGE}");
@@ -52,7 +51,6 @@ struct Args {
     sessions: u64,
     ops: u64,
     keys: u64,
-    out: String,
     bye: bool,
 }
 
@@ -71,7 +69,6 @@ fn parse_args() -> Args {
     let mut sessions = 1000u64;
     let mut ops = 3u64;
     let mut keys = 32u64;
-    let mut out = "BENCH_net.json".to_owned();
     let mut bye = false;
 
     let mut it = std::env::args().skip(1);
@@ -93,7 +90,6 @@ fn parse_args() -> Args {
             "--sessions" => sessions = parse_u64(&value("--sessions"), "--sessions"),
             "--ops" => ops = parse_u64(&value("--ops"), "--ops"),
             "--keys" => keys = parse_u64(&value("--keys"), "--keys"),
-            "--out" => out = value("--out"),
             "--bye" => bye = true,
             other => fail(&format!("unknown flag {other}")),
         }
@@ -131,7 +127,6 @@ fn parse_args() -> Args {
         sessions,
         ops,
         keys,
-        out,
         bye,
     }
 }
@@ -146,8 +141,8 @@ struct Rec<S: SequentialSpec> {
     responded: u64,
 }
 
-/// Drives the whole load, checks every per-key history, writes the
-/// report, and returns the process exit code.
+/// Drives the whole load, checks every per-key history, prints the
+/// summary line, and returns the process exit code.
 fn run_load<S, G>(inner: &S, args: &Args, gen: G) -> i32
 where
     S: SequentialSpec,
@@ -236,33 +231,20 @@ where
     let Some(latency) = LatencySummary::from_latencies(&latencies) else {
         fail("no operations completed");
     };
-    let report = NetReport {
-        sessions: args.sessions,
-        ops: total_ops,
-        servers: nservers as u64,
-        keys: by_key.len() as u64,
-        keys_checked,
-        latency,
-        ref_d_plus_eps: args.params.d() + args.params.eps(),
-        ref_two_d: args.params.d() * 2,
-    };
-    report
-        .write(&args.out)
-        .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", args.out)));
     println!(
         "skewbound-load object={} sessions={} ops={} keys={} linearizable={}/{} \
          p50={}us p99={}us max={}us (d+eps={}us, 2d={}us)",
         args.object,
         args.sessions,
         total_ops,
-        report.keys,
+        by_key.len(),
         keys_checked,
-        report.keys,
+        by_key.len(),
         latency.p50.as_ticks(),
         latency.p99.as_ticks(),
         latency.max.as_ticks(),
-        report.ref_d_plus_eps.as_ticks(),
-        report.ref_two_d.as_ticks(),
+        (args.params.d() + args.params.eps()).as_ticks(),
+        (args.params.d() * 2).as_ticks(),
     );
     i32::from(failures > 0)
 }

@@ -4,12 +4,12 @@
 //! state machines the discrete-event engine and the real-thread runtime
 //! drive, run as separate OS processes over TCP.
 //!
-//! Three layers, plus [`netreport`], the `BENCH_net.json` summary
-//! `skewbound-load` writes:
+//! Three layers:
 //!
 //! * [`wire`] — the hand-rolled codec: length-prefixed frames with a
 //!   versioned header (message id, send timestamp, injected delay,
-//!   batch count) and [`wire::Encode`]/[`wire::Decode`] for every
+//!   batch count), the [`wire::FrameBuf`] that reassembles them from a
+//!   byte stream, and [`wire::Encode`]/[`wire::Decode`] for every
 //!   `spec` message type. No serde; the byte layout is part of the
 //!   protocol.
 //! * [`tcp`] — the socket mesh implementing the byte-oriented
@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod netreport;
 pub mod runtime;
 pub mod tcp;
 pub mod wire;

@@ -42,10 +42,10 @@ use skewbound_sim::trace::{TraceEvent, TraceSink};
 use skewbound_sim::transport::{Transport, TransportError, WireTransport};
 use skewbound_spec::seqspec::SequentialSpec;
 
-use crate::tcp::{client_hello, read_frame, MeshListener, RawEvent, TcpMesh};
+use crate::tcp::{client_hello, next_frame, MeshListener, RawEvent, TcpMesh};
 use crate::wire::{
     decode_batch, decode_frame, encode_batch, encode_frame, from_bytes, to_bytes, Decode, Encode,
-    FrameHeader, FrameKind,
+    FrameBuf, FrameHeader, FrameKind,
 };
 
 /// The shared run clock: ticks are µs since the run epoch.
@@ -607,6 +607,7 @@ fn reply_if_completed<S>(
 #[derive(Debug)]
 pub struct NetClient {
     stream: TcpStream,
+    frames: FrameBuf,
     next_id: u64,
 }
 
@@ -620,7 +621,11 @@ impl NetClient {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.write_all(&client_hello())?;
-        Ok(NetClient { stream, next_id: 1 })
+        Ok(NetClient {
+            stream,
+            frames: FrameBuf::default(),
+            next_id: 1,
+        })
     }
 
     /// Invokes one operation and blocks until its response arrives.
@@ -645,7 +650,7 @@ impl NetClient {
         );
         self.stream.write_all(&frame)?;
         loop {
-            let Some(body) = read_frame(&mut self.stream)? else {
+            let Some(body) = next_frame(&mut self.stream, &mut self.frames, None)? else {
                 return Err(io::Error::new(
                     ErrorKind::UnexpectedEof,
                     "server closed the connection before responding",

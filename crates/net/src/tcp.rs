@@ -21,7 +21,7 @@
 //! delay holds, and replica semantics live in [`crate::runtime`].
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -33,7 +33,7 @@ use skewbound_sim::deadline;
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::transport::{TransportError, WireTransport};
 
-use crate::wire::{decode_frame, encode_frame, FrameHeader, FrameKind, Rd, Wr, MAX_FRAME_LEN};
+use crate::wire::{decode_frame, encode_frame, FrameBuf, FrameHeader, FrameKind, Rd, Wr};
 
 /// Hello-payload role tag: the dialer is a peer replica.
 const ROLE_PEER: u8 = 0;
@@ -47,6 +47,8 @@ const BACKOFF_START: Duration = Duration::from_millis(20);
 const BACKOFF_MAX: Duration = Duration::from_millis(500);
 /// Poll interval for the non-blocking acceptor and idle read loops.
 const POLL: Duration = Duration::from_millis(20);
+/// Bytes asked of a socket per read; a larger burst takes several.
+const READ_CHUNK: usize = 4096;
 
 /// One raw, undecoded arrival surfaced by the mesh.
 #[derive(Debug)]
@@ -308,30 +310,44 @@ impl WireTransport for PeerSender {
     }
 }
 
-/// Reads one length-prefixed frame body from `stream`. `Ok(None)` means
-/// clean EOF at a frame boundary.
+/// Reads `stream` into `frames` until a whole frame body is buffered
+/// and pops it: the one reassembly path of the mesh's readers and of
+/// [`NetClient`](crate::runtime::NetClient). A read timeout only
+/// re-checks `stop`; the partial frame stays in `frames`, so a timeout in
+/// the middle of a frame loses no bytes. `Ok(None)` means EOF or `stop`.
 ///
 /// # Errors
 ///
-/// Propagates socket errors; an implausible length prefix surfaces as
+/// Propagates socket errors; a length prefix over
+/// [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN) surfaces as
 /// [`ErrorKind::InvalidData`].
-pub fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match stream.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+pub(crate) fn next_frame(
+    stream: &mut TcpStream,
+    frames: &mut FrameBuf,
+    stop: Option<&AtomicBool>,
+) -> io::Result<Option<Vec<u8>>> {
+    loop {
+        if let Some(body) = frames
+            .pop()
+            .map_err(|e| io::Error::new(ErrorKind::InvalidData, e))?
+        {
+            return Ok(Some(body));
+        }
+        if stop.is_some_and(|s| s.load(Ordering::Acquire)) {
+            return Ok(None);
+        }
+        let mut chunk = [0u8; READ_CHUNK];
+        match stream.read(&mut chunk) {
+            Ok(0) => return Ok(None),
+            Ok(n) => frames.feed(&chunk[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(e) => return Err(e),
+        }
     }
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("frame body of {len} bytes exceeds {MAX_FRAME_LEN}"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(Some(body))
 }
 
 /// The hello frame a dialer sends first: role tag plus (for peers) the
@@ -466,8 +482,11 @@ fn read_connection(
     stop: &Arc<AtomicBool>,
 ) {
     let _ = stream.set_read_timeout(Some(POLL));
+    // One buffer for the connection's life: bytes that arrive with the
+    // hello belong to the frames after it.
+    let mut frames = FrameBuf::default();
     // The hello decides the connection's role.
-    let Some(hello) = read_frame_polled(&mut stream, stop) else {
+    let Ok(Some(hello)) = next_frame(&mut stream, &mut frames, Some(stop)) else {
         return;
     };
     let Ok((header, payload)) = decode_frame(&hello) else {
@@ -483,33 +502,17 @@ fn read_connection(
                 return;
             };
             let from = ProcessId::new(raw_pid);
-            read_peer_frames(&mut stream, from, event_tx, watermarks, stop);
+            read_peer_frames(&mut stream, &mut frames, from, event_tx, watermarks, stop);
         }
         Ok(ROLE_CLIENT) => {
             if let Ok(write_half) = stream.try_clone() {
                 clients.lock().unwrap().insert(conn, write_half);
             }
-            read_client_frames(&mut stream, conn, event_tx, stop);
+            read_client_frames(&mut stream, &mut frames, conn, event_tx, stop);
             clients.lock().unwrap().remove(&conn);
             let _ = event_tx.send(RawEvent::ClientGone { conn });
         }
         _ => {}
-    }
-}
-
-/// [`read_frame`] under a read timeout: retries timeouts until a frame
-/// arrives, EOF, a hard error, or shutdown.
-fn read_frame_polled(stream: &mut TcpStream, stop: &AtomicBool) -> Option<Vec<u8>> {
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return None;
-        }
-        match read_frame(stream) {
-            Ok(Some(body)) => return Some(body),
-            Ok(None) => return None,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => return None,
-        }
     }
 }
 
@@ -518,12 +521,13 @@ fn read_frame_polled(stream: &mut TcpStream, stop: &AtomicBool) -> Option<Vec<u8
 /// `msg_id .. msg_id + batch`, so the watermark is the highest id seen.
 fn read_peer_frames(
     stream: &mut TcpStream,
+    frames: &mut FrameBuf,
     from: ProcessId,
     event_tx: &Sender<RawEvent>,
     watermarks: &[AtomicU64],
     stop: &AtomicBool,
 ) {
-    while let Some(body) = read_frame_polled(stream, stop) {
+    while let Ok(Some(body)) = next_frame(stream, frames, Some(stop)) {
         let Ok((header, payload)) = decode_frame(&body) else {
             return; // corrupt stream; drop the connection
         };
@@ -551,11 +555,12 @@ fn read_peer_frames(
 /// Forwards client frames until the session closes.
 fn read_client_frames(
     stream: &mut TcpStream,
+    frames: &mut FrameBuf,
     conn: u64,
     event_tx: &Sender<RawEvent>,
     stop: &AtomicBool,
 ) {
-    while let Some(body) = read_frame_polled(stream, stop) {
+    while let Ok(Some(body)) = next_frame(stream, frames, Some(stop)) {
         let Ok((header, payload)) = decode_frame(&body) else {
             return;
         };
@@ -569,5 +574,65 @@ fn read_client_frames(
         {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A raw peer connection says hello, then sends one `Peer` frame in
+    /// two writes split at `split` with a pause of three read timeouts
+    /// between them; the mesh must still surface the frame intact.
+    fn frame_survives_a_pause_at(split: Option<usize>) {
+        let listener = MeshListener::bind(ProcessId::new(0), "127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mesh = listener.start(&[]).unwrap();
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_nodelay(true).unwrap();
+        raw.write_all(&hello_frame(ROLE_PEER, ProcessId::new(1)))
+            .unwrap();
+        let header = FrameHeader {
+            kind: FrameKind::Peer,
+            msg_id: 1,
+            sent_at_micros: 77,
+            delay_micros: 12_000,
+            batch: 1,
+        };
+        let payload: Vec<u8> = (0..40).collect();
+        let frame = encode_frame(&header, &payload);
+        let (first, rest) = frame.split_at(split.unwrap_or(frame.len()));
+        raw.write_all(first).unwrap();
+        thread::sleep(3 * POLL);
+        raw.write_all(rest).unwrap();
+
+        let got = mesh.recv_timeout(Duration::from_secs(1));
+        drop(raw);
+        mesh.shutdown();
+        match got {
+            Some(RawEvent::Peer {
+                from,
+                header: h,
+                payload: p,
+            }) => {
+                assert_eq!((from, h, p), (ProcessId::new(1), header, payload));
+            }
+            other => panic!("split at {split:?}: expected the peer frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn read_timeout_inside_the_length_prefix_loses_nothing() {
+        frame_survives_a_pause_at(Some(2));
+    }
+
+    #[test]
+    fn read_timeout_inside_the_header_loses_nothing() {
+        frame_survives_a_pause_at(Some(10));
+    }
+
+    #[test]
+    fn unsplit_frame_after_a_pause_is_delivered() {
+        frame_survives_a_pause_at(None);
     }
 }

@@ -1206,6 +1206,51 @@ pub fn decode_frame(body: &[u8]) -> Result<(FrameHeader, &[u8]), WireError> {
     Ok((header, payload))
 }
 
+/// Reassembles length-prefixed frames from a byte stream that arrives
+/// split at arbitrary points: bytes go in through [`FrameBuf::feed`],
+/// whole frame bodies come out of [`FrameBuf::pop`], and a partial frame
+/// waits here for the rest, however many reads that takes.
+#[derive(Debug, Default)]
+pub struct FrameBuf {
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` that were already popped.
+    popped: usize,
+}
+
+impl FrameBuf {
+    /// Appends bytes read from the stream.
+    pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.popped);
+        self.popped = 0;
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Pops the next whole frame body (the bytes after the length
+    /// prefix), or `None` until all of it has been fed.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::FrameTooLarge`] as soon as a length prefix exceeds
+    /// [`MAX_FRAME_LEN`], before anything is allocated for the body. The
+    /// stream cannot be resynchronised after that.
+    pub fn pop(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        let pending = &self.buf[self.popped..];
+        let Some(prefix) = pending.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(WireError::FrameTooLarge(len));
+        }
+        let Some(body) = pending.get(4..4 + len) else {
+            return Ok(None);
+        };
+        let body = body.to_vec();
+        self.popped += 4 + len;
+        Ok(Some(body))
+    }
+}
+
 /// Encodes `values` back-to-back (the payload of a `batch`-count frame).
 #[must_use]
 pub fn encode_batch<T: Encode>(values: &[T]) -> Vec<u8> {

@@ -1,7 +1,8 @@
 //! Property tests of the wire codec (DESIGN.md §15): seeded round-trips
 //! of every spec message type, batch framing incl. the empty and
-//! largest-batch edges, and adversarial inputs — truncation at every
-//! prefix length, corruption of every byte, bad magic/version/tag —
+//! largest-batch edges, frame reassembly from a stream split at every
+//! offset, and adversarial inputs — truncation at every prefix length,
+//! corruption of every byte, bad magic/version/tag, hostile lengths —
 //! which must yield typed [`WireError`]s, never panics.
 
 use rand::rngs::StdRng;
@@ -11,7 +12,7 @@ use skewbound_core::replica::OpMsg;
 use skewbound_core::timestamp::Timestamp;
 use skewbound_net::wire::{
     decode_batch, decode_frame, encode_batch, encode_frame, from_bytes, to_bytes, Decode, Encode,
-    FrameHeader, FrameKind, WireError, HEADER_LEN, MAGIC, VERSION,
+    FrameBuf, FrameHeader, FrameKind, WireError, HEADER_LEN, MAGIC, MAX_FRAME_LEN, VERSION,
 };
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::time::ClockTime;
@@ -366,6 +367,94 @@ fn frame_header_round_trip_and_rejections() {
 
     // Sanity: the magic constant really is what the first two bytes say.
     assert_eq!(u16::from_le_bytes([body[0], body[1]]), MAGIC);
+}
+
+/// A seeded corpus of whole frames, length prefix included: every kind,
+/// payloads from empty to a four-message batch.
+fn frame_corpus() -> Vec<Vec<u8>> {
+    let kinds = [
+        FrameKind::Hello,
+        FrameKind::Peer,
+        FrameKind::ClientReq,
+        FrameKind::ClientResp,
+        FrameKind::Bye,
+    ];
+    let mut rng = StdRng::seed_from_u64(9);
+    (0..ROUNDS)
+        .map(|i| {
+            let batch = rng.gen_range(0u32..5);
+            let msgs: Vec<_> = (0..batch).map(|_| ns_msg(&mut rng)).collect();
+            let header = FrameHeader {
+                kind: kinds[i as usize % kinds.len()],
+                msg_id: i,
+                sent_at_micros: rng.gen_range(0u64..1 << 40),
+                delay_micros: rng.gen_range(0u32..20_000),
+                batch,
+            };
+            encode_frame(&header, &encode_batch(&msgs))
+        })
+        .collect()
+}
+
+/// Every whole frame body `buf` holds, in order.
+fn pop_all(buf: &mut FrameBuf) -> Vec<Vec<u8>> {
+    std::iter::from_fn(|| buf.pop().expect("corpus lengths are legal")).collect()
+}
+
+#[test]
+fn frame_buf_reassembles_frames_however_the_stream_is_split() {
+    let corpus = frame_corpus();
+    let bodies: Vec<Vec<u8>> = corpus.iter().map(|f| f[4..].to_vec()).collect();
+
+    for (frame, body) in corpus.iter().zip(&bodies) {
+        for cut in 0..=frame.len() {
+            let mut buf = FrameBuf::default();
+            buf.feed(&frame[..cut]);
+            let early = pop_all(&mut buf);
+            assert_eq!(early.len(), usize::from(cut == frame.len()), "cut at {cut}");
+            buf.feed(&frame[cut..]);
+            assert_eq!(
+                [early, pop_all(&mut buf)].concat(),
+                std::slice::from_ref(body)
+            );
+        }
+        let mut buf = FrameBuf::default();
+        let mut got = Vec::new();
+        for byte in frame {
+            buf.feed(std::slice::from_ref(byte));
+            got.extend(pop_all(&mut buf));
+        }
+        assert_eq!(got, std::slice::from_ref(body), "fed byte by byte");
+    }
+
+    // The whole corpus as one stream: fed at once, then in seeded chunks
+    // that straddle frame boundaries.
+    let stream = corpus.concat();
+    let mut buf = FrameBuf::default();
+    buf.feed(&stream);
+    assert_eq!(pop_all(&mut buf), bodies);
+    let mut rng = StdRng::seed_from_u64(10);
+    let (mut buf, mut got, mut at) = (FrameBuf::default(), Vec::new(), 0);
+    while at < stream.len() {
+        let end = (at + rng.gen_range(1usize..300)).min(stream.len());
+        buf.feed(&stream[at..end]);
+        got.extend(pop_all(&mut buf));
+        at = end;
+    }
+    assert_eq!(got, bodies);
+}
+
+#[test]
+fn frame_buf_rejects_a_hostile_length_before_the_body_arrives() {
+    for len in [MAX_FRAME_LEN + 1, u32::MAX as usize] {
+        let mut buf = FrameBuf::default();
+        buf.feed(&u32::try_from(len).unwrap().to_le_bytes());
+        assert_eq!(buf.pop(), Err(WireError::FrameTooLarge(len)));
+    }
+    // The largest legal length just waits for its body.
+    let mut buf = FrameBuf::default();
+    buf.feed(&u32::try_from(MAX_FRAME_LEN).unwrap().to_le_bytes());
+    assert_eq!(buf.pop(), Ok(None));
 }
 
 #[test]

@@ -95,64 +95,20 @@ impl core::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Summary of a finished run.
-///
-/// Equality ignores [`SimReport::wall_nanos`]: two runs of the same
-/// scenario are "the same run" when they process the same events to the
-/// same simulated end time, regardless of how fast the host executed
-/// them. This is what lets determinism tests compare reports across
-/// sequential and parallel sweeps.
-#[derive(Debug, Clone, Copy)]
+/// Summary of a finished run: everything in it is a function of the
+/// scenario, so two runs of the same scenario compare equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimReport {
     /// Number of events processed.
     pub events: u64,
     /// Real time of the last processed event.
     pub end_time: SimTime,
-    /// Host wall-clock time the run took, in nanoseconds.
-    pub wall_nanos: u64,
-    /// Peak resident set size of the host process in bytes, if captured
-    /// with [`SimReport::with_peak_rss`]; zero otherwise. Reading it is
-    /// a `/proc` round-trip, so the run loops leave it to the caller —
-    /// grid sweeps record it once per grid, scale runs per run. Ignored
-    /// by equality, like [`SimReport::wall_nanos`].
-    pub peak_rss_bytes: u64,
     /// Payload-arena slots (invoke / message / batch / timer) still live
     /// when the run loop returned. Every pop takes its payload out of
     /// the owning slab — stale timers included — so a quiescent run must
     /// report zero; anything else means a payload leaked (also asserted
     /// in debug builds at end of run).
     pub leaked_payloads: u64,
-}
-
-impl PartialEq for SimReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.events == other.events
-            && self.end_time == other.end_time
-            && self.leaked_payloads == other.leaked_payloads
-    }
-}
-
-impl Eq for SimReport {}
-
-impl SimReport {
-    /// Stamps the report with the host's current peak RSS (see
-    /// [`crate::stats::peak_rss_bytes`]).
-    #[must_use]
-    pub fn with_peak_rss(mut self) -> Self {
-        self.peak_rss_bytes = crate::stats::peak_rss_bytes();
-        self
-    }
-
-    /// Simulation throughput in events per wall-clock second.
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let per_nano = self.events as f64 / self.wall_nanos as f64;
-        per_nano * 1e9
-    }
 }
 
 /// Metadata of one message transmission (payload omitted).
@@ -550,12 +506,6 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         &self.transport.msg_log
     }
 
-    /// Reserves room for `additional` further operations in the
-    /// history, so large scripted workloads don't regrow it.
-    pub fn reserve_ops(&mut self, additional: usize) {
-        self.history.reserve(additional);
-    }
-
     /// The delay model — e.g. to inspect an enumerated model's state
     /// after a run (did the run stay within its assignment?).
     #[must_use]
@@ -606,7 +556,6 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     where
         Dr: Driver<A::Op, A::Resp> + ?Sized,
     {
-        let wall_start = std::time::Instant::now();
         for (pid, at, op) in driver.initial() {
             self.schedule_invoke(pid, at, op);
         }
@@ -622,7 +571,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
             self.dispatch_event(at, tag, driver)?;
         }
         self.emit_run_counters(events);
-        Ok(self.finish_report(events, wall_start))
+        Ok(self.finish_report(events))
     }
 
     /// Runs to quiescence under `policy`, which picks among same-time
@@ -669,7 +618,6 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         P: SchedulePolicy<A> + ?Sized,
         Dr: Driver<A::Op, A::Resp> + ?Sized,
     {
-        let wall_start = std::time::Instant::now();
         for (pid, at, op) in driver.initial() {
             self.schedule_invoke(pid, at, op);
         }
@@ -763,13 +711,13 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
             self.dispatch_event(at, chosen_tag, driver)?;
         }
         self.emit_run_counters(events);
-        Ok(self.finish_report(events, wall_start))
+        Ok(self.finish_report(events))
     }
 
     /// Builds the end-of-run report and performs the payload-leak check:
     /// the event queue is empty here, so every invoke/message/batch/timer
     /// payload must have been taken out of its arena.
-    fn finish_report(&self, events: u64, wall_start: std::time::Instant) -> SimReport {
+    fn finish_report(&self, events: u64) -> SimReport {
         let leaked = self.transport.live_payloads();
         debug_assert_eq!(
             leaked, 0,
@@ -778,8 +726,6 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         SimReport {
             events,
             end_time: self.transport.now,
-            wall_nanos: u64::try_from(wall_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            peak_rss_bytes: 0,
             leaked_payloads: leaked as u64,
         }
     }

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::history::{History, OpRecord};
     pub use crate::ids::{MsgId, OpId, ProcessId, TimerId};
     pub use crate::node::{Activation, NodeCore, Stamp};
-    pub use crate::shard::{run_shards, ShardRun, ShardStats};
+    pub use crate::shard::{run_shards, ShardRun};
     pub use crate::stats::LatencySummary;
     pub use crate::time::{ClockOffset, ClockTime, SimDuration, SimTime};
     pub use crate::trace::{Trace, TraceEvent, TraceEventKind, TraceSink};

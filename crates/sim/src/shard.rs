@@ -8,13 +8,6 @@
 //! worker-pool policy (`SKEWBOUND_THREADS`, `SKEWBOUND_PAR`) and its
 //! input-order determinism: shard `i`'s result is bit-identical whether
 //! the shards ran sequentially or on any number of workers.
-//!
-//! [`ShardStats`] folds per-shard measurements into the aggregate
-//! throughput figure the benchmarks report. The aggregate is the *sum of
-//! per-shard rates* (`Σ eventsᵢ / wallᵢ`), not total events over total
-//! wall time: on a single-core host the shards time-share the CPU, and
-//! the rate sum measures what the same shards would sustain given a core
-//! each — which is the quantity that should scale linearly in `S`.
 
 use crate::par;
 
@@ -26,49 +19,6 @@ pub struct ShardRun {
     pub events: u64,
     /// Wall-clock nanoseconds the shard's run (and check) took.
     pub wall_nanos: u64,
-}
-
-/// Aggregate over a set of [`ShardRun`]s (see the [module docs](self)
-/// for why the throughput is a rate *sum*).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardStats {
-    /// Number of shards folded in.
-    pub shards: usize,
-    /// Total events across all shards.
-    pub events: u64,
-    /// `Σ eventsᵢ / wallᵢ`, in events per second.
-    pub aggregate_events_per_sec: f64,
-    /// The slowest shard's wall time.
-    pub max_wall_nanos: u64,
-    /// Total CPU-side wall time across shards.
-    pub sum_wall_nanos: u64,
-}
-
-impl ShardStats {
-    /// Folds per-shard runs in input order (the floating-point sum is
-    /// therefore deterministic for a fixed `runs` slice).
-    #[must_use]
-    pub fn from_runs(runs: &[ShardRun]) -> Self {
-        let mut rate_sum = 0.0;
-        let mut events = 0u64;
-        let mut max_wall = 0u64;
-        let mut sum_wall = 0u64;
-        for run in runs {
-            events += run.events;
-            max_wall = max_wall.max(run.wall_nanos);
-            sum_wall += run.wall_nanos;
-            if run.wall_nanos > 0 {
-                rate_sum += run.events as f64 / (run.wall_nanos as f64 / 1e9);
-            }
-        }
-        ShardStats {
-            shards: runs.len(),
-            events,
-            aggregate_events_per_sec: rate_sum,
-            max_wall_nanos: max_wall,
-            sum_wall_nanos: sum_wall,
-        }
-    }
 }
 
 /// Runs `run(shard)` for every shard in `0..shards` over the scenario
@@ -99,37 +49,5 @@ mod tests {
     fn shards_run_in_order_and_independently() {
         let out = run_shards(8, |shard| shard * 10);
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
-    }
-
-    #[test]
-    fn stats_sum_rates_not_walls() {
-        // Two shards, each 1000 events in 1 ms: the aggregate is
-        // 2,000,000 events/sec (a core each), not 1,000,000 (serialized).
-        let runs = [
-            ShardRun {
-                events: 1000,
-                wall_nanos: 1_000_000,
-            },
-            ShardRun {
-                events: 1000,
-                wall_nanos: 1_000_000,
-            },
-        ];
-        let stats = ShardStats::from_runs(&runs);
-        assert_eq!(stats.shards, 2);
-        assert_eq!(stats.events, 2000);
-        assert!((stats.aggregate_events_per_sec - 2_000_000.0).abs() < 1.0);
-        assert_eq!(stats.max_wall_nanos, 1_000_000);
-        assert_eq!(stats.sum_wall_nanos, 2_000_000);
-    }
-
-    #[test]
-    fn zero_wall_shard_contributes_no_rate() {
-        let stats = ShardStats::from_runs(&[ShardRun {
-            events: 5,
-            wall_nanos: 0,
-        }]);
-        assert_eq!(stats.events, 5);
-        assert_eq!(stats.aggregate_events_per_sec, 0.0);
     }
 }
