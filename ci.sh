@@ -33,8 +33,12 @@ SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test parallel_grid
 echo "== shard golden (fixed-value histories, forced 4-worker pool) =="
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-core shard
 
-echo "== cross-runtime parity (engine vs real threads) =="
+echo "== cross-runtime parity (engine vs real threads vs TCP mesh) =="
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test runtime_parity
+
+echo "== threaded example (real-thread runtime end to end) =="
+cargo run --release -q -p skewbound-examples --bin threaded | tee /tmp/threaded.log
+grep -q '^linearizability check on the real-thread history: OK$' /tmp/threaded.log
 
 echo "== docs build (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -19,6 +19,7 @@ use std::net::SocketAddr;
 use std::process::exit;
 
 use skewbound_core::params::Params;
+use skewbound_core::replica::Replica;
 use skewbound_mc::trace::JsonLinesSink;
 use skewbound_net::runtime::{run_server, tighten_timer_slack, ServerConfig};
 use skewbound_net::tcp::MeshListener;
@@ -76,7 +77,7 @@ fn parse_args() -> Args {
                 .unwrap_or_else(|| fail(&format!("{name} needs a value")))
         };
         match flag.as_str() {
-            "--pid" => pid = Some(parse_u64(&value("--pid"), "--pid")),
+            "--pid" => pid = Some(parse_pid(&value("--pid"), "--pid")),
             "--listen" => listen = Some(value("--listen")),
             "--peer" => {
                 let v = value("--peer");
@@ -86,7 +87,7 @@ fn parse_args() -> Args {
                 let addr: SocketAddr = addr
                     .parse()
                     .unwrap_or_else(|_| fail(&format!("bad peer address {addr}")));
-                peers.push((ProcessId::new(parse_u64(p, "--peer pid") as u32), addr));
+                peers.push((parse_pid(p, "--peer pid"), addr));
             }
             "--object" => {
                 let v = value("--object");
@@ -108,6 +109,19 @@ fn parse_args() -> Args {
 
     let pid = pid.unwrap_or_else(|| fail("--pid is required"));
     let n = peers.len() + 1;
+    // The group is pids 0..n: each exactly once, this process included.
+    let mut pids: Vec<u32> = peers.iter().map(|&(p, _)| p.as_u32()).collect();
+    pids.push(pid.as_u32());
+    pids.sort_unstable();
+    if let Some(dup) = pids.windows(2).find(|w| w[0] == w[1]) {
+        fail(&format!("pid {} is given twice", dup[0]));
+    }
+    if let Some(missing) = (0..).zip(&pids).find(|&(want, &got)| want != got) {
+        fail(&format!(
+            "pid {} is missing: the group must be pids 0..{n}",
+            missing.0
+        ));
+    }
     let d = SimDuration::from_ticks(d.unwrap_or_else(|| fail("--d is required")));
     let u = SimDuration::from_ticks(u.unwrap_or_else(|| fail("--u is required")));
     let x = SimDuration::from_ticks(x);
@@ -118,7 +132,7 @@ fn parse_args() -> Args {
     .unwrap_or_else(|e| fail(&format!("invalid parameters: {e}")));
 
     Args {
-        pid: ProcessId::new(pid as u32),
+        pid,
         listen: listen.unwrap_or_else(|| fail("--listen is required")),
         peers,
         object: object.unwrap_or_else(|| fail("--object is required")),
@@ -128,6 +142,11 @@ fn parse_args() -> Args {
         headroom,
         trace,
     }
+}
+
+fn parse_pid(s: &str, what: &str) -> ProcessId {
+    let pid = u32::try_from(parse_u64(s, what));
+    ProcessId::new(pid.unwrap_or_else(|_| fail(&format!("{what} {s} does not fit a u32"))))
 }
 
 fn parse_u64(s: &str, what: &str) -> u64 {
@@ -141,6 +160,7 @@ where
     S::Op: Encode + Decode,
     S::Resp: Encode,
 {
+    let replica = Replica::new(spec, &args.params);
     let mut cfg = ServerConfig::new(
         args.pid,
         args.params.n(),
@@ -162,7 +182,7 @@ where
 
     let mut sink = JsonLinesSink::new();
     let sink_ref: Option<&mut dyn TraceSink> = args.trace.as_ref().map(|_| &mut sink as _);
-    let history = run_server(spec, &cfg, &mesh, sink_ref);
+    let history = run_server(replica, &cfg, &mesh, sink_ref);
     mesh.shutdown();
 
     if let Some(path) = &args.trace {

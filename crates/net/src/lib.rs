@@ -19,13 +19,14 @@
 //!   sorts inbound connections into peers and clients by their hello
 //!   frame, and per-sender watermark dedup making reconnect resends
 //!   exactly-once.
-//! * [`runtime`] — the typed layer: a
-//!   [`Transport`](skewbound_sim::transport::Transport) adapter that
-//!   encodes replica messages into frames, the receiver-side delay
-//!   hold reproducing the `[d − u, d]` admissible window on a fast
-//!   loopback, the server event loop shared by the `skewbound-serve`
-//!   binary and the in-test cluster, and the blocking client used by
-//!   `skewbound-load`.
+//! * [`runtime`] — the typed layer: the [`Link`](skewbound_sim::transport::Link)
+//!   that encodes each outgoing batch into one frame for the wall-clock
+//!   core the real-thread runtime runs too
+//!   ([`WallNode`](skewbound_sim::deadline::WallNode): one agenda of
+//!   timers and held deliveries, one fire-due step, one drain rule), the
+//!   server event loop around it — generic over the actor, shared by the
+//!   `skewbound-serve` binary and the in-test cluster — and the
+//!   blocking client used by `skewbound-load`.
 //!
 //! Timebase: all processes of a run share one epoch (a unix-µs instant
 //! passed on the command line); one tick is one microsecond, exactly as

@@ -203,8 +203,8 @@ impl TcpMesh {
     }
 
     /// A detachable peer-frame sender implementing
-    /// [`WireTransport`] — the half the typed transport adapter holds
-    /// while the server loop keeps the mesh itself for receiving.
+    /// [`WireTransport`] — the half the server's transport holds while
+    /// the server loop keeps the mesh itself for receiving.
     #[must_use]
     pub fn peer_sender(&self) -> PeerSender {
         PeerSender {
@@ -296,17 +296,6 @@ impl WireTransport for PeerSender {
             .ok_or(TransportError::PeerUnreachable { to })?;
         tx.send(frame.to_vec())
             .map_err(|_| TransportError::PeerUnreachable { to })
-    }
-
-    fn flush(&mut self) -> Result<(), TransportError> {
-        // Frames are handed to the writer threads eagerly; the writers
-        // coalesce whatever has accumulated into one write. Nothing is
-        // held back here, so flush has nothing to push.
-        Ok(())
-    }
-
-    fn local_pid(&self) -> ProcessId {
-        self.pid
     }
 }
 

@@ -1,87 +1,351 @@
-//! Real-time deadlines for the wall-clock backends: the pending-timer
-//! list and the wait that reaches a deadline.
+//! The wall-clock backend core: the run-loop pieces the real-thread
+//! runtime ([`crate::rt`]) and the socket backend (`skewbound-net`)
+//! share.
 //!
 //! The discrete-event engine schedules on *nominal* time: a timer set
 //! with delay `δ` inside an activation at virtual time `t` expires at
 //! exactly `t + δ`, however long the host took to run the handler. The
-//! real-thread runtime ([`crate::rt`]) and the socket backend
-//! (`skewbound-net`) get the same rule from the two pieces here:
+//! wall-clock backends get the same rule from the pieces here:
 //!
-//! * [`PendingTimers`] keeps armed timers under absolute [`Instant`]
-//!   deadlines and pops them in `(deadline, id)` order. The run loop
-//!   arms at `anchor + δ`, where the anchor is the *nominal* instant of
-//!   the running activation — for a timer activation the popped
-//!   deadline itself — so a chain of timers lands on the sum of its
-//!   delays and the lateness of one wake-up is not inherited by the
-//!   next.
+//! * [`TimeBase`] is the run clock: ticks are µs since the run epoch.
+//! * [`Agenda`] holds a node's armed timers and the delivery batches
+//!   waiting out their injected delay under absolute [`Instant`]s, and
+//!   pops them in one nominal-time order: instant first, timers before
+//!   deliveries on a tie, then id.
+//! * [`WallNode`] is one node: its [`NodeCore`], its [`WallTransport`]
+//!   and its drain state. Its one fire-due step anchors each activation
+//!   at the item's own instant — a timer's deadline, a batch's
+//!   `deliver_at` — so a timer armed while handling it is due at
+//!   `instant + δ` and the lateness of one wake-up is not inherited by
+//!   the next. Its one drain rule says when the run loop may exit.
 //! * [`wait`] blocks on an inbox until an arrival or a deadline. It
 //!   never reports a timeout early, and when the caller says a late
 //!   wake-up would cost latency it trades a bounded slice of CPU for
 //!   punctuality: sleep to one margin (150 µs) short of the deadline,
 //!   then poll.
 
+use core::fmt;
+use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use crate::ids::TimerId;
+use crate::actor::Actor;
+use crate::ids::{MsgId, OpId, ProcessId, TimerId};
+use crate::node::{Activation, HistorySink, NodeCore, Stamp, TraceOutput};
+use crate::time::{ClockOffset, SimTime};
+use crate::transport::{Link, TransportError, WallTransport};
 
-/// Timers armed by one node, waiting for their wall-clock deadlines.
-///
-/// A plain vector scanned per query: a replica holds a handful of
-/// timers (its own operation's two or three plus one hold timer per
-/// in-flight remote operation), and cancels remove by id.
-#[derive(Debug)]
-pub struct PendingTimers<T> {
-    armed: Vec<(Instant, TimerId, T)>,
+/// The shared run clock: ticks are µs since the run epoch.
+#[derive(Debug, Clone, Copy)]
+pub struct TimeBase {
+    pub(crate) start_instant: Instant,
+    pub(crate) start_ticks: u64,
 }
 
-impl<T> Default for PendingTimers<T> {
-    fn default() -> Self {
-        PendingTimers { armed: Vec::new() }
+impl TimeBase {
+    /// Anchors the timebase: samples the wall clock once against
+    /// `epoch_micros` (unix µs) and advances monotonically from there.
+    #[must_use]
+    pub fn new(epoch_micros: u64) -> Self {
+        TimeBase {
+            start_instant: Instant::now(),
+            start_ticks: Self::epoch_now_micros().saturating_sub(epoch_micros),
+        }
+    }
+
+    /// An epoch value for "now" — what a launcher passes to every
+    /// process of a fresh run.
+    #[must_use]
+    pub fn epoch_now_micros() -> u64 {
+        SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .expect("system clock is before the unix epoch")
+            .as_micros() as u64
+    }
+
+    /// The current tick count (µs since the epoch).
+    #[must_use]
+    pub fn now_ticks(&self) -> u64 {
+        self.start_ticks + self.start_instant.elapsed().as_micros() as u64
+    }
+
+    /// The [`Instant`] at which tick `t` is (or was) reached. Ticks
+    /// before startup clamp to the start instant — they are already due.
+    #[must_use]
+    pub fn instant_for(&self, t: u64) -> Instant {
+        self.start_instant + Duration::from_micros(t.saturating_sub(self.start_ticks))
     }
 }
 
-impl<T> PendingTimers<T> {
-    /// An empty list.
+/// One [`Agenda`] item.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Due<T, M> {
+    /// Timer `id` expires.
+    Timer(TimerId, T),
+    /// A batch from `from`, holding the ids `first_id..first_id + k`,
+    /// is delivered.
+    Batch {
+        /// The sender.
+        from: ProcessId,
+        /// The id of the first message.
+        first_id: MsgId,
+        /// The messages, in send order.
+        msgs: Vec<M>,
+    },
+}
+
+/// A node's timers and held deliveries, popped in one nominal-time
+/// order.
+///
+/// One order for both kinds is what makes anchored arming safe after a
+/// stall: a wake-up that finds a delivery and a younger timer both
+/// overdue replays them as the model prescribes, instead of letting a
+/// cascade of overdue timers run ahead of the older delivery. Keys are
+/// `(instant, is a delivery, id)`, so the map's order is the pop order.
+#[derive(Debug)]
+pub struct Agenda<T, M> {
+    items: BTreeMap<(Instant, bool, u64), Due<T, M>>,
+}
+
+impl<T, M> Default for Agenda<T, M> {
+    fn default() -> Self {
+        Agenda {
+            items: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T, M> Agenda<T, M> {
+    /// An empty agenda.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Arms timer `id` to expire at `at`.
-    pub fn arm(&mut self, id: TimerId, at: Instant, item: T) {
-        self.armed.push((at, id, item));
+    pub fn arm(&mut self, at: Instant, id: TimerId, timer: T) {
+        self.insert((at, false, id.as_u64()), Due::Timer(id, timer));
+    }
+
+    /// Holds a delivery batch until `at`.
+    pub fn hold(&mut self, at: Instant, from: ProcessId, first_id: MsgId, msgs: Vec<M>) {
+        let due = Due::Batch {
+            from,
+            first_id,
+            msgs,
+        };
+        self.insert((at, true, first_id.as_u64()), due);
+    }
+
+    fn insert(&mut self, key: (Instant, bool, u64), due: Due<T, M>) {
+        let clash = self.items.insert(key, due);
+        assert!(
+            clash.is_none(),
+            "two agenda items share an instant and an id"
+        );
     }
 
     /// Removes timer `id` if it is still armed.
     pub fn cancel(&mut self, id: TimerId) {
-        self.armed.retain(|&(_, armed_id, _)| armed_id != id);
+        self.items
+            .retain(|&(_, batch, raw), _| batch || raw != id.as_u64());
     }
 
-    /// Pops the timer with the earliest `(deadline, id)` among those
-    /// whose deadline is `≤ now`. The returned instant is the deadline
-    /// the timer was armed for — the nominal instant of its activation.
-    pub fn pop_due(&mut self, now: Instant) -> Option<(Instant, TimerId, T)> {
-        let due = self
-            .armed
-            .iter()
-            .enumerate()
-            .filter(|(_, &(at, _, _))| at <= now)
-            .min_by_key(|(_, &(at, id, _))| (at, id))
-            .map(|(i, _)| i)?;
-        Some(self.armed.swap_remove(due))
+    /// Pops the first item in agenda order if its instant is `≤ now`,
+    /// with that instant — the nominal instant of its activation.
+    pub fn pop_due(&mut self, now: Instant) -> Option<(Instant, Due<T, M>)> {
+        let first = self.items.first_entry().filter(|e| e.key().0 <= now)?;
+        let ((at, _, _), due) = first.remove_entry();
+        Some((at, due))
     }
 
-    /// The earliest armed deadline.
+    /// The earliest instant on the agenda.
     #[must_use]
     pub fn next_deadline(&self) -> Option<Instant> {
-        self.armed.iter().map(|&(at, _, _)| at).min()
+        self.items.keys().next().map(|&(at, _, _)| at)
     }
 
-    /// `true` when no timer is armed.
+    /// `true` when nothing is armed or held.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.armed.is_empty()
+        self.items.is_empty()
+    }
+}
+
+/// How long a node with no deadline ahead waits between looks at its
+/// state.
+const IDLE_POLL: Duration = Duration::from_millis(10);
+
+/// One node of a wall-clock backend: a [`NodeCore`], its
+/// [`WallTransport`] and the state of its drain.
+///
+/// The run loops around it differ only in their inboxes: a worker's
+/// channel on threads, a socket mesh across processes. Both start the
+/// node, call [`WallNode::fire_due`] until nothing is due, hand it
+/// arrivals, and exit when [`WallNode::drain_wait`] says so.
+pub struct WallNode<A: Actor, L> {
+    core: NodeCore<A>,
+    transport: WallTransport<A, L>,
+    offset: ClockOffset,
+    /// The drain's grace period, once the node has been told to stop.
+    grace: Option<Duration>,
+    /// The last arrival or activation, for the drain's quiet period.
+    last_activity: Instant,
+    timers_fired: u64,
+}
+
+impl<A: Actor, L> fmt::Debug for WallNode<A, L> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WallNode")
+            .field("core", &self.core)
+            .field("grace", &self.grace)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<A: Actor, L: Link<A::Msg>> WallNode<A, L> {
+    /// Wraps `core` around `transport`; every activation is stamped on
+    /// the transport's [`TimeBase`] with the local clock at `offset`.
+    pub fn new(core: NodeCore<A>, transport: WallTransport<A, L>, offset: ClockOffset) -> Self {
+        WallNode {
+            core,
+            transport,
+            offset,
+            grace: None,
+            last_activity: Instant::now(),
+            timers_fired: 0,
+        }
+    }
+
+    /// The pending operation, if one is in flight at this node.
+    #[must_use]
+    pub fn pending_op(&self) -> Option<OpId> {
+        self.core.pending_op()
+    }
+
+    /// The earliest instant on the agenda: the run loop's next deadline.
+    #[must_use]
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.transport.agenda.next_deadline()
+    }
+
+    /// Timer activations that ran (stale expiries excluded).
+    #[must_use]
+    pub fn timers_fired(&self) -> u64 {
+        self.timers_fired
+    }
+
+    /// Runs one activation with nominal instant `anchor`, stamped now.
+    fn activate<R>(
+        &mut self,
+        anchor: Instant,
+        run: impl FnOnce(&mut NodeCore<A>, Stamp, &mut WallTransport<A, L>) -> R,
+    ) -> R {
+        self.transport.anchor = anchor;
+        self.last_activity = Instant::now();
+        let now = SimTime::from_ticks(self.transport.base.now_ticks());
+        let clock = now.to_clock(self.offset);
+        run(&mut self.core, Stamp { now, clock }, &mut self.transport)
+    }
+
+    /// Runs the start-of-run hook, anchored now.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the transport's send failures.
+    pub fn start<TO: TraceOutput, H: HistorySink<A>>(
+        &mut self,
+        trace: &mut TO,
+        history: &mut H,
+    ) -> Result<Activation, TransportError> {
+        self.activate(Instant::now(), |core, stamp, t| {
+            core.on_start(stamp, t, trace, history)
+        })
+    }
+
+    /// Runs an invocation, anchored now. `recorded` is its history id
+    /// when the caller recorded it already (the thread clients do, at
+    /// the call site); otherwise the node records it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the transport's send failures.
+    pub fn invoke<TO: TraceOutput, H: HistorySink<A>>(
+        &mut self,
+        recorded: Option<OpId>,
+        op: A::Op,
+        trace: &mut TO,
+        history: &mut H,
+    ) -> Result<Activation, TransportError> {
+        self.activate(Instant::now(), |core, stamp, t| match recorded {
+            Some(id) => core.on_invoke_recorded(stamp, id, op, t, trace, history),
+            None => core.on_invoke(stamp, op, t, trace, history),
+        })
+    }
+
+    /// The one fire-due step: runs the first agenda item that is due,
+    /// anchored at its own instant, or returns `Ok(None)` when nothing
+    /// is. An activation may arm a timer that is already due; the next
+    /// call finds it in its place.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the transport's send failures.
+    pub fn fire_due<TO: TraceOutput, H: HistorySink<A>>(
+        &mut self,
+        trace: &mut TO,
+        history: &mut H,
+    ) -> Result<Option<Activation>, TransportError> {
+        let Some((at, due)) = self.transport.agenda.pop_due(Instant::now()) else {
+            return Ok(None);
+        };
+        let is_timer = matches!(due, Due::Timer(..));
+        let act = self.activate(at, |core, stamp, t| match due {
+            Due::Timer(id, timer) => core.on_timer(stamp, id, timer, t, trace, history),
+            Due::Batch {
+                from,
+                first_id,
+                msgs,
+            } => core.on_message_batch(stamp, from, first_id, msgs, t, trace, history),
+        })?;
+        self.timers_fired += u64::from(is_timer && act != Activation::Stale);
+        Ok(Some(act))
+    }
+
+    /// Holds an arrived batch until tick `deliver_at` of the run's
+    /// [`TimeBase`].
+    pub fn hold(&mut self, deliver_at: u64, from: ProcessId, first_id: MsgId, msgs: Vec<A::Msg>) {
+        let at = self.transport.base.instant_for(deliver_at);
+        self.transport.agenda.hold(at, from, first_id, msgs);
+        self.touch();
+    }
+
+    /// Records an arrival the node did not activate on.
+    pub fn touch(&mut self) {
+        self.last_activity = Instant::now();
+    }
+
+    /// Tells the node to stop once drained, after `grace` of quiet.
+    pub fn stop(&mut self, grace: Duration) {
+        self.grace = Some(grace);
+        self.touch();
+    }
+
+    /// The one drain rule. A node exits once it has been told to stop,
+    /// its agenda is empty, no operation is pending — neither here nor,
+    /// as the caller reports through `busy`, anywhere it still has to
+    /// answer for — and it has been quiet for the grace period: then
+    /// `None`. Otherwise, how long the run loop may wait before looking
+    /// again.
+    #[must_use]
+    pub fn drain_wait(&self, busy: bool) -> Option<Duration> {
+        let idle = !busy && self.pending_op().is_none() && self.transport.agenda.is_empty();
+        match self.grace {
+            Some(grace) if idle => grace
+                .checked_sub(self.last_activity.elapsed())
+                .filter(|left| !left.is_zero()),
+            _ => Some(IDLE_POLL),
+        }
     }
 }
 
@@ -165,6 +429,9 @@ fn poll_until<E>(rx: &Receiver<E>, deadline: Instant) -> Result<E, RecvTimeoutEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::Context;
+    use crate::time::SimDuration;
+    use rand::rngs::StdRng;
     use std::sync::mpsc::channel;
     use std::thread;
 
@@ -172,55 +439,115 @@ mod tests {
         TimerId::new(raw)
     }
 
+    fn msg(raw: u64) -> MsgId {
+        MsgId::new(raw)
+    }
+
     const MS: Duration = Duration::from_millis(1);
+    const P: ProcessId = ProcessId::new(1);
+
+    /// An agenda of `&str` timers and `u8` messages.
+    type TestAgenda = Agenda<&'static str, u8>;
+
+    fn batch(first_id: u64) -> Due<&'static str, u8> {
+        Due::Batch {
+            from: P,
+            first_id: msg(first_id),
+            msgs: vec![0],
+        }
+    }
 
     #[test]
     fn pop_due_orders_by_deadline_then_id() {
         let t0 = Instant::now();
-        let mut timers = PendingTimers::new();
-        timers.arm(id(7), t0 + 2 * MS, "late");
-        timers.arm(id(5), t0 + MS, "tie, larger id");
-        timers.arm(id(3), t0 + MS, "tie, smaller id");
+        let mut agenda = TestAgenda::new();
+        agenda.arm(t0 + 2 * MS, id(7), "late");
+        agenda.arm(t0 + MS, id(5), "tie, larger id");
+        agenda.arm(t0 + MS, id(3), "tie, smaller id");
         let now = t0 + 10 * MS;
-        let order: Vec<_> = std::iter::from_fn(|| timers.pop_due(now)).collect();
+        let order: Vec<_> = std::iter::from_fn(|| agenda.pop_due(now)).collect();
         assert_eq!(
             order,
             vec![
-                (t0 + MS, id(3), "tie, smaller id"),
-                (t0 + MS, id(5), "tie, larger id"),
-                (t0 + 2 * MS, id(7), "late"),
+                (t0 + MS, Due::Timer(id(3), "tie, smaller id")),
+                (t0 + MS, Due::Timer(id(5), "tie, larger id")),
+                (t0 + 2 * MS, Due::Timer(id(7), "late")),
             ]
         );
-        assert!(timers.is_empty());
+        assert!(agenda.is_empty());
+    }
+
+    /// A late wake-up finds an older delivery and a younger timer both
+    /// overdue: the delivery goes first, as the model orders them.
+    #[test]
+    fn late_wakeup_replays_the_older_delivery_before_the_younger_timer() {
+        let t0 = Instant::now();
+        let mut agenda = TestAgenda::new();
+        agenda.hold(t0 + 3 * MS, P, msg(9), vec![0]);
+        agenda.hold(t0 + MS, P, msg(4), vec![0]);
+        agenda.arm(t0 + 2 * MS, id(1), "timer");
+        let now = t0 + 50 * MS; // the stall
+        let order: Vec<_> = std::iter::from_fn(|| agenda.pop_due(now)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (t0 + MS, batch(4)),
+                (t0 + 2 * MS, Due::Timer(id(1), "timer")),
+                (t0 + 3 * MS, batch(9)),
+            ]
+        );
+    }
+
+    #[test]
+    fn ties_go_to_the_timer_then_to_the_smaller_message_id() {
+        let at = Instant::now() + MS;
+        let mut agenda = TestAgenda::new();
+        agenda.hold(at, P, msg(7), vec![0]);
+        agenda.hold(at, P, msg(2), vec![0]);
+        agenda.arm(at, id(9), "timer");
+        let order: Vec<_> = std::iter::from_fn(|| agenda.pop_due(at)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (at, Due::Timer(id(9), "timer")),
+                (at, batch(2)),
+                (at, batch(7))
+            ]
+        );
     }
 
     #[test]
     fn nothing_pops_before_its_deadline() {
         let t0 = Instant::now();
-        let mut timers = PendingTimers::new();
-        timers.arm(id(1), t0 + MS, ());
-        timers.arm(id(2), t0 + 3 * MS, ());
-        assert_eq!(timers.next_deadline(), Some(t0 + MS));
-        assert!(timers.pop_due(t0).is_none());
-        assert!(timers.pop_due(t0 + MS - Duration::from_nanos(1)).is_none());
-        // Exactly on the deadline is due; the later timer stays armed.
-        assert_eq!(timers.pop_due(t0 + MS), Some((t0 + MS, id(1), ())));
-        assert!(timers.pop_due(t0 + 2 * MS).is_none());
-        assert_eq!(timers.next_deadline(), Some(t0 + 3 * MS));
-        assert!(!timers.is_empty());
+        let mut agenda = TestAgenda::new();
+        agenda.hold(t0 + 2 * MS, P, msg(1), vec![0]);
+        agenda.arm(t0 + 3 * MS, id(1), "timer");
+        assert_eq!(agenda.next_deadline(), Some(t0 + 2 * MS));
+        assert!(agenda.pop_due(t0).is_none());
+        assert!(agenda
+            .pop_due(t0 + 2 * MS - Duration::from_nanos(1))
+            .is_none());
+        // Exactly on its instant the batch is due; the timer is not yet.
+        assert_eq!(agenda.pop_due(t0 + 2 * MS), Some((t0 + 2 * MS, batch(1))));
+        assert!(agenda.pop_due(t0 + 2 * MS).is_none());
+        assert_eq!(agenda.next_deadline(), Some(t0 + 3 * MS));
+        assert!(!agenda.is_empty());
     }
 
     #[test]
     fn cancel_removes_only_the_named_timer() {
         let t0 = Instant::now();
-        let mut timers = PendingTimers::new();
-        timers.arm(id(1), t0, 'a');
-        timers.arm(id(2), t0, 'b');
-        timers.cancel(id(1));
-        timers.cancel(id(9)); // never armed: a no-op
-        assert_eq!(timers.pop_due(t0), Some((t0, id(2), 'b')));
-        assert!(timers.is_empty());
-        assert_eq!(timers.next_deadline(), None);
+        let mut agenda = TestAgenda::new();
+        agenda.arm(t0, id(1), "a");
+        agenda.arm(t0, id(2), "b");
+        // A batch whose first id equals a timer id is not a timer.
+        agenda.hold(t0, P, msg(1), vec![0]);
+        agenda.cancel(id(1));
+        agenda.cancel(id(9)); // never armed: a no-op
+        assert_eq!(agenda.pop_due(t0), Some((t0, Due::Timer(id(2), "b"))));
+        assert_eq!(agenda.pop_due(t0), Some((t0, batch(1))));
+        assert!(agenda.is_empty());
+        assert_eq!(agenda.next_deadline(), None);
     }
 
     /// A chain armed at `anchor + delay` lands on the sum of its
@@ -230,14 +557,74 @@ mod tests {
         let a = Instant::now();
         let (d1, d2) = (5 * MS, 7 * MS);
         for lateness in [Duration::ZERO, 2 * MS, 400 * MS] {
-            let mut timers = PendingTimers::new();
-            timers.arm(id(1), a + d1, ());
+            let mut agenda = TestAgenda::new();
+            agenda.arm(a + d1, id(1), "first");
             let now = a + d1 + lateness;
-            let (anchor, _, ()) = timers.pop_due(now).expect("first link is due");
+            let (anchor, _) = agenda.pop_due(now).expect("first link is due");
             assert_eq!(anchor, a + d1, "the popped deadline is the anchor");
-            timers.arm(id(2), anchor + d2, ());
-            assert_eq!(timers.next_deadline(), Some(a + d1 + d2));
+            agenda.arm(anchor + d2, id(2), "second");
+            assert_eq!(agenda.next_deadline(), Some(a + d1 + d2));
         }
+    }
+
+    /// Arms a timer of `delay` ticks when a message is delivered.
+    #[derive(Debug)]
+    struct ArmOnDelivery {
+        delay: u64,
+    }
+
+    impl Actor for ArmOnDelivery {
+        type Msg = ();
+        type Op = ();
+        type Resp = ();
+        type Timer = ();
+
+        fn on_invoke(&mut self, _op: (), _ctx: &mut Context<'_, Self>) {}
+        fn on_message(&mut self, _from: ProcessId, _msg: (), ctx: &mut Context<'_, Self>) {
+            ctx.set_timer(SimDuration::from_ticks(self.delay), ());
+        }
+        fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
+    }
+
+    /// A link nobody sends through.
+    struct NoLink;
+
+    impl Link<()> for NoLink {
+        fn hand_off(
+            &mut self,
+            _: ProcessId,
+            _: ProcessId,
+            _: MsgId,
+            _: u64,
+            _: u64,
+            _: Vec<()>,
+        ) -> Result<(), TransportError> {
+            unreachable!("the test actor never sends")
+        }
+    }
+
+    /// A timer armed while handling a held delivery is due at
+    /// `deliver_at + δ`, even when the delivery is popped late.
+    #[test]
+    fn a_timer_armed_by_a_late_delivery_is_due_at_deliver_at_plus_its_delay() {
+        use crate::history::History;
+        use crate::node::NoTrace;
+        use rand::SeedableRng;
+
+        let base = TimeBase::new(TimeBase::epoch_now_micros());
+        let transport = WallTransport::new(P, NoLink, base, StdRng::seed_from_u64(1), (1, 1));
+        let actor = ArmOnDelivery { delay: 3_000 };
+        let mut node = WallNode::new(NodeCore::new(P, 2, actor), transport, ClockOffset::ZERO);
+        let deliver_at = base.now_ticks() + 1_000;
+        node.hold(deliver_at, ProcessId::new(0), msg(1), vec![()]);
+        let held_until = base.instant_for(deliver_at);
+        assert_eq!(node.next_deadline(), Some(held_until));
+        // Pop the delivery well after its instant.
+        thread::sleep(held_until.saturating_duration_since(Instant::now()) + 5 * MS);
+        let mut history = History::new();
+        let act = node.fire_due(&mut NoTrace, &mut history).unwrap();
+        assert_eq!(act, Some(Activation::Ran));
+        assert_eq!(node.next_deadline(), Some(held_until + 3 * MS));
     }
 
     /// An event sent while `wait` polls is returned at once. The

@@ -28,7 +28,7 @@
 //! * clocks are fixed offsets from real time.
 //!
 //! The real-thread counterpart is [`crate::rt`], which drives the same
-//! node core from OS threads and a delay-injecting router.
+//! node core from OS threads, each holding its deliveries until due.
 
 use crate::actor::Actor;
 use crate::clock::ClockAssignment;

@@ -18,9 +18,9 @@
 //!
 //! The discrete-event engine ([`crate::engine`]) wraps a `NodeCore` per
 //! process around a virtual-time heap transport; the real-thread
-//! runtime ([`crate::rt`]) wraps one around a router-and-channels
-//! transport. Neither re-implements any of the four steps above, so
-//! the two backends cannot drift in effect application, invariants,
+//! runtime ([`crate::rt`]) and the socket mesh wrap one in the
+//! wall-clock [`WallNode`](crate::deadline::WallNode). Neither re-implements any of the four steps above, so
+//! the backends cannot drift in effect application, invariants,
 //! timer lifecycle or trace schema.
 
 use core::fmt;

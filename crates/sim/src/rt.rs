@@ -1,18 +1,17 @@
 //! A real-thread runtime for the same [`Actor`] state machines.
 //!
 //! This module is the second backend over the shared
-//! [`NodeCore`]: each process is a `NodeCore` on
-//! an OS thread, activated by its mpsc inbox and its due timers, while
-//! a private `ChannelTransport` implementing
-//! [`Transport`](crate::transport::Transport) routes every send through
-//! a delay-injecting router thread (delays drawn uniformly from the
-//! same `[d − u, d]` bounds the engine enforces) and keeps the worker's
-//! pending-timer schedule. All effect application, the one-pending-op
-//! invariant, timer generations, trace emission and history recording
-//! live in the node core — the discrete-event engine
-//! ([`crate::engine`]) drives the identical code from its virtual-time
-//! heap. Clocks are wall-clock readings plus per-process offsets; one
-//! tick is interpreted as one microsecond.
+//! [`NodeCore`]: each process is a [`WallNode`] on an OS thread —
+//! the wall-clock core the socket mesh runs too. A send draws a seeded
+//! delay from the same `[d − u, d]` bounds the engine enforces and goes
+//! straight into the destination worker's inbox, which holds it on its
+//! agenda until `sent + delay`; timers and held deliveries fire in one
+//! nominal-time order, each anchored at its own instant. All effect
+//! application, the one-pending-op invariant, timer generations, trace
+//! emission and history recording live in the node core — the
+//! discrete-event engine ([`crate::engine`]) drives the identical code
+//! from its virtual-time heap. Clocks are wall-clock readings plus
+//! per-process offsets; one tick is interpreted as one microsecond.
 //!
 //! Entry points:
 //!
@@ -29,8 +28,8 @@
 //! noise can also perturb the relative order of closely spaced events, so
 //! prefer workloads whose correctness does not hinge on exact tie-breaks.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -40,14 +39,14 @@ use rand::SeedableRng;
 
 use crate::actor::Actor;
 use crate::clock::ClockAssignment;
-use crate::deadline::{self, PendingTimers};
+use crate::deadline::{self, TimeBase, WallNode};
 use crate::delay::DelayBounds;
 use crate::history::History;
-use crate::ids::{OpId, ProcessId};
-use crate::node::{Activation, HistorySink, NodeCore, Stamp, TraceOutput};
-use crate::time::{instant_to_sim, ticks_to_duration, ClockOffset, SimDuration, SimTime};
+use crate::ids::{MsgId, OpId, ProcessId};
+use crate::node::{Activation, HistorySink, NodeCore, TraceOutput};
+use crate::time::{instant_to_sim, ticks_to_duration, SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceSink};
-use crate::transport::{run_router, ChannelTransport, Input, RouterMsg};
+use crate::transport::{Link, TransportError, WallTransport};
 use crate::workload::{Driver, Script};
 
 /// A trace sink shared by every worker thread of an [`RtCluster`].
@@ -92,15 +91,6 @@ impl core::fmt::Display for OpPending {
 
 impl std::error::Error for OpPending {}
 
-/// The (real time, local clock) stamp of an activation happening now.
-fn stamp_now(epoch: Instant, offset: ClockOffset) -> Stamp {
-    let now = instant_to_sim(epoch, Instant::now());
-    Stamp {
-        now,
-        clock: now.to_clock(offset),
-    }
-}
-
 /// The real-thread [`TraceOutput`]: the optional mutex-shared sink,
 /// locked per event.
 struct RtTrace<'a>(Option<&'a RtTraceSink>);
@@ -131,7 +121,53 @@ impl<A: Actor> HistorySink<A> for SharedHistory<'_, A> {
     }
 }
 
-/// A running cluster of actor threads plus the delay-injecting router.
+/// A worker thread's inbox message.
+enum Input<A: Actor> {
+    /// Invoke an operation already recorded in the history as `OpId`.
+    Invoke(OpId, A::Op),
+    /// A batch from another process, holding the ids
+    /// `first_id..first_id + msgs.len()`, to deliver at tick
+    /// `deliver_at`.
+    Deliver {
+        from: ProcessId,
+        first_id: MsgId,
+        deliver_at: u64,
+        msgs: Vec<A::Msg>,
+    },
+    /// Stop once drained, after this grace period of quiet.
+    Stop(Duration),
+}
+
+/// The thread runtime's [`Link`]: every worker's inbox. Inboxes are
+/// unbounded, so two workers flooding each other never block on a full
+/// one.
+struct Inboxes<A: Actor>(Vec<Sender<Input<A>>>);
+
+impl<A: Actor> Link<A::Msg> for Inboxes<A> {
+    fn hand_off(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        first_id: MsgId,
+        sent: u64,
+        delay: u64,
+        msgs: Vec<A::Msg>,
+    ) -> Result<(), TransportError> {
+        let deliver_at = sent + delay;
+        let batch = Input::Deliver {
+            from,
+            first_id,
+            deliver_at,
+            msgs,
+        };
+        // A worker that has drained and exited takes no more input; by
+        // the drain rule nothing was still due to it.
+        let _ = self.0[to.index()].send(batch);
+        Ok(())
+    }
+}
+
+/// A running cluster of actor threads, one per process.
 ///
 /// # Examples
 ///
@@ -162,8 +198,7 @@ impl<A: Actor> HistorySink<A> for SharedHistory<'_, A> {
 /// ```
 pub struct RtCluster<A: Actor> {
     epoch: Instant,
-    proc_txs: Vec<SyncSender<Input<A>>>,
-    router_tx: Sender<RouterMsg<A::Msg>>,
+    proc_txs: Vec<Sender<Input<A>>>,
     history: Arc<Mutex<History<A::Op, A::Resp>>>,
     /// One flag per process: `true` while an operation is in flight.
     /// Client-side enforcement of the one-pending-op invariant — the
@@ -172,7 +207,6 @@ pub struct RtCluster<A: Actor> {
     resp_rxs: Vec<Option<Receiver<A::Resp>>>,
     done_rx: Receiver<(ProcessId, OpId)>,
     worker_handles: Vec<JoinHandle<()>>,
-    router_handle: Option<JoinHandle<()>>,
 }
 
 impl<A: Actor> core::fmt::Debug for RtCluster<A> {
@@ -187,7 +221,7 @@ impl<A: Actor> core::fmt::Debug for RtCluster<A> {
 pub struct RtClient<A: Actor> {
     pid: ProcessId,
     epoch: Instant,
-    proc_tx: SyncSender<Input<A>>,
+    proc_tx: Sender<Input<A>>,
     resp_rx: Receiver<A::Resp>,
     history: Arc<Mutex<History<A::Op, A::Resp>>>,
     in_flight: Arc<Vec<AtomicBool>>,
@@ -250,8 +284,8 @@ where
     A::Resp: Send + 'static,
     A::Timer: Send + 'static,
 {
-    /// Starts one thread per actor plus the router, injecting message
-    /// delays drawn uniformly from `bounds` (seeded by `seed`).
+    /// Starts one thread per actor, injecting message delays drawn
+    /// uniformly from `bounds` (seeded by `seed`).
     ///
     /// # Panics
     ///
@@ -265,8 +299,8 @@ where
     /// structured [`TraceEvent`]s into `sink` — the same six event kinds
     /// the discrete-event engine emits, stamped with real time since the
     /// cluster epoch and the worker's offset clock. Message ids are
-    /// allocated in global send order, so each `send` pairs with exactly
-    /// one `deliver` carrying the same id.
+    /// unique cluster-wide, so each `send` pairs with exactly one
+    /// `deliver` carrying the same id.
     ///
     /// # Panics
     ///
@@ -305,55 +339,36 @@ where
         let in_flight: Arc<Vec<AtomicBool>> =
             Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
         let (done_tx, done_rx) = channel::<(ProcessId, OpId)>();
-        let (router_tx, router_rx) = channel::<RouterMsg<A::Msg>>();
-
-        let mut proc_txs = Vec::with_capacity(n);
-        let mut proc_rxs = Vec::with_capacity(n);
-        let mut resp_txs = Vec::with_capacity(n);
-        let mut resp_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = sync_channel::<Input<A>>(1024);
-            proc_txs.push(tx);
-            proc_rxs.push(rx);
-            let (rtx, rrx) = channel::<A::Resp>();
-            resp_txs.push(rtx);
-            resp_rxs.push(Some(rrx));
-        }
-
-        let router_handle = {
-            let proc_txs = proc_txs.clone();
-            thread::spawn(move || run_router::<A>(&router_rx, &proc_txs))
+        let (proc_txs, proc_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+        let (resp_txs, resp_rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+        // Ticks count µs from the cluster epoch, as the clients' stamps do.
+        let base = TimeBase {
+            start_instant: epoch,
+            start_ticks: 0,
         };
+        let (lo, hi) = (bounds.min().as_ticks(), bounds.max().as_ticks());
 
-        let msg_ids: Arc<AtomicU64> = Arc::new(AtomicU64::new(0));
         let mut worker_handles = Vec::with_capacity(n);
-        for (idx, actor) in actors.into_iter().enumerate() {
+        for ((idx, actor), (rx, resp_tx)) in actors
+            .into_iter()
+            .enumerate()
+            .zip(proc_rxs.into_iter().zip(resp_txs))
+        {
             let pid = ProcessId::new(u32::try_from(idx).expect("too many processes"));
-            let rx = proc_rxs.remove(0);
-            let history = Arc::clone(&history);
-            let in_flight = Arc::clone(&in_flight);
-            let done_tx = done_tx.clone();
-            let resp_tx = resp_txs[idx].clone();
-            let offset = clocks.offset(pid);
-            let trace = trace.clone();
-            let mut transport = ChannelTransport::<A> {
-                router_tx: router_tx.clone(),
-                rng: StdRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                bounds,
-                msg_ids: Arc::clone(&msg_ids),
-                timers: PendingTimers::new(),
-                anchor: epoch,
-            };
-
+            let rng =
+                StdRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let link = Inboxes(proc_txs.clone());
+            let transport = WallTransport::new(pid, link, base, rng, (lo, hi));
+            let node = WallNode::new(NodeCore::new(pid, n, actor), transport, clocks.offset(pid));
+            let (history, in_flight) = (Arc::clone(&history), Arc::clone(&in_flight));
+            let (done_tx, trace) = (done_tx.clone(), trace.clone());
             worker_handles.push(thread::spawn(move || {
                 worker_loop(
-                    NodeCore::new(pid, n, actor),
-                    epoch,
-                    offset,
+                    pid,
+                    node,
                     &rx,
-                    &mut transport,
                     &history,
-                    &in_flight[pid.index()],
+                    &in_flight,
                     &done_tx,
                     &resp_tx,
                     trace.as_ref(),
@@ -364,13 +379,11 @@ where
         RtCluster {
             epoch,
             proc_txs,
-            router_tx,
             history,
             in_flight,
-            resp_rxs,
+            resp_rxs: resp_rxs.into_iter().map(Some).collect(),
             done_rx,
             worker_handles,
-            router_handle: Some(router_handle),
         }
     }
 
@@ -537,30 +550,21 @@ where
         completed
     }
 
-    /// Waits `settle` (for in-flight messages), stops all threads, and
-    /// returns the observed history.
+    /// Tells every worker to stop, waits for them to drain, and returns
+    /// the observed history.
+    ///
+    /// A worker exits once its agenda is empty, no operation is pending
+    /// anywhere in the cluster, and it has been quiet for `settle` — so
+    /// every message in flight, and every message sent while some
+    /// operation is pending, is delivered first.
     ///
     /// # Panics
     ///
     /// Panics if a worker thread panicked.
     #[must_use]
     pub fn shutdown(mut self, settle: Duration) -> History<A::Op, A::Resp> {
-        thread::sleep(settle);
-        // Drain order matters: the router is asked to shut down *first*
-        // and joined before any worker is told to stop. Its drain keeps
-        // holding and forwarding every in-flight message/batch — plus
-        // follow-up sends those deliveries trigger — until nothing has
-        // been in flight for a grace window; only then do workers get
-        // their shutdown marker (a FIFO inbox push, so it sorts after
-        // every forwarded delivery). The old order (workers first,
-        // router break on request) silently dropped queued deliveries
-        // on teardown.
-        let _ = self.router_tx.send(RouterMsg::Shutdown);
-        if let Some(h) = self.router_handle.take() {
-            h.join().expect("router thread panicked");
-        }
         for tx in &self.proc_txs {
-            let _ = tx.send(Input::Shutdown);
+            let _ = tx.send(Input::Stop(settle));
         }
         for h in self.worker_handles.drain(..) {
             h.join().expect("worker thread panicked");
@@ -575,156 +579,74 @@ where
     }
 }
 
-/// How long an idle worker (no timer armed) sleeps between looks at
-/// its inbox.
-const IDLE_POLL: Duration = Duration::from_millis(50);
-
-/// One worker thread: a [`NodeCore`] activated by its inbox and its due
-/// timers. All effect/trace/history semantics live in the node core;
-/// this loop only decides *when* the node activates and relays
-/// completions to the cluster (clearing the in-flight flag *before*
-/// announcing, so a follow-up invocation never races the flag).
+/// One worker thread: a [`WallNode`] fed by its inbox. All
+/// effect/trace/history semantics live in the node core; this loop only
+/// relays completions to the cluster (clearing the in-flight flag
+/// *before* announcing, so a follow-up invocation never races the flag).
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<A: Actor>(
-    mut node: NodeCore<A>,
-    epoch: Instant,
-    offset: ClockOffset,
+    pid: ProcessId,
+    mut node: WallNode<A, Inboxes<A>>,
     rx: &Receiver<Input<A>>,
-    transport: &mut ChannelTransport<A>,
-    history: &Arc<Mutex<History<A::Op, A::Resp>>>,
-    in_flight: &AtomicBool,
+    history: &Mutex<History<A::Op, A::Resp>>,
+    in_flight: &[AtomicBool],
     done_tx: &Sender<(ProcessId, OpId)>,
     resp_tx: &Sender<A::Resp>,
     trace: Option<&RtTraceSink>,
 ) {
-    let pid = node.pid();
-    let mut trace_out = RtTrace(trace);
-    let mut shutdown = false;
-    let mut fired: u64 = 0;
-
-    /// Relays a completed operation: clears the in-flight flag, then
-    /// answers the blocking client and the done channel.
-    fn finish<A: Actor>(
-        act: Activation,
-        pid: ProcessId,
-        history: &Mutex<History<A::Op, A::Resp>>,
-        in_flight: &AtomicBool,
-        resp_tx: &Sender<A::Resp>,
-        done_tx: &Sender<(ProcessId, OpId)>,
-    ) {
+    const INFALLIBLE: &str = "the thread link never fails a send";
+    let (trace_out, hist) = (&mut RtTrace(trace), &mut SharedHistory(history));
+    let finish = |act: Activation| {
         let Activation::Completed(op_id) = act else {
             return;
         };
-        let resp = {
-            let history = history.lock().unwrap();
-            history
-                .get(op_id)
-                .expect("completed op is recorded")
-                .resp()
-                .expect("completion implies a response")
-                .clone()
-        };
-        in_flight.store(false, Ordering::Release);
+        let resp = history
+            .lock()
+            .unwrap()
+            .get(op_id)
+            .and_then(|r| r.resp().cloned());
+        in_flight[pid.index()].store(false, Ordering::Release);
         // Closed ends mean the counterpart was dropped; not an error.
-        let _ = resp_tx.send(resp);
+        let _ = resp_tx.send(resp.expect("completion implies a response"));
         let _ = done_tx.send((pid, op_id));
-    }
-
-    // `ChannelTransport` never fails a send, so activation errors are
-    // unreachable in this backend.
-    transport.anchor = Instant::now();
-    let act = node
-        .on_start(
-            stamp_now(epoch, offset),
-            transport,
-            &mut trace_out,
-            &mut SharedHistory(history),
-        )
-        .expect("in-process transport is infallible");
-    finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
-
+    };
+    finish(node.start(trace_out, hist).expect(INFALLIBLE));
+    let mut woken_by = None;
     loop {
-        // Fire due timers first, each anchored at its own deadline so a
-        // timer it arms is due at `deadline + delay`, not a wake-up later.
-        while let Some((deadline, id, timer)) = transport.timers.pop_due(Instant::now()) {
-            transport.anchor = deadline;
-            let act = node
-                .on_timer(
-                    stamp_now(epoch, offset),
-                    id,
-                    timer,
-                    transport,
-                    &mut trace_out,
-                    &mut SharedHistory(history),
-                )
-                .expect("in-process transport is infallible");
-            if !matches!(act, Activation::Stale) {
-                fired += 1;
+        // File everything that has arrived, so the fire-due step sees
+        // every delivery it has to place.
+        for input in woken_by.take().into_iter().chain(rx.try_iter()) {
+            match input {
+                Input::Invoke(op_id, op) => {
+                    let act = node.invoke(Some(op_id), op, trace_out, hist);
+                    finish(act.expect(INFALLIBLE));
+                }
+                Input::Deliver {
+                    from,
+                    first_id,
+                    deliver_at,
+                    msgs,
+                } => node.hold(deliver_at, from, first_id, msgs),
+                Input::Stop(grace) => node.stop(grace),
             }
-            finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
         }
-        if shutdown && transport.timers.is_empty() {
+        while let Some(act) = node.fire_due(trace_out, hist).expect(INFALLIBLE) {
+            finish(act);
+        }
+        // Another worker's pending operation may still send here.
+        let busy = in_flight.iter().any(|f| f.load(Ordering::Acquire));
+        let Some(cap) = node.drain_wait(busy) else {
             break;
-        }
-        // A late timer costs latency only while an operation waits here.
-        let input = deadline::wait(
-            rx,
-            transport.timers.next_deadline(),
-            IDLE_POLL,
-            node.pending_op().is_some(),
-        );
-        // Invokes and deliveries happen when the worker sees them.
-        transport.anchor = Instant::now();
-        match input {
-            Ok(Input::Shutdown) => shutdown = true,
-            Ok(Input::Invoke(op_id, op)) => {
-                let act = node
-                    .on_invoke_recorded(
-                        stamp_now(epoch, offset),
-                        op_id,
-                        op,
-                        transport,
-                        &mut trace_out,
-                        &mut SharedHistory(history),
-                    )
-                    .expect("in-process transport is infallible");
-                finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
-            }
-            Ok(Input::Deliver(from, id, msg)) => {
-                let act = node
-                    .on_message(
-                        stamp_now(epoch, offset),
-                        from,
-                        id,
-                        msg,
-                        transport,
-                        &mut trace_out,
-                        &mut SharedHistory(history),
-                    )
-                    .expect("in-process transport is infallible");
-                finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
-            }
-            Ok(Input::DeliverBatch(from, first_id, msgs)) => {
-                let act = node
-                    .on_message_batch(
-                        stamp_now(epoch, offset),
-                        from,
-                        first_id,
-                        msgs,
-                        transport,
-                        &mut trace_out,
-                        &mut SharedHistory(history),
-                    )
-                    .expect("in-process transport is infallible");
-                finish::<A>(act, pid, history, in_flight, resp_tx, done_tx);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
+        };
+        // A late wake-up costs latency only while an operation waits here.
+        let may_spin = node.pending_op().is_some();
+        woken_by = deadline::wait(rx, node.next_deadline(), cap, may_spin).ok();
     }
     // One counter line per worker; trace consumers sum across processes.
     if let Some(sink) = trace {
-        sink.lock().unwrap().counter("rt", "timers_fired", fired);
+        sink.lock()
+            .unwrap()
+            .counter("rt", "timers_fired", node.timers_fired());
     }
 }
 
@@ -732,9 +654,12 @@ fn worker_loop<A: Actor>(
 /// from `bounds` (seeded by `seed`), executing `script`, and returning the
 /// observed [`History`].
 ///
-/// The runtime shuts down `settle` after the last scripted invocation's
-/// response; in-flight messages beyond that point are dropped, so choose
-/// `settle` comfortably above `d`.
+/// Once the last scripted invocation has responded, the runtime shuts
+/// down by [`RtCluster::shutdown`]'s drain rule: each worker delivers
+/// everything held for it and fires every armed timer, then exits after
+/// `settle` of quiet. Only a send made once every operation has
+/// responded, after its destination has been quiet for `settle`, can be
+/// lost that way; Algorithm 1's replicas make none.
 ///
 /// # Panics
 ///
@@ -862,19 +787,21 @@ mod tests {
             msgs: Vec<i64>,
             ctx: &mut Context<'_, Self>,
         ) {
-            assert!(!msgs.is_empty());
-            ctx.send(from, -1);
+            // A single send arrives as a batch of one: the ack.
+            match msgs[..] {
+                [-1] => self.on_message(from, -1, ctx),
+                _ => ctx.send(from, -1),
+            }
         }
 
         fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
     }
 
     /// Regression: tearing the cluster down with zero settle while
-    /// batches (and the acks they trigger) are still queued inside the
-    /// router must not drop them. The router used to break out of its
-    /// loop the moment it saw the shutdown marker, silently discarding
-    /// its delivery heap; now it drains to quiescence first, so the
-    /// flooded run still completes.
+    /// batches (and the acks they trigger) are still in flight must not
+    /// drop them. A worker holds its deliveries until they are due and
+    /// exits only once drained while no operation is pending anywhere,
+    /// so the flooded run still completes.
     #[test]
     fn shutdown_drains_in_flight_batches() {
         let bounds = DelayBounds::new(
@@ -899,6 +826,52 @@ mod tests {
             "teardown dropped in-flight batches: {history:?}"
         );
         assert_eq!(history.records()[0].resp(), Some(&2));
+    }
+
+    /// On invoke, sends `op` single messages to the other process inside
+    /// the one activation and responds; each delivery is counted.
+    #[derive(Debug, Default)]
+    struct Flood {
+        got: u32,
+    }
+
+    impl Actor for Flood {
+        type Msg = ();
+        type Op = u32;
+        type Resp = ();
+        type Timer = ();
+
+        fn on_invoke(&mut self, op: u32, ctx: &mut Context<'_, Self>) {
+            let other = ProcessId::new(1 - ctx.pid().as_u32());
+            for _ in 0..op {
+                ctx.send(other, ());
+            }
+            ctx.respond(());
+        }
+        fn on_message(&mut self, _: ProcessId, _: (), _: &mut Context<'_, Self>) {
+            self.got += 1;
+        }
+        fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
+    }
+
+    /// Two workers each send 4096 single messages to the other inside
+    /// one activation and the cluster completes: inboxes are unbounded,
+    /// so neither blocks on the other's full inbox.
+    #[test]
+    fn two_workers_flooding_each_other_complete() {
+        let bounds = DelayBounds::new(SimDuration::from_ticks(1000), SimDuration::from_ticks(500));
+        let cluster = RtCluster::start(
+            vec![Flood::default(), Flood::default()],
+            &ClockAssignment::zero(2),
+            bounds,
+            13,
+        );
+        cluster.invoke_async(ProcessId::new(0), 4096);
+        cluster.invoke_async(ProcessId::new(1), 4096);
+        cluster.wait_for(2);
+        let history = cluster.shutdown(Duration::from_millis(5));
+        assert!(history.is_complete());
+        assert_eq!(history.len(), 2);
     }
 
     /// Timer-driven response with injected delay bounds honoured.

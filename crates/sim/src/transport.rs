@@ -10,21 +10,18 @@
 //!   calendar queue ([`crate::equeue`]) — a send is assigned a delay by
 //!   the [`DelayModel`] and popped back at
 //!   `sent_at + delay` in deterministic `(time, seq)` order;
-//! * the real-thread runtime implements it with a delay-injecting
-//!   router thread plus per-worker mpsc channels — a send is assigned a
-//!   seeded random delay within the same `[d − u, d]` bounds and
-//!   delivered when the wall clock reaches `sent_at + delay`.
+//! * the two wall-clock backends — the real-thread runtime and the
+//!   socket mesh — share one [`WallTransport`]: a send is assigned a
+//!   seeded random delay and handed through a [`Link`] to the
+//!   destination, which holds it on its [`Agenda`] until the wall clock
+//!   reaches `sent_at + delay`.
 //!
 //! Every message and timer a node produces passes through this single
 //! choke point, which is what makes delay injection, trace pairing and
-//! future drop/duplicate fault hooks land once for both backends.
+//! future drop/duplicate fault hooks land once for every backend.
 
 use core::fmt;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fxhash::FxHashMap;
 use rand::rngs::StdRng;
@@ -32,18 +29,18 @@ use rand::Rng;
 
 use crate::actor::Actor;
 use crate::clock::ClockAssignment;
-use crate::deadline::PendingTimers;
+use crate::deadline::{Agenda, TimeBase};
 use crate::delay::{DelayBounds, DelayModel, MsgMeta};
 use crate::engine::{EventKind, MsgEvent};
 use crate::equeue::CalendarQueue;
-use crate::ids::{MsgId, OpId, ProcessId, TimerId};
+use crate::ids::{MsgId, ProcessId, TimerId};
 use crate::slab::{Slab, SlabRef};
 use crate::time::{ticks_to_duration, SimDuration, SimTime};
 
 /// Why a transport failed to accept a send.
 ///
-/// The in-process backends (the engine's `VirtualTransport`, the rt
-/// runtime's `ChannelTransport`)
+/// The in-process backends (the engine's `VirtualTransport`, the
+/// thread runtime's worker channels)
 /// never fail — their queues are unbounded and intra-process — so every
 /// path through them returns `Ok` unconditionally and stays
 /// bit-identical to the infallible days. Byte-oriented cross-process
@@ -109,8 +106,8 @@ pub trait Transport<A: Actor> {
     ///
     /// The default forwards each message through [`Transport::send`] —
     /// correct but unamortized (one queue entry and one delay draw per
-    /// message). The engine and the real-thread runtime both override it
-    /// with true single-entry framing.
+    /// message). The engine and [`WallTransport`] both override it with
+    /// true single-entry framing.
     ///
     /// # Panics
     ///
@@ -140,27 +137,24 @@ pub trait Transport<A: Actor> {
     /// cancelled, so eager backends can prune its expiry from their
     /// schedule. The node has already retired the id in its slab, so a
     /// backend may also ignore this and drop the stale expiry when it
-    /// comes due (the engine does; the real-thread runtime prunes so
-    /// shutdown never waits on cancelled timers).
+    /// comes due (the engine does; [`WallTransport`] prunes so a drain
+    /// never waits on cancelled timers).
     fn cancel_timer(&mut self, pid: ProcessId, id: TimerId) {
         let _ = (pid, id);
     }
 }
 
-/// The byte-oriented half of the transport split: an object-safe
-/// carrier of already-encoded frames.
+/// The byte-oriented half of the transport split: a carrier of
+/// already-encoded frames.
 ///
 /// [`Transport`] is generic over the actor — ideal in-process, where
 /// messages move by value and never touch bytes — but a cross-process
 /// backend (`skewbound-net`'s TCP mesh) can't be: it moves opaque
 /// frames, and its codec lives above it. `WireTransport` is that lower
-/// layer. A typed adapter encodes each `A::Msg` into a frame (the
-/// `wire` codec in `skewbound-net`), hands the bytes here, and decodes
-/// frames arriving from peers back into typed messages.
-///
-/// Object safety is the point: binaries hold a
-/// `Box<dyn WireTransport>` chosen by config, without rebuilding the
-/// replica stack per backend.
+/// layer. The mesh's [`Link`] encodes each batch into a frame (the
+/// `wire` codec in `skewbound-net`) and hands the bytes here; the
+/// receiver decodes frames arriving from peers back into typed
+/// messages.
 pub trait WireTransport: Send {
     /// Queues one encoded frame for delivery to `to`. Queuing is
     /// asynchronous: `Ok` means the frame was accepted for
@@ -168,15 +162,6 @@ pub trait WireTransport: Send {
     /// at-least-once under reconnects; receivers deduplicate by the
     /// frame header's message id.
     fn send_frame(&mut self, to: ProcessId, frame: &[u8]) -> Result<(), TransportError>;
-
-    /// Requests that buffered frames be pushed to the wire now (a
-    /// batching backend may coalesce sends until flushed). In-order
-    /// per-destination delivery of previously accepted frames must be
-    /// preserved.
-    fn flush(&mut self) -> Result<(), TransportError>;
-
-    /// The local process id this endpoint speaks as.
-    fn local_pid(&self) -> ProcessId;
 }
 
 /// Above this process count, per-pair send counters move from a dense
@@ -527,72 +512,91 @@ impl<A: Actor, D: DelayModel> Transport<A> for VirtualTransport<A, D> {
     }
 }
 
-/// The real-thread runtime's wire format to its router thread.
-pub(crate) enum RouterMsg<M> {
-    /// Deliver `msg` to `to` when the wall clock reaches `deliver_at`.
-    Send {
-        from: ProcessId,
-        to: ProcessId,
-        id: MsgId,
-        msg: M,
-        deliver_at: Instant,
-    },
-    /// Deliver a whole batch to `to` in one inbox push when the wall
-    /// clock reaches `deliver_at`. The messages hold the consecutive ids
-    /// `first_id..first_id + msgs.len()`.
-    SendBatch {
+/// Where a [`WallTransport`] hands a delivery batch: the destination
+/// worker's inbox on threads, an encoded frame on the socket mesh.
+pub trait Link<M> {
+    /// Hands `msgs`, holding the ids `first_id..first_id + msgs.len()`,
+    /// to `to`, to be delivered at tick `sent + delay` of the run's
+    /// [`TimeBase`].
+    ///
+    /// # Errors
+    ///
+    /// Whatever the link cannot carry: an unreachable peer, a closed
+    /// mesh.
+    fn hand_off(
+        &mut self,
         from: ProcessId,
         to: ProcessId,
         first_id: MsgId,
+        sent: u64,
+        delay: u64,
         msgs: Vec<M>,
-        deliver_at: Instant,
-    },
-    /// Stop the router.
-    Shutdown,
+    ) -> Result<(), TransportError>;
 }
 
-/// The real-thread runtime's [`Transport`]: sends go to the
-/// delay-injecting router thread with a seeded random delay within the
-/// cluster bounds; timers wait in the worker's own [`PendingTimers`]
-/// (the worker waits for the earliest deadline). Cancels prune the
-/// list eagerly so shutdown never waits on a cancelled timer.
-pub(crate) struct ChannelTransport<A: Actor> {
-    pub(crate) router_tx: Sender<RouterMsg<A::Msg>>,
-    pub(crate) rng: StdRng,
-    pub(crate) bounds: DelayBounds,
-    /// Global send-order message id allocator, shared with every other
-    /// worker so trace `send`/`deliver` events pair by id cluster-wide.
-    pub(crate) msg_ids: Arc<AtomicU64>,
-    pub(crate) timers: PendingTimers<A::Timer>,
-    /// The nominal instant of the running activation, set by the worker
-    /// loop before every node call: a timer's own deadline when it
-    /// fires, "now" for an invoke or a delivery (the router does not
-    /// hand `deliver_at` to the worker). Timers arm relative to it.
+/// The wall-clock backends' [`Transport`]: the thread runtime and the
+/// socket mesh both send and arm through it.
+///
+/// A send draws a seeded delay (µs ticks) from the run's draw interval,
+/// allocates the message ids and hands the batch to the [`Link`]; a
+/// single `send` travels as a batch of one. Ids are `prefix | seq`,
+/// monotone per sender and disjoint across senders, so every `send`
+/// trace event pairs with exactly one `deliver` cluster-wide. Timers
+/// are armed on the node's [`Agenda`] at `anchor + delay`, where the
+/// anchor is the nominal instant of the running activation, as the
+/// engine arms at `virtual now + delay`.
+pub struct WallTransport<A: Actor, L> {
+    link: L,
+    pub(crate) base: TimeBase,
+    rng: StdRng,
+    /// The injected-delay draw interval, in µs ticks.
+    delays: (u64, u64),
+    msg_prefix: u64,
+    next_seq: u64,
+    pub(crate) agenda: Agenda<A::Timer, A::Msg>,
+    /// The nominal instant of the running activation, set by
+    /// [`WallNode`](crate::deadline::WallNode) before every node call.
     pub(crate) anchor: Instant,
 }
 
-impl<A: Actor> Transport<A> for ChannelTransport<A> {
+impl<A: Actor, L> fmt::Debug for WallTransport<A, L> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WallTransport")
+            .field("delays", &self.delays)
+            .field("next_seq", &self.next_seq)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<A: Actor, L> WallTransport<A, L> {
+    /// The transport of process `pid`: delays are drawn from
+    /// `delays = (lo, hi)` µs with `rng`, and send instants read off
+    /// `base`.
+    #[must_use]
+    pub fn new(pid: ProcessId, link: L, base: TimeBase, rng: StdRng, delays: (u64, u64)) -> Self {
+        WallTransport {
+            link,
+            base,
+            rng,
+            delays,
+            // +1 keeps process 0's ids out of the low range so a frame
+            // id can never collide with a client request id.
+            msg_prefix: (u64::from(pid.as_u32()) + 1) << 40,
+            next_seq: 0,
+            agenda: Agenda::new(),
+            anchor: Instant::now(),
+        }
+    }
+}
+
+impl<A: Actor, L: Link<A::Msg>> Transport<A> for WallTransport<A, L> {
     fn send(
         &mut self,
         from: ProcessId,
         to: ProcessId,
         msg: A::Msg,
     ) -> Result<MsgId, TransportError> {
-        let ticks = self
-            .rng
-            .gen_range(self.bounds.min().as_ticks()..=self.bounds.max().as_ticks());
-        let deliver_at = Instant::now() + ticks_to_duration(SimDuration::from_ticks(ticks));
-        let id = MsgId::new(self.msg_ids.fetch_add(1, Ordering::Relaxed));
-        // A closed router means shutdown is in progress; that is not an
-        // error (the cluster is draining), so this path stays infallible.
-        let _ = self.router_tx.send(RouterMsg::Send {
-            from,
-            to,
-            id,
-            msg,
-            deliver_at,
-        });
-        Ok(id)
+        self.send_batch(from, to, vec![msg])
     }
 
     fn send_batch(
@@ -602,176 +606,21 @@ impl<A: Actor> Transport<A> for ChannelTransport<A> {
         msgs: Vec<A::Msg>,
     ) -> Result<MsgId, TransportError> {
         assert!(!msgs.is_empty(), "empty delivery batch {from}->{to}");
-        let ticks = self
-            .rng
-            .gen_range(self.bounds.min().as_ticks()..=self.bounds.max().as_ticks());
-        let deliver_at = Instant::now() + ticks_to_duration(SimDuration::from_ticks(ticks));
-        let first_id = MsgId::new(self.msg_ids.fetch_add(msgs.len() as u64, Ordering::Relaxed));
-        // A closed router means shutdown is in progress.
-        let _ = self.router_tx.send(RouterMsg::SendBatch {
-            from,
-            to,
-            first_id,
-            msgs,
-            deliver_at,
-        });
+        let first_id = MsgId::new(self.msg_prefix | self.next_seq);
+        self.next_seq += msgs.len() as u64;
+        let sent = self.base.now_ticks();
+        let delay = self.rng.gen_range(self.delays.0..=self.delays.1);
+        self.link.hand_off(from, to, first_id, sent, delay, msgs)?;
         Ok(first_id)
     }
 
     fn set_timer(&mut self, _pid: ProcessId, id: TimerId, delay: SimDuration, timer: A::Timer) {
-        self.timers
-            .arm(id, self.anchor + ticks_to_duration(delay), timer);
+        self.agenda
+            .arm(self.anchor + ticks_to_duration(delay), id, timer);
     }
 
     fn cancel_timer(&mut self, _pid: ProcessId, id: TimerId) {
-        self.timers.cancel(id);
-    }
-}
-
-/// A worker thread's inbox message in the real-thread runtime.
-pub(crate) enum Input<A: Actor> {
-    /// Invoke an operation already recorded in the history as `OpId`.
-    Invoke(OpId, A::Op),
-    /// Deliver a message from another process.
-    Deliver(ProcessId, MsgId, A::Msg),
-    /// Deliver a batch from another process: `(from, first_id, msgs)`.
-    DeliverBatch(ProcessId, MsgId, Vec<A::Msg>),
-    /// Drain pending timers, then exit.
-    Shutdown,
-}
-
-/// A heap entry's cargo: one message or one batch.
-enum Wire<M> {
-    One(M),
-    Batch(Vec<M>),
-}
-
-/// One in-flight message (or batch) inside the router's delivery heap.
-struct HeapEntry<M> {
-    deliver_at: Instant,
-    seq: u64,
-    to: ProcessId,
-    from: ProcessId,
-    id: MsgId,
-    wire: Wire<M>,
-}
-
-impl<M> PartialEq for HeapEntry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl<M> Eq for HeapEntry<M> {}
-impl<M> PartialOrd for HeapEntry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for HeapEntry<M> {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        (other.deliver_at, other.seq).cmp(&(self.deliver_at, self.seq))
-    }
-}
-
-/// After a shutdown request, how long the router lingers with an empty
-/// heap waiting for follow-up sends. Workers are still running at that
-/// point, and a delivery the router forwards can cause a worker to send
-/// again (e.g. a token making its way around a ring); any such send
-/// re-arms the drain. Only a full grace window with nothing in flight
-/// ends it.
-const DRAIN_GRACE: Duration = Duration::from_millis(40);
-
-/// The delay-injecting router: receives [`RouterMsg::Send`]s from every
-/// [`ChannelTransport`], holds each message until its wall-clock
-/// `deliver_at`, then forwards it to the destination worker's inbox in
-/// deterministic `(deliver_at, seq)` order. Runs on its own thread
-/// until shutdown or until all senders hang up.
-///
-/// Shutdown *drains*: after [`RouterMsg::Shutdown`] (or after every
-/// sender hangs up) the router keeps holding and forwarding everything
-/// already accepted — plus any follow-up sends workers make in response
-/// — and only exits once the heap has been empty for a full
-/// [`DRAIN_GRACE`] with no new sends arriving. Breaking out immediately
-/// would silently drop in-flight messages and batches on cluster
-/// teardown.
-pub(crate) fn run_router<A: Actor>(
-    router_rx: &Receiver<RouterMsg<A::Msg>>,
-    proc_txs: &[SyncSender<Input<A>>],
-) {
-    let mut heap: BinaryHeap<HeapEntry<A::Msg>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut draining = false;
-    loop {
-        let timeout = match heap.peek() {
-            Some(e) => e.deliver_at.saturating_duration_since(Instant::now()),
-            None if draining => DRAIN_GRACE,
-            None => Duration::from_secs(3600),
-        };
-        match router_rx.recv_timeout(timeout) {
-            Ok(RouterMsg::Send {
-                from,
-                to,
-                id,
-                msg,
-                deliver_at,
-            }) => {
-                heap.push(HeapEntry {
-                    deliver_at,
-                    seq,
-                    to,
-                    from,
-                    id,
-                    wire: Wire::One(msg),
-                });
-                seq += 1;
-            }
-            Ok(RouterMsg::SendBatch {
-                from,
-                to,
-                first_id,
-                msgs,
-                deliver_at,
-            }) => {
-                heap.push(HeapEntry {
-                    deliver_at,
-                    seq,
-                    to,
-                    from,
-                    id: first_id,
-                    wire: Wire::Batch(msgs),
-                });
-                seq += 1;
-            }
-            Ok(RouterMsg::Shutdown) => draining = true,
-            Err(RecvTimeoutError::Timeout) if draining && heap.is_empty() => break,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                // No sender can ever enqueue again; deliver the backlog
-                // synchronously (sleeping to each deadline) and exit.
-                while let Some(e) = heap.pop() {
-                    let wait = e.deliver_at.saturating_duration_since(Instant::now());
-                    if !wait.is_zero() {
-                        std::thread::sleep(wait);
-                    }
-                    let _ = proc_txs[e.to.index()].send(match e.wire {
-                        Wire::One(msg) => Input::Deliver(e.from, e.id, msg),
-                        Wire::Batch(msgs) => Input::DeliverBatch(e.from, e.id, msgs),
-                    });
-                }
-                break;
-            }
-        }
-        while let Some(e) = heap.peek() {
-            if e.deliver_at > Instant::now() {
-                break;
-            }
-            let e = heap.pop().expect("peeked");
-            // A closed worker means shutdown is in progress.
-            let _ = proc_txs[e.to.index()].send(match e.wire {
-                Wire::One(msg) => Input::Deliver(e.from, e.id, msg),
-                Wire::Batch(msgs) => Input::DeliverBatch(e.from, e.id, msgs),
-            });
-        }
+        self.agenda.cancel(id);
     }
 }
 

@@ -79,7 +79,7 @@ fn same_workload_runs_on_both_backends() {
     assert_eq!(engine_history.len(), expected_ops);
     assert_linearizable(&Counter::default(), &engine_history);
 
-    // Real-thread run: OS threads, router-injected delays in the same
+    // Real-thread run: OS threads, injected delays in the same
     // [d − u, d] bounds, the same driver definition.
     let rt_history = run_history_rt(
         Replica::group(Counter::default(), &params),
@@ -254,10 +254,34 @@ fn kv_workload_parity_across_three_backends() {
     });
 }
 
+/// Asserts that no response in `history` beat its class's bound.
+fn assert_class_floor(
+    backend: &str,
+    params: &Params,
+    history: &History<QueueOp<i64>, QueueResp<i64>>,
+) {
+    let spec = Queue::<i64>::new();
+    for rec in history.records() {
+        let bound = match spec.class(&rec.op) {
+            OpClass::PureMutator => bounds::ub_mop(params),
+            OpClass::PureAccessor => bounds::ub_aop(params),
+            OpClass::Other => bounds::ub_oop(params),
+        };
+        let latency = rec.latency().expect("complete history");
+        assert!(
+            latency >= bound,
+            "{backend}: {:?} at {} answered in {latency:?}, before its bound {bound:?}",
+            rec.op,
+            rec.pid
+        );
+    }
+}
+
 /// Anchored arming removes timer *lateness*, never the wait itself: on
-/// real sockets every client-observed latency is still at least its
-/// class's prescribed time (`ε + X`, `d + ε − X`, `d + ε`). A response
-/// that beats it would mean a timer fired ahead of its nominal instant.
+/// both wall-clock backends — worker channels and real sockets — every
+/// client-observed latency is still at least its class's prescribed time
+/// (`ε + X`, `d + ε − X`, `d + ε`). A response that beats it would mean
+/// a timer fired ahead of its nominal instant.
 #[test]
 fn net_responses_never_beat_their_class_bound() {
     const OPS: usize = 6;
@@ -276,6 +300,24 @@ fn net_responses_never_beat_their_class_bound() {
         _ => QueueOp::Peek,
     };
 
+    // The thread runtime: the same wall-clock core over worker channels.
+    let mut driver = ClosedLoop::new(
+        ProcessId::all(n).collect(),
+        OPS,
+        11,
+        move |pid, idx, _rng: &mut rand::rngs::StdRng| gen(pid, idx),
+    );
+    let rt_history = run_history_rt(
+        Replica::group(Queue::<i64>::new(), &params),
+        &ClockAssignment::zero(n),
+        params.delay_bounds(),
+        11,
+        &mut driver,
+        Duration::from_millis(20),
+    );
+    assert_eq!(rt_history.len(), n * OPS, "rt: wrong op count");
+    assert_class_floor("rt", &params, &rt_history);
+
     // As in the parity test above, only linearizability may be retried
     // (a host stall longer than the headroom breaks the timing model);
     // completeness and the latency floor must hold on every run.
@@ -283,20 +325,7 @@ fn net_responses_never_beat_their_class_bound() {
         let history = run_history_net(Queue::<i64>::new, &params, 11, OPS, gen);
         assert!(history.is_complete(), "incomplete history");
         assert_eq!(history.len(), n * OPS, "wrong op count");
-        for rec in history.records() {
-            let bound = match spec.class(&rec.op) {
-                OpClass::PureMutator => bounds::ub_mop(&params),
-                OpClass::PureAccessor => bounds::ub_aop(&params),
-                OpClass::Other => bounds::ub_oop(&params),
-            };
-            let latency = rec.latency().expect("complete history");
-            assert!(
-                latency >= bound,
-                "{:?} at {} answered in {latency:?}, before its bound {bound:?}",
-                rec.op,
-                rec.pid
-            );
-        }
+        assert_class_floor("net", &params, &history);
         if check_history(&spec, &history).is_linearizable() {
             return;
         }
