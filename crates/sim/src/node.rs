@@ -19,8 +19,9 @@
 //! The discrete-event engine ([`crate::engine`]) wraps a `NodeCore` per
 //! process around a virtual-time heap transport; the real-thread
 //! runtime ([`crate::rt`]) and the socket mesh wrap one in the
-//! wall-clock [`WallNode`](crate::deadline::WallNode). Neither re-implements any of the four steps above, so
-//! the backends cannot drift in effect application, invariants,
+//! wall-clock [`WallNode`](crate::deadline::WallNode). Neither
+//! re-implements any of the four steps above, so the backends cannot
+//! drift in effect application, invariants,
 //! timer lifecycle or trace schema.
 
 use core::fmt;
