@@ -517,6 +517,77 @@ mod tests {
     use super::*;
     use skewbound_sim::time::SimDuration;
 
+    /// Arms one far-off timer at start; ignores deliveries.
+    #[derive(Debug)]
+    struct FarTimer;
+
+    impl Actor for FarTimer {
+        type Msg = ();
+        type Op = ();
+        type Resp = ();
+        type Timer = ();
+
+        fn on_start(&mut self, ctx: &mut skewbound_sim::actor::Context<'_, Self>) {
+            ctx.set_timer(SimDuration::from_ticks(60_000_000), ());
+        }
+        fn on_invoke(&mut self, _op: (), _ctx: &mut skewbound_sim::actor::Context<'_, Self>) {}
+        fn on_message(
+            &mut self,
+            _from: ProcessId,
+            _msg: (),
+            _ctx: &mut skewbound_sim::actor::Context<'_, Self>,
+        ) {
+        }
+        fn on_timer(&mut self, _t: (), _ctx: &mut skewbound_sim::actor::Context<'_, Self>) {}
+    }
+
+    /// A link nobody sends through.
+    struct NoLink;
+
+    impl Link<()> for NoLink {
+        fn hand_off(
+            &mut self,
+            _: ProcessId,
+            _: ProcessId,
+            _: MsgId,
+            _: u64,
+            _: u64,
+            _: Vec<()>,
+        ) -> Result<(), TransportError> {
+            unreachable!("the test actor never sends")
+        }
+    }
+
+    /// The server's fire-due step runs neither a held batch nor a timer
+    /// before its instant; on the batch's instant the batch runs and
+    /// the later timer stays armed.
+    #[test]
+    fn nothing_is_due_before_its_instant() {
+        use skewbound_sim::node::NoTrace;
+
+        let pid = ProcessId::new(0);
+        let base = TimeBase::new(TimeBase::epoch_now_micros());
+        let transport = WallTransport::new(pid, NoLink, base, StdRng::seed_from_u64(1), (1, 1));
+        let core = NodeCore::new(pid, 2, FarTimer);
+        let mut node = WallNode::new(core, transport, ClockOffset::ZERO);
+        let mut history = History::new();
+        node.start(&mut NoTrace, &mut history).unwrap();
+        let deliver_at = base.now_ticks() + 200_000;
+        node.hold(deliver_at, ProcessId::new(1), MsgId::new(1), vec![()]);
+        let held_until = base.instant_for(deliver_at);
+        assert_eq!(node.next_deadline(), Some(held_until));
+        assert_eq!(node.fire_due(&mut NoTrace, &mut history).unwrap(), None);
+        std::thread::sleep(held_until.saturating_duration_since(std::time::Instant::now()));
+        // The batch comes due first; the timer is not yet.
+        assert_eq!(
+            node.fire_due(&mut NoTrace, &mut history).unwrap(),
+            Some(Activation::Ran)
+        );
+        assert_eq!(node.fire_due(&mut NoTrace, &mut history).unwrap(), None);
+        assert_eq!(node.timers_fired(), 0);
+        assert!(node.next_deadline().unwrap() > std::time::Instant::now());
+    }
+
     /// Anyone can open a client session, so a request that does not
     /// decode costs that client its connection and nothing else.
     #[test]
