@@ -165,12 +165,12 @@ net_u=8000
 # audited [d - u, d] window.
 net_headroom=7000
 
-# run_mesh PORT SESSIONS trace|plain — spawns a 3-server register mesh
-# on 127.0.0.1:PORT..PORT+2 and drives it with a closed-loop load whose
-# summary line goes to $net_dir/load.log. With "trace", each server
+# run_mesh PORT SESSIONS OBJECT trace|plain — spawns a 3-server OBJECT
+# mesh on 127.0.0.1:PORT..PORT+2 and drives it with a closed-loop load
+# whose summary line goes to $net_dir/load.log. With "trace", each server
 # dumps a JSON-lines trace into $net_dir for the skewlint audit.
 run_mesh() {
-  local port=$1 sessions=$2 traced=$3
+  local port=$1 sessions=$2 object=$3 traced=$4
   local epoch
   epoch=$(($(date +%s%N) / 1000))
   local pids=() i j
@@ -182,7 +182,7 @@ run_mesh() {
     local trace_args=()
     [ "$traced" = trace ] && trace_args=(--trace "$net_dir/trace$i.jsonl")
     "$serve_bin" --pid "$i" --listen "127.0.0.1:$((port + i))" "${peers[@]}" \
-      --object register --d "$net_d" --u "$net_u" --epoch-micros "$epoch" \
+      --object "$object" --d "$net_d" --u "$net_u" --epoch-micros "$epoch" \
       --seed 7 --headroom "$net_headroom" "${trace_args[@]}" \
       >"$net_dir/serve$i.log" 2>&1 &
     pids+=($!)
@@ -191,7 +191,7 @@ run_mesh() {
   local rc=0
   timeout 90 "$load_bin" \
     --server "127.0.0.1:$port" --server "127.0.0.1:$((port + 1))" \
-    --server "127.0.0.1:$((port + 2))" --object register \
+    --server "127.0.0.1:$((port + 2))" --object "$object" \
     --sessions "$sessions" --ops 2 --keys 32 --d "$net_d" --u "$net_u" \
     --bye >"$net_dir/load.log" || rc=$?
   cat "$net_dir/load.log"
@@ -218,12 +218,23 @@ run_mesh() {
 # Full-size run: >= 1k closed-loop sessions, every per-key history
 # linearizable (the load exits nonzero otherwise, and says so in its
 # summary line).
-run_mesh 7431 1000 plain
+run_mesh 7431 1000 register plain
 if ! grep -q ' linearizable=32/32 ' "$net_dir/load.log"; then
   echo "loopback load did not check all 32 keys linearizable" >&2
   exit 1
 fi
 echo "loopback load: 1000 sessions, 32/32 keys linearizable"
+
+# The other two served objects through the same binaries: every codec
+# skewbound-serve carries crosses a real socket.
+for object in queue kv; do
+  run_mesh 7451 300 "$object" plain
+  if ! grep -q ' linearizable=32/32 ' "$net_dir/load.log"; then
+    echo "loopback $object load did not check all 32 keys linearizable" >&2
+    exit 1
+  fi
+  echo "loopback $object load: 300 sessions, 32/32 keys linearizable"
+done
 
 # Short traced run, audited by skewlint. The delivery-window rule reads
 # real wall-clock deliveries, so a CPU stall longer than the headroom
@@ -231,7 +242,7 @@ echo "loopback load: 1000 sessions, 32/32 keys linearizable"
 # correct; retry a couple of times before declaring failure.
 net_audit_ok=0
 for attempt in 1 2 3; do
-  if ! run_mesh 7441 120 trace; then
+  if ! run_mesh 7441 120 register trace; then
     echo "loopback mesh attempt $attempt failed; retrying" >&2
     continue
   fi

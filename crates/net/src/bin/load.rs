@@ -113,11 +113,12 @@ fn parse_args() -> Args {
     // The checker's taken-set is a 128-bit mask: histories longer than
     // 128 operations cannot be checked, so the per-key load must not
     // exceed it.
-    let per_key = sessions.div_ceil(keys) * ops;
-    if per_key > 128 {
-        fail(&format!(
+    match sessions.div_ceil(keys).checked_mul(ops) {
+        Some(per_key) if per_key <= 128 => {}
+        Some(per_key) => fail(&format!(
             "~{per_key} ops per key exceeds the checker's 128-op limit; raise --keys"
-        ));
+        )),
+        None => fail("ops per key overflow u64, far past the checker's 128-op limit"),
     }
 
     Args {

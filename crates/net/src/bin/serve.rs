@@ -122,7 +122,13 @@ fn parse_args() -> Args {
             missing.0
         ));
     }
-    let d = SimDuration::from_ticks(d.unwrap_or_else(|| fail("--d is required")));
+    let d = d.unwrap_or_else(|| fail("--d is required"));
+    // Every injected delay is at most d and travels in the frame
+    // header's u32 `delay_micros`.
+    if d > u64::from(u32::MAX) {
+        fail(&format!("--d {d} exceeds the header's u32 delay"));
+    }
+    let d = SimDuration::from_ticks(d);
     let u = SimDuration::from_ticks(u.unwrap_or_else(|| fail("--u is required")));
     let x = SimDuration::from_ticks(x);
     let params = match eps {

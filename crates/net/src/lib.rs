@@ -9,9 +9,9 @@
 //! * [`wire`] — the hand-rolled codec: length-prefixed frames with a
 //!   versioned header (message id, send timestamp, injected delay,
 //!   batch count), the [`wire::FrameBuf`] that reassembles them from a
-//!   byte stream, and [`wire::Encode`]/[`wire::Decode`] for every
-//!   `spec` message type. No serde; the byte layout is part of the
-//!   protocol.
+//!   byte stream, and [`wire::Encode`]/[`wire::Decode`] for the
+//!   messages of the served objects (register, queue, kv). No serde;
+//!   the byte layout is part of the protocol.
 //! * [`tcp`] — the socket mesh implementing the byte-oriented
 //!   [`WireTransport`](skewbound_sim::transport::WireTransport) half of
 //!   the transport split: one writer thread per peer with coalesced

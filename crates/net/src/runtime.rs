@@ -592,7 +592,7 @@ mod tests {
     /// decode costs that client its connection and nothing else.
     #[test]
     fn undecodable_client_operation_drops_the_client_not_the_server() {
-        use skewbound_spec::register::{RmwOp, RmwRegister, RmwResp};
+        use skewbound_spec::register::{RegOp, RegResp, RwRegister};
         use std::io::Read;
 
         let params = Params::with_optimal_skew(
@@ -619,7 +619,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mesh = listener.start(&peers).expect("start mesh");
                     run_server(
-                        Replica::new(RmwRegister::default(), &params),
+                        Replica::new(RwRegister::<i64>::default(), &params),
                         &cfg,
                         &mesh,
                         None,
@@ -649,8 +649,8 @@ mod tests {
         );
 
         let mut client = NetClient::connect(addrs[0]).unwrap();
-        let resp: RmwResp = client.invoke(&RmwOp::Write(5)).unwrap();
-        assert_eq!(resp, RmwResp::Ack);
+        let resp: RegResp<i64> = client.invoke(&RegOp::Write(5i64)).unwrap();
+        assert_eq!(resp, RegResp::Ack);
         client.bye().unwrap();
         NetClient::connect(addrs[1]).unwrap().bye().unwrap();
         for server in servers {

@@ -1,11 +1,16 @@
 //! The hand-rolled wire codec: length-prefixed frames with a versioned
-//! header, and [`Encode`]/[`Decode`] for every `spec` message type.
+//! header, and [`Encode`]/[`Decode`] for what `skewbound-serve` serves —
+//! the register, queue and kv operations and responses, namespaced and
+//! timestamped as replica messages. Another object goes on the wire by
+//! adding its two impls here.
 //!
 //! No serde: like `lint::json`, the format is written out by hand so the
 //! byte layout is an auditable part of the protocol, not an artifact of
 //! a derive. Everything is little-endian and fixed-width; enums are a
-//! one-byte tag followed by their fields in declaration order;
-//! sequences are a `u64` count followed by the elements.
+//! one-byte tag followed by their fields in declaration order. No served
+//! value has a variable-length field, so no length is decoded below the
+//! frame: a frame's length prefix and its header's `batch` are the only
+//! ones.
 //!
 //! ## Frame grammar
 //!
@@ -64,13 +69,10 @@ pub enum WireError {
         /// The offending tag.
         tag: u8,
     },
-    /// A length field is implausible (longer than the remaining bytes
-    /// or than [`MAX_FRAME_LEN`]).
+    /// A count field does not fit this platform's `usize`.
     BadLen(u64),
     /// Bytes remained after the value was fully decoded.
     TrailingBytes(usize),
-    /// A string field is not valid UTF-8.
-    BadUtf8,
     /// A frame body exceeds [`MAX_FRAME_LEN`].
     FrameTooLarge(usize),
 }
@@ -82,9 +84,8 @@ impl core::fmt::Display for WireError {
             WireError::BadMagic(m) => write!(f, "bad frame magic {m:#06x}"),
             WireError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
             WireError::BadTag { what, tag } => write!(f, "invalid {what} tag {tag}"),
-            WireError::BadLen(len) => write!(f, "implausible length field {len}"),
+            WireError::BadLen(len) => write!(f, "count {len} does not fit usize"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing byte(s) after value"),
-            WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::FrameTooLarge(n) => {
                 write!(f, "frame body of {n} bytes exceeds {MAX_FRAME_LEN}")
             }
@@ -235,23 +236,6 @@ impl<'a> Rd<'a> {
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
-
-    /// Reads a `u64` length field and sanity-checks it against the
-    /// remaining bytes: a sequence of `len` elements needs at least
-    /// `len` bytes (every element encodes to ≥ 1 byte), so a corrupt
-    /// length cannot trigger a huge allocation.
-    pub fn len(&mut self, what: &'static str) -> Result<usize, WireError> {
-        let len = self.u64(what)?;
-        if len > MAX_FRAME_LEN as u64 || len > self.remaining() as u64 {
-            return Err(WireError::BadLen(len));
-        }
-        usize::try_from(len).map_err(|_| WireError::BadLen(len))
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn raw(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        self.take(n, what)
-    }
 }
 
 /// Serializes a value into a [`Wr`].
@@ -283,39 +267,6 @@ pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T, WireError> {
 }
 
 // ---------------------------------------------------------------- primitives
-
-impl Encode for u8 {
-    fn encode(&self, w: &mut Wr) {
-        w.u8(*self);
-    }
-}
-impl Decode for u8 {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        r.u8("u8")
-    }
-}
-
-impl Encode for u32 {
-    fn encode(&self, w: &mut Wr) {
-        w.u32(*self);
-    }
-}
-impl Decode for u32 {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        r.u32("u32")
-    }
-}
-
-impl Encode for u64 {
-    fn encode(&self, w: &mut Wr) {
-        w.u64(*self);
-    }
-}
-impl Decode for u64 {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        r.u64("u64")
-    }
-}
 
 impl Encode for i64 {
     fn encode(&self, w: &mut Wr) {
@@ -376,39 +327,6 @@ impl<T: Decode> Decode for Option<T> {
                 tag,
             }),
         }
-    }
-}
-
-impl<T: Encode> Encode for Vec<T> {
-    fn encode(&self, w: &mut Wr) {
-        w.len(self.len());
-        for v in self {
-            v.encode(w);
-        }
-    }
-}
-impl<T: Decode> Decode for Vec<T> {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        let len = r.len("Vec length")?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
-    }
-}
-
-impl Encode for String {
-    fn encode(&self, w: &mut Wr) {
-        w.len(self.len());
-        w.raw(self.as_bytes());
-    }
-}
-impl Decode for String {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        let len = r.len("String length")?;
-        let bytes = r.raw(len, "String bytes")?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
     }
 }
 
@@ -529,86 +447,6 @@ impl<V: Decode> Decode for RegResp<V> {
     }
 }
 
-impl Encode for RmwKind {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            RmwKind::FetchAdd(delta) => {
-                w.u8(0);
-                w.i64(*delta);
-            }
-            RmwKind::CompareAndSwap { expect, new } => {
-                w.u8(1);
-                w.i64(*expect);
-                w.i64(*new);
-            }
-            RmwKind::Swap(v) => {
-                w.u8(2);
-                w.i64(*v);
-            }
-        }
-    }
-}
-impl Decode for RmwKind {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("RmwKind")? {
-            0 => Ok(RmwKind::FetchAdd(r.i64("FetchAdd")?)),
-            1 => Ok(RmwKind::CompareAndSwap {
-                expect: r.i64("CompareAndSwap::expect")?,
-                new: r.i64("CompareAndSwap::new")?,
-            }),
-            2 => Ok(RmwKind::Swap(r.i64("Swap")?)),
-            tag => tag_err!("RmwKind", tag),
-        }
-    }
-}
-
-impl Encode for RmwOp {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            RmwOp::Read => w.u8(0),
-            RmwOp::Write(v) => {
-                w.u8(1);
-                w.i64(*v);
-            }
-            RmwOp::Rmw(kind) => {
-                w.u8(2);
-                kind.encode(w);
-            }
-        }
-    }
-}
-impl Decode for RmwOp {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("RmwOp")? {
-            0 => Ok(RmwOp::Read),
-            1 => Ok(RmwOp::Write(r.i64("RmwOp::Write")?)),
-            2 => Ok(RmwOp::Rmw(RmwKind::decode(r)?)),
-            tag => tag_err!("RmwOp", tag),
-        }
-    }
-}
-
-impl Encode for RmwResp {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            RmwResp::Value(v) => {
-                w.u8(0);
-                w.i64(*v);
-            }
-            RmwResp::Ack => w.u8(1),
-        }
-    }
-}
-impl Decode for RmwResp {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("RmwResp")? {
-            0 => Ok(RmwResp::Value(r.i64("RmwResp::Value")?)),
-            1 => Ok(RmwResp::Ack),
-            tag => tag_err!("RmwResp", tag),
-        }
-    }
-}
-
 impl<V: Encode> Encode for QueueOp<V> {
     fn encode(&self, w: &mut Wr) {
         match self {
@@ -656,57 +494,6 @@ impl<V: Decode> Decode for QueueResp<V> {
             1 => Ok(QueueResp::Value(Option::decode(r)?)),
             2 => Ok(QueueResp::Count(usize::decode(r)?)),
             tag => tag_err!("QueueResp", tag),
-        }
-    }
-}
-
-impl<V: Encode> Encode for StackOp<V> {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            StackOp::Push(v) => {
-                w.u8(0);
-                v.encode(w);
-            }
-            StackOp::Pop => w.u8(1),
-            StackOp::Peek => w.u8(2),
-            StackOp::Len => w.u8(3),
-        }
-    }
-}
-impl<V: Decode> Decode for StackOp<V> {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("StackOp")? {
-            0 => Ok(StackOp::Push(V::decode(r)?)),
-            1 => Ok(StackOp::Pop),
-            2 => Ok(StackOp::Peek),
-            3 => Ok(StackOp::Len),
-            tag => tag_err!("StackOp", tag),
-        }
-    }
-}
-
-impl<V: Encode> Encode for StackResp<V> {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            StackResp::Ack => w.u8(0),
-            StackResp::Value(v) => {
-                w.u8(1);
-                v.encode(w);
-            }
-            StackResp::Count(n) => {
-                w.u8(2);
-                w.len(*n);
-            }
-        }
-    }
-}
-impl<V: Decode> Decode for StackResp<V> {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("StackResp")? {
-            0 => Ok(StackResp::Ack),
-            1 => Ok(StackResp::Value(Option::decode(r)?)),
-            2 => Ok(StackResp::Count(usize::decode(r)?)),
-            tag => tag_err!("StackResp", tag),
         }
     }
 }
@@ -784,279 +571,6 @@ impl Decode for KvResp {
             2 => Ok(KvResp::Present(bool::decode(r)?)),
             3 => Ok(KvResp::Count(usize::decode(r)?)),
             tag => tag_err!("KvResp", tag),
-        }
-    }
-}
-
-impl Encode for CounterOp {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            CounterOp::Add(delta) => {
-                w.u8(0);
-                w.i64(*delta);
-            }
-            CounterOp::Read => w.u8(1),
-        }
-    }
-}
-impl Decode for CounterOp {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("CounterOp")? {
-            0 => Ok(CounterOp::Add(r.i64("Add")?)),
-            1 => Ok(CounterOp::Read),
-            tag => tag_err!("CounterOp", tag),
-        }
-    }
-}
-
-impl Encode for CounterResp {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            CounterResp::Ack => w.u8(0),
-            CounterResp::Value(v) => {
-                w.u8(1);
-                w.i64(*v);
-            }
-        }
-    }
-}
-impl Decode for CounterResp {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("CounterResp")? {
-            0 => Ok(CounterResp::Ack),
-            1 => Ok(CounterResp::Value(r.i64("CounterResp::Value")?)),
-            tag => tag_err!("CounterResp", tag),
-        }
-    }
-}
-
-impl<V: Encode> Encode for SetOp<V> {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            SetOp::Insert(v) => {
-                w.u8(0);
-                v.encode(w);
-            }
-            SetOp::Remove(v) => {
-                w.u8(1);
-                v.encode(w);
-            }
-            SetOp::Contains(v) => {
-                w.u8(2);
-                v.encode(w);
-            }
-            SetOp::Size => w.u8(3),
-        }
-    }
-}
-impl<V: Decode> Decode for SetOp<V> {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("SetOp")? {
-            0 => Ok(SetOp::Insert(V::decode(r)?)),
-            1 => Ok(SetOp::Remove(V::decode(r)?)),
-            2 => Ok(SetOp::Contains(V::decode(r)?)),
-            3 => Ok(SetOp::Size),
-            tag => tag_err!("SetOp", tag),
-        }
-    }
-}
-
-impl Encode for SetResp {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            SetResp::Ack => w.u8(0),
-            SetResp::Membership(m) => {
-                w.u8(1);
-                m.encode(w);
-            }
-            SetResp::Count(n) => {
-                w.u8(2);
-                w.len(*n);
-            }
-        }
-    }
-}
-impl Decode for SetResp {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("SetResp")? {
-            0 => Ok(SetResp::Ack),
-            1 => Ok(SetResp::Membership(bool::decode(r)?)),
-            2 => Ok(SetResp::Count(usize::decode(r)?)),
-            tag => tag_err!("SetResp", tag),
-        }
-    }
-}
-
-impl Encode for ArrayOp {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            ArrayOp::UpdateNext { i, b } => {
-                w.u8(0);
-                w.len(*i);
-                w.i64(*b);
-            }
-            ArrayOp::Snapshot => w.u8(1),
-        }
-    }
-}
-impl Decode for ArrayOp {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("ArrayOp")? {
-            0 => Ok(ArrayOp::UpdateNext {
-                i: usize::decode(r)?,
-                b: r.i64("UpdateNext::b")?,
-            }),
-            1 => Ok(ArrayOp::Snapshot),
-            tag => tag_err!("ArrayOp", tag),
-        }
-    }
-}
-
-impl Encode for ArrayResp {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            ArrayResp::Element(v) => {
-                w.u8(0);
-                v.encode(w);
-            }
-            ArrayResp::Contents(vs) => {
-                w.u8(1);
-                vs.encode(w);
-            }
-        }
-    }
-}
-impl Decode for ArrayResp {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("ArrayResp")? {
-            0 => Ok(ArrayResp::Element(Option::decode(r)?)),
-            1 => Ok(ArrayResp::Contents(Vec::decode(r)?)),
-            tag => tag_err!("ArrayResp", tag),
-        }
-    }
-}
-
-impl Encode for TreeOp {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            TreeOp::Insert { node, parent } => {
-                w.u8(0);
-                w.u32(*node);
-                w.u32(*parent);
-            }
-            TreeOp::Delete { node } => {
-                w.u8(1);
-                w.u32(*node);
-            }
-            TreeOp::Search { node } => {
-                w.u8(2);
-                w.u32(*node);
-            }
-            TreeOp::Depth => w.u8(3),
-        }
-    }
-}
-impl Decode for TreeOp {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("TreeOp")? {
-            0 => Ok(TreeOp::Insert {
-                node: r.u32("Insert::node")?,
-                parent: r.u32("Insert::parent")?,
-            }),
-            1 => Ok(TreeOp::Delete {
-                node: r.u32("Delete::node")?,
-            }),
-            2 => Ok(TreeOp::Search {
-                node: r.u32("Search::node")?,
-            }),
-            3 => Ok(TreeOp::Depth),
-            tag => tag_err!("TreeOp", tag),
-        }
-    }
-}
-
-impl Encode for TreeResp {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            TreeResp::Ack => w.u8(0),
-            TreeResp::Found(f) => {
-                w.u8(1);
-                f.encode(w);
-            }
-            TreeResp::Depth(d) => {
-                w.u8(2);
-                w.len(*d);
-            }
-        }
-    }
-}
-impl Decode for TreeResp {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("TreeResp")? {
-            0 => Ok(TreeResp::Ack),
-            1 => Ok(TreeResp::Found(bool::decode(r)?)),
-            2 => Ok(TreeResp::Depth(usize::decode(r)?)),
-            tag => tag_err!("TreeResp", tag),
-        }
-    }
-}
-
-impl<V: Encode> Encode for DequeOp<V> {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            DequeOp::PushFront(v) => {
-                w.u8(0);
-                v.encode(w);
-            }
-            DequeOp::PushBack(v) => {
-                w.u8(1);
-                v.encode(w);
-            }
-            DequeOp::PopFront => w.u8(2),
-            DequeOp::PopBack => w.u8(3),
-            DequeOp::Front => w.u8(4),
-            DequeOp::Back => w.u8(5),
-            DequeOp::Len => w.u8(6),
-        }
-    }
-}
-impl<V: Decode> Decode for DequeOp<V> {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("DequeOp")? {
-            0 => Ok(DequeOp::PushFront(V::decode(r)?)),
-            1 => Ok(DequeOp::PushBack(V::decode(r)?)),
-            2 => Ok(DequeOp::PopFront),
-            3 => Ok(DequeOp::PopBack),
-            4 => Ok(DequeOp::Front),
-            5 => Ok(DequeOp::Back),
-            6 => Ok(DequeOp::Len),
-            tag => tag_err!("DequeOp", tag),
-        }
-    }
-}
-
-impl<V: Encode> Encode for DequeResp<V> {
-    fn encode(&self, w: &mut Wr) {
-        match self {
-            DequeResp::Ack => w.u8(0),
-            DequeResp::Value(v) => {
-                w.u8(1);
-                v.encode(w);
-            }
-            DequeResp::Count(n) => {
-                w.u8(2);
-                w.len(*n);
-            }
-        }
-    }
-}
-impl<V: Decode> Decode for DequeResp<V> {
-    fn decode(r: &mut Rd<'_>) -> Result<Self, WireError> {
-        match r.u8("DequeResp")? {
-            0 => Ok(DequeResp::Ack),
-            1 => Ok(DequeResp::Value(Option::decode(r)?)),
-            2 => Ok(DequeResp::Count(usize::decode(r)?)),
-            tag => tag_err!("DequeResp", tag),
         }
     }
 }

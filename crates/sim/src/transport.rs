@@ -43,9 +43,9 @@ use crate::time::{ticks_to_duration, SimDuration, SimTime};
 /// thread runtime's worker channels)
 /// never fail — their queues are unbounded and intra-process — so every
 /// path through them returns `Ok` unconditionally and stays
-/// bit-identical to the infallible days. Byte-oriented cross-process
-/// backends surface real failures: an unreachable peer, a codec reject,
-/// a closed mesh.
+/// bit-identical to the infallible days. The socket mesh surfaces the
+/// one real failure it has: a peer it holds no writer for. Encoding
+/// cannot fail, and a send after shutdown finds no writer either.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
     /// No live connection to `to` and reconnection is not (yet)
@@ -54,10 +54,6 @@ pub enum TransportError {
         /// The unreachable destination.
         to: ProcessId,
     },
-    /// The payload could not be encoded for (or decoded from) the wire.
-    Codec(String),
-    /// The transport has been shut down; no further sends are accepted.
-    Closed,
 }
 
 impl fmt::Display for TransportError {
@@ -66,8 +62,6 @@ impl fmt::Display for TransportError {
             TransportError::PeerUnreachable { to } => {
                 write!(f, "peer {to} is unreachable")
             }
-            TransportError::Codec(reason) => write!(f, "wire codec error: {reason}"),
-            TransportError::Closed => write!(f, "transport is closed"),
         }
     }
 }
