@@ -907,8 +907,13 @@ fn audit_command(mut args: std::env::Args) -> ExitCode {
                         .zip(u.trim().parse::<i64>().ok()),
                     _ => None,
                 };
-                let Some((d, u)) = parsed else {
-                    eprintln!("--window needs D,U (ticks), got {spec:?}");
+                // The model's window is [D − U, D] with 0 ≤ U ≤ D; any
+                // other pair bounds nothing (and D − U may overflow).
+                let Some((d, u)) = parsed.filter(|&(d, u)| 0 <= u && u <= d) else {
+                    eprintln!(
+                        "--window needs D,U (ticks) with 0 <= U <= D, got {spec:?} \
+                         (usage: skewlint audit FILE [--window D,U])"
+                    );
                     return ExitCode::FAILURE;
                 };
                 window = Some((d, u));

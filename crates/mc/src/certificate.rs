@@ -1,6 +1,6 @@
 //! Minimized counterexample certificates.
 //!
-//! A violation found by [`crate::explore::model_check`] is only as good
+//! A violation found by [`crate::model_check`] is only as good
 //! as its reproducibility: a [`Certificate`] pins down the exact run —
 //! clock offsets, per-message delays in global send order, and the
 //! branch taken at every schedule choice point — together with the

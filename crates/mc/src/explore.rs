@@ -1,12 +1,13 @@
 //! The stateful explorer: every delivery order, every delay corner,
 //! every clock corner — pruned by dynamic partial-order reduction.
 //!
-//! [`skewbound_shift::exhaustive_probe`] enumerates delay and clock
-//! assignments but leaves same-time events in the engine's deterministic
-//! FIFO order. This module closes that gap: a [`SchedulePolicy`] replays
-//! a recorded choice prefix and branches over every order of same-time
-//! event batches, turning the engine into a stateless model checker
-//! (re-execution instead of state snapshots, in the Verisoft tradition).
+//! Each grid cell fixes a clock assignment and one delay per message
+//! (replayed by [`EnumeratedDelay`]). Within a cell, a
+//! [`SchedulePolicy`] replays a recorded choice prefix and branches over
+//! every order of same-time event batches, turning the engine into a
+//! stateless model checker (re-execution instead of state snapshots, in
+//! the Verisoft tradition). [`crate::model_check`] drives the cells over
+//! the work-stealing frontier in [`crate::frontier`].
 //!
 //! Exploration is pruned with **sleep sets**: after the branch executing
 //! event `a` before its sibling `b` has been fully explored, the branch
@@ -58,7 +59,7 @@ pub enum Independence {
     Naive,
 }
 
-/// Grid, limits and relation for [`model_check`].
+/// Grid, limits and relation for [`crate::model_check`].
 #[derive(Debug, Clone)]
 pub struct McConfig<S: SequentialSpec> {
     /// Delay values each message may take (all within `[d − u, d]`).
@@ -83,10 +84,10 @@ pub struct McConfig<S: SequentialSpec> {
 }
 
 impl<S: SequentialSpec> McConfig<S> {
-    /// Endpoint delays `{d − u, d}` and `±ε`-corner clocks, mirroring
-    /// [`skewbound_shift::exhaustive::ExhaustiveConfig::corners`]: the
-    /// shifting proofs construct their adversarial runs at exactly these
-    /// corners.
+    /// Endpoint delays `{d − u, d}` with the zero-skew clock and, per
+    /// process, the clock `ε` late and the clock `ε` ahead: the corners of
+    /// the admissible space, where the shifting proofs construct their
+    /// adversarial runs.
     #[must_use]
     pub fn corners(params: &Params, probe_states: Vec<S::State>) -> Self {
         let bounds = params.delay_bounds();
@@ -214,7 +215,7 @@ pub struct McViolation {
     pub kind: ViolationKind,
 }
 
-/// What [`model_check`] explored and found.
+/// What [`crate::model_check`] explored and found.
 #[derive(Debug, Clone)]
 pub struct McReport {
     /// Messages per run (delay-assignment dimensionality).
@@ -225,7 +226,8 @@ pub struct McReport {
     pub schedules: u64,
     /// Schedules the sleep sets abandoned as redundant.
     pub pruned: u64,
-    /// Runs that left the enumerated delay space.
+    /// Runs that left the enumerated delay space (any one fails
+    /// [`McReport::all_passed`]).
     pub off_space: u64,
     /// Runs the linearizability checker could not decide.
     pub unknown: u64,
@@ -256,10 +258,11 @@ pub struct McReport {
 
 impl McReport {
     /// `true` when the whole explored space is violation-free and fully
-    /// decided.
+    /// decided. A run that left the enumerated delay space was checked
+    /// for nothing, so any `off_space` run fails the report too.
     #[must_use]
     pub fn all_passed(&self) -> bool {
-        self.violations.is_empty() && self.unknown == 0 && !self.capped
+        self.violations.is_empty() && self.unknown == 0 && self.off_space == 0 && !self.capped
     }
 
     /// Exploration throughput: engine events per wall-clock second.
@@ -499,7 +502,7 @@ impl<S: SequentialSpec> RunOutcome<S> {
 /// counter enumerates the same codes in the same order without ever
 /// materializing the grid size. With `base == 1` or `len == 0` there is
 /// exactly one (all-zero / empty) assignment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) struct DigitCounter {
     digits: Vec<usize>,
     base: usize,
@@ -512,16 +515,6 @@ impl DigitCounter {
             digits: vec![0; len],
             base,
         }
-    }
-
-    /// Resumes counting from a serialized position.
-    pub(crate) fn from_digits(digits: Vec<usize>, base: usize) -> Self {
-        assert!(base >= 1, "need at least one delay choice");
-        assert!(
-            digits.iter().all(|&d| d < base),
-            "fringe cursor digit out of range for {base} delay choices"
-        );
-        DigitCounter { digits, base }
     }
 
     pub(crate) fn current(&self) -> &[usize] {
@@ -557,39 +550,6 @@ where
     A: ModelActor,
     F: Fn() -> Vec<A>,
 {
-    run_one_cached(
-        spec,
-        make_actors,
-        params,
-        script,
-        config,
-        clocks,
-        digits,
-        plan,
-        None,
-    )
-}
-
-/// [`run_one`] with an optional shared [`TranspositionTable`] serving
-/// the linearizability verdict from memoized precedence structures.
-/// Used by the parallel frontier; verdicts are identical with or
-/// without the table (see `table`'s module docs).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_one_cached<A, F>(
-    spec: &A::Spec,
-    make_actors: &F,
-    params: &Params,
-    script: &[(ProcessId, SimTime, A::Op)],
-    config: &McConfig<A::Spec>,
-    clocks: &ClockAssignment,
-    digits: &[usize],
-    plan: &[usize],
-    table: Option<&TranspositionTable<A::Spec>>,
-) -> RunOutcome<A::Spec>
-where
-    A: ModelActor,
-    F: Fn() -> Vec<A>,
-{
     run_one_with_sink(
         spec,
         make_actors,
@@ -600,16 +560,19 @@ where
         digits,
         plan,
         None,
-        table,
+        None,
     )
     .0
 }
 
-/// [`run_one`] with an optional engine [`TraceSink`]: every engine event
-/// streams into the sink, and after the run the linearizability
-/// checker's `"check"`-stage counters (`nodes`, `memo_hits`,
-/// `max_frontier_depth`) are emitted into it too. The sink is returned
-/// so callers can keep writing (model-checker counters, file output).
+/// [`run_one`] with an optional engine [`TraceSink`] and an optional
+/// shared [`TranspositionTable`]. Every engine event streams into the
+/// sink, and after the run the linearizability checker's
+/// `"check"`-stage counters (`nodes`, `memo_hits`, `max_frontier_depth`)
+/// are emitted into it too; the sink is returned so callers can keep
+/// writing (model-checker counters, file output). The table serves the
+/// linearizability verdict from memoized precedence structures; verdicts
+/// are identical with or without it (see `table`'s module docs).
 #[allow(clippy::too_many_arguments)]
 fn run_one_with_sink<A, F>(
     spec: &A::Spec,
@@ -789,42 +752,6 @@ where
     (outcome, sink)
 }
 
-/// Explores every `(clock, delay assignment, schedule)` combination of
-/// the scripted scenario, checking each run's history against `spec` and
-/// the protocol invariants.
-///
-/// Work is fanned out over the work-stealing frontier in
-/// [`crate::frontier`] (worker count from [`McConfig::workers`], else
-/// `SKEWBOUND_THREADS` / one per core) with a shared
-/// [`TranspositionTable`]; results are merged in canonical cell order,
-/// so the report is bit-identical at any thread count. A delay-dependent
-/// send pattern (detected up front, as in
-/// [`skewbound_shift::exhaustive_probe`]) yields a report with a single
-/// [`ViolationKind::SendOrderDivergence`] violation instead of a panic,
-/// and arbitrarily large delay grids are enumerated lazily — hitting
-/// [`McConfig::max_schedules`] sets `capped` rather than overflowing.
-///
-/// # Panics
-///
-/// Panics if `config` has no delay or clock choices.
-pub fn model_check<A, F>(
-    spec: &A::Spec,
-    make_actors: F,
-    params: &Params,
-    script: &[(ProcessId, SimTime, A::Op)],
-    config: &McConfig<A::Spec>,
-) -> McReport
-where
-    A: ModelActor,
-    A::Spec: Sync,
-    <A::Spec as SequentialSpec>::State: Sync,
-    <A::Spec as SequentialSpec>::Op: Send + Sync,
-    <A::Spec as SequentialSpec>::Resp: Send + Sync,
-    F: Fn() -> Vec<A> + Sync,
-{
-    crate::frontier::model_check_resumable(spec, &make_actors, params, script, config, None).0
-}
-
 /// Checks the send pattern and sizes the delay grid; `Err` carries the
 /// ready-made divergence report.
 pub(crate) fn preflight<A, F>(
@@ -885,9 +812,9 @@ pub(crate) struct UnitOutcome {
     /// Engine events across the unit's completed runs.
     pub events: u64,
     pub violations: Vec<McViolation>,
-    /// Set when the unit stopped on its schedule budget: the next plan
-    /// the DFS would have run, and the lock depth it would run under.
-    pub resume: Option<(Vec<usize>, usize)>,
+    /// Set when the unit stopped on its schedule budget with part of its
+    /// subtree unexplored.
+    pub capped: bool,
     /// Depth-0 sibling subtrees split off for other workers: `(plan,
     /// lock_depth)` pairs, in ascending plan order.
     pub spawned: Vec<(Vec<usize>, usize)>,
@@ -895,12 +822,11 @@ pub(crate) struct UnitOutcome {
 
 /// Runs the DFS of one work unit: starts at `start_plan`, never
 /// backtracks above `lock_depth` (those choice points belong to sibling
-/// units), and stops after `budget` schedules. When `split` is set and
-/// the unit owns a whole fresh cell whose first run branches at depth 0,
-/// the siblings of the first branch are split off as new units instead
-/// of being walked inline — the deterministic work-splitting rule (the
-/// split depends only on the cell's first trace, never on thread
-/// timing).
+/// units), and stops after `budget` schedules. When the unit owns a
+/// whole fresh cell whose first run branches at depth 0, the siblings of
+/// the first branch are split off as new units instead of being walked
+/// inline — the deterministic work-splitting rule (the split depends
+/// only on the cell's first trace, never on thread timing).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn explore_unit<A, F>(
     spec: &A::Spec,
@@ -913,8 +839,7 @@ pub(crate) fn explore_unit<A, F>(
     start_plan: &[usize],
     lock_depth: usize,
     budget: u64,
-    table: Option<&TranspositionTable<A::Spec>>,
-    split: bool,
+    table: &TranspositionTable<A::Spec>,
 ) -> UnitOutcome
 where
     A: ModelActor,
@@ -929,7 +854,7 @@ where
         unknown: 0,
         events: 0,
         violations: Vec::new(),
-        resume: None,
+        capped: false,
         spawned: Vec::new(),
     };
     let clocks = &config.clock_choices[clock_idx];
@@ -938,10 +863,10 @@ where
     let mut first = true;
     loop {
         if out.schedules >= budget {
-            out.resume = Some((plan, lock));
+            out.capped = true;
             return out;
         }
-        let outcome = run_one_cached(
+        let outcome = run_one_with_sink(
             spec,
             make_actors,
             params,
@@ -950,14 +875,16 @@ where
             clocks,
             digits,
             &plan,
-            table,
-        );
+            None,
+            Some(table),
+        )
+        .0;
         out.schedules += 1;
         out.events += outcome.events;
         if fresh {
             out.cells = 1;
         }
-        if first && fresh && split {
+        if first && fresh {
             if let Some(cp0) = outcome.trace.first() {
                 // The cell's first decision has siblings: hand them to
                 // the frontier and keep only subtree 0 for ourselves.

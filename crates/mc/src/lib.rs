@@ -4,14 +4,16 @@
 //! shared-object implementations in this workspace.
 //!
 //! The lower-bound machinery (`skewbound-shift`) checks *specific*
-//! adversarial runs; [`exhaustive_probe`](skewbound_shift::exhaustive)
-//! enumerates delay and clock assignments but keeps the engine's FIFO
-//! order for same-time events. This crate closes the remaining gap:
+//! adversarial runs; the theorems quantify over *every* admissible run.
+//! This crate checks that quantifier finitely, and [`model_check`] is its
+//! one exploration entry:
 //!
 //! * [`explore`] — replay-based depth-first exploration of **every**
 //!   delivery order among same-time events, on top of every delay and
 //!   clock corner, pruned with sleep sets over a commuting-delivery
 //!   independence relation (dynamic partial-order reduction);
+//! * [`frontier`] — the work-stealing worker pool and the deterministic
+//!   merge walk behind [`model_check`], with its schedule budget;
 //! * [`model`] — the small contract ([`ModelActor`]) an implementation
 //!   satisfies to be explorable: message payload ops (for the
 //!   independence relation) and executed timestamp orders (for the
@@ -67,10 +69,10 @@ pub use skewbound_lint::json;
 
 pub use certificate::{certify, validate_certificate, CertRecord, Certificate, SCHEMA};
 pub use explore::{
-    minimize, minimize_counted, model_check, replay, replay_traced, ChoicePoint, Independence,
-    McConfig, McReport, McViolation, RunOutcome, RunVerdict, ViolationKind,
+    minimize, minimize_counted, replay, replay_traced, ChoicePoint, Independence, McConfig,
+    McReport, McViolation, RunOutcome, RunVerdict, ViolationKind,
 };
-pub use frontier::{model_check_resumable, Fringe, FRINGE_SCHEMA};
+pub use frontier::model_check;
 pub use model::ModelActor;
 pub use table::{CachedVerdict, TranspositionTable};
 pub use trace::{JsonLinesSink, SharedJsonLinesSink};

@@ -1,13 +1,15 @@
-//! Exhaustive exploration: check **every** admissible run of a small
-//! scenario, not a sampled family.
+//! The delay side of exhaustive exploration: a delay model that replays
+//! one enumerated per-message assignment, and the check that makes such
+//! an enumeration sound.
 //!
 //! The lower-bound theorems quantify over all admissible runs; the
 //! scenario families encode the specific runs their proofs construct.
-//! This module goes further for small configurations: it enumerates every
-//! combination of per-message delays (from a chosen grid, e.g.
-//! `{d − u, d}`) and every clock assignment from a chosen set, executes
-//! each run, and checks each history — turning "the checker found no
-//! violation" into "no violation exists within this finite run space".
+//! The model checker (`skewbound-mc`'s `model_check`) goes further for
+//! small configurations: it enumerates every combination of per-message
+//! delays (from a chosen grid, e.g. `{d − u, d}`) and every clock
+//! assignment from a chosen set, replaying each assignment with
+//! [`EnumeratedDelay`] — turning "the checker found no violation" into
+//! "no violation exists within this finite run space".
 //!
 //! This works because, for the implementations in this workspace, the
 //! *number and order of message sends* is delay-independent (replicas
@@ -18,16 +20,12 @@
 //! opposite-extreme delay models and fails with a diagnostic if their
 //! send sequences differ.
 
-use skewbound_core::params::Params;
-use skewbound_lin::checker::{check_history, CheckOutcome};
 use skewbound_sim::actor::Actor;
 use skewbound_sim::clock::ClockAssignment;
 use skewbound_sim::delay::{DelayBounds, DelayModel, FixedDelay, MsgMeta};
 use skewbound_sim::engine::Simulation;
 use skewbound_sim::ids::ProcessId;
-use skewbound_sim::par::run_grid;
 use skewbound_sim::time::{SimDuration, SimTime};
-use skewbound_spec::seqspec::SequentialSpec;
 
 /// Structured evidence that a run requested more delays than its
 /// enumerated assignment covers — the run left the enumerated space.
@@ -35,9 +33,9 @@ use skewbound_spec::seqspec::SequentialSpec;
 /// [`EnumeratedDelay::delay`] cannot refuse mid-run (the engine needs
 /// *some* admissible delay for every send), so overruns are recorded and
 /// surfaced here afterwards via [`EnumeratedDelay::check_exhausted`].
-/// Callers decide the severity: [`exhaustive_probe`] treats it as
-/// unsoundness and fails loudly; a model-checking explorer treats it as
-/// a pruned branch.
+/// The model checker counts such a run as off-space: it proves nothing
+/// about the enumerated space, so a report that contains one does not
+/// pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AssignmentExhausted {
     /// Delays the assignment covered.
@@ -228,178 +226,10 @@ where
     })
 }
 
-/// Limits and grid for [`exhaustive_probe`].
-#[derive(Debug, Clone)]
-pub struct ExhaustiveConfig {
-    /// Delay values each message may take (all within `[d − u, d]`).
-    pub delay_choices: Vec<SimDuration>,
-    /// Clock assignments to explore (all within skew `ε`).
-    pub clock_choices: Vec<ClockAssignment>,
-    /// Refuse to enumerate more runs than this.
-    pub max_runs: u64,
-}
-
-impl ExhaustiveConfig {
-    /// Endpoint delays `{d − u, d}` with zero-skew and `±ε`-extreme
-    /// clocks — the corners of the admissible space, which is where the
-    /// shifting proofs live.
-    #[must_use]
-    pub fn corners(params: &Params) -> Self {
-        let bounds = params.delay_bounds();
-        let n = params.n();
-        let eps = params.eps();
-        let mut clock_choices = vec![ClockAssignment::zero(n)];
-        for pid in ProcessId::all(n) {
-            clock_choices.push(ClockAssignment::single_late(n, pid, eps));
-            let mut ahead = ClockAssignment::zero(n);
-            ahead.shift(pid, i64::try_from(eps.as_ticks()).expect("eps fits"));
-            clock_choices.push(ahead);
-        }
-        ExhaustiveConfig {
-            delay_choices: vec![bounds.min(), bounds.max()],
-            clock_choices,
-            max_runs: 1_000_000,
-        }
-    }
-}
-
-/// The result of exploring the whole run space.
-#[derive(Debug)]
-pub struct ExhaustiveReport {
-    /// Number of messages per run (delay-assignment dimensionality).
-    pub messages: usize,
-    /// Total runs executed.
-    pub runs: u64,
-    /// Runs whose history was not linearizable (run index, clock index).
-    pub violations: Vec<(u64, usize)>,
-    /// Runs the checker could not decide.
-    pub unknown: u64,
-}
-
-impl ExhaustiveReport {
-    /// `true` when every explored run was linearizable.
-    #[must_use]
-    pub fn all_passed(&self) -> bool {
-        self.violations.is_empty() && self.unknown == 0
-    }
-}
-
-/// Explores every `(delay assignment, clock assignment)` combination for
-/// the scripted scenario, checking each resulting history against `spec`.
-///
-/// Runs are independent, so the whole space is fanned out across the
-/// [`skewbound_sim::par`] worker pool. Run indices (and hence the
-/// `violations` list) are assigned in the sequential enumeration order —
-/// clock assignments outer, delay codes inner — regardless of worker
-/// count; `SKEWBOUND_PAR=0` forces the sequential path.
-///
-/// # Panics
-///
-/// Panics if [`verify_send_order_independence`] finds the send pattern
-/// delay-dependent (the enumerated grid would be unsound), if any run
-/// leaves the enumerated space ([`AssignmentExhausted`]), or if the
-/// run-space exceeds `config.max_runs`.
-pub fn exhaustive_probe<S, A, F>(
-    spec: &S,
-    make_actors: F,
-    params: &Params,
-    script: &[(ProcessId, SimTime, S::Op)],
-    config: &ExhaustiveConfig,
-) -> ExhaustiveReport
-where
-    S: SequentialSpec + Sync,
-    S::Op: Sync,
-    A: Actor<Op = S::Op, Resp = S::Resp>,
-    F: Fn() -> Vec<A> + Sync,
-{
-    assert!(!config.delay_choices.is_empty(), "need delay choices");
-    assert!(!config.clock_choices.is_empty(), "need clock choices");
-    let bounds = params.delay_bounds();
-
-    // Two extreme dry runs: count messages AND verify the count/order is
-    // the same at both ends of the delay space.
-    let messages =
-        verify_send_order_independence(&make_actors, &config.clock_choices[0], bounds, script)
-            .unwrap_or_else(|divergence| panic!("{divergence}"));
-
-    let c = config.delay_choices.len() as u64;
-    let assignments = c
-        .checked_pow(u32::try_from(messages).expect("too many messages"))
-        .expect("run space overflow");
-    let total = assignments
-        .checked_mul(config.clock_choices.len() as u64)
-        .expect("run space overflow");
-    assert!(
-        total <= config.max_runs,
-        "run space of {total} exceeds max_runs {}",
-        config.max_runs
-    );
-
-    let mut report = ExhaustiveReport {
-        messages,
-        runs: 0,
-        violations: Vec::new(),
-        unknown: 0,
-    };
-
-    // Global run index `idx = clock_idx * assignments + code` reproduces
-    // the sequential enumeration order, so the fan-out below assigns the
-    // same run indices the old nested loops did.
-    let jobs: Vec<u64> = (0..total).collect();
-    let outcomes = run_grid(&jobs, |_, &idx| {
-        let clock_idx = usize::try_from(idx / assignments).expect("clock index fits");
-        let code = idx % assignments;
-        // Decode `code` in base `c` into a per-message assignment.
-        let mut rest = code;
-        let assignment: Vec<SimDuration> = (0..messages)
-            .map(|_| {
-                let choice = (rest % c) as usize;
-                rest /= c;
-                config.delay_choices[choice]
-            })
-            .collect();
-        let mut sim = Simulation::new(
-            make_actors(),
-            config.clock_choices[clock_idx].clone(),
-            EnumeratedDelay::new(bounds, assignment),
-        );
-        sim.enable_msg_log();
-        for (pid, at, op) in script {
-            sim.schedule_invoke(*pid, *at, op.clone());
-        }
-        sim.run().expect("exploration run failed");
-        (
-            sim.message_log().len(),
-            sim.delays().check_exhausted().err(),
-            check_history(spec, sim.history()),
-        )
-    });
-
-    for (idx, (sent, exhausted, outcome)) in outcomes.into_iter().enumerate() {
-        if let Some(e) = exhausted {
-            panic!("run {idx} left the enumerated space: {e}");
-        }
-        assert_eq!(
-            sent, messages,
-            "send pattern depends on delays; exhaustive grid is unsound here"
-        );
-        match outcome {
-            CheckOutcome::Linearizable(_) => {}
-            CheckOutcome::NotLinearizable(_) => {
-                let clock_idx = idx / usize::try_from(assignments).expect("assignments fit");
-                report.violations.push((report.runs, clock_idx));
-            }
-            CheckOutcome::Unknown { .. } => report.unknown += 1,
-        }
-        report.runs += 1;
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skewbound_core::foils::LocalFirstReplica;
+    use skewbound_core::params::Params;
     use skewbound_core::replica::Replica;
     use skewbound_spec::prelude::*;
 
@@ -411,80 +241,6 @@ mod tests {
             SimDuration::ZERO,
         )
         .unwrap()
-    }
-
-    /// One enqueue then two spaced dequeues: 3 broadcasts × 2 peers = 6
-    /// messages → 2^6 × 7 clock choices = 448 runs.
-    fn script() -> Vec<(ProcessId, SimTime, QueueOp<i64>)> {
-        let p = ProcessId::new;
-        let t = SimTime::from_ticks;
-        vec![
-            (p(2), t(0), QueueOp::Enqueue(42)),
-            (p(0), t(40_000), QueueOp::Dequeue),
-            (p(1), t(41_000), QueueOp::Dequeue),
-        ]
-    }
-
-    #[test]
-    fn honest_algorithm_passes_every_corner_run() {
-        let params = params();
-        let config = ExhaustiveConfig::corners(&params);
-        let report = exhaustive_probe(
-            &Queue::<i64>::new(),
-            || Replica::group(Queue::<i64>::new(), &params),
-            &params,
-            &script(),
-            &config,
-        );
-        assert_eq!(report.messages, 6);
-        assert_eq!(report.runs, 64 * 7);
-        assert!(
-            report.all_passed(),
-            "violations in {} of {} runs",
-            report.violations.len(),
-            report.runs
-        );
-    }
-
-    #[test]
-    fn local_first_fails_somewhere_in_the_corner_space() {
-        // Concurrent dequeues after the enqueue has gossiped: the
-        // zero-latency foil must return the element twice in at least one
-        // corner run.
-        let params = params();
-        let p = ProcessId::new;
-        let t = SimTime::from_ticks;
-        let script = vec![
-            (p(2), t(0), QueueOp::Enqueue(42)),
-            (p(0), t(40_000), QueueOp::Dequeue),
-            (p(1), t(40_001), QueueOp::Dequeue),
-        ];
-        let config = ExhaustiveConfig::corners(&params);
-        let report = exhaustive_probe(
-            &Queue::<i64>::new(),
-            || LocalFirstReplica::group(Queue::<i64>::new(), params.n()),
-            &params,
-            &script,
-            &config,
-        );
-        assert!(!report.violations.is_empty(), "foil survived all corners");
-    }
-
-    #[test]
-    fn run_space_cap_enforced() {
-        let params = params();
-        let mut config = ExhaustiveConfig::corners(&params);
-        config.max_runs = 10;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exhaustive_probe(
-                &Queue::<i64>::new(),
-                || Replica::group(Queue::<i64>::new(), &params),
-                &params,
-                &script(),
-                &config,
-            )
-        }));
-        assert!(result.is_err(), "cap should reject 448 runs");
     }
 
     #[test]
@@ -550,11 +306,19 @@ mod tests {
     #[test]
     fn send_order_independence_verified_for_honest_replicas() {
         let params = params();
+        // One enqueue then two spaced dequeues: 3 broadcasts × 2 peers.
+        let p = ProcessId::new;
+        let t = SimTime::from_ticks;
+        let script = vec![
+            (p(2), t(0), QueueOp::Enqueue(42)),
+            (p(0), t(40_000), QueueOp::Dequeue),
+            (p(1), t(41_000), QueueOp::Dequeue),
+        ];
         let messages = verify_send_order_independence(
             &|| Replica::group(Queue::<i64>::new(), &params),
             &ClockAssignment::zero(params.n()),
             params.delay_bounds(),
-            &script(),
+            &script,
         )
         .expect("Algorithm 1 broadcasts on invocation only");
         assert_eq!(messages, 6);

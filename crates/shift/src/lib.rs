@@ -16,6 +16,8 @@
 //! * [`mod@probe`] — harnesses that run an implementation through a family
 //!   and report violations; too-fast implementations are *caught*, the
 //!   honest Algorithm 1 passes.
+//! * [`exhaustive`] — the enumerated delay model and the send-order
+//!   check the model checker (`skewbound-mc`) builds its delay grid on.
 //!
 //! ```
 //! use skewbound_core::{params::Params, replica::Replica};
@@ -48,8 +50,7 @@ pub mod shiftop;
 
 pub use chop::{chop, shortest_paths, DelayMatrix};
 pub use exhaustive::{
-    exhaustive_probe, verify_send_order_independence, AssignmentExhausted, EnumeratedDelay,
-    ExhaustiveConfig, ExhaustiveReport, SendOrderDivergence,
+    verify_send_order_independence, AssignmentExhausted, EnumeratedDelay, SendOrderDivergence,
 };
 pub use extract::run_from_sim;
 pub use probe::{measure_single_op_latency, probe, ProbeReport};

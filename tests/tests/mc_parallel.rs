@@ -1,18 +1,17 @@
-//! Thread-count determinism and resumability of the parallel model
-//! checker: the work-stealing frontier must produce bit-identical
-//! reports, certificates and fringes at 1, 2 and 8 workers; a fringe
-//! serialized at a schedule budget and resumed must land on the same
-//! final report as an uninterrupted run; and the grid-arithmetic panics
-//! of the sequential explorer (u64 overflow on wide delay grids,
-//! process-aborting send-order divergence) must now surface as `capped`
-//! reports and structured violations.
+//! Thread-count determinism of the parallel model checker: the
+//! work-stealing frontier must produce bit-identical reports and
+//! certificates at 1, 2 and 8 workers, and a schedule budget must cut
+//! at the same canonical coordinate at every worker count. The
+//! grid-arithmetic panics of the sequential explorer (u64 overflow on
+//! wide delay grids, process-aborting send-order divergence) must
+//! surface as `capped` reports and structured violations, and a run
+//! that leaves the enumerated delay space must fail the report.
 
 use skewbound_core::foils::LocalFirstReplica;
 use skewbound_core::replica::Replica;
 use skewbound_integration::default_params;
 use skewbound_mc::{
-    certify, model_check, model_check_resumable, validate_certificate, Fringe, McConfig, McReport,
-    ModelActor, ViolationKind,
+    certify, model_check, validate_certificate, McConfig, McReport, ModelActor, ViolationKind,
 };
 use skewbound_sim::actor::{Actor, Context};
 use skewbound_sim::ids::ProcessId;
@@ -36,19 +35,18 @@ fn register_script() -> Vec<(ProcessId, SimTime, RmwOp)> {
     ]
 }
 
-fn register_report(workers: Option<usize>, max_schedules: u64) -> (McReport, Option<Fringe>) {
+fn register_report(workers: Option<usize>, max_schedules: u64) -> McReport {
     let p = default_params();
     let mut config = McConfig::corners(&p, probes::register_states());
     config.clock_choices.truncate(3);
     config.workers = workers;
     config.max_schedules = max_schedules;
-    model_check_resumable(
+    model_check(
         &RmwRegister::default(),
-        &|| Replica::group(RmwRegister::default(), &p),
+        || Replica::group(RmwRegister::default(), &p),
         &p,
         &register_script(),
         &config,
-        None,
     )
 }
 
@@ -57,21 +55,19 @@ fn register_report(workers: Option<usize>, max_schedules: u64) -> (McReport, Opt
 /// exactly.
 #[test]
 fn thread_counts_produce_identical_reports() {
-    let (baseline, fringe) = register_report(Some(1), 1_000_000);
+    let baseline = register_report(Some(1), 1_000_000);
     assert!(
         baseline.all_passed(),
         "violations: {:?}",
         baseline.violations
     );
-    assert!(fringe.is_none(), "uncapped run has no fringe");
     assert!(baseline.explored_states > 0, "events are counted");
     for workers in [2, 8] {
-        let (report, fringe) = register_report(Some(workers), 1_000_000);
+        let report = register_report(Some(workers), 1_000_000);
         assert!(
             report.same_results(&baseline),
             "workers={workers} diverged:\n  {report:?}\nvs baseline\n  {baseline:?}"
         );
-        assert!(fringe.is_none());
         assert_eq!(report.workers, workers, "advisory worker count is recorded");
     }
 }
@@ -123,64 +119,39 @@ fn foil_certificates_are_byte_identical_across_workers() {
 }
 
 /// A capped exploration must cut at the same canonical coordinate at
-/// every worker count: identical reports *and* bit-identical serialized
-/// fringes.
+/// every worker count. The counts are fixed values that pin where each
+/// cut lands: all three budgets stop inside the first cell's schedule
+/// tree, which the frontier splits into subtrees, so the merge walk
+/// must absorb or re-explore each subtree against the exact remainder.
+/// The uncapped row pins the whole grid.
 #[test]
 fn capped_exploration_is_deterministic_across_threads() {
-    let (baseline, base_fringe) = register_report(Some(1), 37);
-    assert!(
-        baseline.capped,
-        "37 schedules cannot finish the register grid"
-    );
-    let base_fringe = base_fringe.expect("capped run yields a fringe").to_json();
-    for workers in [2, 8] {
-        let (report, fringe) = register_report(Some(workers), 37);
-        assert!(report.same_results(&baseline), "workers={workers} diverged");
-        let fringe = fringe.expect("capped run yields a fringe").to_json();
-        assert_eq!(fringe, base_fringe, "workers={workers} fringe diverged");
+    for (budget, expected) in [
+        (25, (1, 25, 12, 234, true)),
+        (37, (1, 37, 21, 288, true)),
+        (60, (1, 60, 38, 396, true)),
+        (1_000_000, (48, 1440, 990, 8100, false)),
+    ] {
+        let baseline = register_report(Some(1), budget);
+        assert_eq!(
+            (
+                baseline.cells,
+                baseline.schedules,
+                baseline.pruned,
+                baseline.explored_states,
+                baseline.capped,
+            ),
+            expected,
+            "budget {budget}: (cells, schedules, pruned, explored_states, capped)"
+        );
+        for workers in [2, 8] {
+            let report = register_report(Some(workers), budget);
+            assert!(
+                report.same_results(&baseline),
+                "budget {budget}, workers={workers} diverged"
+            );
+        }
     }
-}
-
-/// Serialize the fringe at a tight budget, round-trip it through JSON,
-/// resume (twice) with the budget raised: the final report must equal an
-/// uninterrupted run with the same total budget.
-#[test]
-fn fringe_round_trip_resumes_to_identical_report() {
-    let (uninterrupted, none) = register_report(Some(2), 1_000_000);
-    assert!(none.is_none());
-
-    let (first, fringe) = register_report(Some(2), 25);
-    assert!(first.capped);
-    let fringe = fringe.expect("capped run yields a fringe");
-    assert_eq!(fringe.schedules_done(), 25);
-
-    // JSON round-trip.
-    let restored = Fringe::parse(&fringe.to_json()).expect("fringe round-trips");
-    assert_eq!(restored, fringe);
-
-    // Step the budget to an intermediate cut, then to completion.
-    let p = default_params();
-    let mut config = McConfig::corners(&p, probes::register_states());
-    config.clock_choices.truncate(3);
-    config.workers = Some(2);
-    config.max_schedules = 60;
-    let spec = RmwRegister::default();
-    let make = || Replica::group(RmwRegister::default(), &p);
-    let script = register_script();
-    let (mid, mid_fringe) =
-        model_check_resumable(&spec, &make, &p, &script, &config, Some(&restored));
-    assert!(mid.capped);
-    assert_eq!(mid.schedules, 60, "cumulative budget counts resumed work");
-    let mid_fringe = mid_fringe.expect("still capped at 60");
-
-    config.max_schedules = 1_000_000;
-    let (done, no_fringe) =
-        model_check_resumable(&spec, &make, &p, &script, &config, Some(&mid_fringe));
-    assert!(no_fringe.is_none(), "completed resume has no fringe");
-    assert!(
-        done.same_results(&uninterrupted),
-        "resumed final report diverged:\n  {done:?}\nvs uninterrupted\n  {uninterrupted:?}"
-    );
 }
 
 /// 2 delay choices × 64 messages used to overflow the `u64` cell count
@@ -205,20 +176,16 @@ fn wide_delay_grid_caps_instead_of_panicking() {
             )
         })
         .collect();
-    let (report, fringe) = model_check_resumable(
+    let report = model_check(
         &RmwRegister::default(),
-        &|| Replica::group(RmwRegister::default(), &p),
+        || Replica::group(RmwRegister::default(), &p),
         &p,
         &script,
         &config,
-        None,
     );
     assert_eq!(report.messages, 64, "32 broadcasts to 2 peers each");
     assert!(report.capped, "2^64 cells cannot finish in 40 schedules");
     assert_eq!(report.schedules, 40);
-    let fringe = fringe.expect("capped run yields a fringe");
-    let restored = Fringe::parse(&fringe.to_json()).expect("wide fringe round-trips");
-    assert_eq!(restored, fringe);
 }
 
 /// An implementation whose send *order* depends on delays (p1 relays
@@ -307,4 +274,59 @@ fn send_order_divergence_is_reported_not_panicked() {
         "diagnostic names the diverging send: {:?}",
         violation.kind
     );
+}
+
+/// An implementation whose send *count* depends on its clock: p0's
+/// invocation broadcasts, plus one extra message to p1 when p0's clock
+/// does not read zero. The send-order dry runs use the first clock
+/// choice (zero skew), so every skewed clock cell requests one delay
+/// more than its assignment covers.
+#[derive(Debug, Default)]
+struct ClockCounted;
+
+impl Actor for ClockCounted {
+    type Msg = u8;
+    type Op = u8;
+    type Resp = u8;
+    type Timer = ();
+
+    fn on_invoke(&mut self, op: u8, ctx: &mut Context<'_, Self>) {
+        ctx.broadcast(op);
+        if ctx.clock().as_ticks() != 0 {
+            ctx.send(ProcessId::new(1), op);
+        }
+        ctx.respond(op);
+    }
+
+    fn on_message(&mut self, _from: ProcessId, _msg: u8, _ctx: &mut Context<'_, Self>) {}
+
+    fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
+}
+
+impl ModelActor for ClockCounted {
+    type Spec = EchoSpec;
+
+    fn payload_op(_msg: &u8) -> Option<&u8> {
+        None
+    }
+}
+
+/// Runs that left the enumerated delay space were checked for nothing,
+/// so a report that contains one must not read as passed.
+#[test]
+fn runs_off_the_enumerated_delay_space_fail_the_report() {
+    let p = default_params();
+    let config = McConfig::corners(&p, vec![()]);
+    let script = [(pid(0), t(0), 0u8)];
+    let report = model_check(
+        &EchoSpec,
+        || vec![ClockCounted, ClockCounted, ClockCounted],
+        &p,
+        &script,
+        &config,
+    );
+    assert_eq!(report.messages, 2, "the zero-skew dry run broadcasts once");
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert!(report.off_space > 0, "skewed clock cells send one more");
+    assert!(!report.all_passed(), "off-space runs must fail the report");
 }

@@ -8,13 +8,14 @@
 
 use skewbound_core::params::Params;
 use skewbound_core::replica::Replica;
-use skewbound_shift::exhaustive::{exhaustive_probe, ExhaustiveConfig};
+use skewbound_mc::{model_check, McConfig, McReport};
 use skewbound_shift::probe::probe;
 use skewbound_shift::scenarios::insc_dequeue_family;
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::par;
 use skewbound_sim::time::{SimDuration, SimTime};
 use skewbound_spec::prelude::*;
+use skewbound_spec::probes;
 
 fn params() -> Params {
     Params::with_optimal_skew(
@@ -26,7 +27,9 @@ fn params() -> Params {
     .unwrap()
 }
 
-fn exhaustive_fingerprint(params: &Params) -> (usize, u64, Vec<(u64, usize)>, u64) {
+/// The queue corner grid under the model checker, its worker count taken
+/// from the environment.
+fn corner_report(params: &Params) -> McReport {
     let p = ProcessId::new;
     let t = SimTime::from_ticks;
     let script = vec![
@@ -34,19 +37,13 @@ fn exhaustive_fingerprint(params: &Params) -> (usize, u64, Vec<(u64, usize)>, u6
         (p(0), t(40_000), QueueOp::Dequeue),
         (p(1), t(41_000), QueueOp::Dequeue),
     ];
-    let config = ExhaustiveConfig::corners(params);
-    let report = exhaustive_probe(
+    let config = McConfig::corners(params, probes::queue_states());
+    model_check(
         &Queue::<i64>::new(),
         || Replica::group(Queue::<i64>::new(), params),
         params,
         &script,
         &config,
-    );
-    (
-        report.messages,
-        report.runs,
-        report.violations,
-        report.unknown,
     )
 }
 
@@ -77,7 +74,7 @@ fn parallel_results_match_sequential_and_panics_surface() {
         1,
         "SKEWBOUND_PAR=0 must force 1 worker"
     );
-    let seq_exhaustive = exhaustive_fingerprint(&params);
+    let seq_corners = corner_report(&params);
     let seq_probe = probe_fingerprint(&params);
 
     // Parallel: force a multi-worker pool even on single-core machines.
@@ -88,15 +85,18 @@ fn parallel_results_match_sequential_and_panics_surface() {
         4,
         "SKEWBOUND_THREADS=4 must force 4 workers"
     );
-    let par_exhaustive = exhaustive_fingerprint(&params);
+    let par_corners = corner_report(&params);
     let par_probe = probe_fingerprint(&params);
 
-    assert_eq!(
-        seq_exhaustive, par_exhaustive,
-        "exhaustive grid must be deterministic"
+    assert_eq!(seq_corners.workers, 1);
+    assert_eq!(par_corners.workers, 4);
+    assert!(
+        seq_corners.same_results(&par_corners),
+        "corner grid must be deterministic:\n  {seq_corners:?}\nvs\n  {par_corners:?}"
     );
     assert_eq!(seq_probe, par_probe, "scenario probe must be deterministic");
-    assert_eq!(seq_exhaustive.1, 64 * 7, "corner space is 2^6 x 7 runs");
+    assert_eq!(seq_corners.cells, 448, "corner space is 2^6 x 7 cells");
+    assert!(seq_corners.all_passed(), "{:?}", seq_corners.violations);
 
     // A panicking job surfaces as a panic carrying the job's message,
     // and the pool shuts down cleanly (no hang, no abort).
