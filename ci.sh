@@ -36,9 +36,27 @@ SKEWBOUND_THREADS=4 cargo test -q -p skewbound-core shard
 echo "== cross-runtime parity (engine vs real threads vs TCP mesh) =="
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test runtime_parity
 
-echo "== threaded example (real-thread runtime end to end) =="
-cargo run --release -q -p skewbound-examples --bin threaded | tee /tmp/threaded.log
-grep -q '^linearizability check on the real-thread history: OK$' /tmp/threaded.log
+echo "== examples (every binary runs to its verdict line) =="
+cargo build --release -q -p skewbound-examples
+while read -r example verdict; do
+  ./target/release/"$example" > "/tmp/example-$example.log"
+  last=$(grep -v '^$' "/tmp/example-$example.log" | tail -n 1)
+  if [ "$last" != "$verdict" ]; then
+    echo "example $example ended with '$last', expected '$verdict'" >&2
+    exit 1
+  fi
+  echo "$example: $verdict"
+done <<'EXAMPLES'
+quickstart linearizability check: OK
+order_queue centralized history linearizable: yes
+social_counter linearizability check: OK
+lower_bound_demo every too-fast implementation was caught; Algorithm 1 passed everything
+threaded linearizability check on the real-thread history: OK
+clock_sync_demo linearizable on synchronized clocks: yes
+analyze_object verdict: every derived lower bound is within its upper bound: OK
+trace_run verdict: linearizable
+bank per-account linearizability: all accounts OK
+EXAMPLES
 
 echo "== docs build (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

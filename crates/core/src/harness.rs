@@ -1,69 +1,30 @@
-//! Convenience runners: build a simulation (or a real-thread cluster),
-//! run a workload, return the complete history.
+//! Harness entries: build a run from `(actors, clocks, delays, driver)`
+//! and return the complete history.
 //!
-//! These wrappers keep examples, integration tests and benches concise;
-//! everything they do can also be done directly with
-//! [`skewbound_sim::engine::Simulation`] (which is also where to go for
-//! the final actor states, the message log or a trace) or
-//! [`skewbound_sim::rt::RtCluster`]. Histories are returned by move — no
-//! clone of the full run record.
+//! Every backend takes that one argument list:
+//! [`skewbound_sim::engine::run_history`] (virtual time, re-exported here
+//! as [`run_history`]), [`skewbound_sim::rt::run_history`] (OS threads)
+//! and `skewbound_net::runtime::run_history` (a TCP loopback mesh).
+//! Histories are returned by move — no clone of the full run record.
 
 use std::time::Duration;
 
 use skewbound_sim::actor::Actor;
 use skewbound_sim::clock::ClockAssignment;
-use skewbound_sim::delay::{DelayBounds, DelayModel};
-use skewbound_sim::engine::{SimError, Simulation};
+use skewbound_sim::delay::{DelayBounds, UniformDelay};
+pub use skewbound_sim::engine::run_history;
 use skewbound_sim::history::History;
-use skewbound_sim::rt::RtCluster;
 use skewbound_sim::workload::Driver;
 
-/// Runs `actors` under `clocks`/`delays` with `driver` until quiescence
-/// and returns the complete history.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the engine (event-cap exceeded).
-///
-/// # Panics
-///
-/// Panics if the run ends with an incomplete history, which would indicate
-/// an actor that failed to respond to an invocation — a correctness bug
-/// worth failing loudly on.
-pub fn run_history<A, D, Dr>(
-    actors: Vec<A>,
-    clocks: ClockAssignment,
-    delays: D,
-    driver: &mut Dr,
-) -> Result<History<A::Op, A::Resp>, SimError>
-where
-    A: Actor,
-    D: DelayModel,
-    Dr: Driver<A::Op, A::Resp> + ?Sized,
-{
-    let mut sim = Simulation::new(actors, clocks, delays);
-    sim.run_with(driver)?;
-    assert!(
-        sim.history().is_complete(),
-        "run reached quiescence with pending operations (termination bug)"
-    );
-    Ok(sim.into_history())
-}
-
-/// Runs the same closed-loop workload on the **real-thread runtime**:
-/// `actors` on OS threads with message delays drawn uniformly from
-/// `bounds` (seeded by `seed`), `driver` issuing invocations, shutdown
-/// `settle` after the last response. One tick is one microsecond, so
-/// pick tick values accordingly (e.g. `d = 2_000` ticks = 2 ms).
-///
-/// This is the rt counterpart of [`run_history`] — the same `Driver`
-/// value works on both backends, which is what the cross-runtime parity
-/// test leans on.
+/// The thread runtime under seeded uniform delays in `bounds`: forwards
+/// to [`skewbound_sim::rt::run_history`], whose drain grace is `2·d`, so
+/// `settle` is ignored. Kept, with its old signature, only for the
+/// frozen benchmark's `sim.rt` layer: the next change to `benchmark/`
+/// moves that caller to `rt::run_history` and deletes this shim.
 ///
 /// # Panics
 ///
-/// Panics if the run ends with an incomplete history, if the driver
-/// overlaps invocations at one process, or if a worker thread panics.
+/// As [`skewbound_sim::rt::run_history`].
 pub fn run_history_rt<A, Dr>(
     actors: Vec<A>,
     clocks: &ClockAssignment,
@@ -80,14 +41,10 @@ where
     A::Timer: Send + 'static,
     Dr: Driver<A::Op, A::Resp> + ?Sized,
 {
-    let cluster = RtCluster::start(actors, clocks, bounds, seed);
-    cluster.run_driver(driver);
-    let history = cluster.shutdown(settle);
-    assert!(
-        history.is_complete(),
-        "run reached quiescence with pending operations (termination bug)"
-    );
-    history
+    let _ = settle;
+    let delays = UniformDelay::new(bounds, seed);
+    skewbound_sim::rt::run_history(actors, clocks.clone(), delays, driver)
+        .expect("the thread link never fails a send")
 }
 
 #[cfg(test)]

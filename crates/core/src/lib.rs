@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::bounds;
     pub use crate::centralized::{CentralMsg, Centralized};
     pub use crate::foils::LocalFirstReplica;
-    pub use crate::harness::{run_history, run_history_rt};
+    pub use crate::harness::run_history;
     pub use crate::nsreplica::{NsReplica, NsTimer};
     pub use crate::params::{ParamError, Params};
     pub use crate::replica::{OpMsg, Replica, ReplicaTimer, TimerProfile};

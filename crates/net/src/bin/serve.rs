@@ -24,6 +24,8 @@ use skewbound_mc::trace::JsonLinesSink;
 use skewbound_net::runtime::{run_server, tighten_timer_slack, ServerConfig};
 use skewbound_net::tcp::MeshListener;
 use skewbound_net::wire::{Decode, Encode};
+use skewbound_sim::clock::ClockAssignment;
+use skewbound_sim::delay::UniformDelay;
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::time::SimDuration;
 use skewbound_sim::trace::TraceSink;
@@ -167,19 +169,18 @@ where
     S::Resp: Encode,
 {
     let replica = Replica::new(spec, &args.params);
-    let mut cfg = ServerConfig::new(
-        args.pid,
-        args.params.n(),
-        args.params,
-        args.seed,
-        args.epoch_micros,
-    );
+    let n = args.params.n();
+    let mut cfg = ServerConfig::new(args.pid, n, args.params.delay_bounds(), args.epoch_micros);
     if let Some(h) = args.headroom {
         // A larger headroom widens the gap between the injected-delay
         // ceiling and d, absorbing more OS scheduling jitter before a
         // delivery falls outside the audited [d − u, d] window.
         cfg.headroom_micros = h;
     }
+    let draw = cfg
+        .delay_draw_bounds()
+        .unwrap_or_else(|e| fail(&format!("no delay fits under the headroom: {e}")));
+    let delays = UniformDelay::new(draw, args.seed ^ u64::from(args.pid.as_u32()));
     let listener = MeshListener::bind(args.pid, &args.listen)
         .unwrap_or_else(|e| fail(&format!("cannot listen on {}: {e}", args.listen)));
     let mesh = listener
@@ -188,7 +189,8 @@ where
 
     let mut sink = JsonLinesSink::new();
     let sink_ref: Option<&mut dyn TraceSink> = args.trace.as_ref().map(|_| &mut sink as _);
-    let history = run_server(replica, &cfg, &mesh, sink_ref);
+    let clocks = ClockAssignment::zero(n);
+    let history = run_server(replica, &cfg, &clocks, delays, &mesh, sink_ref);
     mesh.shutdown();
 
     if let Some(path) = &args.trace {

@@ -24,14 +24,16 @@
 //!   core the real-thread runtime runs too
 //!   ([`WallNode`](skewbound_sim::deadline::WallNode): one agenda of
 //!   timers and held deliveries, one fire-due step, one drain rule), the
-//!   server event loop around it — generic over the actor, shared by the
-//!   `skewbound-serve` binary and the in-test cluster — and the
-//!   blocking client used by `skewbound-load`.
+//!   server event loop around it — generic over the actor and the delay
+//!   model, shared by the `skewbound-serve` binary and the loopback
+//!   harness `runtime::run_history` — and the blocking client used by
+//!   `skewbound-load`.
 //!
 //! Timebase: all processes of a run share one epoch (a unix-µs instant
 //! passed on the command line); one tick is one microsecond, exactly as
 //! in the real-thread runtime. Senders stamp each frame with its send
-//! tick and a seeded artificial delay drawn from `[d − u, d − headroom]`;
+//! tick and an artificial delay from the run's delay model, which draws
+//! within `[d − u, d − headroom]`;
 //! the receiver holds the frame until `sent_at + delay` on its own
 //! clock, so the observed delivery window matches the model's even
 //! though the wire itself is far faster.

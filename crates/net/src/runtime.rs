@@ -1,5 +1,6 @@
 //! The typed layer over the socket mesh: the [`Link`] that frames
-//! outgoing batches, the server event loop, and the blocking client.
+//! outgoing batches, the server event loop, the blocking client, and
+//! the loopback harness.
 //!
 //! ## Timebase
 //!
@@ -9,41 +10,50 @@
 //! advances by a monotonic clock, so ticks are immune to wall clock
 //! steps after startup but directly comparable across processes on the
 //! same machine (one tick = one µs, exactly as in the real-thread
-//! runtime).
+//! runtime). A server's local clock is that tick count plus its offset
+//! in the run's [`ClockAssignment`].
 //!
 //! ## Delay injection
 //!
 //! A loopback TCP hop takes tens of µs; the model wants delays in
 //! `[d − u, d]` ticks. The server runs the wall-clock core the
 //! real-thread runtime runs ([`WallNode`] over a [`WallTransport`]):
-//! the *sender* draws a seeded delay — here from `[d − u, d − headroom]`,
-//! stamped into the frame header — and the *receiver* holds the decoded
-//! batch on its agenda until `sent_at + delay` on the shared timebase.
-//! The headroom absorbs the real wire-and-scheduling latency so total
-//! observed delay stays within `[d − u, d]` even when a frame physically
-//! arrives late.
+//! the *sender* asks the run's [`DelayModel`] for a delay, stamps it
+//! into the frame header, and the *receiver* holds the decoded batch on
+//! its agenda until `sent_at + delay` on the shared timebase. The one
+//! mesh rule, checked by [`run_server`], is that the model draws within
+//! [`ServerConfig::delay_draw_bounds`], `[d − u, d − headroom]`: the
+//! headroom absorbs the real wire-and-scheduling latency so the total
+//! observed delay stays within `[d − u, d]` even when a frame
+//! physically arrives late.
+//!
+//! ## Harness
+//!
+//! [`run_history`] runs a whole group over loopback with the argument
+//! list of the engine's and the thread runtime's `run_history`:
+//! `(actors, clocks, delays, driver)`.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Barrier, Mutex};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Mutex;
+use std::thread;
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use skewbound_core::params::Params;
-use skewbound_core::replica::Replica;
 use skewbound_sim::actor::Actor;
+use skewbound_sim::clock::ClockAssignment;
 pub use skewbound_sim::deadline::TimeBase;
 use skewbound_sim::deadline::WallNode;
+use skewbound_sim::delay::{DelayBounds, DelayBoundsError, DelayModel};
+use skewbound_sim::engine::SimError;
 use skewbound_sim::history::History;
 use skewbound_sim::ids::{MsgId, ProcessId};
 use skewbound_sim::node::{Activation, NodeCore, TraceOutput};
-use skewbound_sim::time::{ClockOffset, SimTime};
+use skewbound_sim::time::{SimDuration, SimTime};
 use skewbound_sim::trace::{TraceEvent, TraceSink};
 use skewbound_sim::transport::{Link, TransportError, WallTransport, WireTransport};
-use skewbound_spec::seqspec::SequentialSpec;
+use skewbound_sim::workload::{drive, Driver};
 
 use crate::tcp::{client_hello, next_frame, MeshListener, PeerSender, RawEvent, TcpMesh};
 use crate::wire::{
@@ -66,7 +76,7 @@ pub fn tighten_timer_slack() {
 /// The mesh's [`Transport`](skewbound_sim::transport::Transport): the
 /// wall-clock transport the thread runtime uses too, handing each batch
 /// to a [`PeerSender`] as one encoded frame.
-pub type NetTransport<A> = WallTransport<A, PeerSender>;
+pub type NetTransport<A, D> = WallTransport<A, PeerSender, D>;
 
 /// A batch travels as one [`FrameKind::Peer`] frame stamped with its
 /// send tick and injected delay; the receiver holds it until their sum.
@@ -91,19 +101,17 @@ impl<M: Encode> Link<M> for PeerSender {
     }
 }
 
-/// Everything a server process needs besides its object spec and its
-/// mesh: identity, model parameters, determinism seed and the shared
-/// epoch.
+/// Everything a server process needs besides its actor, its clocks,
+/// its delay model and its mesh: identity, the network's delay bounds
+/// and the shared epoch.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// This process's id.
     pub pid: ProcessId,
     /// Total number of replica processes.
     pub n: usize,
-    /// The model parameters (`d`, `u`, `ε`, `X`) in µs-ticks.
-    pub params: Params,
-    /// Seed for the per-process delay draws.
-    pub seed: u64,
+    /// The network's delay bounds `[d − u, d]`, in µs-ticks.
+    pub bounds: DelayBounds,
     /// The run epoch, unix µs, shared by every process of the run.
     pub epoch_micros: u64,
     /// Headroom subtracted from `d` for the injected-delay ceiling, so
@@ -115,24 +123,34 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// A config with the default headroom (`d / 8`, at least 500 µs).
     #[must_use]
-    pub fn new(pid: ProcessId, n: usize, params: Params, seed: u64, epoch_micros: u64) -> Self {
+    pub fn new(pid: ProcessId, n: usize, bounds: DelayBounds, epoch_micros: u64) -> Self {
         ServerConfig {
             pid,
             n,
-            params,
-            seed,
+            bounds,
             epoch_micros,
-            headroom_micros: (params.d().as_ticks() / 8).max(500),
+            headroom_micros: (bounds.max().as_ticks() / 8).max(500),
         }
     }
 
-    /// The injected-delay draw interval `[d − u, max(d − headroom, d − u)]`.
-    #[must_use]
-    pub fn delay_draw_bounds(&self) -> (u64, u64) {
-        let d = self.params.d().as_ticks();
-        let lo = d - self.params.u().as_ticks();
-        let hi = d.saturating_sub(self.headroom_micros).max(lo);
-        (lo, hi)
+    /// The injected-delay draw interval `[d − u, max(d − headroom, d − u)]`:
+    /// the bounds a served delay model must draw within.
+    ///
+    /// # Errors
+    ///
+    /// [`DelayBoundsError::ZeroMax`] when the interval is `[0, 0]`.
+    pub fn delay_draw_bounds(&self) -> Result<DelayBounds, DelayBoundsError> {
+        let lo = self.bounds.min().as_ticks();
+        let hi = self
+            .bounds
+            .max()
+            .as_ticks()
+            .saturating_sub(self.headroom_micros)
+            .max(lo);
+        DelayBounds::try_new(
+            SimDuration::from_ticks(hi),
+            SimDuration::from_ticks(hi - lo),
+        )
     }
 }
 
@@ -162,57 +180,71 @@ struct ClientReq<O> {
 
 /// Files one raw mesh arrival: a peer batch on `node`'s agenda until
 /// `sent_at + delay`, a client request in `client_q`, a `Bye` as the
-/// order to stop after `grace` of quiet. A client whose operation does
-/// not decode loses its connection on `mesh`; anyone can open a client
-/// session, so that is input to reject, not a reason to stop serving.
-fn accept<A>(
+/// order to stop after `grace` of quiet. Returns the connection to hang
+/// up on when the arrival is malformed: a client operation that does
+/// not decode, or a peer batch whose messages or delivery instant do
+/// not. Anyone can open a connection and claim a pid, so that is input
+/// to reject, never a reason to stop serving.
+fn accept<A, L, D>(
     event: RawEvent,
-    node: &mut WallNode<A, PeerSender>,
+    node: &mut WallNode<A, L, D>,
     client_q: &mut VecDeque<ClientReq<A::Op>>,
-    mesh: &TcpMesh,
     grace: Duration,
-) where
+) -> Option<u64>
+where
     A: Actor,
-    A::Msg: Encode + Decode,
+    A::Msg: Decode,
     A::Op: Decode,
+    L: Link<A::Msg>,
+    D: DelayModel,
 {
     match event {
         RawEvent::Peer {
+            conn,
             from,
             header,
             payload,
         } => {
-            let msgs = decode_batch(&payload, header.batch as usize)
-                .expect("peer sent an undecodable message batch");
-            let deliver_at = header.sent_at_micros + u64::from(header.delay_micros);
-            node.hold(deliver_at, from, MsgId::new(header.msg_id), msgs);
+            let deliver_at = header
+                .sent_at_micros
+                .checked_add(u64::from(header.delay_micros));
+            let held = decode_batch(&payload, header.batch as usize)
+                .ok()
+                .zip(deliver_at)
+                .is_some_and(|(msgs, at)| node.hold(at, from, MsgId::new(header.msg_id), msgs));
+            (!held).then_some(conn)
         }
         RawEvent::Client {
             conn,
             header,
             payload,
         } => match header.kind {
-            FrameKind::ClientReq => match from_bytes(&payload) {
-                Ok(op) => {
-                    let req_id = header.msg_id;
-                    client_q.push_back(ClientReq { conn, req_id, op });
-                    node.touch();
-                }
-                Err(_) => mesh.drop_client(conn),
-            },
-            FrameKind::Bye => node.stop(grace),
-            _ => {}
+            FrameKind::ClientReq => {
+                let Ok(op) = from_bytes(&payload) else {
+                    return Some(conn);
+                };
+                let req_id = header.msg_id;
+                client_q.push_back(ClientReq { conn, req_id, op });
+                node.touch();
+                None
+            }
+            FrameKind::Bye => {
+                node.stop(grace);
+                None
+            }
+            _ => None,
         },
-        RawEvent::ClientGone { .. } => {}
+        RawEvent::ClientGone { .. } => None,
     }
 }
 
 /// Runs `actor` as one server process over `mesh` until it has been
 /// told to stop (a [`FrameKind::Bye`] frame) *and* has drained: nothing
-/// on its agenda, no queued or in-flight client operation, and a full
-/// `2d` of quiet — by which point every frame another replica sent
-/// before its own drain has long arrived. Returns the server-side
-/// history.
+/// on its agenda, no queued or in-flight client operation, and `2·d` of
+/// quiet (`d` the model's maximum delay) — by which point every frame
+/// another replica sent before its own drain has long arrived. Its local
+/// clock runs at its offset in `clocks`; its sends draw from `delays`.
+/// Returns the server-side history.
 ///
 /// The node is the [`WallNode`] the thread runtime runs too: timers and
 /// held batches fire in one nominal-time order, each anchored at its own
@@ -220,15 +252,21 @@ fn accept<A>(
 /// polls the last stretch while an operation is pending here. Trace
 /// stamps stay actual time.
 ///
+/// A malformed arrival — a client operation, a peer batch or a peer
+/// delivery instant that does not decode — drops that frame and its
+/// connection, and the server keeps serving. With a sink attached, their
+/// number is reported as the `net`/`dropped_conns` counter when nonzero.
+///
 /// # Panics
 ///
-/// Panics on peer protocol violations (undecodable peer frames) and on
-/// transport failures — for a replica process both are fatal. A client's
-/// undecodable operation is neither: that client is disconnected and the
-/// server keeps serving.
-pub fn run_server<A>(
+/// Panics if `delays` may draw outside [`ServerConfig::delay_draw_bounds`]
+/// (the mesh's headroom rule) or draws an inadmissible delay, and on
+/// transport failures: a replica that cannot reach a peer is broken.
+pub fn run_server<A, D>(
     actor: A,
     cfg: &ServerConfig,
+    clocks: &ClockAssignment,
+    delays: D,
     mesh: &TcpMesh,
     sink: Option<&mut dyn TraceSink>,
 ) -> History<A::Op, A::Resp>
@@ -237,18 +275,34 @@ where
     A::Msg: Encode + Decode,
     A::Op: Decode,
     A::Resp: Encode,
+    D: DelayModel,
 {
+    let draw = cfg.delay_draw_bounds().expect("the draw interval is empty");
+    let bounds = delays.bounds();
+    assert!(
+        draw.contains(bounds.min()) && draw.contains(bounds.max()),
+        "the delay model draws from [{:?}, {:?}], outside the mesh's [{:?}, {:?}]",
+        bounds.min(),
+        bounds.max(),
+        draw.min(),
+        draw.max()
+    );
+    let grace = Duration::from_micros(2 * bounds.max().as_ticks());
     let base = TimeBase::new(cfg.epoch_micros);
-    let rng = StdRng::seed_from_u64(cfg.seed ^ u64::from(cfg.pid.as_u32()));
-    let delays = cfg.delay_draw_bounds();
-    let transport = NetTransport::new(cfg.pid, mesh.peer_sender(), base, rng, delays);
+    let transport = NetTransport::new(cfg.pid, cfg.n, mesh.peer_sender(), base, delays);
     let core = NodeCore::new(cfg.pid, cfg.n, actor);
-    let mut node = WallNode::new(core, transport, ClockOffset::ZERO);
+    let mut node = WallNode::new(core, transport, clocks.offset(cfg.pid));
     let (trace, mut history) = (&mut SinkOutput { sink }, History::new());
     let mut client_q = VecDeque::new();
     // The (connection, request id) awaiting the pending op's response.
     let mut in_flight: Option<(u64, u64)> = None;
-    let grace = Duration::from_micros(2 * cfg.params.d().as_ticks());
+    let mut dropped = 0;
+    let mut reject = |conn: Option<u64>| {
+        if let Some(conn) = conn {
+            mesh.drop_conn(conn);
+            dropped += 1;
+        }
+    };
 
     node.start(trace, &mut history)
         .expect("transport failed during start");
@@ -256,7 +310,7 @@ where
         // File everything that has physically arrived, so the fire-due
         // step sees every delivery it has to place.
         while let Some(event) = mesh.try_recv() {
-            accept(event, &mut node, &mut client_q, mesh, grace);
+            reject(accept(event, &mut node, &mut client_q, grace));
         }
         while let Some(act) = node
             .fire_due(trace, &mut history)
@@ -280,8 +334,11 @@ where
         };
         // A late wake-up costs latency only while an operation waits here.
         if let Some(event) = mesh.wait(node.next_deadline(), cap, node.pending_op().is_some()) {
-            accept(event, &mut node, &mut client_q, mesh, grace);
+            reject(accept(event, &mut node, &mut client_q, grace));
         }
+    }
+    if let Some(sink) = trace.sink.as_mut().filter(|_| dropped > 0) {
+        sink.counter("net", "dropped_conns", dropped);
     }
     history
 }
@@ -400,122 +457,130 @@ impl NetClient {
     }
 }
 
-/// Runs a complete `n`-process workload over TCP loopback and returns
-/// the *client-observed* history — the socket backend's analogue of the
-/// engine's `run_history` and the real-thread runtime's
-/// `run_history_rt`, for three-way parity testing.
+/// Runs `actors` as one server each on a TCP loopback mesh, under
+/// `clocks` and `delays`, with `driver` issuing invocations through one
+/// [`NetClient`] per process, and returns the client-observed history:
+/// the argument list and result of the engine's and the thread
+/// runtime's `run_history`.
 ///
-/// One server and one closed-loop client per process; client `i` talks
-/// only to server `i` (the model's "operation invoked at process `i`").
-/// Invocation and response instants are client-side ticks on the shared
-/// timebase, so the merged history reflects true real-time order across
-/// processes.
+/// Every server draws from the one shared model and injects its delays
+/// as drawn: the loopback harness reserves no headroom, so a caller
+/// whose `[d − u, d]` must also cover the loopback hop narrows the
+/// model's bounds instead. Client `i` talks only to server `i` (the
+/// model's "operation invoked at process `i`"); invocation and response
+/// instants are client-side ticks on the shared timebase, so the
+/// history reflects true real-time order across processes.
+///
+/// # Errors
+///
+/// None: every failure below is a panic. The `Result` is the engine's,
+/// so the backends share one signature.
 ///
 /// # Panics
 ///
-/// Panics on any socket, protocol or thread failure — in the parity
-/// tests all of these are hard errors.
-pub fn run_history_net<S, F, G>(
-    make_spec: F,
-    params: &Params,
-    seed: u64,
-    ops_per_process: usize,
-    gen: G,
-) -> History<S::Op, S::Resp>
+/// Panics if the clocks drift, on the driver overlapping invocations at
+/// one process, and on any socket, protocol or thread failure.
+pub fn run_history<A, D, Dr>(
+    actors: Vec<A>,
+    clocks: ClockAssignment,
+    delays: D,
+    driver: &mut Dr,
+) -> Result<History<A::Op, A::Resp>, SimError>
 where
-    S: SequentialSpec + Send,
-    S::State: Send,
-    S::Op: Encode + Decode + Send + Sync,
-    S::Resp: Encode + Decode + Send,
-    F: Fn() -> S + Sync,
-    G: Fn(ProcessId, usize) -> S::Op + Sync,
+    A: Actor + Send,
+    A::Msg: Encode + Decode + Send,
+    A::Op: Encode + Decode + Send,
+    A::Resp: Encode + Decode + Send,
+    A::Timer: Send,
+    D: DelayModel + Send,
+    Dr: Driver<A::Op, A::Resp> + ?Sized,
 {
-    let n = params.n();
+    assert!(
+        clocks.is_drift_free(),
+        "the loopback mesh does not emulate clock drift"
+    );
+    let n = actors.len();
     let epoch = TimeBase::epoch_now_micros();
     let base = TimeBase::new(epoch);
-
     // Bind first so every process can be told all addresses.
-    let mut listeners = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    for pid in 0..n {
-        let l = MeshListener::bind(ProcessId::new(pid as u32), "127.0.0.1:0")
-            .expect("bind loopback listener");
-        addrs.push(l.local_addr().expect("query listener address"));
-        listeners.push(l);
-    }
-
-    type Rec<S> = (
-        ProcessId,
-        <S as SequentialSpec>::Op,
-        u64,
-        <S as SequentialSpec>::Resp,
-        u64,
-    );
-    let records: Mutex<Vec<Rec<S>>> = Mutex::new(Vec::with_capacity(n * ops_per_process));
-    let all_done = Barrier::new(n);
-
-    std::thread::scope(|scope| {
-        for (pid, listener) in listeners.into_iter().enumerate() {
-            let pid = ProcessId::new(pid as u32);
-            let peers: Vec<_> = addrs
-                .iter()
-                .enumerate()
-                .filter(|&(q, _)| q != pid.index())
-                .map(|(q, &a)| (ProcessId::new(q as u32), a))
+    let listeners: Vec<MeshListener> = ProcessId::all(n)
+        .map(|pid| MeshListener::bind(pid, "127.0.0.1:0").expect("bind loopback listener"))
+        .collect();
+    let addrs: Vec<SocketAddr> = listeners
+        .iter()
+        .map(|l| l.local_addr().expect("query listener address"))
+        .collect();
+    let mut cfg = ServerConfig::new(ProcessId::new(0), n, delays.bounds(), epoch);
+    cfg.headroom_micros = 0;
+    let delays = Mutex::new(delays);
+    let history = Mutex::new(History::new());
+    let (done_tx, done_rx) = channel();
+    thread::scope(|scope| {
+        for ((pid, actor), listener) in ProcessId::all(n).zip(actors).zip(listeners) {
+            let peers: Vec<_> = ProcessId::all(n)
+                .filter(|&q| q != pid)
+                .map(|q| (q, addrs[q.index()]))
                 .collect();
-            let mut cfg = ServerConfig::new(pid, n, *params, seed, epoch);
-            // The test mesh shares the host (often a single core) with
-            // its own clients, so reserve most of u as scheduling-jitter
-            // allowance: a delivery processed later than `d` after its
-            // send breaks the partial-synchrony assumption Algorithm 1's
-            // replica agreement rests on.
-            cfg.headroom_micros = cfg.headroom_micros.max(params.u().as_ticks() * 7 / 8);
-            let make_spec = &make_spec;
+            let cfg = ServerConfig { pid, ..cfg };
+            let (clocks, delays) = (&clocks, &delays);
             scope.spawn(move || {
                 let mesh = listener.start(&peers).expect("start mesh");
-                run_server(Replica::new(make_spec(), &cfg.params), &cfg, &mesh, None);
+                run_server(actor, &cfg, clocks, delays, &mesh, None);
                 mesh.shutdown();
             });
         }
-        for pid in 0..n {
-            let pid = ProcessId::new(pid as u32);
-            let addr = addrs[pid.index()];
-            let (gen, records, base, all_done) = (&gen, &records, &base, &all_done);
-            scope.spawn(move || {
-                let mut client = NetClient::connect(addr).expect("connect client");
-                for k in 0..ops_per_process {
-                    let op = gen(pid, k);
-                    let invoked = base.now_ticks();
-                    let resp: S::Resp = client.invoke(&op).expect("invoke over loopback");
-                    let responded = base.now_ticks();
-                    records
-                        .lock()
-                        .unwrap()
-                        .push((pid, op, invoked, resp, responded));
-                }
-                // Every client must finish before any server is told to
-                // drain, else a still-active client would block on a
-                // server that has already exited.
-                all_done.wait();
-                client.bye().expect("send bye");
-            });
-        }
+        // One client per server; dropping its sender (after the driver
+        // returns, or while a driver panic unwinds) tells it to say bye.
+        let clients: Vec<Sender<A::Op>> = ProcessId::all(n)
+            .map(|pid| {
+                let (tx, rx) = channel::<A::Op>();
+                let (addr, history, done_tx) = (addrs[pid.index()], &history, done_tx.clone());
+                scope.spawn(move || {
+                    let mut client = NetClient::connect(addr).expect("connect client");
+                    for op in rx {
+                        let id = {
+                            let mut history = history.lock().expect("history poisoned");
+                            let at = SimTime::from_ticks(base.now_ticks());
+                            history.record_invoke(pid, op.clone(), at)
+                        };
+                        let resp = client.invoke(&op).expect("invoke over loopback");
+                        let at = SimTime::from_ticks(base.now_ticks());
+                        history
+                            .lock()
+                            .expect("history poisoned")
+                            .record_response(id, resp, at);
+                        let _ = done_tx.send((pid, id));
+                    }
+                    client.bye().expect("send bye");
+                });
+                tx
+            })
+            .collect();
+        drop(done_tx);
+        drive(driver, base, &history, &done_rx, |pid, op| {
+            clients[pid.index()]
+                .send(op)
+                .expect("a client thread exited with work left");
+        });
     });
-
-    let mut records = records.into_inner().unwrap();
-    records.sort_by_key(|&(pid, _, invoked, _, _)| (invoked, pid.as_u32()));
-    let mut history = History::with_capacity(records.len());
-    for (pid, op, invoked, resp, responded) in records {
-        let id = history.record_invoke(pid, op, SimTime::from_ticks(invoked));
-        history.record_response(id, resp, SimTime::from_ticks(responded));
-    }
-    history
+    Ok(history.into_inner().expect("history poisoned"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skewbound_sim::time::SimDuration;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use skewbound_core::params::Params;
+    use skewbound_core::replica::{OpMsg, Replica};
+    use skewbound_core::timestamp::Timestamp;
+    use skewbound_sim::actor::Context;
+    use skewbound_sim::delay::{FixedDelay, UniformDelay};
+    use skewbound_sim::node::NoTrace;
+    use skewbound_sim::time::{ClockOffset, ClockTime};
+    use skewbound_sim::trace::{Trace, TraceEventKind};
+    use skewbound_spec::namespace::{Namespace, NsOp};
+    use skewbound_spec::register::{RegOp, RegResp, RwRegister};
 
     /// Arms one far-off timer at start; ignores deliveries.
     #[derive(Debug)]
@@ -527,24 +592,18 @@ mod tests {
         type Resp = ();
         type Timer = ();
 
-        fn on_start(&mut self, ctx: &mut skewbound_sim::actor::Context<'_, Self>) {
+        fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
             ctx.set_timer(SimDuration::from_ticks(60_000_000), ());
         }
-        fn on_invoke(&mut self, _op: (), _ctx: &mut skewbound_sim::actor::Context<'_, Self>) {}
-        fn on_message(
-            &mut self,
-            _from: ProcessId,
-            _msg: (),
-            _ctx: &mut skewbound_sim::actor::Context<'_, Self>,
-        ) {
-        }
-        fn on_timer(&mut self, _t: (), _ctx: &mut skewbound_sim::actor::Context<'_, Self>) {}
+        fn on_invoke(&mut self, _op: (), _ctx: &mut Context<'_, Self>) {}
+        fn on_message(&mut self, _from: ProcessId, _msg: (), _ctx: &mut Context<'_, Self>) {}
+        fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
     }
 
     /// A link nobody sends through.
     struct NoLink;
 
-    impl Link<()> for NoLink {
+    impl<M> Link<M> for NoLink {
         fn hand_off(
             &mut self,
             _: ProcessId,
@@ -552,10 +611,18 @@ mod tests {
             _: MsgId,
             _: u64,
             _: u64,
-            _: Vec<()>,
+            _: Vec<M>,
         ) -> Result<(), TransportError> {
             unreachable!("the test actor never sends")
         }
+    }
+
+    /// A node of `actor` at process 0 of two that never sends.
+    fn lone_node<A: Actor>(actor: A, base: TimeBase) -> WallNode<A, NoLink, FixedDelay> {
+        let pid = ProcessId::new(0);
+        let one = DelayBounds::new(SimDuration::from_ticks(1), SimDuration::ZERO);
+        let transport = WallTransport::new(pid, 2, NoLink, base, FixedDelay::maximal(one));
+        WallNode::new(NodeCore::new(pid, 2, actor), transport, ClockOffset::ZERO)
     }
 
     /// The server's fire-due step runs neither a held batch nor a timer
@@ -563,18 +630,13 @@ mod tests {
     /// the later timer stays armed.
     #[test]
     fn nothing_is_due_before_its_instant() {
-        use skewbound_sim::node::NoTrace;
-
-        let pid = ProcessId::new(0);
         let base = TimeBase::new(TimeBase::epoch_now_micros());
-        let transport = WallTransport::new(pid, NoLink, base, StdRng::seed_from_u64(1), (1, 1));
-        let core = NodeCore::new(pid, 2, FarTimer);
-        let mut node = WallNode::new(core, transport, ClockOffset::ZERO);
+        let mut node = lone_node(FarTimer, base);
         let mut history = History::new();
         node.start(&mut NoTrace, &mut history).unwrap();
         let deliver_at = base.now_ticks() + 200_000;
-        node.hold(deliver_at, ProcessId::new(1), MsgId::new(1), vec![()]);
-        let held_until = base.instant_for(deliver_at);
+        assert!(node.hold(deliver_at, ProcessId::new(1), MsgId::new(1), vec![()]));
+        let held_until = base.instant_for(deliver_at).unwrap();
         assert_eq!(node.next_deadline(), Some(held_until));
         assert_eq!(node.fire_due(&mut NoTrace, &mut history).unwrap(), None);
         std::thread::sleep(held_until.saturating_duration_since(std::time::Instant::now()));
@@ -584,20 +646,86 @@ mod tests {
             Some(Activation::Ran)
         );
         assert_eq!(node.fire_due(&mut NoTrace, &mut history).unwrap(), None);
-        assert_eq!(node.timers_fired(), 0);
         assert!(node.next_deadline().unwrap() > std::time::Instant::now());
     }
 
-    type Servers = ([std::net::SocketAddr; 2], Vec<std::thread::JoinHandle<()>>);
+    /// A server's trace: its events and its counters.
+    #[derive(Default)]
+    struct Recorded {
+        trace: Trace,
+        counters: Vec<(&'static str, &'static str, u64)>,
+    }
 
-    /// Starts a two-process `RwRegister<i64>` mesh on loopback. The
-    /// servers are plain spawns, joined by [`write_then_stop`] on the
-    /// success path only: were a server under test to die, a scope would
-    /// wait forever on the other server's drain instead of letting the
-    /// test's assertions fail.
-    fn two_register_servers() -> Servers {
-        use skewbound_spec::register::RwRegister;
+    impl TraceSink for Recorded {
+        fn event(&mut self, event: &TraceEvent) {
+            self.trace.event(event);
+        }
+        fn counter(&mut self, stage: &'static str, name: &'static str, value: u64) {
+            self.counters.push((stage, name, value));
+        }
+    }
 
+    /// Serves `actors` on a loopback mesh, server `i` recording into the
+    /// `i`-th [`Recorded`] that [`stop_all`] returns. The servers are
+    /// plain spawns, joined by [`stop_all`] on the success path only:
+    /// were a server under test to die, a scope would wait forever on
+    /// the others' drain instead of letting the test's assertions fail.
+    fn serve<A>(actors: Vec<A>, bounds: DelayBounds) -> Mesh
+    where
+        A: Actor + Send + 'static,
+        A::Msg: Encode + Decode,
+        A::Op: Decode,
+        A::Resp: Encode,
+    {
+        let n = actors.len();
+        let epoch = TimeBase::epoch_now_micros();
+        let listeners: Vec<_> = ProcessId::all(n)
+            .map(|pid| MeshListener::bind(pid, "127.0.0.1:0").unwrap())
+            .collect();
+        let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        let servers = ProcessId::all(n)
+            .zip(actors)
+            .zip(listeners)
+            .map(|((pid, actor), listener)| {
+                let peers: Vec<_> = ProcessId::all(n)
+                    .filter(|&q| q != pid)
+                    .map(|q| (q, addrs[q.index()]))
+                    .collect();
+                let cfg = ServerConfig::new(pid, n, bounds, epoch);
+                let model = UniformDelay::new(cfg.delay_draw_bounds().unwrap(), 7);
+                std::thread::spawn(move || {
+                    let mesh = listener.start(&peers).expect("start mesh");
+                    let mut recorded = Recorded::default();
+                    let clocks = ClockAssignment::zero(n);
+                    run_server(actor, &cfg, &clocks, model, &mesh, Some(&mut recorded));
+                    mesh.shutdown();
+                    recorded
+                })
+            })
+            .collect();
+        Mesh { addrs, servers }
+    }
+
+    /// A running test mesh: the servers' addresses and threads.
+    struct Mesh {
+        addrs: Vec<SocketAddr>,
+        servers: Vec<std::thread::JoinHandle<Recorded>>,
+    }
+
+    /// Tells every server to stop; each must exit without a panic.
+    /// Returns what they recorded.
+    fn stop_all(mesh: Mesh) -> Vec<Recorded> {
+        for addr in &mesh.addrs {
+            NetClient::connect(addr).unwrap().bye().unwrap();
+        }
+        let servers = mesh.servers.into_iter();
+        servers
+            .map(|s| s.join().expect("server thread panicked"))
+            .collect()
+    }
+
+    /// Starts a two-process `RwRegister<i64>` mesh on loopback.
+    fn two_register_servers() -> Mesh {
         let params = Params::with_optimal_skew(
             2,
             SimDuration::from_ticks(2_000),
@@ -605,30 +733,8 @@ mod tests {
             SimDuration::ZERO,
         )
         .unwrap();
-        let epoch = TimeBase::epoch_now_micros();
-        let pids = [ProcessId::new(0), ProcessId::new(1)];
-        let listeners = pids.map(|pid| MeshListener::bind(pid, "127.0.0.1:0").unwrap());
-        let addrs = [0, 1].map(|i| listeners[i].local_addr().unwrap());
-        let servers = listeners
-            .into_iter()
-            .zip(pids)
-            .map(|(listener, pid)| {
-                let other = 1 - pid.index();
-                let peers = [(pids[other], addrs[other])];
-                let cfg = ServerConfig::new(pid, 2, params, 7, epoch);
-                std::thread::spawn(move || {
-                    let mesh = listener.start(&peers).expect("start mesh");
-                    run_server(
-                        Replica::new(RwRegister::<i64>::default(), &params),
-                        &cfg,
-                        &mesh,
-                        None,
-                    );
-                    mesh.shutdown();
-                })
-            })
-            .collect();
-        (addrs, servers)
+        let actors = Replica::group(RwRegister::<i64>::default(), &params);
+        serve(actors, params.delay_bounds())
     }
 
     /// Waits up to 5 s for the server to close `stream`: EOF, or a reset
@@ -646,17 +752,22 @@ mod tests {
     }
 
     /// A write through server 0 still completes; then both servers are
-    /// told to stop, and both must exit without a panic.
-    fn write_then_stop((addrs, servers): Servers) {
-        use skewbound_spec::register::{RegOp, RegResp};
-
-        let mut client = NetClient::connect(addrs[0]).unwrap();
+    /// told to stop, and both must exit without a panic. Returns the
+    /// counters server 0 reported.
+    fn write_then_stop(mesh: Mesh) -> Vec<(&'static str, &'static str, u64)> {
+        let mut client = NetClient::connect(mesh.addrs[0]).unwrap();
         let resp: RegResp<i64> = client.invoke(&RegOp::Write(5i64)).unwrap();
         assert_eq!(resp, RegResp::Ack);
-        client.bye().unwrap();
-        NetClient::connect(addrs[1]).unwrap().bye().unwrap();
-        for server in servers {
-            server.join().expect("server thread panicked");
+        stop_all(mesh).swap_remove(0).counters
+    }
+
+    fn header(kind: FrameKind, batch: u32) -> FrameHeader {
+        FrameHeader {
+            kind,
+            msg_id: 1,
+            sent_at_micros: 0,
+            delay_micros: 0,
+            batch,
         }
     }
 
@@ -664,47 +775,234 @@ mod tests {
     /// decode costs that client its connection and nothing else.
     #[test]
     fn undecodable_client_operation_drops_the_client_not_the_server() {
-        let servers = two_register_servers();
-        let mut hostile = TcpStream::connect(servers.0[0]).unwrap();
+        let mesh = two_register_servers();
+        let mut hostile = TcpStream::connect(mesh.addrs[0]).unwrap();
         hostile.write_all(&client_hello()).unwrap();
-        let header = FrameHeader {
-            kind: FrameKind::ClientReq,
-            msg_id: 1,
-            sent_at_micros: 0,
-            delay_micros: 0,
-            batch: 0,
-        };
-        hostile.write_all(&encode_frame(&header, &[0xEE])).unwrap();
+        let frame = encode_frame(&header(FrameKind::ClientReq, 0), &[0xEE]);
+        hostile.write_all(&frame).unwrap();
         assert!(
             hangs_up(&mut hostile),
             "the server did not hang up on the malformed session"
         );
-        write_then_stop(servers);
+        assert_eq!(write_then_stop(mesh), [("net", "dropped_conns", 1)]);
     }
 
     /// A peer hello naming a pid outside the mesh is dropped. That
     /// connection would have no dedup watermark, so a resent frame would
-    /// reach the agenda twice, which panics the server.
+    /// reach the agenda twice.
     #[test]
     fn peer_hello_from_outside_the_mesh_is_dropped() {
-        let servers = two_register_servers();
-        let header = FrameHeader {
-            kind: FrameKind::Peer,
-            msg_id: 1,
-            sent_at_micros: 0,
-            delay_micros: 0,
-            batch: 0,
-        };
-        let frame = encode_frame(&header, &[]);
+        let mesh = two_register_servers();
+        let frame = encode_frame(&header(FrameKind::Peer, 0), &[]);
         let mut bytes = crate::tcp::hello_frame(crate::tcp::ROLE_PEER, ProcessId::new(99));
         bytes.extend_from_slice(&frame);
         bytes.extend_from_slice(&frame);
-        let mut forged = TcpStream::connect(servers.0[0]).unwrap();
+        let mut forged = TcpStream::connect(mesh.addrs[0]).unwrap();
         forged.write_all(&bytes).unwrap();
         assert!(
             hangs_up(&mut forged),
             "the server did not hang up on the forged peer"
         );
-        write_then_stop(servers);
+        // The mesh turned it away before the server saw a frame.
+        assert_eq!(write_then_stop(mesh), []);
+    }
+
+    /// A connection that says hello as an in-mesh pid and then sends a
+    /// well-formed `Peer` header over a payload that does not decode
+    /// costs that connection, not the server: the frame is dropped, and
+    /// a write still completes afterwards.
+    #[test]
+    fn garbage_peer_batch_drops_the_connection_not_the_server() {
+        let mesh = two_register_servers();
+        let mut bytes = crate::tcp::hello_frame(crate::tcp::ROLE_PEER, ProcessId::new(1));
+        bytes.extend_from_slice(&encode_frame(&header(FrameKind::Peer, 1), &[0xEE; 3]));
+        let mut forged = TcpStream::connect(mesh.addrs[0]).unwrap();
+        forged.write_all(&bytes).unwrap();
+        assert!(
+            hangs_up(&mut forged),
+            "the server did not hang up on the garbage batch"
+        );
+        assert_eq!(write_then_stop(mesh), [("net", "dropped_conns", 1)]);
+    }
+
+    /// The replica-to-replica golden of `wire_props.rs` (one namespaced
+    /// register write), and the same message as a three-message batch.
+    fn golden_peer_frames() -> Vec<Vec<u8>> {
+        type RegisterNs = Namespace<RwRegister<i64>>;
+        let msg: OpMsg<RegisterNs> = OpMsg {
+            op: NsOp::new(3, RegOp::Write(5)),
+            ts: Timestamp::with_seq(ClockTime::from_ticks(1_000), ProcessId::new(2), 7),
+        };
+        [1, 3]
+            .map(|batch| {
+                let header = FrameHeader {
+                    kind: FrameKind::Peer,
+                    msg_id: (1 << 40) | 5,
+                    sent_at_micros: 1_000_000,
+                    delay_micros: 15_000,
+                    batch,
+                };
+                let msgs = vec![msg.clone(); batch as usize];
+                encode_frame(&header, &encode_batch(&msgs))
+            })
+            .to_vec()
+    }
+
+    /// Seeded mutation fuzzing of the peer receive path: the golden
+    /// frames with bytes flipped, cut short or extended go through
+    /// [`FrameBuf`], [`decode_frame`] and [`accept`] on a register
+    /// replica's [`WallNode`]. Whatever the bytes, `accept` files the
+    /// batch or names the connection to drop; it never panics.
+    #[test]
+    fn mutated_peer_frames_never_panic_the_server() {
+        type RegisterNs = Namespace<RwRegister<i64>>;
+        let params = Params::with_optimal_skew(
+            3,
+            SimDuration::from_ticks(20_000),
+            SimDuration::from_ticks(8_000),
+            SimDuration::ZERO,
+        )
+        .unwrap();
+        let goldens = golden_peer_frames();
+        let (mut held, mut dropped) = (0, 0);
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base = TimeBase::new(TimeBase::epoch_now_micros());
+            let replica = Replica::new(RegisterNs::default(), &params);
+            let mut node = lone_node(replica, base);
+            let mut client_q = VecDeque::new();
+            for _ in 0..8 {
+                let mut bytes = goldens[rng.gen_range(0..goldens.len())].clone();
+                match rng.gen_range(0..3) {
+                    0 => {
+                        for _ in 0..rng.gen_range(1..4) {
+                            let at = rng.gen_range(0..bytes.len());
+                            bytes[at] ^= 1u8 << rng.gen_range(0..8);
+                        }
+                    }
+                    1 => bytes.truncate(rng.gen_range(0..bytes.len())),
+                    _ => bytes.extend((0..rng.gen_range(1..16)).map(|_| rng.gen_range(0u8..=255))),
+                }
+                let mut frames = FrameBuf::default();
+                frames.feed(&bytes);
+                while let Ok(Some(body)) = frames.pop() {
+                    let Ok((header, payload)) = decode_frame(&body) else {
+                        continue;
+                    };
+                    let event = RawEvent::Peer {
+                        conn: 1,
+                        from: ProcessId::new(1),
+                        header,
+                        payload: payload.to_vec(),
+                    };
+                    match accept(event, &mut node, &mut client_q, Duration::ZERO) {
+                        Some(_) => dropped += 1,
+                        None => held += 1,
+                    }
+                }
+            }
+        }
+        // Both outcomes occur: the mutations are neither all benign nor
+        // all fatal to the frame.
+        assert!(held > 0 && dropped > 0, "held {held}, dropped {dropped}");
+    }
+
+    /// Each process forwards its op value to the next process and
+    /// responds when the ring token returns to process 0.
+    #[derive(Debug, Default)]
+    struct Ring;
+
+    impl Actor for Ring {
+        type Msg = i64;
+        type Op = i64;
+        type Resp = i64;
+        type Timer = ();
+
+        fn on_invoke(&mut self, op: i64, ctx: &mut Context<'_, Self>) {
+            let next = ProcessId::new((ctx.pid().as_u32() + 1) % ctx.n() as u32);
+            ctx.send(next, op);
+        }
+
+        fn on_message(&mut self, _from: ProcessId, msg: i64, ctx: &mut Context<'_, Self>) {
+            if ctx.pid() == ProcessId::new(0) {
+                ctx.respond(msg);
+            } else {
+                let next = ProcessId::new((ctx.pid().as_u32() + 1) % ctx.n() as u32);
+                ctx.send(next, msg);
+            }
+        }
+
+        fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
+    }
+
+    /// Responds to `op` with `op + 1` after a 1 ms timer.
+    #[derive(Debug, Default)]
+    struct TimerEcho;
+
+    impl Actor for TimerEcho {
+        type Msg = i64;
+        type Op = i64;
+        type Resp = i64;
+        type Timer = i64;
+
+        fn on_invoke(&mut self, op: i64, ctx: &mut Context<'_, Self>) {
+            ctx.set_timer(SimDuration::from_ticks(1000), op);
+        }
+        fn on_message(&mut self, _: ProcessId, _: i64, _: &mut Context<'_, Self>) {}
+        fn on_timer(&mut self, t: i64, ctx: &mut Context<'_, Self>) {
+            ctx.respond(t + 1);
+        }
+    }
+
+    fn ms_bounds() -> DelayBounds {
+        DelayBounds::new(
+            SimDuration::from_ticks(4_000),
+            SimDuration::from_ticks(2_000),
+        )
+    }
+
+    /// On the wall-clock core behind a socket, every `send` trace event
+    /// pairs with exactly one later `deliver` carrying the same message
+    /// id, at the process the send addressed.
+    #[test]
+    fn traced_cluster_pairs_sends_with_deliveries() {
+        let mesh = serve(vec![Ring, Ring, Ring], ms_bounds());
+        let mut client = NetClient::connect(mesh.addrs[0]).unwrap();
+        assert_eq!(client.invoke::<i64, i64>(&42).unwrap(), 42);
+        let recorded = stop_all(mesh);
+        let events: Vec<_> = recorded.iter().flat_map(|r| r.trace.events()).collect();
+        let count = |want: &str| events.iter().filter(|e| e.kind.label() == want).count();
+        assert_eq!(count("invoke"), 1);
+        assert_eq!(count("respond"), 1);
+        assert_eq!(count("send"), 3);
+        assert_eq!(count("deliver"), 3);
+        for e in &events {
+            if let TraceEventKind::Send { to, msg, .. } = &e.kind {
+                let delivered = events
+                    .iter()
+                    .filter(|d| {
+                        d.pid == *to
+                            && d.at >= e.at
+                            && matches!(&d.kind, TraceEventKind::Recv { msg: m, .. } if m == msg)
+                    })
+                    .count();
+                assert_eq!(delivered, 1, "send {msg:?} should deliver once at {to}");
+            }
+        }
+    }
+
+    #[test]
+    fn traced_cluster_records_timer_events() {
+        let mesh = serve(vec![TimerEcho], ms_bounds());
+        let mut client = NetClient::connect(mesh.addrs[0]).unwrap();
+        assert_eq!(client.invoke::<i64, i64>(&5).unwrap(), 6);
+        let recorded = stop_all(mesh);
+        let labels: Vec<_> = recorded[0]
+            .trace
+            .events()
+            .iter()
+            .map(|e| e.kind.label())
+            .collect();
+        assert_eq!(labels, ["invoke", "timer-set", "timer-fire", "respond"]);
     }
 }

@@ -55,6 +55,8 @@ const READ_CHUNK: usize = 4096;
 pub enum RawEvent {
     /// A frame from peer replica `from` (already watermark-deduped).
     Peer {
+        /// The locally assigned id of the connection it arrived on.
+        conn: u64,
         /// The sending process.
         from: ProcessId,
         /// The decoded frame header.
@@ -120,7 +122,7 @@ impl MeshListener {
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let (event_tx, event_rx) = channel::<RawEvent>();
-        let clients: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
+        let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
         // Watermarks are indexed by sender pid and shared across the
         // read loops of successive reconnects.
         let max_pid = peers
@@ -148,13 +150,13 @@ impl MeshListener {
 
         {
             let stop = Arc::clone(&stop);
-            let clients = Arc::clone(&clients);
+            let conns = Arc::clone(&conns);
             let watermarks = Arc::clone(&watermarks);
             handles.push(
                 thread::Builder::new()
                     .name(format!("net-accept-{pid}"))
                     .spawn(move || {
-                        acceptor_loop(pid, &listener, &event_tx, &clients, &watermarks, &stop)
+                        acceptor_loop(pid, &listener, &event_tx, &conns, &watermarks, &stop)
                     })
                     .expect("spawn acceptor thread"),
             );
@@ -163,7 +165,7 @@ impl MeshListener {
         Ok(TcpMesh {
             pid,
             peer_txs,
-            clients,
+            conns,
             event_rx,
             stop,
             handles,
@@ -177,7 +179,8 @@ impl MeshListener {
 pub struct TcpMesh {
     pid: ProcessId,
     peer_txs: Vec<Option<Sender<Vec<u8>>>>,
-    clients: Arc<Mutex<HashMap<u64, TcpStream>>>,
+    /// The write half of every open inbound connection, peer or client.
+    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
     event_rx: Receiver<RawEvent>,
     stop: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
@@ -241,21 +244,26 @@ impl TcpMesh {
     /// Returns `false` (and forgets the connection) if the client is
     /// gone — a vanished client is not an error for the server.
     pub fn send_to_client(&self, conn: u64, frame: &[u8]) -> bool {
-        let mut clients = self.clients.lock().unwrap();
-        let Some(stream) = clients.get_mut(&conn) else {
+        let mut conns = self.conns.lock().expect("connection map poisoned");
+        let Some(stream) = conns.get_mut(&conn) else {
             return false;
         };
         if stream.write_all(frame).is_err() {
-            clients.remove(&conn);
+            conns.remove(&conn);
             return false;
         }
         true
     }
 
-    /// Closes client connection `conn` and forgets it — the session-level
-    /// counterpart of dropping a connection whose frames do not decode.
-    pub(crate) fn drop_client(&self, conn: u64) {
-        if let Some(stream) = self.clients.lock().unwrap().remove(&conn) {
+    /// Closes inbound connection `conn`, peer or client, and forgets it:
+    /// what the server does to a connection whose frames do not decode.
+    pub(crate) fn drop_conn(&self, conn: u64) {
+        if let Some(stream) = self
+            .conns
+            .lock()
+            .expect("connection map poisoned")
+            .remove(&conn)
+        {
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
@@ -428,7 +436,7 @@ fn acceptor_loop(
     pid: ProcessId,
     listener: &TcpListener,
     event_tx: &Sender<RawEvent>,
-    clients: &Arc<Mutex<HashMap<u64, TcpStream>>>,
+    conns: &Arc<Mutex<HashMap<u64, TcpStream>>>,
     watermarks: &Arc<Vec<AtomicU64>>,
     stop: &Arc<AtomicBool>,
 ) {
@@ -441,7 +449,7 @@ fn acceptor_loop(
                 let conn = next_conn;
                 next_conn += 1;
                 let event_tx = event_tx.clone();
-                let clients = Arc::clone(clients);
+                let conns = Arc::clone(conns);
                 let watermarks = Arc::clone(watermarks);
                 let stop = Arc::clone(stop);
                 readers.push(
@@ -453,7 +461,7 @@ fn acceptor_loop(
                                 stream,
                                 conn,
                                 &event_tx,
-                                &clients,
+                                &conns,
                                 &watermarks,
                                 &stop,
                             );
@@ -477,7 +485,7 @@ fn read_connection(
     mut stream: TcpStream,
     conn: u64,
     event_tx: &Sender<RawEvent>,
-    clients: &Arc<Mutex<HashMap<u64, TcpStream>>>,
+    conns: &Arc<Mutex<HashMap<u64, TcpStream>>>,
     watermarks: &Arc<Vec<AtomicU64>>,
     stop: &Arc<AtomicBool>,
 ) {
@@ -496,7 +504,8 @@ fn read_connection(
         return;
     }
     let mut rd = Rd::new(payload);
-    match rd.u8("hello role") {
+    let role = rd.u8("hello role");
+    let peer = match role {
         Ok(ROLE_PEER) => {
             let Ok(raw_pid) = rd.u32("hello pid") else {
                 return;
@@ -508,17 +517,26 @@ fn read_connection(
             let Some(mark) = watermarks.get(from.index()).filter(|_| from != pid) else {
                 return;
             };
-            read_peer_frames(&mut stream, &mut frames, from, event_tx, mark, stop);
+            Some((from, mark))
         }
-        Ok(ROLE_CLIENT) => {
-            if let Ok(write_half) = stream.try_clone() {
-                clients.lock().unwrap().insert(conn, write_half);
-            }
-            read_client_frames(&mut stream, &mut frames, conn, event_tx, stop);
-            clients.lock().unwrap().remove(&conn);
-            let _ = event_tx.send(RawEvent::ClientGone { conn });
+        Ok(ROLE_CLIENT) => None,
+        _ => return,
+    };
+    if let Ok(handle) = stream.try_clone() {
+        conns
+            .lock()
+            .expect("connection map poisoned")
+            .insert(conn, handle);
+    }
+    match peer {
+        Some((from, mark)) => {
+            read_peer_frames(&mut stream, &mut frames, conn, from, event_tx, mark, stop);
         }
-        _ => {}
+        None => read_client_frames(&mut stream, &mut frames, conn, event_tx, stop),
+    }
+    conns.lock().expect("connection map poisoned").remove(&conn);
+    if peer.is_none() {
+        let _ = event_tx.send(RawEvent::ClientGone { conn });
     }
 }
 
@@ -528,6 +546,7 @@ fn read_connection(
 fn read_peer_frames(
     stream: &mut TcpStream,
     frames: &mut FrameBuf,
+    conn: u64,
     from: ProcessId,
     event_tx: &Sender<RawEvent>,
     mark: &AtomicU64,
@@ -537,7 +556,9 @@ fn read_peer_frames(
         let Ok((header, payload)) = decode_frame(&body) else {
             return; // corrupt stream; drop the connection
         };
-        let top = header.msg_id + u64::from(header.batch.max(1)) - 1;
+        let top = header
+            .msg_id
+            .saturating_add(u64::from(header.batch.max(1)) - 1);
         // The watermark only ever advances; `fetch_max` returns the
         // previous value, so a stale frame is detected atomically.
         if mark.fetch_max(top, Ordering::AcqRel) >= top {
@@ -545,6 +566,7 @@ fn read_peer_frames(
         }
         if event_tx
             .send(RawEvent::Peer {
+                conn,
                 from,
                 header,
                 payload: payload.to_vec(),
@@ -623,6 +645,7 @@ mod tests {
                 from,
                 header: h,
                 payload: p,
+                ..
             }) => {
                 assert_eq!((from, h, p), (ProcessId::new(1), header, payload));
             }

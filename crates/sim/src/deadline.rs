@@ -25,11 +25,13 @@
 //!   then poll.
 
 use core::fmt;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::actor::Actor;
+use crate::delay::DelayModel;
 use crate::ids::{MsgId, OpId, ProcessId, TimerId};
 use crate::node::{Activation, HistorySink, NodeCore, Stamp, TraceOutput};
 use crate::time::{ClockOffset, SimTime};
@@ -71,9 +73,11 @@ impl TimeBase {
 
     /// The [`Instant`] at which tick `t` is (or was) reached. Ticks
     /// before startup clamp to the start instant — they are already due.
+    /// `None` when `t` lies beyond what an [`Instant`] can represent.
     #[must_use]
-    pub fn instant_for(&self, t: u64) -> Instant {
-        self.start_instant + Duration::from_micros(t.saturating_sub(self.start_ticks))
+    pub fn instant_for(&self, t: u64) -> Option<Instant> {
+        self.start_instant
+            .checked_add(Duration::from_micros(t.saturating_sub(self.start_ticks)))
     }
 }
 
@@ -124,25 +128,26 @@ impl<T, M> Agenda<T, M> {
 
     /// Arms timer `id` to expire at `at`.
     pub fn arm(&mut self, at: Instant, id: TimerId, timer: T) {
-        self.insert((at, false, id.as_u64()), Due::Timer(id, timer));
+        let clash = self
+            .items
+            .insert((at, false, id.as_u64()), Due::Timer(id, timer));
+        assert!(clash.is_none(), "two timers share an instant and an id");
     }
 
-    /// Holds a delivery batch until `at`.
-    pub fn hold(&mut self, at: Instant, from: ProcessId, first_id: MsgId, msgs: Vec<M>) {
-        let due = Due::Batch {
+    /// Holds a delivery batch until `at`. Returns `false`, holding
+    /// nothing, when a batch with the same first id is already held for
+    /// that instant: ids are unique per run, so only a forged frame can
+    /// bring one.
+    pub fn hold(&mut self, at: Instant, from: ProcessId, first_id: MsgId, msgs: Vec<M>) -> bool {
+        let Entry::Vacant(slot) = self.items.entry((at, true, first_id.as_u64())) else {
+            return false;
+        };
+        slot.insert(Due::Batch {
             from,
             first_id,
             msgs,
-        };
-        self.insert((at, true, first_id.as_u64()), due);
-    }
-
-    fn insert(&mut self, key: (Instant, bool, u64), due: Due<T, M>) {
-        let clash = self.items.insert(key, due);
-        assert!(
-            clash.is_none(),
-            "two agenda items share an instant and an id"
-        );
+        });
+        true
     }
 
     /// Removes timer `id` if it is still armed.
@@ -183,18 +188,17 @@ const IDLE_POLL: Duration = Duration::from_millis(10);
 /// channel on threads, a socket mesh across processes. Both start the
 /// node, call [`WallNode::fire_due`] until nothing is due, hand it
 /// arrivals, and exit when [`WallNode::drain_wait`] says so.
-pub struct WallNode<A: Actor, L> {
+pub struct WallNode<A: Actor, L, D> {
     core: NodeCore<A>,
-    transport: WallTransport<A, L>,
+    transport: WallTransport<A, L, D>,
     offset: ClockOffset,
     /// The drain's grace period, once the node has been told to stop.
     grace: Option<Duration>,
     /// The last arrival or activation, for the drain's quiet period.
     last_activity: Instant,
-    timers_fired: u64,
 }
 
-impl<A: Actor, L> fmt::Debug for WallNode<A, L> {
+impl<A: Actor, L, D> fmt::Debug for WallNode<A, L, D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WallNode")
             .field("core", &self.core)
@@ -203,17 +207,16 @@ impl<A: Actor, L> fmt::Debug for WallNode<A, L> {
     }
 }
 
-impl<A: Actor, L: Link<A::Msg>> WallNode<A, L> {
+impl<A: Actor, L: Link<A::Msg>, D: DelayModel> WallNode<A, L, D> {
     /// Wraps `core` around `transport`; every activation is stamped on
     /// the transport's [`TimeBase`] with the local clock at `offset`.
-    pub fn new(core: NodeCore<A>, transport: WallTransport<A, L>, offset: ClockOffset) -> Self {
+    pub fn new(core: NodeCore<A>, transport: WallTransport<A, L, D>, offset: ClockOffset) -> Self {
         WallNode {
             core,
             transport,
             offset,
             grace: None,
             last_activity: Instant::now(),
-            timers_fired: 0,
         }
     }
 
@@ -229,17 +232,11 @@ impl<A: Actor, L: Link<A::Msg>> WallNode<A, L> {
         self.transport.agenda.next_deadline()
     }
 
-    /// Timer activations that ran (stale expiries excluded).
-    #[must_use]
-    pub fn timers_fired(&self) -> u64 {
-        self.timers_fired
-    }
-
     /// Runs one activation with nominal instant `anchor`, stamped now.
     fn activate<R>(
         &mut self,
         anchor: Instant,
-        run: impl FnOnce(&mut NodeCore<A>, Stamp, &mut WallTransport<A, L>) -> R,
+        run: impl FnOnce(&mut NodeCore<A>, Stamp, &mut WallTransport<A, L, D>) -> R,
     ) -> R {
         self.transport.anchor = anchor;
         self.last_activity = Instant::now();
@@ -298,7 +295,6 @@ impl<A: Actor, L: Link<A::Msg>> WallNode<A, L> {
         let Some((at, due)) = self.transport.agenda.pop_due(Instant::now()) else {
             return Ok(None);
         };
-        let is_timer = matches!(due, Due::Timer(..));
         let act = self.activate(at, |core, stamp, t| match due {
             Due::Timer(id, timer) => core.on_timer(stamp, id, timer, t, trace, history),
             Due::Batch {
@@ -307,16 +303,25 @@ impl<A: Actor, L: Link<A::Msg>> WallNode<A, L> {
                 msgs,
             } => core.on_message_batch(stamp, from, first_id, msgs, t, trace, history),
         })?;
-        self.timers_fired += u64::from(is_timer && act != Activation::Stale);
         Ok(Some(act))
     }
 
     /// Holds an arrived batch until tick `deliver_at` of the run's
-    /// [`TimeBase`].
-    pub fn hold(&mut self, deliver_at: u64, from: ProcessId, first_id: MsgId, msgs: Vec<A::Msg>) {
-        let at = self.transport.base.instant_for(deliver_at);
-        self.transport.agenda.hold(at, from, first_id, msgs);
+    /// [`TimeBase`]. Returns `false`, holding nothing, when that tick
+    /// lies beyond any representable instant or the agenda already
+    /// holds the batch's id for it.
+    pub fn hold(
+        &mut self,
+        deliver_at: u64,
+        from: ProcessId,
+        first_id: MsgId,
+        msgs: Vec<A::Msg>,
+    ) -> bool {
+        let Some(at) = self.transport.base.instant_for(deliver_at) else {
+            return false;
+        };
         self.touch();
+        self.transport.agenda.hold(at, from, first_id, msgs)
     }
 
     /// Records an arrival the node did not activate on.
@@ -430,7 +435,6 @@ mod tests {
     use super::*;
     use crate::actor::Context;
     use crate::time::SimDuration;
-    use rand::rngs::StdRng;
     use std::sync::mpsc::channel;
     use std::thread;
 
@@ -606,17 +610,18 @@ mod tests {
     /// `deliver_at + δ`, even when the delivery is popped late.
     #[test]
     fn a_timer_armed_by_a_late_delivery_is_due_at_deliver_at_plus_its_delay() {
+        use crate::delay::{DelayBounds, FixedDelay};
         use crate::history::History;
         use crate::node::NoTrace;
-        use rand::SeedableRng;
 
         let base = TimeBase::new(TimeBase::epoch_now_micros());
-        let transport = WallTransport::new(P, NoLink, base, StdRng::seed_from_u64(1), (1, 1));
+        let one = DelayBounds::new(SimDuration::from_ticks(1), SimDuration::ZERO);
+        let transport = WallTransport::new(P, 2, NoLink, base, FixedDelay::maximal(one));
         let actor = ArmOnDelivery { delay: 3_000 };
         let mut node = WallNode::new(NodeCore::new(P, 2, actor), transport, ClockOffset::ZERO);
         let deliver_at = base.now_ticks() + 1_000;
-        node.hold(deliver_at, ProcessId::new(0), msg(1), vec![()]);
-        let held_until = base.instant_for(deliver_at);
+        assert!(node.hold(deliver_at, ProcessId::new(0), msg(1), vec![()]));
+        let held_until = base.instant_for(deliver_at).unwrap();
         assert_eq!(node.next_deadline(), Some(held_until));
         // Pop the delivery well after its instant.
         thread::sleep(held_until.saturating_duration_since(Instant::now()) + 5 * MS);

@@ -442,6 +442,37 @@ impl<M: DelayModel + ?Sized> DelayModel for Box<M> {
     }
 }
 
+/// One model shared by every node of a wall-clock run, as the engine
+/// shares one across its processes: each send locks it for one draw.
+impl<M: DelayModel + ?Sized> DelayModel for &std::sync::Mutex<M> {
+    fn delay(&mut self, meta: MsgMeta) -> SimDuration {
+        self.lock().expect("delay model poisoned").delay(meta)
+    }
+
+    fn bounds(&self) -> DelayBounds {
+        self.lock().expect("delay model poisoned").bounds()
+    }
+}
+
+/// Panics unless `delay` lies within `bounds`: every backend checks each
+/// draw, since an inadmissible delay would silently void every bound
+/// the run is supposed to witness.
+#[inline]
+pub(crate) fn assert_admissible(
+    bounds: DelayBounds,
+    delay: SimDuration,
+    from: ProcessId,
+    to: ProcessId,
+) {
+    assert!(
+        bounds.contains(delay),
+        "delay model produced inadmissible delay {delay:?} for {from}->{to} \
+         (bounds [{:?}, {:?}])",
+        bounds.min(),
+        bounds.max()
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

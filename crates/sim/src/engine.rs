@@ -23,12 +23,15 @@
 //!
 //! * at most one pending operation per process (via the node core);
 //! * every message delay within `[d − u, d]` (the bounds are validated
-//!   at construction; each send is spot-checked in debug builds);
+//!   at construction and every draw is checked, as on the wall-clock
+//!   backends);
 //! * local processing takes zero time;
 //! * clocks are fixed offsets from real time.
 //!
-//! The real-thread counterpart is [`crate::rt`], which drives the same
-//! node core from OS threads, each holding its deliveries until due.
+//! [`run_history`] is the engine's entry of the one harness signature
+//! `(actors, clocks, delays, driver)`. The real-thread counterpart is
+//! [`crate::rt::run_history`], which drives the same node core from OS
+//! threads, each holding its deliveries until due.
 
 use crate::actor::Actor;
 use crate::clock::ClockAssignment;
@@ -807,6 +810,43 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
             self.transport.push_invoke(pid, at, next_op);
         }
     }
+}
+
+/// Runs `actors` under `clocks` and `delays` with `driver` until
+/// quiescence and returns the complete history: the virtual-time
+/// backend of the one harness signature the thread runtime
+/// ([`crate::rt::run_history`]) and the socket mesh
+/// (`skewbound_net::runtime::run_history`) share. Go to [`Simulation`]
+/// for the final actor states, the message log or a trace.
+///
+/// # Errors
+///
+/// Propagates [`SimError`] from the engine (event-cap exceeded).
+///
+/// # Panics
+///
+/// Panics if the run ends with an incomplete history, which would indicate
+/// an actor that failed to respond to an invocation — a correctness bug
+/// worth failing loudly on — or if the driver overlaps invocations at one
+/// process.
+pub fn run_history<A, D, Dr>(
+    actors: Vec<A>,
+    clocks: ClockAssignment,
+    delays: D,
+    driver: &mut Dr,
+) -> Result<History<A::Op, A::Resp>, SimError>
+where
+    A: Actor,
+    D: DelayModel,
+    Dr: Driver<A::Op, A::Resp> + ?Sized,
+{
+    let mut sim = Simulation::new(actors, clocks, delays);
+    sim.run_with(driver)?;
+    assert!(
+        sim.history().is_complete(),
+        "run reached quiescence with pending operations (termination bug)"
+    );
+    Ok(sim.into_history())
 }
 
 #[cfg(test)]

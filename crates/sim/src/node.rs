@@ -34,6 +34,15 @@ use crate::timers::TimerSlab;
 use crate::trace::{TraceEvent, TraceEventKind};
 use crate::transport::{Transport, TransportError};
 
+/// The one failure of a driver that invokes at `pid` while its previous
+/// operation is still pending, the same on every backend.
+pub(crate) fn overlapping_invocation(pid: ProcessId) -> ! {
+    panic!(
+        "{pid}: invocation while another operation is pending \
+         (the application layer allows one pending operation per process)"
+    )
+}
+
 /// The time stamp of one activation: the real time at which it happens
 /// and the local clock reading of the process at that instant.
 ///
@@ -324,12 +333,9 @@ impl<A: Actor> NodeCore<A> {
     }
 
     fn assert_no_pending(&self) {
-        assert!(
-            self.pending_op.is_none(),
-            "{}: invocation while another operation is pending \
-             (the application layer allows one pending operation per process)",
-            self.pid
-        );
+        if self.pending_op.is_some() {
+            overlapping_invocation(self.pid);
+        }
     }
 
     fn emit<TO: TraceOutput>(&self, trace: &mut TO, stamp: Stamp, kind: TraceEventKind) {

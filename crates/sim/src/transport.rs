@@ -12,9 +12,10 @@
 //!   `sent_at + delay` in deterministic `(time, seq)` order;
 //! * the two wall-clock backends — the real-thread runtime and the
 //!   socket mesh — share one [`WallTransport`]: a send is assigned a
-//!   seeded random delay and handed through a [`Link`] to the
-//!   destination, which holds it on its [`Agenda`] until the wall clock
-//!   reaches `sent_at + delay`.
+//!   delay by the run's [`DelayModel`], checked against its bounds as
+//!   on the engine, and handed through a [`Link`] to the destination,
+//!   which holds it on its [`Agenda`] until the wall clock reaches
+//!   `sent_at + delay`.
 //!
 //! On every backend a send is one delivery: whatever one activation
 //! sends to one peer, a single message being a batch of one. Every
@@ -26,13 +27,11 @@ use core::fmt;
 use std::time::Instant;
 
 use fxhash::FxHashMap;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::actor::Actor;
 use crate::clock::ClockAssignment;
 use crate::deadline::{Agenda, TimeBase};
-use crate::delay::{DelayBounds, DelayModel, MsgMeta};
+use crate::delay::{assert_admissible, DelayBounds, DelayModel, MsgMeta};
 use crate::engine::{EventKind, MsgEvent};
 use crate::equeue::CalendarQueue;
 use crate::ids::{MsgId, ProcessId, TimerId};
@@ -352,18 +351,7 @@ impl<A: Actor, D: DelayModel> Transport<A> for VirtualTransport<A, D> {
             pair_seq,
         };
         let delay = self.delays.delay(meta);
-        // The bounds themselves are validated once at construction
-        // (`DelayBounds::try_new` rejects u > d and d = 0); per-send
-        // containment is checked in release builds too — an
-        // inadmissible delay would silently void every bound the run
-        // is supposed to witness, so it must never reach the queue.
-        assert!(
-            self.bounds.contains(delay),
-            "delay model produced inadmissible delay {delay:?} for {from}->{to} \
-             (bounds [{:?}, {:?}])",
-            self.bounds.min(),
-            self.bounds.max()
-        );
+        assert_admissible(self.bounds, delay, from, to);
         let recv_at = self.now + delay;
         let first_id = MsgId::new(self.next_msg_id);
         self.next_msg_id += msgs.len() as u64;
@@ -442,20 +430,23 @@ pub trait Link<M> {
 /// The wall-clock backends' [`Transport`]: the thread runtime and the
 /// socket mesh both send and arm through it.
 ///
-/// A send draws a seeded delay (µs ticks) from the run's draw interval,
-/// allocates the message ids and hands the batch to the [`Link`]. Ids
-/// are `prefix | seq`, monotone per sender and disjoint across senders,
-/// so every `send` trace event pairs with exactly one `deliver`
-/// cluster-wide. Timers
-/// are armed on the node's [`Agenda`] at `anchor + delay`, where the
-/// anchor is the nominal instant of the running activation, as the
-/// engine arms at `virtual now + delay`.
-pub struct WallTransport<A: Actor, L> {
+/// A send asks the run's [`DelayModel`] for its delay (µs ticks), with
+/// the same [`MsgMeta`] the engine builds — send tick and per-pair
+/// sequence number included — and checks it against the model's bounds
+/// as the engine does. It then allocates the message ids and hands the
+/// batch to the [`Link`]. Ids are `prefix | seq`, monotone per sender
+/// and disjoint across senders, so every `send` trace event pairs with
+/// exactly one `deliver` cluster-wide. Timers are armed on the node's
+/// [`Agenda`] at `anchor + delay`, where the anchor is the nominal
+/// instant of the running activation, as the engine arms at
+/// `virtual now + delay`.
+pub struct WallTransport<A: Actor, L, D> {
     link: L,
     pub(crate) base: TimeBase,
-    rng: StdRng,
-    /// The injected-delay draw interval, in µs ticks.
-    delays: (u64, u64),
+    delays: D,
+    /// The model's admissible delay interval, hoisted at construction.
+    bounds: DelayBounds,
+    pair_seq: PairSeq,
     msg_prefix: u64,
     next_seq: u64,
     pub(crate) agenda: Agenda<A::Timer, A::Msg>,
@@ -464,26 +455,26 @@ pub struct WallTransport<A: Actor, L> {
     pub(crate) anchor: Instant,
 }
 
-impl<A: Actor, L> fmt::Debug for WallTransport<A, L> {
+impl<A: Actor, L, D> fmt::Debug for WallTransport<A, L, D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WallTransport")
-            .field("delays", &self.delays)
+            .field("bounds", &self.bounds)
             .field("next_seq", &self.next_seq)
             .finish_non_exhaustive()
     }
 }
 
-impl<A: Actor, L> WallTransport<A, L> {
-    /// The transport of process `pid`: delays are drawn from
-    /// `delays = (lo, hi)` µs with `rng`, and send instants read off
-    /// `base`.
+impl<A: Actor, L, D: DelayModel> WallTransport<A, L, D> {
+    /// The transport of process `pid` in a run of `n`: delays come from
+    /// `delays`, send instants from `base`.
     #[must_use]
-    pub fn new(pid: ProcessId, link: L, base: TimeBase, rng: StdRng, delays: (u64, u64)) -> Self {
+    pub fn new(pid: ProcessId, n: usize, link: L, base: TimeBase, delays: D) -> Self {
         WallTransport {
             link,
             base,
-            rng,
+            bounds: delays.bounds(),
             delays,
+            pair_seq: PairSeq::new(n),
             // +1 keeps process 0's ids out of the low range so a frame
             // id can never collide with a client request id.
             msg_prefix: (u64::from(pid.as_u32()) + 1) << 40,
@@ -494,7 +485,7 @@ impl<A: Actor, L> WallTransport<A, L> {
     }
 }
 
-impl<A: Actor, L: Link<A::Msg>> Transport<A> for WallTransport<A, L> {
+impl<A: Actor, L: Link<A::Msg>, D: DelayModel> Transport<A> for WallTransport<A, L, D> {
     fn send_batch(
         &mut self,
         from: ProcessId,
@@ -505,8 +496,16 @@ impl<A: Actor, L: Link<A::Msg>> Transport<A> for WallTransport<A, L> {
         let first_id = MsgId::new(self.msg_prefix | self.next_seq);
         self.next_seq += msgs.len() as u64;
         let sent = self.base.now_ticks();
-        let delay = self.rng.gen_range(self.delays.0..=self.delays.1);
-        self.link.hand_off(from, to, first_id, sent, delay, msgs)?;
+        let meta = MsgMeta {
+            from,
+            to,
+            sent_at: SimTime::from_ticks(sent),
+            pair_seq: self.pair_seq.next(from, to),
+        };
+        let delay = self.delays.delay(meta);
+        assert_admissible(self.bounds, delay, from, to);
+        self.link
+            .hand_off(from, to, first_id, sent, delay.as_ticks(), msgs)?;
         Ok(first_id)
     }
 
@@ -523,7 +522,8 @@ impl<A: Actor, L: Link<A::Msg>> Transport<A> for WallTransport<A, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Drives a seeded interleaved stream of ordered pairs through both
     /// `PairSeq` representations and asserts the counter sequences are

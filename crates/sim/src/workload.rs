@@ -5,13 +5,24 @@
 //! captures that layer: it supplies the initial invocations and, on each
 //! response, optionally the process's next operation. Closed-loop drivers
 //! (invoke, wait for response, invoke again) keep the one-pending-op
-//! invariant by construction.
+//! invariant by construction; a driver that breaks it fails the run with
+//! the same panic on every backend. The engine consumes a driver in
+//! [`Simulation::run_with`](crate::engine::Simulation::run_with); both
+//! wall-clock backends consume it through [`drive`].
 
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::Mutex;
+use std::time::Instant;
+
+use fxhash::FxHashSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::ids::ProcessId;
-use crate::time::{SimDuration, SimTime};
+use crate::deadline::TimeBase;
+use crate::history::History;
+use crate::ids::{OpId, ProcessId};
+use crate::node::overlapping_invocation;
+use crate::time::{ticks_to_duration, SimDuration, SimTime};
 
 /// The application layer: initial invocations plus a closed-loop "what
 /// next" rule.
@@ -213,6 +224,79 @@ impl<O: Clone, R> Driver<O, R> for Script<O> {
         _now: SimTime,
     ) -> Option<(SimDuration, O)> {
         None
+    }
+}
+
+/// Runs `driver` against a wall-clock cluster — the one closed-loop
+/// driver of the thread runtime and the socket mesh, as
+/// [`Simulation::run_with`](crate::engine::Simulation::run_with) is the
+/// engine's.
+///
+/// Each initial invocation is handed to `invoke` at its tick of `base`.
+/// The backend records the invocation in `history`, the response too,
+/// and reports `(pid, op id)` on `done`; the driver is then consulted,
+/// with the recorded response time, for the process's follow-up. Returns
+/// once every invocation has responded and none is left to issue.
+///
+/// # Panics
+///
+/// Panics, as the engine's node core does, if the driver invokes at a
+/// process whose previous operation is still pending.
+pub fn drive<O, R, Dr>(
+    driver: &mut Dr,
+    base: TimeBase,
+    history: &Mutex<History<O, R>>,
+    done: &Receiver<(ProcessId, OpId)>,
+    mut invoke: impl FnMut(ProcessId, O),
+) where
+    Dr: Driver<O, R> + ?Sized,
+{
+    let mut due: Vec<(Instant, ProcessId, O)> = driver
+        .initial()
+        .into_iter()
+        .map(|(pid, at, op)| {
+            let at = base.instant_for(at.as_ticks());
+            (at.expect("invocation time beyond any instant"), pid, op)
+        })
+        .collect();
+    let mut pending = FxHashSet::default();
+    let mut woken_by = None;
+    loop {
+        // File every completion already reported first, so an invocation
+        // due now never finds a finished operation still pending.
+        for (pid, op_id) in woken_by.take().into_iter().chain(done.try_iter()) {
+            pending.remove(&pid);
+            let history = history.lock().expect("history poisoned");
+            let rec = history.get(op_id).expect("completed op is recorded");
+            let resp = rec.resp().expect("completion implies a response");
+            let at = rec.responded_at().expect("completion implies a response");
+            if let Some((gap, op)) = driver.next(pid, &rec.op, resp, at) {
+                due.push((Instant::now() + ticks_to_duration(gap), pid, op));
+            }
+        }
+        let now = Instant::now();
+        while let Some(i) = (0..due.len())
+            .filter(|&i| due[i].0 <= now)
+            .min_by_key(|&i| due[i].0)
+        {
+            let (_, pid, op) = due.swap_remove(i);
+            if !pending.insert(pid) {
+                overlapping_invocation(pid);
+            }
+            invoke(pid, op);
+        }
+        if pending.is_empty() && due.is_empty() {
+            return;
+        }
+        let waited = match due.iter().map(|d| d.0).min() {
+            Some(at) => done.recv_timeout(at.saturating_duration_since(Instant::now())),
+            None => done.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match waited {
+            Ok(completion) => woken_by = Some(completion),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
     }
 }
 

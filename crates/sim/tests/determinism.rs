@@ -261,10 +261,8 @@ fn single_send_run_matches_golden() {
 }
 
 mod cluster {
-    use std::time::Duration;
-
     use skewbound_sim::prelude::*;
-    use skewbound_sim::rt::RtCluster;
+    use skewbound_sim::rt;
 
     /// A counter replica good enough for cluster smoke tests: applies
     /// adds locally and gossips them (not linearizable — this test is
@@ -291,36 +289,28 @@ mod cluster {
         fn on_timer(&mut self, _: (), _: &mut Context<'_, Self>) {}
     }
 
+    /// Three processes each add 1 five times, closed loop, all at once.
     #[test]
     fn concurrent_clients_from_threads() {
         let bounds = DelayBounds::new(SimDuration::from_ticks(1_000), SimDuration::from_ticks(500));
-        let mut cluster = RtCluster::start(
+        let mut driver = ClosedLoop::new(ProcessId::all(3).collect(), 5, 5, |_, _, _| 1);
+        let history = rt::run_history(
             vec![
                 GossipCounter::default(),
                 GossipCounter::default(),
                 GossipCounter::default(),
             ],
-            &ClockAssignment::zero(3),
-            bounds,
-            5,
-        );
-        let mut joins = Vec::new();
-        for pid in ProcessId::all(3) {
-            let mut client = cluster.client(pid);
-            joins.push(std::thread::spawn(move || {
-                let mut last = 0;
-                for _ in 0..5 {
-                    last = client.invoke(1);
-                }
-                last
-            }));
-        }
-        for j in joins {
-            let local_total = j.join().unwrap();
-            assert!(local_total >= 5, "each client saw at least its own adds");
-        }
-        let history = cluster.shutdown(Duration::from_millis(10));
+            ClockAssignment::zero(3),
+            UniformDelay::new(bounds, 5),
+            &mut driver,
+        )
+        .unwrap();
         assert!(history.is_complete());
         assert_eq!(history.len(), 15);
+        for pid in ProcessId::all(3) {
+            let last = history.records().iter().rfind(|r| r.pid == pid);
+            let local_total = *last.unwrap().resp().unwrap();
+            assert!(local_total >= 5, "each process saw at least its own adds");
+        }
     }
 }

@@ -59,8 +59,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<8} {:<14} {:>8} {:>8} {:>10} {:>22} {:>16}",
         "op", "class", "sINSC", "lastPerm", "overwrite", "lower bound", "upper bound"
     );
+    // The derivation is consistent when no lower bound exceeds its
+    // row's upper bound.
+    let mut consistent = true;
     for group in &groups {
         let a = analyze_group(&spec, &states, group);
+        let upper = a.upper.eval(&params);
+        consistent &= a.lower.eval(&params).is_none_or(|lower| lower <= upper);
         println!(
             "{:<8} {:<14} {:>8} {:>8} {:>10} {:>22} {:>16}",
             a.name,
@@ -75,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .eval(&params)
                     .map_or_else(|| "-".into(), |d| d.as_ticks().to_string())
             ),
-            format!("{} = {}", a.upper.text(), a.upper.eval(&params).as_ticks()),
+            format!("{} = {}", a.upper.text(), upper.as_ticks()),
         );
     }
 
@@ -102,5 +107,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          upper bound above — far below the centralized 2d = {}.",
         bounds::ub_centralized(&params).as_ticks()
     );
+    println!(
+        "\nverdict: every derived lower bound is within its upper bound: {}",
+        if consistent { "OK" } else { "VIOLATION" }
+    );
+    assert!(consistent);
     Ok(())
 }

@@ -1,21 +1,21 @@
 //! A multi-object system on real threads: bank accounts as a
-//! `MultiObject<Counter>`, driven by concurrent client threads through
-//! the interactive `RtCluster` API, with the final history checked
-//! per-object (Herlihy–Wing locality).
+//! `MultiObject<Counter>`, one teller per process driven by a
+//! closed-loop `Driver` on the thread runtime, with the final history
+//! checked per-object (Herlihy–Wing locality).
 //!
 //! ```text
 //! cargo run -p skewbound-examples --bin bank
 //! ```
 
-use std::time::Duration;
-
 use skewbound_core::params::Params;
 use skewbound_core::replica::Replica;
 use skewbound_lin::multi::check_multi_object;
 use skewbound_sim::clock::ClockAssignment;
+use skewbound_sim::delay::UniformDelay;
 use skewbound_sim::ids::ProcessId;
-use skewbound_sim::rt::RtCluster;
+use skewbound_sim::rt;
 use skewbound_sim::time::SimDuration;
+use skewbound_sim::workload::ClosedLoop;
 use skewbound_spec::prelude::*;
 
 const ACCOUNTS: usize = 3;
@@ -32,45 +32,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("{TELLERS} teller processes over {ACCOUNTS} accounts, {params} (1 tick = 1 µs)");
 
-    let mut cluster = RtCluster::start(
-        Replica::group(spec, &params),
-        &ClockAssignment::zero(TELLERS),
-        params.delay_bounds(),
-        99,
-    );
-
-    // Each teller thread performs a few transfers between accounts and a
-    // final balance inquiry on "its" account.
-    let mut teller_threads = Vec::new();
-    for teller in 0..TELLERS {
-        let mut client = cluster.client(ProcessId::new(teller as u32));
-        teller_threads.push(std::thread::spawn(move || {
-            let from = teller % ACCOUNTS;
-            let to = (teller + 1) % ACCOUNTS;
-            let amount = 10 * (teller as i64 + 1);
-            for _ in 0..3 {
-                client.invoke(IndexedOp {
-                    index: from,
-                    op: CounterOp::Add(-amount),
-                });
-                client.invoke(IndexedOp {
-                    index: to,
-                    op: CounterOp::Add(amount),
-                });
-            }
-            let balance = client.invoke(IndexedOp {
+    // Each teller performs a few transfers from "its" account to the
+    // next one, then a balance inquiry on its account: a closed loop of
+    // seven operations per teller process.
+    let mut tellers = ClosedLoop::new(ProcessId::all(TELLERS).collect(), 7, 99, |pid, idx, _| {
+        let teller = pid.index();
+        let (from, to) = (teller % ACCOUNTS, (teller + 1) % ACCOUNTS);
+        let amount = 10 * (teller as i64 + 1);
+        match idx {
+            6 => IndexedOp {
                 index: from,
                 op: CounterOp::Read,
-            });
-            (from, balance)
-        }));
+            },
+            _ if idx % 2 == 0 => IndexedOp {
+                index: from,
+                op: CounterOp::Add(-amount),
+            },
+            _ => IndexedOp {
+                index: to,
+                op: CounterOp::Add(amount),
+            },
+        }
+    });
+    let history = rt::run_history(
+        Replica::group(spec, &params),
+        ClockAssignment::zero(TELLERS),
+        UniformDelay::new(params.delay_bounds(), 99),
+        &mut tellers,
+    )?;
+    for rec in history.records() {
+        if rec.op.op == CounterOp::Read {
+            println!("teller read account {}: {:?}", rec.op.index, rec.resp());
+        }
     }
-    for t in teller_threads {
-        let (account, balance) = t.join().expect("teller thread panicked");
-        println!("teller read account {account}: {balance:?}");
-    }
-
-    let history = cluster.shutdown(Duration::from_millis(20));
     println!("\n{} operations recorded", history.len());
 
     // Money is conserved: transfers are balanced, so final sum = 0.

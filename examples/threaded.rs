@@ -1,21 +1,22 @@
-//! The same Algorithm-1 state machines on real OS threads: messages over
-//! mpsc channels with injected `[d − u, d]` delays, wall-clock
-//! clocks with per-process offsets. The produced history is checked for
+//! The same Algorithm-1 state machines on real OS threads: a timed
+//! `Script` driver, messages over mpsc channels with `[d − u, d]`
+//! delays from a seeded `UniformDelay`, wall-clock clocks with
+//! per-process offsets. The produced history is checked for
 //! linearizability just like the simulated ones.
 //!
 //! ```text
 //! cargo run -p skewbound-examples --bin threaded
 //! ```
 
-use std::time::Duration;
-
 use skewbound_core::params::Params;
 use skewbound_core::replica::Replica;
 use skewbound_lin::checker::check_history;
 use skewbound_sim::clock::ClockAssignment;
+use skewbound_sim::delay::UniformDelay;
 use skewbound_sim::ids::ProcessId;
-use skewbound_sim::rt::{run_threaded, RtInvocation};
-use skewbound_sim::time::SimDuration;
+use skewbound_sim::rt;
+use skewbound_sim::time::{SimDuration, SimTime};
+use skewbound_sim::workload::Script;
 use skewbound_spec::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,48 +31,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("running {n} replicas on OS threads, {params}");
 
     let p = ProcessId::new;
-    let ms = |x: u64| SimDuration::from_ticks(x * 1_000);
-    let script = vec![
-        RtInvocation {
-            pid: p(0),
-            at: ms(0),
-            op: QueueOp::Enqueue(1),
-        },
-        RtInvocation {
-            pid: p(1),
-            at: ms(5),
-            op: QueueOp::Enqueue(2),
-        },
-        RtInvocation {
-            pid: p(2),
-            at: ms(40),
-            op: QueueOp::Peek,
-        },
-        RtInvocation {
-            pid: p(0),
-            at: ms(60),
-            op: QueueOp::Dequeue,
-        },
-        RtInvocation {
-            pid: p(1),
-            at: ms(80),
-            op: QueueOp::Dequeue,
-        },
-        RtInvocation {
-            pid: p(2),
-            at: ms(110),
-            op: QueueOp::Dequeue,
-        },
-    ];
+    let ms = |x: u64| SimTime::from_ticks(x * 1_000);
+    let mut script = Script::new()
+        .at(p(0), ms(0), QueueOp::Enqueue(1))
+        .at(p(1), ms(5), QueueOp::Enqueue(2))
+        .at(p(2), ms(40), QueueOp::Peek)
+        .at(p(0), ms(60), QueueOp::Dequeue)
+        .at(p(1), ms(80), QueueOp::Dequeue)
+        .at(p(2), ms(110), QueueOp::Dequeue);
 
-    let history = run_threaded(
+    let history = rt::run_history(
         Replica::group(Queue::<i64>::new(), &params),
-        &ClockAssignment::zero(n),
-        params.delay_bounds(),
-        7,
-        script,
-        Duration::from_millis(30),
-    );
+        ClockAssignment::zero(n),
+        UniformDelay::new(params.delay_bounds(), 7),
+        &mut script,
+    )?;
 
     println!("\n{:<10} {:>12} response", "op", "latency µs");
     for rec in history.records() {

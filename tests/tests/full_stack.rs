@@ -1,8 +1,6 @@
 //! Full-stack integration: clock synchronization feeding Algorithm 1,
 //! and the real-thread runtime producing checkable histories.
 
-use std::time::Duration;
-
 use skewbound_clocksync::{optimal_skew, run_sync_round};
 use skewbound_core::params::Params;
 use skewbound_core::replica::Replica;
@@ -12,8 +10,9 @@ use skewbound_sim::clock::ClockAssignment;
 use skewbound_sim::delay::{DelayBounds, UniformDelay};
 use skewbound_sim::engine::Simulation;
 use skewbound_sim::ids::ProcessId;
-use skewbound_sim::rt::{run_threaded, RtInvocation};
+use skewbound_sim::rt;
 use skewbound_sim::time::{SimDuration, SimTime};
+use skewbound_sim::workload::Script;
 use skewbound_spec::prelude::*;
 
 #[test]
@@ -66,32 +65,18 @@ fn threaded_runtime_history_checks_out() {
     )
     .unwrap();
     let p = ProcessId::new;
-    let ms = |x: u64| SimDuration::from_ticks(x * 1_000);
-    let script = vec![
-        RtInvocation {
-            pid: p(0),
-            at: ms(0),
-            op: CounterOp::Add(5),
-        },
-        RtInvocation {
-            pid: p(1),
-            at: ms(2),
-            op: CounterOp::Add(7),
-        },
-        RtInvocation {
-            pid: p(2),
-            at: ms(40),
-            op: CounterOp::Read,
-        },
-    ];
-    let history = run_threaded(
+    let ms = |x: u64| SimTime::from_ticks(x * 1_000);
+    let mut script = Script::new()
+        .at(p(0), ms(0), CounterOp::Add(5))
+        .at(p(1), ms(2), CounterOp::Add(7))
+        .at(p(2), ms(40), CounterOp::Read);
+    let history = rt::run_history(
         Replica::group(Counter::default(), &params),
-        &ClockAssignment::zero(n),
-        params.delay_bounds(),
-        3,
-        script,
-        Duration::from_millis(25),
-    );
+        ClockAssignment::zero(n),
+        UniformDelay::new(params.delay_bounds(), 3),
+        &mut script,
+    )
+    .unwrap();
     assert!(history.is_complete());
     assert_eq!(history.records()[2].resp(), Some(&CounterResp::Value(12)));
     assert!(check_history(&Counter::default(), &history).is_linearizable());

@@ -1,119 +1,126 @@
-//! Cross-runtime parity: the same replica set and the same seeded
-//! closed-loop workload must run to completion on **all three**
-//! backends — the deterministic discrete-event engine, the real-thread
-//! runtime, and the TCP loopback mesh — and every observed history
-//! must be linearizable.
+//! Cross-runtime parity: the same actors, clocks, delay model and driver
+//! go through **all three** backends — the deterministic discrete-event
+//! engine, the real-thread runtime and the TCP loopback mesh — by one
+//! loop over their `run_history(actors, clocks, delays, driver)` entries,
+//! and every observed history must be complete and linearizable.
 //!
-//! This is the contract the shared `NodeCore` + `Transport` split
-//! exists to keep: one `Actor` implementation, one workload, three
-//! schedulers. The histories are not expected to be identical (the rt
-//! and net backends' delays and interleavings come from the OS), only
-//! equally complete, equally correct, and built from the identical
+//! This is the contract the shared `NodeCore` + `Transport` split and
+//! the one harness signature exist to keep: one `Actor` implementation,
+//! one workload, three schedulers. The histories are not expected to be
+//! identical (the rt and net backends' interleavings come from the OS),
+//! only equally complete, equally correct, and built from the identical
 //! per-process operation sequences.
 
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use skewbound_core::params::Params;
-use skewbound_core::prelude::{bounds, run_history, run_history_rt, Replica};
-use skewbound_integration::assert_linearizable;
+use skewbound_core::prelude::{bounds, Replica};
 use skewbound_lin::checker::check_history;
-use skewbound_net::runtime::run_history_net;
+use skewbound_net::runtime;
 use skewbound_net::wire::{Decode, Encode};
 use skewbound_sim::prelude::*;
+use skewbound_sim::{engine, rt};
 use skewbound_spec::prelude::*;
 
-/// µs-scale parameters shared by both runs: the rt backend interprets
-/// one tick as one microsecond, and the engine is scale-free, so the
-/// same `Params` drive both. d = 2 ms, u = 1 ms, ε = 0 (the rt backend
-/// does not emulate drifting clocks).
+/// One backend's harness entry, with the driver behind a trait object
+/// so one value of this type fits all three.
+type RunHistory<A, D> = fn(
+    Vec<A>,
+    ClockAssignment,
+    D,
+    &mut (dyn Driver<<A as Actor>::Op, <A as Actor>::Resp> + 'static),
+) -> Result<History<<A as Actor>::Op, <A as Actor>::Resp>, SimError>;
+
+/// A backend's name and the history it observed.
+type Observed<S> = (
+    &'static str,
+    History<<S as SequentialSpec>::Op, <S as SequentialSpec>::Resp>,
+);
+
+/// The three backends, by name.
+fn backends<A, D>() -> [(&'static str, RunHistory<A, D>); 3]
+where
+    A: Actor + Send,
+    A::Msg: Encode + Decode + Send,
+    A::Op: Encode + Decode + Send,
+    A::Resp: Encode + Decode + Send,
+    A::Timer: Send,
+    D: DelayModel + Send,
+{
+    [
+        ("engine", engine::run_history),
+        ("rt", rt::run_history),
+        ("net", runtime::run_history),
+    ]
+}
+
+/// µs-scale parameters shared by every backend (one tick is one µs on
+/// the wall-clock backends): d = 20 ms, u = 8 ms, optimal skew.
 fn parity_params(n: usize) -> Params {
     Params::with_optimal_skew(
         n,
-        SimDuration::from_ticks(2_000),
-        SimDuration::from_ticks(1_000),
+        SimDuration::from_ticks(20_000),
+        SimDuration::from_ticks(8_000),
         SimDuration::ZERO,
     )
     .unwrap()
 }
 
+/// The delay bounds every parity leg draws from: `[d − u, d − 7u/8]`.
+/// With a µs-per-tick timebase and real OS scheduling, a delivery
+/// processed later than `d` after its send breaks the partial-synchrony
+/// assumption Algorithm 1's replica agreement rests on; the remaining
+/// `7u/8` of `d` absorbs the loopback hop and scheduling stalls.
+fn parity_bounds(params: &Params) -> DelayBounds {
+    let u = params.u();
+    DelayBounds::new(params.d() - u.mul_frac(7, 8), u.mul_frac(1, 8))
+}
+
+/// Runs the same actors, clocks, delay model and driver on each of
+/// `backends` and returns each history, asserting it complete with `expected_ops`
+/// operations and linearizable against `spec`. Only the net leg's
+/// linearizability gets a couple of retries on fresh runs: a host stall
+/// longer than the headroom breaks the timing model itself.
+/// Completeness and op count must hold on every run.
+fn on_every_backend<S, A, D>(
+    backends: &[(&'static str, RunHistory<A, D>)],
+    spec: &S,
+    expected_ops: usize,
+    actors: impl Fn() -> Vec<A>,
+    clocks: &ClockAssignment,
+    delays: impl Fn() -> D,
+    driver: impl Fn() -> Box<dyn Driver<S::Op, S::Resp>>,
+) -> Vec<Observed<S>>
+where
+    S: SequentialSpec,
+    A: Actor<Op = S::Op, Resp = S::Resp>,
+{
+    let mut histories = Vec::new();
+    for &(name, run_history) in backends {
+        let attempts = if name == "net" { 3 } else { 1 };
+        for attempt in 1..=attempts {
+            let history = run_history(actors(), clocks.clone(), delays(), &mut *driver()).unwrap();
+            assert!(history.is_complete(), "{name}: incomplete history");
+            assert_eq!(history.len(), expected_ops, "{name}: wrong op count");
+            if check_history(spec, &history).is_linearizable() {
+                histories.push((name, history));
+                break;
+            }
+            assert!(
+                attempt < attempts,
+                "{name}: non-linearizable history on {attempt} attempts: {:?}",
+                history.records()
+            );
+            eprintln!("{name} attempt {attempt} hit a timing-model violation; retrying");
+        }
+    }
+    histories
+}
+
 const OPS_PER_PROCESS: usize = 3;
 
-/// The workload generator must be a pure function of `(pid, idx)`: the
-/// two backends complete operations in different real-time orders, so
-/// the shared `StdRng` inside `ClosedLoop` is consulted in a different
-/// sequence — ignoring it keeps the issued ops identical across runs.
-fn gen_op(pid: ProcessId, idx: usize, _rng: &mut rand::rngs::StdRng) -> CounterOp {
-    match idx % 3 {
-        0 => CounterOp::Add(i64::from(pid.as_u32()) * 10 + 1),
-        1 => CounterOp::Read,
-        _ => CounterOp::Add(-1),
-    }
-}
-
-type GenFn = fn(ProcessId, usize, &mut rand::rngs::StdRng) -> CounterOp;
-
-fn closed_loop(n: usize) -> ClosedLoop<CounterOp, GenFn> {
-    ClosedLoop::new(
-        ProcessId::all(n).collect(),
-        OPS_PER_PROCESS,
-        42,
-        gen_op as GenFn,
-    )
-}
-
-#[test]
-fn same_workload_runs_on_both_backends() {
-    let n = 3;
-    let params = parity_params(n);
-    let expected_ops = n * OPS_PER_PROCESS;
-
-    // Engine run: virtual time, seeded uniform delays.
-    let engine_history = run_history(
-        Replica::group(Counter::default(), &params),
-        ClockAssignment::zero(n),
-        UniformDelay::new(params.delay_bounds(), 7),
-        &mut closed_loop(n),
-    )
-    .unwrap();
-    assert!(engine_history.is_complete());
-    assert_eq!(engine_history.len(), expected_ops);
-    assert_linearizable(&Counter::default(), &engine_history);
-
-    // Real-thread run: OS threads, injected delays in the same
-    // [d − u, d] bounds, the same driver definition.
-    let rt_history = run_history_rt(
-        Replica::group(Counter::default(), &params),
-        &ClockAssignment::zero(n),
-        params.delay_bounds(),
-        7,
-        &mut closed_loop(n),
-        Duration::from_millis(20),
-    );
-    assert!(rt_history.is_complete());
-    assert_eq!(rt_history.len(), expected_ops);
-    assert_linearizable(&Counter::default(), &rt_history);
-
-    // Both backends issued the identical multiset of operations per
-    // process (the generator is pure in (pid, idx)), so the final
-    // counter values agree even though interleavings differ.
-    for pid in ProcessId::all(n) {
-        let ops = |h: &History<CounterOp, CounterResp>| {
-            h.records()
-                .iter()
-                .filter(|r| r.pid == pid)
-                .map(|r| r.op.clone())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            ops(&engine_history),
-            ops(&rt_history),
-            "{pid}: backends issued different operations"
-        );
-    }
-}
-
 /// The per-process operation sequence of a history, in invocation order.
-fn ops_of<S: SequentialSpec>(h: &History<S::Op, S::Resp>, pid: ProcessId) -> Vec<S::Op> {
+fn ops_of<O: Clone, R>(h: &History<O, R>, pid: ProcessId) -> Vec<O> {
     h.records()
         .iter()
         .filter(|r| r.pid == pid)
@@ -121,104 +128,72 @@ fn ops_of<S: SequentialSpec>(h: &History<S::Op, S::Resp>, pid: ProcessId) -> Vec
         .collect()
 }
 
-/// Runs the same pure-in-`(pid, idx)` workload on the engine, the
-/// real-thread runtime and the TCP loopback mesh, and asserts all three
-/// histories are complete, linearizable, and made of the identical
-/// per-process operation sequences.
+/// Runs Algorithm 1 under a closed loop whose generator is a pure
+/// function of `(pid, idx)` on each of `backends` — the backends
+/// complete operations in different real-time orders, so a generator
+/// drawing from the shared `StdRng` would issue different ops — and
+/// asserts every history complete, linearizable, and made of the
+/// engine's per-process operation sequences.
+fn parity<S>(
+    backends: &[(&'static str, RunHistory<Replica<S>, UniformDelay>)],
+    make_spec: fn() -> S,
+    gen: fn(ProcessId, usize) -> S::Op,
+) where
+    S: SequentialSpec + 'static,
+{
+    let n = 3;
+    let params = parity_params(n);
+    let driver = || -> Box<dyn Driver<S::Op, S::Resp>> {
+        Box::new(ClosedLoop::new(
+            ProcessId::all(n).collect(),
+            OPS_PER_PROCESS,
+            42,
+            move |pid, idx, _rng: &mut rand::rngs::StdRng| gen(pid, idx),
+        ))
+    };
+    let histories = on_every_backend(
+        backends,
+        &make_spec(),
+        n * OPS_PER_PROCESS,
+        || Replica::group(make_spec(), &params),
+        &ClockAssignment::zero(n),
+        || UniformDelay::new(parity_bounds(&params), 7),
+        driver,
+    );
+    let (_, engine) = &histories[0];
+    for (name, history) in &histories[1..] {
+        for pid in ProcessId::all(n) {
+            assert_eq!(
+                ops_of(engine, pid),
+                ops_of(history, pid),
+                "{pid}: engine and {name} issued different operations"
+            );
+        }
+    }
+}
+
+/// [`parity`] on all three backends.
 fn three_backend_parity<S>(make_spec: fn() -> S, gen: fn(ProcessId, usize) -> S::Op)
 where
     S: SequentialSpec + Send + Sync + 'static,
     S::State: Send,
-    S::Op: Encode + Decode + Send + Sync,
+    S::Op: Encode + Decode + Send,
     S::Resp: Encode + Decode + Send,
 {
-    let n = 3;
-    let params = parity_params(n);
-    let expected_ops = n * OPS_PER_PROCESS;
+    parity(&backends(), make_spec, gen);
+}
 
-    let mut driver = ClosedLoop::new(
-        ProcessId::all(n).collect(),
-        OPS_PER_PROCESS,
-        42,
-        move |pid, idx, _rng: &mut rand::rngs::StdRng| gen(pid, idx),
-    );
-    let engine_history = run_history(
-        Replica::group(make_spec(), &params),
-        ClockAssignment::zero(n),
-        UniformDelay::new(params.delay_bounds(), 7),
-        &mut driver,
-    )
-    .unwrap();
-
-    let mut driver = ClosedLoop::new(
-        ProcessId::all(n).collect(),
-        OPS_PER_PROCESS,
-        42,
-        move |pid, idx, _rng: &mut rand::rngs::StdRng| gen(pid, idx),
-    );
-    let rt_history = run_history_rt(
-        Replica::group(make_spec(), &params),
-        &ClockAssignment::zero(n),
-        params.delay_bounds(),
-        7,
-        &mut driver,
-        Duration::from_millis(20),
-    );
-
-    // The TCP leg needs wire-realistic parameters: with a µs-per-tick
-    // timebase and real OS scheduling, a delay budget as small as the
-    // engine/rt legs' d = 2 ms is routinely blown by a single stall,
-    // which violates the partial-synchrony assumption (every message
-    // within d) that Algorithm 1's replica agreement rests on.
-    let net_params = Params::with_optimal_skew(
-        n,
-        SimDuration::from_ticks(20_000),
-        SimDuration::from_ticks(8_000),
-        SimDuration::ZERO,
-    )
-    .unwrap();
-    let mut net_history = run_history_net(make_spec, &net_params, 7, OPS_PER_PROCESS, gen);
-
-    for (name, history) in [("engine", &engine_history), ("rt", &rt_history)] {
-        assert!(history.is_complete(), "{name}: incomplete history");
-        assert_eq!(history.len(), expected_ops, "{name}: wrong op count");
-        assert_linearizable(&make_spec(), history);
-    }
-
-    // Completeness, op count and op sequences never depend on timing —
-    // any mismatch is a real bug and fails immediately. The
-    // linearizability of the observed history does: a scheduling stall
-    // longer than the delay headroom breaks the timing model itself, so
-    // that check alone gets a couple of retries on fresh runs.
-    for attempt in 1..=3 {
-        assert!(net_history.is_complete(), "net: incomplete history");
-        assert_eq!(net_history.len(), expected_ops, "net: wrong op count");
-        for pid in ProcessId::all(n) {
-            assert_eq!(
-                ops_of::<S>(&engine_history, pid),
-                ops_of::<S>(&net_history, pid),
-                "{pid}: engine and net issued different operations"
-            );
-        }
-        if check_history(&make_spec(), &net_history).is_linearizable() {
-            break;
-        }
-        assert!(
-            attempt < 3,
-            "net: non-linearizable history on {attempt} attempts: {:?}",
-            net_history.records()
-        );
-        eprintln!("net parity attempt {attempt} hit a timing-model violation; retrying");
-        net_history = run_history_net(make_spec, &net_params, 7, OPS_PER_PROCESS, gen);
-    }
-
-    for pid in ProcessId::all(n) {
-        assert_eq!(
-            ops_of::<S>(&engine_history, pid),
-            ops_of::<S>(&rt_history, pid),
-            "{pid}: engine and rt issued different operations"
-        );
-    }
+/// The counter has no wire codec (the mesh serves registers, queues and
+/// key-value stores), so it runs on the two in-process backends.
+#[test]
+fn same_workload_runs_on_both_backends() {
+    let in_process: [(&str, RunHistory<_, _>); 2] =
+        [("engine", engine::run_history), ("rt", rt::run_history)];
+    parity(&in_process, Counter::default, |pid, idx| match idx % 3 {
+        0 => CounterOp::Add(i64::from(pid.as_u32()) * 10 + 1),
+        1 => CounterOp::Read,
+        _ => CounterOp::Add(-1),
+    });
 }
 
 #[test]
@@ -254,86 +229,204 @@ fn kv_workload_parity_across_three_backends() {
     });
 }
 
-/// Asserts that no response in `history` beat its class's bound.
-fn assert_class_floor(
-    backend: &str,
-    params: &Params,
-    history: &History<QueueOp<i64>, QueueResp<i64>>,
-) {
-    let spec = Queue::<i64>::new();
-    for rec in history.records() {
-        let bound = match spec.class(&rec.op) {
-            OpClass::PureMutator => bounds::ub_mop(params),
-            OpClass::PureAccessor => bounds::ub_aop(params),
-            OpClass::Other => bounds::ub_oop(params),
-        };
-        let latency = rec.latency().expect("complete history");
-        assert!(
-            latency >= bound,
-            "{backend}: {:?} at {} answered in {latency:?}, before its bound {bound:?}",
-            rec.op,
-            rec.pid
-        );
-    }
-}
-
 /// Anchored arming removes timer *lateness*, never the wait itself: on
-/// both wall-clock backends — worker channels and real sockets — every
-/// client-observed latency is still at least its class's prescribed time
+/// every backend — virtual time, worker channels and real sockets —
+/// every observed latency is still at least its class's prescribed time
 /// (`ε + X`, `d + ε − X`, `d + ε`). A response that beats it would mean
 /// a timer fired ahead of its nominal instant.
 #[test]
 fn net_responses_never_beat_their_class_bound() {
     const OPS: usize = 6;
     let n = 3;
-    let params = Params::with_optimal_skew(
-        n,
-        SimDuration::from_ticks(20_000),
-        SimDuration::from_ticks(8_000),
-        SimDuration::ZERO,
-    )
-    .unwrap();
+    let params = parity_params(n);
     let spec = Queue::<i64>::new();
     let gen = |pid: ProcessId, idx: usize| match (idx + pid.index()) % 3 {
         0 => QueueOp::Enqueue(i64::from(pid.as_u32()) * 10 + idx as i64),
         1 => QueueOp::Dequeue,
         _ => QueueOp::Peek,
     };
-
-    // The thread runtime: the same wall-clock core over worker channels.
-    let mut driver = ClosedLoop::new(
-        ProcessId::all(n).collect(),
-        OPS,
-        11,
-        move |pid, idx, _rng: &mut rand::rngs::StdRng| gen(pid, idx),
-    );
-    let rt_history = run_history_rt(
-        Replica::group(Queue::<i64>::new(), &params),
+    let histories = on_every_backend(
+        &backends(),
+        &spec,
+        n * OPS,
+        || Replica::group(Queue::<i64>::new(), &params),
         &ClockAssignment::zero(n),
-        params.delay_bounds(),
-        11,
-        &mut driver,
-        Duration::from_millis(20),
+        || UniformDelay::new(parity_bounds(&params), 11),
+        || {
+            Box::new(ClosedLoop::new(
+                ProcessId::all(n).collect(),
+                OPS,
+                11,
+                move |pid, idx, _rng: &mut rand::rngs::StdRng| gen(pid, idx),
+            ))
+        },
     );
-    assert_eq!(rt_history.len(), n * OPS, "rt: wrong op count");
-    assert_class_floor("rt", &params, &rt_history);
-
-    // As in the parity test above, only linearizability may be retried
-    // (a host stall longer than the headroom breaks the timing model);
-    // completeness and the latency floor must hold on every run.
-    for attempt in 1..=3 {
-        let history = run_history_net(Queue::<i64>::new, &params, 11, OPS, gen);
-        assert!(history.is_complete(), "incomplete history");
-        assert_eq!(history.len(), n * OPS, "wrong op count");
-        assert_class_floor("net", &params, &history);
-        if check_history(&spec, &history).is_linearizable() {
-            return;
+    for (name, history) in &histories {
+        for rec in history.records() {
+            let bound = match spec.class(&rec.op) {
+                OpClass::PureMutator => bounds::ub_mop(&params),
+                OpClass::PureAccessor => bounds::ub_aop(&params),
+                OpClass::Other => bounds::ub_oop(&params),
+            };
+            let latency = rec.latency().expect("complete history");
+            assert!(
+                latency >= bound,
+                "{name}: {:?} at {} answered in {latency:?}, before its bound {bound:?}",
+                rec.op,
+                rec.pid
+            );
         }
-        assert!(
-            attempt < 3,
-            "non-linearizable history on {attempt} attempts: {:?}",
-            history.records()
-        );
-        eprintln!("latency-floor attempt {attempt} hit a timing-model violation; retrying");
     }
+}
+
+/// Each process forwards its op value to the next process and responds
+/// when the ring token returns to process 0.
+#[derive(Debug, Default, Clone)]
+struct Ring;
+
+impl Actor for Ring {
+    type Msg = i64;
+    type Op = i64;
+    type Resp = i64;
+    type Timer = ();
+
+    fn on_invoke(&mut self, op: i64, ctx: &mut Context<'_, Self>) {
+        let next = ProcessId::new((ctx.pid().as_u32() + 1) % ctx.n() as u32);
+        ctx.send(next, op);
+    }
+
+    fn on_message(&mut self, _from: ProcessId, msg: i64, ctx: &mut Context<'_, Self>) {
+        if ctx.pid() == ProcessId::new(0) {
+            ctx.respond(msg);
+        } else {
+            let next = ProcessId::new((ctx.pid().as_u32() + 1) % ctx.n() as u32);
+            ctx.send(next, msg);
+        }
+    }
+
+    fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
+}
+
+/// The delay model takes effect on every backend: under
+/// `FixedDelay::maximal` a ring token around `n` processes answers no
+/// earlier than `n · d` — on the engine exactly then. The mesh's client
+/// and servers stamp on separate timebases of the same epoch, which can
+/// round one µs apart.
+#[test]
+fn ring_answers_no_earlier_than_hops_times_d() {
+    let n = 3;
+    let bounds = DelayBounds::new(
+        SimDuration::from_ticks(5_000),
+        SimDuration::from_ticks(2_000),
+    );
+    let hops_d = bounds.max() * n as u64;
+    for (name, run_history) in backends::<Ring, FixedDelay>() {
+        let mut script = Script::new().at(ProcessId::new(0), SimTime::ZERO, 42);
+        let history = run_history(
+            vec![Ring; n],
+            ClockAssignment::zero(n),
+            FixedDelay::maximal(bounds),
+            &mut script,
+        )
+        .unwrap();
+        let rec = &history.records()[0];
+        assert_eq!(rec.resp(), Some(&42), "{name}");
+        let latency = rec.latency().unwrap();
+        assert!(
+            latency + SimDuration::from_ticks(1) >= hops_d,
+            "{name}: answered in {latency:?}, under {n} hops of d = {:?}",
+            bounds.max()
+        );
+        if name == "engine" {
+            assert_eq!(latency, hops_d);
+        }
+    }
+}
+
+/// The clock and delay seams take effect on every backend: Algorithm 1
+/// with clock offsets spread across the whole skew bound `ε`, under the
+/// circulant delay matrix of Theorem D.1, stays linearizable.
+#[test]
+fn algorithm_1_under_skewed_clocks_and_circulant_delays_stays_linearizable() {
+    let n = 3;
+    let params = parity_params(n);
+    let clocks = ClockAssignment::spread(n, params.eps());
+    assert!(clocks.within_skew(params.eps()) && clocks.max_skew() > SimDuration::ZERO);
+    let gen = |pid: ProcessId, idx: usize| match idx % 2 {
+        0 => RegOp::Write(i64::from(pid.as_u32()) * 10 + idx as i64),
+        _ => RegOp::Read,
+    };
+    on_every_backend(
+        &backends(),
+        &RwRegister::<i64>::default(),
+        n * 4,
+        || Replica::group(RwRegister::<i64>::default(), &params),
+        &clocks,
+        || MatrixDelay::circulant(n, n, parity_bounds(&params)),
+        || {
+            Box::new(ClosedLoop::new(
+                ProcessId::all(n).collect(),
+                4,
+                3,
+                move |pid, idx, _rng: &mut rand::rngs::StdRng| gen(pid, idx),
+            ))
+        },
+    );
+}
+
+/// Responds to `op` after a 20 ms timer.
+#[derive(Debug, Default)]
+struct SlowEcho;
+
+impl Actor for SlowEcho {
+    type Msg = i64;
+    type Op = i64;
+    type Resp = i64;
+    type Timer = i64;
+
+    fn on_invoke(&mut self, op: i64, ctx: &mut Context<'_, Self>) {
+        ctx.set_timer(SimDuration::from_ticks(20_000), op);
+    }
+    fn on_message(&mut self, _: ProcessId, _: i64, _: &mut Context<'_, Self>) {}
+    fn on_timer(&mut self, op: i64, ctx: &mut Context<'_, Self>) {
+        ctx.respond(op);
+    }
+}
+
+/// A driver that invokes at a process whose operation is still pending
+/// fails the same way on every backend: with the one panic the engine's
+/// node core raises, before the second invocation reaches any actor.
+#[test]
+fn overlapping_invocations_fail_alike_on_every_backend() {
+    let bounds = DelayBounds::new(
+        SimDuration::from_ticks(2_000),
+        SimDuration::from_ticks(1_000),
+    );
+    let mut messages = Vec::new();
+    for (name, run_history) in backends::<SlowEcho, FixedDelay>() {
+        let p0 = ProcessId::new(0);
+        let mut script =
+            Script::new()
+                .at(p0, SimTime::ZERO, 1)
+                .at(p0, SimTime::from_ticks(1_000), 2);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_history(
+                vec![SlowEcho, SlowEcho],
+                ClockAssignment::zero(2),
+                FixedDelay::maximal(bounds),
+                &mut script,
+            )
+        }));
+        let payload = outcome.expect_err(name);
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| panic!("{name}: the panic carries no message"));
+        assert!(
+            message.contains("another operation is pending"),
+            "{name}: {message}"
+        );
+        messages.push(message);
+    }
+    assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
 }
