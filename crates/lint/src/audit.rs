@@ -103,7 +103,9 @@ pub struct AuditSummary {
     pub processes: usize,
     /// Send/deliver pairs successfully matched (happens-before edges).
     pub matched_messages: usize,
-    /// The final vector clock of each process.
+    /// The final vector clock of each process, in order of first
+    /// appearance in the trace; component `i` of a clock likewise
+    /// counts the events of the `i`-th process to appear.
     pub clocks: Vec<VectorClock>,
 }
 
@@ -146,14 +148,10 @@ pub fn audit_events(events: &[Json], cfg: &AuditConfig) -> (Report, AuditSummary
     // (from, to) → [(send line, deliver line, msg id)].
     type ChannelPairs = Vec<(usize, usize, i64)>;
     let mut channels: BTreeMap<(i64, i64), ChannelPairs> = BTreeMap::new();
+    // pid → index into `clocks`, in order of first appearance: the
+    // trace's pid values are arbitrary integers, not a dense range.
+    let mut index: BTreeMap<i64, usize> = BTreeMap::new();
     let mut matched = 0usize;
-
-    let tick = |clocks: &mut Vec<VectorClock>, pid: usize| {
-        if clocks.len() <= pid {
-            clocks.resize(pid + 1, VectorClock::new(0));
-        }
-        clocks[pid].tick(pid);
-    };
 
     for (idx, ev) in events.iter().enumerate() {
         let line = idx + 1;
@@ -174,8 +172,12 @@ pub fn audit_events(events: &[Json], cfg: &AuditConfig) -> (Report, AuditSummary
         let Some(pid) = ev.get("pid").and_then(Json::as_num) else {
             continue;
         };
-        let pid_ix = usize::try_from(pid).unwrap_or(0);
-        tick(&mut clocks, pid_ix);
+        let next = index.len();
+        let pid_ix = *index.entry(pid).or_insert(next);
+        if pid_ix == clocks.len() {
+            clocks.push(VectorClock::new(0));
+        }
+        clocks[pid_ix].tick(pid_ix);
         match kind {
             "send" => {
                 let (Some(msg), Some(to), Some(at)) = (
@@ -249,27 +251,38 @@ pub fn audit_events(events: &[Json], cfg: &AuditConfig) -> (Report, AuditSummary
                         format!("msg {msg} was sent to p{} but delivered at p{pid}", send.to),
                     ));
                 }
-                let latency = at - send.at;
-                if latency < 0 {
-                    diags.push(Diagnostic::new(
+                match at.checked_sub(send.at) {
+                    None => diags.push(Diagnostic::new(
+                        "SB102",
+                        format!("line {line}"),
+                        format!(
+                            "msg {msg} was sent at {} and delivered at {at}: its latency \
+                             does not fit in 64 bits",
+                            send.at
+                        ),
+                    )),
+                    Some(latency) if latency < 0 => diags.push(Diagnostic::new(
                         "SB102",
                         format!("line {line}"),
                         format!(
                             "msg {msg} was delivered {} tick(s) before it was sent",
-                            -latency
+                            latency.unsigned_abs()
                         ),
-                    ));
-                } else if let Some((d, u)) = cfg.window {
-                    if latency < d - u || latency > d {
-                        diags.push(Diagnostic::new(
-                            "SB101",
-                            format!("line {line}"),
-                            format!(
-                                "msg {msg} took {latency} tick(s), outside the declared \
-                                 window [{}, {d}]",
-                                d - u
-                            ),
-                        ));
+                    )),
+                    Some(latency) => {
+                        if let Some((d, u)) = cfg.window {
+                            if latency < d - u || latency > d {
+                                diags.push(Diagnostic::new(
+                                    "SB101",
+                                    format!("line {line}"),
+                                    format!(
+                                        "msg {msg} took {latency} tick(s), outside the \
+                                         declared window [{}, {d}]",
+                                        d - u
+                                    ),
+                                ));
+                            }
+                        }
                     }
                 }
                 let send_vc = send.vc.clone();
@@ -377,7 +390,7 @@ pub fn audit_events(events: &[Json], cfg: &AuditConfig) -> (Report, AuditSummary
         matched_messages: matched,
         clocks,
     };
-    (Report::new(diags), summary)
+    (Report { diagnostics: diags }, summary)
 }
 
 #[cfg(test)]
@@ -520,5 +533,64 @@ mod tests {
     fn audit_text_reports_parse_errors_with_line_numbers() {
         let err = audit_text("{\"kind\":\"send\"}\nnot json", &AuditConfig::default()).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn huge_pids_are_indexed_not_allocated() {
+        // A clock indexed by pid value would need 10^11 components.
+        let events = vec![
+            line("send", 0, 100_000_000_000, &[("to", 1), ("msg", 0)]),
+            line("deliver", 6600, 1, &[("from", 100_000_000_000), ("msg", 0)]),
+        ];
+        let (report, summary) = audit_events(&events, &cfg());
+        assert!(report.is_clean(), "{:?}", report.diagnostics);
+        assert_eq!(summary.processes, 2);
+        assert_eq!(summary.clocks[1].components(), &[1, 1]);
+    }
+
+    #[test]
+    fn negative_pids_are_processes_of_their_own() {
+        // p-1 is not p0: its events tick its own clock, and a message
+        // sent to p0 but delivered at p-1 is misdelivered.
+        let events = vec![
+            line("invoke", 0, 0, &[]),
+            line("send", 0, 0, &[("to", 0), ("msg", 0)]),
+            line("deliver", 6600, -1, &[("from", 0), ("msg", 0)]),
+        ];
+        let (report, summary) = audit_events(&events, &cfg());
+        assert_eq!(summary.processes, 2);
+        assert_eq!(summary.clocks[0].components(), &[2]);
+        assert_eq!(summary.clocks[1].components(), &[2, 1]);
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.code == "SB102" && d.message.contains("delivered at p-1")),
+            "{:?}",
+            report.diagnostics
+        );
+    }
+
+    #[test]
+    fn unrepresentable_latencies_are_reported() {
+        // i64::MIN − i64::MAX wraps to 1 tick; −1 − i64::MAX is exactly
+        // i64::MIN, whose negation overflows.
+        for (sent, delivered) in [(i64::MAX, i64::MIN), (i64::MIN, i64::MAX), (i64::MAX, -1)] {
+            let events = vec![
+                line("send", sent, 0, &[("to", 1), ("msg", 0)]),
+                line("deliver", delivered, 1, &[("from", 0), ("msg", 0)]),
+            ];
+            let (report, _) = audit_events(
+                &events,
+                &AuditConfig {
+                    window: Some((1, 0)),
+                },
+            );
+            assert!(
+                report.has_code("SB102") && report.errors() == 1,
+                "{sent} -> {delivered}: {:?}",
+                report.diagnostics
+            );
+        }
     }
 }

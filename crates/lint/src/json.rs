@@ -1,9 +1,8 @@
 //! A minimal JSON value, printer, and recursive-descent parser.
 //!
 //! The workspace builds offline with no serialization framework, so
-//! every machine-readable artifact — lint reports
-//! ([`crate::diag::Report`]), JSON-lines trace files audited by
-//! [`crate::audit`], and the model checker's certificates — is emitted
+//! every machine-readable artifact — JSON-lines trace files audited by
+//! [`crate::audit`] and the model checker's certificates — is emitted
 //! and re-validated with this self-contained implementation instead. It
 //! covers exactly what those artifacts need: objects, arrays, strings
 //! with escapes, integers (all numbers are tick counts and indices) and
@@ -229,17 +228,22 @@ pub fn parse_lines(text: &str) -> Result<Vec<Json>, String> {
     Ok(values)
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so the cap bounds its stack; artefacts nest a few levels deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Numbers must be integers in `i64` range
 /// (all skewbound artifact numbers are); anything else is a parse
 /// error.
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed byte.
+/// Returns a description of the first malformed byte, or of arrays and
+/// objects nested more than 128 levels deep.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -267,11 +271,19 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value; `depth` is how many more levels of arrays and
+/// objects may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth == 0 {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{') => parse_obj(bytes, pos, depth - 1),
+        Some(b'[') => parse_arr(bytes, pos, depth - 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -361,7 +373,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -370,7 +382,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -383,7 +395,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -396,7 +408,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -474,5 +486,15 @@ mod tests {
         assert!(text.contains("\\n"));
         assert!(text.contains("\\u0001"));
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        let err = parse_lines(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 }

@@ -1,131 +1,33 @@
-//! The static rule framework: a [`Rule`] trait, a [`Registry`], and the
-//! spec-level rules `SB001`–`SB005` plus the payload-leak rule `SB105`.
+//! The static spec rules `SB001`–`SB005` and the payload-leak rule
+//! `SB105`, each a plain function that returns its findings.
 //!
 //! Static rules run against the finite probe sets of
-//! [`skewbound_spec::probes`]: each rule captures a specification, its
-//! probe states/ops, and a target label, and emits [`Diagnostic`]s with
-//! stable codes from the [`crate::diag::catalog`]. Rules are *checked by
-//! foils*, not trusted — the `skewlint` binary seeds a violating spec
-//! per rule and requires the diagnostic to fire (the canary entries of
-//! the report), so a rule that rots into a no-op fails the gate.
-
-use core::fmt;
+//! [`skewbound_spec::probes`]: each takes a target label, a
+//! specification and its probe states/ops, and returns [`Diagnostic`]s
+//! with stable codes from the [`crate::diag::catalog`]. Rules are
+//! *checked by foils*, not trusted: this module's tests seed a violating
+//! spec per rule and require the diagnostic to fire, so a rule that rots
+//! into a no-op fails the suite.
 
 use skewbound_core::invariants::routing_lint;
 use skewbound_core::timestamp::Timestamp;
-use skewbound_sim::engine::SimReport;
 use skewbound_spec::classify::immediately_non_commuting;
 use skewbound_spec::namespace::NsOp;
 use skewbound_spec::seqspec::SequentialSpec;
 
-use crate::diag::{Diagnostic, Report};
-
-/// A lint rule: a bound check that appends findings to `out`.
-///
-/// Implementations carry everything they need (spec, probe sets, target
-/// label) so a [`Registry`] can run them uniformly.
-pub trait Rule {
-    /// The stable catalog code this rule emits (`"SB001"`, …).
-    fn code(&self) -> &'static str;
-    /// The label of the analyzed artifact, used in diagnostics.
-    fn target(&self) -> &str;
-    /// Runs the check, appending any findings.
-    fn check(&self, out: &mut Vec<Diagnostic>);
-}
-
-/// An ordered collection of rules that runs them all and produces a
-/// [`Report`].
-#[derive(Default)]
-pub struct Registry {
-    rules: Vec<Box<dyn Rule>>,
-}
-
-impl fmt::Debug for Registry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let entries: Vec<String> = self
-            .rules
-            .iter()
-            .map(|r| format!("{}({})", r.code(), r.target()))
-            .collect();
-        f.debug_struct("Registry").field("rules", &entries).finish()
-    }
-}
-
-impl Registry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Appends a rule; rules run in registration order.
-    pub fn register(&mut self, rule: Box<dyn Rule>) {
-        self.rules.push(rule);
-    }
-
-    /// Number of registered rules.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// True when no rules are registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// Runs every rule and collects the findings into a report.
-    #[must_use]
-    pub fn run(&self) -> Report {
-        let mut diagnostics = Vec::new();
-        for rule in &self.rules {
-            rule.check(&mut diagnostics);
-        }
-        Report::new(diagnostics)
-    }
-}
+use crate::diag::Diagnostic;
 
 /// `SB001` — routing consistency, ported from
 /// [`skewbound_core::invariants::routing_lint`]: declared pure mutators
 /// must have a mutator witness and no accessor witness, declared pure
 /// accessors must not have a mutator witness.
-#[derive(Debug)]
-pub struct RoutingRule<S: SequentialSpec> {
-    target: String,
-    spec: S,
-    states: Vec<S::State>,
-    ops: Vec<S::Op>,
-}
-
-impl<S: SequentialSpec> RoutingRule<S> {
-    /// Binds the rule to a spec and its probe sets.
-    pub fn new(target: impl Into<String>, spec: S, states: Vec<S::State>, ops: Vec<S::Op>) -> Self {
-        RoutingRule {
-            target: target.into(),
-            spec,
-            states,
-            ops,
-        }
-    }
-}
-
-impl<S: SequentialSpec> Rule for RoutingRule<S> {
-    fn code(&self) -> &'static str {
-        "SB001"
-    }
-
-    fn target(&self) -> &str {
-        &self.target
-    }
-
-    fn check(&self, out: &mut Vec<Diagnostic>) {
-        for v in routing_lint(&self.spec, &self.states, &self.ops) {
-            if v.invariant == "routing-consistency" {
-                out.push(Diagnostic::new("SB001", &self.target, v.detail));
-            }
-        }
-    }
+pub fn routing<S: SequentialSpec>(
+    target: &str,
+    spec: &S,
+    states: &[S::State],
+    ops: &[S::Op],
+) -> Vec<Diagnostic> {
+    routing_findings(target, spec, states, ops, "routing-consistency", "SB001")
 }
 
 /// `SB002` — accessor purity (class consistency): on the probe set, a
@@ -133,42 +35,48 @@ impl<S: SequentialSpec> Rule for RoutingRule<S> {
 /// never change the state, and a declared
 /// [`PureMutator`](skewbound_spec::seqspec::OpClass)'s response must not
 /// depend on it.
-#[derive(Debug)]
-pub struct AccessorPurityRule<S: SequentialSpec> {
-    target: String,
-    spec: S,
-    states: Vec<S::State>,
-    ops: Vec<S::Op>,
+pub fn accessor_purity<S: SequentialSpec>(
+    target: &str,
+    spec: &S,
+    states: &[S::State],
+    ops: &[S::Op],
+) -> Vec<Diagnostic> {
+    routing_findings(target, spec, states, ops, "class-consistency", "SB002")
 }
 
-impl<S: SequentialSpec> AccessorPurityRule<S> {
-    /// Binds the rule to a spec and its probe sets.
-    pub fn new(target: impl Into<String>, spec: S, states: Vec<S::State>, ops: Vec<S::Op>) -> Self {
-        AccessorPurityRule {
-            target: target.into(),
-            spec,
-            states,
-            ops,
-        }
-    }
+/// The `routing_lint` findings of one invariant, under one code.
+fn routing_findings<S: SequentialSpec>(
+    target: &str,
+    spec: &S,
+    states: &[S::State],
+    ops: &[S::Op],
+    invariant: &str,
+    code: &str,
+) -> Vec<Diagnostic> {
+    routing_lint(spec, states, ops)
+        .into_iter()
+        .filter(|v| v.invariant == invariant)
+        .map(|v| Diagnostic::new(code, target, v.detail))
+        .collect()
 }
 
-impl<S: SequentialSpec> Rule for AccessorPurityRule<S> {
-    fn code(&self) -> &'static str {
-        "SB002"
+/// True when the probe set distinguishes the two orders of `a`, `b`:
+/// either some response differs (immediate witness) or some final state
+/// does (eventual witness).
+fn has_witness<S: SequentialSpec>(spec: &S, states: &[S::State], a: &S::Op, b: &S::Op) -> bool {
+    if immediately_non_commuting(
+        spec,
+        states,
+        core::slice::from_ref(a),
+        core::slice::from_ref(b),
+    )
+    .is_some()
+    {
+        return true;
     }
-
-    fn target(&self) -> &str {
-        &self.target
-    }
-
-    fn check(&self, out: &mut Vec<Diagnostic>) {
-        for v in routing_lint(&self.spec, &self.states, &self.ops) {
-            if v.invariant == "class-consistency" {
-                out.push(Diagnostic::new("SB002", &self.target, v.detail));
-            }
-        }
-    }
+    states
+        .iter()
+        .any(|s| !spec.equivalent_after(s, &[a.clone(), b.clone()], &[b.clone(), a.clone()]))
 }
 
 /// `SB003` — commutativity declarations
@@ -180,95 +88,51 @@ impl<S: SequentialSpec> Rule for AccessorPurityRule<S> {
 ///   an error (the declaration is a lie);
 /// * `Some(false)` with no witness at all is a warning (the probe set
 ///   cannot confirm the claimed conflict).
-#[derive(Debug)]
-pub struct CommutativityRule<S: SequentialSpec> {
-    target: String,
-    spec: S,
-    states: Vec<S::State>,
-    ops: Vec<S::Op>,
-}
-
-impl<S: SequentialSpec> CommutativityRule<S> {
-    /// Binds the rule to a spec and its probe sets.
-    pub fn new(target: impl Into<String>, spec: S, states: Vec<S::State>, ops: Vec<S::Op>) -> Self {
-        CommutativityRule {
-            target: target.into(),
-            spec,
-            states,
-            ops,
-        }
-    }
-
-    /// True when the probe set distinguishes the two orders of `a`, `b`:
-    /// either some response differs (immediate witness) or some final
-    /// state does (eventual witness).
-    fn has_witness(&self, a: &S::Op, b: &S::Op) -> bool {
-        if immediately_non_commuting(
-            &self.spec,
-            &self.states,
-            core::slice::from_ref(a),
-            core::slice::from_ref(b),
-        )
-        .is_some()
-        {
-            return true;
-        }
-        self.states.iter().any(|s| {
-            !self
-                .spec
-                .equivalent_after(s, &[a.clone(), b.clone()], &[b.clone(), a.clone()])
-        })
-    }
-}
-
-impl<S: SequentialSpec> Rule for CommutativityRule<S> {
-    fn code(&self) -> &'static str {
-        "SB003"
-    }
-
-    fn target(&self) -> &str {
-        &self.target
-    }
-
-    fn check(&self, out: &mut Vec<Diagnostic>) {
-        for (i, a) in self.ops.iter().enumerate() {
-            for b in &self.ops[i + 1..] {
-                if a == b {
-                    continue;
-                }
-                let declared = self.spec.declares_commuting(a, b);
-                if declared != self.spec.declares_commuting(b, a) {
-                    out.push(Diagnostic::new(
-                        "SB003",
-                        &self.target,
-                        format!("asymmetric commutativity declaration for {a:?} and {b:?}"),
-                    ));
-                    continue;
-                }
-                let Some(claim) = declared else { continue };
-                let witness = self.has_witness(a, b);
-                if claim && witness {
-                    out.push(Diagnostic::new(
-                        "SB003",
-                        &self.target,
-                        format!(
-                            "{a:?} and {b:?} are declared commuting but a probe state \
-                             distinguishes the two orders"
-                        ),
-                    ));
-                } else if !claim && !witness {
-                    out.push(Diagnostic::warning(
-                        "SB003",
-                        &self.target,
-                        format!(
-                            "{a:?} and {b:?} are declared non-commuting but no probe \
-                             witness distinguishes the orders"
-                        ),
-                    ));
-                }
+pub fn commutativity<S: SequentialSpec>(
+    target: &str,
+    spec: &S,
+    states: &[S::State],
+    ops: &[S::Op],
+) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for (i, a) in ops.iter().enumerate() {
+        for b in &ops[i + 1..] {
+            if a == b {
+                continue;
+            }
+            let declared = spec.declares_commuting(a, b);
+            if declared != spec.declares_commuting(b, a) {
+                out.push(Diagnostic::new(
+                    "SB003",
+                    target,
+                    format!("asymmetric commutativity declaration for {a:?} and {b:?}"),
+                ));
+                continue;
+            }
+            let Some(claim) = declared else { continue };
+            let witness = has_witness(spec, states, a, b);
+            if claim && witness {
+                out.push(Diagnostic::new(
+                    "SB003",
+                    target,
+                    format!(
+                        "{a:?} and {b:?} are declared commuting but a probe state \
+                         distinguishes the two orders"
+                    ),
+                ));
+            } else if !claim && !witness {
+                out.push(Diagnostic::warning(
+                    "SB003",
+                    target,
+                    format!(
+                        "{a:?} and {b:?} are declared non-commuting but no probe \
+                         witness distinguishes the orders"
+                    ),
+                ));
             }
         }
     }
+    out
 }
 
 /// `SB004` — batch-vs-sequential equivalence for namespace operations:
@@ -276,79 +140,43 @@ impl<S: SequentialSpec> Rule for CommutativityRule<S> {
 /// state, same per-op responses in both orders). This is exactly what
 /// lets the sharded runtime apply a key-grouped batch without fixing an
 /// inter-key order, and lets `lin::multi` check shards independently.
-#[derive(Debug)]
-pub struct NsBatchRule<S, O>
+pub fn ns_batch<S, O>(
+    target: &str,
+    spec: &S,
+    states: &[S::State],
+    ops: &[NsOp<O>],
+) -> Vec<Diagnostic>
 where
     S: SequentialSpec<Op = NsOp<O>>,
-    O: Clone + Eq + core::hash::Hash + fmt::Debug,
+    O: Clone + Eq + core::hash::Hash + core::fmt::Debug,
 {
-    target: String,
-    spec: S,
-    states: Vec<S::State>,
-    ops: Vec<NsOp<O>>,
-}
-
-impl<S, O> NsBatchRule<S, O>
-where
-    S: SequentialSpec<Op = NsOp<O>>,
-    O: Clone + Eq + core::hash::Hash + fmt::Debug,
-{
-    /// Binds the rule to a namespace spec and its probe sets.
-    pub fn new(
-        target: impl Into<String>,
-        spec: S,
-        states: Vec<S::State>,
-        ops: Vec<NsOp<O>>,
-    ) -> Self {
-        NsBatchRule {
-            target: target.into(),
-            spec,
-            states,
-            ops,
-        }
-    }
-}
-
-impl<S, O> Rule for NsBatchRule<S, O>
-where
-    S: SequentialSpec<Op = NsOp<O>>,
-    O: Clone + Eq + core::hash::Hash + fmt::Debug,
-{
-    fn code(&self) -> &'static str {
-        "SB004"
-    }
-
-    fn target(&self) -> &str {
-        &self.target
-    }
-
-    fn check(&self, out: &mut Vec<Diagnostic>) {
-        for state in &self.states {
-            for (i, a) in self.ops.iter().enumerate() {
-                for b in &self.ops[i + 1..] {
-                    if a.key == b.key {
-                        // Same object: ordered by the batch's seq
-                        // components, so order-dependence is fine.
-                        continue;
-                    }
-                    let (s_ab, r_ab) = self.spec.run(state, &[a.clone(), b.clone()]);
-                    let (s_ba, r_ba) = self.spec.run(state, &[b.clone(), a.clone()]);
-                    if s_ab != s_ba || r_ab[0] != r_ba[1] || r_ab[1] != r_ba[0] {
-                        out.push(Diagnostic::new(
-                            "SB004",
-                            &self.target,
-                            format!(
-                                "ops on distinct keys {} and {} are order-dependent from \
-                                 state {state:?}: batched application is not equivalent \
-                                 to the sequential orders ({a:?}, {b:?})",
-                                a.key, b.key
-                            ),
-                        ));
-                    }
+    let mut out = Vec::new();
+    for state in states {
+        for (i, a) in ops.iter().enumerate() {
+            for b in &ops[i + 1..] {
+                if a.key == b.key {
+                    // Same object: ordered by the batch's seq components,
+                    // so order-dependence is fine.
+                    continue;
+                }
+                let (s_ab, r_ab) = spec.run(state, &[a.clone(), b.clone()]);
+                let (s_ba, r_ba) = spec.run(state, &[b.clone(), a.clone()]);
+                if s_ab != s_ba || r_ab[0] != r_ba[1] || r_ab[1] != r_ba[0] {
+                    out.push(Diagnostic::new(
+                        "SB004",
+                        target,
+                        format!(
+                            "ops on distinct keys {} and {} are order-dependent from \
+                             state {state:?}: batched application is not equivalent \
+                             to the sequential orders ({a:?}, {b:?})",
+                            a.key, b.key
+                        ),
+                    ));
                 }
             }
         }
     }
+    out
 }
 
 /// `SB005` — timestamp seq-component discipline over an execution
@@ -356,120 +184,62 @@ where
 /// batch (same `⟨time, pid⟩`) must carry a contiguous `seq` run
 /// starting at `0`, so no foreign timestamp can interleave a batch and
 /// single ops keep the paper's two-component form.
-#[derive(Debug)]
-pub struct TimestampSeqRule {
-    target: String,
-    order: Vec<Timestamp>,
-}
-
-impl TimestampSeqRule {
-    /// Binds the rule to an executed timestamp order.
-    pub fn new(target: impl Into<String>, order: Vec<Timestamp>) -> Self {
-        TimestampSeqRule {
-            target: target.into(),
-            order,
-        }
-    }
-}
-
-impl Rule for TimestampSeqRule {
-    fn code(&self) -> &'static str {
-        "SB005"
-    }
-
-    fn target(&self) -> &str {
-        &self.target
-    }
-
-    fn check(&self, out: &mut Vec<Diagnostic>) {
-        for w in self.order.windows(2) {
-            if w[0] >= w[1] {
-                out.push(Diagnostic::new(
-                    "SB005",
-                    &self.target,
-                    format!(
-                        "executed timestamps are not strictly ascending: {} then {}",
-                        w[0], w[1]
-                    ),
-                ));
-            }
-        }
-        // Group maximal runs with equal ⟨time, pid⟩ and check the seq
-        // components count 0, 1, 2, … within each run.
-        let mut i = 0;
-        while i < self.order.len() {
-            let mut j = i;
-            while j < self.order.len()
-                && self.order[j].time == self.order[i].time
-                && self.order[j].pid == self.order[i].pid
-            {
-                j += 1;
-            }
-            for (offset, ts) in self.order[i..j].iter().enumerate() {
-                if ts.seq != offset as u32 {
-                    out.push(Diagnostic::new(
-                        "SB005",
-                        &self.target,
-                        format!(
-                            "batch at ⟨{},{}⟩ has a non-contiguous seq run: position \
-                             {offset} carries seq {}",
-                            ts.time, ts.pid, ts.seq
-                        ),
-                    ));
-                    break;
-                }
-            }
-            i = j;
-        }
-    }
-}
-
-/// `SB105` — leaked slab payloads: a run must return every op, message,
-/// batch, and timer payload slot to its slab by quiescence. This is the
-/// lint-facing form of [`SimReport::leaked_payloads`] (the same check
-/// the trace auditor applies to the `engine/leaked_payloads` counter).
-#[derive(Debug)]
-pub struct PayloadLeakRule {
-    target: String,
-    leaked: u64,
-}
-
-impl PayloadLeakRule {
-    /// Binds the rule to an observed leak count.
-    pub fn new(target: impl Into<String>, leaked: u64) -> Self {
-        PayloadLeakRule {
-            target: target.into(),
-            leaked,
-        }
-    }
-
-    /// Binds the rule to a finished run's report.
-    pub fn from_report(target: impl Into<String>, report: &SimReport) -> Self {
-        PayloadLeakRule::new(target, report.leaked_payloads)
-    }
-}
-
-impl Rule for PayloadLeakRule {
-    fn code(&self) -> &'static str {
-        "SB105"
-    }
-
-    fn target(&self) -> &str {
-        &self.target
-    }
-
-    fn check(&self, out: &mut Vec<Diagnostic>) {
-        if self.leaked > 0 {
+pub fn timestamp_seq(target: &str, order: &[Timestamp]) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for w in order.windows(2) {
+        if w[0] >= w[1] {
             out.push(Diagnostic::new(
-                "SB105",
-                &self.target,
+                "SB005",
+                target,
                 format!(
-                    "{} payload slab slot(s) still live at quiescence",
-                    self.leaked
+                    "executed timestamps are not strictly ascending: {} then {}",
+                    w[0], w[1]
                 ),
             ));
         }
     }
+    // Group maximal runs with equal ⟨time, pid⟩ and check the seq
+    // components count 0, 1, 2, … within each run.
+    let mut i = 0;
+    while i < order.len() {
+        let mut j = i;
+        while j < order.len() && order[j].time == order[i].time && order[j].pid == order[i].pid {
+            j += 1;
+        }
+        for (offset, ts) in order[i..j].iter().enumerate() {
+            if ts.seq != offset as u32 {
+                out.push(Diagnostic::new(
+                    "SB005",
+                    target,
+                    format!(
+                        "batch at ⟨{},{}⟩ has a non-contiguous seq run: position \
+                         {offset} carries seq {}",
+                        ts.time, ts.pid, ts.seq
+                    ),
+                ));
+                break;
+            }
+        }
+        i = j;
+    }
+    out
+}
+
+/// `SB105` — leaked slab payloads: a run must return every op, message,
+/// batch, and timer payload slot to its slab by quiescence. This is the
+/// lint-facing form of
+/// [`SimReport::leaked_payloads`](skewbound_sim::engine::SimReport) (the
+/// same check the trace auditor applies to the `engine/leaked_payloads`
+/// counter).
+pub fn payload_leak(target: &str, leaked: u64) -> Vec<Diagnostic> {
+    if leaked == 0 {
+        return Vec::new();
+    }
+    vec![Diagnostic::new(
+        "SB105",
+        target,
+        format!("{leaked} payload slab slot(s) still live at quiescence"),
+    )]
 }
 
 #[cfg(test)]
@@ -574,132 +344,110 @@ mod tests {
 
     #[test]
     fn honest_specs_are_clean() {
-        let mut reg = Registry::new();
-        reg.register(Box::new(RoutingRule::new(
-            "register",
-            RmwRegister::default(),
-            probes::register_states(),
-            probes::register_ops(),
-        )));
-        reg.register(Box::new(AccessorPurityRule::new(
-            "register",
-            RmwRegister::default(),
-            probes::register_states(),
-            probes::register_ops(),
-        )));
-        reg.register(Box::new(CommutativityRule::new(
-            "counter",
-            Counter::default(),
-            probes::counter_states(),
-            probes::counter_ops(),
-        )));
-        reg.register(Box::new(NsBatchRule::new(
-            "ns-register",
-            Namespace::new(RmwRegister::default()),
-            probes::ns_register_states(),
-            probes::ns_register_ops(),
-        )));
-        reg.register(Box::new(TimestampSeqRule::new(
-            "order",
-            vec![
-                ts(1, 0, 0),
-                ts(2, 1, 0),
-                ts(2, 1, 1),
-                ts(2, 1, 2),
-                ts(3, 0, 0),
-            ],
-        )));
-        reg.register(Box::new(PayloadLeakRule::new("run", 0)));
-        assert_eq!(reg.len(), 6);
-        let report = reg.run();
-        assert!(
-            report.is_clean(),
-            "unexpected findings: {:?}",
-            report.diagnostics
-        );
+        let findings = [
+            routing(
+                "register",
+                &RmwRegister::default(),
+                &probes::register_states(),
+                &probes::register_ops(),
+            ),
+            accessor_purity(
+                "register",
+                &RmwRegister::default(),
+                &probes::register_states(),
+                &probes::register_ops(),
+            ),
+            commutativity(
+                "counter",
+                &Counter::default(),
+                &probes::counter_states(),
+                &probes::counter_ops(),
+            ),
+            ns_batch(
+                "ns-register",
+                &Namespace::new(RmwRegister::default()),
+                &probes::ns_register_states(),
+                &probes::ns_register_ops(),
+            ),
+            timestamp_seq(
+                "order",
+                &[
+                    ts(1, 0, 0),
+                    ts(2, 1, 0),
+                    ts(2, 1, 1),
+                    ts(2, 1, 2),
+                    ts(3, 0, 0),
+                ],
+            ),
+            payload_leak("run", 0),
+        ]
+        .concat();
+        assert!(findings.is_empty(), "unexpected findings: {findings:?}");
     }
 
     #[test]
     fn misrouted_register_trips_sb001_and_sb002() {
-        let mut reg = Registry::new();
-        reg.register(Box::new(RoutingRule::new(
-            "misrouted",
-            MisroutedRegister,
-            probes::register_states(),
-            probes::register_ops(),
-        )));
-        reg.register(Box::new(AccessorPurityRule::new(
-            "misrouted",
-            MisroutedRegister,
-            probes::register_states(),
-            probes::register_ops(),
-        )));
-        let report = reg.run();
-        assert!(report.has_code("SB001"), "{:?}", report.diagnostics);
-        assert!(report.has_code("SB002"), "{:?}", report.diagnostics);
+        let states = probes::register_states();
+        let ops = probes::register_ops();
+        let sb001 = routing("misrouted", &MisroutedRegister, &states, &ops);
+        let sb002 = accessor_purity("misrouted", &MisroutedRegister, &states, &ops);
+        assert!(sb001.iter().any(|d| d.code == "SB001"), "{sb001:?}");
+        assert!(sb002.iter().any(|d| d.code == "SB002"), "{sb002:?}");
     }
 
     #[test]
     fn lying_declarations_trip_sb003_both_ways() {
-        let rule = CommutativityRule::new(
+        let out = commutativity(
             "liar",
-            DeclLiarCounter,
-            probes::counter_states(),
-            probes::counter_ops(),
+            &DeclLiarCounter,
+            &probes::counter_states(),
+            &probes::counter_ops(),
         );
-        let mut out = Vec::new();
-        rule.check(&mut out);
         // Add/Read declared commuting → error; Add/Add declared
         // non-commuting with no witness → warning.
         assert!(
             out.iter()
-                .any(|d| d.severity == crate::diag::Severity::Error),
+                .any(|d| d.code == "SB003" && d.severity == crate::diag::Severity::Error),
             "{out:?}"
         );
         assert!(
             out.iter()
-                .any(|d| d.severity == crate::diag::Severity::Warning),
+                .any(|d| d.code == "SB003" && d.severity == crate::diag::Severity::Warning),
             "{out:?}"
         );
     }
 
     #[test]
     fn cross_talk_namespace_trips_sb004() {
-        let rule = NsBatchRule::new(
+        let out = ns_batch(
             "cross-talk",
-            CrossTalkNs,
-            probes::ns_register_states(),
-            probes::ns_register_ops(),
+            &CrossTalkNs,
+            &probes::ns_register_states(),
+            &probes::ns_register_ops(),
         );
-        let mut out = Vec::new();
-        rule.check(&mut out);
         assert!(out.iter().any(|d| d.code == "SB004"), "{out:?}");
     }
 
     #[test]
     fn seq_violations_trip_sb005() {
-        // Descending timestamps.
-        let rule = TimestampSeqRule::new("desc", vec![ts(2, 0, 0), ts(1, 0, 0)]);
-        let mut out = Vec::new();
-        rule.check(&mut out);
-        assert!(out.iter().any(|d| d.code == "SB005"), "{out:?}");
-        // A batch whose seq run has a gap: 0 then 2.
-        let rule = TimestampSeqRule::new("gap", vec![ts(5, 1, 0), ts(5, 1, 2)]);
-        let mut out = Vec::new();
-        rule.check(&mut out);
-        assert!(out.iter().any(|d| d.code == "SB005"), "{out:?}");
-        // A batch that starts at seq 1.
-        let rule = TimestampSeqRule::new("start", vec![ts(5, 1, 1), ts(5, 1, 2)]);
-        let mut out = Vec::new();
-        rule.check(&mut out);
-        assert!(!out.is_empty(), "{out:?}");
+        for order in [
+            // Descending timestamps.
+            vec![ts(2, 0, 0), ts(1, 0, 0)],
+            // A batch whose seq run has a gap: 0 then 2.
+            vec![ts(5, 1, 0), ts(5, 1, 2)],
+            // A batch that starts at seq 1.
+            vec![ts(5, 1, 1), ts(5, 1, 2)],
+            // Both at once: a descent into a batch with a gap.
+            vec![ts(300, 0, 0), ts(200, 1, 0), ts(200, 1, 2)],
+        ] {
+            let out = timestamp_seq("bad-order", &order);
+            assert!(out.iter().any(|d| d.code == "SB005"), "{order:?}: {out:?}");
+        }
     }
 
     #[test]
     fn leaks_trip_sb105() {
-        let rule = PayloadLeakRule::new("leaky", 2);
-        let mut out = Vec::new();
-        rule.check(&mut out);
+        let out = payload_leak("leaky", 2);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].code, "SB105");
     }

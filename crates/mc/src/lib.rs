@@ -23,11 +23,10 @@
 //! * [`certificate`] — minimized, replay-confirmed counterexample
 //!   certificates in a stable JSON schema, via the [`json`] module
 //!   (re-exported from `skewbound-lint`);
-//! * `skewlint` (in `src/bin`) — the command-line analyzer CI runs:
-//!   the `skewbound-lint` rule registry with per-rule foil canaries,
-//!   honest-implementation verification with DPOR-vs-naive schedule
-//!   accounting, certificate emission for the known-broken foils, and
-//!   the offline happens-before trace auditor.
+//! * `skewlint` (in `src/bin`) — writes the certificates of the
+//!   known-broken foils and the audited honest register trace (the
+//!   committed copies are in `tests/golden/`), and runs the offline
+//!   happens-before trace auditor (`skewlint audit`).
 //!
 //! ```
 //! use skewbound_core::{params::Params, replica::Replica};

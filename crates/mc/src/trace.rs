@@ -9,7 +9,7 @@
 //! `timer-set`, `timer-fire`, `timer-cancel`) plus `counter` for stage
 //! counters — so a reader can dispatch on one key without a schema in
 //! hand. Lines parse back through [`crate::json::parse`], which is how
-//! CI validates the trace artifact, and the offline auditor
+//! `skewlint --trace` re-reads the trace artifact, and the offline auditor
 //! (`skewbound_lint::audit`, `skewlint audit`) consumes the same
 //! format.
 

@@ -517,18 +517,26 @@ mod tests {
         // before any completion can be filed, so the overlap is certain.
         let mut overlapping = at_zero(1).at(p0, SimTime::ZERO, 2);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run(vec![TimerEcho, TimerEcho], bounds(1000, 500), &mut overlapping)
+            run(
+                vec![TimerEcho, TimerEcho],
+                bounds(1000, 500),
+                &mut overlapping,
+            )
         }));
         let payload = outcome.expect_err("overlapping invocations at p0 must be rejected");
         let message = payload
             .downcast_ref::<String>()
             .expect("the panic carries a message");
-        assert!(message.contains("another operation is pending"), "{message}");
+        assert!(
+            message.contains("another operation is pending"),
+            "{message}"
+        );
         // A different process is unaffected, and p0 accepts new work
         // once its first operation has responded.
-        let mut disjoint = at_zero(1)
-            .at(p1, SimTime::ZERO, 3)
-            .at(p0, SimTime::from_ticks(250_000), 4);
+        let mut disjoint =
+            at_zero(1)
+                .at(p1, SimTime::ZERO, 3)
+                .at(p0, SimTime::from_ticks(250_000), 4);
         let history = run(vec![TimerEcho, TimerEcho], bounds(1000, 500), &mut disjoint);
         assert!(history.is_complete());
         assert_eq!(history.len(), 3);

@@ -1,13 +1,15 @@
 //! Full-stack exercises of the `skewbound-mc` model checker: honest
 //! implementations survive complete small-scope exploration, foils are
 //! caught with minimized replay-confirmed certificates, and the DPOR
-//! reduction is measured against the naive interleaving baseline.
+//! reduction is measured against the naive interleaving baseline on the
+//! register, the queue and the stack.
 
 use skewbound_core::foils::{eager_group, LocalFirstReplica};
 use skewbound_core::replica::Replica;
 use skewbound_integration::default_params;
 use skewbound_mc::{
-    certify, model_check, validate_certificate, Independence, McConfig, ViolationKind,
+    certify, model_check, validate_certificate, Independence, McConfig, McReport, ModelActor,
+    ViolationKind,
 };
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::time::SimTime;
@@ -22,94 +24,164 @@ fn t(ticks: u64) -> SimTime {
     SimTime::from_ticks(ticks)
 }
 
-/// Two concurrent writes and a later read: every delay corner, clock
-/// corner and delivery order of the honest register must linearize and
-/// satisfy the protocol invariants.
-#[test]
-fn honest_register_survives_full_exploration() {
-    let p = default_params();
-    let config = McConfig::corners(&p, probes::register_states());
-    let script = [
+/// The register's script: two concurrent writes and a later read.
+fn register_script() -> [(ProcessId, SimTime, RmwOp); 3] {
+    [
         (pid(0), t(0), RmwOp::Write(1)),
         (pid(1), t(0), RmwOp::Write(2)),
         (pid(2), t(40_000), RmwOp::Read),
-    ];
-    let report = model_check(
-        &RmwRegister::default(),
-        || Replica::group(RmwRegister::default(), &p),
-        &p,
-        &script,
-        &config,
-    );
-    assert!(report.all_passed(), "violations: {:?}", report.violations);
-    assert!(
-        report.schedules >= report.cells,
-        "every cell runs at least once"
-    );
-    assert_eq!(
-        report.messages, 4,
-        "two mutators broadcast, the read is local"
-    );
-    // Fixed values: a change to event identity, the delay digits or the
-    // dependence relation moves them.
-    assert_eq!(
-        (
-            report.cells,
-            report.schedules,
-            report.pruned,
-            report.explored_states
-        ),
-        (112, 3360, 2310, 18900)
-    );
+    ]
 }
 
-/// The DPOR schedule count must be strictly below the naive baseline on
-/// a scenario with concurrent deliveries, and pruning must not change
-/// the verdict.
-#[test]
-fn dpor_beats_naive_interleaving_and_agrees() {
-    let p = default_params();
-    let mut config = McConfig::corners(&p, probes::queue_states());
-    config.clock_choices.truncate(1); // zero skew: keep naive tractable
-    let script = [
+/// The queue's script: two concurrent enqueues and a later dequeue.
+fn queue_script() -> [(ProcessId, SimTime, QueueOp<i64>); 3] {
+    [
         (pid(0), t(0), QueueOp::Enqueue(1)),
         (pid(1), t(0), QueueOp::Enqueue(2)),
         (pid(2), t(40_000), QueueOp::Dequeue),
-    ];
-    let run = |independence, cap| {
+    ]
+}
+
+/// The stack's script: a push and, 200 ticks later, a pop elsewhere.
+fn stack_script() -> [(ProcessId, SimTime, StackOp<i64>); 2] {
+    [
+        (pid(0), t(0), StackOp::Push(7)),
+        (pid(1), t(200), StackOp::Pop),
+    ]
+}
+
+/// Every delay corner, clock corner and delivery order of the honest
+/// register, queue and stack must linearize and satisfy the protocol
+/// invariants.
+#[test]
+fn honest_register_survives_full_exploration() {
+    let p = default_params();
+    let register = model_check(
+        &RmwRegister::default(),
+        || Replica::group(RmwRegister::default(), &p),
+        &p,
+        &register_script(),
+        &McConfig::corners(&p, probes::register_states()),
+    );
+    let queue = model_check(
+        &Queue::<i64>::new(),
+        || Replica::group(Queue::<i64>::new(), &p),
+        &p,
+        &queue_script(),
+        &McConfig::corners(&p, probes::queue_states()),
+    );
+    let stack = model_check(
+        &Stack::<i64>::new(),
+        || Replica::group(Stack::<i64>::new(), &p),
+        &p,
+        &stack_script(),
+        &McConfig::corners(&p, probes::stack_states()),
+    );
+    for report in [&register, &queue, &stack] {
+        assert!(report.all_passed(), "violations: {:?}", report.violations);
+        assert!(
+            report.schedules >= report.cells,
+            "every cell runs at least once"
+        );
+    }
+    // Two broadcasting mutators and a local read on the register; the
+    // queue's dequeue and the stack's pop broadcast too.
+    assert_eq!([&register, &queue, &stack].map(|r| r.messages), [4, 6, 4]);
+    // Fixed values: a change to event identity, the delay digits or the
+    // dependence relation moves them.
+    assert_eq!(
+        [register, queue, stack].map(|r| (r.cells, r.schedules, r.pruned, r.explored_states)),
+        [
+            (112, 3360, 2310, 18900),
+            (448, 13440, 9240, 96600),
+            (112, 112, 0, 1680)
+        ]
+    );
+}
+
+/// Explores one script under DPOR and under the naive independence
+/// relation, capped at 20 000 schedules, on zero skew only (the naive
+/// baseline must stay tractable).
+fn dpor_and_naive<A, F>(
+    spec: &A::Spec,
+    make_actors: F,
+    script: &[(ProcessId, SimTime, A::Op)],
+    probe_states: Vec<<A::Spec as SequentialSpec>::State>,
+) -> [McReport; 2]
+where
+    A: ModelActor,
+    A::Spec: Clone + Sync,
+    <A::Spec as SequentialSpec>::State: Sync,
+    <A::Spec as SequentialSpec>::Op: Send + Sync,
+    <A::Spec as SequentialSpec>::Resp: Send + Sync,
+    F: Fn() -> Vec<A> + Sync,
+{
+    let p = default_params();
+    let mut config = McConfig::corners(&p, probe_states);
+    config.clock_choices.truncate(1);
+    [
+        (Independence::Dpor, 1_000_000),
+        (Independence::Naive, 20_000),
+    ]
+    .map(|(independence, cap)| {
         let mut c = config.clone();
         c.independence = independence;
         c.max_schedules = cap;
-        model_check(
+        model_check(spec, &make_actors, &p, script, &c)
+    })
+}
+
+/// On the register, the queue and the stack, the DPOR schedule count
+/// must be strictly below the naive baseline, and pruning must not
+/// change the verdict.
+#[test]
+fn dpor_beats_naive_interleaving_and_agrees() {
+    let p = default_params();
+    let runs = [
+        dpor_and_naive(
+            &RmwRegister::default(),
+            || Replica::group(RmwRegister::default(), &p),
+            &register_script(),
+            probes::register_states(),
+        ),
+        dpor_and_naive(
             &Queue::<i64>::new(),
             || Replica::group(Queue::<i64>::new(), &p),
-            &p,
-            &script,
-            &c,
-        )
-    };
-    let dpor = run(Independence::Dpor, 1_000_000);
-    // Cap the naive baseline: full interleaving enumeration is the thing
-    // DPOR exists to avoid, and a capped count is still a strict lower
-    // bound on the naive schedule space.
-    let naive = run(Independence::Naive, 20_000);
-    assert!(dpor.all_passed(), "violations: {:?}", dpor.violations);
-    assert!(
-        naive.violations.is_empty() && naive.unknown == 0,
-        "violations: {:?}",
-        naive.violations
-    );
-    assert!(
-        dpor.schedules < naive.schedules,
-        "DPOR must explore strictly fewer schedules: {} vs {}",
-        dpor.schedules,
-        naive.schedules
-    );
+            &queue_script(),
+            probes::queue_states(),
+        ),
+        dpor_and_naive(
+            &Stack::<i64>::new(),
+            || Replica::group(Stack::<i64>::new(), &p),
+            &stack_script(),
+            probes::stack_states(),
+        ),
+    ];
+    for [dpor, naive] in &runs {
+        assert!(dpor.all_passed(), "violations: {:?}", dpor.violations);
+        // A capped naive count is still a strict lower bound on the
+        // naive schedule space, which DPOR exists to avoid enumerating.
+        assert!(
+            naive.violations.is_empty() && naive.unknown == 0,
+            "violations: {:?}",
+            naive.violations
+        );
+        assert!(
+            dpor.schedules < naive.schedules,
+            "DPOR must explore strictly fewer schedules: {} vs {}",
+            dpor.schedules,
+            naive.schedules
+        );
+    }
     // Fixed values for both modes: a change to event identity or to the
     // dependence relation moves them.
     assert_eq!(
-        [dpor, naive].map(|r| (r.cells, r.schedules, r.pruned, r.explored_states)),
-        [(64, 1920, 1320, 13800), (1, 20000, 0, 460000)]
+        runs.map(|pair| pair.map(|r| (r.cells, r.schedules, r.pruned, r.explored_states))),
+        [
+            [(16, 480, 330, 2700), (1, 20000, 0, 360000)],
+            [(64, 1920, 1320, 13800), (1, 20000, 0, 460000)],
+            [(16, 16, 0, 240), (16, 2304, 0, 34560)],
+        ]
     );
 }
 
