@@ -2,8 +2,8 @@
 # Workspace gate: lints, the full test suite, and the parallel-runner
 # determinism test under a forced multi-worker pool. Run from the repo
 # root; any failure aborts. Pass --deep to additionally run the Miri
-# pass over the sim crate's unsafe-adjacent modules (slab, equeue,
-# timers); it needs a toolchain with the miri component installed.
+# pass over the sim crate's unsafe-adjacent modules (slab, timers); it
+# needs a toolchain with the miri component installed.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -195,9 +195,9 @@ for workload in net-queue-mixed net-register-writes engine-sharded mc-register; 
 done
 
 if [ "$deep" -eq 1 ]; then
-  echo "== deep: Miri over sim slab/equeue/timers =="
+  echo "== deep: Miri over sim slab/timers =="
   if cargo miri --version >/dev/null 2>&1; then
-    for module in slab equeue timers; do
+    for module in slab timers; do
       echo "-- miri: skewbound-sim ${module}::"
       cargo miri test -q -p skewbound-sim --lib "${module}::"
     done

@@ -8,69 +8,101 @@
 //! With no arguments, prints everything: Tables I–IV and all figure
 //! experiments, using the workspace default parameters. The output is
 //! deterministic — byte-identical at any worker count — and committed
-//! as `tables_output.txt`.
+//! as `tables_output.txt`. `--object` and `--csv` select tables, `--fig`
+//! one figure experiment; an unknown value, a missing value or a mix of
+//! the two selections is a usage error (exit 2).
 
 use skewbound_bench::default_params;
 use skewbound_bench::figures;
 use skewbound_bench::report::{table_report, Object};
+use skewbound_core::params::Params;
 use skewbound_sim::time::SimDuration;
 
 const USAGE: &str = "usage: tables [--object register|queue|stack|tree] [--csv] \
      [--fig fig1|thmC|thmD|thmE|derive|ablation|nsweep|xsweep|drift|skew]";
 
+/// The figure experiments, in print order.
+const FIGS: [&str; 10] = [
+    "fig1", "thmC", "thmD", "thmE", "derive", "ablation", "nsweep", "xsweep", "drift", "skew",
+];
+
+fn fail(msg: &str) -> ! {
+    eprintln!("tables: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn figure(name: &str, params: &Params) -> String {
+    let (d, u) = (
+        SimDuration::from_ticks(9_000),
+        SimDuration::from_ticks(2_400),
+    );
+    match name {
+        "fig1" => figures::fig1(params),
+        "thmC" => figures::thm_c1(params),
+        "thmD" => figures::thm_d1(params, params.n()),
+        "thmE" => figures::thm_e1(params),
+        "derive" => figures::derivation(params),
+        "ablation" => figures::ablation_timers(params),
+        "nsweep" => figures::n_sweep(d, u, 8),
+        "xsweep" => figures::x_sweep(params, 5),
+        "drift" => figures::drift_experiment(params, 40),
+        "skew" => figures::skew_experiment(d, u, 8),
+        _ => unreachable!("{name} is not in FIGS"),
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let params = default_params();
     let ops_per_process = 8;
 
-    let mut object_filter: Option<&str> = None;
-    let mut fig_filter: Option<&str> = None;
+    let mut object: Option<Object> = None;
+    let mut fig: Option<&str> = None;
     let mut csv = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| fail(&format!("{arg} needs a value")))
+        };
         match arg.as_str() {
             "--object" => {
-                object_filter = Some(Box::leak(
-                    iter.next()
-                        .expect("--object needs a value")
-                        .clone()
-                        .into_boxed_str(),
-                ));
+                let name = value();
+                object = Some(
+                    Object::ALL
+                        .into_iter()
+                        .find(|o| o.short_name() == name)
+                        .unwrap_or_else(|| fail(&format!("unknown object {name:?}"))),
+                );
             }
             "--fig" => {
-                fig_filter = Some(Box::leak(
-                    iter.next()
-                        .expect("--fig needs a value")
-                        .clone()
-                        .into_boxed_str(),
-                ));
+                let name = value();
+                fig = Some(
+                    FIGS.into_iter()
+                        .find(|&f| f == name)
+                        .unwrap_or_else(|| fail(&format!("unknown figure {name:?}"))),
+                );
             }
             "--csv" => csv = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => fail(&format!("unknown argument {other:?}")),
         }
+    }
+    if fig.is_some() && (csv || object.is_some()) {
+        fail("--fig selects a figure experiment and combines with neither --csv nor --object");
     }
 
     println!("skewbound experiment harness — params: {params}");
     println!("(1 tick = 1 µs; bounds and measurements in ticks)\n");
 
-    let want_object = |name: &str| object_filter.is_none() || object_filter == Some(name);
-    let want_fig = |name: &str| {
-        !csv && object_filter.is_none() && (fig_filter.is_none() || fig_filter == Some(name))
-    };
-
-    if fig_filter.is_none() {
-        for object in Object::ALL {
-            if !want_object(object.short_name()) {
+    if fig.is_none() {
+        for o in Object::ALL {
+            if object.is_some_and(|want| want != o) {
                 continue;
             }
-            let report = table_report(object, &params, ops_per_process);
+            let report = table_report(o, &params, ops_per_process);
             if csv {
                 print!("{}", report.to_csv());
                 continue;
@@ -83,48 +115,11 @@ fn main() {
         }
     }
 
-    if want_fig("fig1") {
-        println!("{}", figures::fig1(&params));
-    }
-    if want_fig("thmC") {
-        println!("{}", figures::thm_c1(&params));
-    }
-    if want_fig("thmD") {
-        println!("{}", figures::thm_d1(&params, params.n()));
-    }
-    if want_fig("thmE") {
-        println!("{}", figures::thm_e1(&params));
-    }
-    if want_fig("derive") {
-        println!("{}", figures::derivation(&params));
-    }
-    if want_fig("ablation") {
-        println!("{}", figures::ablation_timers(&params));
-    }
-    if want_fig("nsweep") {
-        println!(
-            "{}",
-            figures::n_sweep(
-                SimDuration::from_ticks(9_000),
-                SimDuration::from_ticks(2_400),
-                8,
-            )
-        );
-    }
-    if want_fig("xsweep") {
-        println!("{}", figures::x_sweep(&params, 5));
-    }
-    if want_fig("drift") {
-        println!("{}", figures::drift_experiment(&params, 40));
-    }
-    if want_fig("skew") {
-        println!(
-            "{}",
-            figures::skew_experiment(
-                SimDuration::from_ticks(9_000),
-                SimDuration::from_ticks(2_400),
-                8,
-            )
-        );
+    if !csv && object.is_none() {
+        for name in FIGS {
+            if fig.is_none_or(|f| f == name) {
+                println!("{}", figure(name, &params));
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! Algorithm 1's timestamp order is per object, so a namespace of
 //! independent keyed objects partitions cleanly: each shard owns the
 //! keys [`ShardRouter`] routes to it, runs its *own* replica group on
-//! its own engine (own calendar queue, own payload slabs, own RNG
+//! its own engine (own event heap, own payload slabs, own RNG
 //! stream — no shared allocation, no shared lock), and produces its own
 //! complete history. Per-shard histories are checked independently with
 //! [`check_namespace`](../../skewbound_lin/multi/fn.check_namespace.html)-style

@@ -14,8 +14,8 @@
 //!   [`Report`] of findings;
 //! * [`rules`] — the static spec rules `SB001`–`SB005` (routing,
 //!   accessor purity, commutativity declarations, namespace batch
-//!   equivalence, timestamp seq discipline) plus the payload-leak rule
-//!   `SB105`, each a function that returns its findings;
+//!   equivalence, timestamp seq discipline), each a function that
+//!   returns its findings;
 //! * [`audit`] — the offline trace auditor: vector-clock
 //!   reconstruction over send/deliver/invoke/respond/timer records and
 //!   the trace rules `SB101`–`SB105` (delivery window, send/deliver

@@ -1,5 +1,7 @@
-//! The static spec rules `SB001`–`SB005` and the payload-leak rule
-//! `SB105`, each a plain function that returns its findings.
+//! The static spec rules `SB001`–`SB005`, each a plain function that
+//! returns its findings. (`SB105`, the payload-leak rule, is checked
+//! where the count exists: on the engine's `leaked_payloads` counter by
+//! [`crate::audit`].)
 //!
 //! Static rules run against the finite probe sets of
 //! [`skewbound_spec::probes`]: each takes a target label, a
@@ -225,23 +227,6 @@ pub fn timestamp_seq(target: &str, order: &[Timestamp]) -> Vec<Diagnostic> {
     out
 }
 
-/// `SB105` — leaked slab payloads: a run must return every op, message,
-/// batch, and timer payload slot to its slab by quiescence. This is the
-/// lint-facing form of
-/// [`SimReport::leaked_payloads`](skewbound_sim::engine::SimReport) (the
-/// same check the trace auditor applies to the `engine/leaked_payloads`
-/// counter).
-pub fn payload_leak(target: &str, leaked: u64) -> Vec<Diagnostic> {
-    if leaked == 0 {
-        return Vec::new();
-    }
-    vec![Diagnostic::new(
-        "SB105",
-        target,
-        format!("{leaked} payload slab slot(s) still live at quiescence"),
-    )]
-}
-
 #[cfg(test)]
 mod tests {
     use skewbound_sim::ids::ProcessId;
@@ -379,7 +364,6 @@ mod tests {
                     ts(3, 0, 0),
                 ],
             ),
-            payload_leak("run", 0),
         ]
         .concat();
         assert!(findings.is_empty(), "unexpected findings: {findings:?}");
@@ -443,12 +427,5 @@ mod tests {
             let out = timestamp_seq("bad-order", &order);
             assert!(out.iter().any(|d| d.code == "SB005"), "{order:?}: {out:?}");
         }
-    }
-
-    #[test]
-    fn leaks_trip_sb105() {
-        let out = payload_leak("leaky", 2);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].code, "SB105");
     }
 }

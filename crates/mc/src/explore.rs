@@ -77,7 +77,7 @@ pub struct McConfig<S: SequentialSpec> {
     /// Stop at the first violating run instead of exploring on.
     pub stop_at_first_violation: bool,
     /// Worker threads for the exploration frontier. `None` defers to the
-    /// environment (`SKEWBOUND_THREADS` / `SKEWBOUND_PAR`, one per core
+    /// environment (`SKEWBOUND_THREADS`, one per core
     /// otherwise — see [`skewbound_sim::par`]); `Some(1)` forces the
     /// sequential path. The report is bit-identical either way.
     pub workers: Option<usize>,

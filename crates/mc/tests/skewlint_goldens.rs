@@ -24,7 +24,6 @@ fn skewlint_artefacts_match_the_committed_goldens() {
             .arg(&out_dir)
             .arg("--trace")
             .arg(out_dir.join("foil.trace.jsonl"))
-            .env_remove("SKEWBOUND_PAR")
             .env("SKEWBOUND_THREADS", threads)
             .output()
             .expect("run the skewlint binary");

@@ -55,7 +55,7 @@ impl ProbeReport {
 ///
 /// Scenarios are independent runs, so the family is fanned out across the
 /// [`skewbound_sim::par`] worker pool; reports come back in family order
-/// regardless of worker count, and `SKEWBOUND_PAR=0` forces the
+/// regardless of worker count, and `SKEWBOUND_THREADS=1` forces the
 /// sequential path.
 pub fn probe<S, A, F>(family: &[Scenario<S>], make_actors: F) -> ProbeReport
 where

@@ -10,9 +10,10 @@
 //! [`Transport`](crate::transport::Transport) assigns every send a
 //! delay from the [`DelayModel`] and pops deliveries, timer expiries
 //! and invocations back in deterministic `(time, seq)` order. The
-//! queue is a calendar queue ([`crate::equeue`]) carrying `Copy` tags;
-//! payloads live in generation-stamped slabs ([`crate::slab`]) whose
-//! slots recycle, so steady-state scheduling allocates nothing.
+//! queue is a `BinaryHeap` of `Copy` tags keyed on the unique
+//! `(time, seq)`; payloads live in generation-stamped slabs
+//! ([`crate::slab`]) whose slots recycle, so steady-state scheduling
+//! allocates nothing.
 //!
 //! Identical inputs (actors, clocks, delay model, schedule, driver)
 //! always produce identical runs: events at equal real times are
@@ -41,7 +42,7 @@ use crate::ids::{MsgId, ProcessId, TimerId};
 use crate::node::{Activation, NodeCore, Stamp};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{EngineTrace, Trace, TraceSink};
-use crate::transport::{EvSlot, EvTag, TransportError, VirtualTransport};
+use crate::transport::{EvSlot, EvTag, Queued, TransportError, VirtualTransport};
 use crate::workload::Driver;
 
 /// Engine limits and switches.
@@ -150,7 +151,7 @@ pub(crate) enum EventKind<A: Actor> {
 }
 
 /// Read-only view of one schedulable event, as presented to a
-/// [`SchedulePolicy`] by [`Simulation::run_scheduled_with`].
+/// [`SchedulePolicy`] by [`Simulation::run_scheduled`].
 ///
 /// The `seq` field is the engine's internal scheduling sequence number:
 /// it identifies the *same* event across deterministic replays of the
@@ -251,14 +252,14 @@ impl<A: Actor> core::fmt::Debug for EventView<'_, A> {
 pub enum ScheduleDecision {
     /// Process `enabled[i]` next; the rest stay queued.
     Take(usize),
-    /// Abandon the whole run; [`Simulation::run_scheduled_with`] returns
+    /// Abandon the whole run; [`Simulation::run_scheduled`] returns
     /// [`SimError::PolicyAbort`].
     Abort,
 }
 
 /// Chooses which of the events enabled at the current instant runs next.
 ///
-/// [`Simulation::run_scheduled_with`] consults the policy with the batch
+/// [`Simulation::run_scheduled`] consults the policy with the batch
 /// of *all* queued events sharing the minimal real time, in the engine's
 /// default (FIFO schedule) order — index 0 reproduces the default run.
 /// This is the replayable hook model-checking explorers drive: choices
@@ -272,7 +273,7 @@ pub trait SchedulePolicy<A: Actor> {
 }
 
 /// The engine's own deterministic order: always take the first enabled
-/// event. `run_scheduled_with(&mut FifoPolicy, …)` reproduces `run_with`.
+/// event. `run_scheduled(&mut FifoPolicy)` reproduces `run`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FifoPolicy;
 
@@ -445,20 +446,6 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         self.history
     }
 
-    /// Consumes the simulation, returning the history, the final actor
-    /// states, and the message log (empty unless
-    /// [`Simulation::enable_msg_log`] was called before running) —
-    /// everything a checker needs, all by move.
-    #[must_use]
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(self) -> (History<A::Op, A::Resp>, Vec<A>, Vec<MsgEvent>) {
-        (
-            self.history,
-            self.nodes.into_iter().map(NodeCore::into_actor).collect(),
-            self.transport.msg_log,
-        )
-    }
-
     /// Turns on message-metadata logging: every subsequent send appends
     /// a [`MsgEvent`] to [`Simulation::message_log`]. Off by default —
     /// the log grows with every send, which run-reconstruction and
@@ -531,7 +518,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         }
         self.start_nodes(driver)?;
         let mut events = 0u64;
-        while let Some((at, _seq, tag)) = self.transport.queue.pop() {
+        while let Some(Queued { at, tag, .. }) = self.transport.queue.pop() {
             events += 1;
             if events > self.config.max_events {
                 return Err(SimError::EventCapExceeded {
@@ -544,31 +531,17 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         Ok(self.finish_report(events))
     }
 
-    /// Runs to quiescence under `policy`, which picks among same-time
-    /// events. A convenience for [`Simulation::run_scheduled_with`] with
-    /// no driver.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulation::run_scheduled_with`].
-    pub fn run_scheduled<P>(&mut self, policy: &mut P) -> Result<SimReport, SimError>
-    where
-        P: SchedulePolicy<A> + ?Sized,
-    {
-        self.run_scheduled_with(policy, &mut crate::workload::NoDriver)
-    }
-
-    /// Runs to quiescence, consulting `policy` for the order of same-time
-    /// events — the replayable scheduler hook for model-checking
-    /// explorers.
+    /// Runs to quiescence with no driver, consulting `policy` for the
+    /// order of same-time events — the replayable scheduler hook for
+    /// model-checking explorers.
     ///
     /// At every step, *all* queued events sharing the minimal real time
     /// are collected into a batch (in the engine's deterministic FIFO
     /// order), stale timer expiries are dropped, and the policy picks one
     /// to process; the rest are re-queued unchanged. With [`FifoPolicy`]
-    /// this path produces exactly the history [`Simulation::run_with`]
-    /// does; the separate hot path in `run_with` exists because grid
-    /// sweeps never pay for the batching.
+    /// this path produces exactly the history [`Simulation::run`] does;
+    /// the separate hot path in `run_with` exists because plain runs
+    /// never pay for the batching.
     ///
     /// # Errors
     ///
@@ -579,36 +552,29 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     /// # Panics
     ///
     /// Panics if the policy returns an out-of-range index.
-    pub fn run_scheduled_with<P, Dr>(
-        &mut self,
-        policy: &mut P,
-        driver: &mut Dr,
-    ) -> Result<SimReport, SimError>
+    pub fn run_scheduled<P>(&mut self, policy: &mut P) -> Result<SimReport, SimError>
     where
         P: SchedulePolicy<A> + ?Sized,
-        Dr: Driver<A::Op, A::Resp> + ?Sized,
     {
-        for (pid, at, op) in driver.initial() {
-            self.schedule_invoke(pid, at, op);
-        }
+        let driver = &mut crate::workload::NoDriver;
         self.start_nodes(driver)?;
         let mut events = 0u64;
-        let mut batch: Vec<(u64, EvTag)> = Vec::new();
-        while let Some((at, seq, tag)) = self.transport.queue.pop() {
+        let mut batch: Vec<Queued> = Vec::new();
+        while let Some(first) = self.transport.queue.pop() {
+            let at = first.at;
             batch.clear();
-            batch.push((seq, tag));
-            while self.transport.queue.next_at() == Some(at) {
-                let (_, s, t) = self.transport.queue.pop().expect("peeked");
-                batch.push((s, t));
+            batch.push(first);
+            while self.transport.queue.peek().is_some_and(|e| e.at == at) {
+                batch.extend(self.transport.queue.pop());
             }
-            // The queue pops in (at, seq) order, so the batch is already
+            // The heap pops in (at, seq) order, so the batch is already
             // in the engine's default FIFO order. Stale timer expiries
             // are not schedulable events — drop them (and free their
             // payload slots) before the policy looks.
             {
                 let nodes = &self.nodes;
                 let transport = &mut self.transport;
-                batch.retain(|&(_, tag)| match tag.kind {
+                batch.retain(|&Queued { tag, .. }| match tag.kind {
                     EvSlot::Timer => {
                         let id = transport.timer_payloads.get(tag.slot).0;
                         if nodes[tag.pid.index()].timers().is_live(id) {
@@ -627,7 +593,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
             let chosen = {
                 let views: Vec<EventView<'_, A>> = batch
                     .iter()
-                    .map(|&(seq, tag)| match tag.kind {
+                    .map(|&Queued { seq, tag, .. }| match tag.kind {
                         EvSlot::Invoke => EventView::Invoke {
                             seq,
                             pid: tag.pid,
@@ -658,10 +624,8 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
                     ScheduleDecision::Abort => return Err(SimError::PolicyAbort),
                 }
             };
-            let (_, chosen_tag) = batch.remove(chosen);
-            for (s, t) in batch.drain(..) {
-                self.transport.queue.push(at, s, t);
-            }
+            let chosen_tag = batch.remove(chosen).tag;
+            self.transport.queue.extend(batch.drain(..));
             events += 1;
             if events > self.config.max_events {
                 return Err(SimError::EventCapExceeded {
@@ -1095,6 +1059,41 @@ mod tests {
         sim.schedule_invoke(ProcessId::new(0), SimTime::from_ticks(5), 2);
         sim.run().unwrap();
         assert_eq!(sim.actor(ProcessId::new(0)).seen, vec![1, 2]);
+
+        // Interleaved times, heavy same-tick ties and instants at the top
+        // of the time domain (clock readings are `i64`, so that is
+        // `i64::MAX`): the pop order is ascending time, then schedule
+        // order, on both run loops.
+        let last = i64::MAX as u64;
+        let script = [
+            (7, 1),
+            (5, 2),
+            (last, 3),
+            (7, 4),
+            (5, 5),
+            (last - 1, 6),
+            (5, 7),
+            (last, 8),
+            (7, 9),
+            (last - 1, 10),
+        ];
+        let expected = vec![2, 5, 7, 1, 4, 9, 6, 10, 3, 8];
+        for scheduled in [false, true] {
+            let mut sim = Simulation::new(
+                vec![Recorder::default()],
+                ClockAssignment::zero(1),
+                FixedDelay::maximal(bounds()),
+            );
+            for (at, op) in script {
+                sim.schedule_invoke(ProcessId::new(0), SimTime::from_ticks(at), op);
+            }
+            if scheduled {
+                sim.run_scheduled(&mut FifoPolicy).unwrap();
+            } else {
+                sim.run().unwrap();
+            }
+            assert_eq!(sim.actor(ProcessId::new(0)).seen, expected);
+        }
     }
 
     #[test]
@@ -1134,12 +1133,17 @@ mod tests {
             ClockAssignment::zero(1),
             FixedDelay::maximal(bounds()),
         );
-        sim.schedule_invoke(ProcessId::new(0), SimTime::from_ticks(5), 1);
-        sim.schedule_invoke(ProcessId::new(0), SimTime::from_ticks(5), 2);
+        // The unchosen events of a batch are re-queued at the popped
+        // instant: they must come back in schedule order, ahead of the
+        // later event, so taking the last one each time inverts the tie.
+        for op in 1..=5 {
+            sim.schedule_invoke(ProcessId::new(0), SimTime::from_ticks(5), op);
+        }
+        sim.schedule_invoke(ProcessId::new(0), SimTime::from_ticks(6), 6);
         sim.run_scheduled(&mut TakeLast).unwrap();
         assert_eq!(
             sim.actor(ProcessId::new(0)).seen,
-            vec![2, 1],
+            vec![5, 4, 3, 2, 1, 6],
             "the policy must be able to invert the default order"
         );
     }
@@ -1187,24 +1191,5 @@ mod tests {
         sim.run_scheduled(&mut policy).unwrap();
         assert_eq!(sim.actor(ProcessId::new(0)).fired, vec![2]);
         assert_eq!(policy.multi, 0, "no batch should contain the stale expiry");
-    }
-
-    #[test]
-    fn into_parts_returns_history_actors_and_log() {
-        let mut sim = Simulation::new(
-            vec![PingPong::default(), PingPong::default()],
-            ClockAssignment::zero(2),
-            FixedDelay::maximal(bounds()),
-        );
-        sim.enable_msg_log();
-        sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, ());
-        sim.run().unwrap();
-        let log_len = sim.message_log().len();
-        assert_eq!(log_len, 2, "logging was enabled, so sends were recorded");
-        let (history, actors, log) = sim.into_parts();
-        assert!(history.is_complete());
-        assert_eq!(actors.len(), 2);
-        assert_eq!(actors[0].hops + actors[1].hops, 2);
-        assert_eq!(log.len(), log_len);
     }
 }

@@ -59,7 +59,6 @@ pub mod clock;
 pub mod deadline;
 pub mod delay;
 pub mod engine;
-pub mod equeue;
 pub mod history;
 pub mod ids;
 pub mod node;

@@ -184,12 +184,6 @@ impl<A: Actor> NodeCore<A> {
         &self.actor
     }
 
-    /// Consumes the node, returning the actor state.
-    #[must_use]
-    pub fn into_actor(self) -> A {
-        self.actor
-    }
-
     /// The node's timer slab — schedulers use this to filter stale
     /// expiry events without retiring live ids.
     #[must_use]

@@ -18,9 +18,10 @@
 //!
 //! ## Choosing the worker count
 //!
-//! * `SKEWBOUND_PAR=0` (or `false`/`off`) — force sequential execution;
-//!   the in-process fallback for `--sequential` CLI flags.
-//! * `SKEWBOUND_THREADS=k` — use exactly `k` workers.
+//! * `SKEWBOUND_THREADS=k` — use exactly `k` workers; `k = 1` (or `0`)
+//!   runs sequentially. A value that is not an integer is an error, so
+//!   a mistyped determinism gate cannot silently run one worker per
+//!   core.
 //! * otherwise — one worker per available core.
 //!
 //! Sequential mode runs the jobs on the calling thread with no pool at
@@ -49,35 +50,36 @@ impl core::fmt::Display for GridPanic {
 impl std::error::Error for GridPanic {}
 
 /// Number of workers [`run_grid`] would use for `jobs` jobs, honouring
-/// `SKEWBOUND_PAR` / `SKEWBOUND_THREADS` (see the module docs).
+/// `SKEWBOUND_THREADS` (see the module docs).
+///
+/// # Panics
+///
+/// Panics if `SKEWBOUND_THREADS` is set to a value that is not an
+/// integer.
 #[must_use]
 pub fn worker_count(jobs: usize) -> usize {
-    configured_workers().min(jobs).max(1)
+    available_workers().min(jobs).max(1)
 }
 
 /// Worker count the environment asks for, before clamping to a job
-/// count: `SKEWBOUND_PAR=0` forces 1, `SKEWBOUND_THREADS=k` forces `k`,
-/// otherwise one per available core. The model checker's work-stealing
-/// frontier (`skewbound-mc`) sizes its pool with this so both layers
-/// obey the same knobs.
+/// count: `SKEWBOUND_THREADS=k` forces `k` (at least 1), otherwise one
+/// per available core. The model checker's work-stealing frontier
+/// (`skewbound-mc`) sizes its pool with this so both layers obey the
+/// same knob.
+///
+/// # Panics
+///
+/// Panics if `SKEWBOUND_THREADS` is set to a value that is not an
+/// integer.
 #[must_use]
 pub fn available_workers() -> usize {
-    configured_workers()
-}
-
-fn configured_workers() -> usize {
-    if let Ok(par) = std::env::var("SKEWBOUND_PAR") {
-        let par = par.trim().to_ascii_lowercase();
-        if par == "0" || par == "false" || par == "off" {
-            return 1;
-        }
+    match std::env::var("SKEWBOUND_THREADS") {
+        Ok(threads) => match threads.trim().parse::<usize>() {
+            Ok(k) => k.max(1),
+            Err(_) => panic!("SKEWBOUND_THREADS must be a worker count, got {threads:?}"),
+        },
+        Err(_) => thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     }
-    if let Ok(threads) = std::env::var("SKEWBOUND_THREADS") {
-        if let Ok(k) = threads.trim().parse::<usize>() {
-            return k.max(1);
-        }
-    }
-    thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -95,7 +97,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// With more than one worker, jobs are claimed from an atomic cursor by
 /// a scoped thread pool; with one worker (or one job, or sequential mode
-/// via `SKEWBOUND_PAR=0`) they run inline on the calling thread. Either
+/// via `SKEWBOUND_THREADS=1`) they run inline on the calling thread. Either
 /// way the result vector is ordered by job index, so a deterministic `f`
 /// yields byte-identical output regardless of the worker count.
 ///

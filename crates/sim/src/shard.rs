@@ -1,11 +1,10 @@
 //! Shard fan-out: running `S` independent simulations side by side.
 //!
 //! A *shard* is a self-contained replica group: its own actors, its own
-//! [`CalendarQueue`](crate::equeue::CalendarQueue), its own payload
-//! slabs, its own RNG stream. Shards share no allocation and no lock, so
+//! event heap, its own payload slabs, its own RNG stream. Shards share no allocation and no lock, so
 //! a sharded run is just a grid of `S` single-shard runs — [`run_shards`]
 //! delegates to [`par::run_grid`], inheriting its
-//! worker-pool policy (`SKEWBOUND_THREADS`, `SKEWBOUND_PAR`) and its
+//! worker-pool policy (`SKEWBOUND_THREADS`) and its
 //! input-order determinism: shard `i`'s result is bit-identical whether
 //! the shards ran sequentially or on any number of workers.
 

@@ -7,9 +7,9 @@
 //! back to a node. A [`Transport`] captures exactly that difference:
 //!
 //! * the discrete-event engine implements it with a virtual-time
-//!   calendar queue ([`crate::equeue`]) — a send is assigned a delay by
-//!   the [`DelayModel`] and popped back at
-//!   `sent_at + delay` in deterministic `(time, seq)` order;
+//!   event heap — a send is assigned a delay by the [`DelayModel`] and
+//!   popped back at `sent_at + delay` in deterministic `(time, seq)`
+//!   order;
 //! * the two wall-clock backends — the real-thread runtime and the
 //!   socket mesh — share one [`WallTransport`]: a send is assigned a
 //!   delay by the run's [`DelayModel`], checked against its bounds as
@@ -23,7 +23,9 @@
 //! choke point, which is what makes delay injection, trace pairing and
 //! future drop/duplicate fault hooks land once for every backend.
 
+use core::cmp::Ordering;
 use core::fmt;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use fxhash::FxHashMap;
@@ -33,7 +35,6 @@ use crate::clock::ClockAssignment;
 use crate::deadline::{Agenda, TimeBase};
 use crate::delay::{assert_admissible, DelayBounds, DelayModel, MsgMeta};
 use crate::engine::{EventKind, MsgEvent};
-use crate::equeue::CalendarQueue;
 use crate::ids::{MsgId, ProcessId, TimerId};
 use crate::slab::{Slab, SlabRef};
 use crate::time::{ticks_to_duration, SimDuration, SimTime};
@@ -195,13 +196,45 @@ pub(crate) enum EvSlot {
 
 /// One queued event in columnar form: the destination process, the
 /// payload kind and the slab handle of the payload. 16 bytes of `Copy`
-/// data — this is all the calendar queue moves around.
+/// data — this, with its key, is all the event heap moves around.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EvTag {
     pub(crate) pid: ProcessId,
     pub(crate) kind: EvSlot,
     pub(crate) slot: SlabRef,
 }
+
+/// One entry of the engine's event heap. The key `(at, seq)` is unique
+/// (`seq` comes from a per-run counter), so the pop order is total and
+/// the same on every run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Queued {
+    pub(crate) at: SimTime,
+    pub(crate) seq: u64,
+    pub(crate) tag: EvTag,
+}
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // `BinaryHeap` is a max-heap: invert so the earliest
+        // `(at, seq)` pops first.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl Eq for Queued {}
 
 /// Slab payload of an in-flight delivery batch: one queue entry and one
 /// slab slot carry the whole batch, whose messages hold the consecutive
@@ -212,7 +245,7 @@ pub(crate) struct BatchPayload<M> {
     pub(crate) msgs: Vec<M>,
 }
 
-/// The engine's [`Transport`]: a virtual-time calendar queue over
+/// The engine's [`Transport`]: a virtual-time event heap over
 /// struct-of-arrays event storage.
 ///
 /// A send is assigned a delay by the [`DelayModel`] (validated against
@@ -220,7 +253,7 @@ pub(crate) struct BatchPayload<M> {
 /// builds too), and
 /// queued for delivery at `sent_at + delay`; a timer arm is converted
 /// from local clock ticks to real time under the [`ClockAssignment`]
-/// and queued at its expiry instant. The queue itself carries only
+/// and queued at its expiry instant. The heap itself carries only
 /// [`EvTag`]s — payloads live in per-kind generation-stamped
 /// [`Slab`]s whose slots recycle, so steady-state scheduling allocates
 /// nothing. Events pop back in deterministic `(time, seq)` order.
@@ -231,7 +264,7 @@ pub(crate) struct VirtualTransport<A: Actor, D: DelayModel> {
     pub(crate) delays: D,
     /// The model's admissible delay interval, hoisted at construction.
     bounds: DelayBounds,
-    pub(crate) queue: CalendarQueue<EvTag>,
+    pub(crate) queue: BinaryHeap<Queued>,
     pub(crate) ops: Slab<A::Op>,
     pub(crate) batches: Slab<BatchPayload<A::Msg>>,
     pub(crate) timer_payloads: Slab<(TimerId, A::Timer)>,
@@ -251,10 +284,9 @@ impl<A: Actor, D: DelayModel> VirtualTransport<A, D> {
         let bounds = delays.bounds();
         VirtualTransport {
             clocks,
-            // Pre-size the hot collections: a typical grid cell
-            // schedules a handful of events per process at any instant,
-            // within one delay bound of now.
-            queue: CalendarQueue::new(4 * n, bounds.max()),
+            // Pre-size the hot collections: a typical run keeps a
+            // handful of events per process queued at any instant.
+            queue: BinaryHeap::with_capacity(4 * n),
             ops: Slab::with_capacity(4),
             // Sized like the old event heap (8n + 16): a broadcast keeps
             // n - 1 deliveries in flight per concurrent writer, and growth
@@ -282,10 +314,16 @@ impl<A: Actor, D: DelayModel> VirtualTransport<A, D> {
         }
     }
 
-    pub(crate) fn bump_seq(&mut self) -> u64 {
-        let s = self.seq;
+    /// Queues the event whose payload sits in `slot` for `pid` at `at`,
+    /// keyed on the next `seq`.
+    fn enqueue(&mut self, at: SimTime, pid: ProcessId, kind: EvSlot, slot: SlabRef) {
+        let seq = self.seq;
         self.seq += 1;
-        s
+        self.queue.push(Queued {
+            at,
+            seq,
+            tag: EvTag { pid, kind, slot },
+        });
     }
 
     /// Takes the payload of a popped tag out of its slab.
@@ -319,16 +357,7 @@ impl<A: Actor, D: DelayModel> VirtualTransport<A, D> {
 
     pub(crate) fn push_invoke(&mut self, pid: ProcessId, at: SimTime, op: A::Op) {
         let slot = self.ops.insert(op);
-        let seq = self.bump_seq();
-        self.queue.push(
-            at,
-            seq,
-            EvTag {
-                pid,
-                kind: EvSlot::Invoke,
-                slot,
-            },
-        );
+        self.enqueue(at, pid, EvSlot::Invoke, slot);
     }
 }
 
@@ -374,16 +403,7 @@ impl<A: Actor, D: DelayModel> Transport<A> for VirtualTransport<A, D> {
             first_id,
             msgs,
         });
-        let seq = self.bump_seq();
-        self.queue.push(
-            recv_at,
-            seq,
-            EvTag {
-                pid: to,
-                kind: EvSlot::DeliverBatch,
-                slot,
-            },
-        );
+        self.enqueue(recv_at, to, EvSlot::DeliverBatch, slot);
         Ok(first_id)
     }
 
@@ -392,16 +412,7 @@ impl<A: Actor, D: DelayModel> Transport<A> for VirtualTransport<A, D> {
         // clock rate) convert to real time.
         let real_delay = self.clocks.clock_to_real(pid, delay);
         let slot = self.timer_payloads.insert((id, timer));
-        let seq = self.bump_seq();
-        self.queue.push(
-            self.now + real_delay,
-            seq,
-            EvTag {
-                pid,
-                kind: EvSlot::Timer,
-                slot,
-            },
-        );
+        self.enqueue(self.now + real_delay, pid, EvSlot::Timer, slot);
     }
 }
 

@@ -222,7 +222,7 @@ fn fnv1a(text: &str) -> u64 {
 /// the rendered trace, the history and the event count of a run of
 /// single sends (broadcasts and their fan-out) and timers over skewed
 /// clocks and random delays. A change to delay draws, message ids,
-/// calendar order or trace output shows up here, where the run-twice
+/// event order or trace output shows up here, where the run-twice
 /// tests above would stay green.
 #[test]
 fn single_send_run_matches_golden() {

@@ -1,6 +1,7 @@
 //! The parallel grid runner must be an invisible optimization: toggling
-//! `SKEWBOUND_PAR` / `SKEWBOUND_THREADS` must not change any result, and
-//! a panicking job must surface as a panic, not a hang or a dropped run.
+//! `SKEWBOUND_THREADS` must not change any result, a value of it that is
+//! not a worker count must be an error, and a panicking job must surface
+//! as a panic, not a hang or a dropped run.
 //!
 //! These tests mutate process environment variables, so they run as a
 //! single `#[test]` (this file is its own test binary; within a binary
@@ -67,18 +68,27 @@ fn probe_fingerprint(params: &Params) -> Vec<(String, bool, Option<u64>)> {
 fn parallel_results_match_sequential_and_panics_surface() {
     let params = params();
 
-    // Sequential reference: escape hatch engaged.
-    std::env::set_var("SKEWBOUND_PAR", "0");
+    // A mistyped worker count is an error naming the variable, not a
+    // silent fall-back to one worker per core.
+    std::env::set_var("SKEWBOUND_THREADS", "four");
+    let typo = std::panic::catch_unwind(|| par::worker_count(64));
+    let msg = *typo
+        .expect_err("SKEWBOUND_THREADS=four must be rejected")
+        .downcast::<String>()
+        .expect("the error is a message");
+    assert!(msg.contains("SKEWBOUND_THREADS"), "got: {msg}");
+
+    // Sequential reference.
+    std::env::set_var("SKEWBOUND_THREADS", "1");
     assert_eq!(
         par::worker_count(64),
         1,
-        "SKEWBOUND_PAR=0 must force 1 worker"
+        "SKEWBOUND_THREADS=1 must force 1 worker"
     );
     let seq_corners = corner_report(&params);
     let seq_probe = probe_fingerprint(&params);
 
     // Parallel: force a multi-worker pool even on single-core machines.
-    std::env::remove_var("SKEWBOUND_PAR");
     std::env::set_var("SKEWBOUND_THREADS", "4");
     assert_eq!(
         par::worker_count(64),

@@ -104,11 +104,10 @@ fn fingerprint(w: &ShardWorkload) -> Vec<(u64, Vec<BatchRecord>)> {
 fn shard_results_identical_across_thread_counts() {
     let w = workload(4);
 
-    std::env::set_var("SKEWBOUND_PAR", "0");
+    std::env::set_var("SKEWBOUND_THREADS", "1");
     assert_eq!(par::worker_count(4), 1);
     let sequential = fingerprint(&w);
 
-    std::env::remove_var("SKEWBOUND_PAR");
     std::env::set_var("SKEWBOUND_THREADS", "4");
     assert_eq!(par::worker_count(4), 4);
     let parallel = fingerprint(&w);
