@@ -61,8 +61,14 @@ EXAMPLES
 echo "== docs build (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== trace smoke (sim sink unit tests) =="
-cargo test -q -p skewbound-sim trace
+echo "== layering (the TCP server stays clear of the model checker) =="
+net_tree=$(cargo tree -p skewbound-net -e normal --offline --prefix none)
+if grep -qE '^skewbound-(mc|shift) ' <<<"$net_tree"; then
+  echo "skewbound-net depends on skewbound-mc or skewbound-shift:" >&2
+  grep -E '^skewbound-(mc|shift) ' <<<"$net_tree" >&2
+  exit 1
+fi
+echo "skewbound-net: no skewbound-mc, no skewbound-shift"
 
 echo "== TCP loopback smoke (3-process mesh + closed-loop load + trace audit) =="
 cargo build --release -q -p skewbound-net

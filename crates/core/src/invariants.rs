@@ -299,6 +299,30 @@ mod tests {
         };
         let violations = check_invariants(&view, &standard_invariants());
         assert!(violations.is_empty(), "violations: {violations:?}");
+
+        // A batch's ops share ⟨time, pid⟩ and carry a contiguous seq run
+        // from 0; such an order is strictly ascending, so it passes.
+        let batched =
+            vec![batch_order(&[(1, 0, 0), (2, 1, 0), (2, 1, 1), (2, 1, 2), (3, 0, 0)]); 3];
+        let view = RunView {
+            executed_orders: &batched,
+            ..view
+        };
+        let mut out = Vec::new();
+        Invariant::<Queue<i64>>::check(&TimestampsMonotone, &view, &mut out);
+        assert!(out.is_empty(), "contiguous batch run flagged: {out:?}");
+    }
+
+    fn batch_order(ts: &[(i64, u32, u32)]) -> Vec<Timestamp> {
+        ts.iter()
+            .map(|&(time, pid, seq)| {
+                Timestamp::with_seq(
+                    skewbound_sim::time::ClockTime::from_ticks(time),
+                    ProcessId::new(pid),
+                    seq,
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -320,6 +344,16 @@ mod tests {
             out.iter().any(|v| v.invariant == "timestamps-monotone"),
             "reversed order must be flagged: {out:?}"
         );
+
+        // Within one batch (same ⟨time, pid⟩) the seq run must ascend too.
+        let swapped = vec![batch_order(&[(5, 1, 1), (5, 1, 0)]); 3];
+        let view = RunView {
+            executed_orders: &swapped,
+            ..view
+        };
+        let mut out = Vec::new();
+        Invariant::<Queue<i64>>::check(&TimestampsMonotone, &view, &mut out);
+        assert!(!out.is_empty(), "swapped batch seqs must be flagged");
     }
 
     #[test]

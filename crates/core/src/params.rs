@@ -52,7 +52,18 @@ pub enum ParamError {
     },
     /// `d` must be positive.
     ZeroDelay,
+    /// `d + 2ε` exceeds [`MAX_WAIT_TICKS`], so a derived wait (`u + ε`,
+    /// `ε + X`, `d + ε − X`) added to a clock reading could overflow.
+    SkewTooLarge {
+        /// Provided `ε`.
+        eps: SimDuration,
+    },
 }
+
+/// The bound on `d + 2ε`, which bounds every derived wait. Half the
+/// `i64` range, so a wait added to any clock reading below `2^62` ticks
+/// (146 000 years of microseconds) cannot overflow.
+pub const MAX_WAIT_TICKS: u64 = 1 << 62;
 
 impl fmt::Display for ParamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -67,6 +78,9 @@ impl fmt::Display for ParamError {
                 write!(f, "X = {x} outside [0, d + eps - u] = [0, {max}]")
             }
             ParamError::ZeroDelay => write!(f, "delay bound d must be positive"),
+            ParamError::SkewTooLarge { eps } => {
+                write!(f, "d + 2*eps exceeds 2^62 ticks (eps = {eps})")
+            }
         }
     }
 }
@@ -95,8 +109,8 @@ impl Params {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParamError`] when `n < 2`, `d == 0`, `u > d`, or
-    /// `x ∉ [0, d + eps − u]`.
+    /// Returns a [`ParamError`] when `n < 2`, `d == 0`, `u > d`,
+    /// `d + 2·eps >` [`MAX_WAIT_TICKS`], or `x ∉ [0, d + eps − u]`.
     pub fn new(
         n: usize,
         d: SimDuration,
@@ -112,6 +126,14 @@ impl Params {
         }
         if u > d {
             return Err(ParamError::UncertaintyExceedsDelay);
+        }
+        let fits = eps
+            .as_ticks()
+            .checked_mul(2)
+            .and_then(|e2| e2.checked_add(d.as_ticks()))
+            .is_some_and(|w| w <= MAX_WAIT_TICKS);
+        if !fits {
+            return Err(ParamError::SkewTooLarge { eps });
         }
         let max_x = d + eps - u;
         if x > max_x {
@@ -281,6 +303,20 @@ mod tests {
         assert_eq!(
             Params::new(3, ticks(0), ticks(0), ticks(0), ticks(0)),
             Err(ParamError::ZeroDelay)
+        );
+        // A skew whose derived waits overflow is an error, not a panic.
+        for eps in [u64::MAX, 1 << 63, 1 << 61] {
+            assert_eq!(
+                Params::new(3, ticks(100), ticks(10), ticks(eps), ticks(0)),
+                Err(ParamError::SkewTooLarge { eps: ticks(eps) })
+            );
+        }
+        // The largest admissible skew still builds, with X at its maximum.
+        let eps = (MAX_WAIT_TICKS - 100) / 2;
+        let p = Params::new(3, ticks(100), ticks(10), ticks(eps), ticks(90 + eps)).unwrap();
+        assert_eq!(
+            crate::replica::TimerProfile::from_params(&p).mutator_wait,
+            ticks(2 * eps + 90)
         );
     }
 

@@ -15,9 +15,10 @@
 //! Determinism: shard `i`'s history depends only on `(workload, i)` —
 //! every seed is derived from the workload seed and the shard index —
 //! so the vector of histories is bit-identical across
-//! `SKEWBOUND_THREADS` settings ([`run_shards`] guarantees the results
-//! come back in shard order). Wall-clock fields of [`ShardRun`] are, of
-//! course, measurements, not deterministic quantities.
+//! `SKEWBOUND_THREADS` settings ([`run_sharded`] fans the shards out
+//! over [`run_grid`], which only reorders *execution*, never results).
+//! Wall-clock fields of [`ShardRun`] are, of course, measurements, not
+//! deterministic quantities.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,7 +31,7 @@ use skewbound_sim::delay::FixedDelay;
 use skewbound_sim::engine::Simulation;
 use skewbound_sim::history::History;
 use skewbound_sim::ids::ProcessId;
-use skewbound_sim::shard::{run_shards, ShardRun};
+use skewbound_sim::par::run_grid;
 use skewbound_sim::time::SimDuration;
 use skewbound_sim::workload::ClosedLoop;
 use skewbound_spec::namespace::{NsOp, ShardRouter};
@@ -102,6 +103,16 @@ impl ShardWorkload {
             seed,
         }
     }
+}
+
+/// One shard's measurement: how many simulation events it processed and
+/// how long its run took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardRun {
+    /// Events the shard's engine dispatched.
+    pub events: u64,
+    /// Wall-clock nanoseconds the shard's run took.
+    pub wall_nanos: u64,
 }
 
 /// One shard's complete run: its batched history plus its engine event
@@ -213,7 +224,8 @@ pub fn run_shard(workload: &ShardWorkload, shard: usize) -> ShardOutcome {
 /// Re-raises the first panicking shard (see [`run_shard`]).
 #[must_use]
 pub fn run_sharded(workload: &ShardWorkload) -> Vec<ShardOutcome> {
-    run_shards(workload.shards, |shard| run_shard(workload, shard))
+    let shards: Vec<usize> = (0..workload.shards).collect();
+    run_grid(&shards, |_, &shard| run_shard(workload, shard))
 }
 
 #[cfg(test)]
@@ -248,6 +260,13 @@ mod tests {
             }
             assert!(out.run.events > 0);
         }
+    }
+
+    #[test]
+    fn shards_run_in_order_and_independently() {
+        let outcomes = run_sharded(&workload(8, true));
+        let order: Vec<usize> = outcomes.iter().map(|o| o.shard).collect();
+        assert_eq!(order, (0..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Offline happens-before auditor for JSON-lines trace files.
 //!
 //! The simulator's structured trace stream (`sim::trace`, serialized by
-//! `mc::trace`) records every invoke/respond/send/deliver/timer event
+//! [`crate::trace`]) records every invoke/respond/send/deliver/timer event
 //! with virtual times and stable field names. This module replays such
 //! a file *offline*, reconstructs per-process [`VectorClock`]s (ticking
 //! on every local event and joining the sender's clock on delivery),

@@ -1,20 +1,18 @@
 //! Diagnostic codes, severities, and the report of findings.
 //!
-//! Every check in the analyzer — static spec rules ([`crate::rules`])
-//! and trace-audit rules ([`crate::audit`]) — reports through a single
-//! stable catalog of `SBxxx` codes. Codes are append-only: `SB0xx` is
-//! the static range, `SB1xx` the trace-audit range, and a code is never
-//! reused for a different meaning once shipped, so scripts can grep
-//! `skewlint audit` output for them across versions.
+//! Every trace-audit rule ([`crate::audit`]) reports through a single
+//! stable catalog of `SBxxx` codes. Codes are append-only: `SB1xx` is
+//! the trace-audit range (the retired static spec rules held `SB0xx`),
+//! and a code is never reused for a different meaning once shipped, so
+//! scripts can grep `skewlint audit` output for them across versions.
 
 use core::fmt;
 
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Suspicious but not a soundness violation (e.g. a commutativity
-    /// declaration the probe set cannot confirm, or message reordering
-    /// that the delay model legitimately admits).
+    /// Suspicious but not a soundness violation (e.g. message
+    /// reordering that the delay model legitimately admits).
     Warning,
     /// A protocol-soundness violation: the paper's bounds or the
     /// simulator's invariants do not hold if this fires.
@@ -42,7 +40,7 @@ impl fmt::Display for Severity {
 /// severity it can emit, and a one-line summary of what it checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleMeta {
-    /// Stable diagnostic code (`SB001`, `SB101`, …).
+    /// Stable diagnostic code (`SB101`, …).
     pub code: &'static str,
     /// Kebab-case rule name.
     pub name: &'static str,
@@ -52,49 +50,12 @@ pub struct RuleMeta {
     pub summary: &'static str,
 }
 
-/// The full rule catalog, static and audit rules together. This is the
+/// The full rule catalog of the trace auditor. This is the
 /// single source of truth for codes: [`Diagnostic::new`] refuses codes
 /// that are not listed here.
 #[must_use]
 pub fn catalog() -> &'static [RuleMeta] {
-    const CATALOG: [RuleMeta; 10] = [
-        RuleMeta {
-            code: "SB001",
-            name: "routing-consistency",
-            severity: Severity::Error,
-            summary: "declared op classes match classifier witnesses: \
-                      pure mutators mutate, pure accessors have witnesses consistent \
-                      with their routing",
-        },
-        RuleMeta {
-            code: "SB002",
-            name: "accessor-purity",
-            severity: Severity::Error,
-            summary: "class declarations are internally consistent on the probe set: \
-                      accessors never change probe state, mutator responses never \
-                      depend on it",
-        },
-        RuleMeta {
-            code: "SB003",
-            name: "commutativity-declaration",
-            severity: Severity::Error,
-            summary: "declared commuting pairs have no non-commuting classifier \
-                      witness (and declared non-commuting pairs have one)",
-        },
-        RuleMeta {
-            code: "SB004",
-            name: "ns-batch-equivalence",
-            severity: Severity::Error,
-            summary: "namespace ops on distinct keys are order-independent, so \
-                      batched application equals every sequential order",
-        },
-        RuleMeta {
-            code: "SB005",
-            name: "timestamp-seq-discipline",
-            severity: Severity::Error,
-            summary: "executed timestamps are strictly ascending and batch seq \
-                      components form contiguous runs from 0",
-        },
+    const CATALOG: [RuleMeta; 5] = [
         RuleMeta {
             code: "SB101",
             name: "delivery-window",
@@ -145,12 +106,11 @@ pub fn rule_meta(code: &str) -> Option<&'static RuleMeta> {
 pub struct Diagnostic {
     /// Stable code from the catalog.
     pub code: &'static str,
-    /// Severity of this particular finding (defaults to the catalog
-    /// severity; rules may downgrade, never upgrade).
+    /// Severity of this finding: the catalog severity of its code.
     pub severity: Severity,
     /// The rule's kebab-case name, denormalized for report readers.
     pub rule: &'static str,
-    /// What was analyzed: a spec label (`"register"`) or a trace label.
+    /// What was analyzed: a trace label.
     pub target: String,
     /// Human-readable description of the violation.
     pub message: String,
@@ -173,18 +133,6 @@ impl Diagnostic {
             target: target.into(),
             message: message.into(),
         }
-    }
-
-    /// Same as [`Diagnostic::new`] but downgraded to [`Severity::Warning`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code` is not in the [`catalog`].
-    #[must_use]
-    pub fn warning(code: &str, target: impl Into<String>, message: impl Into<String>) -> Self {
-        let mut d = Diagnostic::new(code, target, message);
-        d.severity = Severity::Warning;
-        d
     }
 }
 
@@ -224,7 +172,7 @@ impl Report {
             .count()
     }
 
-    /// True iff there are no findings at all. Honest specs and traces
+    /// True iff there are no findings at all. Honest traces
     /// must be clean in this strict sense — warnings included.
     #[must_use]
     pub fn is_clean(&self) -> bool {
@@ -245,7 +193,7 @@ mod tests {
     #[test]
     fn catalog_codes_are_unique_and_well_formed() {
         let catalog = catalog();
-        assert!(catalog.len() >= 6, "the analyzer ships at least six rules");
+        assert_eq!(catalog.len(), 5, "the auditor ships SB101-SB105");
         for (i, m) in catalog.iter().enumerate() {
             assert!(m.code.starts_with("SB") && m.code.len() == 5, "{}", m.code);
             for other in &catalog[i + 1..] {
@@ -260,9 +208,9 @@ mod tests {
         let d = Diagnostic::new("SB103", "trace", "inverted");
         assert_eq!(d.severity, Severity::Warning);
         assert_eq!(d.rule, "channel-fifo");
-        let d = Diagnostic::new("SB001", "register", "misrouted");
+        let d = Diagnostic::new("SB101", "trace", "late");
         assert_eq!(d.severity, Severity::Error);
-        assert!(format!("{d}").contains("SB001 error [routing-consistency]"));
+        assert!(format!("{d}").contains("SB101 error [delivery-window]"));
     }
 
     #[test]
@@ -275,14 +223,14 @@ mod tests {
     fn report_counts_errors_and_warnings() {
         let report = Report {
             diagnostics: vec![
-                Diagnostic::new("SB001", "foil", "mutator never mutates"),
-                Diagnostic::warning("SB003", "foil", "unconfirmed declaration"),
+                Diagnostic::new("SB101", "foil", "late delivery"),
+                Diagnostic::new("SB103", "foil", "inverted channel"),
             ],
         };
         assert_eq!(report.errors(), 1);
         assert_eq!(report.warnings(), 1);
         assert!(!report.is_clean());
-        assert!(report.has_code("SB001") && !report.has_code("SB104"));
+        assert!(report.has_code("SB101") && !report.has_code("SB104"));
         assert!(Report::default().is_clean());
     }
 }

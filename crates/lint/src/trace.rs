@@ -1,17 +1,16 @@
-//! JSON-lines trace emission: the [`TraceSink`] that turns engine
-//! events and per-stage counters into one [`crate::json`] value per
-//! line (DESIGN.md §9).
+//! JSON-lines trace emission: the [`TraceSink`] that turns node events
+//! and per-stage counters into one [`crate::json`] value per line
+//! (DESIGN.md §9) — the format [`crate::audit`] reads back.
 //!
 //! The sink buffers lines in memory; callers write the buffer wherever
-//! they like (`skewlint --trace <path>` writes it next to the foil
-//! certificates). Every line is an object with a `"kind"` field — the
-//! seven engine kinds (`invoke`, `respond`, `send`, `deliver`,
-//! `timer-set`, `timer-fire`, `timer-cancel`) plus `counter` for stage
-//! counters — so a reader can dispatch on one key without a schema in
-//! hand. Lines parse back through [`crate::json::parse`], which is how
-//! `skewlint --trace` re-reads the trace artifact, and the offline auditor
-//! (`skewbound_lint::audit`, `skewlint audit`) consumes the same
-//! format.
+//! they like (`skewlint --trace <path>`, `skewbound-serve --trace
+//! <path>`). Every line is an object with a `"kind"` field — the seven
+//! node kinds (`invoke`, `respond`, `send`, `deliver`, `timer-set`,
+//! `timer-fire`, `timer-cancel`) plus `counter` for stage counters — so
+//! a reader can dispatch on one key without a schema in hand. Lines
+//! parse back through [`crate::json::parse_lines`]. A caller that hands
+//! the sink to an engine and wants the lines back keeps an
+//! `Rc<RefCell<JsonLinesSink>>` clone, which is itself a sink.
 
 use skewbound_sim::prelude::{TraceEvent, TraceEventKind, TraceSink};
 
@@ -23,7 +22,7 @@ fn num_u64(v: u64) -> Json {
     Json::Num(i64::try_from(v).unwrap_or(i64::MAX))
 }
 
-/// Converts one engine event to its JSON-lines object.
+/// Converts one node event to its JSON-lines object.
 ///
 /// Common fields: `kind` (stable label), `at` (real time, ticks),
 /// `clock` (local clock reading of `pid` at `at`), `pid`. Kind-specific
@@ -79,7 +78,7 @@ impl JsonLinesSink {
         Self::default()
     }
 
-    /// Number of engine events written so far (counter lines excluded).
+    /// Number of node events written so far (counter lines excluded).
     #[must_use]
     pub fn events(&self) -> u64 {
         self.events
@@ -119,53 +118,15 @@ impl TraceSink for JsonLinesSink {
     }
 }
 
-/// A clonable handle to one shared [`JsonLinesSink`].
-///
-/// [`crate::explore::replay_traced`] takes its sink by `Box<dyn
-/// TraceSink>`, so a caller that wants the buffered lines back keeps a
-/// second handle: every clone writes to the same underlying buffer.
-#[derive(Debug, Clone, Default)]
-pub struct SharedJsonLinesSink(std::rc::Rc<std::cell::RefCell<JsonLinesSink>>);
-
-impl SharedJsonLinesSink {
-    /// Creates a sink with an empty shared buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of engine events written so far.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.0.borrow().events()
-    }
-
-    /// A copy of the buffered JSON-lines text.
-    #[must_use]
-    pub fn text(&self) -> String {
-        self.0.borrow().lines().to_owned()
-    }
-}
-
-impl TraceSink for SharedJsonLinesSink {
-    fn event(&mut self, event: &TraceEvent) {
-        self.0.borrow_mut().event(event);
-    }
-
-    fn counter(&mut self, stage: &'static str, name: &'static str, value: u64) {
-        self.0.borrow_mut().counter(stage, name, value);
-    }
-}
-
-/// Parses a JSON-lines trace back into values, one per non-empty line.
-/// Errors carry the 1-based line number.
-pub use skewbound_lint::json::parse_lines;
-
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use skewbound_sim::prelude::*;
 
     use super::*;
+    use crate::json::parse_lines;
 
     fn sample_event() -> TraceEvent {
         TraceEvent {
@@ -218,7 +179,7 @@ mod tests {
         assert_eq!(parsed[0].get("stage").and_then(Json::as_str), Some("check"));
         assert_eq!(parsed[0].get("name").and_then(Json::as_str), Some("nodes"));
         assert_eq!(parsed[0].get("value").and_then(Json::as_num), Some(42));
-        assert_eq!(sink.events(), 0, "counter lines are not engine events");
+        assert_eq!(sink.events(), 0, "counter lines are not node events");
     }
 
     #[test]
@@ -286,13 +247,13 @@ mod tests {
 
     #[test]
     fn shared_sink_clones_write_one_buffer() {
-        let shared = SharedJsonLinesSink::new();
-        let mut handle: Box<dyn TraceSink> = Box::new(shared.clone());
+        let shared = Rc::new(RefCell::new(JsonLinesSink::new()));
+        let mut handle: Box<dyn TraceSink> = Box::new(Rc::clone(&shared));
         handle.event(&sample_event());
         handle.counter("mc", "schedules", 5);
         drop(handle);
-        assert_eq!(shared.events(), 1);
-        let parsed = parse_lines(&shared.text()).unwrap();
+        assert_eq!(shared.borrow().events(), 1);
+        let parsed = parse_lines(shared.borrow().lines()).unwrap();
         assert_eq!(parsed.len(), 2);
     }
 

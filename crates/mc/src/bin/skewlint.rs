@@ -26,18 +26,20 @@
 //! iff there are no error-severity findings (warnings do not fail the
 //! audit).
 
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::rc::Rc;
 
 use skewbound_core::foils::{eager_group, LocalFirstReplica};
 use skewbound_core::params::Params;
 use skewbound_core::replica::Replica;
 use skewbound_lint::audit::{audit_text, AuditConfig};
-use skewbound_mc::json::Json;
-use skewbound_mc::trace::parse_lines;
+use skewbound_lint::json::{parse_lines, Json};
+use skewbound_lint::JsonLinesSink;
 use skewbound_mc::{
-    certify, minimize, model_check, replay_traced, validate_certificate, Certificate, McConfig,
-    ModelActor, RunVerdict, SharedJsonLinesSink,
+    certify, minimize, model_check, replay, validate_certificate, Certificate, McConfig,
+    ModelActor, RunVerdict,
 };
 use skewbound_sim::clock::ClockAssignment;
 use skewbound_sim::delay::FixedDelay;
@@ -132,8 +134,8 @@ fn check_foil<A, F>(
         // `certify` keeps only the certificate; minimizing again is
         // deterministic and yields the coordinate it replayed.
         let min = minimize(spec, &make_actors, p, script, &config, violation);
-        let shared = SharedJsonLinesSink::new();
-        let (outcome, _) = replay_traced(
+        let shared = Rc::new(RefCell::new(JsonLinesSink::new()));
+        let outcome = replay(
             spec,
             &make_actors,
             p,
@@ -142,7 +144,7 @@ fn check_foil<A, F>(
             min.clock_idx,
             &min.delay_digits,
             &min.choices,
-            Box::new(shared.clone()),
+            Some(Box::new(Rc::clone(&shared))),
         );
         gate.expect(
             matches!(&outcome.verdict, RunVerdict::Violation(k) if k.same_kind(&min.kind)),
@@ -159,14 +161,14 @@ fn check_foil<A, F>(
 fn trace_gate(
     gate: &mut Gate,
     trace_path: &Path,
-    shared: &SharedJsonLinesSink,
+    shared: &RefCell<JsonLinesSink>,
     cert: &Certificate,
 ) {
-    let mut handle = shared.clone();
-    handle.counter("mc", "schedules", cert.schedules_explored);
-    handle.counter("mc", "pruned", cert.schedules_pruned);
-    handle.counter("mc", "delta_debug_steps", cert.delta_debug_steps);
-    if !write(gate, trace_path, &shared.text()) {
+    let mut sink = shared.borrow_mut();
+    sink.counter("mc", "schedules", cert.schedules_explored);
+    sink.counter("mc", "pruned", cert.schedules_pruned);
+    sink.counter("mc", "delta_debug_steps", cert.delta_debug_steps);
+    if !write(gate, trace_path, sink.lines()) {
         return;
     }
     // Validate by re-reading what was written, not the in-memory copy.
@@ -221,19 +223,19 @@ fn trace_gate(
 /// `out_dir/honest.trace.jsonl`.
 fn honest_trace(gate: &mut Gate, out_dir: &Path) {
     let p = params();
-    let shared = SharedJsonLinesSink::new();
+    let shared = Rc::new(RefCell::new(JsonLinesSink::new()));
     let mut sim = Simulation::new(
         Replica::group(RmwRegister::default(), &p),
         ClockAssignment::zero(p.n()),
         FixedDelay::maximal(p.delay_bounds()),
     );
-    sim.set_trace_sink(Box::new(shared.clone()));
+    sim.set_trace_sink(Box::new(Rc::clone(&shared)));
     sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, RmwOp::Write(1));
     sim.schedule_invoke(ProcessId::new(1), SimTime::from_ticks(30_000), RmwOp::Read);
     if let Err(e) = sim.run() {
         return gate.expect(false, &format!("honest register run completes: {e:?}"));
     }
-    let text = shared.text();
+    let text = shared.borrow().lines().to_owned();
     let cfg = AuditConfig {
         window: Some((
             i64::try_from(p.d().as_ticks()).expect("d fits"),

@@ -12,7 +12,7 @@
 //! permutation brute-forcer.
 //!
 //! Certificates serialize to a stable JSON schema
-//! (`skewbound-certificate/v1`) via the in-tree [`crate::json`] module;
+//! (`skewbound-certificate/v1`) via the in-tree [`skewbound_lint::json`] module;
 //! [`validate_certificate`] re-parses a document and checks every
 //! schema obligation, so CI can gate on emitted files without trusting
 //! the emitter.
@@ -28,8 +28,8 @@ use skewbound_spec::seqspec::SequentialSpec;
 use crate::explore::{
     minimize_counted, replay, McConfig, McReport, McViolation, RunVerdict, ViolationKind,
 };
-use crate::json::{obj, parse, Json};
 use crate::model::ModelActor;
+use skewbound_lint::json::{obj, parse, Json};
 
 /// The schema identifier every certificate carries.
 pub const SCHEMA: &str = "skewbound-certificate/v1";
@@ -138,6 +138,7 @@ where
         min.clock_idx,
         &min.delay_digits,
         &min.choices,
+        None,
     );
     let mut replay_confirmed =
         matches!(&outcome.verdict, RunVerdict::Violation(k) if k.same_kind(&min.kind));

@@ -535,6 +535,15 @@ impl DigitCounter {
     }
 }
 
+/// Runs one coordinate: a clock assignment, one delay digit per
+/// message and a schedule-choice plan. With a sink, every engine event
+/// streams into it, followed after the run by the linearizability
+/// checker's `"check"`-stage counters (`nodes`, `memo_hits`,
+/// `max_frontier_depth`); a caller that wants the sink back keeps an
+/// `Rc` clone of it. The optional shared [`TranspositionTable`] serves
+/// the linearizability verdict from memoized precedence structures;
+/// verdicts are identical with or without it (see `table`'s module
+/// docs).
 #[allow(clippy::too_many_arguments)]
 fn run_one<A, F>(
     spec: &A::Spec,
@@ -545,47 +554,9 @@ fn run_one<A, F>(
     clocks: &ClockAssignment,
     digits: &[usize],
     plan: &[usize],
-) -> RunOutcome<A::Spec>
-where
-    A: ModelActor,
-    F: Fn() -> Vec<A>,
-{
-    run_one_with_sink(
-        spec,
-        make_actors,
-        params,
-        script,
-        config,
-        clocks,
-        digits,
-        plan,
-        None,
-        None,
-    )
-    .0
-}
-
-/// [`run_one`] with an optional engine [`TraceSink`] and an optional
-/// shared [`TranspositionTable`]. Every engine event streams into the
-/// sink, and after the run the linearizability checker's
-/// `"check"`-stage counters (`nodes`, `memo_hits`, `max_frontier_depth`)
-/// are emitted into it too; the sink is returned so callers can keep
-/// writing (model-checker counters, file output). The table serves the
-/// linearizability verdict from memoized precedence structures; verdicts
-/// are identical with or without it (see `table`'s module docs).
-#[allow(clippy::too_many_arguments)]
-fn run_one_with_sink<A, F>(
-    spec: &A::Spec,
-    make_actors: &F,
-    params: &Params,
-    script: &[(ProcessId, SimTime, A::Op)],
-    config: &McConfig<A::Spec>,
-    clocks: &ClockAssignment,
-    digits: &[usize],
-    plan: &[usize],
     sink: Option<Box<dyn TraceSink>>,
     table: Option<&TranspositionTable<A::Spec>>,
-) -> (RunOutcome<A::Spec>, Option<Box<dyn TraceSink>>)
+) -> RunOutcome<A::Spec>
 where
     A: ModelActor,
     F: Fn() -> Vec<A>,
@@ -663,24 +634,25 @@ where
             }
         }
     };
-    let mut sink = sim.take_trace_sink();
-    if let (Some(sink), Some(stats)) = (sink.as_deref_mut(), check_stats) {
+    if let (Some(mut sink), Some(stats)) = (sim.take_trace_sink(), check_stats) {
         sink.counter("check", "nodes", stats.nodes);
         sink.counter("check", "memo_hits", stats.memo_hits);
         sink.counter("check", "max_frontier_depth", stats.max_frontier_depth);
     }
-    (
-        RunOutcome {
-            verdict,
-            history: sim.into_history(),
-            trace,
-            events,
-        },
-        sink,
-    )
+    RunOutcome {
+        verdict,
+        history: sim.into_history(),
+        trace,
+        events,
+    }
 }
 
 /// Re-executes the single run a violation (or any coordinate) names.
+/// With a sink attached, the run's invocations, sends, deliveries,
+/// timer arms/firings and responses stream into it (stamped with real
+/// time, local clock reading and process id), followed by the
+/// `"check"`-stage counters of the replay's linearizability check; keep
+/// an `Rc` clone of the sink to read it back.
 #[allow(clippy::too_many_arguments)]
 pub fn replay<A, F>(
     spec: &A::Spec,
@@ -691,6 +663,7 @@ pub fn replay<A, F>(
     clock_idx: usize,
     delay_digits: &[usize],
     choices: &[usize],
+    sink: Option<Box<dyn TraceSink>>,
 ) -> RunOutcome<A::Spec>
 where
     A: ModelActor,
@@ -705,51 +678,9 @@ where
         &config.clock_choices[clock_idx],
         delay_digits,
         choices,
-    )
-}
-
-/// [`replay`] with a [`TraceSink`] attached to the engine: the run's
-/// invocations, sends, deliveries, timer arms/firings and responses
-/// stream into the sink (stamped with real time, local clock reading
-/// and process id), followed by the `"check"`-stage counters of the
-/// replay's linearizability check. Returns the sink for further writes.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_traced<A, F>(
-    spec: &A::Spec,
-    make_actors: &F,
-    params: &Params,
-    script: &[(ProcessId, SimTime, A::Op)],
-    config: &McConfig<A::Spec>,
-    clock_idx: usize,
-    delay_digits: &[usize],
-    choices: &[usize],
-    sink: Box<dyn TraceSink>,
-) -> (RunOutcome<A::Spec>, Box<dyn TraceSink>)
-where
-    A: ModelActor,
-    F: Fn() -> Vec<A>,
-{
-    let (outcome, sink) = run_one_with_sink(
-        spec,
-        make_actors,
-        params,
-        script,
-        config,
-        &config.clock_choices[clock_idx],
-        delay_digits,
-        choices,
-        Some(sink),
+        sink,
         None,
-    );
-    let sink = sink.unwrap_or_else(|| {
-        // Internal invariant: `Simulation::take_trace_sink` always hands
-        // back the sink we attached above.
-        panic!(
-            "engine dropped the trace sink replaying clock {clock_idx}, \
-             delays {delay_digits:?}, choices {choices:?}"
-        )
-    });
-    (outcome, sink)
+    )
 }
 
 /// Checks the send pattern and sizes the delay grid; `Err` carries the
@@ -866,7 +797,7 @@ where
             out.capped = true;
             return out;
         }
-        let outcome = run_one_with_sink(
+        let outcome = run_one(
             spec,
             make_actors,
             params,
@@ -877,8 +808,7 @@ where
             &plan,
             None,
             Some(table),
-        )
-        .0;
+        );
         out.schedules += 1;
         out.events += outcome.events;
         if fresh {
@@ -989,6 +919,8 @@ where
             &config.clock_choices[violation.clock_idx],
             digits,
             choices,
+            None,
+            None,
         );
         matches!(&outcome.verdict, RunVerdict::Violation(k) if k.same_kind(kind))
     };

@@ -21,8 +21,7 @@
 //! * protocol invariants from [`skewbound_core::invariants`] checked on
 //!   every explored run, next to full linearizability checking;
 //! * [`certificate`] — minimized, replay-confirmed counterexample
-//!   certificates in a stable JSON schema, via the [`json`] module
-//!   (re-exported from `skewbound-lint`);
+//!   certificates in a stable JSON schema, via `skewbound_lint::json`;
 //! * `skewlint` (in `src/bin`) — writes the certificates of the
 //!   known-broken foils and the audited honest register trace (the
 //!   committed copies are in `tests/golden/`), and runs the offline
@@ -62,16 +61,12 @@ pub mod explore;
 pub mod frontier;
 pub mod model;
 pub mod table;
-pub mod trace;
-
-pub use skewbound_lint::json;
 
 pub use certificate::{certify, validate_certificate, CertRecord, Certificate, SCHEMA};
 pub use explore::{
-    minimize, minimize_counted, replay, replay_traced, ChoicePoint, Independence, McConfig,
-    McReport, McViolation, RunOutcome, RunVerdict, ViolationKind,
+    minimize, minimize_counted, replay, ChoicePoint, Independence, McConfig, McReport, McViolation,
+    RunOutcome, RunVerdict, ViolationKind,
 };
 pub use frontier::model_check;
 pub use model::ModelActor;
 pub use table::{CachedVerdict, TranspositionTable};
-pub use trace::{JsonLinesSink, SharedJsonLinesSink};

@@ -20,7 +20,7 @@ use std::process::exit;
 
 use skewbound_core::params::Params;
 use skewbound_core::replica::Replica;
-use skewbound_mc::trace::JsonLinesSink;
+use skewbound_lint::JsonLinesSink;
 use skewbound_net::runtime::{run_server, tighten_timer_slack, ServerConfig};
 use skewbound_net::tcp::MeshListener;
 use skewbound_net::wire::{Decode, Encode};

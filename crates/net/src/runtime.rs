@@ -49,9 +49,9 @@ use skewbound_sim::delay::{DelayBounds, DelayBoundsError, DelayModel};
 use skewbound_sim::engine::SimError;
 use skewbound_sim::history::History;
 use skewbound_sim::ids::{MsgId, ProcessId};
-use skewbound_sim::node::{Activation, NodeCore, TraceOutput};
+use skewbound_sim::node::{Activation, NodeCore};
 use skewbound_sim::time::{SimDuration, SimTime};
-use skewbound_sim::trace::{TraceEvent, TraceSink};
+use skewbound_sim::trace::TraceSink;
 use skewbound_sim::transport::{Link, TransportError, WallTransport, WireTransport};
 use skewbound_sim::workload::{drive, Driver};
 
@@ -154,23 +154,6 @@ impl ServerConfig {
     }
 }
 
-/// Adapts an optional [`TraceSink`] to the node core's [`TraceOutput`].
-struct SinkOutput<'a> {
-    sink: Option<&'a mut dyn TraceSink>,
-}
-
-impl TraceOutput for SinkOutput<'_> {
-    fn active(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    fn emit(&mut self, event: TraceEvent) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.event(&event);
-        }
-    }
-}
-
 /// One queued client request.
 struct ClientReq<O> {
     conn: u64,
@@ -268,7 +251,7 @@ pub fn run_server<A, D>(
     clocks: &ClockAssignment,
     delays: D,
     mesh: &TcpMesh,
-    sink: Option<&mut dyn TraceSink>,
+    mut sink: Option<&mut dyn TraceSink>,
 ) -> History<A::Op, A::Resp>
 where
     A: Actor,
@@ -289,10 +272,10 @@ where
     );
     let grace = Duration::from_micros(2 * bounds.max().as_ticks());
     let base = TimeBase::new(cfg.epoch_micros);
-    let transport = NetTransport::new(cfg.pid, cfg.n, mesh.peer_sender(), base, delays);
+    let transport = NetTransport::new(cfg.pid, mesh.peer_sender(), base, delays);
     let core = NodeCore::new(cfg.pid, cfg.n, actor);
     let mut node = WallNode::new(core, transport, clocks.offset(cfg.pid));
-    let (trace, mut history) = (&mut SinkOutput { sink }, History::new());
+    let mut history = History::new();
     let mut client_q = VecDeque::new();
     // The (connection, request id) awaiting the pending op's response.
     let mut in_flight: Option<(u64, u64)> = None;
@@ -304,7 +287,7 @@ where
         }
     };
 
-    node.start(trace, &mut history)
+    node.start(sink.as_deref_mut(), &mut history)
         .expect("transport failed during start");
     loop {
         // File everything that has physically arrived, so the fire-due
@@ -313,7 +296,7 @@ where
             reject(accept(event, &mut node, &mut client_q, grace));
         }
         while let Some(act) = node
-            .fire_due(trace, &mut history)
+            .fire_due(sink.as_deref_mut(), &mut history)
             .expect("transport failed")
         {
             reply_if_completed(act, &mut in_flight, &history, mesh);
@@ -323,7 +306,7 @@ where
         if node.pending_op().is_none() {
             if let Some(req) = client_q.pop_front() {
                 in_flight = Some((req.conn, req.req_id));
-                let act = node.invoke(None, req.op, trace, &mut history);
+                let act = node.invoke(None, req.op, sink.as_deref_mut(), &mut history);
                 let act = act.expect("transport failed during invoke");
                 reply_if_completed(act, &mut in_flight, &history, mesh);
                 continue; // the invoke may have armed immediately-due timers
@@ -337,7 +320,7 @@ where
             reject(accept(event, &mut node, &mut client_q, grace));
         }
     }
-    if let Some(sink) = trace.sink.as_mut().filter(|_| dropped > 0) {
+    if let Some(sink) = sink.filter(|_| dropped > 0) {
         sink.counter("net", "dropped_conns", dropped);
     }
     history
@@ -576,9 +559,8 @@ mod tests {
     use skewbound_core::timestamp::Timestamp;
     use skewbound_sim::actor::Context;
     use skewbound_sim::delay::{FixedDelay, UniformDelay};
-    use skewbound_sim::node::NoTrace;
     use skewbound_sim::time::{ClockOffset, ClockTime};
-    use skewbound_sim::trace::{Trace, TraceEventKind};
+    use skewbound_sim::trace::{Trace, TraceEvent, TraceEventKind};
     use skewbound_spec::namespace::{Namespace, NsOp};
     use skewbound_spec::register::{RegOp, RegResp, RwRegister};
 
@@ -621,7 +603,7 @@ mod tests {
     fn lone_node<A: Actor>(actor: A, base: TimeBase) -> WallNode<A, NoLink, FixedDelay> {
         let pid = ProcessId::new(0);
         let one = DelayBounds::new(SimDuration::from_ticks(1), SimDuration::ZERO);
-        let transport = WallTransport::new(pid, 2, NoLink, base, FixedDelay::maximal(one));
+        let transport = WallTransport::new(pid, NoLink, base, FixedDelay::maximal(one));
         WallNode::new(NodeCore::new(pid, 2, actor), transport, ClockOffset::ZERO)
     }
 
@@ -633,19 +615,19 @@ mod tests {
         let base = TimeBase::new(TimeBase::epoch_now_micros());
         let mut node = lone_node(FarTimer, base);
         let mut history = History::new();
-        node.start(&mut NoTrace, &mut history).unwrap();
+        node.start(None, &mut history).unwrap();
         let deliver_at = base.now_ticks() + 200_000;
         assert!(node.hold(deliver_at, ProcessId::new(1), MsgId::new(1), vec![()]));
         let held_until = base.instant_for(deliver_at).unwrap();
         assert_eq!(node.next_deadline(), Some(held_until));
-        assert_eq!(node.fire_due(&mut NoTrace, &mut history).unwrap(), None);
+        assert_eq!(node.fire_due(None, &mut history).unwrap(), None);
         std::thread::sleep(held_until.saturating_duration_since(std::time::Instant::now()));
         // The batch comes due first; the timer is not yet.
         assert_eq!(
-            node.fire_due(&mut NoTrace, &mut history).unwrap(),
+            node.fire_due(None, &mut history).unwrap(),
             Some(Activation::Ran)
         );
-        assert_eq!(node.fire_due(&mut NoTrace, &mut history).unwrap(), None);
+        assert_eq!(node.fire_due(None, &mut history).unwrap(), None);
         assert!(node.next_deadline().unwrap() > std::time::Instant::now());
     }
 

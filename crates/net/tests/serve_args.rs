@@ -1,6 +1,7 @@
 //! `skewbound-serve` and `skewbound-load` refuse, at parse time, a run
 //! they could not carry out: a group that is not exactly `0..n`, a delay
-//! the frame header cannot carry, a per-key load past the checker.
+//! the frame header cannot carry, a per-key load past the checker, a
+//! skew past the tick range.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -81,4 +82,26 @@ fn an_overflowing_per_key_load_is_rejected_at_parse_time() {
          --ops 9223372036854775807",
         "128-op limit",
     );
+}
+
+/// A skew whose derived waits overflow a signed clock offset: both
+/// binaries must report invalid parameters and exit 2, not panic on an
+/// overflowing add or when the first timer is armed.
+#[test]
+fn an_overflowing_skew_is_rejected_at_parse_time() {
+    for eps in ["18446744073709551615", "9223372036854775808"] {
+        assert_rejected(
+            SERVE,
+            &format!(
+                "--pid 0 --listen 127.0.0.1:0 --peer 1=127.0.0.1:1 --object register \
+                 --d 100 --u 10 --eps {eps} --epoch-micros 1"
+            ),
+            "invalid parameters",
+        );
+        assert_rejected(
+            LOAD,
+            &format!("--server 127.0.0.1:9 --object register --d 100 --u 10 --eps {eps}"),
+            "invalid parameters",
+        );
+    }
 }

@@ -253,8 +253,6 @@ mod tests {
         let meta = MsgMeta {
             from: ProcessId::new(0),
             to: ProcessId::new(1),
-            sent_at: SimTime::ZERO,
-            pair_seq: 0,
         };
         assert_eq!(model.delay(meta).as_ticks(), 6);
         assert_eq!(model.delay(meta).as_ticks(), 10);

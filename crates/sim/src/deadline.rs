@@ -33,8 +33,9 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use crate::actor::Actor;
 use crate::delay::DelayModel;
 use crate::ids::{MsgId, OpId, ProcessId, TimerId};
-use crate::node::{Activation, HistorySink, NodeCore, Stamp, TraceOutput};
+use crate::node::{Activation, HistorySink, NodeCore, Stamp};
 use crate::time::{ClockOffset, SimTime};
+use crate::trace::TraceSink;
 use crate::transport::{Link, TransportError, WallTransport};
 
 /// The shared run clock: ticks are µs since the run epoch.
@@ -250,9 +251,9 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel> WallNode<A, L, D> {
     /// # Errors
     ///
     /// Propagates the transport's send failures.
-    pub fn start<TO: TraceOutput, H: HistorySink<A>>(
+    pub fn start<H: HistorySink<A>>(
         &mut self,
-        trace: &mut TO,
+        trace: Option<&mut (dyn TraceSink + '_)>,
         history: &mut H,
     ) -> Result<Activation, TransportError> {
         self.activate(Instant::now(), |core, stamp, t| {
@@ -267,11 +268,11 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel> WallNode<A, L, D> {
     /// # Errors
     ///
     /// Propagates the transport's send failures.
-    pub fn invoke<TO: TraceOutput, H: HistorySink<A>>(
+    pub fn invoke<H: HistorySink<A>>(
         &mut self,
         recorded: Option<OpId>,
         op: A::Op,
-        trace: &mut TO,
+        trace: Option<&mut (dyn TraceSink + '_)>,
         history: &mut H,
     ) -> Result<Activation, TransportError> {
         self.activate(Instant::now(), |core, stamp, t| {
@@ -287,9 +288,9 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel> WallNode<A, L, D> {
     /// # Errors
     ///
     /// Propagates the transport's send failures.
-    pub fn fire_due<TO: TraceOutput, H: HistorySink<A>>(
+    pub fn fire_due<H: HistorySink<A>>(
         &mut self,
-        trace: &mut TO,
+        trace: Option<&mut (dyn TraceSink + '_)>,
         history: &mut H,
     ) -> Result<Option<Activation>, TransportError> {
         let Some((at, due)) = self.transport.agenda.pop_due(Instant::now()) else {
@@ -612,11 +613,10 @@ mod tests {
     fn a_timer_armed_by_a_late_delivery_is_due_at_deliver_at_plus_its_delay() {
         use crate::delay::{DelayBounds, FixedDelay};
         use crate::history::History;
-        use crate::node::NoTrace;
 
         let base = TimeBase::new(TimeBase::epoch_now_micros());
         let one = DelayBounds::new(SimDuration::from_ticks(1), SimDuration::ZERO);
-        let transport = WallTransport::new(P, 2, NoLink, base, FixedDelay::maximal(one));
+        let transport = WallTransport::new(P, NoLink, base, FixedDelay::maximal(one));
         let actor = ArmOnDelivery { delay: 3_000 };
         let mut node = WallNode::new(NodeCore::new(P, 2, actor), transport, ClockOffset::ZERO);
         let deliver_at = base.now_ticks() + 1_000;
@@ -626,7 +626,7 @@ mod tests {
         // Pop the delivery well after its instant.
         thread::sleep(held_until.saturating_duration_since(Instant::now()) + 5 * MS);
         let mut history = History::new();
-        let act = node.fire_due(&mut NoTrace, &mut history).unwrap();
+        let act = node.fire_due(None, &mut history).unwrap();
         assert_eq!(act, Some(Activation::Ran));
         assert_eq!(node.next_deadline(), Some(held_until + 3 * MS));
     }

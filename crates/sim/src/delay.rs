@@ -8,16 +8,13 @@
 //! The lower-bound proofs rely on *specific* delay assignments, e.g. the
 //! pairwise-uniform matrices of Theorems C.1/E.1 and the circulant matrix
 //! `d_{i,j} = d − ((i−j) mod k)/k · u` of Theorem D.1; [`MatrixDelay`]
-//! expresses those. [`ScriptedDelay`] additionally overrides individual
-//! messages by send index, which the *modified* time shift scenarios use.
-
-use std::collections::HashMap;
+//! expresses those.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ids::ProcessId;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// The network's delay bounds: every message takes between `d − u` and `d`.
 ///
@@ -138,11 +135,6 @@ pub struct MsgMeta {
     pub from: ProcessId,
     /// Receiving process.
     pub to: ProcessId,
-    /// Real time at which the message was sent.
-    pub sent_at: SimTime,
-    /// Zero-based index of this message among all messages sent from
-    /// `from` to `to` in this run.
-    pub pair_seq: u64,
 }
 
 /// Assigns a delay to every message.
@@ -320,118 +312,6 @@ impl DelayModel for MatrixDelay {
     }
 }
 
-/// Bimodal delays: most messages take the fast path (`d − u`), a seeded
-/// fraction take the slow path (`d`) — a crude but useful model of a LAN
-/// with a congested tail, stressing implementations with realistic
-/// *mixtures* rather than uniform noise.
-#[derive(Debug)]
-pub struct BimodalDelay {
-    bounds: DelayBounds,
-    slow_percent: u8,
-    rng: StdRng,
-}
-
-impl BimodalDelay {
-    /// Creates a model where `slow_percent`% of messages take the maximum
-    /// delay `d` and the rest take the minimum `d − u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slow_percent > 100`.
-    #[must_use]
-    pub fn new(bounds: DelayBounds, slow_percent: u8, seed: u64) -> Self {
-        assert!(slow_percent <= 100, "percentage out of range");
-        BimodalDelay {
-            bounds,
-            slow_percent,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl DelayModel for BimodalDelay {
-    fn delay(&mut self, _meta: MsgMeta) -> SimDuration {
-        if self.rng.gen_range(0u8..100) < self.slow_percent {
-            self.bounds.max()
-        } else {
-            self.bounds.min()
-        }
-    }
-
-    fn bounds(&self) -> DelayBounds {
-        self.bounds
-    }
-}
-
-/// A base model plus per-message overrides keyed by
-/// `(from, to, pair_seq)`.
-///
-/// The modified-time-shift scenarios need control over *individual*
-/// messages ("the first message from `p_i` to `p_j` takes `d`, the second
-/// `d − u`"); this model expresses that while delegating everything else
-/// to a base model.
-pub struct ScriptedDelay<M> {
-    base: M,
-    overrides: HashMap<(ProcessId, ProcessId, u64), SimDuration>,
-}
-
-impl<M: std::fmt::Debug> std::fmt::Debug for ScriptedDelay<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScriptedDelay")
-            .field("base", &self.base)
-            .field("overrides", &self.overrides.len())
-            .finish()
-    }
-}
-
-impl<M: DelayModel> ScriptedDelay<M> {
-    /// Wraps `base` with no overrides.
-    #[must_use]
-    pub fn new(base: M) -> Self {
-        ScriptedDelay {
-            base,
-            overrides: HashMap::new(),
-        }
-    }
-
-    /// Overrides the `seq`-th message (zero-based) from `from` to `to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is outside the base model's bounds.
-    pub fn set(&mut self, from: ProcessId, to: ProcessId, seq: u64, delay: SimDuration) {
-        let bounds = self.base.bounds();
-        assert!(
-            bounds.contains(delay),
-            "scripted delay {delay:?} outside [{:?}, {:?}]",
-            bounds.min(),
-            bounds.max()
-        );
-        self.overrides.insert((from, to, seq), delay);
-    }
-
-    /// Builder-style variant of [`ScriptedDelay::set`].
-    #[must_use]
-    pub fn with(mut self, from: ProcessId, to: ProcessId, seq: u64, delay: SimDuration) -> Self {
-        self.set(from, to, seq, delay);
-        self
-    }
-}
-
-impl<M: DelayModel> DelayModel for ScriptedDelay<M> {
-    fn delay(&mut self, meta: MsgMeta) -> SimDuration {
-        if let Some(&d) = self.overrides.get(&(meta.from, meta.to, meta.pair_seq)) {
-            d
-        } else {
-            self.base.delay(meta)
-        }
-    }
-
-    fn bounds(&self) -> DelayBounds {
-        self.base.bounds()
-    }
-}
-
 impl<M: DelayModel + ?Sized> DelayModel for Box<M> {
     fn delay(&mut self, meta: MsgMeta) -> SimDuration {
         (**self).delay(meta)
@@ -481,12 +361,10 @@ mod tests {
         DelayBounds::new(SimDuration::from_ticks(100), SimDuration::from_ticks(40))
     }
 
-    fn meta(from: u32, to: u32, seq: u64) -> MsgMeta {
+    fn meta(from: u32, to: u32) -> MsgMeta {
         MsgMeta {
             from: ProcessId::new(from),
             to: ProcessId::new(to),
-            sent_at: SimTime::ZERO,
-            pair_seq: seq,
         }
     }
 
@@ -526,8 +404,8 @@ mod tests {
     #[test]
     fn fixed_delay_constant() {
         let mut m = FixedDelay::new(bounds(), SimDuration::from_ticks(80));
-        assert_eq!(m.delay(meta(0, 1, 0)), SimDuration::from_ticks(80));
-        assert_eq!(m.delay(meta(1, 0, 5)), SimDuration::from_ticks(80));
+        assert_eq!(m.delay(meta(0, 1)), SimDuration::from_ticks(80));
+        assert_eq!(m.delay(meta(1, 0)), SimDuration::from_ticks(80));
     }
 
     #[test]
@@ -540,9 +418,9 @@ mod tests {
     fn uniform_delay_in_range_and_deterministic() {
         let mut a = UniformDelay::new(bounds(), 7);
         let mut b = UniformDelay::new(bounds(), 7);
-        for i in 0..200 {
-            let da = a.delay(meta(0, 1, i));
-            let db = b.delay(meta(0, 1, i));
+        for _ in 0..200 {
+            let da = a.delay(meta(0, 1));
+            let db = b.delay(meta(0, 1));
             assert_eq!(da, db, "same seed must give same delays");
             assert!(bounds().contains(da));
         }
@@ -558,8 +436,8 @@ mod tests {
             }
         });
         let mut m = m;
-        assert_eq!(m.delay(meta(0, 2, 0)), SimDuration::from_ticks(100));
-        assert_eq!(m.delay(meta(2, 0, 0)), SimDuration::from_ticks(60));
+        assert_eq!(m.delay(meta(0, 2)), SimDuration::from_ticks(100));
+        assert_eq!(m.delay(meta(2, 0)), SimDuration::from_ticks(60));
     }
 
     #[test]
@@ -582,47 +460,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bimodal_mixes_extremes_only() {
-        let mut m = BimodalDelay::new(bounds(), 30, 5);
-        let mut fast = 0;
-        let mut slow = 0;
-        for i in 0..400 {
-            match m.delay(meta(0, 1, i)).as_ticks() {
-                60 => fast += 1,
-                100 => slow += 1,
-                other => panic!("unexpected delay {other}"),
-            }
-        }
-        // Roughly 30% slow; loose bounds to stay seed-robust.
-        assert!((60..=180).contains(&slow), "slow = {slow}");
-        assert_eq!(fast + slow, 400);
-    }
-
-    #[test]
-    fn scripted_overrides_only_selected_message() {
-        let mut m = ScriptedDelay::new(FixedDelay::maximal(bounds())).with(
-            ProcessId::new(0),
-            ProcessId::new(1),
-            1,
-            SimDuration::from_ticks(60),
-        );
-        assert_eq!(m.delay(meta(0, 1, 0)), SimDuration::from_ticks(100));
-        assert_eq!(m.delay(meta(0, 1, 1)), SimDuration::from_ticks(60));
-        assert_eq!(m.delay(meta(0, 1, 2)), SimDuration::from_ticks(100));
-        assert_eq!(m.delay(meta(1, 0, 1)), SimDuration::from_ticks(100));
-    }
-
-    #[test]
-    #[should_panic(expected = "scripted delay")]
-    fn scripted_validates_override() {
-        let _ = ScriptedDelay::new(FixedDelay::maximal(bounds())).with(
-            ProcessId::new(0),
-            ProcessId::new(1),
-            0,
-            SimDuration::from_ticks(5),
-        );
     }
 }

@@ -41,34 +41,19 @@ use crate::history::History;
 use crate::ids::{MsgId, ProcessId, TimerId};
 use crate::node::{Activation, NodeCore, Stamp};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{EngineTrace, Trace, TraceSink};
+use crate::trace::TraceSink;
 use crate::transport::{EvSlot, EvTag, Queued, TransportError, VirtualTransport};
 use crate::workload::Driver;
 
-/// Engine limits and switches.
-#[derive(Debug, Clone, Copy)]
-pub struct SimConfig {
-    /// Abort the run after this many processed events (guards against
-    /// actors that set timers forever).
-    pub max_events: u64,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            max_events: 10_000_000,
-        }
-    }
-}
+/// The run loops abort after this many processed events (guards
+/// against actors that set timers forever).
+pub const MAX_EVENTS: u64 = 10_000_000;
 
 /// Errors surfaced by [`Simulation::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The event cap was reached before quiescence.
-    EventCapExceeded {
-        /// The configured cap.
-        cap: u64,
-    },
+    /// The [`MAX_EVENTS`] cap was reached before quiescence.
+    EventCapExceeded,
     /// A [`SchedulePolicy`] abandoned the run
     /// ([`ScheduleDecision::Abort`]) — e.g. a model-checking explorer
     /// proved the remaining branch redundant.
@@ -88,9 +73,10 @@ impl From<TransportError> for SimError {
 impl core::fmt::Display for SimError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            SimError::EventCapExceeded { cap } => {
-                write!(f, "event cap of {cap} events exceeded before quiescence")
-            }
+            SimError::EventCapExceeded => write!(
+                f,
+                "event cap of {MAX_EVENTS} events exceeded before quiescence"
+            ),
             SimError::PolicyAbort => write!(f, "the schedule policy abandoned the run"),
             SimError::Transport(e) => write!(f, "transport failure: {e}"),
         }
@@ -320,10 +306,9 @@ impl<A: Actor> SchedulePolicy<A> for FifoPolicy {
 pub struct Simulation<A: Actor, D: DelayModel> {
     nodes: Vec<NodeCore<A>>,
     transport: VirtualTransport<A, D>,
-    config: SimConfig,
     started: bool,
     history: History<A::Op, A::Resp>,
-    trace: EngineTrace,
+    trace: Option<Box<dyn TraceSink>>,
 }
 
 impl<A: Actor, D: DelayModel> core::fmt::Debug for Simulation<A, D> {
@@ -366,51 +351,25 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
                 })
                 .collect(),
             transport: VirtualTransport::new(clocks, delays, n),
-            config: SimConfig::default(),
             started: false,
             history: History::new(),
-            trace: EngineTrace::default(),
+            trace: None,
         }
     }
 
-    /// Turns on structured event tracing (see [`crate::trace`]).
-    pub fn enable_trace(&mut self) {
-        if self.trace.recorder.is_none() {
-            self.trace.recorder = Some(Trace::new());
-        }
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.recorder.as_ref()
-    }
-
-    /// Attaches an external [`TraceSink`]; every subsequent engine event
-    /// (invoke, send, deliver, timer-set, timer-fire, respond) is emitted
-    /// to it, stamped with real time, local clock reading and process id.
-    /// Replaces any previously attached sink.
+    /// Attaches a [`TraceSink`]; every subsequent node event (invoke,
+    /// send, deliver, timer-set, timer-fire, timer-cancel, respond) is
+    /// emitted to it, stamped with real time, local clock reading and
+    /// process id, followed by the end-of-run counters. Replaces any
+    /// previously attached sink. To read an in-memory sink back, attach
+    /// an `Rc<RefCell<_>>` clone (see [`crate::trace`]).
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace.sink = Some(sink);
+        self.trace = Some(sink);
     }
 
     /// Detaches and returns the attached [`TraceSink`], if any.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.trace.sink.take()
-    }
-
-    /// Detaches and returns the recorded trace by move, if tracing was
-    /// enabled. Subsequent events are no longer recorded (the attached
-    /// sink, if any, still receives them).
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.recorder.take()
-    }
-
-    /// Replaces the engine configuration.
-    #[must_use]
-    pub fn with_config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
+        self.trace.take()
     }
 
     /// Number of processes.
@@ -495,7 +454,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EventCapExceeded`] if the configured event cap
+    /// Returns [`SimError::EventCapExceeded`] if the [`MAX_EVENTS`] cap
     /// is hit first.
     pub fn run(&mut self) -> Result<SimReport, SimError> {
         self.run_with(&mut crate::workload::NoDriver)
@@ -507,9 +466,18 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EventCapExceeded`] if the configured event cap
+    /// Returns [`SimError::EventCapExceeded`] if the [`MAX_EVENTS`] cap
     /// is hit first.
     pub fn run_with<Dr>(&mut self, driver: &mut Dr) -> Result<SimReport, SimError>
+    where
+        Dr: Driver<A::Op, A::Resp> + ?Sized,
+    {
+        self.run_capped(driver, MAX_EVENTS)
+    }
+
+    /// [`Simulation::run_with`] with the event cap as an argument, so the
+    /// cap's error path can be tested without ten million events.
+    fn run_capped<Dr>(&mut self, driver: &mut Dr, cap: u64) -> Result<SimReport, SimError>
     where
         Dr: Driver<A::Op, A::Resp> + ?Sized,
     {
@@ -520,10 +488,8 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         let mut events = 0u64;
         while let Some(Queued { at, tag, .. }) = self.transport.queue.pop() {
             events += 1;
-            if events > self.config.max_events {
-                return Err(SimError::EventCapExceeded {
-                    cap: self.config.max_events,
-                });
+            if events > cap {
+                return Err(SimError::EventCapExceeded);
             }
             self.dispatch_event(at, tag, driver)?;
         }
@@ -545,7 +511,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EventCapExceeded`] if the configured event cap
+    /// Returns [`SimError::EventCapExceeded`] if the [`MAX_EVENTS`] cap
     /// is hit first, or [`SimError::PolicyAbort`] if the policy abandons
     /// the run.
     ///
@@ -627,10 +593,8 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
             let chosen_tag = batch.remove(chosen).tag;
             self.transport.queue.extend(batch.drain(..));
             events += 1;
-            if events > self.config.max_events {
-                return Err(SimError::EventCapExceeded {
-                    cap: self.config.max_events,
-                });
+            if events > MAX_EVENTS {
+                return Err(SimError::EventCapExceeded);
             }
             self.dispatch_event(at, chosen_tag, driver)?;
         }
@@ -670,7 +634,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
             let act = self.nodes[i].on_start(
                 stamp,
                 &mut self.transport,
-                &mut self.trace,
+                self.trace.as_deref_mut(),
                 &mut self.history,
             )?;
             self.after_activation(pid, act, driver);
@@ -688,7 +652,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     }
 
     fn emit_run_counters(&mut self, events: u64) {
-        if let Some(sink) = self.trace.sink.as_deref_mut() {
+        if let Some(sink) = self.trace.as_deref_mut() {
             sink.counter("engine", "events", events);
             sink.counter("engine", "messages", self.transport.next_msg_id);
             // Zero on every honest run; the offline trace auditor turns a
@@ -727,7 +691,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
                 None,
                 op,
                 &mut self.transport,
-                &mut self.trace,
+                self.trace.as_deref_mut(),
                 &mut self.history,
             ),
             EventKind::DeliverBatch {
@@ -740,7 +704,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
                 first_id,
                 msgs,
                 &mut self.transport,
-                &mut self.trace,
+                self.trace.as_deref_mut(),
                 &mut self.history,
             ),
             EventKind::Timer { id, timer } => node.on_timer(
@@ -748,7 +712,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
                 id,
                 timer,
                 &mut self.transport,
-                &mut self.trace,
+                self.trace.as_deref_mut(),
                 &mut self.history,
             ),
         }?;
@@ -1021,10 +985,12 @@ mod tests {
             vec![Looper],
             ClockAssignment::zero(1),
             FixedDelay::maximal(bounds()),
-        )
-        .with_config(SimConfig { max_events: 100 });
+        );
         sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, ());
-        assert_eq!(sim.run(), Err(SimError::EventCapExceeded { cap: 100 }));
+        assert_eq!(
+            sim.run_capped(&mut crate::workload::NoDriver, 100),
+            Err(SimError::EventCapExceeded)
+        );
     }
 
     #[derive(Debug, Default)]

@@ -64,7 +64,6 @@ pub mod ids;
 pub mod node;
 pub mod par;
 pub mod rt;
-pub mod shard;
 pub mod slab;
 pub mod stats;
 pub mod time;
@@ -78,17 +77,14 @@ pub mod prelude {
     pub use crate::actor::{Actor, Context};
     pub use crate::clock::ClockAssignment;
     pub use crate::delay::{
-        BimodalDelay, DelayBounds, DelayBoundsError, DelayModel, FixedDelay, MatrixDelay, MsgMeta,
-        ScriptedDelay, UniformDelay,
+        DelayBounds, DelayBoundsError, DelayModel, FixedDelay, MatrixDelay, MsgMeta, UniformDelay,
     };
     pub use crate::engine::{
-        EventView, FifoPolicy, ScheduleDecision, SchedulePolicy, SimConfig, SimError, SimReport,
-        Simulation,
+        EventView, FifoPolicy, ScheduleDecision, SchedulePolicy, SimError, SimReport, Simulation,
     };
     pub use crate::history::{History, OpRecord};
     pub use crate::ids::{MsgId, OpId, ProcessId, TimerId};
     pub use crate::node::{Activation, NodeCore, Stamp};
-    pub use crate::shard::{run_shards, ShardRun};
     pub use crate::stats::LatencySummary;
     pub use crate::time::{ClockOffset, ClockTime, SimDuration, SimTime};
     pub use crate::trace::{Trace, TraceEvent, TraceEventKind, TraceSink};

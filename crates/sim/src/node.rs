@@ -10,7 +10,10 @@
 //! 1. invariant enforcement (one pending operation per process, stale
 //!    timer filtering via slab generations);
 //! 2. structured trace emission ([`TraceEventKind`]) stamped with the
-//!    activation's real time and local clock reading;
+//!    activation's real time and local clock reading, into the
+//!    `Option<&mut dyn TraceSink>` every entry takes — with `None` the
+//!    node builds no event and no `Debug` string, so the untraced path
+//!    allocates nothing for tracing;
 //! 3. the actor handler itself, through a [`Context`];
 //! 4. draining the resulting effects: sends and timers go to the
 //!    pluggable [`Transport`], cancels retire slab generations,
@@ -31,7 +34,7 @@ use crate::history::History;
 use crate::ids::{MsgId, OpId, ProcessId, TimerId};
 use crate::time::{ClockTime, SimTime};
 use crate::timers::TimerSlab;
-use crate::trace::{TraceEvent, TraceEventKind};
+use crate::trace::{TraceEvent, TraceEventKind, TraceSink};
 use crate::transport::{Transport, TransportError};
 
 /// The one failure of a driver that invokes at `pid` while its previous
@@ -70,35 +73,6 @@ pub enum Activation {
     /// The handler ran and completed the process's pending operation.
     /// The response is already committed to the history under this id.
     Completed(OpId),
-}
-
-/// A consumer of the structured trace events a node emits.
-///
-/// The two runtimes store their sinks differently (the engine holds an
-/// optional recorder plus an optional boxed sink; the real-thread
-/// runtime a mutex-shared sink); this small trait lets [`NodeCore`]
-/// emit through either without caring. `active` gates payload
-/// rendering: when it returns `false` the node builds no event (and no
-/// `Debug` strings), keeping the disabled path allocation-free.
-pub trait TraceOutput {
-    /// `true` when some consumer is attached and events should be built.
-    fn active(&self) -> bool;
-
-    /// Receives one stamped event. Only called when [`TraceOutput::active`]
-    /// returned `true` in the same activation.
-    fn emit(&mut self, event: TraceEvent);
-}
-
-/// A trace output with nothing attached; `active` is always `false`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoTrace;
-
-impl TraceOutput for NoTrace {
-    fn active(&self) -> bool {
-        false
-    }
-
-    fn emit(&mut self, _event: TraceEvent) {}
 }
 
 /// Where a node commits history records.
@@ -198,16 +172,15 @@ impl<A: Actor> NodeCore<A> {
     }
 
     /// Runs the start-of-run hook ([`Actor::on_start`]).
-    pub fn on_start<T, TO, H>(
+    pub fn on_start<T, H>(
         &mut self,
         stamp: Stamp,
         transport: &mut T,
-        trace: &mut TO,
+        trace: Option<&mut (dyn TraceSink + '_)>,
         history: &mut H,
     ) -> Result<Activation, TransportError>
     where
         T: Transport<A>,
-        TO: TraceOutput,
         H: HistorySink<A>,
     {
         let effects = self.run(stamp.clock, |actor, ctx| actor.on_start(ctx));
@@ -223,24 +196,23 @@ impl<A: Actor> NodeCore<A> {
     /// # Panics
     ///
     /// Panics if an operation is already pending at this process.
-    pub fn on_invoke<T, TO, H>(
+    pub fn on_invoke<T, H>(
         &mut self,
         stamp: Stamp,
         recorded: Option<OpId>,
         op: A::Op,
         transport: &mut T,
-        trace: &mut TO,
+        mut trace: Option<&mut (dyn TraceSink + '_)>,
         history: &mut H,
     ) -> Result<Activation, TransportError>
     where
         T: Transport<A>,
-        TO: TraceOutput,
         H: HistorySink<A>,
     {
         self.assert_no_pending();
-        if trace.active() {
+        if let Some(sink) = trace.as_deref_mut() {
             self.emit(
-                trace,
+                sink,
                 stamp,
                 TraceEventKind::Invoke {
                     op: format!("{op:?}"),
@@ -259,25 +231,24 @@ impl<A: Actor> NodeCore<A> {
     /// one `Recv` trace event is emitted per message so per-message
     /// send/deliver pairing survives batching.
     #[allow(clippy::too_many_arguments)] // one parameter per activation ingredient
-    pub fn on_message_batch<T, TO, H>(
+    pub fn on_message_batch<T, H>(
         &mut self,
         stamp: Stamp,
         from: ProcessId,
         first_id: MsgId,
         msgs: Vec<A::Msg>,
         transport: &mut T,
-        trace: &mut TO,
+        mut trace: Option<&mut (dyn TraceSink + '_)>,
         history: &mut H,
     ) -> Result<Activation, TransportError>
     where
         T: Transport<A>,
-        TO: TraceOutput,
         H: HistorySink<A>,
     {
-        if trace.active() {
+        if let Some(sink) = trace.as_deref_mut() {
             for i in 0..msgs.len() {
                 self.emit(
-                    trace,
+                    sink,
                     stamp,
                     TraceEventKind::Recv {
                         from,
@@ -295,26 +266,25 @@ impl<A: Actor> NodeCore<A> {
     /// Fires timer `id`, or returns [`Activation::Stale`] without
     /// running anything if the id's generation was retired by a cancel
     /// after the expiry event was queued.
-    pub fn on_timer<T, TO, H>(
+    pub fn on_timer<T, H>(
         &mut self,
         stamp: Stamp,
         id: TimerId,
         timer: A::Timer,
         transport: &mut T,
-        trace: &mut TO,
+        mut trace: Option<&mut (dyn TraceSink + '_)>,
         history: &mut H,
     ) -> Result<Activation, TransportError>
     where
         T: Transport<A>,
-        TO: TraceOutput,
         H: HistorySink<A>,
     {
         if !self.timers.fire(id) {
             return Ok(Activation::Stale);
         }
-        if trace.active() {
+        if let Some(sink) = trace.as_deref_mut() {
             self.emit(
-                trace,
+                sink,
                 stamp,
                 TraceEventKind::Timer {
                     id,
@@ -332,8 +302,8 @@ impl<A: Actor> NodeCore<A> {
         }
     }
 
-    fn emit<TO: TraceOutput>(&self, trace: &mut TO, stamp: Stamp, kind: TraceEventKind) {
-        trace.emit(TraceEvent {
+    fn emit(&self, sink: &mut dyn TraceSink, stamp: Stamp, kind: TraceEventKind) {
+        sink.event(&TraceEvent {
             at: stamp.now,
             clock: stamp.clock,
             pid: self.pid,
@@ -366,17 +336,16 @@ impl<A: Actor> NodeCore<A> {
     /// be meaningfully resumed) and the error propagates to the
     /// scheduler. In-process transports never fail, so both in-process
     /// backends take the infallible path bit-for-bit.
-    fn apply_effects<T, TO, H>(
+    fn apply_effects<T, H>(
         &mut self,
         stamp: Stamp,
         mut effects: Effects<A>,
         transport: &mut T,
-        trace: &mut TO,
+        trace: Option<&mut (dyn TraceSink + '_)>,
         history: &mut H,
     ) -> Result<Activation, TransportError>
     where
         T: Transport<A>,
-        TO: TraceOutput,
         H: HistorySink<A>,
     {
         let out = self.drain_effects(stamp, &mut effects, transport, trace, history);
@@ -388,28 +357,27 @@ impl<A: Actor> NodeCore<A> {
         out
     }
 
-    fn drain_effects<T, TO, H>(
+    fn drain_effects<T, H>(
         &mut self,
         stamp: Stamp,
         effects: &mut Effects<A>,
         transport: &mut T,
-        trace: &mut TO,
+        mut trace: Option<&mut (dyn TraceSink + '_)>,
         history: &mut H,
     ) -> Result<Activation, TransportError>
     where
         T: Transport<A>,
-        TO: TraceOutput,
         H: HistorySink<A>,
     {
         for (to, msgs) in effects.batches.drain(..) {
-            if trace.active() {
+            if let Some(sink) = trace.as_deref_mut() {
                 // One Send trace event per message; ids are consecutive
                 // from the batch's first id.
                 let payloads: Vec<String> = msgs.iter().map(|m| format!("{m:?}")).collect();
                 let first = transport.send_batch(self.pid, to, msgs)?;
                 for (i, payload) in payloads.into_iter().enumerate() {
                     self.emit(
-                        trace,
+                        sink,
                         stamp,
                         TraceEventKind::Send {
                             to,
@@ -427,9 +395,9 @@ impl<A: Actor> NodeCore<A> {
             // The id is already live in the slab (allocated by
             // `Context::set_timer`); the transport only schedules the
             // expiry.
-            if trace.active() {
+            if let Some(sink) = trace.as_deref_mut() {
                 self.emit(
-                    trace,
+                    sink,
                     stamp,
                     TraceEventKind::TimerSet {
                         id,
@@ -444,8 +412,8 @@ impl<A: Actor> NodeCore<A> {
         for id in effects.cancels.drain(..) {
             if self.timers.cancel(id) {
                 transport.cancel_timer(self.pid, id);
-                if trace.active() {
-                    self.emit(trace, stamp, TraceEventKind::TimerCancel { id });
+                if let Some(sink) = trace.as_deref_mut() {
+                    self.emit(sink, stamp, TraceEventKind::TimerCancel { id });
                 }
             }
         }
@@ -455,9 +423,9 @@ impl<A: Actor> NodeCore<A> {
                 .pending_op
                 .take()
                 .unwrap_or_else(|| panic!("{}: response with no pending operation", self.pid));
-            if trace.active() {
+            if let Some(sink) = trace {
                 self.emit(
-                    trace,
+                    sink,
                     stamp,
                     TraceEventKind::Respond {
                         resp: format!("{resp:?}"),

@@ -13,8 +13,8 @@
 //! and a pure-per-job function, fans the jobs out over a scoped worker
 //! pool (work-stealing via an atomic cursor), and returns the results
 //! *in input order*. A panicking job does not poison the pool: the
-//! remaining jobs still run, and the first panic is re-raised (or
-//! returned, via [`try_run_grid`]) once the pool has drained.
+//! remaining jobs still run, and the first panic (by input order) is
+//! re-raised once the pool has drained.
 //!
 //! ## Choosing the worker count
 //!
@@ -31,23 +31,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
-
-/// A job panicked during [`try_run_grid`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GridPanic {
-    /// Input-order index of the panicking job.
-    pub index: usize,
-    /// The panic payload, if it was a string.
-    pub message: String,
-}
-
-impl core::fmt::Display for GridPanic {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "grid job {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for GridPanic {}
 
 /// Number of workers [`run_grid`] would use for `jobs` jobs, honouring
 /// `SKEWBOUND_THREADS` (see the module docs).
@@ -92,8 +75,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `f` over every job and returns the results in input order, or
-/// the first (by input order) panic if any job panicked.
+/// Runs `f` over every job and returns the results in input order.
 ///
 /// With more than one worker, jobs are claimed from an atomic cursor by
 /// a scoped thread pool; with one worker (or one job, or sequential mode
@@ -101,37 +83,37 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// way the result vector is ordered by job index, so a deterministic `f`
 /// yields byte-identical output regardless of the worker count.
 ///
+/// # Panics
+///
 /// A panicking job is contained with `catch_unwind`: the pool drains the
-/// remaining jobs normally and the earliest panic is reported once all
-/// workers have joined.
-pub fn try_run_grid<I, R, F>(jobs: &[I], f: F) -> Result<Vec<R>, GridPanic>
+/// remaining jobs normally, and once all workers have joined the
+/// earliest (by input order) panic is re-raised as
+/// `grid job INDEX panicked: MESSAGE`.
+pub fn run_grid<I, R, F>(jobs: &[I], f: F) -> Vec<R>
 where
     I: Sync,
     R: Send,
     F: Fn(usize, &I) -> R + Sync,
 {
+    let grid_panic =
+        |(index, message): (usize, String)| -> ! { panic!("grid job {index} panicked: {message}") };
     let workers = worker_count(jobs.len());
     if workers <= 1 {
         let mut out = Vec::with_capacity(jobs.len());
         for (index, job) in jobs.iter().enumerate() {
             match catch_unwind(AssertUnwindSafe(|| f(index, job))) {
                 Ok(r) => out.push(r),
-                Err(payload) => {
-                    return Err(GridPanic {
-                        index,
-                        message: panic_message(payload.as_ref()),
-                    })
-                }
+                Err(payload) => grid_panic((index, panic_message(payload.as_ref()))),
             }
         }
-        return Ok(out);
+        return out;
     }
 
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::new();
     slots.resize_with(jobs.len(), || None);
     let slots = Mutex::new(slots);
-    let first_panic: Mutex<Option<GridPanic>> = Mutex::new(None);
+    let first_panic: Mutex<Option<(usize, String)>> = Mutex::new(None);
 
     thread::scope(|scope| {
         for _ in 0..workers {
@@ -145,13 +127,9 @@ where
                     match catch_unwind(AssertUnwindSafe(|| f(index, &jobs[index]))) {
                         Ok(r) => local.push((index, r)),
                         Err(payload) => {
-                            let panic = GridPanic {
-                                index,
-                                message: panic_message(payload.as_ref()),
-                            };
                             let mut first = first_panic.lock().unwrap();
-                            if first.as_ref().is_none_or(|p| panic.index < p.index) {
-                                *first = Some(panic);
+                            if first.as_ref().is_none_or(|&(i, _)| index < i) {
+                                *first = Some((index, panic_message(payload.as_ref())));
                             }
                         }
                     }
@@ -165,32 +143,14 @@ where
     });
 
     if let Some(panic) = first_panic.into_inner().unwrap() {
-        return Err(panic);
+        grid_panic(panic);
     }
-    let out: Vec<R> = slots
+    slots
         .into_inner()
         .unwrap()
         .into_iter()
         .map(|slot| slot.expect("every job ran"))
-        .collect();
-    Ok(out)
-}
-
-/// Like [`try_run_grid`], but re-raises the first panic.
-///
-/// # Panics
-///
-/// Panics with the original job's panic message if any job panicked.
-pub fn run_grid<I, R, F>(jobs: &[I], f: F) -> Vec<R>
-where
-    I: Sync,
-    R: Send,
-    F: Fn(usize, &I) -> R + Sync,
-{
-    match try_run_grid(jobs, f) {
-        Ok(out) => out,
-        Err(panic) => panic!("{panic}"),
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -209,15 +169,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "grid job 13 panicked: unlucky job")]
     fn panic_is_surfaced_and_pool_drains() {
+        // Jobs 13 and 40 both panic: the pool drains and the earliest
+        // by input order is the one re-raised, on any worker count.
         let jobs: Vec<usize> = (0..64).collect();
-        let err = try_run_grid(&jobs, |_, &job| {
-            assert!(job != 13, "unlucky job");
+        run_grid(&jobs, |_, &job| {
+            assert!(job != 13 && job != 40, "unlucky job");
             job
-        })
-        .unwrap_err();
-        assert_eq!(err.index, 13);
-        assert!(err.message.contains("unlucky job"), "{}", err.message);
+        });
     }
 
     #[test]

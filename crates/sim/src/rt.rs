@@ -37,7 +37,7 @@ use crate::delay::DelayModel;
 use crate::engine::SimError;
 use crate::history::History;
 use crate::ids::{MsgId, OpId, ProcessId};
-use crate::node::{Activation, HistorySink, NoTrace, NodeCore};
+use crate::node::{Activation, HistorySink, NodeCore};
 use crate::time::{instant_to_sim, ticks_to_duration, SimTime};
 use crate::transport::{Link, TransportError, WallTransport};
 use crate::workload::{drive, Driver};
@@ -209,7 +209,7 @@ where
     };
     thread::scope(|scope| {
         for ((pid, actor), rx) in ProcessId::all(n).zip(actors).zip(rxs) {
-            let transport = WallTransport::new(pid, n, Inboxes(txs.clone()), base, &delays);
+            let transport = WallTransport::new(pid, Inboxes(txs.clone()), base, &delays);
             let node = WallNode::new(NodeCore::new(pid, n, actor), transport, clocks.offset(pid));
             let (history, in_flight, done_tx) = (&history, &in_flight, done_tx.clone());
             scope.spawn(move || worker_loop(pid, node, &rx, history, in_flight, &done_tx));
@@ -253,7 +253,7 @@ fn worker_loop<A: Actor, D: DelayModel>(
             let _ = done_tx.send((pid, op_id));
         }
     };
-    finish(node.start(&mut NoTrace, hist).expect(INFALLIBLE));
+    finish(node.start(None, hist).expect(INFALLIBLE));
     let mut woken_by = None;
     loop {
         // File everything that has arrived, so the fire-due step sees
@@ -261,7 +261,7 @@ fn worker_loop<A: Actor, D: DelayModel>(
         for input in woken_by.take().into_iter().chain(rx.try_iter()) {
             match input {
                 Input::Invoke(op_id, op) => {
-                    let act = node.invoke(Some(op_id), op, &mut NoTrace, hist);
+                    let act = node.invoke(Some(op_id), op, None, hist);
                     finish(act.expect(INFALLIBLE));
                 }
                 Input::Deliver {
@@ -279,7 +279,7 @@ fn worker_loop<A: Actor, D: DelayModel>(
                 Input::Stop(grace) => node.stop(grace),
             }
         }
-        while let Some(act) = node.fire_due(&mut NoTrace, hist).expect(INFALLIBLE) {
+        while let Some(act) = node.fire_due(None, hist).expect(INFALLIBLE) {
             finish(act);
         }
         // Another worker's pending operation may still send here.

@@ -1,25 +1,26 @@
 //! Structured event traces: what happened, when, at which process.
 //!
 //! Tracing is off by default (the measurement workloads stay allocation
-//! light) and enabled per simulation either with
-//! [`Simulation::enable_trace`](crate::engine::Simulation::enable_trace)
-//! (records into an in-memory [`Trace`]) or by attaching any
-//! [`TraceSink`] with
-//! [`Simulation::set_trace_sink`](crate::engine::Simulation::set_trace_sink).
-//! The engine emits every invocation, response, send, delivery, timer
-//! arm and timer firing, each stamped with its real time, the local
+//! light). A node emits every invocation, response, send, delivery,
+//! timer arm, firing and cancel into the `Option<&mut dyn TraceSink>`
+//! its entries take, each event stamped with its real time, the local
 //! clock reading of the process it happened at, and the process id.
-//! The disabled path constructs nothing: every hook site first checks
-//! that a recorder or sink is attached, so runs without tracing stay
-//! allocation-free.
+//! `None` is the gate: the disabled path constructs nothing, so runs
+//! without tracing stay allocation-free. The engine holds one owned
+//! sink ([`Simulation::set_trace_sink`](crate::engine::Simulation::set_trace_sink));
+//! the socket server is handed one per process.
 //!
-//! [`Trace`] renders either as a chronological log or as per-process
-//! lanes — handy when staring at an adversarial run trying to see *why*
-//! a foil's history fell apart. Downstream crates implement [`TraceSink`]
-//! to stream the same events elsewhere (the model checker writes them as
-//! JSON lines next to its counterexample certificates).
+//! [`Trace`] is the in-memory sink. It renders either as a chronological
+//! log or as per-process lanes — handy when staring at an adversarial
+//! run trying to see *why* a foil's history fell apart. A caller that
+//! wants its sink back after handing it over keeps an
+//! `Rc<RefCell<_>>` clone, which is itself a [`TraceSink`]. The
+//! JSON-lines writer the offline auditor reads lives in
+//! `skewbound-lint`, beside that auditor.
 
+use core::cell::RefCell;
 use core::fmt;
+use std::rc::Rc;
 
 use crate::ids::{MsgId, ProcessId, TimerId};
 use crate::time::{ClockTime, SimDuration, SimTime};
@@ -132,9 +133,8 @@ impl fmt::Display for TraceEvent {
 
 /// A consumer of structured trace events.
 ///
-/// The engine holds a sink as `Option<Box<dyn TraceSink>>` and emits
-/// through `Option<&mut dyn TraceSink>`; with no sink attached the hook
-/// sites do no work and allocate nothing. Implementations decide what
+/// Nodes emit through `Option<&mut dyn TraceSink>`; with `None` the
+/// hook sites do no work and allocate nothing. Implementations decide what
 /// to do with each event — record it ([`Trace`]), stream it to a file,
 /// or aggregate it into counters.
 pub trait TraceSink {
@@ -156,9 +156,15 @@ impl fmt::Debug for dyn TraceSink {
     }
 }
 
-impl fmt::Debug for dyn TraceSink + Send {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("dyn TraceSink + Send")
+/// A shared sink: the caller keeps one `Rc` clone to read the buffer
+/// back and hands another to the engine or the server.
+impl<T: TraceSink + ?Sized> TraceSink for Rc<RefCell<T>> {
+    fn event(&mut self, event: &TraceEvent) {
+        self.borrow_mut().event(event);
+    }
+
+    fn counter(&mut self, stage: &'static str, name: &'static str, value: u64) {
+        self.borrow_mut().counter(stage, name, value);
     }
 }
 
@@ -179,10 +185,6 @@ impl Trace {
     #[must_use]
     pub fn new() -> Self {
         Trace { events: Vec::new() }
-    }
-
-    pub(crate) fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
     }
 
     /// All events, in the order they happened.
@@ -249,31 +251,6 @@ impl Trace {
     }
 }
 
-/// The engine's [`TraceOutput`](crate::node::TraceOutput): an optional
-/// in-memory recorder plus an optional external sink. With neither
-/// attached, `active` is `false` and the node core builds no events.
-#[derive(Default)]
-pub(crate) struct EngineTrace {
-    pub(crate) recorder: Option<Trace>,
-    pub(crate) sink: Option<Box<dyn TraceSink>>,
-}
-
-impl crate::node::TraceOutput for EngineTrace {
-    #[inline]
-    fn active(&self) -> bool {
-        self.recorder.is_some() || self.sink.is_some()
-    }
-
-    fn emit(&mut self, event: TraceEvent) {
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.event(&event);
-        }
-        if let Some(trace) = &mut self.recorder {
-            trace.record(event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,8 +275,8 @@ mod tests {
     #[test]
     fn records_and_filters() {
         let mut tr = Trace::new();
-        tr.record(ev(t(0), p(0), TraceEventKind::Invoke { op: "w".into() }));
-        tr.record(ev(
+        tr.event(&ev(t(0), p(0), TraceEventKind::Invoke { op: "w".into() }));
+        tr.event(&ev(
             t(5),
             p(1),
             TraceEventKind::Timer {
@@ -307,7 +284,7 @@ mod tests {
                 tag: "hold".into(),
             },
         ));
-        tr.record(ev(
+        tr.event(&ev(
             t(9),
             p(0),
             TraceEventKind::Respond { resp: "ok".into() },
@@ -320,8 +297,8 @@ mod tests {
     #[test]
     fn render_log_lines() {
         let mut tr = Trace::new();
-        tr.record(ev(t(0), p(0), TraceEventKind::Invoke { op: "deq".into() }));
-        tr.record(ev(
+        tr.event(&ev(t(0), p(0), TraceEventKind::Invoke { op: "deq".into() }));
+        tr.event(&ev(
             t(1),
             p(0),
             TraceEventKind::Send {
@@ -330,7 +307,7 @@ mod tests {
                 payload: "m".into(),
             },
         ));
-        tr.record(ev(
+        tr.event(&ev(
             t(3),
             p(1),
             TraceEventKind::Recv {
@@ -347,13 +324,13 @@ mod tests {
     #[test]
     fn lanes_pair_invokes_with_responses() {
         let mut tr = Trace::new();
-        tr.record(ev(t(0), p(0), TraceEventKind::Invoke { op: "a".into() }));
-        tr.record(ev(
+        tr.event(&ev(t(0), p(0), TraceEventKind::Invoke { op: "a".into() }));
+        tr.event(&ev(
             t(10),
             p(0),
             TraceEventKind::Respond { resp: "ra".into() },
         ));
-        tr.record(ev(t(20), p(1), TraceEventKind::Invoke { op: "b".into() }));
+        tr.event(&ev(t(20), p(1), TraceEventKind::Invoke { op: "b".into() }));
         let lanes = tr.render_lanes(2);
         assert!(lanes.contains("a -> ra"));
         assert!(lanes.contains("pending]  b"));
@@ -426,7 +403,13 @@ mod tests {
             sink.event(&event);
             sink.counter("check", "nodes", 7); // default: discarded
         }
-        assert_eq!(tr.events(), &[event]);
+        assert_eq!(tr.events(), std::slice::from_ref(&event));
+        // A shared handle writes into the buffer its clone reads back.
+        let shared = Rc::new(RefCell::new(Trace::new()));
+        let mut handle: Box<dyn TraceSink> = Box::new(Rc::clone(&shared));
+        handle.event(&event);
+        drop(handle);
+        assert_eq!(shared.borrow().events(), &[event]);
     }
 
     #[test]

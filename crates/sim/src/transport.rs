@@ -28,8 +28,6 @@ use core::fmt;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use fxhash::FxHashMap;
-
 use crate::actor::Actor;
 use crate::clock::ClockAssignment;
 use crate::deadline::{Agenda, TimeBase};
@@ -140,52 +138,6 @@ pub trait WireTransport: Send {
     fn send_frame(&mut self, to: ProcessId, frame: &[u8]) -> Result<(), TransportError>;
 }
 
-/// Above this process count, per-pair send counters move from a dense
-/// `n * n` vector to a hash map: the dense table is fastest for grid
-/// cells (n of a few dozen) but is quadratic in memory — 80 GB of
-/// counters at n = 100 000.
-const DENSE_PAIR_LIMIT: usize = 1024;
-
-/// Per ordered pair `(from, to)` send counters, feeding
-/// [`MsgMeta::pair_seq`]. Dense for small systems, sparse above
-/// [`DENSE_PAIR_LIMIT`]; both give bit-identical counter sequences, so
-/// scripted/enumerated delay models replay the same either way.
-#[derive(Debug)]
-pub(crate) enum PairSeq {
-    /// Flat `from * n + to` vector (grids run millions of short
-    /// simulations; a flat vector beats a hash map in the send path).
-    Dense { counts: Vec<u64>, n: usize },
-    /// `(from << 32) | to` keyed map, allocated per *used* pair only.
-    Sparse(FxHashMap<u64, u64>),
-}
-
-impl PairSeq {
-    pub(crate) fn new(n: usize) -> Self {
-        if n <= DENSE_PAIR_LIMIT {
-            PairSeq::Dense {
-                counts: vec![0; n * n],
-                n,
-            }
-        } else {
-            PairSeq::Sparse(FxHashMap::default())
-        }
-    }
-
-    /// Post-increments the counter of the ordered pair.
-    #[inline]
-    fn next(&mut self, from: ProcessId, to: ProcessId) -> u64 {
-        let counter = match self {
-            PairSeq::Dense { counts, n } => &mut counts[from.index() * *n + to.index()],
-            PairSeq::Sparse(map) => map
-                .entry((u64::from(from.as_u32()) << 32) | u64::from(to.as_u32()))
-                .or_insert(0),
-        };
-        let seq = *counter;
-        *counter += 1;
-        seq
-    }
-}
-
 /// Which payload slab a queued [`EvTag`] resolves through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EvSlot {
@@ -270,7 +222,6 @@ pub(crate) struct VirtualTransport<A: Actor, D: DelayModel> {
     pub(crate) timer_payloads: Slab<(TimerId, A::Timer)>,
     pub(crate) seq: u64,
     pub(crate) now: SimTime,
-    pair_seq: PairSeq,
     pub(crate) n: usize,
     pub(crate) next_msg_id: u64,
     /// Send metadata, recorded only while [`Self::log_messages`] — the
@@ -297,7 +248,6 @@ impl<A: Actor, D: DelayModel> VirtualTransport<A, D> {
             bounds,
             seq: 0,
             now: SimTime::ZERO,
-            pair_seq: PairSeq::new(n),
             n,
             next_msg_id: 0,
             msg_log: Vec::new(),
@@ -369,17 +319,9 @@ impl<A: Actor, D: DelayModel> Transport<A> for VirtualTransport<A, D> {
         msgs: Vec<A::Msg>,
     ) -> Result<MsgId, TransportError> {
         assert!(!msgs.is_empty(), "empty delivery batch {from}->{to}");
-        // One pair-seq tick and one delay draw for the whole batch: the
-        // batch is one wire-level message as far as the delay model is
-        // concerned.
-        let pair_seq = self.pair_seq.next(from, to);
-        let meta = MsgMeta {
-            from,
-            to,
-            sent_at: self.now,
-            pair_seq,
-        };
-        let delay = self.delays.delay(meta);
+        // One delay draw for the whole batch: the batch is one
+        // wire-level message as far as the delay model is concerned.
+        let delay = self.delays.delay(MsgMeta { from, to });
         assert_admissible(self.bounds, delay, from, to);
         let recv_at = self.now + delay;
         let first_id = MsgId::new(self.next_msg_id);
@@ -442,9 +384,8 @@ pub trait Link<M> {
 /// socket mesh both send and arm through it.
 ///
 /// A send asks the run's [`DelayModel`] for its delay (µs ticks), with
-/// the same [`MsgMeta`] the engine builds — send tick and per-pair
-/// sequence number included — and checks it against the model's bounds
-/// as the engine does. It then allocates the message ids and hands the
+/// the same [`MsgMeta`] the engine builds, and checks it against the
+/// model's bounds as the engine does. It then allocates the message ids and hands the
 /// batch to the [`Link`]. Ids are `prefix | seq`, monotone per sender
 /// and disjoint across senders, so every `send` trace event pairs with
 /// exactly one `deliver` cluster-wide. Timers are armed on the node's
@@ -457,7 +398,6 @@ pub struct WallTransport<A: Actor, L, D> {
     delays: D,
     /// The model's admissible delay interval, hoisted at construction.
     bounds: DelayBounds,
-    pair_seq: PairSeq,
     msg_prefix: u64,
     next_seq: u64,
     pub(crate) agenda: Agenda<A::Timer, A::Msg>,
@@ -476,16 +416,15 @@ impl<A: Actor, L, D> fmt::Debug for WallTransport<A, L, D> {
 }
 
 impl<A: Actor, L, D: DelayModel> WallTransport<A, L, D> {
-    /// The transport of process `pid` in a run of `n`: delays come from
-    /// `delays`, send instants from `base`.
+    /// The transport of process `pid`: delays come from `delays`, send
+    /// instants from `base`.
     #[must_use]
-    pub fn new(pid: ProcessId, n: usize, link: L, base: TimeBase, delays: D) -> Self {
+    pub fn new(pid: ProcessId, link: L, base: TimeBase, delays: D) -> Self {
         WallTransport {
             link,
             base,
             bounds: delays.bounds(),
             delays,
-            pair_seq: PairSeq::new(n),
             // +1 keeps process 0's ids out of the low range so a frame
             // id can never collide with a client request id.
             msg_prefix: (u64::from(pid.as_u32()) + 1) << 40,
@@ -507,13 +446,7 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel> Transport<A> for WallTransport<A,
         let first_id = MsgId::new(self.msg_prefix | self.next_seq);
         self.next_seq += msgs.len() as u64;
         let sent = self.base.now_ticks();
-        let meta = MsgMeta {
-            from,
-            to,
-            sent_at: SimTime::from_ticks(sent),
-            pair_seq: self.pair_seq.next(from, to),
-        };
-        let delay = self.delays.delay(meta);
+        let delay = self.delays.delay(MsgMeta { from, to });
         assert_admissible(self.bounds, delay, from, to);
         self.link
             .hand_off(from, to, first_id, sent, delay.as_ticks(), msgs)?;
@@ -527,69 +460,5 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel> Transport<A> for WallTransport<A,
 
     fn cancel_timer(&mut self, _pid: ProcessId, id: TimerId) {
         self.agenda.cancel(id);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// Drives a seeded interleaved stream of ordered pairs through both
-    /// `PairSeq` representations and asserts the counter sequences are
-    /// identical draw-for-draw.
-    fn assert_pair_seq_parity(n: usize, draws: usize, seed: u64) {
-        let mut dense = PairSeq::Dense {
-            counts: vec![0; n * n],
-            n,
-        };
-        let mut sparse = PairSeq::Sparse(FxHashMap::default());
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..draws {
-            let from = ProcessId::new(rng.gen_range(0..n as u32));
-            let to = ProcessId::new(rng.gen_range(0..n as u32));
-            assert_eq!(
-                dense.next(from, to),
-                sparse.next(from, to),
-                "pair ({from}, {to}) diverged (n = {n})"
-            );
-        }
-    }
-
-    #[test]
-    fn pair_seq_parity_small_n() {
-        assert_pair_seq_parity(8, 4_000, 11);
-    }
-
-    #[test]
-    fn pair_seq_parity_at_dense_boundary() {
-        // Exactly at the dense limit the constructor still picks Dense…
-        assert!(matches!(
-            PairSeq::new(DENSE_PAIR_LIMIT),
-            PairSeq::Dense { .. }
-        ));
-        assert_pair_seq_parity(DENSE_PAIR_LIMIT, 2_000, 22);
-    }
-
-    #[test]
-    fn pair_seq_parity_past_dense_boundary() {
-        // …and one past it, Sparse. The counter sequences must agree on
-        // both sides of the switch.
-        assert!(matches!(
-            PairSeq::new(DENSE_PAIR_LIMIT + 1),
-            PairSeq::Sparse(_)
-        ));
-        assert_pair_seq_parity(DENSE_PAIR_LIMIT + 1, 2_000, 33);
-    }
-
-    #[test]
-    fn pair_seq_post_increments_per_ordered_pair() {
-        let mut seq = PairSeq::new(4);
-        let (a, b) = (ProcessId::new(0), ProcessId::new(1));
-        assert_eq!(seq.next(a, b), 0);
-        assert_eq!(seq.next(a, b), 1);
-        // The reverse direction is a different ordered pair.
-        assert_eq!(seq.next(b, a), 0);
     }
 }

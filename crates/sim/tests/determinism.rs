@@ -1,6 +1,9 @@
 //! Engine determinism: identical inputs produce identical runs — the
 //! property that makes every experiment in this workspace reproducible.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use skewbound_sim::prelude::*;
 
 /// A gossiping actor with timers, exercising every event type.
@@ -109,10 +112,11 @@ fn trace_captures_all_event_kinds() {
         ClockAssignment::zero(2),
         UniformDelay::new(bounds, 4),
     );
-    sim.enable_trace();
+    let trace = Rc::new(RefCell::new(Trace::new()));
+    sim.set_trace_sink(Box::new(Rc::clone(&trace)));
     sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, 5);
     sim.run().unwrap();
-    let trace = sim.trace().expect("tracing enabled");
+    let trace = trace.borrow();
     let has = |pred: fn(&TraceEventKind) -> bool| trace.events().iter().any(|e| pred(&e.kind));
     assert!(has(|k| matches!(k, TraceEventKind::Invoke { .. })));
     assert!(has(|k| matches!(k, TraceEventKind::Respond { .. })));
@@ -127,24 +131,18 @@ fn trace_captures_all_event_kinds() {
 
 #[test]
 fn trace_sink_receives_stamped_events_and_counters() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
     #[derive(Debug, Default)]
     struct Collected {
         events: Vec<TraceEvent>,
         counters: Vec<(&'static str, &'static str, u64)>,
     }
 
-    #[derive(Debug)]
-    struct ShareSink(Rc<RefCell<Collected>>);
-
-    impl TraceSink for ShareSink {
+    impl TraceSink for Collected {
         fn event(&mut self, event: &TraceEvent) {
-            self.0.borrow_mut().events.push(event.clone());
+            self.events.push(event.clone());
         }
         fn counter(&mut self, stage: &'static str, name: &'static str, value: u64) {
-            self.0.borrow_mut().counters.push((stage, name, value));
+            self.counters.push((stage, name, value));
         }
     }
 
@@ -157,7 +155,7 @@ fn trace_sink_receives_stamped_events_and_counters() {
         UniformDelay::new(bounds, 4),
     );
     let collected = Rc::new(RefCell::new(Collected::default()));
-    sim.set_trace_sink(Box::new(ShareSink(Rc::clone(&collected))));
+    sim.set_trace_sink(Box::new(Rc::clone(&collected)));
     sim.schedule_invoke(ProcessId::new(0), SimTime::from_ticks(100), 5);
     sim.run().unwrap();
     assert!(sim.take_trace_sink().is_some());
@@ -191,24 +189,43 @@ fn trace_sink_receives_stamped_events_and_counters() {
         .any(|&(stage, name, v)| stage == "engine" && name == "events" && v > 0));
 }
 
+/// Attaching a sink changes nothing a run produces: the same scenario
+/// traced and untraced gives an equal history, message log and report,
+/// on the closed-loop hot path and on the scheduled path alike.
 #[test]
 fn tracing_does_not_change_the_run() {
-    let run = |traced: bool| {
+    let run = |traced: bool, scheduled: bool| {
         let bounds = DelayBounds::new(SimDuration::from_ticks(100), SimDuration::from_ticks(40));
         let mut sim = Simulation::new(
             vec![Gossip::default(), Gossip::default(), Gossip::default()],
-            ClockAssignment::zero(3),
+            ClockAssignment::spread(3, SimDuration::from_ticks(30)),
             UniformDelay::new(bounds, 11),
         );
+        sim.enable_msg_log();
+        let trace = Rc::new(RefCell::new(Trace::new()));
         if traced {
-            sim.enable_trace();
+            sim.set_trace_sink(Box::new(Rc::clone(&trace)));
         }
-        sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, 9);
-        sim.schedule_invoke(ProcessId::new(1), SimTime::from_ticks(50), 12);
-        sim.run().unwrap();
-        sim.into_history()
+        let report = if scheduled {
+            sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, 9);
+            sim.schedule_invoke(ProcessId::new(1), SimTime::from_ticks(50), 12);
+            sim.run_scheduled(&mut FifoPolicy)
+        } else {
+            let mut driver =
+                ClosedLoop::new(ProcessId::all(3).collect(), 4, 3, |_, i, _| i as u64 * 3);
+            sim.run_with(&mut driver)
+        }
+        .unwrap();
+        assert_eq!(trace.borrow().is_empty(), !traced);
+        (report, sim.message_log().to_vec(), sim.into_history())
     };
-    assert_eq!(run(false), run(true));
+    for scheduled in [false, true] {
+        assert_eq!(
+            run(false, scheduled),
+            run(true, scheduled),
+            "scheduled={scheduled}"
+        );
+    }
 }
 
 /// FNV-1a: the digest the golden run below pins.
@@ -233,7 +250,8 @@ fn single_send_run_matches_golden() {
         UniformDelay::new(bounds, 12345),
     );
     sim.enable_msg_log();
-    sim.enable_trace();
+    let trace = Rc::new(RefCell::new(Trace::new()));
+    sim.set_trace_sink(Box::new(Rc::clone(&trace)));
     for i in 0..6u64 {
         sim.schedule_invoke(
             ProcessId::new((i % 3) as u32),
@@ -244,7 +262,7 @@ fn single_send_run_matches_golden() {
     let report = sim.run().unwrap();
     let digests = [
         fnv1a(&format!("{:?}", sim.message_log())),
-        fnv1a(&sim.trace().expect("tracing enabled").render()),
+        fnv1a(&trace.borrow().render()),
         fnv1a(&format!("{:?}", sim.history().records())),
     ];
     assert_eq!(

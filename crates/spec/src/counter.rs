@@ -71,18 +71,6 @@ impl SequentialSpec for Counter {
             CounterOp::Read => OpClass::PureAccessor,
         }
     }
-
-    fn declares_commuting(&self, a: &CounterOp, b: &CounterOp) -> Option<bool> {
-        match (a, b) {
-            // Addition commutes and Ack is constant; two reads leave the
-            // state alone and see the same value either way.
-            (CounterOp::Add(_), CounterOp::Add(_)) | (CounterOp::Read, CounterOp::Read) => {
-                Some(true)
-            }
-            // A read observes whether the add went first.
-            _ => Some(false),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -114,25 +102,6 @@ mod tests {
         assert_ne!(
             spec.state_after(&0, &[CounterOp::Add(1), CounterOp::Add(2)]),
             spec.state_after(&0, &[CounterOp::Add(2)]),
-        );
-    }
-
-    #[test]
-    fn commutativity_declarations_are_symmetric() {
-        let spec = Counter::default();
-        let ops = [CounterOp::Add(1), CounterOp::Add(2), CounterOp::Read];
-        for a in &ops {
-            for b in &ops {
-                assert_eq!(spec.declares_commuting(a, b), spec.declares_commuting(b, a));
-            }
-        }
-        assert_eq!(
-            spec.declares_commuting(&CounterOp::Add(1), &CounterOp::Read),
-            Some(false)
-        );
-        assert_eq!(
-            spec.declares_commuting(&CounterOp::Add(1), &CounterOp::Add(2)),
-            Some(true)
         );
     }
 

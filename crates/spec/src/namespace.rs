@@ -201,7 +201,7 @@ fn splitmix64(mut x: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::queue::{Queue, QueueOp};
-    use crate::register::{RmwOp, RmwRegister, RmwResp};
+    use crate::register::{RmwKind, RmwOp, RmwRegister, RmwResp};
 
     fn ns() -> Namespace<RmwRegister> {
         Namespace::new(RmwRegister::default())
@@ -218,6 +218,26 @@ mod tests {
         assert_eq!(r1, RmwResp::Value(5));
         assert_eq!(r2, RmwResp::Value(9));
         assert_eq!(r3, RmwResp::Value(0), "untouched key reads initial");
+        // Ops on distinct keys are order-independent: from every state
+        // above, both orders of each cross-key pair reach the same state
+        // with the same per-op responses, so a batch needs no inter-key
+        // order.
+        let ops = [
+            NsOp::new(1, RmwOp::Read),
+            NsOp::new(1, RmwOp::Write(2)),
+            NsOp::new(2, RmwOp::Rmw(RmwKind::FetchAdd(1))),
+            NsOp::new(3, RmwOp::Rmw(RmwKind::Swap(4))),
+        ];
+        for state in [ns.initial(), s] {
+            for a in &ops {
+                for b in ops.iter().filter(|b| b.key != a.key) {
+                    let (s_ab, r_ab) = ns.run(&state, &[a.clone(), b.clone()]);
+                    let (s_ba, r_ba) = ns.run(&state, &[b.clone(), a.clone()]);
+                    assert_eq!(s_ab, s_ba, "{a:?} / {b:?}");
+                    assert_eq!((&r_ab[0], &r_ab[1]), (&r_ba[1], &r_ba[0]), "{a:?} / {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,8 @@
 
 use std::collections::BTreeSet;
 
-use crate::array::ArrayOp;
 use crate::counter::CounterOp;
-use crate::deque::DequeOp;
 use crate::kv::KvOp;
-use crate::namespace::NsOp;
 use crate::queue::QueueOp;
 use crate::register::{RmwKind, RmwOp};
 use crate::set::SetOp;
@@ -112,12 +109,6 @@ pub fn set_ops() -> Vec<SetOp> {
     ]
 }
 
-/// Probe states for the counter.
-#[must_use]
-pub fn counter_states() -> Vec<i64> {
-    vec![0, 1, 10]
-}
-
 /// Probe instances for the counter.
 #[must_use]
 pub fn counter_ops() -> Vec<CounterOp> {
@@ -145,26 +136,6 @@ pub fn tree_ops() -> Vec<TreeOp> {
     ]
 }
 
-/// Probe states for the deque: empty, singleton, two elements.
-#[must_use]
-pub fn deque_states() -> Vec<Vec<i64>> {
-    vec![vec![], vec![7], vec![7, 8]]
-}
-
-/// Probe instances for the deque.
-#[must_use]
-pub fn deque_ops() -> Vec<DequeOp> {
-    vec![
-        DequeOp::PushFront(1),
-        DequeOp::PushBack(2),
-        DequeOp::PopFront,
-        DequeOp::PopBack,
-        DequeOp::Front,
-        DequeOp::Back,
-        DequeOp::Len,
-    ]
-}
-
 /// Probe states for the key-value store.
 #[must_use]
 pub fn kv_states() -> Vec<std::collections::BTreeMap<i64, i64>> {
@@ -188,50 +159,6 @@ pub fn kv_ops() -> Vec<KvOp> {
     ]
 }
 
-/// Probe states for the `UpdateNext` array.
-#[must_use]
-pub fn array_states() -> Vec<Vec<i64>> {
-    vec![vec![10, 20], vec![1, 2]]
-}
-
-/// Probe instances for the `UpdateNext` array (the Chapter II witnesses).
-#[must_use]
-pub fn array_ops() -> Vec<ArrayOp> {
-    vec![
-        ArrayOp::UpdateNext { i: 1, b: 99 },
-        ArrayOp::UpdateNext { i: 2, b: 99 },
-        ArrayOp::UpdateNext { i: 1, b: 20 },
-        ArrayOp::UpdateNext { i: 2, b: 10 },
-        ArrayOp::Snapshot,
-    ]
-}
-
-/// Probe states for the register namespace: empty; one key set; two
-/// keys set (canonical maps — initial-valued keys are absent).
-#[must_use]
-pub fn ns_register_states() -> Vec<std::collections::BTreeMap<u64, i64>> {
-    vec![
-        std::collections::BTreeMap::new(),
-        std::collections::BTreeMap::from([(7, 5)]),
-        std::collections::BTreeMap::from([(7, 1), (40, -3)]),
-    ]
-}
-
-/// Probe instances for the register namespace: reads, writes, and RMWs
-/// spread over three keys, so batch-equivalence checks see both
-/// same-key and cross-key pairs.
-#[must_use]
-pub fn ns_register_ops() -> Vec<NsOp<RmwOp>> {
-    vec![
-        NsOp::new(7, RmwOp::Read),
-        NsOp::new(7, RmwOp::Write(2)),
-        NsOp::new(7, RmwOp::Rmw(RmwKind::FetchAdd(1))),
-        NsOp::new(40, RmwOp::Read),
-        NsOp::new(40, RmwOp::Write(9)),
-        NsOp::new(3, RmwOp::Rmw(RmwKind::Swap(4))),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,20 +174,54 @@ mod tests {
         check_class_consistency(&Queue::<i64>::new(), &queue_states(), &queue_ops()).unwrap();
         check_class_consistency(&Stack::<i64>::new(), &stack_states(), &stack_ops()).unwrap();
         check_class_consistency(&SetObject::<i64>::new(), &set_states(), &set_ops()).unwrap();
-        check_class_consistency(&Counter::default(), &counter_states(), &counter_ops()).unwrap();
+        check_class_consistency(&Counter::default(), &[0, 1, 10], &counter_ops()).unwrap();
         check_class_consistency(&Tree::new(), &tree_states(), &tree_ops()).unwrap();
+        // The Chapter II witnesses: `Snapshot` must be a pure accessor.
         check_class_consistency(
             &UpdateNextArray::pair(10, 20),
-            &array_states(),
-            &array_ops(),
+            &[vec![10, 20], vec![1, 2]],
+            &[
+                ArrayOp::UpdateNext { i: 1, b: 99 },
+                ArrayOp::UpdateNext { i: 2, b: 99 },
+                ArrayOp::UpdateNext { i: 1, b: 20 },
+                ArrayOp::UpdateNext { i: 2, b: 10 },
+                ArrayOp::Snapshot,
+            ],
         )
         .unwrap();
-        check_class_consistency(&Deque::<i64>::new(), &deque_states(), &deque_ops()).unwrap();
+        check_class_consistency(
+            &Deque::<i64>::new(),
+            &[vec![], vec![7], vec![7, 8]],
+            &[
+                DequeOp::PushFront(1),
+                DequeOp::PushBack(2),
+                DequeOp::PopFront,
+                DequeOp::PopBack,
+                DequeOp::Front,
+                DequeOp::Back,
+                DequeOp::Len,
+            ],
+        )
+        .unwrap();
         check_class_consistency(&KvStore::new(), &kv_states(), &kv_ops()).unwrap();
+        // The namespace the replicas serve: reads, writes and RMWs over
+        // three keys, so both same-key and cross-key pairs are seen.
+        // States are canonical maps (initial-valued keys are absent).
         check_class_consistency(
             &Namespace::new(RmwRegister::default()),
-            &ns_register_states(),
-            &ns_register_ops(),
+            &[
+                std::collections::BTreeMap::new(),
+                std::collections::BTreeMap::from([(7, 5)]),
+                std::collections::BTreeMap::from([(7, 1), (40, -3)]),
+            ],
+            &[
+                NsOp::new(7, RmwOp::Read),
+                NsOp::new(7, RmwOp::Write(2)),
+                NsOp::new(7, RmwOp::Rmw(RmwKind::FetchAdd(1))),
+                NsOp::new(40, RmwOp::Read),
+                NsOp::new(40, RmwOp::Write(9)),
+                NsOp::new(3, RmwOp::Rmw(RmwKind::Swap(4))),
+            ],
         )
         .unwrap();
     }

@@ -150,21 +150,6 @@ pub trait SequentialSpec {
     fn equivalent_after(&self, state: &Self::State, a: &[Self::Op], b: &[Self::Op]) -> bool {
         self.state_after(state, a) == self.state_after(state, b)
     }
-
-    /// An optional *declaration* that the distinct instances `a` and `b`
-    /// commute (`Some(true)`), do not (`Some(false)`), or that the spec
-    /// makes no claim (`None`, the default).
-    ///
-    /// Declarations are hints for schedulers and batchers, not trusted
-    /// facts: the `skewbound-lint` rule `SB003` cross-checks every
-    /// `Some(_)` answer against [`crate::classify`] witnesses on the
-    /// probe sets, so a spec that lies here fails the lint gate.
-    /// Implementations must be symmetric (`declares_commuting(a, b) ==
-    /// declares_commuting(b, a)`); the lint checks that too.
-    fn declares_commuting(&self, a: &Self::Op, b: &Self::Op) -> Option<bool> {
-        let _ = (a, b);
-        None
-    }
 }
 
 #[cfg(test)]

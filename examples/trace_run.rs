@@ -9,6 +9,9 @@
 //! cargo run -p skewbound-examples --bin trace_run
 //! ```
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use skewbound_core::foils::eager_group;
 use skewbound_core::params::Params;
 use skewbound_core::replica::Replica;
@@ -16,6 +19,7 @@ use skewbound_lin::checker::check_history;
 use skewbound_shift::scenarios::insc_dequeue_family;
 use skewbound_sim::engine::Simulation;
 use skewbound_sim::time::SimDuration;
+use skewbound_sim::trace::Trace;
 use skewbound_spec::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,14 +46,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             scenario.clocks.clone(),
             scenario.delays.clone(),
         );
-        sim.enable_trace();
+        // Keep one handle on the in-memory trace; the engine writes
+        // through the other.
+        let trace = Rc::new(RefCell::new(Trace::new()));
+        sim.set_trace_sink(Box::new(Rc::clone(&trace)));
         for (pid, at, op) in &scenario.script {
             sim.schedule_invoke(*pid, *at, op.clone());
         }
         sim.run()?;
 
         println!("=== {label} ===");
-        println!("{}", sim.trace().unwrap().render_lanes(3));
+        println!("{}", trace.borrow().render_lanes(3));
         let outcome = check_history(&Queue::<i64>::new(), sim.history());
         println!(
             "verdict: {}\n",

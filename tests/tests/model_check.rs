@@ -4,15 +4,19 @@
 //! reduction is measured against the naive interleaving baseline on the
 //! register, the queue and the stack.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use skewbound_core::foils::{eager_group, LocalFirstReplica};
 use skewbound_core::replica::Replica;
 use skewbound_integration::default_params;
 use skewbound_mc::{
-    certify, model_check, validate_certificate, Independence, McConfig, McReport, ModelActor,
-    ViolationKind,
+    certify, model_check, replay, validate_certificate, Independence, McConfig, McReport,
+    ModelActor, ViolationKind,
 };
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::time::SimTime;
+use skewbound_sim::trace::{Trace, TraceSink};
 use skewbound_spec::prelude::*;
 use skewbound_spec::probes;
 
@@ -262,4 +266,26 @@ fn eager_timer_foil_is_caught_and_certified() {
     let text = cert.to_json();
     validate_certificate(&text).expect("certificate must satisfy its schema");
     assert!(text.contains("\"schema\": \"skewbound-certificate/v1\""));
+
+    // A sink observes the replay; it does not steer it.
+    let replay_into = |sink: Option<Box<dyn TraceSink>>| {
+        replay(
+            &spec,
+            &make,
+            &p,
+            &script,
+            &config,
+            violation.clock_idx,
+            &violation.delay_digits,
+            &violation.choices,
+            sink,
+        )
+    };
+    let trace = Rc::new(RefCell::new(Trace::new()));
+    let traced = replay_into(Some(Box::new(Rc::clone(&trace))));
+    let plain = replay_into(None);
+    assert!(!trace.borrow().is_empty());
+    assert_eq!(traced.verdict, plain.verdict);
+    assert_eq!(traced.choices(), plain.choices());
+    assert_eq!(traced.choices(), violation.choices);
 }
