@@ -33,9 +33,6 @@ SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test parallel_grid
 echo "== shard golden (fixed-value histories, forced 4-worker pool) =="
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-core shard
 
-echo "== cross-runtime parity (engine vs real threads vs TCP mesh) =="
-SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test runtime_parity
-
 echo "== examples (every binary runs to its verdict line) =="
 cargo build --release -q -p skewbound-examples
 while read -r example verdict; do

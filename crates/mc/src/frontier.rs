@@ -200,7 +200,7 @@ where
     let min_violating: Mutex<Option<Unit>> = Mutex::new(None);
     let first_panic: Mutex<Option<(Unit, String)>> = Mutex::new(None);
 
-    let worker_loop = || {
+    let run_worker = || {
         loop {
             let done = schedules_done.load(Ordering::Relaxed);
             if done >= budget {
@@ -286,11 +286,11 @@ where
     };
 
     if workers <= 1 {
-        worker_loop();
+        run_worker();
     } else {
         thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(worker_loop);
+                scope.spawn(run_worker);
             }
         });
     }

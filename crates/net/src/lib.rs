@@ -23,11 +23,13 @@
 //!   that encodes each outgoing batch into one frame for the wall-clock
 //!   core the real-thread runtime runs too
 //!   ([`WallNode`](skewbound_sim::deadline::WallNode): one agenda of
-//!   timers and held deliveries, one fire-due step, one drain rule), the
-//!   server event loop around it — generic over the actor and the delay
-//!   model, shared by the `skewbound-serve` binary and the loopback
-//!   harness `runtime::run_history` — and the blocking client used by
-//!   `skewbound-load`.
+//!   timers and held deliveries, one queue of invocations, and one run
+//!   loop, [`WallNode::run`](skewbound_sim::deadline::WallNode::run)),
+//!   the server — that loop over the mesh's arrivals, which files
+//!   them and answers each client request; generic over the actor and
+//!   the delay model, shared by the `skewbound-serve` binary and the
+//!   loopback harness `runtime::run_history` — and the blocking client
+//!   used by `skewbound-load`.
 //!
 //! Timebase: all processes of a run share one epoch (a unix-µs instant
 //! passed on the command line); one tick is one microsecond, exactly as

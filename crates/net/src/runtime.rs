@@ -1,6 +1,7 @@
 //! The typed layer over the socket mesh: the [`Link`] that frames
-//! outgoing batches, the server event loop, the blocking client, and
-//! the loopback harness.
+//! outgoing batches, the server — the one wall-clock run loop,
+//! [`WallNode::run`], over the mesh's arrivals — the blocking client,
+//! and the loopback harness.
 //!
 //! ## Timebase
 //!
@@ -31,9 +32,10 @@
 //!
 //! [`run_history`] runs a whole group over loopback with the argument
 //! list of the engine's and the thread runtime's `run_history`:
-//! `(actors, clocks, delays, driver)`.
+//! `(actors, clocks, delays, driver)`. Its history is [`drive`]'s, as
+//! on threads: the driver records each invocation as it dispatches it
+//! and each response as its client receives it.
 
-use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, Sender};
@@ -49,7 +51,7 @@ use skewbound_sim::delay::{DelayBounds, DelayBoundsError, DelayModel};
 use skewbound_sim::engine::SimError;
 use skewbound_sim::history::History;
 use skewbound_sim::ids::{MsgId, ProcessId};
-use skewbound_sim::node::{Activation, NodeCore};
+use skewbound_sim::node::NodeCore;
 use skewbound_sim::time::{SimDuration, SimTime};
 use skewbound_sim::trace::TraceSink;
 use skewbound_sim::transport::{Link, TransportError, WallTransport, WireTransport};
@@ -154,24 +156,17 @@ impl ServerConfig {
     }
 }
 
-/// One queued client request.
-struct ClientReq<O> {
-    conn: u64,
-    req_id: u64,
-    op: O,
-}
-
-/// Files one raw mesh arrival: a peer batch on `node`'s agenda until
-/// `sent_at + delay`, a client request in `client_q`, a `Bye` as the
-/// order to stop after `grace` of quiet. Returns the connection to hang
-/// up on when the arrival is malformed: a client operation that does
-/// not decode, or a peer batch whose messages or delivery instant do
-/// not. Anyone can open a connection and claim a pid, so that is input
-/// to reject, never a reason to stop serving.
+/// Files one raw mesh arrival on `node`: a peer batch on its agenda
+/// until `sent_at + delay`, a client request in its queue under the
+/// token `(connection, request id)`, a `Bye` as the order to stop after
+/// `grace` of quiet. Returns the connection to hang up on when the
+/// arrival is malformed: a client operation that does not decode, or a
+/// peer batch whose messages or delivery instant do not. Anyone can
+/// open a connection and claim a pid, so that is input to reject, never
+/// a reason to stop serving.
 fn accept<A, L, D>(
     event: RawEvent,
-    node: &mut WallNode<A, L, D>,
-    client_q: &mut VecDeque<ClientReq<A::Op>>,
+    node: &mut WallNode<A, L, D, (u64, u64)>,
     grace: Duration,
 ) -> Option<u64>
 where
@@ -206,9 +201,7 @@ where
                 let Ok(op) = from_bytes(&payload) else {
                     return Some(conn);
                 };
-                let req_id = header.msg_id;
-                client_q.push_back(ClientReq { conn, req_id, op });
-                node.touch();
+                node.enqueue((conn, header.msg_id), op);
                 None
             }
             FrameKind::Bye => {
@@ -229,11 +222,12 @@ where
 /// clock runs at its offset in `clocks`; its sends draw from `delays`.
 /// Returns the server-side history.
 ///
-/// The node is the [`WallNode`] the thread runtime runs too: timers and
-/// held batches fire in one nominal-time order, each anchored at its own
-/// instant, and each deadline is reached by [`TcpMesh::wait`], which
-/// polls the last stretch while an operation is pending here. Trace
-/// stamps stay actual time.
+/// The server is the one wall-clock loop, [`WallNode::run`], over the
+/// mesh's arrivals: client requests queue on the node and are admitted
+/// one at a time, timers and held batches fire in one nominal-time
+/// order, each anchored at its own instant, and each response goes back
+/// to the connection and request id it answers. Trace stamps stay
+/// actual time.
 ///
 /// A malformed arrival — a client operation, a peer batch or a peer
 /// delivery instant that does not decode — drops that frame and its
@@ -275,86 +269,35 @@ where
     let transport = NetTransport::new(cfg.pid, mesh.peer_sender(), base, delays);
     let core = NodeCore::new(cfg.pid, cfg.n, actor);
     let mut node = WallNode::new(core, transport, clocks.offset(cfg.pid));
-    let mut history = History::new();
-    let mut client_q = VecDeque::new();
-    // The (connection, request id) awaiting the pending op's response.
-    let mut in_flight: Option<(u64, u64)> = None;
     let mut dropped = 0;
-    let mut reject = |conn: Option<u64>| {
-        if let Some(conn) = conn {
-            mesh.drop_conn(conn);
-            dropped += 1;
-        }
-    };
-
-    node.start(sink.as_deref_mut(), &mut history)
-        .expect("transport failed during start");
-    loop {
-        // File everything that has physically arrived, so the fire-due
-        // step sees every delivery it has to place.
-        while let Some(event) = mesh.try_recv() {
-            reject(accept(event, &mut node, &mut client_q, grace));
-        }
-        while let Some(act) = node
-            .fire_due(sink.as_deref_mut(), &mut history)
-            .expect("transport failed")
-        {
-            reply_if_completed(act, &mut in_flight, &history, mesh);
-        }
-        // Start the next client operation once the previous one is done
-        // (the model's one-pending-operation-per-process rule).
-        if node.pending_op().is_none() {
-            if let Some(req) = client_q.pop_front() {
-                in_flight = Some((req.conn, req.req_id));
-                let act = node.invoke(None, req.op, sink.as_deref_mut(), &mut history);
-                let act = act.expect("transport failed during invoke");
-                reply_if_completed(act, &mut in_flight, &history, mesh);
-                continue; // the invoke may have armed immediately-due timers
+    node.run(
+        &mesh.event_rx,
+        sink.as_deref_mut(),
+        |node, event| {
+            if let Some(conn) = accept(event, node, grace) {
+                mesh.drop_conn(conn);
+                dropped += 1;
             }
-        }
-        let Some(cap) = node.drain_wait(!client_q.is_empty()) else {
-            break;
-        };
-        // A late wake-up costs latency only while an operation waits here.
-        if let Some(event) = mesh.wait(node.next_deadline(), cap, node.pending_op().is_some()) {
-            reject(accept(event, &mut node, &mut client_q, grace));
-        }
-    }
+        },
+        || false,
+        |(conn, req_id), resp, _| {
+            let header = FrameHeader {
+                kind: FrameKind::ClientResp,
+                msg_id: req_id,
+                sent_at_micros: 0,
+                delay_micros: 0,
+                batch: 0,
+            };
+            // A vanished client is not a server error; the operation
+            // still executed and is in the history.
+            let _ = mesh.send_to_client(conn, &encode_frame(&header, &to_bytes(resp)));
+        },
+    )
+    .expect("transport failed");
     if let Some(sink) = sink.filter(|_| dropped > 0) {
         sink.counter("net", "dropped_conns", dropped);
     }
-    history
-}
-
-/// If the activation completed the pending operation, encode its
-/// response and push it to the waiting client connection.
-fn reply_if_completed<O, R: Encode>(
-    act: Activation,
-    in_flight: &mut Option<(u64, u64)>,
-    history: &History<O, R>,
-    mesh: &TcpMesh,
-) {
-    let Activation::Completed(op_id) = act else {
-        return;
-    };
-    let Some((conn, req_id)) = in_flight.take() else {
-        return;
-    };
-    let rec = history.get(op_id).expect("completed op is in the history");
-    let (resp, _) = rec.response.as_ref().expect("completed op has a response");
-    let frame = encode_frame(
-        &FrameHeader {
-            kind: FrameKind::ClientResp,
-            msg_id: req_id,
-            sent_at_micros: 0,
-            delay_micros: 0,
-            batch: 0,
-        },
-        &to_bytes(resp),
-    );
-    // A vanished client is not a server error; the operation still
-    // executed and is in the history.
-    let _ = mesh.send_to_client(conn, &frame);
+    node.into_history()
 }
 
 /// A blocking closed-loop client of one server: one operation in
@@ -450,9 +393,11 @@ impl NetClient {
 /// as drawn: the loopback harness reserves no headroom, so a caller
 /// whose `[d − u, d]` must also cover the loopback hop narrows the
 /// model's bounds instead. Client `i` talks only to server `i` (the
-/// model's "operation invoked at process `i`"); invocation and response
-/// instants are client-side ticks on the shared timebase, so the
-/// history reflects true real-time order across processes.
+/// model's "operation invoked at process `i`"). The history is
+/// [`drive`]'s: an invocation is stamped when it is dispatched to its
+/// client, a response when the client receives it, both on the shared
+/// timebase, so the history reflects true real-time order across
+/// processes.
 ///
 /// # Errors
 ///
@@ -461,8 +406,10 @@ impl NetClient {
 ///
 /// # Panics
 ///
-/// Panics if the clocks drift, on the driver overlapping invocations at
-/// one process, and on any socket, protocol or thread failure.
+/// Panics if `actors` does not have one process per clock of `clocks`
+/// ([`ClockAssignment::assert_covers`]), if the clocks drift, on the
+/// driver overlapping invocations at one process, and on any socket,
+/// protocol or thread failure.
 pub fn run_history<A, D, Dr>(
     actors: Vec<A>,
     clocks: ClockAssignment,
@@ -478,6 +425,7 @@ where
     D: DelayModel + Send,
     Dr: Driver<A::Op, A::Resp> + ?Sized,
 {
+    clocks.assert_covers(actors.len());
     assert!(
         clocks.is_drift_free(),
         "the loopback mesh does not emulate clock drift"
@@ -496,9 +444,8 @@ where
     let mut cfg = ServerConfig::new(ProcessId::new(0), n, delays.bounds(), epoch);
     cfg.headroom_micros = 0;
     let delays = Mutex::new(delays);
-    let history = Mutex::new(History::new());
     let (done_tx, done_rx) = channel();
-    thread::scope(|scope| {
+    let history = thread::scope(|scope| {
         for ((pid, actor), listener) in ProcessId::all(n).zip(actors).zip(listeners) {
             let peers: Vec<_> = ProcessId::all(n)
                 .filter(|&q| q != pid)
@@ -517,22 +464,13 @@ where
         let clients: Vec<Sender<A::Op>> = ProcessId::all(n)
             .map(|pid| {
                 let (tx, rx) = channel::<A::Op>();
-                let (addr, history, done_tx) = (addrs[pid.index()], &history, done_tx.clone());
+                let (addr, done_tx) = (addrs[pid.index()], done_tx.clone());
                 scope.spawn(move || {
                     let mut client = NetClient::connect(addr).expect("connect client");
                     for op in rx {
-                        let id = {
-                            let mut history = history.lock().expect("history poisoned");
-                            let at = SimTime::from_ticks(base.now_ticks());
-                            history.record_invoke(pid, op.clone(), at)
-                        };
                         let resp = client.invoke(&op).expect("invoke over loopback");
                         let at = SimTime::from_ticks(base.now_ticks());
-                        history
-                            .lock()
-                            .expect("history poisoned")
-                            .record_response(id, resp, at);
-                        let _ = done_tx.send((pid, id));
+                        let _ = done_tx.send((pid, resp, at));
                     }
                     client.bye().expect("send bye");
                 });
@@ -540,13 +478,13 @@ where
             })
             .collect();
         drop(done_tx);
-        drive(driver, base, &history, &done_rx, |pid, op| {
+        drive(driver, base, &done_rx, |pid, op| {
             clients[pid.index()]
                 .send(op)
                 .expect("a client thread exited with work left");
-        });
+        })
     });
-    Ok(history.into_inner().expect("history poisoned"))
+    Ok(history)
 }
 
 #[cfg(test)]
@@ -563,24 +501,6 @@ mod tests {
     use skewbound_sim::trace::{Trace, TraceEvent, TraceEventKind};
     use skewbound_spec::namespace::{Namespace, NsOp};
     use skewbound_spec::register::{RegOp, RegResp, RwRegister};
-
-    /// Arms one far-off timer at start; ignores deliveries.
-    #[derive(Debug)]
-    struct FarTimer;
-
-    impl Actor for FarTimer {
-        type Msg = ();
-        type Op = ();
-        type Resp = ();
-        type Timer = ();
-
-        fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
-            ctx.set_timer(SimDuration::from_ticks(60_000_000), ());
-        }
-        fn on_invoke(&mut self, _op: (), _ctx: &mut Context<'_, Self>) {}
-        fn on_message(&mut self, _from: ProcessId, _msg: (), _ctx: &mut Context<'_, Self>) {}
-        fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
-    }
 
     /// A link nobody sends through.
     struct NoLink;
@@ -599,36 +519,15 @@ mod tests {
         }
     }
 
-    /// A node of `actor` at process 0 of two that never sends.
-    fn lone_node<A: Actor>(actor: A, base: TimeBase) -> WallNode<A, NoLink, FixedDelay> {
+    /// A server node of `actor` at process 0 of two that never sends.
+    fn lone_node<A: Actor>(
+        actor: A,
+        base: TimeBase,
+    ) -> WallNode<A, NoLink, FixedDelay, (u64, u64)> {
         let pid = ProcessId::new(0);
         let one = DelayBounds::new(SimDuration::from_ticks(1), SimDuration::ZERO);
         let transport = WallTransport::new(pid, NoLink, base, FixedDelay::maximal(one));
         WallNode::new(NodeCore::new(pid, 2, actor), transport, ClockOffset::ZERO)
-    }
-
-    /// The server's fire-due step runs neither a held batch nor a timer
-    /// before its instant; on the batch's instant the batch runs and
-    /// the later timer stays armed.
-    #[test]
-    fn nothing_is_due_before_its_instant() {
-        let base = TimeBase::new(TimeBase::epoch_now_micros());
-        let mut node = lone_node(FarTimer, base);
-        let mut history = History::new();
-        node.start(None, &mut history).unwrap();
-        let deliver_at = base.now_ticks() + 200_000;
-        assert!(node.hold(deliver_at, ProcessId::new(1), MsgId::new(1), vec![()]));
-        let held_until = base.instant_for(deliver_at).unwrap();
-        assert_eq!(node.next_deadline(), Some(held_until));
-        assert_eq!(node.fire_due(None, &mut history).unwrap(), None);
-        std::thread::sleep(held_until.saturating_duration_since(std::time::Instant::now()));
-        // The batch comes due first; the timer is not yet.
-        assert_eq!(
-            node.fire_due(None, &mut history).unwrap(),
-            Some(Activation::Ran)
-        );
-        assert_eq!(node.fire_due(None, &mut history).unwrap(), None);
-        assert!(node.next_deadline().unwrap() > std::time::Instant::now());
     }
 
     /// A server's trace: its events and its counters.
@@ -852,7 +751,6 @@ mod tests {
             let base = TimeBase::new(TimeBase::epoch_now_micros());
             let replica = Replica::new(RegisterNs::default(), &params);
             let mut node = lone_node(replica, base);
-            let mut client_q = VecDeque::new();
             for _ in 0..8 {
                 let mut bytes = goldens[rng.gen_range(0..goldens.len())].clone();
                 match rng.gen_range(0..3) {
@@ -877,7 +775,7 @@ mod tests {
                         header,
                         payload: payload.to_vec(),
                     };
-                    match accept(event, &mut node, &mut client_q, Duration::ZERO) {
+                    match accept(event, &mut node, Duration::ZERO) {
                         Some(_) => dropped += 1,
                         None => held += 1,
                     }
@@ -986,5 +884,61 @@ mod tests {
             .map(|e| e.kind.label())
             .collect();
         assert_eq!(labels, ["invoke", "timer-set", "timer-fire", "respond"]);
+    }
+
+    /// Two requests sent back to back on one connection are admitted one
+    /// at a time: each is answered under its own request id, in request
+    /// order, and the second starts at the server only once the first
+    /// has responded.
+    #[test]
+    fn back_to_back_requests_on_one_connection_are_admitted_in_turn() {
+        let mesh = serve(vec![TimerEcho], ms_bounds());
+        let mut stream = TcpStream::connect(mesh.addrs[0]).unwrap();
+        let mut bytes = client_hello();
+        for (req_id, op) in [(1, 5i64), (2, 7)] {
+            let header = FrameHeader {
+                msg_id: req_id,
+                ..header(FrameKind::ClientReq, 0)
+            };
+            bytes.extend_from_slice(&encode_frame(&header, &to_bytes(&op)));
+        }
+        stream.write_all(&bytes).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut frames = FrameBuf::default();
+        for (req_id, want) in [(1, 6i64), (2, 8)] {
+            let body = loop {
+                if let Some(body) = frames.pop().unwrap() {
+                    break body;
+                }
+                let mut chunk = [0u8; 256];
+                let n = std::io::Read::read(&mut stream, &mut chunk).expect("no response in 10 s");
+                assert!(n > 0, "the server hung up");
+                frames.feed(&chunk[..n]);
+            };
+            let (header, payload) = decode_frame(&body).unwrap();
+            assert_eq!(
+                (header.kind, header.msg_id),
+                (FrameKind::ClientResp, req_id)
+            );
+            assert_eq!(from_bytes::<i64>(payload).unwrap(), want);
+        }
+        let recorded = stop_all(mesh);
+        let at = |label: &str| -> Vec<SimTime> {
+            let events = recorded[0].trace.events().iter();
+            events
+                .filter(|e| e.kind.label() == label)
+                .map(|e| e.at)
+                .collect()
+        };
+        let (invoked, responded) = (at("invoke"), at("respond"));
+        assert_eq!((invoked.len(), responded.len()), (2, 2));
+        assert!(
+            invoked[1] >= responded[0],
+            "the second op started at {:?}, before the first responded at {:?}",
+            invoked[1],
+            responded[0]
+        );
     }
 }

@@ -27,9 +27,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use skewbound_sim::deadline;
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::transport::{TransportError, WireTransport};
 
@@ -181,7 +180,8 @@ pub struct TcpMesh {
     peer_txs: Vec<Option<Sender<Vec<u8>>>>,
     /// The write half of every open inbound connection, peer or client.
     conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
-    event_rx: Receiver<RawEvent>,
+    /// Every raw arrival, in arrival order: the server loop's inbox.
+    pub(crate) event_rx: Receiver<RawEvent>,
     stop: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -219,25 +219,6 @@ impl TcpMesh {
     /// Waits up to `timeout` for the next raw arrival.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<RawEvent> {
         self.event_rx.recv_timeout(timeout).ok()
-    }
-
-    /// The next raw arrival the read loops have already queued, without
-    /// waiting.
-    pub fn try_recv(&self) -> Option<RawEvent> {
-        self.event_rx.try_recv().ok()
-    }
-
-    /// Waits for the next raw arrival until `deadline` (or `cap` from
-    /// now, whichever is sooner) with [`deadline::wait`]'s guarantees:
-    /// `None` is never returned early, and with `may_spin` a long
-    /// enough wait ends on its deadline rather than a wake-up after it.
-    pub fn wait(
-        &self,
-        deadline: Option<Instant>,
-        cap: Duration,
-        may_spin: bool,
-    ) -> Option<RawEvent> {
-        deadline::wait(&self.event_rx, deadline, cap, may_spin).ok()
     }
 
     /// Writes one already-encoded frame to client connection `conn`.

@@ -138,6 +138,18 @@ impl ClockAssignment {
         self.offsets.is_empty()
     }
 
+    /// The group check every backend's `run_history` makes: one clock
+    /// per process of an `n`-process group. An assignment is never
+    /// empty, so this also rejects an empty group.
+    ///
+    /// # Panics
+    ///
+    /// Panics, with the same message on every backend, if `n` differs
+    /// from [`ClockAssignment::len`].
+    pub fn assert_covers(&self, n: usize) {
+        assert_eq!(n, self.len(), "clock assignment must cover every process");
+    }
+
     /// The offset of process `pid`.
     ///
     /// # Panics

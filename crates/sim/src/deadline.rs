@@ -1,4 +1,4 @@
-//! The wall-clock backend core: the run-loop pieces the real-thread
+//! The wall-clock backend core: the one run loop the real-thread
 //! runtime ([`crate::rt`]) and the socket backend (`skewbound-net`)
 //! share.
 //!
@@ -12,29 +12,31 @@
 //!   waiting out their injected delay under absolute [`Instant`]s, and
 //!   pops them in one nominal-time order: instant first, timers before
 //!   deliveries on a tie, then id.
-//! * [`WallNode`] is one node: its [`NodeCore`], its [`WallTransport`]
-//!   and its drain state. Its one fire-due step anchors each activation
-//!   at the item's own instant — a timer's deadline, a batch's
-//!   `deliver_at` — so a timer armed while handling it is due at
-//!   `instant + δ` and the lateness of one wake-up is not inherited by
-//!   the next. Its one drain rule says when the run loop may exit.
-//! * [`wait`] blocks on an inbox until an arrival or a deadline. It
-//!   never reports a timeout early, and when the caller says a late
-//!   wake-up would cost latency it trades a bounded slice of CPU for
+//! * [`WallNode`] is one node: its [`NodeCore`], its [`WallTransport`],
+//!   its queue of invocations, its history and its drain state.
+//!   [`WallNode::run`] is the one wall-clock run loop; the backends
+//!   differ only in what arrives on its inbox. Its fire-due step
+//!   anchors each activation at the item's own instant — a timer's
+//!   deadline, a batch's `deliver_at` — so a timer armed while handling
+//!   it is due at `instant + δ` and the lateness of one wake-up is not
+//!   inherited by the next. Its drain rule says when the loop exits.
+//!   Its wait never reports a timeout early, and while an operation is
+//!   pending at the node it trades a bounded slice of CPU for
 //!   punctuality: sleep to one margin (150 µs) short of the deadline,
 //!   then poll.
 
 use core::fmt;
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::actor::Actor;
 use crate::delay::DelayModel;
-use crate::ids::{MsgId, OpId, ProcessId, TimerId};
-use crate::node::{Activation, HistorySink, NodeCore, Stamp};
-use crate::time::{ClockOffset, SimTime};
+use crate::history::History;
+use crate::ids::{MsgId, ProcessId, TimerId};
+use crate::node::{Activation, NodeCore, Stamp};
+use crate::time::{instant_to_sim, ClockOffset, SimTime};
 use crate::trace::TraceSink;
 use crate::transport::{Link, TransportError, WallTransport};
 
@@ -69,7 +71,7 @@ impl TimeBase {
     /// The current tick count (µs since the epoch).
     #[must_use]
     pub fn now_ticks(&self) -> u64 {
-        self.start_ticks + self.start_instant.elapsed().as_micros() as u64
+        self.start_ticks + instant_to_sim(self.start_instant, Instant::now()).as_ticks()
     }
 
     /// The [`Instant`] at which tick `t` is (or was) reached. Ticks
@@ -183,32 +185,42 @@ impl<T, M> Agenda<T, M> {
 const IDLE_POLL: Duration = Duration::from_millis(10);
 
 /// One node of a wall-clock backend: a [`NodeCore`], its
-/// [`WallTransport`] and the state of its drain.
+/// [`WallTransport`], its queue of invocations, its history and the
+/// state of its drain.
 ///
-/// The run loops around it differ only in their inboxes: a worker's
-/// channel on threads, a socket mesh across processes. Both start the
-/// node, call [`WallNode::fire_due`] until nothing is due, hand it
-/// arrivals, and exit when [`WallNode::drain_wait`] says so.
-pub struct WallNode<A: Actor, L, D> {
+/// [`WallNode::run`] is the one wall-clock run loop. Its callers differ
+/// only in their inboxes — a worker's channel on threads, a socket mesh
+/// across processes — and in the token each invocation carries back to
+/// its caller: nothing on threads, the client's connection and request
+/// id on the mesh.
+pub struct WallNode<A: Actor, L, D, T> {
     core: NodeCore<A>,
     transport: WallTransport<A, L, D>,
     offset: ClockOffset,
+    /// Invocations not yet admitted, in arrival order, each with its
+    /// caller's token.
+    queue: VecDeque<(T, A::Op)>,
+    /// The token of the pending operation.
+    in_flight: Option<T>,
+    /// Every invocation this node ran, with its response.
+    history: History<A::Op, A::Resp>,
     /// The drain's grace period, once the node has been told to stop.
     grace: Option<Duration>,
     /// The last arrival or activation, for the drain's quiet period.
     last_activity: Instant,
 }
 
-impl<A: Actor, L, D> fmt::Debug for WallNode<A, L, D> {
+impl<A: Actor, L, D, T> fmt::Debug for WallNode<A, L, D, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WallNode")
             .field("core", &self.core)
+            .field("queued", &self.queue.len())
             .field("grace", &self.grace)
             .finish_non_exhaustive()
     }
 }
 
-impl<A: Actor, L: Link<A::Msg>, D: DelayModel> WallNode<A, L, D> {
+impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
     /// Wraps `core` around `transport`; every activation is stamped on
     /// the transport's [`TimeBase`] with the local clock at `offset`.
     pub fn new(core: NodeCore<A>, transport: WallTransport<A, L, D>, offset: ClockOffset) -> Self {
@@ -216,20 +228,89 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel> WallNode<A, L, D> {
             core,
             transport,
             offset,
+            queue: VecDeque::new(),
+            in_flight: None,
+            history: History::new(),
             grace: None,
             last_activity: Instant::now(),
         }
     }
 
-    /// The pending operation, if one is in flight at this node.
+    /// The node's history: every invocation it ran, stamped at the
+    /// node, with its response.
     #[must_use]
-    pub fn pending_op(&self) -> Option<OpId> {
-        self.core.pending_op()
+    pub fn into_history(self) -> History<A::Op, A::Resp> {
+        self.history
+    }
+
+    /// The one wall-clock run loop: starts the node, then serves
+    /// `inbox` until the drain rule lets it exit. Each pass
+    ///
+    /// 1. hands every arrival to `file` — an arrival that starts an
+    ///    operation goes to [`WallNode::enqueue`], a delivery to
+    ///    [`WallNode::hold`], an order to stop to [`WallNode::stop`] —
+    ///    so the fire-due step sees every delivery it has to place;
+    /// 2. fires every due agenda item, in agenda order;
+    /// 3. admits the first queued invocation once no operation is
+    ///    pending (the model's one pending operation per process), and
+    ///    goes round again, since it may have armed timers already due;
+    /// 4. exits by the drain rule, where `busy` reports whether an
+    ///    operation this node still has to answer for is pending
+    ///    elsewhere;
+    /// 5. waits for the next arrival or deadline, polling the last
+    ///    stretch only while an operation is pending here.
+    ///
+    /// Every completion is handed to `done` with its invocation's token,
+    /// its response and its response instant.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the transport's send failures.
+    pub fn run<E>(
+        &mut self,
+        inbox: &Receiver<E>,
+        mut sink: Option<&mut (dyn TraceSink + '_)>,
+        mut file: impl FnMut(&mut Self, E),
+        busy: impl Fn() -> bool,
+        mut done: impl FnMut(T, &A::Resp, SimTime),
+    ) -> Result<(), TransportError> {
+        self.activate(Instant::now(), |core, stamp, t, history| {
+            core.on_start(stamp, t, sink.as_deref_mut(), history)
+        })?;
+        let mut woken_by = None;
+        loop {
+            for event in woken_by.take().into_iter().chain(inbox.try_iter()) {
+                file(self, event);
+            }
+            while let Some(act) = self.fire_due(sink.as_deref_mut())? {
+                self.finish(act, &mut done);
+            }
+            if self.core.pending_op().is_none() {
+                if let Some((token, op)) = self.queue.pop_front() {
+                    self.in_flight = Some(token);
+                    let act = self.activate(Instant::now(), |core, stamp, t, history| {
+                        core.on_invoke(stamp, op, t, sink.as_deref_mut(), history)
+                    })?;
+                    self.finish(act, &mut done);
+                    continue;
+                }
+            }
+            let Some(cap) = self.drain_wait(busy()) else {
+                return Ok(());
+            };
+            let may_spin = self.core.pending_op().is_some();
+            woken_by = wait(inbox, self.next_deadline(), cap, may_spin).ok();
+        }
+    }
+
+    /// Queues an invocation of `op`, to be answered with `token`.
+    pub fn enqueue(&mut self, token: T, op: A::Op) {
+        self.queue.push_back((token, op));
+        self.touch();
     }
 
     /// The earliest instant on the agenda: the run loop's next deadline.
-    #[must_use]
-    pub fn next_deadline(&self) -> Option<Instant> {
+    fn next_deadline(&self) -> Option<Instant> {
         self.transport.agenda.next_deadline()
     }
 
@@ -237,66 +318,51 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel> WallNode<A, L, D> {
     fn activate<R>(
         &mut self,
         anchor: Instant,
-        run: impl FnOnce(&mut NodeCore<A>, Stamp, &mut WallTransport<A, L, D>) -> R,
+        run: impl FnOnce(
+            &mut NodeCore<A>,
+            Stamp,
+            &mut WallTransport<A, L, D>,
+            &mut History<A::Op, A::Resp>,
+        ) -> R,
     ) -> R {
         self.transport.anchor = anchor;
         self.last_activity = Instant::now();
         let now = SimTime::from_ticks(self.transport.base.now_ticks());
         let clock = now.to_clock(self.offset);
-        run(&mut self.core, Stamp { now, clock }, &mut self.transport)
+        let stamp = Stamp { now, clock };
+        run(
+            &mut self.core,
+            stamp,
+            &mut self.transport,
+            &mut self.history,
+        )
     }
 
-    /// Runs the start-of-run hook, anchored now.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the transport's send failures.
-    pub fn start<H: HistorySink<A>>(
-        &mut self,
-        trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut H,
-    ) -> Result<Activation, TransportError> {
-        self.activate(Instant::now(), |core, stamp, t| {
-            core.on_start(stamp, t, trace, history)
-        })
-    }
-
-    /// Runs an invocation, anchored now. `recorded` is its history id
-    /// when the caller recorded it already (the thread clients do, at
-    /// the call site); otherwise the node records it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the transport's send failures.
-    pub fn invoke<H: HistorySink<A>>(
-        &mut self,
-        recorded: Option<OpId>,
-        op: A::Op,
-        trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut H,
-    ) -> Result<Activation, TransportError> {
-        self.activate(Instant::now(), |core, stamp, t| {
-            core.on_invoke(stamp, recorded, op, t, trace, history)
-        })
+    /// Hands a completion to `done` with its invocation's token.
+    fn finish(&mut self, act: Activation, done: &mut impl FnMut(T, &A::Resp, SimTime)) {
+        if let Activation::Completed(op_id) = act {
+            let token = self
+                .in_flight
+                .take()
+                .expect("only admitted operations complete");
+            let rec = self.history.get(op_id).expect("completed op is recorded");
+            let (resp, at) = rec.response.as_ref().expect("completed op has a response");
+            done(token, resp, *at);
+        }
     }
 
     /// The one fire-due step: runs the first agenda item that is due,
     /// anchored at its own instant, or returns `Ok(None)` when nothing
     /// is. An activation may arm a timer that is already due; the next
     /// call finds it in its place.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the transport's send failures.
-    pub fn fire_due<H: HistorySink<A>>(
+    fn fire_due(
         &mut self,
         trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut H,
     ) -> Result<Option<Activation>, TransportError> {
         let Some((at, due)) = self.transport.agenda.pop_due(Instant::now()) else {
             return Ok(None);
         };
-        let act = self.activate(at, |core, stamp, t| match due {
+        let act = self.activate(at, |core, stamp, t, history| match due {
             Due::Timer(id, timer) => core.on_timer(stamp, id, timer, t, trace, history),
             Due::Batch {
                 from,
@@ -326,7 +392,7 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel> WallNode<A, L, D> {
     }
 
     /// Records an arrival the node did not activate on.
-    pub fn touch(&mut self) {
+    fn touch(&mut self) {
         self.last_activity = Instant::now();
     }
 
@@ -337,14 +403,16 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel> WallNode<A, L, D> {
     }
 
     /// The one drain rule. A node exits once it has been told to stop,
-    /// its agenda is empty, no operation is pending — neither here nor,
-    /// as the caller reports through `busy`, anywhere it still has to
-    /// answer for — and it has been quiet for the grace period: then
-    /// `None`. Otherwise, how long the run loop may wait before looking
-    /// again.
-    #[must_use]
-    pub fn drain_wait(&self, busy: bool) -> Option<Duration> {
-        let idle = !busy && self.pending_op().is_none() && self.transport.agenda.is_empty();
+    /// its agenda and its queue are empty, no operation is pending —
+    /// neither here nor, as the caller reports through `busy`, anywhere
+    /// it still has to answer for — and it has been quiet for the grace
+    /// period: then `None`. Otherwise, how long the run loop may wait
+    /// before looking again.
+    fn drain_wait(&self, busy: bool) -> Option<Duration> {
+        let idle = !busy
+            && self.core.pending_op().is_none()
+            && self.queue.is_empty()
+            && self.transport.agenda.is_empty();
         match self.grace {
             Some(grace) if idle => grace
                 .checked_sub(self.last_activity.elapsed())
@@ -393,7 +461,7 @@ fn sleep_before_spin(left: Duration, may_spin: bool) -> Option<Duration> {
 ///
 /// [`RecvTimeoutError::Timeout`] at the end of the wait,
 /// [`RecvTimeoutError::Disconnected`] as soon as every sender is gone.
-pub fn wait<E>(
+fn wait<E>(
     rx: &Receiver<E>,
     deadline: Option<Instant>,
     cap: Duration,
@@ -435,6 +503,7 @@ fn poll_until<E>(rx: &Receiver<E>, deadline: Instant) -> Result<E, RecvTimeoutEr
 mod tests {
     use super::*;
     use crate::actor::Context;
+    use crate::delay::{DelayBounds, FixedDelay};
     use crate::time::SimDuration;
     use std::sync::mpsc::channel;
     use std::thread;
@@ -607,28 +676,71 @@ mod tests {
         }
     }
 
+    /// A lone node of `actor` at process 1 of two that never sends.
+    fn lone_node<A: Actor<Msg = ()>>(
+        actor: A,
+        base: TimeBase,
+    ) -> WallNode<A, NoLink, FixedDelay, ()> {
+        let one = DelayBounds::new(SimDuration::from_ticks(1), SimDuration::ZERO);
+        let transport = WallTransport::new(P, NoLink, base, FixedDelay::maximal(one));
+        WallNode::new(NodeCore::new(P, 2, actor), transport, ClockOffset::ZERO)
+    }
+
     /// A timer armed while handling a held delivery is due at
     /// `deliver_at + δ`, even when the delivery is popped late.
     #[test]
     fn a_timer_armed_by_a_late_delivery_is_due_at_deliver_at_plus_its_delay() {
-        use crate::delay::{DelayBounds, FixedDelay};
-        use crate::history::History;
-
         let base = TimeBase::new(TimeBase::epoch_now_micros());
-        let one = DelayBounds::new(SimDuration::from_ticks(1), SimDuration::ZERO);
-        let transport = WallTransport::new(P, NoLink, base, FixedDelay::maximal(one));
-        let actor = ArmOnDelivery { delay: 3_000 };
-        let mut node = WallNode::new(NodeCore::new(P, 2, actor), transport, ClockOffset::ZERO);
+        let mut node = lone_node(ArmOnDelivery { delay: 3_000 }, base);
         let deliver_at = base.now_ticks() + 1_000;
         assert!(node.hold(deliver_at, ProcessId::new(0), msg(1), vec![()]));
         let held_until = base.instant_for(deliver_at).unwrap();
         assert_eq!(node.next_deadline(), Some(held_until));
         // Pop the delivery well after its instant.
         thread::sleep(held_until.saturating_duration_since(Instant::now()) + 5 * MS);
-        let mut history = History::new();
-        let act = node.fire_due(None, &mut history).unwrap();
-        assert_eq!(act, Some(Activation::Ran));
+        assert_eq!(node.fire_due(None).unwrap(), Some(Activation::Ran));
         assert_eq!(node.next_deadline(), Some(held_until + 3 * MS));
+    }
+
+    /// Arms one far-off timer at start; ignores deliveries.
+    #[derive(Debug)]
+    struct FarTimer;
+
+    impl Actor for FarTimer {
+        type Msg = ();
+        type Op = ();
+        type Resp = ();
+        type Timer = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
+            ctx.set_timer(SimDuration::from_ticks(60_000_000), ());
+        }
+        fn on_invoke(&mut self, _op: (), _ctx: &mut Context<'_, Self>) {}
+        fn on_message(&mut self, _from: ProcessId, _msg: (), _ctx: &mut Context<'_, Self>) {}
+        fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
+    }
+
+    /// The fire-due step runs neither a held batch nor a timer before
+    /// its instant; on the batch's instant the batch runs and the later
+    /// timer stays armed.
+    #[test]
+    fn nothing_is_due_before_its_instant() {
+        let base = TimeBase::new(TimeBase::epoch_now_micros());
+        let mut node = lone_node(FarTimer, base);
+        node.activate(Instant::now(), |core, stamp, t, history| {
+            core.on_start(stamp, t, None, history)
+        })
+        .unwrap();
+        let deliver_at = base.now_ticks() + 200_000;
+        assert!(node.hold(deliver_at, ProcessId::new(0), msg(1), vec![()]));
+        let held_until = base.instant_for(deliver_at).unwrap();
+        assert_eq!(node.next_deadline(), Some(held_until));
+        assert_eq!(node.fire_due(None).unwrap(), None);
+        thread::sleep(held_until.saturating_duration_since(Instant::now()));
+        // The batch comes due first; the timer is not yet.
+        assert_eq!(node.fire_due(None).unwrap(), Some(Activation::Ran));
+        assert_eq!(node.fire_due(None).unwrap(), None);
+        assert!(node.next_deadline().unwrap() > Instant::now());
     }
 
     /// An event sent while `wait` polls is returned at once. The

@@ -327,16 +327,11 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     ///
     /// # Panics
     ///
-    /// Panics if `actors` is empty or its length differs from the clock
-    /// assignment's.
+    /// Panics if `actors` does not have one process per clock of `clocks`
+    /// ([`ClockAssignment::assert_covers`]).
     #[must_use]
     pub fn new(actors: Vec<A>, clocks: ClockAssignment, delays: D) -> Self {
-        assert!(!actors.is_empty(), "at least one process required");
-        assert_eq!(
-            actors.len(),
-            clocks.len(),
-            "clock assignment must cover every process"
-        );
+        clocks.assert_covers(actors.len());
         let n = actors.len();
         Simulation {
             nodes: actors
@@ -688,7 +683,6 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         let act = match kind {
             EventKind::Invoke { op } => node.on_invoke(
                 stamp,
-                None,
                 op,
                 &mut self.transport,
                 self.trace.as_deref_mut(),

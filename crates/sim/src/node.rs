@@ -1,4 +1,4 @@
-//! The runtime-agnostic node core shared by both runtimes.
+//! The runtime-agnostic node core shared by all three backends.
 //!
 //! Chapter III's model is one actor state machine per process; this
 //! module is the one place that executes it. A [`NodeCore`] owns the
@@ -17,15 +17,16 @@
 //! 3. the actor handler itself, through a [`Context`];
 //! 4. draining the resulting effects: sends and timers go to the
 //!    pluggable [`Transport`], cancels retire slab generations,
-//!    responses are committed to the [`History`].
+//!    responses are committed to the [`History`] the entry is handed
+//!    (the invocation too, at the activation's instant).
 //!
 //! The discrete-event engine ([`crate::engine`]) wraps a `NodeCore` per
-//! process around a virtual-time heap transport; the real-thread
-//! runtime ([`crate::rt`]) and the socket mesh wrap one in the
-//! wall-clock [`WallNode`](crate::deadline::WallNode). Neither
-//! re-implements any of the four steps above, so the backends cannot
-//! drift in effect application, invariants,
-//! timer lifecycle or trace schema.
+//! process around a virtual-time heap transport and one run history;
+//! the real-thread runtime ([`crate::rt`]) and the socket mesh wrap one
+//! in the wall-clock [`WallNode`](crate::deadline::WallNode), which
+//! keeps the node's own history. None re-implements any of the four
+//! steps above, so the backends cannot drift in effect application,
+//! invariants, timer lifecycle or trace schema.
 
 use core::fmt;
 
@@ -73,30 +74,6 @@ pub enum Activation {
     /// The handler ran and completed the process's pending operation.
     /// The response is already committed to the history under this id.
     Completed(OpId),
-}
-
-/// Where a node commits history records.
-///
-/// The engine owns its [`History`] directly; the real-thread runtime
-/// shares one behind an `Arc<Mutex<_>>` and locks per record. Both
-/// paths go through this trait so invocation and response recording —
-/// and the invariants `History` asserts — live in [`NodeCore`] only.
-pub trait HistorySink<A: Actor> {
-    /// Appends an invocation and returns its id.
-    fn record_invoke(&mut self, pid: ProcessId, op: A::Op, at: SimTime) -> OpId;
-
-    /// Records the response of operation `id`.
-    fn record_response(&mut self, id: OpId, resp: A::Resp, at: SimTime);
-}
-
-impl<A: Actor> HistorySink<A> for History<A::Op, A::Resp> {
-    fn record_invoke(&mut self, pid: ProcessId, op: A::Op, at: SimTime) -> OpId {
-        History::record_invoke(self, pid, op, at)
-    }
-
-    fn record_response(&mut self, id: OpId, resp: A::Resp, at: SimTime) {
-        History::record_response(self, id, resp, at);
-    }
 }
 
 /// One process of the system: the actor plus the per-process runtime
@@ -172,43 +149,31 @@ impl<A: Actor> NodeCore<A> {
     }
 
     /// Runs the start-of-run hook ([`Actor::on_start`]).
-    pub fn on_start<T, H>(
+    pub fn on_start<T: Transport<A>>(
         &mut self,
         stamp: Stamp,
         transport: &mut T,
         trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut H,
-    ) -> Result<Activation, TransportError>
-    where
-        T: Transport<A>,
-        H: HistorySink<A>,
-    {
+        history: &mut History<A::Op, A::Resp>,
+    ) -> Result<Activation, TransportError> {
         let effects = self.run(stamp.clock, |actor, ctx| actor.on_start(ctx));
         self.apply_effects(stamp, effects, transport, trace, history)
     }
 
-    /// Runs an operation invocation. `recorded` is its history id when
-    /// the caller recorded it already: the wall-clock clients do, at the
-    /// call site, to capture the real invocation time rather than the
-    /// dequeue time. Otherwise it is recorded here, at the instant the
-    /// scheduler dispatches it.
+    /// Runs an operation invocation, recorded in `history` at the
+    /// activation's instant.
     ///
     /// # Panics
     ///
     /// Panics if an operation is already pending at this process.
-    pub fn on_invoke<T, H>(
+    pub fn on_invoke<T: Transport<A>>(
         &mut self,
         stamp: Stamp,
-        recorded: Option<OpId>,
         op: A::Op,
         transport: &mut T,
         mut trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut H,
-    ) -> Result<Activation, TransportError>
-    where
-        T: Transport<A>,
-        H: HistorySink<A>,
-    {
+        history: &mut History<A::Op, A::Resp>,
+    ) -> Result<Activation, TransportError> {
         self.assert_no_pending();
         if let Some(sink) = trace.as_deref_mut() {
             self.emit(
@@ -219,8 +184,7 @@ impl<A: Actor> NodeCore<A> {
                 },
             );
         }
-        let op_id =
-            recorded.unwrap_or_else(|| history.record_invoke(self.pid, op.clone(), stamp.now));
+        let op_id = history.record_invoke(self.pid, op.clone(), stamp.now);
         self.pending_op = Some(op_id);
         let effects = self.run(stamp.clock, |actor, ctx| actor.on_invoke(op, ctx));
         self.apply_effects(stamp, effects, transport, trace, history)
@@ -231,7 +195,7 @@ impl<A: Actor> NodeCore<A> {
     /// one `Recv` trace event is emitted per message so per-message
     /// send/deliver pairing survives batching.
     #[allow(clippy::too_many_arguments)] // one parameter per activation ingredient
-    pub fn on_message_batch<T, H>(
+    pub fn on_message_batch<T: Transport<A>>(
         &mut self,
         stamp: Stamp,
         from: ProcessId,
@@ -239,12 +203,8 @@ impl<A: Actor> NodeCore<A> {
         msgs: Vec<A::Msg>,
         transport: &mut T,
         mut trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut H,
-    ) -> Result<Activation, TransportError>
-    where
-        T: Transport<A>,
-        H: HistorySink<A>,
-    {
+        history: &mut History<A::Op, A::Resp>,
+    ) -> Result<Activation, TransportError> {
         if let Some(sink) = trace.as_deref_mut() {
             for i in 0..msgs.len() {
                 self.emit(
@@ -266,19 +226,15 @@ impl<A: Actor> NodeCore<A> {
     /// Fires timer `id`, or returns [`Activation::Stale`] without
     /// running anything if the id's generation was retired by a cancel
     /// after the expiry event was queued.
-    pub fn on_timer<T, H>(
+    pub fn on_timer<T: Transport<A>>(
         &mut self,
         stamp: Stamp,
         id: TimerId,
         timer: A::Timer,
         transport: &mut T,
         mut trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut H,
-    ) -> Result<Activation, TransportError>
-    where
-        T: Transport<A>,
-        H: HistorySink<A>,
-    {
+        history: &mut History<A::Op, A::Resp>,
+    ) -> Result<Activation, TransportError> {
         if !self.timers.fire(id) {
             return Ok(Activation::Stale);
         }
@@ -336,18 +292,14 @@ impl<A: Actor> NodeCore<A> {
     /// be meaningfully resumed) and the error propagates to the
     /// scheduler. In-process transports never fail, so both in-process
     /// backends take the infallible path bit-for-bit.
-    fn apply_effects<T, H>(
+    fn apply_effects<T: Transport<A>>(
         &mut self,
         stamp: Stamp,
         mut effects: Effects<A>,
         transport: &mut T,
         trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut H,
-    ) -> Result<Activation, TransportError>
-    where
-        T: Transport<A>,
-        H: HistorySink<A>,
-    {
+        history: &mut History<A::Op, A::Resp>,
+    ) -> Result<Activation, TransportError> {
         let out = self.drain_effects(stamp, &mut effects, transport, trace, history);
         // On success every buffer is already drained; on failure this
         // discards whatever the early return left behind. Either way the
@@ -357,18 +309,14 @@ impl<A: Actor> NodeCore<A> {
         out
     }
 
-    fn drain_effects<T, H>(
+    fn drain_effects<T: Transport<A>>(
         &mut self,
         stamp: Stamp,
         effects: &mut Effects<A>,
         transport: &mut T,
         mut trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut H,
-    ) -> Result<Activation, TransportError>
-    where
-        T: Transport<A>,
-        H: HistorySink<A>,
-    {
+        history: &mut History<A::Op, A::Resp>,
+    ) -> Result<Activation, TransportError> {
         for (to, msgs) in effects.batches.drain(..) {
             if let Some(sink) = trace.as_deref_mut() {
                 // One Send trace event per message; ids are consecutive

@@ -1,19 +1,21 @@
 //! A real-thread runtime for the same [`Actor`] state machines.
 //!
 //! [`run_history`] is the second backend over the shared [`NodeCore`]:
-//! each process is a [`WallNode`] on an OS thread — the wall-clock core
-//! the socket mesh runs too. A send takes its delay from the run's
-//! [`DelayModel`], one model shared by every worker as the engine
+//! each process is a [`WallNode`] on an OS thread, running the one
+//! wall-clock loop ([`WallNode::run`]) the socket mesh runs too, with a
+//! worker's channel for its inbox. A send takes its delay from the
+//! run's [`DelayModel`], one model shared by every worker as the engine
 //! shares one across its processes, checked against the model's bounds
 //! on every send. The batch goes straight into the destination worker's
 //! inbox, which holds it on its agenda until `sent + delay`; timers and
 //! held deliveries fire in one nominal-time order, each anchored at its
-//! own instant. All effect application, the one-pending-op invariant,
-//! timer generations and history recording live in the node core — the
-//! discrete-event engine ([`crate::engine`]) drives the identical code
-//! from its virtual-time heap. Invocations come from
-//! [`drive`], the closed-loop driver the socket
-//! mesh runs too. Clocks are wall-clock readings plus the
+//! own instant. All effect application, the one-pending-op invariant
+//! and timer generations live in the node core — the discrete-event
+//! engine ([`crate::engine`]) drives the identical code from its
+//! virtual-time heap. Invocations come from [`drive`], the closed-loop
+//! driver the socket mesh runs too, which records the run's history:
+//! each invocation when it is dispatched, each response at the node's
+//! response stamp. Clocks are wall-clock readings plus the
 //! [`ClockAssignment`]'s per-process offsets; one tick is one
 //! microsecond.
 //!
@@ -25,47 +27,27 @@
 //! prefer workloads whose correctness does not hinge on exact tie-breaks.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::actor::Actor;
 use crate::clock::ClockAssignment;
-use crate::deadline::{self, TimeBase, WallNode};
+use crate::deadline::{TimeBase, WallNode};
 use crate::delay::DelayModel;
 use crate::engine::SimError;
 use crate::history::History;
-use crate::ids::{MsgId, OpId, ProcessId};
-use crate::node::{Activation, HistorySink, NodeCore};
-use crate::time::{instant_to_sim, ticks_to_duration, SimTime};
+use crate::ids::{MsgId, ProcessId};
+use crate::node::NodeCore;
+use crate::time::ticks_to_duration;
 use crate::transport::{Link, TransportError, WallTransport};
 use crate::workload::{drive, Driver};
 
-/// The real-thread [`HistorySink`]: the run's mutex-shared history,
-/// locked per record.
-struct SharedHistory<'a, A: Actor>(&'a Mutex<History<A::Op, A::Resp>>);
-
-impl<A: Actor> HistorySink<A> for SharedHistory<'_, A> {
-    fn record_invoke(&mut self, pid: ProcessId, op: A::Op, at: SimTime) -> OpId {
-        self.0
-            .lock()
-            .expect("history poisoned")
-            .record_invoke(pid, op, at)
-    }
-
-    fn record_response(&mut self, id: OpId, resp: A::Resp, at: SimTime) {
-        self.0
-            .lock()
-            .expect("history poisoned")
-            .record_response(id, resp, at);
-    }
-}
-
 /// A worker thread's inbox message.
 enum Input<A: Actor> {
-    /// Invoke an operation already recorded in the history as `OpId`.
-    Invoke(OpId, A::Op),
+    /// Invoke an operation.
+    Invoke(A::Op),
     /// A batch from another process, holding the ids
     /// `first_id..first_id + msgs.len()`, to deliver at tick
     /// `deliver_at`.
@@ -164,10 +146,10 @@ impl<A: Actor> Drop for StopOnDrop<'_, A> {
 ///
 /// # Panics
 ///
-/// Panics if `actors` is empty, its length differs from `clocks`, the
-/// clocks drift, the model draws an inadmissible delay, the driver
-/// overlaps invocations at one process, or a worker thread panics (e.g.
-/// an actor invariant fails).
+/// Panics if `actors` does not have one process per clock of `clocks`
+/// ([`ClockAssignment::assert_covers`]), the clocks drift, the model
+/// draws an inadmissible delay, the driver overlaps invocations at one
+/// process, or a worker thread panics (e.g. an actor invariant fails).
 pub fn run_history<A, D, Dr>(
     actors: Vec<A>,
     clocks: ClockAssignment,
@@ -183,12 +165,7 @@ where
     D: DelayModel + Send,
     Dr: Driver<A::Op, A::Resp> + ?Sized,
 {
-    assert!(!actors.is_empty(), "at least one process required");
-    assert_eq!(
-        actors.len(),
-        clocks.len(),
-        "clocks must cover all processes"
-    );
+    clocks.assert_covers(actors.len());
     assert!(
         clocks.is_drift_free(),
         "the real-thread runtime does not emulate clock drift"
@@ -196,101 +173,58 @@ where
     let n = actors.len();
     let grace = ticks_to_duration(delays.bounds().max() * 2);
     let delays = Mutex::new(delays);
-    let history = Mutex::new(History::new());
     // One flag per process, set while an operation is in flight there:
     // another worker's pending operation may still send to a drained one.
     let in_flight: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let (done_tx, done_rx) = channel();
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+    let (txs, rxs): (Vec<Sender<Input<A>>>, Vec<_>) = (0..n).map(|_| channel()).unzip();
     // Ticks count µs from the start of the run.
     let base = TimeBase {
         start_instant: Instant::now(),
         start_ticks: 0,
     };
-    thread::scope(|scope| {
+    let history = thread::scope(|scope| {
         for ((pid, actor), rx) in ProcessId::all(n).zip(actors).zip(rxs) {
             let transport = WallTransport::new(pid, Inboxes(txs.clone()), base, &delays);
-            let node = WallNode::new(NodeCore::new(pid, n, actor), transport, clocks.offset(pid));
-            let (history, in_flight, done_tx) = (&history, &in_flight, done_tx.clone());
-            scope.spawn(move || worker_loop(pid, node, &rx, history, in_flight, &done_tx));
+            let mut node =
+                WallNode::new(NodeCore::new(pid, n, actor), transport, clocks.offset(pid));
+            let (in_flight, done_tx) = (&in_flight, done_tx.clone());
+            scope.spawn(move || {
+                let file = |node: &mut WallNode<_, _, _, ()>, input| match input {
+                    Input::Invoke(op) => node.enqueue((), op),
+                    Input::Deliver {
+                        from,
+                        first_id,
+                        deliver_at,
+                        msgs,
+                    } => assert!(
+                        node.hold(deliver_at, from, first_id, msgs),
+                        "{pid} could not hold the batch {first_id:?} until {deliver_at}"
+                    ),
+                    Input::Stop(grace) => node.stop(grace),
+                };
+                let busy = || in_flight.iter().any(|f| f.load(Ordering::Acquire));
+                // Clear the flag *before* announcing, so a follow-up
+                // invocation never races it. A closed end means the
+                // driver is gone; not an error here.
+                let done = |(), resp: &A::Resp, at| {
+                    in_flight[pid.index()].store(false, Ordering::Release);
+                    let _ = done_tx.send((pid, resp.clone(), at));
+                };
+                node.run(&rx, None, file, busy, done)
+                    .expect("the thread link never fails a send");
+            });
         }
         drop(done_tx);
         let _stop = StopOnDrop(&txs, grace);
-        drive(driver, base, &history, &done_rx, |pid, op| {
+        drive(driver, base, &done_rx, |pid, op| {
             in_flight[pid.index()].store(true, Ordering::Release);
-            let at = instant_to_sim(base.start_instant, Instant::now());
-            let op_id =
-                history
-                    .lock()
-                    .expect("history poisoned")
-                    .record_invoke(pid, op.clone(), at);
             txs[pid.index()]
-                .send(Input::Invoke(op_id, op))
+                .send(Input::Invoke(op))
                 .expect("a worker exited with work left");
-        });
+        })
     });
-    Ok(history.into_inner().expect("history poisoned"))
-}
-
-/// One worker thread: a [`WallNode`] fed by its inbox. All
-/// effect/history semantics live in the node core; this loop only
-/// reports completions to the driver (clearing the in-flight flag
-/// *before* announcing, so a follow-up invocation never races the flag).
-fn worker_loop<A: Actor, D: DelayModel>(
-    pid: ProcessId,
-    mut node: WallNode<A, Inboxes<A>, D>,
-    rx: &Receiver<Input<A>>,
-    history: &Mutex<History<A::Op, A::Resp>>,
-    in_flight: &[AtomicBool],
-    done_tx: &Sender<(ProcessId, OpId)>,
-) {
-    const INFALLIBLE: &str = "the thread link never fails a send";
-    let hist = &mut SharedHistory(history);
-    let finish = |act: Activation| {
-        if let Activation::Completed(op_id) = act {
-            in_flight[pid.index()].store(false, Ordering::Release);
-            // A closed end means the driver is gone; not an error here.
-            let _ = done_tx.send((pid, op_id));
-        }
-    };
-    finish(node.start(None, hist).expect(INFALLIBLE));
-    let mut woken_by = None;
-    loop {
-        // File everything that has arrived, so the fire-due step sees
-        // every delivery it has to place.
-        for input in woken_by.take().into_iter().chain(rx.try_iter()) {
-            match input {
-                Input::Invoke(op_id, op) => {
-                    let act = node.invoke(Some(op_id), op, None, hist);
-                    finish(act.expect(INFALLIBLE));
-                }
-                Input::Deliver {
-                    from,
-                    first_id,
-                    deliver_at,
-                    msgs,
-                } => {
-                    let held = node.hold(deliver_at, from, first_id, msgs);
-                    assert!(
-                        held,
-                        "{pid} could not hold the batch {first_id:?} until {deliver_at}"
-                    );
-                }
-                Input::Stop(grace) => node.stop(grace),
-            }
-        }
-        while let Some(act) = node.fire_due(None, hist).expect(INFALLIBLE) {
-            finish(act);
-        }
-        // Another worker's pending operation may still send here.
-        let busy = in_flight.iter().any(|f| f.load(Ordering::Acquire));
-        let Some(cap) = node.drain_wait(busy) else {
-            break;
-        };
-        // A late wake-up costs latency only while an operation waits here.
-        let may_spin = node.pending_op().is_some();
-        woken_by = deadline::wait(rx, node.next_deadline(), cap, may_spin).ok();
-    }
+    Ok(history)
 }
 
 #[cfg(test)]
@@ -299,7 +233,7 @@ mod tests {
     use crate::actor::Context;
     use crate::delay::{DelayBounds, UniformDelay};
     use crate::ids::TimerId;
-    use crate::time::SimDuration;
+    use crate::time::{SimDuration, SimTime};
     use crate::workload::{ClosedLoop, Script};
 
     /// `[d − u, d]` in µs ticks.

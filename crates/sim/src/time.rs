@@ -403,7 +403,7 @@ impl fmt::Display for ClockOffset {
     }
 }
 
-// --- wall-clock interop (real-thread runtime; 1 tick = 1 µs) ----------
+// --- wall-clock interop (wall-clock backends; 1 tick = 1 µs) ----------
 
 /// Converts a tick count (µs) to a wall-clock duration. Total: every
 /// `u64` tick count maps to a representable `Duration`.

@@ -8,21 +8,21 @@
 //! invariant by construction; a driver that breaks it fails the run with
 //! the same panic on every backend. The engine consumes a driver in
 //! [`Simulation::run_with`](crate::engine::Simulation::run_with); both
-//! wall-clock backends consume it through [`drive`].
+//! wall-clock backends consume it through [`drive`], which also owns
+//! their run's history.
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::Mutex;
 use std::time::Instant;
 
-use fxhash::FxHashSet;
+use fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::deadline::TimeBase;
 use crate::history::History;
-use crate::ids::{OpId, ProcessId};
+use crate::ids::ProcessId;
 use crate::node::overlapping_invocation;
-use crate::time::{ticks_to_duration, SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime};
 
 /// The application layer: initial invocations plus a closed-loop "what
 /// next" rule.
@@ -230,48 +230,53 @@ impl<O: Clone, R> Driver<O, R> for Script<O> {
 /// Runs `driver` against a wall-clock cluster — the one closed-loop
 /// driver of the thread runtime and the socket mesh, as
 /// [`Simulation::run_with`](crate::engine::Simulation::run_with) is the
-/// engine's.
+/// engine's — and returns the run's history.
 ///
-/// Each initial invocation is handed to `invoke` at its tick of `base`.
-/// The backend records the invocation in `history`, the response too,
-/// and reports `(pid, op id)` on `done`; the driver is then consulted,
-/// with the recorded response time, for the process's follow-up. Returns
-/// once every invocation has responded and none is left to issue.
+/// Each initial invocation is handed to `invoke` at its tick of `base`
+/// and recorded at that instant. The backend reports each completion on
+/// `done` as `(pid, response, response instant)`; it is recorded, and
+/// the driver is consulted for the process's follow-up, which is handed
+/// to `invoke` at the response instant plus the driver's gap, as on the
+/// engine. Returns once every invocation has responded and none is left
+/// to issue.
 ///
 /// # Panics
 ///
 /// Panics, as the engine's node core does, if the driver invokes at a
 /// process whose previous operation is still pending.
-pub fn drive<O, R, Dr>(
+pub fn drive<O: Clone, R, Dr>(
     driver: &mut Dr,
     base: TimeBase,
-    history: &Mutex<History<O, R>>,
-    done: &Receiver<(ProcessId, OpId)>,
+    done: &Receiver<(ProcessId, R, SimTime)>,
     mut invoke: impl FnMut(ProcessId, O),
-) where
+) -> History<O, R>
+where
     Dr: Driver<O, R> + ?Sized,
 {
+    let instant = |at: SimTime| {
+        base.instant_for(at.as_ticks())
+            .expect("invocation time beyond any instant")
+    };
     let mut due: Vec<(Instant, ProcessId, O)> = driver
         .initial()
         .into_iter()
-        .map(|(pid, at, op)| {
-            let at = base.instant_for(at.as_ticks());
-            (at.expect("invocation time beyond any instant"), pid, op)
-        })
+        .map(|(pid, at, op)| (instant(at), pid, op))
         .collect();
-    let mut pending = FxHashSet::default();
+    let mut history = History::new();
+    let mut pending = FxHashMap::default();
     let mut woken_by = None;
     loop {
         // File every completion already reported first, so an invocation
         // due now never finds a finished operation still pending.
-        for (pid, op_id) in woken_by.take().into_iter().chain(done.try_iter()) {
-            pending.remove(&pid);
-            let history = history.lock().expect("history poisoned");
+        for (pid, resp, at) in woken_by.take().into_iter().chain(done.try_iter()) {
+            let op_id = pending
+                .remove(&pid)
+                .expect("a completion answers a pending op");
+            history.record_response(op_id, resp, at);
             let rec = history.get(op_id).expect("completed op is recorded");
             let resp = rec.resp().expect("completion implies a response");
-            let at = rec.responded_at().expect("completion implies a response");
             if let Some((gap, op)) = driver.next(pid, &rec.op, resp, at) {
-                due.push((Instant::now() + ticks_to_duration(gap), pid, op));
+                due.push((instant(at + gap), pid, op));
             }
         }
         let now = Instant::now();
@@ -280,13 +285,15 @@ pub fn drive<O, R, Dr>(
             .min_by_key(|&i| due[i].0)
         {
             let (_, pid, op) = due.swap_remove(i);
-            if !pending.insert(pid) {
+            if pending.contains_key(&pid) {
                 overlapping_invocation(pid);
             }
+            let at = SimTime::from_ticks(base.now_ticks());
+            pending.insert(pid, history.record_invoke(pid, op.clone(), at));
             invoke(pid, op);
         }
         if pending.is_empty() && due.is_empty() {
-            return;
+            return history;
         }
         let waited = match due.iter().map(|d| d.0).min() {
             Some(at) => done.recv_timeout(at.saturating_duration_since(Instant::now())),
@@ -295,7 +302,7 @@ pub fn drive<O, R, Dr>(
         match waited {
             Ok(completion) => woken_by = Some(completion),
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Disconnected) => return history,
         }
     }
 }
@@ -324,6 +331,9 @@ pub fn weighted_index<R: Rng>(weights: &[u32], rng: &mut R) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::channel;
+    use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn closed_loop_issues_quota() {
@@ -371,6 +381,42 @@ mod tests {
         assert_eq!(
             Driver::<&str, ()>::next(&mut s, ProcessId::new(0), &"a", &(), SimTime::ZERO),
             None
+        );
+    }
+
+    /// A follow-up is due the driver's gap after the response instant,
+    /// however late the completion is filed: a response reported a
+    /// whole gap after its instant gets its follow-up invoked at once.
+    #[test]
+    fn a_follow_up_waits_its_gap_from_the_response_not_from_its_filing() {
+        const GAP: Duration = Duration::from_millis(300);
+        let base = TimeBase::new(TimeBase::epoch_now_micros());
+        let gap = SimDuration::from_ticks(GAP.as_micros() as u64);
+        let mut driver =
+            ClosedLoop::new(vec![ProcessId::new(0)], 2, 1, |_, idx, _| idx).with_gap(gap);
+        let (tx, rx) = channel();
+        let mut invoked = Vec::new();
+        let history = thread::scope(|scope| {
+            drive(&mut driver, base, &rx, |pid, _op| {
+                invoked.push(Instant::now());
+                let (tx, at) = (tx.clone(), SimTime::from_ticks(base.now_ticks()));
+                let late = if invoked.len() == 1 {
+                    GAP
+                } else {
+                    Duration::ZERO
+                };
+                scope.spawn(move || {
+                    thread::sleep(late);
+                    tx.send((pid, (), at)).unwrap();
+                });
+            })
+        });
+        assert!(history.is_complete());
+        assert_eq!(history.len(), 2);
+        let waited = invoked[1] - invoked[0];
+        assert!(
+            waited < GAP * 3 / 2,
+            "the follow-up came {waited:?} after the first invocation"
         );
     }
 

@@ -417,11 +417,7 @@ fn overlapping_invocations_fail_alike_on_every_backend() {
                 &mut script,
             )
         }));
-        let payload = outcome.expect_err(name);
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| panic!("{name}: the panic carries no message"));
+        let message = panic_message(name, outcome);
         assert!(
             message.contains("another operation is pending"),
             "{name}: {message}"
@@ -429,4 +425,46 @@ fn overlapping_invocations_fail_alike_on_every_backend() {
         messages.push(message);
     }
     assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
+}
+
+/// The message of the panic `outcome` must carry, on backend `name`.
+fn panic_message<T>(name: &str, outcome: std::thread::Result<T>) -> String {
+    let Err(payload) = outcome else {
+        panic!("{name}: the run did not panic");
+    };
+    let message = payload.downcast_ref::<String>().cloned();
+    message
+        .or_else(|| payload.downcast_ref::<&str>().map(|m| (*m).to_owned()))
+        .unwrap_or_else(|| panic!("{name}: the panic carries no message"))
+}
+
+/// Every backend checks the group the same way, before it runs
+/// anything: an empty actor list, or clocks for a group of another
+/// size, fail with one message on all three.
+#[test]
+fn malformed_groups_fail_alike_on_every_backend() {
+    let bounds = DelayBounds::new(
+        SimDuration::from_ticks(2_000),
+        SimDuration::from_ticks(1_000),
+    );
+    for (actors, clocks) in [(0, 2), (2, 3)] {
+        let mut messages = Vec::new();
+        for (name, run_history) in backends::<SlowEcho, FixedDelay>() {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_history(
+                    (0..actors).map(|_| SlowEcho).collect(),
+                    ClockAssignment::zero(clocks),
+                    FixedDelay::maximal(bounds),
+                    &mut Script::new(),
+                )
+            }));
+            let message = panic_message(name, outcome);
+            assert!(
+                message.contains("clock assignment must cover every process"),
+                "{name}: {message}"
+            );
+            messages.push(message);
+        }
+        assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
+    }
 }
