@@ -743,6 +743,25 @@ mod tests {
         assert!(node.next_deadline().unwrap() > Instant::now());
     }
 
+    /// A second batch with the first id of one already held for the same
+    /// instant is rejected and holds nothing: ids are unique per run, so
+    /// only a forged or replayed frame brings one. The same id at another
+    /// instant, or another id at the same instant, is held.
+    #[test]
+    fn a_second_batch_with_a_held_first_id_at_the_same_instant_is_rejected() {
+        let base = TimeBase::new(TimeBase::epoch_now_micros());
+        let mut node = lone_node(FarTimer, base);
+        let at = base.now_ticks();
+        let from = ProcessId::new(0);
+        assert!(node.hold(at, from, msg(1), vec![()]));
+        assert!(!node.hold(at, from, msg(1), vec![()]), "duplicate held");
+        assert!(node.hold(at, from, msg(2), vec![()]));
+        assert!(node.hold(at + 1, from, msg(1), vec![()]));
+        thread::sleep(2 * MS);
+        let fired = std::iter::from_fn(|| node.fire_due(None).unwrap()).count();
+        assert_eq!(fired, 3, "the rejected duplicate must not be delivered");
+    }
+
     /// An event sent while `wait` polls is returned at once. The
     /// polling phase is entered directly, with a deadline far enough out
     /// that only the arrival can end it; the sender holds back until the
