@@ -2,8 +2,8 @@
 # Workspace gate: lints, the full test suite, and the parallel-runner
 # determinism test under a forced multi-worker pool. Run from the repo
 # root; any failure aborts. Pass --deep to additionally run the Miri
-# pass over the sim crate's unsafe-adjacent modules (slab, timers); it
-# needs a toolchain with the miri component installed.
+# pass over the sim crate's timer slab and node agenda (timers,
+# deadline); it needs a toolchain with the miri component installed.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -66,6 +66,13 @@ if grep -qE '^skewbound-(mc|shift) ' <<<"$net_tree"; then
   exit 1
 fi
 echo "skewbound-net: no skewbound-mc, no skewbound-shift"
+
+echo "== one node step (the engine fires node items, never a handler) =="
+if grep -nE '\.(on_invoke|on_timer|on_message_batch)\(' crates/sim/src/engine.rs; then
+  echo "crates/sim/src/engine.rs calls a node handler directly; fire the item through NodeCore" >&2
+  exit 1
+fi
+echo "engine: no direct on_invoke, on_timer or on_message_batch call"
 
 echo "== TCP loopback smoke (3-process mesh + closed-loop load + trace audit) =="
 cargo build --release -q -p skewbound-net
@@ -198,9 +205,9 @@ for workload in net-queue-mixed net-register-writes engine-sharded mc-register; 
 done
 
 if [ "$deep" -eq 1 ]; then
-  echo "== deep: Miri over sim slab/timers =="
+  echo "== deep: Miri over sim timers/deadline =="
   if cargo miri --version >/dev/null 2>&1; then
-    for module in slab timers; do
+    for module in timers deadline; do
       echo "-- miri: skewbound-sim ${module}::"
       cargo miri test -q -p skewbound-sim --lib "${module}::"
     done

@@ -18,7 +18,8 @@
 //!   reorder, but an inversion under a FIFO-claiming model is a bug);
 //! * `SB104` — every timer set is eventually fired or cancelled, and
 //!   every fire/cancel refers to an armed timer;
-//! * `SB105` — the engine's `leaked_payloads` counter is zero.
+//! * `SB105` — the engine's `leaked_payloads` counter is zero: no item
+//!   is left on a node's agenda or invocation queue at quiescence.
 //!
 //! The auditor is deliberately independent of the simulator's own
 //! runtime assertions: it consumes only the serialized trace, so it can
@@ -164,7 +165,7 @@ pub fn audit_events(events: &[Json], cfg: &AuditConfig) -> (Report, AuditSummary
                 diags.push(Diagnostic::new(
                     "SB105",
                     format!("line {line}"),
-                    format!("engine reported {value} payload slab slot(s) live at quiescence"),
+                    format!("engine reported {value} agenda item(s) or queued invocation(s) left at quiescence"),
                 ));
             }
             continue;

@@ -89,7 +89,7 @@ pub fn catalog() -> &'static [RuleMeta] {
             code: "SB105",
             name: "payload-leak",
             severity: Severity::Error,
-            summary: "no slab payload slots remain live at quiescence",
+            summary: "no agenda item or queued invocation is left at quiescence",
         },
     ];
     &CATALOG

@@ -20,11 +20,12 @@
 //!   frame, and per-sender watermark dedup making reconnect resends
 //!   exactly-once.
 //! * [`runtime`] — the typed layer: the [`Link`](skewbound_sim::transport::Link)
-//!   that encodes each outgoing batch into one frame for the wall-clock
-//!   core the real-thread runtime runs too
-//!   ([`WallNode`](skewbound_sim::deadline::WallNode): one agenda of
-//!   timers and held deliveries, one queue of invocations, and one run
-//!   loop, [`WallNode::run`](skewbound_sim::deadline::WallNode::run)),
+//!   that encodes each outgoing batch into one frame for the node the
+//!   engine and the real-thread runtime run too
+//!   ([`NodeCore`](skewbound_sim::node::NodeCore): one agenda of
+//!   timers and held deliveries, one queue of invocations, one step),
+//!   in the one wall-clock run loop,
+//!   [`WallNode::run`](skewbound_sim::deadline::WallNode::run),
 //!   the server — that loop over the mesh's arrivals, which files
 //!   them and answers each client request; generic over the actor and
 //!   the delay model, shared by the `skewbound-serve` binary and the

@@ -17,8 +17,10 @@
 //! ## Delay injection
 //!
 //! A loopback TCP hop takes tens of µs; the model wants delays in
-//! `[d − u, d]` ticks. The server runs the wall-clock core the
-//! real-thread runtime runs ([`WallNode`] over a [`WallTransport`]):
+//! `[d − u, d]` ticks. The server runs the node the engine and the
+//! real-thread runtime run, in the wall-clock loop the thread runtime
+//! runs too ([`WallNode`] over a [`Transport`] on the run's
+//! [`TimeBase`]):
 //! the *sender* asks the run's [`DelayModel`] for a delay, stamps it
 //! into the frame header, and the *receiver* holds the decoded batch on
 //! its agenda until `sent_at + delay` on the shared timebase. The one
@@ -54,7 +56,7 @@ use skewbound_sim::ids::{MsgId, ProcessId};
 use skewbound_sim::node::NodeCore;
 use skewbound_sim::time::{SimDuration, SimTime};
 use skewbound_sim::trace::TraceSink;
-use skewbound_sim::transport::{Link, TransportError, WallTransport, WireTransport};
+use skewbound_sim::transport::{Link, Transport, TransportError, WireTransport};
 use skewbound_sim::workload::{drive, Driver};
 
 use crate::tcp::{client_hello, next_frame, MeshListener, PeerSender, RawEvent, TcpMesh};
@@ -75,10 +77,10 @@ pub fn tighten_timer_slack() {
     let _ = std::fs::write("/proc/self/timerslack_ns", "1");
 }
 
-/// The mesh's [`Transport`](skewbound_sim::transport::Transport): the
-/// wall-clock transport the thread runtime uses too, handing each batch
-/// to a [`PeerSender`] as one encoded frame.
-pub type NetTransport<A, D> = WallTransport<A, PeerSender, D>;
+/// The mesh's [`Transport`]: the wall-clock transport the thread
+/// runtime uses too, handing each batch to a [`PeerSender`] as one
+/// encoded frame.
+pub type NetTransport<D> = Transport<D, PeerSender>;
 
 /// A batch travels as one [`FrameKind::Peer`] frame stamped with its
 /// send tick and injected delay; the receiver holds it until their sum.
@@ -90,6 +92,7 @@ impl<M: Encode> Link<M> for PeerSender {
         first_id: MsgId,
         sent: u64,
         delay: u64,
+        _seq: u64,
         msgs: Vec<M>,
     ) -> Result<(), TransportError> {
         let header = FrameHeader {
@@ -224,7 +227,7 @@ where
 ///
 /// The server is the one wall-clock loop, [`WallNode::run`], over the
 /// mesh's arrivals: client requests queue on the node and are admitted
-/// one at a time, timers and held batches fire in one nominal-time
+/// one at a time, timers and held batches fire in one `(instant, seq)`
 /// order, each anchored at its own instant, and each response goes back
 /// to the connection and request id it answers. Trace stamps stay
 /// actual time.
@@ -266,9 +269,8 @@ where
     );
     let grace = Duration::from_micros(2 * bounds.max().as_ticks());
     let base = TimeBase::new(cfg.epoch_micros);
-    let transport = NetTransport::new(cfg.pid, mesh.peer_sender(), base, delays);
-    let core = NodeCore::new(cfg.pid, cfg.n, actor);
-    let mut node = WallNode::new(core, transport, clocks.offset(cfg.pid));
+    let transport = NetTransport::new(cfg.pid, mesh.peer_sender(), base, clocks.clone(), delays);
+    let mut node = WallNode::new(NodeCore::new(cfg.pid, cfg.n, actor), transport);
     let mut dropped = 0;
     node.run(
         &mesh.event_rx,
@@ -497,7 +499,7 @@ mod tests {
     use skewbound_core::timestamp::Timestamp;
     use skewbound_sim::actor::Context;
     use skewbound_sim::delay::{FixedDelay, UniformDelay};
-    use skewbound_sim::time::{ClockOffset, ClockTime};
+    use skewbound_sim::time::ClockTime;
     use skewbound_sim::trace::{Trace, TraceEvent, TraceEventKind};
     use skewbound_spec::namespace::{Namespace, NsOp};
     use skewbound_spec::register::{RegOp, RegResp, RwRegister};
@@ -513,6 +515,7 @@ mod tests {
             _: MsgId,
             _: u64,
             _: u64,
+            _: u64,
             _: Vec<M>,
         ) -> Result<(), TransportError> {
             unreachable!("the test actor never sends")
@@ -526,8 +529,9 @@ mod tests {
     ) -> WallNode<A, NoLink, FixedDelay, (u64, u64)> {
         let pid = ProcessId::new(0);
         let one = DelayBounds::new(SimDuration::from_ticks(1), SimDuration::ZERO);
-        let transport = WallTransport::new(pid, NoLink, base, FixedDelay::maximal(one));
-        WallNode::new(NodeCore::new(pid, 2, actor), transport, ClockOffset::ZERO)
+        let clocks = ClockAssignment::zero(2);
+        let transport = Transport::new(pid, NoLink, base, clocks, FixedDelay::maximal(one));
+        WallNode::new(NodeCore::new(pid, 2, actor), transport)
     }
 
     /// A server's trace: its events and its counters.

@@ -1,33 +1,32 @@
-//! The wall-clock backend core: the one run loop the real-thread
-//! runtime ([`crate::rt`]) and the socket backend (`skewbound-net`)
-//! share.
+//! The wall-clock side of a node: the run clock, the agenda every node
+//! keeps, and the one wall-clock run loop the real-thread runtime
+//! ([`crate::rt`]) and the socket backend (`skewbound-net`) share.
 //!
-//! The discrete-event engine schedules on *nominal* time: a timer set
-//! with delay `δ` inside an activation at virtual time `t` expires at
-//! exactly `t + δ`, however long the host took to run the handler. The
-//! wall-clock backends get the same rule from the pieces here:
+//! A node's due order is the model's on every backend: a timer set with
+//! delay `δ` inside an activation at instant `t` expires at exactly
+//! `t + δ`, however long the host took to run the handler. The pieces:
 //!
 //! * [`TimeBase`] is the run clock: ticks are µs since the run epoch.
-//! * [`Agenda`] holds a node's armed timers and the delivery batches
-//!   waiting out their injected delay under absolute [`Instant`]s, and
-//!   pops them in one nominal-time order: instant first, timers before
-//!   deliveries on a tie, then id.
-//! * [`WallNode`] is one node: its [`NodeCore`], its [`WallTransport`],
-//!   its queue of invocations, its history and its drain state.
-//!   [`WallNode::run`] is the one wall-clock run loop; the backends
-//!   differ only in what arrives on its inbox. Its fire-due step
-//!   anchors each activation at the item's own instant — a timer's
-//!   deadline, a batch's `deliver_at` — so a timer armed while handling
-//!   it is due at `instant + δ` and the lateness of one wake-up is not
-//!   inherited by the next. Its drain rule says when the loop exits.
-//!   Its wait never reports a timeout early, and while an operation is
-//!   pending at the node it trades a bounded slice of CPU for
-//!   punctuality: sleep to one margin (150 µs) short of the deadline,
-//!   then poll.
+//! * [`Agenda`] holds a node's armed timers, the delivery batches
+//!   waiting out their injected delay and (on the engine) the
+//!   invocations scheduled at an instant, keyed on `(tick, seq)`, and
+//!   pops them in that one order: instant first, then the sequence
+//!   number the transport drew when the item was sent, armed or held.
+//! * [`WallNode`] is one node on the wall clock: its
+//!   [`NodeCore`], its own [`Transport`], its history and its drain
+//!   state. [`WallNode::run`] is the one wall-clock run loop; the
+//!   backends differ only in what arrives on its inbox. Each pass files
+//!   the arrivals, runs the node's one step
+//!   ([`NodeCore::step`]) at the wall clock's tick — every due item
+//!   anchored at its own instant, so the lateness of one wake-up is not
+//!   inherited by the next — applies the drain rule, and waits for the
+//!   next deadline. The wait never reports a timeout early, and while
+//!   an operation is pending at the node it trades a bounded slice of
+//!   CPU for punctuality: sleep to one margin (150 µs) short of the
+//!   deadline, then poll.
 
 use core::fmt;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -35,10 +34,10 @@ use crate::actor::Actor;
 use crate::delay::DelayModel;
 use crate::history::History;
 use crate::ids::{MsgId, ProcessId, TimerId};
-use crate::node::{Activation, NodeCore, Stamp};
-use crate::time::{instant_to_sim, ClockOffset, SimTime};
+use crate::node::NodeCore;
+use crate::time::{instant_to_sim, SimTime};
 use crate::trace::TraceSink;
-use crate::transport::{Link, TransportError, WallTransport};
+use crate::transport::{Link, Transport, TransportError};
 
 /// The shared run clock: ticks are µs since the run epoch.
 #[derive(Debug, Clone, Copy)]
@@ -86,7 +85,7 @@ impl TimeBase {
 
 /// One [`Agenda`] item.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Due<T, M> {
+pub enum Due<T, M, O> {
     /// Timer `id` expires.
     Timer(TimerId, T),
     /// A batch from `from`, holding the ids `first_id..first_id + k`,
@@ -99,84 +98,108 @@ pub enum Due<T, M> {
         /// The messages, in send order.
         msgs: Vec<M>,
     },
+    /// An invocation scheduled at its instant.
+    Invoke(O),
 }
 
-/// A node's timers and held deliveries, popped in one nominal-time
-/// order.
+/// A node's timers, held deliveries and scheduled invocations, popped in
+/// one order: `(tick, seq)`.
 ///
-/// One order for both kinds is what makes anchored arming safe after a
+/// One order for every kind is what makes anchored arming safe after a
 /// stall: a wake-up that finds a delivery and a younger timer both
 /// overdue replays them as the model prescribes, instead of letting a
-/// cascade of overdue timers run ahead of the older delivery. Keys are
-/// `(instant, is a delivery, id)`, so the map's order is the pop order.
+/// cascade of overdue timers run ahead of the older delivery. The engine
+/// draws every `seq` from one run-wide counter, so the least head
+/// across its nodes is the run's next event.
+///
+/// The items sit in a ring buffer sorted by key. An agenda holds a few
+/// items, and a new one is almost always due after all of them, so
+/// filing is a push at the back, popping one at the front, and a
+/// node's buffer is allocated once per run.
 #[derive(Debug)]
-pub struct Agenda<T, M> {
-    items: BTreeMap<(Instant, bool, u64), Due<T, M>>,
+pub struct Agenda<T, M, O> {
+    items: VecDeque<(Key, Due<T, M, O>)>,
 }
 
-impl<T, M> Default for Agenda<T, M> {
+/// An agenda key: the tick an item is due at, then its seq.
+type Key = (u64, u64);
+
+impl<T, M, O> Default for Agenda<T, M, O> {
     fn default() -> Self {
         Agenda {
-            items: BTreeMap::new(),
+            items: VecDeque::new(),
         }
     }
 }
 
-impl<T, M> Agenda<T, M> {
+impl<T, M, O> Agenda<T, M, O> {
     /// An empty agenda.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Arms timer `id` to expire at `at`.
-    pub fn arm(&mut self, at: Instant, id: TimerId, timer: T) {
-        let clash = self
-            .items
-            .insert((at, false, id.as_u64()), Due::Timer(id, timer));
-        assert!(clash.is_none(), "two timers share an instant and an id");
-    }
-
-    /// Holds a delivery batch until `at`. Returns `false`, holding
-    /// nothing, when a batch with the same first id is already held for
-    /// that instant: ids are unique per run, so only a forged frame can
-    /// bring one.
-    pub fn hold(&mut self, at: Instant, from: ProcessId, first_id: MsgId, msgs: Vec<M>) -> bool {
-        let Entry::Vacant(slot) = self.items.entry((at, true, first_id.as_u64())) else {
-            return false;
+    /// Files `item` at tick `at` under `seq`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an item is already filed under `(at, seq)`.
+    pub fn file(&mut self, at: u64, seq: u64, item: Due<T, M, O>) {
+        let Err(i) = self.position((at, seq)) else {
+            panic!("two agenda items share an instant and a seq");
         };
-        slot.insert(Due::Batch {
-            from,
-            first_id,
-            msgs,
-        });
-        true
+        self.items.insert(i, ((at, seq), item));
     }
 
     /// Removes timer `id` if it is still armed.
     pub fn cancel(&mut self, id: TimerId) {
         self.items
-            .retain(|&(_, batch, raw), _| batch || raw != id.as_u64());
+            .retain(|(_, item)| !matches!(item, Due::Timer(t, _) if *t == id));
     }
 
-    /// Pops the first item in agenda order if its instant is `≤ now`,
-    /// with that instant — the nominal instant of its activation.
-    pub fn pop_due(&mut self, now: Instant) -> Option<(Instant, Due<T, M>)> {
-        let first = self.items.first_entry().filter(|e| e.key().0 <= now)?;
-        let ((at, _, _), due) = first.remove_entry();
-        Some((at, due))
-    }
-
-    /// The earliest instant on the agenda.
+    /// The key `(tick, seq)` of the first item in agenda order.
     #[must_use]
-    pub fn next_deadline(&self) -> Option<Instant> {
-        self.items.keys().next().map(|&(at, _, _)| at)
+    pub fn head(&self) -> Option<(u64, u64)> {
+        self.items.front().map(|&(key, _)| key)
     }
 
-    /// `true` when nothing is armed or held.
+    /// Takes the item filed under `key` off the agenda.
+    pub fn take(&mut self, key: (u64, u64)) -> Option<Due<T, M, O>> {
+        let i = self.position(key).ok()?;
+        self.items.remove(i).map(|(_, item)| item)
+    }
+
+    /// Pops the first item in agenda order if its tick is `≤ now`, with
+    /// that tick — the anchor of its activation.
+    pub fn pop_due(&mut self, now: u64) -> Option<(u64, Due<T, M, O>)> {
+        let ((at, _), item) = self.items.pop_front_if(|((at, _), _)| *at <= now)?;
+        Some((at, item))
+    }
+
+    /// The items filed at tick `at`, in seq order, with their seqs.
+    pub fn at(&self, at: u64) -> impl Iterator<Item = (u64, &Due<T, M, O>)> {
+        let first = self.items.partition_point(|&(key, _)| key < (at, 0));
+        let items = self.items.range(first..);
+        items
+            .take_while(move |((t, _), _)| *t == at)
+            .map(|&((_, seq), ref item)| (seq, item))
+    }
+
+    /// The number of items on the agenda.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// `true` when nothing is filed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
+    }
+
+    /// Where `key` is filed, or where it would go.
+    fn position(&self, key: (u64, u64)) -> Result<usize, usize> {
+        self.items.binary_search_by_key(&key, |&(key, _)| key)
     }
 }
 
@@ -184,9 +207,8 @@ impl<T, M> Agenda<T, M> {
 /// state.
 const IDLE_POLL: Duration = Duration::from_millis(10);
 
-/// One node of a wall-clock backend: a [`NodeCore`], its
-/// [`WallTransport`], its queue of invocations, its history and the
-/// state of its drain.
+/// One node on the wall clock: a [`NodeCore`], its [`Transport`] on a
+/// [`TimeBase`], its history and the state of its drain.
 ///
 /// [`WallNode::run`] is the one wall-clock run loop. Its callers differ
 /// only in their inboxes — a worker's channel on threads, a socket mesh
@@ -194,45 +216,42 @@ const IDLE_POLL: Duration = Duration::from_millis(10);
 /// its caller: nothing on threads, the client's connection and request
 /// id on the mesh.
 pub struct WallNode<A: Actor, L, D, T> {
-    core: NodeCore<A>,
-    transport: WallTransport<A, L, D>,
-    offset: ClockOffset,
-    /// Invocations not yet admitted, in arrival order, each with its
-    /// caller's token.
-    queue: VecDeque<(T, A::Op)>,
-    /// The token of the pending operation.
-    in_flight: Option<T>,
+    core: NodeCore<A, T>,
+    transport: Transport<D, L>,
+    base: TimeBase,
     /// Every invocation this node ran, with its response.
     history: History<A::Op, A::Resp>,
     /// The drain's grace period, once the node has been told to stop.
     grace: Option<Duration>,
-    /// The last arrival or activation, for the drain's quiet period.
-    last_activity: Instant,
+    /// Since when the node has been idle with no arrival, for the
+    /// drain's quiet period.
+    quiet_since: Option<Instant>,
 }
 
 impl<A: Actor, L, D, T> fmt::Debug for WallNode<A, L, D, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WallNode")
             .field("core", &self.core)
-            .field("queued", &self.queue.len())
             .field("grace", &self.grace)
             .finish_non_exhaustive()
     }
 }
 
 impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
-    /// Wraps `core` around `transport`; every activation is stamped on
-    /// the transport's [`TimeBase`] with the local clock at `offset`.
-    pub fn new(core: NodeCore<A>, transport: WallTransport<A, L, D>, offset: ClockOffset) -> Self {
+    /// Runs `core` over `transport`, a wall-clock transport
+    /// ([`Transport::new`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `transport` runs on virtual time.
+    pub fn new(core: NodeCore<A, T>, transport: Transport<D, L>) -> Self {
         WallNode {
             core,
+            base: transport.base.expect("a wall node runs on a time base"),
             transport,
-            offset,
-            queue: VecDeque::new(),
-            in_flight: None,
             history: History::new(),
             grace: None,
-            last_activity: Instant::now(),
+            quiet_since: None,
         }
     }
 
@@ -249,16 +268,17 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
     /// 1. hands every arrival to `file` — an arrival that starts an
     ///    operation goes to [`WallNode::enqueue`], a delivery to
     ///    [`WallNode::hold`], an order to stop to [`WallNode::stop`] —
-    ///    so the fire-due step sees every delivery it has to place;
-    /// 2. fires every due agenda item, in agenda order;
-    /// 3. admits the first queued invocation once no operation is
-    ///    pending (the model's one pending operation per process), and
-    ///    goes round again, since it may have armed timers already due;
-    /// 4. exits by the drain rule, where `busy` reports whether an
+    ///    so the step sees every delivery it has to place;
+    /// 2. runs the node's one step ([`NodeCore::step`]) at the wall
+    ///    clock's tick: every due agenda item, then the first queued
+    ///    invocation once no operation is pending (the model's one
+    ///    pending operation per process);
+    /// 3. exits by the drain rule, where `busy` reports whether an
     ///    operation this node still has to answer for is pending
     ///    elsewhere;
-    /// 5. waits for the next arrival or deadline, polling the last
-    ///    stretch only while an operation is pending here.
+    /// 4. waits for the next arrival or the step's next deadline,
+    ///    polling the last stretch only while an operation is pending
+    ///    here.
     ///
     /// Every completion is handed to `done` with its invocation's token,
     /// its response and its response instant.
@@ -274,109 +294,45 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
         busy: impl Fn() -> bool,
         mut done: impl FnMut(T, &A::Resp, SimTime),
     ) -> Result<(), TransportError> {
-        self.activate(Instant::now(), |core, stamp, t, history| {
-            core.on_start(stamp, t, sink.as_deref_mut(), history)
-        })?;
+        let base = self.base;
+        self.core.start(
+            base.now_ticks(),
+            &mut self.transport,
+            sink.as_deref_mut(),
+            &mut self.history,
+        )?;
         let mut woken_by = None;
         loop {
             for event in woken_by.take().into_iter().chain(inbox.try_iter()) {
                 file(self, event);
             }
-            while let Some(act) = self.fire_due(sink.as_deref_mut())? {
-                self.finish(act, &mut done);
-            }
-            if self.core.pending_op().is_none() {
-                if let Some((token, op)) = self.queue.pop_front() {
-                    self.in_flight = Some(token);
-                    let act = self.activate(Instant::now(), |core, stamp, t, history| {
-                        core.on_invoke(stamp, op, t, sink.as_deref_mut(), history)
-                    })?;
-                    self.finish(act, &mut done);
-                    continue;
-                }
-            }
+            let next = self.core.step(
+                base.now_ticks(),
+                &mut self.transport,
+                sink.as_deref_mut(),
+                &mut self.history,
+                &mut done,
+            )?;
             let Some(cap) = self.drain_wait(busy()) else {
                 return Ok(());
             };
             let may_spin = self.core.pending_op().is_some();
-            woken_by = wait(inbox, self.next_deadline(), cap, may_spin).ok();
+            let deadline = next.and_then(|t| base.instant_for(t));
+            woken_by = wait(inbox, deadline, cap, may_spin).ok();
         }
     }
 
     /// Queues an invocation of `op`, to be answered with `token`.
     pub fn enqueue(&mut self, token: T, op: A::Op) {
-        self.queue.push_back((token, op));
-        self.touch();
-    }
-
-    /// The earliest instant on the agenda: the run loop's next deadline.
-    fn next_deadline(&self) -> Option<Instant> {
-        self.transport.agenda.next_deadline()
-    }
-
-    /// Runs one activation with nominal instant `anchor`, stamped now.
-    fn activate<R>(
-        &mut self,
-        anchor: Instant,
-        run: impl FnOnce(
-            &mut NodeCore<A>,
-            Stamp,
-            &mut WallTransport<A, L, D>,
-            &mut History<A::Op, A::Resp>,
-        ) -> R,
-    ) -> R {
-        self.transport.anchor = anchor;
-        self.last_activity = Instant::now();
-        let now = SimTime::from_ticks(self.transport.base.now_ticks());
-        let clock = now.to_clock(self.offset);
-        let stamp = Stamp { now, clock };
-        run(
-            &mut self.core,
-            stamp,
-            &mut self.transport,
-            &mut self.history,
-        )
-    }
-
-    /// Hands a completion to `done` with its invocation's token.
-    fn finish(&mut self, act: Activation, done: &mut impl FnMut(T, &A::Resp, SimTime)) {
-        if let Activation::Completed(op_id) = act {
-            let token = self
-                .in_flight
-                .take()
-                .expect("only admitted operations complete");
-            let rec = self.history.get(op_id).expect("completed op is recorded");
-            let (resp, at) = rec.response.as_ref().expect("completed op has a response");
-            done(token, resp, *at);
-        }
-    }
-
-    /// The one fire-due step: runs the first agenda item that is due,
-    /// anchored at its own instant, or returns `Ok(None)` when nothing
-    /// is. An activation may arm a timer that is already due; the next
-    /// call finds it in its place.
-    fn fire_due(
-        &mut self,
-        trace: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<Option<Activation>, TransportError> {
-        let Some((at, due)) = self.transport.agenda.pop_due(Instant::now()) else {
-            return Ok(None);
-        };
-        let act = self.activate(at, |core, stamp, t, history| match due {
-            Due::Timer(id, timer) => core.on_timer(stamp, id, timer, t, trace, history),
-            Due::Batch {
-                from,
-                first_id,
-                msgs,
-            } => core.on_message_batch(stamp, from, first_id, msgs, t, trace, history),
-        })?;
-        Ok(Some(act))
+        self.core.enqueue(token, op);
+        self.quiet_since = None;
     }
 
     /// Holds an arrived batch until tick `deliver_at` of the run's
     /// [`TimeBase`]. Returns `false`, holding nothing, when that tick
-    /// lies beyond any representable instant or the agenda already
-    /// holds the batch's id for it.
+    /// lies beyond any representable instant or a batch with the same
+    /// first id is already held for it: ids are unique per run, so only
+    /// a forged or replayed frame can bring one.
     pub fn hold(
         &mut self,
         deliver_at: u64,
@@ -384,38 +340,42 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
         first_id: MsgId,
         msgs: Vec<A::Msg>,
     ) -> bool {
-        let Some(at) = self.transport.base.instant_for(deliver_at) else {
+        let held = (self.core.agenda().at(deliver_at))
+            .any(|(_, item)| matches!(item, Due::Batch { first_id: f, .. } if *f == first_id));
+        if held || self.base.instant_for(deliver_at).is_none() {
             return false;
+        }
+        self.quiet_since = None;
+        let seq = self.transport.seq();
+        let batch = Due::Batch {
+            from,
+            first_id,
+            msgs,
         };
-        self.touch();
-        self.transport.agenda.hold(at, from, first_id, msgs)
-    }
-
-    /// Records an arrival the node did not activate on.
-    fn touch(&mut self) {
-        self.last_activity = Instant::now();
+        self.core.file(deliver_at, seq, batch);
+        true
     }
 
     /// Tells the node to stop once drained, after `grace` of quiet.
     pub fn stop(&mut self, grace: Duration) {
         self.grace = Some(grace);
-        self.touch();
+        self.quiet_since = None;
     }
 
     /// The one drain rule. A node exits once it has been told to stop,
     /// its agenda and its queue are empty, no operation is pending —
     /// neither here nor, as the caller reports through `busy`, anywhere
     /// it still has to answer for — and it has been quiet for the grace
-    /// period: then `None`. Otherwise, how long the run loop may wait
-    /// before looking again.
-    fn drain_wait(&self, busy: bool) -> Option<Duration> {
-        let idle = !busy
-            && self.core.pending_op().is_none()
-            && self.queue.is_empty()
-            && self.transport.agenda.is_empty();
+    /// period since its last arrival or activity: then `None`.
+    /// Otherwise, how long the run loop may wait before looking again.
+    fn drain_wait(&mut self, busy: bool) -> Option<Duration> {
+        let idle = !busy && self.core.pending_op().is_none() && self.core.backlog() == 0;
+        if !idle {
+            self.quiet_since = None;
+        }
         match self.grace {
             Some(grace) if idle => grace
-                .checked_sub(self.last_activity.elapsed())
+                .checked_sub(self.quiet_since.get_or_insert_with(Instant::now).elapsed())
                 .filter(|left| !left.is_zero()),
             _ => Some(IDLE_POLL),
         }
@@ -503,6 +463,7 @@ fn poll_until<E>(rx: &Receiver<E>, deadline: Instant) -> Result<E, RecvTimeoutEr
 mod tests {
     use super::*;
     use crate::actor::Context;
+    use crate::clock::ClockAssignment;
     use crate::delay::{DelayBounds, FixedDelay};
     use crate::time::SimDuration;
     use std::sync::mpsc::channel;
@@ -516,13 +477,14 @@ mod tests {
         MsgId::new(raw)
     }
 
-    const MS: Duration = Duration::from_millis(1);
+    const MS: u64 = 1_000;
+    const WAIT: Duration = Duration::from_millis(1);
     const P: ProcessId = ProcessId::new(1);
 
     /// An agenda of `&str` timers and `u8` messages.
-    type TestAgenda = Agenda<&'static str, u8>;
+    type TestAgenda = Agenda<&'static str, u8, ()>;
 
-    fn batch(first_id: u64) -> Due<&'static str, u8> {
+    fn batch(first_id: u64) -> Due<&'static str, u8, ()> {
         Due::Batch {
             from: P,
             first_id: msg(first_id),
@@ -530,21 +492,26 @@ mod tests {
         }
     }
 
+    fn timer(raw: u64, tag: &'static str) -> Due<&'static str, u8, ()> {
+        Due::Timer(id(raw), tag)
+    }
+
+    fn drain(agenda: &mut TestAgenda, now: u64) -> Vec<(u64, Due<&'static str, u8, ()>)> {
+        std::iter::from_fn(|| agenda.pop_due(now)).collect()
+    }
+
     #[test]
-    fn pop_due_orders_by_deadline_then_id() {
-        let t0 = Instant::now();
+    fn pop_due_orders_by_instant_then_seq() {
         let mut agenda = TestAgenda::new();
-        agenda.arm(t0 + 2 * MS, id(7), "late");
-        agenda.arm(t0 + MS, id(5), "tie, larger id");
-        agenda.arm(t0 + MS, id(3), "tie, smaller id");
-        let now = t0 + 10 * MS;
-        let order: Vec<_> = std::iter::from_fn(|| agenda.pop_due(now)).collect();
+        agenda.file(2 * MS, 0, timer(7, "late"));
+        agenda.file(MS, 2, timer(3, "tie, larger seq"));
+        agenda.file(MS, 1, timer(5, "tie, smaller seq"));
         assert_eq!(
-            order,
+            drain(&mut agenda, 10 * MS),
             vec![
-                (t0 + MS, Due::Timer(id(3), "tie, smaller id")),
-                (t0 + MS, Due::Timer(id(5), "tie, larger id")),
-                (t0 + 2 * MS, Due::Timer(id(7), "late")),
+                (MS, timer(5, "tie, smaller seq")),
+                (MS, timer(3, "tie, larger seq")),
+                (2 * MS, timer(7, "late")),
             ]
         );
         assert!(agenda.is_empty());
@@ -554,109 +521,89 @@ mod tests {
     /// overdue: the delivery goes first, as the model orders them.
     #[test]
     fn late_wakeup_replays_the_older_delivery_before_the_younger_timer() {
-        let t0 = Instant::now();
         let mut agenda = TestAgenda::new();
-        agenda.hold(t0 + 3 * MS, P, msg(9), vec![0]);
-        agenda.hold(t0 + MS, P, msg(4), vec![0]);
-        agenda.arm(t0 + 2 * MS, id(1), "timer");
-        let now = t0 + 50 * MS; // the stall
-        let order: Vec<_> = std::iter::from_fn(|| agenda.pop_due(now)).collect();
+        agenda.file(3 * MS, 0, batch(9));
+        agenda.file(MS, 1, batch(4));
+        agenda.file(2 * MS, 2, timer(1, "timer"));
         assert_eq!(
-            order,
+            drain(&mut agenda, 50 * MS), // the stall
             vec![
-                (t0 + MS, batch(4)),
-                (t0 + 2 * MS, Due::Timer(id(1), "timer")),
-                (t0 + 3 * MS, batch(9)),
+                (MS, batch(4)),
+                (2 * MS, timer(1, "timer")),
+                (3 * MS, batch(9))
             ]
         );
     }
 
+    /// On one instant the smaller seq goes first, whatever the kind or
+    /// the id: the order in which the items were sent, armed or held.
     #[test]
-    fn ties_go_to_the_timer_then_to_the_smaller_message_id() {
-        let at = Instant::now() + MS;
+    fn ties_go_to_the_smaller_seq() {
         let mut agenda = TestAgenda::new();
-        agenda.hold(at, P, msg(7), vec![0]);
-        agenda.hold(at, P, msg(2), vec![0]);
-        agenda.arm(at, id(9), "timer");
-        let order: Vec<_> = std::iter::from_fn(|| agenda.pop_due(at)).collect();
+        agenda.file(MS, 0, batch(7));
+        agenda.file(MS, 1, timer(9, "timer"));
+        agenda.file(MS, 2, batch(2));
         assert_eq!(
-            order,
-            vec![
-                (at, Due::Timer(id(9), "timer")),
-                (at, batch(2)),
-                (at, batch(7))
-            ]
+            drain(&mut agenda, MS),
+            vec![(MS, batch(7)), (MS, timer(9, "timer")), (MS, batch(2))]
         );
     }
 
     #[test]
     fn nothing_pops_before_its_deadline() {
-        let t0 = Instant::now();
         let mut agenda = TestAgenda::new();
-        agenda.hold(t0 + 2 * MS, P, msg(1), vec![0]);
-        agenda.arm(t0 + 3 * MS, id(1), "timer");
-        assert_eq!(agenda.next_deadline(), Some(t0 + 2 * MS));
-        assert!(agenda.pop_due(t0).is_none());
-        assert!(agenda
-            .pop_due(t0 + 2 * MS - Duration::from_nanos(1))
-            .is_none());
+        agenda.file(2 * MS, 0, batch(1));
+        agenda.file(3 * MS, 1, timer(1, "timer"));
+        assert_eq!(agenda.head(), Some((2 * MS, 0)));
+        assert!(agenda.pop_due(0).is_none());
+        assert!(agenda.pop_due(2 * MS - 1).is_none());
         // Exactly on its instant the batch is due; the timer is not yet.
-        assert_eq!(agenda.pop_due(t0 + 2 * MS), Some((t0 + 2 * MS, batch(1))));
-        assert!(agenda.pop_due(t0 + 2 * MS).is_none());
-        assert_eq!(agenda.next_deadline(), Some(t0 + 3 * MS));
+        assert_eq!(agenda.pop_due(2 * MS), Some((2 * MS, batch(1))));
+        assert!(agenda.pop_due(2 * MS).is_none());
+        assert_eq!(agenda.head(), Some((3 * MS, 1)));
         assert!(!agenda.is_empty());
     }
 
     #[test]
     fn cancel_removes_only_the_named_timer() {
-        let t0 = Instant::now();
         let mut agenda = TestAgenda::new();
-        agenda.arm(t0, id(1), "a");
-        agenda.arm(t0, id(2), "b");
+        agenda.file(0, 0, timer(1, "a"));
+        agenda.file(0, 1, timer(2, "b"));
         // A batch whose first id equals a timer id is not a timer.
-        agenda.hold(t0, P, msg(1), vec![0]);
+        agenda.file(0, 2, batch(1));
         agenda.cancel(id(1));
         agenda.cancel(id(9)); // never armed: a no-op
-        assert_eq!(agenda.pop_due(t0), Some((t0, Due::Timer(id(2), "b"))));
-        assert_eq!(agenda.pop_due(t0), Some((t0, batch(1))));
-        assert!(agenda.is_empty());
-        assert_eq!(agenda.next_deadline(), None);
+        assert_eq!(
+            drain(&mut agenda, 0),
+            vec![(0, timer(2, "b")), (0, batch(1))]
+        );
+        assert_eq!(agenda.head(), None);
     }
 
-    /// A chain armed at `anchor + delay` lands on the sum of its
-    /// delays, however late each link was popped.
-    #[test]
-    fn anchored_chain_lands_on_the_sum_of_its_delays() {
-        let a = Instant::now();
-        let (d1, d2) = (5 * MS, 7 * MS);
-        for lateness in [Duration::ZERO, 2 * MS, 400 * MS] {
-            let mut agenda = TestAgenda::new();
-            agenda.arm(a + d1, id(1), "first");
-            let now = a + d1 + lateness;
-            let (anchor, _) = agenda.pop_due(now).expect("first link is due");
-            assert_eq!(anchor, a + d1, "the popped deadline is the anchor");
-            agenda.arm(anchor + d2, id(2), "second");
-            assert_eq!(agenda.next_deadline(), Some(a + d1 + d2));
-        }
-    }
-
-    /// Arms a timer of `delay` ticks when a message is delivered.
+    /// Arms a timer of `delay` ticks when a message is delivered, and
+    /// responds to an invocation when its timer of `delay` ticks fires.
     #[derive(Debug)]
-    struct ArmOnDelivery {
+    struct Arming {
         delay: u64,
     }
 
-    impl Actor for ArmOnDelivery {
+    impl Actor for Arming {
         type Msg = ();
-        type Op = ();
-        type Resp = ();
-        type Timer = ();
+        type Op = u32;
+        type Resp = u32;
+        type Timer = Option<u32>;
 
-        fn on_invoke(&mut self, _op: (), _ctx: &mut Context<'_, Self>) {}
-        fn on_message(&mut self, _from: ProcessId, _msg: (), ctx: &mut Context<'_, Self>) {
-            ctx.set_timer(SimDuration::from_ticks(self.delay), ());
+        fn on_invoke(&mut self, op: u32, ctx: &mut Context<'_, Self>) {
+            ctx.set_timer(SimDuration::from_ticks(self.delay), Some(op));
         }
-        fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
+        fn on_message(&mut self, _from: ProcessId, _msg: (), ctx: &mut Context<'_, Self>) {
+            ctx.set_timer(SimDuration::from_ticks(self.delay), None);
+        }
+        fn on_timer(&mut self, op: Option<u32>, ctx: &mut Context<'_, Self>) {
+            if let Some(op) = op {
+                ctx.respond(op);
+            }
+        }
     }
 
     /// A link nobody sends through.
@@ -670,36 +617,103 @@ mod tests {
             _: MsgId,
             _: u64,
             _: u64,
+            _: u64,
             _: Vec<()>,
         ) -> Result<(), TransportError> {
             unreachable!("the test actor never sends")
         }
     }
 
-    /// A lone node of `actor` at process 1 of two that never sends.
-    fn lone_node<A: Actor<Msg = ()>>(
-        actor: A,
-        base: TimeBase,
-    ) -> WallNode<A, NoLink, FixedDelay, ()> {
-        let one = DelayBounds::new(SimDuration::from_ticks(1), SimDuration::ZERO);
-        let transport = WallTransport::new(P, NoLink, base, FixedDelay::maximal(one));
-        WallNode::new(NodeCore::new(P, 2, actor), transport, ClockOffset::ZERO)
+    fn one_tick() -> FixedDelay {
+        FixedDelay::maximal(DelayBounds::new(
+            SimDuration::from_ticks(1),
+            SimDuration::ZERO,
+        ))
+    }
+
+    /// A node of `actor` at process 1 of two on virtual time, with its
+    /// transport and its history.
+    type Virtual<A> = (
+        NodeCore<A, u32>,
+        Transport<FixedDelay, NoLink>,
+        History<<A as Actor>::Op, <A as Actor>::Resp>,
+    );
+
+    /// A delivery of one message from process 0.
+    fn delivery<Tm, O>() -> Due<Tm, (), O> {
+        Due::Batch {
+            from: ProcessId::new(0),
+            first_id: msg(1),
+            msgs: vec![()],
+        }
+    }
+
+    fn virtual_node<A: Actor<Msg = ()>>(actor: A) -> Virtual<A> {
+        let transport = Transport::virtual_time(NoLink, ClockAssignment::zero(2), one_tick());
+        (NodeCore::new(P, 2, actor), transport, History::new())
+    }
+
+    /// One step of `node` at `now`; returns the next deadline and the
+    /// tokens of the operations it completed.
+    fn step<A: Actor<Msg = ()>>(node: &mut Virtual<A>, now: u64) -> (Option<u64>, Vec<u32>) {
+        let mut done = Vec::new();
+        let (core, transport, history) = node;
+        let next = core
+            .step(now, transport, None, history, |token, _, _| {
+                done.push(token)
+            })
+            .unwrap();
+        (next, done)
     }
 
     /// A timer armed while handling a held delivery is due at
     /// `deliver_at + δ`, even when the delivery is popped late.
     #[test]
     fn a_timer_armed_by_a_late_delivery_is_due_at_deliver_at_plus_its_delay() {
-        let base = TimeBase::new(TimeBase::epoch_now_micros());
-        let mut node = lone_node(ArmOnDelivery { delay: 3_000 }, base);
-        let deliver_at = base.now_ticks() + 1_000;
-        assert!(node.hold(deliver_at, ProcessId::new(0), msg(1), vec![()]));
-        let held_until = base.instant_for(deliver_at).unwrap();
-        assert_eq!(node.next_deadline(), Some(held_until));
-        // Pop the delivery well after its instant.
-        thread::sleep(held_until.saturating_duration_since(Instant::now()) + 5 * MS);
-        assert_eq!(node.fire_due(None).unwrap(), Some(Activation::Ran));
-        assert_eq!(node.next_deadline(), Some(held_until + 3 * MS));
+        let mut node = virtual_node(Arming { delay: 30 * MS });
+        let deliver_at = MS;
+        node.0.file(deliver_at, 0, delivery());
+        assert_eq!(step(&mut node, 0).0, Some(deliver_at));
+        // Pop the delivery 5 ms after its instant.
+        assert_eq!(
+            step(&mut node, deliver_at + 5 * MS).0,
+            Some(deliver_at + 30 * MS)
+        );
+    }
+
+    /// Arms a timer of 5 ms at start, and one of 500 ms when it fires.
+    #[derive(Debug)]
+    struct Chain;
+
+    impl Actor for Chain {
+        type Msg = ();
+        type Op = ();
+        type Resp = ();
+        type Timer = u64;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
+            ctx.set_timer(SimDuration::from_ticks(5 * MS), 500 * MS);
+        }
+        fn on_invoke(&mut self, _op: (), _ctx: &mut Context<'_, Self>) {}
+        fn on_message(&mut self, _from: ProcessId, _msg: (), _ctx: &mut Context<'_, Self>) {}
+        fn on_timer(&mut self, next: u64, ctx: &mut Context<'_, Self>) {
+            if next > 0 {
+                ctx.set_timer(SimDuration::from_ticks(next), 0);
+            }
+        }
+    }
+
+    /// A chain armed at `anchor + delay` lands on the sum of its
+    /// delays, however late each link was popped.
+    #[test]
+    fn anchored_chain_lands_on_the_sum_of_its_delays() {
+        for lateness in [0, 2 * MS, 400 * MS] {
+            let mut node = virtual_node(Chain);
+            let (core, transport, history) = &mut node;
+            core.start(0, transport, None, history).unwrap();
+            assert_eq!(step(&mut node, 0).0, Some(5 * MS));
+            assert_eq!(step(&mut node, 5 * MS + lateness).0, Some(505 * MS));
+        }
     }
 
     /// Arms one far-off timer at start; ignores deliveries.
@@ -720,27 +734,60 @@ mod tests {
         fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
     }
 
-    /// The fire-due step runs neither a held batch nor a timer before
-    /// its instant; on the batch's instant the batch runs and the later
-    /// timer stays armed.
+    /// The step runs neither a held batch nor a timer before its
+    /// instant; on the batch's instant the batch runs and the later timer
+    /// stays armed.
     #[test]
     fn nothing_is_due_before_its_instant() {
-        let base = TimeBase::new(TimeBase::epoch_now_micros());
-        let mut node = lone_node(FarTimer, base);
-        node.activate(Instant::now(), |core, stamp, t, history| {
-            core.on_start(stamp, t, None, history)
-        })
-        .unwrap();
-        let deliver_at = base.now_ticks() + 200_000;
-        assert!(node.hold(deliver_at, ProcessId::new(0), msg(1), vec![()]));
-        let held_until = base.instant_for(deliver_at).unwrap();
-        assert_eq!(node.next_deadline(), Some(held_until));
-        assert_eq!(node.fire_due(None).unwrap(), None);
-        thread::sleep(held_until.saturating_duration_since(Instant::now()));
+        let mut node = virtual_node(FarTimer);
+        let (core, transport, history) = &mut node;
+        core.start(0, transport, None, history).unwrap();
+        let deliver_at = 200 * MS;
+        node.0.file(deliver_at, 1, delivery());
+        assert_eq!(step(&mut node, deliver_at - 1).0, Some(deliver_at));
+        assert_eq!(node.0.backlog(), 2);
         // The batch comes due first; the timer is not yet.
-        assert_eq!(node.fire_due(None).unwrap(), Some(Activation::Ran));
-        assert_eq!(node.fire_due(None).unwrap(), None);
-        assert!(node.next_deadline().unwrap() > Instant::now());
+        assert_eq!(step(&mut node, deliver_at).0, Some(60_000_000));
+        assert_eq!(node.0.backlog(), 1);
+    }
+
+    /// The admission rule: invocations queued while one is pending wait.
+    /// The next is admitted in the step that files the pending one's
+    /// response, and never before; the one after it waits again.
+    #[test]
+    fn a_queued_invocation_is_admitted_in_the_step_that_files_the_response() {
+        let mut node = virtual_node(Arming { delay: MS });
+        node.0.enqueue(1, 10);
+        assert_eq!(step(&mut node, 0), (Some(MS), vec![]));
+        node.0.enqueue(2, 20);
+        node.0.enqueue(3, 30);
+        for now in [0, MS / 2, MS - 1] {
+            assert_eq!(step(&mut node, now), (Some(MS), vec![]));
+            assert_eq!(node.2.len(), 1, "admitted while an op was pending");
+        }
+        // The first responds at MS; the second starts in the same step.
+        assert_eq!(step(&mut node, MS), (Some(2 * MS), vec![1]));
+        let invoked: Vec<_> = node
+            .2
+            .records()
+            .iter()
+            .map(|r| (r.op, r.invoked_at))
+            .collect();
+        assert_eq!(
+            invoked,
+            [(10, SimTime::ZERO), (20, SimTime::from_ticks(MS))]
+        );
+        assert_eq!(node.0.backlog(), 2, "the third waits on the second");
+        assert_eq!(step(&mut node, 2 * MS), (Some(3 * MS), vec![2]));
+        assert_eq!(step(&mut node, 3 * MS), (None, vec![3]));
+        assert!(node.2.is_complete());
+    }
+
+    /// A wall node of `FarTimer` at process 1 of two that never sends.
+    fn wall_node(base: TimeBase) -> WallNode<FarTimer, NoLink, FixedDelay, ()> {
+        let clocks = ClockAssignment::zero(2);
+        let transport = Transport::new(P, NoLink, base, clocks, one_tick());
+        WallNode::new(NodeCore::new(P, 2, FarTimer), transport)
     }
 
     /// A second batch with the first id of one already held for the same
@@ -750,16 +797,14 @@ mod tests {
     #[test]
     fn a_second_batch_with_a_held_first_id_at_the_same_instant_is_rejected() {
         let base = TimeBase::new(TimeBase::epoch_now_micros());
-        let mut node = lone_node(FarTimer, base);
+        let mut node = wall_node(base);
         let at = base.now_ticks();
         let from = ProcessId::new(0);
         assert!(node.hold(at, from, msg(1), vec![()]));
         assert!(!node.hold(at, from, msg(1), vec![()]), "duplicate held");
         assert!(node.hold(at, from, msg(2), vec![()]));
         assert!(node.hold(at + 1, from, msg(1), vec![()]));
-        thread::sleep(2 * MS);
-        let fired = std::iter::from_fn(|| node.fire_due(None).unwrap()).count();
-        assert_eq!(fired, 3, "the rejected duplicate must not be delivered");
+        assert_eq!(node.core.backlog(), 3, "the rejected duplicate is held");
     }
 
     /// An event sent while `wait` polls is returned at once. The
@@ -806,19 +851,19 @@ mod tests {
         let start = Instant::now();
         // No deadline: the cap is the whole wait.
         assert_eq!(
-            wait(&rx, None, 2 * MS, true),
+            wait(&rx, None, 2 * WAIT, true),
             Err(RecvTimeoutError::Timeout)
         );
-        assert!(start.elapsed() >= 2 * MS);
+        assert!(start.elapsed() >= 2 * WAIT);
         // A deadline beyond the cap: the cap ends the wait first.
         let start = Instant::now();
         let far = start + Duration::from_secs(60);
         assert_eq!(
-            wait(&rx, Some(far), 2 * MS, true),
+            wait(&rx, Some(far), 2 * WAIT, true),
             Err(RecvTimeoutError::Timeout)
         );
         let took = start.elapsed();
-        assert!(took >= 2 * MS && took < Duration::from_secs(1));
+        assert!(took >= 2 * WAIT && took < Duration::from_secs(1));
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! The deterministic discrete-event scheduler.
 //!
-//! This module is one of the two backends over the shared
-//! [`NodeCore`]: it decides *when* each process
-//! activates, while the node core decides *what* an activation does
-//! (handler dispatch, effect draining, the one-pending-op invariant,
-//! timer generations, trace emission, history recording — see
-//! [`crate::node`]). The engine's own job is reduced to a virtual-time
-//! event queue: a private `VirtualTransport` implementing
-//! [`Transport`](crate::transport::Transport) assigns every send a
-//! delay from the [`DelayModel`] and pops deliveries, timer expiries
-//! and invocations back in deterministic `(time, seq)` order. The
-//! queue is a `BinaryHeap` of `Copy` tags keyed on the unique
-//! `(time, seq)`; payloads live in generation-stamped slabs
-//! ([`crate::slab`]) whose slots recycle, so steady-state scheduling
-//! allocates nothing.
+//! The engine runs `n` [`NodeCore`]s — the node the wall-clock backends
+//! and the served binary run too — on one virtual clock. It decides
+//! only *which* node acts next; the node decides *what* an activation
+//! does (handler dispatch, effect draining, the one-pending-op
+//! invariant, timer generations, trace emission, history recording —
+//! see [`crate::node`]). All nodes share one [`Transport`] on virtual
+//! time: it draws every delay from the one [`DelayModel`] in global send
+//! order, allocates message ids from 0 across the run, draws every
+//! agenda sequence number from one run-wide counter, and its link files
+//! each sent batch onto its destination's agenda at `sent + delay`. An
+//! invocation is an agenda item at its instant. So the least
+//! `(instant, seq)` head across the nodes' agendas is the run's next
+//! event, and the engine fires exactly that item.
 //!
 //! Identical inputs (actors, clocks, delay model, schedule, driver)
 //! always produce identical runs: events at equal real times are
@@ -22,7 +21,7 @@
 //!
 //! The engine enforces the model of Chapter III:
 //!
-//! * at most one pending operation per process (via the node core);
+//! * at most one pending operation per process (via the node);
 //! * every message delay within `[d − u, d]` (the bounds are validated
 //!   at construction and every draw is checked, as on the wall-clock
 //!   backends);
@@ -31,19 +30,20 @@
 //!
 //! [`run_history`] is the engine's entry of the one harness signature
 //! `(actors, clocks, delays, driver)`. The real-thread counterpart is
-//! [`crate::rt::run_history`], which drives the same node core from OS
-//! threads, each holding its deliveries until due.
+//! [`crate::rt::run_history`], which runs the same nodes on OS threads,
+//! each stepping on the wall clock.
 
 use crate::actor::Actor;
 use crate::clock::ClockAssignment;
+use crate::deadline::Due;
 use crate::delay::DelayModel;
 use crate::history::History;
-use crate::ids::{MsgId, ProcessId, TimerId};
-use crate::node::{Activation, NodeCore, Stamp};
+use crate::ids::{MsgId, ProcessId};
+use crate::node::{Item, NodeCore};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceSink;
-use crate::transport::{EvSlot, EvTag, Queued, TransportError, VirtualTransport};
-use crate::workload::Driver;
+use crate::transport::{Link, Transport, TransportError};
+use crate::workload::{Driver, NoDriver};
 
 /// The run loops abort after this many processed events (guards
 /// against actors that set timers forever).
@@ -93,11 +93,8 @@ pub struct SimReport {
     pub events: u64,
     /// Real time of the last processed event.
     pub end_time: SimTime,
-    /// Payload-arena slots (invoke / batch / timer) still live
-    /// when the run loop returned. Every pop takes its payload out of
-    /// the owning slab — stale timers included — so a quiescent run must
-    /// report zero; anything else means a payload leaked (also asserted
-    /// in debug builds at end of run).
+    /// Items left on the nodes' agendas and invocation queues when the
+    /// run loop returned: zero on every quiescent run.
     pub leaked_payloads: u64,
 }
 
@@ -121,21 +118,6 @@ pub struct MsgEvent {
     pub recv_at: SimTime,
 }
 
-pub(crate) enum EventKind<A: Actor> {
-    Invoke {
-        op: A::Op,
-    },
-    DeliverBatch {
-        from: ProcessId,
-        first_id: MsgId,
-        msgs: Vec<A::Msg>,
-    },
-    Timer {
-        id: TimerId,
-        timer: A::Timer,
-    },
-}
-
 /// Read-only view of one schedulable event, as presented to a
 /// [`SchedulePolicy`] by [`Simulation::run_scheduled`].
 ///
@@ -153,8 +135,7 @@ pub enum EventView<'a, A: Actor> {
         op: &'a A::Op,
     },
     /// Delivery of a message batch at `pid`: the messages of one send, a
-    /// single send being a batch of one
-    /// (see [`Transport::send_batch`](crate::transport::Transport::send_batch)).
+    /// single send being a batch of one.
     DeliverBatch {
         /// Stable event identity within a deterministic replay.
         seq: u64,
@@ -168,8 +149,8 @@ pub enum EventView<'a, A: Actor> {
         /// The payloads, in send order.
         msgs: &'a [A::Msg],
     },
-    /// A live timer expiry at `pid` (stale expiries are filtered out
-    /// before the policy sees the batch).
+    /// A timer expiry at `pid` (a cancel takes the expiry off the
+    /// agenda, so the policy never sees a stale one).
     Timer {
         /// Stable event identity within a deterministic replay.
         seq: u64,
@@ -246,8 +227,9 @@ pub enum ScheduleDecision {
 /// Chooses which of the events enabled at the current instant runs next.
 ///
 /// [`Simulation::run_scheduled`] consults the policy with the batch
-/// of *all* queued events sharing the minimal real time, in the engine's
-/// default (FIFO schedule) order — index 0 reproduces the default run.
+/// of *all* agenda items sharing the minimal real time, across every
+/// node, in the engine's default `seq` order — index 0 reproduces the
+/// default run.
 /// This is the replayable hook model-checking explorers drive: choices
 /// are deterministic functions of the prefix, so identical choice
 /// sequences replay identical runs.
@@ -305,18 +287,67 @@ impl<A: Actor> SchedulePolicy<A> for FifoPolicy {
 /// ```
 pub struct Simulation<A: Actor, D: DelayModel> {
     nodes: Vec<NodeCore<A>>,
-    transport: VirtualTransport<A, D>,
+    transport: Transport<D, Outbox<A>>,
+    now: SimTime,
     started: bool,
     history: History<A::Op, A::Resp>,
     trace: Option<Box<dyn TraceSink>>,
+}
+
+/// The engine's [`Link`]: each batch a node sends waits here, keyed on
+/// its delivery instant and seq, until the activation that sent it
+/// returns and the engine files it onto the destination's agenda. It
+/// logs every message's metadata when asked.
+struct Outbox<A: Actor> {
+    sent: Vec<(ProcessId, u64, u64, Item<A, ()>)>,
+    /// Send metadata, recorded only while `log_messages` — the log grows
+    /// with every send, which checkers need and sweeps do not.
+    log: Vec<MsgEvent>,
+    log_messages: bool,
+}
+
+impl<A: Actor> Link<A::Msg> for Outbox<A> {
+    fn hand_off(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        first_id: MsgId,
+        sent: u64,
+        delay: u64,
+        seq: u64,
+        msgs: Vec<A::Msg>,
+    ) -> Result<(), TransportError> {
+        let (sent_at, delay) = (SimTime::from_ticks(sent), SimDuration::from_ticks(delay));
+        let recv_at = sent_at + delay;
+        if self.log_messages {
+            // The log stays per-message (checkers pair ids one-to-one);
+            // all entries of a batch share the send/recv instants.
+            self.log
+                .extend((first_id.as_u64()..).take(msgs.len()).map(|id| MsgEvent {
+                    id: MsgId::new(id),
+                    from,
+                    to,
+                    sent_at,
+                    delay,
+                    recv_at,
+                }));
+        }
+        let batch = Due::Batch {
+            from,
+            first_id,
+            msgs,
+        };
+        self.sent.push((to, recv_at.as_ticks(), seq, batch));
+        Ok(())
+    }
 }
 
 impl<A: Actor, D: DelayModel> core::fmt::Debug for Simulation<A, D> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Simulation")
             .field("n", &self.nodes.len())
-            .field("now", &self.transport.now)
-            .field("queued_events", &self.transport.queue.len())
+            .field("now", &self.now)
+            .field("queued_events", &self.backlog())
             .field("ops_recorded", &self.history.len())
             .finish_non_exhaustive()
     }
@@ -333,19 +364,18 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     pub fn new(actors: Vec<A>, clocks: ClockAssignment, delays: D) -> Self {
         clocks.assert_covers(actors.len());
         let n = actors.len();
+        let outbox = Outbox {
+            sent: Vec::with_capacity(n),
+            log: Vec::new(),
+            log_messages: false,
+        };
         Simulation {
-            nodes: actors
-                .into_iter()
-                .enumerate()
-                .map(|(i, actor)| {
-                    NodeCore::new(
-                        ProcessId::new(u32::try_from(i).expect("pid fits u32")),
-                        n,
-                        actor,
-                    )
-                })
+            nodes: ProcessId::all(n)
+                .zip(actors)
+                .map(|(pid, actor)| NodeCore::new(pid, n, actor))
                 .collect(),
-            transport: VirtualTransport::new(clocks, delays, n),
+            transport: Transport::virtual_time(outbox, clocks, delays),
+            now: SimTime::ZERO,
             started: false,
             history: History::new(),
             trace: None,
@@ -406,7 +436,10 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     /// checkers need but measurement sweeps should not pay for. Call
     /// before running; sends made while disabled are not logged.
     pub fn enable_msg_log(&mut self) {
-        self.transport.enable_msg_log();
+        let outbox = &mut self.transport.link;
+        outbox.log_messages = true;
+        // Every broadcast appends n − 1 entries.
+        outbox.log.reserve(16 * self.nodes.len());
     }
 
     /// Metadata of every message sent while logging was enabled (see
@@ -414,7 +447,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     /// logging was never enabled.
     #[must_use]
     pub fn message_log(&self) -> &[MsgEvent] {
-        &self.transport.msg_log
+        &self.transport.link.log
     }
 
     /// The delay model — e.g. to inspect an enumerated model's state
@@ -427,22 +460,20 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     /// Current simulated real time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.transport.now
+        self.now
     }
 
     /// Schedules an operation invocation at process `pid` at real time
-    /// `at`.
+    /// `at`: an agenda item of the node at that instant.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the simulated past or `pid` is out of range.
     pub fn schedule_invoke(&mut self, pid: ProcessId, at: SimTime, op: A::Op) {
         assert!(pid.index() < self.n(), "{pid} out of range");
-        assert!(
-            at >= self.transport.now,
-            "cannot schedule an invocation in the past"
-        );
-        self.transport.push_invoke(pid, at, op);
+        assert!(at >= self.now, "cannot schedule an invocation in the past");
+        let seq = self.transport.seq();
+        self.nodes[pid.index()].file(at.as_ticks(), seq, Due::Invoke(((), op)));
     }
 
     /// Runs to quiescence with no closed-loop driver.
@@ -452,7 +483,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     /// Returns [`SimError::EventCapExceeded`] if the [`MAX_EVENTS`] cap
     /// is hit first.
     pub fn run(&mut self) -> Result<SimReport, SimError> {
-        self.run_with(&mut crate::workload::NoDriver)
+        self.run_with(&mut NoDriver)
     }
 
     /// Runs to quiescence, consulting `driver` for closed-loop workloads:
@@ -479,30 +510,27 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         for (pid, at, op) in driver.initial() {
             self.schedule_invoke(pid, at, op);
         }
-        self.start_nodes(driver)?;
+        self.start_nodes()?;
         let mut events = 0u64;
-        while let Some(Queued { at, tag, .. }) = self.transport.queue.pop() {
+        while let Some((key, i)) = self.next_event() {
             events += 1;
             if events > cap {
                 return Err(SimError::EventCapExceeded);
             }
-            self.dispatch_event(at, tag, driver)?;
+            self.fire(i, key, driver)?;
         }
-        self.emit_run_counters(events);
-        Ok(self.finish_report(events))
+        Ok(self.finish(events))
     }
 
     /// Runs to quiescence with no driver, consulting `policy` for the
     /// order of same-time events — the replayable scheduler hook for
     /// model-checking explorers.
     ///
-    /// At every step, *all* queued events sharing the minimal real time
-    /// are collected into a batch (in the engine's deterministic FIFO
-    /// order), stale timer expiries are dropped, and the policy picks one
-    /// to process; the rest are re-queued unchanged. With [`FifoPolicy`]
-    /// this path produces exactly the history [`Simulation::run`] does;
-    /// the separate hot path in `run_with` exists because plain runs
-    /// never pay for the batching.
+    /// At every step the policy is shown *every* node's agenda items at
+    /// the minimal real time, in the engine's `seq` order, and the one
+    /// it picks is fired; the rest never leave their agendas. With
+    /// [`FifoPolicy`] this path produces exactly the run
+    /// [`Simulation::run`] does.
     ///
     /// # Errors
     ///
@@ -517,220 +545,137 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     where
         P: SchedulePolicy<A> + ?Sized,
     {
-        let driver = &mut crate::workload::NoDriver;
-        self.start_nodes(driver)?;
+        self.start_nodes()?;
         let mut events = 0u64;
-        let mut batch: Vec<Queued> = Vec::new();
-        while let Some(first) = self.transport.queue.pop() {
-            let at = first.at;
-            batch.clear();
-            batch.push(first);
-            while self.transport.queue.peek().is_some_and(|e| e.at == at) {
-                batch.extend(self.transport.queue.pop());
-            }
-            // The heap pops in (at, seq) order, so the batch is already
-            // in the engine's default FIFO order. Stale timer expiries
-            // are not schedulable events — drop them (and free their
-            // payload slots) before the policy looks.
-            {
-                let nodes = &self.nodes;
-                let transport = &mut self.transport;
-                batch.retain(|&Queued { tag, .. }| match tag.kind {
-                    EvSlot::Timer => {
-                        let id = transport.timer_payloads.get(tag.slot).0;
-                        if nodes[tag.pid.index()].timers().is_live(id) {
-                            true
-                        } else {
-                            let _ = transport.timer_payloads.take(tag.slot);
-                            false
-                        }
-                    }
-                    _ => true,
-                });
-            }
-            if batch.is_empty() {
-                continue;
-            }
-            let chosen = {
-                let views: Vec<EventView<'_, A>> = batch
+        while let Some(((at, _), _)) = self.next_event() {
+            let (pid, seq) = {
+                let mut enabled: Vec<EventView<'_, A>> = self
+                    .nodes
                     .iter()
-                    .map(|&Queued { seq, tag, .. }| match tag.kind {
-                        EvSlot::Invoke => EventView::Invoke {
-                            seq,
-                            pid: tag.pid,
-                            op: self.transport.ops.get(tag.slot),
-                        },
-                        EvSlot::DeliverBatch => {
-                            let p = self.transport.batches.get(tag.slot);
-                            EventView::DeliverBatch {
-                                seq,
-                                pid: tag.pid,
-                                from: p.from,
-                                first_id: p.first_id,
-                                msgs: &p.msgs,
-                            }
-                        }
-                        EvSlot::Timer => EventView::Timer { seq, pid: tag.pid },
+                    .flat_map(|node| {
+                        let pid = node.pid();
+                        node.agenda()
+                            .at(at)
+                            .map(move |(seq, item)| view(pid, seq, item))
                     })
                     .collect();
-                match policy.choose(at, &views) {
+                enabled.sort_unstable_by_key(EventView::seq);
+                match policy.choose(SimTime::from_ticks(at), &enabled) {
                     ScheduleDecision::Take(i) => {
-                        assert!(
-                            i < batch.len(),
-                            "schedule policy chose event {i} of {}",
-                            batch.len()
-                        );
-                        i
+                        let chosen = enabled.get(i).unwrap_or_else(|| {
+                            panic!("schedule policy chose event {i} of {}", enabled.len())
+                        });
+                        (chosen.pid(), chosen.seq())
                     }
                     ScheduleDecision::Abort => return Err(SimError::PolicyAbort),
                 }
             };
-            let chosen_tag = batch.remove(chosen).tag;
-            self.transport.queue.extend(batch.drain(..));
             events += 1;
             if events > MAX_EVENTS {
                 return Err(SimError::EventCapExceeded);
             }
-            self.dispatch_event(at, chosen_tag, driver)?;
+            self.fire(pid.index(), (at, seq), &mut NoDriver)?;
         }
-        self.emit_run_counters(events);
-        Ok(self.finish_report(events))
+        Ok(self.finish(events))
     }
 
-    /// Builds the end-of-run report and performs the payload-leak check:
-    /// the event queue is empty here, so every invoke/batch/timer
-    /// payload must have been taken out of its arena.
-    fn finish_report(&self, events: u64) -> SimReport {
-        let leaked = self.transport.live_payloads();
-        debug_assert_eq!(
-            leaked, 0,
-            "event queue drained but {leaked} payload slab slot(s) still live"
-        );
+    /// The key of the least `(instant, seq)` agenda head across the
+    /// nodes, with the node's index: the run's next event.
+    fn next_event(&self) -> Option<((u64, u64), usize)> {
+        let heads = self.nodes.iter().enumerate();
+        heads
+            .filter_map(|(i, node)| Some((node.agenda().head()?, i)))
+            .min()
+    }
+
+    /// Items left on the nodes' agendas and queues.
+    fn backlog(&self) -> u64 {
+        self.nodes.iter().map(|node| node.backlog() as u64).sum()
+    }
+
+    /// Emits the end-of-run counters and builds the report.
+    fn finish(&mut self, events: u64) -> SimReport {
+        let leaked = self.backlog();
+        if let Some(sink) = self.trace.as_deref_mut() {
+            sink.counter("engine", "events", events);
+            sink.counter("engine", "messages", self.transport.next_msg);
+            // Zero on every quiescent run; the offline trace auditor
+            // turns a nonzero reading into an SB105 diagnostic.
+            sink.counter("engine", "leaked_payloads", leaked);
+        }
         SimReport {
             events,
-            end_time: self.transport.now,
-            leaked_payloads: leaked as u64,
+            end_time: self.now,
+            leaked_payloads: leaked,
         }
     }
 
     /// Runs every node's `on_start` hook once, at the start of the first
     /// run call.
-    fn start_nodes<Dr>(&mut self, driver: &mut Dr) -> Result<(), SimError>
-    where
-        Dr: Driver<A::Op, A::Resp> + ?Sized,
-    {
+    fn start_nodes(&mut self) -> Result<(), SimError> {
         if self.started {
             return Ok(());
         }
         self.started = true;
         for i in 0..self.nodes.len() {
-            let pid = self.nodes[i].pid();
-            let stamp = self.stamp(pid);
-            let act = self.nodes[i].on_start(
-                stamp,
-                &mut self.transport,
-                self.trace.as_deref_mut(),
-                &mut self.history,
-            )?;
-            self.after_activation(pid, act, driver);
+            let trace = self.trace.as_deref_mut();
+            let now = self.now.as_ticks();
+            self.nodes[i].start(now, &mut self.transport, trace, &mut self.history)?;
+            file_sent(&mut self.nodes, &mut self.transport.link);
         }
         Ok(())
     }
 
-    /// The (real time, local clock) stamp of an activation at `pid` at
-    /// the current instant.
-    fn stamp(&self, pid: ProcessId) -> Stamp {
-        Stamp {
-            now: self.transport.now,
-            clock: self.transport.clocks.clock_at(pid, self.transport.now),
-        }
-    }
-
-    fn emit_run_counters(&mut self, events: u64) {
-        if let Some(sink) = self.trace.as_deref_mut() {
-            sink.counter("engine", "events", events);
-            sink.counter("engine", "messages", self.transport.next_msg_id);
-            // Zero on every honest run; the offline trace auditor turns a
-            // nonzero reading into an SB105 payload-leak diagnostic.
-            sink.counter(
-                "engine",
-                "leaked_payloads",
-                self.transport.live_payloads() as u64,
-            );
-        }
-    }
-
-    /// Advances time to the event, takes its payload out of the slabs
-    /// and activates the node core. Stale timer expiries (cancelled
-    /// after queueing) are dropped silently by the node's slab
-    /// generation check.
-    #[inline]
-    fn dispatch_event<Dr>(
-        &mut self,
-        at: SimTime,
-        tag: EvTag,
-        driver: &mut Dr,
-    ) -> Result<(), SimError>
+    /// Advances time to the item under `key` at node `i` and fires it,
+    /// then files what it sent. If it completed an operation, consults
+    /// the driver for the follow-up invocation of the closed loop; the
+    /// operation and response are borrowed from the history — no
+    /// per-response clones on the hot path.
+    fn fire<Dr>(&mut self, i: usize, key: (u64, u64), driver: &mut Dr) -> Result<(), SimError>
     where
         Dr: Driver<A::Op, A::Resp> + ?Sized,
     {
-        debug_assert!(at >= self.transport.now, "time went backwards");
-        self.transport.now = at;
-        let pid = tag.pid;
-        let stamp = self.stamp(pid);
-        let kind = self.transport.resolve(tag);
-        let node = &mut self.nodes[pid.index()];
-        let act = match kind {
-            EventKind::Invoke { op } => node.on_invoke(
-                stamp,
-                op,
-                &mut self.transport,
-                self.trace.as_deref_mut(),
-                &mut self.history,
-            ),
-            EventKind::DeliverBatch {
-                from,
-                first_id,
-                msgs,
-            } => node.on_message_batch(
-                stamp,
-                from,
-                first_id,
-                msgs,
-                &mut self.transport,
-                self.trace.as_deref_mut(),
-                &mut self.history,
-            ),
-            EventKind::Timer { id, timer } => node.on_timer(
-                stamp,
-                id,
-                timer,
-                &mut self.transport,
-                self.trace.as_deref_mut(),
-                &mut self.history,
-            ),
-        }?;
-        self.after_activation(pid, act, driver);
-        Ok(())
-    }
-
-    /// If the activation completed an operation, consults the driver for
-    /// the follow-up invocation of the closed loop. The operation and
-    /// response are borrowed from the history — no per-response clones
-    /// on the hot path.
-    fn after_activation<Dr>(&mut self, pid: ProcessId, act: Activation, driver: &mut Dr)
-    where
-        Dr: Driver<A::Op, A::Resp> + ?Sized,
-    {
-        let Activation::Completed(op_id) = act else {
-            return;
+        self.now = SimTime::from_ticks(key.0);
+        let trace = self.trace.as_deref_mut();
+        let node = &mut self.nodes[i];
+        let completed = node.fire(key, &mut self.transport, trace, &mut self.history)?;
+        let pid = node.pid();
+        file_sent(&mut self.nodes, &mut self.transport.link);
+        let Some(((), op_id)) = completed else {
+            return Ok(());
         };
         let rec = self.history.get(op_id).expect("recorded at invocation");
         let resp = rec.resp().expect("completed activations have a response");
-        if let Some((gap, next_op)) = driver.next(pid, &rec.op, resp, self.transport.now) {
-            let at = self.transport.now + gap;
-            self.transport.push_invoke(pid, at, next_op);
+        if let Some((gap, next_op)) = driver.next(pid, &rec.op, resp, self.now) {
+            self.schedule_invoke(pid, self.now + gap, next_op);
         }
+        Ok(())
+    }
+}
+
+/// Files every batch waiting in `outbox` onto its destination's agenda.
+fn file_sent<A: Actor>(nodes: &mut [NodeCore<A>], outbox: &mut Outbox<A>) {
+    for (to, at, seq, batch) in outbox.sent.drain(..) {
+        nodes[to.index()].file(at, seq, batch);
+    }
+}
+
+/// The policy's view of the agenda item `item` of `pid` under `seq`.
+fn view<A: Actor>(pid: ProcessId, seq: u64, item: &Item<A, ()>) -> EventView<'_, A> {
+    match item {
+        Due::Invoke(((), op)) => EventView::Invoke { seq, pid, op },
+        Due::Batch {
+            from,
+            first_id,
+            msgs,
+        } => EventView::DeliverBatch {
+            seq,
+            pid,
+            from: *from,
+            first_id: *first_id,
+            msgs,
+        },
+        Due::Timer(..) => EventView::Timer { seq, pid },
     }
 }
 
@@ -907,8 +852,11 @@ mod tests {
             FixedDelay::maximal(bounds()),
         );
         sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, ());
-        sim.run().unwrap();
+        let report = sim.run().unwrap();
         assert_eq!(sim.actor(ProcessId::new(0)).fired, vec![2]);
+        // The cancel pruned the first expiry: the run is the invocation
+        // and the second timer.
+        assert_eq!(report.events, 2);
     }
 
     #[test]
@@ -1093,9 +1041,9 @@ mod tests {
             ClockAssignment::zero(1),
             FixedDelay::maximal(bounds()),
         );
-        // The unchosen events of a batch are re-queued at the popped
-        // instant: they must come back in schedule order, ahead of the
-        // later event, so taking the last one each time inverts the tie.
+        // The unchosen events of a batch stay on their agendas: they come
+        // back in schedule order, ahead of the later event, so taking the
+        // last one each time inverts the tie.
         for op in 1..=5 {
             sim.schedule_invoke(ProcessId::new(0), SimTime::from_ticks(5), op);
         }
@@ -1127,9 +1075,9 @@ mod tests {
 
     #[test]
     fn scheduled_run_filters_stale_timer_batches() {
-        // The canceller's first timer is cancelled at set time; when its
-        // expiry would pop, the scheduled path must not present it as a
-        // choice.
+        // The canceller's first timer is cancelled at set time, which
+        // takes its expiry off the agenda: the scheduled path never
+        // presents it as a choice.
         struct CountBatches {
             multi: u32,
         }

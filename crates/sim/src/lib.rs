@@ -64,7 +64,6 @@ pub mod ids;
 pub mod node;
 pub mod par;
 pub mod rt;
-pub mod slab;
 pub mod stats;
 pub mod time;
 pub mod timers;
@@ -84,10 +83,10 @@ pub mod prelude {
     };
     pub use crate::history::{History, OpRecord};
     pub use crate::ids::{MsgId, OpId, ProcessId, TimerId};
-    pub use crate::node::{Activation, NodeCore, Stamp};
+    pub use crate::node::NodeCore;
     pub use crate::stats::LatencySummary;
     pub use crate::time::{ClockOffset, ClockTime, SimDuration, SimTime};
     pub use crate::trace::{Trace, TraceEvent, TraceEventKind, TraceSink};
-    pub use crate::transport::{Transport, TransportError, WireTransport};
+    pub use crate::transport::{TransportError, WireTransport};
     pub use crate::workload::{ClosedLoop, Driver, NoDriver, Script};
 }

@@ -1,11 +1,16 @@
-//! The runtime-agnostic node core shared by all three backends.
+//! The node: one process of the system, the same on every backend.
 //!
 //! Chapter III's model is one actor state machine per process; this
 //! module is the one place that executes it. A [`NodeCore`] owns the
-//! per-process runtime state — the actor, its [`TimerSlab`] and the
-//! at-most-one-pending-operation bookkeeping — and, for every
-//! activation (start-of-run, invoke, delivery batch, timer expiry),
-//! performs in a fixed order:
+//! actor, its [`TimerSlab`], the at-most-one-pending-operation
+//! bookkeeping, its [`Agenda`] of armed timers, held deliveries and
+//! scheduled invocations keyed on `(instant, seq)`, and its queue of
+//! invocations waiting for admission. It reads no clock: every entry
+//! takes the instant to act at, and the [`Transport`] it is handed says
+//! what time an activation reads and where its sends go.
+//!
+//! For every activation (start-of-run, invocation, delivery batch,
+//! timer expiry) the node performs, in a fixed order:
 //!
 //! 1. invariant enforcement (one pending operation per process, stale
 //!    timer filtering via slab generations);
@@ -15,28 +20,34 @@
 //!    node builds no event and no `Debug` string, so the untraced path
 //!    allocates nothing for tracing;
 //! 3. the actor handler itself, through a [`Context`];
-//! 4. draining the resulting effects: sends and timers go to the
-//!    pluggable [`Transport`], cancels retire slab generations,
+//! 4. draining the resulting effects: sends go to the transport, timers
+//!    are armed on the agenda at the activation's instant plus their
+//!    delay, cancels prune the agenda and retire slab generations,
 //!    responses are committed to the [`History`] the entry is handed
 //!    (the invocation too, at the activation's instant).
 //!
-//! The discrete-event engine ([`crate::engine`]) wraps a `NodeCore` per
-//! process around a virtual-time heap transport and one run history;
-//! the real-thread runtime ([`crate::rt`]) and the socket mesh wrap one
-//! in the wall-clock [`WallNode`](crate::deadline::WallNode), which
-//! keeps the node's own history. None re-implements any of the four
-//! steps above, so the backends cannot drift in effect application,
-//! invariants, timer lifecycle or trace schema.
+//! [`NodeCore::step`] is the node's one step: fire every agenda item
+//! due by `now`, each anchored at its own instant, then admit one queued
+//! invocation. The wall-clock loop ([`WallNode::run`](crate::deadline::WallNode::run))
+//! calls it with the wall clock's reading; the discrete-event engine
+//! ([`crate::engine`]) runs `n` nodes on one virtual clock and fires
+//! the least `(instant, seq)` item across them with [`NodeCore::fire`].
+//! No backend re-implements any of the steps above, so the backends
+//! cannot drift in effect application, invariants, timer lifecycle,
+//! due order or trace schema.
 
 use core::fmt;
+use std::collections::VecDeque;
 
 use crate::actor::{Actor, Context, Effects};
+use crate::deadline::{Agenda, Due};
+use crate::delay::DelayModel;
 use crate::history::History;
-use crate::ids::{MsgId, OpId, ProcessId, TimerId};
+use crate::ids::{MsgId, OpId, ProcessId};
 use crate::time::{ClockTime, SimTime};
 use crate::timers::TimerSlab;
 use crate::trace::{TraceEvent, TraceEventKind, TraceSink};
-use crate::transport::{Transport, TransportError};
+use crate::transport::{Link, Transport, TransportError};
 
 /// The one failure of a driver that invokes at `pid` while its previous
 /// operation is still pending, the same on every backend.
@@ -48,11 +59,7 @@ pub(crate) fn overlapping_invocation(pid: ProcessId) -> ! {
 }
 
 /// The time stamp of one activation: the real time at which it happens
-/// and the local clock reading of the process at that instant.
-///
-/// The engine computes it from virtual time and the
-/// [`ClockAssignment`](crate::clock::ClockAssignment); the real-thread
-/// runtime from the wall clock and the worker's offset. Local
+/// and the local clock reading of the process at that instant. Local
 /// processing takes zero time, so every effect of one activation
 /// carries the same stamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,27 +70,16 @@ pub struct Stamp {
     pub clock: ClockTime,
 }
 
-/// What one activation did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
-    /// The event was stale (a timer expiry whose generation was retired
-    /// by a cancel) — no handler ran, no effects were applied.
-    Stale,
-    /// The handler ran; no operation completed.
-    Ran,
-    /// The handler ran and completed the process's pending operation.
-    /// The response is already committed to the history under this id.
-    Completed(OpId),
-}
+/// A node's agenda item: a timer expiry, a held delivery batch or an
+/// invocation scheduled at its instant, with its caller's token.
+pub type Item<A, T> = Due<<A as Actor>::Timer, <A as Actor>::Msg, (T, <A as Actor>::Op)>;
 
-/// One process of the system: the actor plus the per-process runtime
-/// state both backends need.
+/// One process of the system; see the [module docs](self).
 ///
-/// See the [module docs](self) for the activation pipeline. A
-/// `NodeCore` is driven by a scheduler (virtual-time or real-thread)
-/// that decides *when* each activation happens; the core decides *what*
-/// an activation does.
-pub struct NodeCore<A: Actor> {
+/// `T` is the token each invocation carries back to its caller with its
+/// response: nothing in process, the client's connection and request id
+/// on the socket mesh.
+pub struct NodeCore<A: Actor, T = ()> {
     pid: ProcessId,
     n: usize,
     actor: A,
@@ -97,19 +93,25 @@ pub struct NodeCore<A: Actor> {
     /// hands it back drained, so steady-state activations allocate
     /// nothing for their effects.
     scratch: Effects<A>,
+    agenda: Agenda<A::Timer, A::Msg, (T, A::Op)>,
+    /// Invocations not yet admitted, in arrival order, with their tokens.
+    queue: VecDeque<(T, A::Op)>,
+    /// The token of the pending operation.
+    in_flight: Option<T>,
 }
 
-impl<A: Actor> fmt::Debug for NodeCore<A> {
+impl<A: Actor, T> fmt::Debug for NodeCore<A, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NodeCore")
             .field("pid", &self.pid)
             .field("pending_op", &self.pending_op)
-            .field("pending_timers", &self.timers.pending())
+            .field("agenda", &self.agenda.len())
+            .field("queued", &self.queue.len())
             .finish_non_exhaustive()
     }
 }
 
-impl<A: Actor> NodeCore<A> {
+impl<A: Actor, T> NodeCore<A, T> {
     /// Wraps `actor` as process `pid` of an `n`-process system.
     #[must_use]
     pub fn new(pid: ProcessId, n: usize, actor: A) -> Self {
@@ -120,6 +122,9 @@ impl<A: Actor> NodeCore<A> {
             timers: TimerSlab::with_capacity(2),
             pending_op: None,
             scratch: Effects::new(),
+            agenda: Agenda::new(),
+            queue: VecDeque::new(),
+            in_flight: None,
         }
     }
 
@@ -135,255 +140,285 @@ impl<A: Actor> NodeCore<A> {
         &self.actor
     }
 
-    /// The node's timer slab — schedulers use this to filter stale
-    /// expiry events without retiring live ids.
-    #[must_use]
-    pub fn timers(&self) -> &TimerSlab {
-        &self.timers
-    }
-
     /// The pending operation, if one is in flight at this process.
     #[must_use]
     pub fn pending_op(&self) -> Option<OpId> {
         self.pending_op
     }
 
-    /// Runs the start-of-run hook ([`Actor::on_start`]).
-    pub fn on_start<T: Transport<A>>(
-        &mut self,
-        stamp: Stamp,
-        transport: &mut T,
-        trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut History<A::Op, A::Resp>,
-    ) -> Result<Activation, TransportError> {
-        let effects = self.run(stamp.clock, |actor, ctx| actor.on_start(ctx));
-        self.apply_effects(stamp, effects, transport, trace, history)
+    /// The node's agenda.
+    #[must_use]
+    pub fn agenda(&self) -> &Agenda<A::Timer, A::Msg, (T, A::Op)> {
+        &self.agenda
     }
 
-    /// Runs an operation invocation, recorded in `history` at the
-    /// activation's instant.
+    /// Files `item` on the agenda at tick `at` under `seq`.
+    pub fn file(&mut self, at: u64, seq: u64, item: Item<A, T>) {
+        self.agenda.file(at, seq, item);
+    }
+
+    /// Queues an invocation of `op`, to be answered with `token`.
+    pub fn enqueue(&mut self, token: T, op: A::Op) {
+        self.queue.push_back((token, op));
+    }
+
+    /// Agenda items and queued invocations: zero once the node is
+    /// quiescent.
+    #[must_use]
+    pub fn backlog(&self) -> usize {
+        self.agenda.len() + self.queue.len()
+    }
+
+    /// Runs the start-of-run hook ([`Actor::on_start`]) at tick `now`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the transport's send failures.
+    pub fn start<D: DelayModel, L: Link<A::Msg>>(
+        &mut self,
+        now: u64,
+        transport: &mut Transport<D, L>,
+        trace: Option<&mut (dyn TraceSink + '_)>,
+        history: &mut History<A::Op, A::Resp>,
+    ) -> Result<(), TransportError> {
+        let stamp = transport.stamp(self.pid, now);
+        self.run(stamp.clock, |actor, ctx| actor.on_start(ctx));
+        self.apply_effects(now, stamp, transport, trace, history)?;
+        Ok(())
+    }
+
+    /// The node's one step at tick `now`: fires every agenda item due by
+    /// `now`, in `(instant, seq)` order and each anchored at its own
+    /// instant, then admits the first queued invocation if no operation
+    /// is pending. Every completion is handed to `done` with its
+    /// invocation's token, its response and its response instant.
+    /// Returns the next tick at which the node has something to do —
+    /// `now` itself while an admissible invocation is still queued.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the transport's send failures.
+    pub fn step<D: DelayModel, L: Link<A::Msg>>(
+        &mut self,
+        now: u64,
+        transport: &mut Transport<D, L>,
+        mut trace: Option<&mut (dyn TraceSink + '_)>,
+        history: &mut History<A::Op, A::Resp>,
+        mut done: impl FnMut(T, &A::Resp, SimTime),
+    ) -> Result<Option<u64>, TransportError> {
+        while let Some((at, item)) = self.agenda.pop_due(now) {
+            let completed = self.activate(at, item, transport, trace.as_deref_mut(), history)?;
+            report(completed, history, &mut done);
+        }
+        if self.pending_op.is_none() {
+            if let Some(invocation) = self.queue.pop_front() {
+                let item = Due::Invoke(invocation);
+                let completed = self.activate(now, item, transport, trace, history)?;
+                report(completed, history, &mut done);
+            }
+        }
+        let admissible = self.pending_op.is_none() && !self.queue.is_empty();
+        Ok(if admissible {
+            Some(now)
+        } else {
+            self.agenda.head().map(|(at, _)| at)
+        })
+    }
+
+    /// Takes the agenda item under `key` off the agenda and runs it,
+    /// anchored at its instant. Returns the token and the id of the
+    /// operation it completed, if any.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the transport's send failures.
     ///
     /// # Panics
     ///
-    /// Panics if an operation is already pending at this process.
-    pub fn on_invoke<T: Transport<A>>(
+    /// Panics if nothing is filed under `key`, or the item is an
+    /// invocation while another operation is pending.
+    pub fn fire<D: DelayModel, L: Link<A::Msg>>(
         &mut self,
-        stamp: Stamp,
-        op: A::Op,
-        transport: &mut T,
-        mut trace: Option<&mut (dyn TraceSink + '_)>,
+        key: (u64, u64),
+        transport: &mut Transport<D, L>,
+        trace: Option<&mut (dyn TraceSink + '_)>,
         history: &mut History<A::Op, A::Resp>,
-    ) -> Result<Activation, TransportError> {
-        self.assert_no_pending();
-        if let Some(sink) = trace.as_deref_mut() {
-            self.emit(
-                sink,
-                stamp,
-                TraceEventKind::Invoke {
-                    op: format!("{op:?}"),
-                },
-            );
-        }
-        let op_id = history.record_invoke(self.pid, op.clone(), stamp.now);
-        self.pending_op = Some(op_id);
-        let effects = self.run(stamp.clock, |actor, ctx| actor.on_invoke(op, ctx));
-        self.apply_effects(stamp, effects, transport, trace, history)
+    ) -> Result<Option<(T, OpId)>, TransportError> {
+        let item = self
+            .agenda
+            .take(key)
+            .expect("an item is filed under the key");
+        self.activate(key.0, item, transport, trace, history)
     }
 
-    /// Delivers a batch of messages from `from` as one activation. The
-    /// messages carry the consecutive ids `first_id..first_id + k`;
-    /// one `Recv` trace event is emitted per message so per-message
-    /// send/deliver pairing survives batching.
-    #[allow(clippy::too_many_arguments)] // one parameter per activation ingredient
-    pub fn on_message_batch<T: Transport<A>>(
+    /// Runs one activation anchored at tick `anchor`.
+    fn activate<D: DelayModel, L: Link<A::Msg>>(
         &mut self,
-        stamp: Stamp,
-        from: ProcessId,
-        first_id: MsgId,
-        msgs: Vec<A::Msg>,
-        transport: &mut T,
+        anchor: u64,
+        item: Item<A, T>,
+        transport: &mut Transport<D, L>,
         mut trace: Option<&mut (dyn TraceSink + '_)>,
         history: &mut History<A::Op, A::Resp>,
-    ) -> Result<Activation, TransportError> {
-        if let Some(sink) = trace.as_deref_mut() {
-            for i in 0..msgs.len() {
-                self.emit(
-                    sink,
-                    stamp,
-                    TraceEventKind::Recv {
-                        from,
-                        msg: MsgId::new(first_id.as_u64() + i as u64),
-                    },
-                );
+    ) -> Result<Option<(T, OpId)>, TransportError> {
+        let stamp = transport.stamp(self.pid, anchor);
+        match item {
+            Due::Invoke((token, op)) => {
+                if self.pending_op.is_some() {
+                    overlapping_invocation(self.pid);
+                }
+                if let Some(sink) = trace.as_deref_mut() {
+                    let op = format!("{op:?}");
+                    emit(sink, self.pid, stamp, TraceEventKind::Invoke { op });
+                }
+                self.pending_op = Some(history.record_invoke(self.pid, op.clone(), stamp.now));
+                self.in_flight = Some(token);
+                self.run(stamp.clock, |actor, ctx| actor.on_invoke(op, ctx));
+            }
+            Due::Batch {
+                from,
+                first_id,
+                msgs,
+            } => {
+                // One Recv trace event per message, so per-message
+                // send/deliver pairing survives batching.
+                if let Some(sink) = trace.as_deref_mut() {
+                    for i in 0..msgs.len() as u64 {
+                        let msg = MsgId::new(first_id.as_u64() + i);
+                        emit(sink, self.pid, stamp, TraceEventKind::Recv { from, msg });
+                    }
+                }
+                self.run(stamp.clock, |actor, ctx| {
+                    actor.on_message_batch(from, msgs, ctx);
+                });
+            }
+            Due::Timer(id, timer) => {
+                // A cancel prunes the agenda, so a retired id never gets
+                // here; the slab check keeps the invariant local.
+                if !self.timers.fire(id) {
+                    return Ok(None);
+                }
+                if let Some(sink) = trace.as_deref_mut() {
+                    let tag = format!("{timer:?}");
+                    emit(sink, self.pid, stamp, TraceEventKind::Timer { id, tag });
+                }
+                self.run(stamp.clock, |actor, ctx| actor.on_timer(timer, ctx));
             }
         }
-        let effects = self.run(stamp.clock, |actor, ctx| {
-            actor.on_message_batch(from, msgs, ctx);
-        });
-        self.apply_effects(stamp, effects, transport, trace, history)
+        let completed = self.apply_effects(anchor, stamp, transport, trace, history)?;
+        Ok(completed.map(|op_id| {
+            let token = self
+                .in_flight
+                .take()
+                .expect("only admitted operations complete");
+            (token, op_id)
+        }))
     }
 
-    /// Fires timer `id`, or returns [`Activation::Stale`] without
-    /// running anything if the id's generation was retired by a cancel
-    /// after the expiry event was queued.
-    pub fn on_timer<T: Transport<A>>(
-        &mut self,
-        stamp: Stamp,
-        id: TimerId,
-        timer: A::Timer,
-        transport: &mut T,
-        mut trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut History<A::Op, A::Resp>,
-    ) -> Result<Activation, TransportError> {
-        if !self.timers.fire(id) {
-            return Ok(Activation::Stale);
-        }
-        if let Some(sink) = trace.as_deref_mut() {
-            self.emit(
-                sink,
-                stamp,
-                TraceEventKind::Timer {
-                    id,
-                    tag: format!("{timer:?}"),
-                },
-            );
-        }
-        let effects = self.run(stamp.clock, |actor, ctx| actor.on_timer(timer, ctx));
-        self.apply_effects(stamp, effects, transport, trace, history)
-    }
-
-    fn assert_no_pending(&self) {
-        if self.pending_op.is_some() {
-            overlapping_invocation(self.pid);
-        }
-    }
-
-    fn emit(&self, sink: &mut dyn TraceSink, stamp: Stamp, kind: TraceEventKind) {
-        sink.event(&TraceEvent {
-            at: stamp.now,
-            clock: stamp.clock,
-            pid: self.pid,
-            kind,
-        });
-    }
-
-    /// Runs one handler against the reusable scratch [`Effects`] buffer
-    /// and returns it filled. The caller must hand it back (drained)
-    /// via [`NodeCore::apply_effects`], which restores the buffers.
-    fn run<F>(&mut self, clock: ClockTime, f: F) -> Effects<A>
+    /// Runs one handler against the reusable scratch [`Effects`] buffer,
+    /// so steady-state activations allocate nothing for their effects.
+    fn run<F>(&mut self, clock: ClockTime, f: F)
     where
         F: FnOnce(&mut A, &mut Context<'_, A>),
     {
-        let mut effects = core::mem::take(&mut self.scratch);
-        effects.clear();
-        {
-            let mut ctx = Context::new(self.pid, self.n, clock, &mut self.timers, &mut effects);
-            f(&mut self.actor, &mut ctx);
-        }
-        effects
+        self.scratch.clear();
+        let mut ctx = Context::new(self.pid, self.n, clock, &mut self.timers, &mut self.scratch);
+        f(&mut self.actor, &mut ctx);
     }
 
-    /// Drains one activation's effects in the model's fixed order:
-    /// sends, timer arms, timer cancels, then the response — then puts
-    /// the emptied buffer back as scratch for the next activation.
+    /// Drains the activation's effects in the model's fixed order:
+    /// sends, timer arms, timer cancels, then the response. Sends and
+    /// arms draw their agenda sequence numbers from the transport in
+    /// that order. Returns the operation the activation completed, if
+    /// any.
     ///
-    /// On the first transport failure the remaining effects of the
-    /// activation are discarded (a partially applied activation cannot
-    /// be meaningfully resumed) and the error propagates to the
-    /// scheduler. In-process transports never fail, so both in-process
-    /// backends take the infallible path bit-for-bit.
-    fn apply_effects<T: Transport<A>>(
+    /// On the first transport failure the error propagates and the rest
+    /// of the activation's effects are dropped by the next `run` (a
+    /// partially applied activation cannot be meaningfully resumed). The
+    /// in-process links never fail.
+    fn apply_effects<D: DelayModel, L: Link<A::Msg>>(
         &mut self,
+        anchor: u64,
         stamp: Stamp,
-        mut effects: Effects<A>,
-        transport: &mut T,
-        trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut History<A::Op, A::Resp>,
-    ) -> Result<Activation, TransportError> {
-        let out = self.drain_effects(stamp, &mut effects, transport, trace, history);
-        // On success every buffer is already drained; on failure this
-        // discards whatever the early return left behind. Either way the
-        // buffer goes back as scratch.
-        effects.clear();
-        self.scratch = effects;
-        out
-    }
-
-    fn drain_effects<T: Transport<A>>(
-        &mut self,
-        stamp: Stamp,
-        effects: &mut Effects<A>,
-        transport: &mut T,
+        transport: &mut Transport<D, L>,
         mut trace: Option<&mut (dyn TraceSink + '_)>,
         history: &mut History<A::Op, A::Resp>,
-    ) -> Result<Activation, TransportError> {
-        for (to, msgs) in effects.batches.drain(..) {
-            if let Some(sink) = trace.as_deref_mut() {
-                // One Send trace event per message; ids are consecutive
-                // from the batch's first id.
-                let payloads: Vec<String> = msgs.iter().map(|m| format!("{m:?}")).collect();
-                let first = transport.send_batch(self.pid, to, msgs)?;
-                for (i, payload) in payloads.into_iter().enumerate() {
-                    self.emit(
-                        sink,
-                        stamp,
-                        TraceEventKind::Send {
-                            to,
-                            msg: MsgId::new(first.as_u64() + i as u64),
-                            payload,
-                        },
-                    );
-                }
-            } else {
-                transport.send_batch(self.pid, to, msgs)?;
+    ) -> Result<Option<OpId>, TransportError> {
+        let pid = self.pid;
+        for (to, msgs) in self.scratch.batches.drain(..) {
+            let Some(sink) = trace.as_deref_mut() else {
+                transport.send_batch(pid, to, stamp.now, msgs)?;
+                continue;
+            };
+            // One Send trace event per message; ids are consecutive
+            // from the batch's first id.
+            let payloads: Vec<String> = msgs.iter().map(|m| format!("{m:?}")).collect();
+            let first = transport.send_batch(pid, to, stamp.now, msgs)?;
+            for (i, payload) in payloads.into_iter().enumerate() {
+                let msg = MsgId::new(first.as_u64() + i as u64);
+                emit(sink, pid, stamp, TraceEventKind::Send { to, msg, payload });
             }
         }
 
-        for (id, delay, timer) in effects.timers.drain(..) {
+        for (id, delay, timer) in self.scratch.timers.drain(..) {
             // The id is already live in the slab (allocated by
-            // `Context::set_timer`); the transport only schedules the
-            // expiry.
+            // `Context::set_timer`); the agenda schedules the expiry.
             if let Some(sink) = trace.as_deref_mut() {
-                self.emit(
+                let tag = format!("{timer:?}");
+                emit(
                     sink,
+                    pid,
                     stamp,
-                    TraceEventKind::TimerSet {
-                        id,
-                        tag: format!("{timer:?}"),
-                        delay,
-                    },
+                    TraceEventKind::TimerSet { id, tag, delay },
                 );
             }
-            transport.set_timer(self.pid, id, delay, timer);
+            let at = transport.expiry(pid, anchor, delay);
+            self.agenda.file(at, transport.seq(), Due::Timer(id, timer));
         }
 
-        for id in effects.cancels.drain(..) {
+        for id in self.scratch.cancels.drain(..) {
             if self.timers.cancel(id) {
-                transport.cancel_timer(self.pid, id);
+                self.agenda.cancel(id);
                 if let Some(sink) = trace.as_deref_mut() {
-                    self.emit(sink, stamp, TraceEventKind::TimerCancel { id });
+                    emit(sink, pid, stamp, TraceEventKind::TimerCancel { id });
                 }
             }
         }
 
-        if let Some(resp) = effects.response.take() {
-            let op_id = self
-                .pending_op
-                .take()
-                .unwrap_or_else(|| panic!("{}: response with no pending operation", self.pid));
-            if let Some(sink) = trace {
-                self.emit(
-                    sink,
-                    stamp,
-                    TraceEventKind::Respond {
-                        resp: format!("{resp:?}"),
-                    },
-                );
-            }
-            history.record_response(op_id, resp, stamp.now);
-            Ok(Activation::Completed(op_id))
-        } else {
-            Ok(Activation::Ran)
+        let Some(resp) = self.scratch.response.take() else {
+            return Ok(None);
+        };
+        let op_id = self
+            .pending_op
+            .take()
+            .unwrap_or_else(|| panic!("{pid}: response with no pending operation"));
+        if let Some(sink) = trace {
+            let resp = format!("{resp:?}");
+            emit(sink, pid, stamp, TraceEventKind::Respond { resp });
         }
+        history.record_response(op_id, resp, stamp.now);
+        Ok(Some(op_id))
+    }
+}
+
+/// Emits one trace event of `pid`, stamped with `stamp`.
+fn emit(sink: &mut dyn TraceSink, pid: ProcessId, stamp: Stamp, kind: TraceEventKind) {
+    sink.event(&TraceEvent {
+        at: stamp.now,
+        clock: stamp.clock,
+        pid,
+        kind,
+    });
+}
+
+/// Hands a completion to `done` with its token, response and instant.
+fn report<T, O, R>(
+    completed: Option<(T, OpId)>,
+    history: &History<O, R>,
+    done: &mut impl FnMut(T, &R, SimTime),
+) {
+    if let Some((token, op_id)) = completed {
+        let rec = history.get(op_id).expect("completed op is recorded");
+        let (resp, at) = rec.response.as_ref().expect("completed op has a response");
+        done(token, resp, *at);
     }
 }

@@ -8,11 +8,10 @@
 //! shares one across its processes, checked against the model's bounds
 //! on every send. The batch goes straight into the destination worker's
 //! inbox, which holds it on its agenda until `sent + delay`; timers and
-//! held deliveries fire in one nominal-time order, each anchored at its
-//! own instant. All effect application, the one-pending-op invariant
-//! and timer generations live in the node core — the discrete-event
-//! engine ([`crate::engine`]) drives the identical code from its
-//! virtual-time heap. Invocations come from [`drive`], the closed-loop
+//! held deliveries fire in one `(instant, seq)` order, each anchored at
+//! its own instant. The node and its step are the ones the
+//! discrete-event engine ([`crate::engine`]) runs on virtual time.
+//! Invocations come from [`drive`], the closed-loop
 //! driver the socket mesh runs too, which records the run's history:
 //! each invocation when it is dispatched, each response at the node's
 //! response stamp. Clocks are wall-clock readings plus the
@@ -41,7 +40,7 @@ use crate::history::History;
 use crate::ids::{MsgId, ProcessId};
 use crate::node::NodeCore;
 use crate::time::ticks_to_duration;
-use crate::transport::{Link, TransportError, WallTransport};
+use crate::transport::{Link, Transport, TransportError};
 use crate::workload::{drive, Driver};
 
 /// A worker thread's inbox message.
@@ -74,6 +73,7 @@ impl<A: Actor> Link<A::Msg> for Inboxes<A> {
         first_id: MsgId,
         sent: u64,
         delay: u64,
+        _seq: u64,
         msgs: Vec<A::Msg>,
     ) -> Result<(), TransportError> {
         let deliver_at = sent + delay;
@@ -185,9 +185,9 @@ where
     };
     let history = thread::scope(|scope| {
         for ((pid, actor), rx) in ProcessId::all(n).zip(actors).zip(rxs) {
-            let transport = WallTransport::new(pid, Inboxes(txs.clone()), base, &delays);
-            let mut node =
-                WallNode::new(NodeCore::new(pid, n, actor), transport, clocks.offset(pid));
+            let link = Inboxes(txs.clone());
+            let transport = Transport::new(pid, link, base, clocks.clone(), &delays);
+            let mut node = WallNode::new(NodeCore::new(pid, n, actor), transport);
             let (in_flight, done_tx) = (&in_flight, done_tx.clone());
             scope.spawn(move || {
                 let file = |node: &mut WallNode<_, _, _, ()>, input| match input {
