@@ -9,7 +9,9 @@
 //! binary's tests can still run concurrently.
 
 use skewbound_core::shard::{run_sharded, ShardWorkload};
-use skewbound_lin::{check_namespace, flatten_batches};
+use skewbound_lin::{
+    check_history_stats, check_namespace, flatten_batches, split_history, CheckLimits,
+};
 use skewbound_sim::history::History;
 use skewbound_sim::par;
 use skewbound_spec::namespace::{NsOp, ShardRouter};
@@ -80,6 +82,32 @@ fn corrupted_shard_history_is_rejected() {
     let gate = check_namespace(&RmwRegister::default(), &flatten_batches(&corrupted));
     assert!(!gate.is_linearizable(), "gate accepted a forged read");
     assert_eq!(gate.violating_keys(), vec![forged_key]);
+}
+
+#[test]
+fn reduced_engine_sharded_pins_the_checker_node_count() {
+    // The benchmark's engine-sharded workload at a tenth of its batches,
+    // checked key by key the way its traced pass does. The counts were
+    // pinned on the quadratic precedence set-up: a faster set-up must
+    // leave the search itself exactly where it was.
+    let w = ShardWorkload::with_total_batches(8, 3, 4096, 2_400, 8, true, 1);
+    let spec = RmwRegister::default();
+    let (mut keys, mut nodes, mut memo_hits) = (0u64, 0u64, 0u64);
+    for out in run_sharded(&w) {
+        for (key, sub) in split_history(&flatten_batches(&out.history), |op| op.key) {
+            let sub = sub.map(|op| op.op.clone(), Clone::clone);
+            let (outcome, stats) = check_history_stats(&spec, &sub, CheckLimits::default());
+            assert!(
+                outcome.is_linearizable(),
+                "shard {} key {key}: {outcome:?}",
+                out.shard
+            );
+            keys += 1;
+            nodes += stats.nodes;
+            memo_hits += stats.memo_hits;
+        }
+    }
+    assert_eq!((keys, nodes, memo_hits), (4_052, 23_252, 0));
 }
 
 type BatchRecord = (Vec<NsOp<RmwOp>>, Vec<RmwResp>);
