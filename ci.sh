@@ -32,6 +32,7 @@ SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test parallel_grid
 
 echo "== shard golden (fixed-value histories, forced 4-worker pool) =="
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-core shard
+SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test shard reduced_engine_sharded_pins_the_checker_node_count
 
 echo "== examples (every binary runs to its verdict line) =="
 cargo build --release -q -p skewbound-examples

@@ -30,6 +30,7 @@
 
 use skewbound_sim::history::{History, OpRecord};
 use skewbound_sim::ids::OpId;
+use skewbound_sim::time::SimTime;
 use skewbound_spec::seqspec::SequentialSpec;
 
 use crate::intern::{SeenSet, StateInterner};
@@ -151,6 +152,10 @@ pub fn check_history_with<S: SequentialSpec>(
 /// # Panics
 ///
 /// Same conditions as [`check_history`].
+// Out of line on purpose: `mc::table` runs the search about 3 times per
+// 150 000 schedules, so inlined into mc's monomorphised explore loop
+// this body would only grow that loop.
+#[inline(never)]
 #[must_use]
 pub fn check_history_stats<S: SequentialSpec>(
     spec: &S,
@@ -174,8 +179,7 @@ pub fn check_history_stats<S: SequentialSpec>(
     }
 
     let records = history.records();
-    let predecessors = predecessor_masks(records);
-    let successors = successor_masks(&predecessors);
+    let (predecessors, successors) = precedence(records);
     let ready = initial_ready(&predecessors);
 
     let full: u128 = if n == 128 {
@@ -225,56 +229,65 @@ pub fn check_history_stats<S: SequentialSpec>(
     (outcome, stats)
 }
 
-/// `predecessors[i]` = bitmask of operations that must come before op `i`
-/// (their response is before `i`'s invocation).
-pub(crate) fn predecessor_masks<O, R>(records: &[OpRecord<O, R>]) -> Vec<u128> {
-    let n = records.len();
-    let mut predecessors = vec![0u128; n];
-    for (i, a) in records.iter().enumerate() {
-        for (j, b) in records.iter().enumerate() {
-            if i != j && a.precedes(b) {
-                predecessors[j] |= 1u128 << i;
-            }
-        }
-    }
-    predecessors
-}
-
-/// `successors[i]` = bitmask of operations with op `i` as an *immediate*
+/// The real-time precedence of `records` as bitmasks:
+/// `predecessors[j]` holds every op that responded before op `j` was
+/// invoked, and `successors[i]` every op that has `i` as an *immediate*
 /// predecessor (no third op strictly between them in real time) — the
 /// only ops that can become ready the moment `i` is taken.
 ///
-/// Restricting to the transitive reduction is sound: real-time precedence
-/// is transitive, so if the last-taken predecessor `k` of `j` were
-/// non-immediate, some intermediate `m` (with `k ≺ m ≺ j`) would have to
-/// be taken after `k` — contradicting `k` being last. And it matters:
-/// full successor sets grow linearly with the history (every op precedes
-/// all sufficiently-late ops), which would put an `O(n)` scan back into
-/// every DFS node.
-pub(crate) fn successor_masks(predecessors: &[u128]) -> Vec<u128> {
-    let n = predecessors.len();
-    let mut full = vec![0u128; n];
-    for (j, &preds) in predecessors.iter().enumerate() {
-        let mut p = preds;
-        while p != 0 {
-            let i = p.trailing_zeros() as usize;
-            p &= p - 1;
-            full[i] |= 1u128 << j;
+/// Restricting successors to the transitive reduction is sound:
+/// real-time precedence is transitive, so if the last-taken predecessor
+/// `k` of `j` were non-immediate, some intermediate `m` (with
+/// `k ≺ m ≺ j`) would have to be taken after `k` — contradicting `k`
+/// being last. And it matters: full successor sets grow linearly with
+/// the history (every op precedes all sufficiently-late ops), which
+/// would put an `O(n)` scan back into every DFS node.
+///
+/// Both come from one sort of the ops by response instant, a pending op
+/// last (it precedes nothing). Op `j`'s predecessors are the prefix of
+/// that order that responded before `j` was invoked, found by binary
+/// search, and their set is a prefix OR. A predecessor `i` is
+/// non-immediate exactly when some other predecessor was invoked after
+/// `i` responded; so with `M` the latest invocation in the prefix, the
+/// immediate ones are those that did not respond before `M` — the
+/// prefix minus a shorter prefix. That is `O(n log n)` plus one pass
+/// over the immediate pairs to turn them round into successor masks.
+pub(crate) fn precedence<O, R>(records: &[OpRecord<O, R>]) -> (Vec<u128>, Vec<u128>) {
+    let n = records.len();
+    let mut by_response: Vec<(u64, usize)> = records
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (r.responded_at().map_or(u64::MAX, SimTime::as_ticks), i))
+        .collect();
+    by_response.sort_unstable();
+    // prefix[k]: the first k ops of that order; latest[k]: the latest
+    // invocation among them.
+    let mut prefix = Vec::with_capacity(n + 1);
+    let mut latest = Vec::with_capacity(n + 1);
+    let (mut mask, mut last) = (0u128, 0u64);
+    prefix.push(mask);
+    latest.push(last);
+    for &(_, i) in &by_response {
+        mask |= 1u128 << i;
+        last = last.max(records[i].invoked_at.as_ticks());
+        prefix.push(mask);
+        latest.push(last);
+    }
+    let mut predecessors = vec![0u128; n];
+    let mut successors = vec![0u128; n];
+    for (j, rec) in records.iter().enumerate() {
+        let invoked = rec.invoked_at.as_ticks();
+        let p = by_response.partition_point(|&(at, _)| at < invoked);
+        let q = by_response[..p].partition_point(|&(at, _)| at < latest[p]);
+        predecessors[j] = prefix[p];
+        let mut immediate = prefix[p] & !prefix[q];
+        while immediate != 0 {
+            let i = immediate.trailing_zeros() as usize;
+            immediate &= immediate - 1;
+            successors[i] |= 1u128 << j;
         }
     }
-    let mut reduced = vec![0u128; n];
-    for (j, &preds) in predecessors.iter().enumerate() {
-        let mut p = preds;
-        while p != 0 {
-            let i = p.trailing_zeros() as usize;
-            p &= p - 1;
-            // i → j is immediate iff no k with i ≺ k ≺ j.
-            if full[i] & preds == 0 {
-                reduced[i] |= 1u128 << j;
-            }
-        }
-    }
-    reduced
+    (predecessors, successors)
 }
 
 /// The ops ready at the empty prefix: those with no predecessors.
@@ -486,8 +499,9 @@ pub fn validate_linearization<S: SequentialSpec>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use skewbound_sim::ids::ProcessId;
-    use skewbound_sim::time::SimTime;
     use skewbound_spec::prelude::*;
 
     fn t(x: u64) -> SimTime {
@@ -512,6 +526,76 @@ mod tests {
             h.record_response(ids[i], r.clone(), t(*resp_t));
         }
         h
+    }
+
+    /// The quadratic definitions [`precedence`] replaced, kept as its
+    /// oracle: all pairs for the predecessors, then every predecessor
+    /// bit walked twice for the immediate successors.
+    fn predecessor_masks<O, R>(records: &[OpRecord<O, R>]) -> Vec<u128> {
+        let n = records.len();
+        let mut predecessors = vec![0u128; n];
+        for (i, a) in records.iter().enumerate() {
+            for (j, b) in records.iter().enumerate() {
+                if i != j && a.precedes(b) {
+                    predecessors[j] |= 1u128 << i;
+                }
+            }
+        }
+        predecessors
+    }
+
+    fn successor_masks(predecessors: &[u128]) -> Vec<u128> {
+        let n = predecessors.len();
+        let mut full = vec![0u128; n];
+        for (j, &preds) in predecessors.iter().enumerate() {
+            let mut p = preds;
+            while p != 0 {
+                let i = p.trailing_zeros() as usize;
+                p &= p - 1;
+                full[i] |= 1u128 << j;
+            }
+        }
+        let mut reduced = vec![0u128; n];
+        for (j, &preds) in predecessors.iter().enumerate() {
+            let mut p = preds;
+            while p != 0 {
+                let i = p.trailing_zeros() as usize;
+                p &= p - 1;
+                // i → j is immediate iff no k with i ≺ k ≺ j.
+                if full[i] & preds == 0 {
+                    reduced[i] |= 1u128 << j;
+                }
+            }
+        }
+        reduced
+    }
+
+    #[test]
+    fn precedence_matches_the_quadratic_oracle() {
+        // Random histories up to the 128-op mask edge, in no particular
+        // invocation order, with instants drawn from a span short enough
+        // to tie often and one op in eight left pending.
+        let mut rng = StdRng::seed_from_u64(0x0123_4567_89AB_CDEF);
+        for case in 0..10_000 {
+            let n = rng.gen_range(0..=128usize);
+            let span = rng.gen_range(1..=2 * n as u64 + 2);
+            let mut h: History<(), ()> = History::new();
+            for _ in 0..n {
+                let invoked = rng.gen_range(0..span);
+                let id = h.record_invoke(p(0), (), t(invoked));
+                if rng.gen_range(0..8) != 0 {
+                    h.record_response(id, (), t(invoked + rng.gen_range(0..=span / 2)));
+                }
+            }
+            let (predecessors, successors) = precedence(h.records());
+            let oracle = predecessor_masks(h.records());
+            assert_eq!(predecessors, oracle, "predecessors, case {case}");
+            assert_eq!(
+                successors,
+                successor_masks(&oracle),
+                "successors, case {case}"
+            );
+        }
     }
 
     #[test]

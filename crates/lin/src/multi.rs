@@ -8,11 +8,16 @@
 //! spaces multiply instead of compound.
 //!
 //! [`split_history`] projects a history onto object keys;
-//! [`check_multi_object`] applies the decomposition to
-//! [`MultiObject`](skewbound_spec::combinators::MultiObject) histories.
+//! [`check_namespace`] and [`check_multi_object`] apply the
+//! decomposition to [`Namespace`](skewbound_spec::namespace::Namespace)
+//! and [`MultiObject`](skewbound_spec::combinators::MultiObject)
+//! histories. Both split in one pass that copies each record once,
+//! straight into its key's sub-history with the key stripped off.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::hash::Hash;
 
+use fxhash::FxHashMap;
 use skewbound_sim::history::History;
 use skewbound_spec::combinators::IndexedOp;
 use skewbound_spec::namespace::NsOp;
@@ -47,8 +52,13 @@ pub fn flatten_batches<O: Clone, R: Clone>(history: &History<Vec<O>, Vec<R>>) ->
             rec.op.len()
         );
         for (op, resp) in rec.op.iter().zip(resps) {
-            let id = flat.record_invoke(rec.pid, op.clone(), rec.invoked_at);
-            flat.record_response(id, resp.clone(), *responded_at);
+            flat.record_complete(
+                rec.pid,
+                op.clone(),
+                rec.invoked_at,
+                resp.clone(),
+                *responded_at,
+            );
         }
     }
     flat
@@ -110,14 +120,9 @@ pub fn check_namespace_with<S: SequentialSpec>(
     history: &History<NsOp<S::Op>, S::Resp>,
     limits: CheckLimits,
 ) -> NsOutcome {
-    let per_key = split_history(history, |op| op.key)
-        .into_iter()
-        .map(|(key, sub)| {
-            let projected = sub.map(|op| op.op.clone(), Clone::clone);
-            (key, check_history_with(inner, &projected, limits))
-        })
-        .collect();
-    NsOutcome { per_key }
+    NsOutcome {
+        per_key: check_by_key(inner, history, limits, |op| (op.key, op.op.clone())),
+    }
 }
 
 /// Splits a complete history into per-key sub-histories, preserving
@@ -131,19 +136,60 @@ pub fn split_history<O, R, K, F>(history: &History<O, R>, mut key: F) -> Vec<(K,
 where
     O: Clone,
     R: Clone,
-    K: Ord + Clone,
+    K: Ord + Hash + Clone,
     F: FnMut(&O) -> K,
 {
-    assert!(history.is_complete(), "complete histories only");
-    let mut buckets: BTreeMap<K, History<O, R>> = BTreeMap::new();
+    split_projected(history, |op| (key(op), op.clone()))
+}
+
+/// [`split_history`] with each operation replaced by its projection as
+/// it is copied: `split` gives an operation's key and what its key's
+/// sub-history records instead of it. One hash lookup and one copy per
+/// record, then one sort of the distinct keys.
+fn split_projected<O, R, K, P, F>(history: &History<O, R>, mut split: F) -> Vec<(K, History<P, R>)>
+where
+    R: Clone,
+    K: Ord + Hash + Clone,
+    F: FnMut(&O) -> (K, P),
+{
+    let mut slot: FxHashMap<K, usize> = FxHashMap::default();
+    let mut buckets: Vec<(K, History<P, R>)> = Vec::new();
     for rec in history.records() {
-        let k = key(&rec.op);
-        let sub = buckets.entry(k).or_default();
-        let id = sub.record_invoke(rec.pid, rec.op.clone(), rec.invoked_at);
-        let (resp, at) = rec.response.clone().expect("complete");
-        sub.record_response(id, resp, at);
+        let (k, op) = split(&rec.op);
+        let b = match slot.entry(k) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                buckets.push((e.key().clone(), History::new()));
+                *e.insert(buckets.len() - 1)
+            }
+        };
+        let (resp, responded_at) = rec.response.as_ref().expect("complete histories only");
+        buckets[b]
+            .1
+            .record_complete(rec.pid, op, rec.invoked_at, resp.clone(), *responded_at);
     }
-    buckets.into_iter().collect()
+    buckets.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    buckets
+}
+
+/// The one per-key path of [`check_namespace_with`] and
+/// [`check_multi_object_with`]: split by `split`'s key, projecting each
+/// operation down to the inner spec's, and check every key on its own.
+fn check_by_key<S, O, K, F>(
+    inner: &S,
+    history: &History<O, S::Resp>,
+    limits: CheckLimits,
+    split: F,
+) -> Vec<(K, CheckOutcome)>
+where
+    S: SequentialSpec,
+    K: Ord + Hash + Clone,
+    F: FnMut(&O) -> (K, S::Op),
+{
+    split_projected(history, split)
+        .into_iter()
+        .map(|(key, sub)| (key, check_history_with(inner, &sub, limits)))
+        .collect()
 }
 
 /// Per-object outcome of a locality-based multi-object check.
@@ -198,14 +244,9 @@ pub fn check_multi_object_with<S: SequentialSpec>(
     history: &History<IndexedOp<S::Op>, S::Resp>,
     limits: CheckLimits,
 ) -> MultiOutcome {
-    let per_object = split_history(history, |op| op.index)
-        .into_iter()
-        .map(|(index, sub)| {
-            let projected = sub.map(|op| op.op.clone(), Clone::clone);
-            (index, check_history_with(inner, &projected, limits))
-        })
-        .collect();
-    MultiOutcome { per_object }
+    MultiOutcome {
+        per_object: check_by_key(inner, history, limits, |op| (op.index, op.op.clone())),
+    }
 }
 
 #[cfg(test)]
@@ -258,6 +299,40 @@ mod tests {
         assert_eq!(parts[0].0, 0);
         assert_eq!(parts[0].1.len(), 2);
         assert_eq!(parts[1].1.len(), 3);
+    }
+
+    #[test]
+    fn split_sorts_keys_and_keeps_each_keys_order_and_times() {
+        // Keys first seen as 9, 3, 7 come back ascending; each key's
+        // sub-history keeps its ops in invocation order, renumbered from
+        // 0, with their process and real times.
+        let mut h: History<NsOp<RmwOp>, RmwResp> = History::new();
+        for (i, key) in [9, 3, 9, 7, 3].into_iter().enumerate() {
+            let i = i as u64;
+            h.record_complete(
+                p(i as u32),
+                NsOp::new(key, RmwOp::Write(i as i64)),
+                t(10 * i),
+                RmwResp::Ack,
+                t(10 * i + 3),
+            );
+        }
+        let parts = split_history(&h, |op| op.key);
+        let keys: Vec<u64> = parts.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, vec![3, 7, 9]);
+        let nine = &parts[2].1;
+        assert_eq!(nine.len(), 2);
+        assert_eq!(nine.records()[1].id, skewbound_sim::ids::OpId::new(1));
+        assert_eq!(nine.records()[1].op, NsOp::new(9, RmwOp::Write(2)));
+        assert_eq!(nine.records()[1].pid, p(2));
+        assert_eq!(nine.records()[1].invoked_at, t(20));
+        assert_eq!(nine.records()[1].responded_at(), Some(t(23)));
+        let checked: Vec<u64> = check_namespace(&RmwRegister::default(), &h)
+            .per_key
+            .iter()
+            .map(|(k, _)| *k)
+            .collect();
+        assert_eq!(checked, keys, "the check reports keys in the split's order");
     }
 
     #[test]

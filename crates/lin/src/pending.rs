@@ -17,7 +17,7 @@ use skewbound_sim::history::History;
 use skewbound_sim::ids::OpId;
 use skewbound_spec::seqspec::SequentialSpec;
 
-use crate::checker::{predecessor_masks, CheckLimits, CheckOutcome, Linearization, Violation};
+use crate::checker::{precedence, CheckLimits, CheckOutcome, Linearization, Violation};
 use crate::intern::{SeenSet, StateInterner};
 
 /// Checks a possibly-incomplete history: pending invocations may be
@@ -58,7 +58,7 @@ pub fn check_pending_with<S: SequentialSpec>(
     }
 
     let records = history.records();
-    let predecessors = predecessor_masks(records);
+    let (predecessors, _) = precedence(records);
     let completed_mask: u128 = records
         .iter()
         .enumerate()

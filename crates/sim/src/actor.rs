@@ -187,6 +187,8 @@ impl<'a, A: Actor> Context<'a, A> {
 
     /// Sends `msg` to every *other* process (self excluded, per the
     /// model), as one delivery batch of one per destination.
+    // Inlined everywhere: see `Agenda::file`.
+    #[inline]
     pub fn broadcast(&mut self, msg: A::Msg)
     where
         A::Msg: Clone,

@@ -117,6 +117,36 @@ impl<O, R> History<O, R> {
         id
     }
 
+    /// Appends an operation that has already completed and returns its
+    /// id: [`History::record_invoke`] and [`History::record_response`]
+    /// in one step, for copying records out of another history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the response is before the invocation.
+    pub fn record_complete(
+        &mut self,
+        pid: ProcessId,
+        op: O,
+        invoked_at: SimTime,
+        resp: R,
+        responded_at: SimTime,
+    ) -> OpId {
+        assert!(
+            responded_at >= invoked_at,
+            "operation responded before its invocation"
+        );
+        let id = OpId::new(self.records.len() as u64);
+        self.records.push(OpRecord {
+            id,
+            pid,
+            op,
+            invoked_at,
+            response: Some((resp, responded_at)),
+        });
+        id
+    }
+
     /// Records the response of operation `id`.
     ///
     /// # Panics
@@ -247,6 +277,26 @@ mod tests {
         assert_eq!(h.len(), 2);
         assert_eq!(h.get(a).unwrap().latency().unwrap().as_ticks(), 5);
         assert_eq!(h.max_latency().unwrap().as_ticks(), 7);
+    }
+
+    #[test]
+    fn record_complete_is_invoke_then_response() {
+        let mut stepwise: History<&str, u32> = History::new();
+        let a = stepwise.record_invoke(ProcessId::new(2), "w", t(3));
+        stepwise.record_response(a, 7, t(9));
+        let mut direct: History<&str, u32> = History::new();
+        assert_eq!(
+            direct.record_complete(ProcessId::new(2), "w", t(3), 7, t(9)),
+            a
+        );
+        assert_eq!(direct, stepwise);
+    }
+
+    #[test]
+    #[should_panic(expected = "responded before its invocation")]
+    fn record_complete_rejects_a_response_before_its_invocation() {
+        let mut h: History<&str, u32> = History::new();
+        h.record_complete(ProcessId::new(0), "w", t(5), 0, t(4));
     }
 
     #[test]

@@ -106,17 +106,6 @@ impl TimerSlab {
         self.retire(id)
     }
 
-    /// `true` while the timer is pending: allocated, not yet fired, not
-    /// cancelled. Unlike [`TimerSlab::fire`] this does not consume the
-    /// id, so schedulers can filter stale expiry events without retiring
-    /// live ones.
-    #[must_use]
-    pub fn is_live(&self, id: TimerId) -> bool {
-        self.slots
-            .get(id.slot() as usize)
-            .is_some_and(|s| s.live && s.generation == id.generation())
-    }
-
     /// Number of currently live (pending) timers.
     #[must_use]
     pub fn pending(&self) -> usize {
@@ -184,21 +173,6 @@ mod tests {
         assert!(!slab.fire(TimerId::new(u64::MAX)));
     }
 
-    #[test]
-    fn is_live_tracks_lifecycle_without_consuming() {
-        let mut slab = TimerSlab::new();
-        let a = slab.alloc();
-        assert!(slab.is_live(a));
-        assert!(slab.is_live(a), "is_live must not retire the timer");
-        assert!(slab.fire(a));
-        assert!(!slab.is_live(a));
-        let b = slab.alloc();
-        assert!(slab.is_live(b));
-        assert!(slab.cancel(b));
-        assert!(!slab.is_live(b));
-        assert!(!slab.is_live(TimerId::new(u64::MAX)));
-    }
-
     /// Forces a slot's generation counter to its maximum and checks the
     /// saturating retirement: the exhausted slot never re-enters the free
     /// list, so a wrapped generation can never resurrect a stale id.
@@ -218,7 +192,7 @@ mod tests {
         // instead of wrapping slot 0 back to generation 0.
         let c = slab.alloc();
         assert_eq!(c.slot(), 1, "slot 0 must not be recycled");
-        assert!(slab.is_live(c));
+        assert_eq!(slab.pending(), 1);
         // Ids minted for slot 0 stay dead forever, including the id that
         // a generation-0 wraparound would have resurrected.
         let resurrected = TimerId::new(0); // slot 0, generation 0
