@@ -210,13 +210,9 @@ where
     // namespace is an independent object, so per-key checking is exact.
     let mut by_key: BTreeMap<u64, History<S::Op, S::Resp>> = BTreeMap::new();
     for r in records {
-        by_key.entry(r.key).or_default().record_complete(
-            r.pid,
-            r.op,
-            SimTime::from_ticks(r.invoked),
-            r.resp,
-            SimTime::from_ticks(r.responded),
-        );
+        let h = by_key.entry(r.key).or_default();
+        let id = h.record_invoke(r.pid, r.op, SimTime::from_ticks(r.invoked));
+        h.record_response(id, r.resp, SimTime::from_ticks(r.responded));
     }
     let mut keys_checked = 0u64;
     let mut failures = 0u64;
