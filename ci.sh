@@ -75,6 +75,14 @@ if grep -nE '\.(on_invoke|on_timer|on_message_batch)\(' crates/sim/src/engine.rs
 fi
 echo "engine: no direct on_invoke, on_timer or on_message_batch call"
 
+echo "== one formula table (bound formulas are written only in core::bounds) =="
+formulas='"(u/2|d \+ min\{eps, u, d/3\}|\(1 - 1/n\)u|eps \+ X|d \+ eps - X|d \+ eps|d \+ 2eps)"'
+if grep -rnE --include='*.rs' "$formulas" crates examples tests | grep -v '^crates/core/src/bounds.rs:'; then
+  echo "a bound formula is spelled outside crates/core/src/bounds.rs; name a core::bounds::Bound instead" >&2
+  exit 1
+fi
+echo "bounds: every formula literal lives in core::bounds"
+
 echo "== TCP loopback smoke (3-process mesh + closed-loop load + trace audit) =="
 cargo build --release -q -p skewbound-net
 net_dir=target/netsmoke

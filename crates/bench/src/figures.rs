@@ -5,7 +5,7 @@
 //! them and `EXPERIMENTS.md` records paper-vs-measured for each.
 
 use skewbound_clocksync::{optimal_skew, run_sync_round};
-use skewbound_core::bounds;
+use skewbound_core::bounds::{self, Bound};
 use skewbound_core::foils::{
     eager_accessor_group, eager_group, fast_mutator_group, LocalFirstReplica,
 };
@@ -98,8 +98,8 @@ pub fn thm_c1(params: &Params) -> String {
            Algorithm 1 (|dequeue| ≤ d + eps = {}): {}\n\
            zero-latency foil: {} (violations: {:?})\n\
            half-timer foil (latency ≈ (d+eps)/2 = {}): {} (violations: {:?})\n",
-        bounds::lb_strongly_insc(params).as_ticks(),
-        bounds::ub_oop(params).as_ticks(),
+        Bound::DPlusM.eval(params).as_ticks(),
+        Bound::Oop.eval(params).as_ticks(),
         if honest.all_passed() {
             "PASS (linearizable in every run)"
         } else {
@@ -111,7 +111,7 @@ pub fn thm_c1(params: &Params) -> String {
             "caught"
         },
         local_first.violations(),
-        bounds::ub_oop(params).as_ticks() / 2,
+        Bound::Oop.eval(params).as_ticks() / 2,
         if halved.all_passed() {
             "NOT caught (unexpected!)"
         } else {
@@ -144,7 +144,7 @@ pub fn thm_d1(params: &Params, k: usize) -> String {
            instant-write foil (wait 0): {} (violations: {:?})\n\
            one-tick-under foil (wait {}): {} (violations: {:?})\n",
         lb.as_ticks(),
-        bounds::ub_mop(params).as_ticks(),
+        Bound::Mop.eval(params).as_ticks(),
         if honest.all_passed() { "PASS" } else { "FAIL" },
         if instant.all_passed() {
             "NOT caught (unexpected!)"
@@ -187,8 +187,8 @@ pub fn thm_e1(params: &Params) -> String {
         "Theorem E.1 (|enqueue| + |peek| ≥ d + min{{eps,u,d/3}} = {}):\n\
            Algorithm 1 (sum = d + 2eps = {}): {}\n\
            eager-peek foil (sum = {}): {} (violations: {:?})\n",
-        bounds::lb_pair_non_overwriting(params).as_ticks(),
-        bounds::ub_pair(params).as_ticks(),
+        Bound::DPlusM.eval(params).as_ticks(),
+        Bound::Pair.eval(params).as_ticks(),
         if honest.all_passed() { "PASS" } else { "FAIL" },
         (foil_w + fast_wait).as_ticks(),
         if foil.all_passed() {
@@ -228,9 +228,9 @@ pub fn x_sweep(params: &Params, points: usize) -> String {
             "  {:>6}   {:>8}    {:>6}     {:>8}    {:>8}    {:>6}\n",
             x.as_ticks(),
             mop.as_ticks(),
-            bounds::ub_mop(&p_x).as_ticks(),
+            Bound::Mop.eval(&p_x).as_ticks(),
             aop.as_ticks(),
-            bounds::ub_aop(&p_x).as_ticks(),
+            Bound::Aop.eval(&p_x).as_ticks(),
             (mop + aop).as_ticks(),
         ));
     }
@@ -257,8 +257,8 @@ pub fn derivation(params: &Params) -> String {
             a.strongly_insc,
             a.last_permuting,
             a.overwriter,
-            a.lower.text(),
-            a.lower.eval(params).map(|d| d.as_ticks()),
+            a.lower.map_or("-", Bound::text),
+            a.lower.map(|b| b.eval(params).as_ticks()),
             a.upper.text(),
             a.upper.eval(params).as_ticks(),
         ));
@@ -308,7 +308,7 @@ pub fn derivation(params: &Params) -> String {
             &OpGroup::new("write", probes::register_writes(3)),
             &OpGroup::new("read", vec![RmwOp::Read]),
         ),
-        "d",
+        Bound::D.text(),
     );
 
     out.push_str("queue:\n");
@@ -450,9 +450,9 @@ pub fn n_sweep(d: SimDuration, u: SimDuration, max_n: usize) -> String {
             "  {:>2}   {:>12}   {:>9}   {:>11}   {:>12}   {:>11}\n",
             n,
             p.eps().as_ticks(),
-            bounds::ub_mop(&p).as_ticks(),
-            bounds::ub_aop(&p).as_ticks(),
-            bounds::ub_oop(&p).as_ticks(),
+            Bound::Mop.eval(&p).as_ticks(),
+            Bound::Aop.eval(&p).as_ticks(),
+            Bound::Oop.eval(&p).as_ticks(),
             bounds::ub_centralized(&p).as_ticks(),
         ));
     }

@@ -1,6 +1,6 @@
 //! Table assembly: paper formulas next to measured latencies.
 
-use skewbound_core::bounds::{self, TableRow};
+use skewbound_core::bounds::{self, Bound, TableRow};
 use skewbound_core::params::Params;
 use skewbound_sim::time::SimDuration;
 use skewbound_spec::prelude::*;
@@ -175,6 +175,20 @@ fn fmt_opt(v: Option<SimDuration>) -> String {
     v.map_or_else(|| "-".to_string(), |d| d.as_ticks().to_string())
 }
 
+/// A row's previous-LB, new-LB and UB cells: formula text and value, `-`
+/// where the paper lists no bound. The tables spell the mutator bound
+/// `eps (+X)`, as the paper's do.
+fn cells(row: &TableRow, p: &Params) -> [(&'static str, Option<SimDuration>); 3] {
+    [Some(row.prev_lb), row.new_lb, Some(row.ub)].map(|bound| {
+        let text = match bound {
+            Some(Bound::Mop) => "eps (+X)",
+            Some(b) => b.text(),
+            None => "-",
+        };
+        (text, bound.map(|b| b.eval(p)))
+    })
+}
+
 impl TableReport {
     /// Renders the table as aligned text, paper columns first, measured
     /// columns last.
@@ -188,13 +202,14 @@ impl TableReport {
             "operation", "prev LB", "new LB", "UB", "measured(A1)", "measured(2d)"
         ));
         for r in &self.rows {
-            let p = &self.params;
+            let [prev, new, ub] =
+                cells(&r.row, &self.params).map(|(t, v)| format!("{t} = {}", fmt_opt(v)));
             out.push_str(&format!(
                 "  {:<22} {:>12} {:>22} {:>14} | {:>14} {:>14}\n",
                 r.row.operation,
-                format!("{} = {}", r.row.prev_lb_text, fmt_opt((r.row.prev_lb)(p))),
-                format!("{} = {}", r.row.new_lb_text, fmt_opt((r.row.new_lb)(p))),
-                format!("{} = {}", r.row.ub_text, fmt_opt((r.row.ub)(p))),
+                prev,
+                new,
+                ub,
                 fmt_opt(r.measured),
                 fmt_opt(r.measured_centralized),
             ));
@@ -216,18 +231,16 @@ impl TableReport {
         };
         // Formula texts contain commas (`min{eps, u, d/3}`); keep the CSV
         // flat by swapping them for semicolons.
-        let formula = |t: &str| t.replace(", ", "; ");
         for r in &self.rows {
+            let [prev, new, ub] =
+                cells(&r.row, p).map(|(t, v)| format!("{},{}", t.replace(", ", "; "), opt(v)));
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{},{},{}\n",
                 self.object.short_name(),
                 r.row.operation,
-                formula(r.row.prev_lb_text),
-                opt((r.row.prev_lb)(p)),
-                formula(r.row.new_lb_text),
-                opt((r.row.new_lb)(p)),
-                formula(r.row.ub_text),
-                opt((r.row.ub)(p)),
+                prev,
+                new,
+                ub,
                 opt(r.measured),
                 opt(r.measured_centralized),
             ));
@@ -250,29 +263,38 @@ impl TableReport {
     pub fn verify(&self) -> Result<(), String> {
         let p = &self.params;
         for r in &self.rows {
-            let (Some(measured), Some(ub)) = (r.measured, (r.row.ub)(p)) else {
+            let Some(measured) = r.measured else {
                 continue;
             };
+            let op = r.row.operation;
+            let err =
+                |claim: String| Err(format!("{op}: measured {} {claim}", measured.as_ticks()));
+            let ub = r.row.ub.eval(p);
             if measured > ub {
-                return Err(format!(
-                    "{}: measured {} exceeds upper bound {}",
-                    r.row.operation,
-                    measured.as_ticks(),
-                    ub.as_ticks()
+                return err(format!("exceeds upper bound {}", ub.as_ticks()));
+            }
+            // Pair rows sum two operations, so the baseline bound doubles.
+            let ops_in_row = 1 + op.matches(" + ").count() as u64;
+            let tight_lb = r.row.new_lb.filter(|lb| match lb {
+                Bound::PermuteN => p.x() == SimDuration::ZERO,
+                Bound::DPlusM => ops_in_row == 1 && bounds::insc_bound_tight(p),
+                _ => false,
+            });
+            if let Some(lb) = tight_lb.map(|lb| lb.eval(p)).filter(|&lb| measured < lb) {
+                return err(format!("is below the tight lower bound {}", lb.as_ticks()));
+            }
+            let two_d = bounds::ub_centralized(p);
+            if r.row.ub == Bound::Mop && measured >= two_d {
+                return err(format!(
+                    "does not beat the 2d baseline {}",
+                    two_d.as_ticks()
                 ));
             }
-            if let Some(c) = r.measured_centralized {
-                // Pair rows sum two operations, so the baseline bound
-                // doubles.
-                let ops_in_row = 1 + r.row.operation.matches(" + ").count() as u64;
-                if c > bounds::ub_centralized(p) * ops_in_row {
-                    return Err(format!(
-                        "{}: centralized measured {} exceeds {} x 2d",
-                        r.row.operation,
-                        c.as_ticks(),
-                        ops_in_row
-                    ));
-                }
+            if let Some(c) = r.measured_centralized.filter(|&c| c > two_d * ops_in_row) {
+                return Err(format!(
+                    "{op}: centralized measured {} exceeds {ops_in_row} x 2d",
+                    c.as_ticks()
+                ));
             }
         }
         Ok(())
@@ -322,10 +344,39 @@ mod tests {
         assert_eq!(lines.len(), 4); // header + 3 rows
         assert!(lines[0].starts_with("object,operation"));
         assert!(csv.contains("enqueue + peek"));
+        // The mutator bound keeps the tables' `eps (+X)` spelling.
+        assert_eq!(
+            lines[1],
+            "queue,enqueue,u/2,1200,(1 - 1/n)u,1600,eps (+X),1600,1600,18000"
+        );
         // Every data line has the full column count.
         for line in &lines[1..] {
             assert_eq!(line.split(',').count(), 10, "{line}");
         }
+    }
+
+    #[test]
+    fn verify_rejects_a_write_below_its_tight_lower_bound() {
+        // At X = 0 a write's (1 - 1/n)u lower bound is tight, so a
+        // measured write one tick under it is a false claim.
+        let p = params();
+        let row = Object::Register.rows()[1];
+        assert_eq!(
+            (row.operation, row.new_lb),
+            ("write", Some(Bound::PermuteN))
+        );
+        let report = |ticks: u64| TableReport {
+            object: Object::Register,
+            params: p,
+            rows: vec![RowReport {
+                row,
+                measured: Some(SimDuration::from_ticks(ticks)),
+                measured_centralized: None,
+            }],
+        };
+        let lb = Bound::PermuteN.eval(&p).as_ticks();
+        report(lb).verify().unwrap();
+        assert!(report(lb - 1).verify().unwrap_err().contains("below"));
     }
 
     #[test]

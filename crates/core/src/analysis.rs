@@ -32,12 +32,10 @@
 
 use core::fmt;
 
-use skewbound_sim::time::SimDuration;
 use skewbound_spec::classify;
 use skewbound_spec::seqspec::{OpClass, SequentialSpec};
 
-use crate::bounds;
-use crate::params::Params;
+use crate::bounds::Bound;
 
 /// A named group of operation instances of one operation *type*
 /// (e.g. "write" with several distinct write instances).
@@ -69,73 +67,6 @@ impl<S: SequentialSpec> fmt::Debug for OpGroup<S> {
     }
 }
 
-/// A derived single-operation lower bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DerivedLower {
-    /// `d + min{ε, u, d/3}` (Theorem C.1; strongly INSC).
-    DPlusM,
-    /// `(1 − 1/n)u` (Theorem D.1; eventually non-self-last-permuting,
-    /// instantiated at `k = n`).
-    PermuteN,
-    /// No single-operation lower bound derived (e.g. pure accessors).
-    None,
-}
-
-impl DerivedLower {
-    /// Evaluates the formula at `params`.
-    #[must_use]
-    pub fn eval(self, p: &Params) -> Option<SimDuration> {
-        match self {
-            DerivedLower::DPlusM => Some(bounds::lb_strongly_insc(p)),
-            DerivedLower::PermuteN => Some(bounds::lb_permute(p.n(), p.u())),
-            DerivedLower::None => None,
-        }
-    }
-
-    /// The formula as printed in the paper.
-    #[must_use]
-    pub fn text(self) -> &'static str {
-        match self {
-            DerivedLower::DPlusM => "d + min{eps, u, d/3}",
-            DerivedLower::PermuteN => "(1 - 1/n)u",
-            DerivedLower::None => "-",
-        }
-    }
-}
-
-/// The upper bound implied by the operation class under Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DerivedUpper {
-    /// Pure mutators: `ε + X`.
-    Mop,
-    /// Pure accessors: `d + ε − X`.
-    Aop,
-    /// Everything else: `d + ε`.
-    Oop,
-}
-
-impl DerivedUpper {
-    /// Evaluates the formula at `params`.
-    #[must_use]
-    pub fn eval(self, p: &Params) -> SimDuration {
-        match self {
-            DerivedUpper::Mop => bounds::ub_mop(p),
-            DerivedUpper::Aop => bounds::ub_aop(p),
-            DerivedUpper::Oop => bounds::ub_oop(p),
-        }
-    }
-
-    /// The formula as printed in the paper.
-    #[must_use]
-    pub fn text(self) -> &'static str {
-        match self {
-            DerivedUpper::Mop => "eps + X",
-            DerivedUpper::Aop => "d + eps - X",
-            DerivedUpper::Oop => "d + eps",
-        }
-    }
-}
-
 /// The classification profile and derived bounds of one operation group.
 #[derive(Debug)]
 pub struct GroupAnalysis {
@@ -160,10 +91,11 @@ pub struct GroupAnalysis {
     pub last_permuting: bool,
     /// Witnessed Definition C.4.
     pub any_permuting: bool,
-    /// Derived lower bound.
-    pub lower: DerivedLower,
+    /// Derived lower bound (`None` when no single-operation bound
+    /// applies, e.g. for pure accessors).
+    pub lower: Option<Bound>,
     /// Derived upper bound (Algorithm 1).
-    pub upper: DerivedUpper,
+    pub upper: Bound,
 }
 
 /// Classifies one operation group over `states` and derives its bounds.
@@ -222,16 +154,11 @@ pub fn analyze_group<S: SequentialSpec>(
     }
 
     let lower = if strongly_insc {
-        DerivedLower::DPlusM
+        Some(Bound::DPlusM)
     } else if last_permuting {
-        DerivedLower::PermuteN
+        Some(Bound::PermuteN)
     } else {
-        DerivedLower::None
-    };
-    let upper = match class {
-        OpClass::PureMutator => DerivedUpper::Mop,
-        OpClass::PureAccessor => DerivedUpper::Aop,
-        OpClass::Other => DerivedUpper::Oop,
+        None
     };
 
     GroupAnalysis {
@@ -246,7 +173,7 @@ pub fn analyze_group<S: SequentialSpec>(
         last_permuting,
         any_permuting,
         lower,
-        upper,
+        upper: Bound::upper(class),
     }
 }
 
@@ -347,37 +274,6 @@ pub fn e1_hypothesis_witness<S: SequentialSpec>(
     None
 }
 
-/// A derived mutator+accessor pair bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DerivedPairLower {
-    /// `d + min{ε, u, d/3}` (Theorem E.1 hypotheses witnessed).
-    DPlusM,
-    /// `d` (the classical bound; E.1's hypotheses not witnessed —
-    /// overwriting or self-commuting mutator, or no distinguishing
-    /// accessor).
-    D,
-}
-
-impl DerivedPairLower {
-    /// Evaluates the formula at `params`.
-    #[must_use]
-    pub fn eval(self, p: &Params) -> SimDuration {
-        match self {
-            DerivedPairLower::DPlusM => bounds::lb_pair_non_overwriting(p),
-            DerivedPairLower::D => bounds::lb_pair_overwriting(p),
-        }
-    }
-
-    /// The formula text.
-    #[must_use]
-    pub fn text(self) -> &'static str {
-        match self {
-            DerivedPairLower::DPlusM => "d + min{eps, u, d/3}",
-            DerivedPairLower::D => "d",
-        }
-    }
-}
-
 /// Analysis of a mutator group paired with an accessor group.
 #[derive(Debug)]
 pub struct PairAnalysis {
@@ -390,8 +286,11 @@ pub struct PairAnalysis {
     pub mutator_immediately_self_commuting: bool,
     /// Whether the Theorem E.1 hypotheses A∧B∧C were witnessed.
     pub e1_witnessed: bool,
-    /// Derived lower bound on `|OP| + |AOP|`.
-    pub lower: DerivedPairLower,
+    /// Derived lower bound on `|OP| + |AOP|`: [`Bound::DPlusM`] when the
+    /// Theorem E.1 hypotheses hold, else the classical [`Bound::D`]
+    /// (overwriting or self-commuting mutator, or no distinguishing
+    /// accessor).
+    pub lower: Bound,
 }
 
 /// Derives the pair bound for a (mutator group, accessor group) pair.
@@ -412,17 +311,15 @@ pub fn analyze_pair<S: SequentialSpec>(
         accessor: accessors.name.clone(),
         mutator_immediately_self_commuting: imm_self_commuting,
         e1_witnessed: witness.is_some(),
-        lower: if e1 {
-            DerivedPairLower::DPlusM
-        } else {
-            DerivedPairLower::D
-        },
+        lower: if e1 { Bound::DPlusM } else { Bound::D },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::Params;
+    use skewbound_sim::time::SimDuration;
     use skewbound_spec::prelude::*;
     use skewbound_spec::probes;
 
@@ -441,8 +338,8 @@ mod tests {
         );
         assert!(write.mutator && !write.accessor && write.overwriter);
         assert!(write.last_permuting && !write.any_permuting);
-        assert_eq!(write.lower, DerivedLower::PermuteN);
-        assert_eq!(write.upper, DerivedUpper::Mop);
+        assert_eq!(write.lower, Some(Bound::PermuteN));
+        assert_eq!(write.upper, Bound::Mop);
 
         let rmw = analyze_group(
             &spec,
@@ -453,13 +350,13 @@ mod tests {
             ),
         );
         assert!(rmw.strongly_insc);
-        assert_eq!(rmw.lower, DerivedLower::DPlusM);
-        assert_eq!(rmw.upper, DerivedUpper::Oop);
+        assert_eq!(rmw.lower, Some(Bound::DPlusM));
+        assert_eq!(rmw.upper, Bound::Oop);
 
         let read = analyze_group(&spec, &states, &OpGroup::new("read", vec![RmwOp::Read]));
         assert!(read.accessor && !read.mutator);
-        assert_eq!(read.lower, DerivedLower::None);
-        assert_eq!(read.upper, DerivedUpper::Aop);
+        assert_eq!(read.lower, None);
+        assert_eq!(read.upper, Bound::Aop);
     }
 
     #[test]
@@ -472,8 +369,8 @@ mod tests {
             &OpGroup::new("enqueue", probes::queue_enqueues(3)),
         );
         assert!(enq.any_permuting && enq.last_permuting && !enq.overwriter);
-        assert_eq!(enq.lower, DerivedLower::PermuteN);
-        assert_eq!(enq.upper, DerivedUpper::Mop);
+        assert_eq!(enq.lower, Some(Bound::PermuteN));
+        assert_eq!(enq.upper, Bound::Mop);
         // Dequeue: single instance value can't self-pair in the generic
         // scanner (instances must differ), but the strongly-INSC property
         // shows through RMW-style distinct-return analysis — covered by
@@ -483,7 +380,7 @@ mod tests {
             &states,
             &OpGroup::new("dequeue", vec![QueueOp::Dequeue]),
         );
-        assert_eq!(deq.upper, DerivedUpper::Oop);
+        assert_eq!(deq.upper, Bound::Oop);
     }
 
     #[test]
@@ -500,7 +397,7 @@ mod tests {
         );
         assert!(ins.mutator && !ins.eventually_nsc);
         assert!(!ins.last_permuting);
-        assert_eq!(ins.lower, DerivedLower::None);
+        assert_eq!(ins.lower, None);
     }
 
     // ------------------------------------------------------------------
@@ -521,7 +418,7 @@ mod tests {
         );
         assert!(pair.mutator_immediately_self_commuting);
         assert!(pair.e1_witnessed);
-        assert_eq!(pair.lower, DerivedPairLower::DPlusM);
+        assert_eq!(pair.lower, Bound::DPlusM);
     }
 
     #[test]
@@ -539,7 +436,7 @@ mod tests {
             &OpGroup::new("peek", vec![StackOp::Peek]),
         );
         assert!(!peek_only.e1_witnessed);
-        assert_eq!(peek_only.lower, DerivedPairLower::D);
+        assert_eq!(peek_only.lower, Bound::D);
 
         let len_only = analyze_pair(
             &spec,
@@ -558,7 +455,7 @@ mod tests {
             &OpGroup::new("peek/len", vec![StackOp::Peek, StackOp::Len]),
         );
         assert!(mixed.e1_witnessed);
-        assert_eq!(mixed.lower, DerivedPairLower::DPlusM);
+        assert_eq!(mixed.lower, Bound::DPlusM);
     }
 
     #[test]
@@ -591,7 +488,7 @@ mod tests {
         // Even with search instances allowed, A∧B∧C has no witness for
         // dependent inserts and C has none for independent ones.
         assert!(!pair.e1_witnessed);
-        assert_eq!(pair.lower, DerivedPairLower::D);
+        assert_eq!(pair.lower, Bound::D);
     }
 
     #[test]
@@ -607,7 +504,7 @@ mod tests {
             &OpGroup::new("read", vec![RmwOp::Read]),
         );
         assert!(!pair.e1_witnessed);
-        assert_eq!(pair.lower, DerivedPairLower::D);
+        assert_eq!(pair.lower, Bound::D);
     }
 
     #[test]
@@ -628,7 +525,7 @@ mod tests {
             &OpGroup::new("get", vec![KvOp::Get { key: 1 }, KvOp::Get { key: 2 }]),
         );
         assert!(!pair.e1_witnessed);
-        assert_eq!(pair.lower, DerivedPairLower::D);
+        assert_eq!(pair.lower, Bound::D);
     }
 
     #[test]
@@ -640,11 +537,9 @@ mod tests {
             SimDuration::ZERO,
         )
         .unwrap();
-        assert_eq!(DerivedLower::DPlusM.eval(&p).unwrap().as_ticks(), 10_600);
-        assert_eq!(DerivedLower::PermuteN.eval(&p).unwrap().as_ticks(), 1_600);
-        assert_eq!(DerivedLower::None.eval(&p), None);
-        assert_eq!(DerivedUpper::Mop.eval(&p).as_ticks(), 1_600);
-        assert_eq!(DerivedPairLower::DPlusM.eval(&p).as_ticks(), 10_600);
-        assert_eq!(DerivedPairLower::D.eval(&p).as_ticks(), 9_000);
+        assert_eq!(Bound::DPlusM.eval(&p).as_ticks(), 10_600);
+        assert_eq!(Bound::PermuteN.eval(&p).as_ticks(), 1_600);
+        assert_eq!(Bound::Mop.eval(&p).as_ticks(), 1_600);
+        assert_eq!(Bound::D.eval(&p).as_ticks(), 9_000);
     }
 }

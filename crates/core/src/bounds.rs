@@ -3,31 +3,92 @@
 //! The thesis's results are formulas over `d` (delay bound), `u` (delay
 //! uncertainty), `ε` (clock skew bound), `n`/`k` (process / concurrency
 //! counts) and `X` (the accessor/mutator trade-off). This module encodes
-//! them once, so the benchmark harness can print the paper's tables with
-//! "previous lower bound / new lower bound / upper bound" columns
-//! evaluated for concrete parameters and compared against measured
-//! latencies.
+//! each one once, as a [`Bound`] variant with its printed text and its
+//! value, so the tables, the derivation in [`crate::analysis`] and the
+//! response-bound invariant name a formula instead of restating it.
 
 use skewbound_sim::time::SimDuration;
+use skewbound_spec::seqspec::OpClass;
 
 use crate::params::Params;
 
-/// `m = min{ε, u, d/3}` — the slack term of Theorems C.1 and E.1.
-#[must_use]
-pub fn slack_m(p: &Params) -> SimDuration {
-    p.m()
+/// One formula of the paper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bound {
+    /// `d`: the previous lower bound for INSC operations and for
+    /// mutator+accessor pairs (Kosa, Lipton–Sandberg), and the pair bound
+    /// that stands when Theorem E.1's hypotheses fail (an overwriting or
+    /// eventually self-commuting mutator; the thesis leaves the `+2ε`
+    /// gap open).
+    D,
+    /// `u/2`: the previous lower bound for write-like mutators
+    /// (Attiya–Welch).
+    HalfU,
+    /// `d + min{ε, u, d/3}`: Theorem C.1 for strongly immediately
+    /// non-self-commuting operations (RMW, dequeue, pop), and Theorem E.1
+    /// for `|OP| + |AOP|` with `OP` an immediately self-commuting,
+    /// eventually non-self-commuting, non-overwriting pure mutator
+    /// (enqueue+peek, push+peek, insert+depth).
+    DPlusM,
+    /// `(1 − 1/n)u`: Theorem D.1 for operation types with `k = n`
+    /// pairwise last-distinguishable instances (write, enqueue, push).
+    PermuteN,
+    /// `ε + X`: the exact time of pure mutators in Algorithm 1.
+    Mop,
+    /// `d + ε − X`: the exact time of pure accessors in Algorithm 1.
+    Aop,
+    /// `d + ε`: Algorithm 1's bound for every other operation (Theorem
+    /// D.2 of Chapter V).
+    Oop,
+    /// `d + 2ε`: `|MOP| + |AOP|` in Algorithm 1 (Theorem D.1 of Chapter
+    /// V), independent of `X`.
+    Pair,
 }
 
-/// Theorem C.1 lower bound for strongly immediately non-self-commuting
-/// operations (RMW, dequeue, pop): `d + min{ε, u, d/3}`.
-#[must_use]
-pub fn lb_strongly_insc(p: &Params) -> SimDuration {
-    p.d() + slack_m(p)
+impl Bound {
+    /// Algorithm 1's upper bound for an operation of class `class`.
+    #[must_use]
+    pub fn upper(class: OpClass) -> Bound {
+        match class {
+            OpClass::PureMutator => Bound::Mop,
+            OpClass::PureAccessor => Bound::Aop,
+            OpClass::Other => Bound::Oop,
+        }
+    }
+
+    /// The formula as printed in the paper.
+    #[must_use]
+    pub fn text(self) -> &'static str {
+        match self {
+            Bound::D => "d",
+            Bound::HalfU => "u/2",
+            Bound::DPlusM => "d + min{eps, u, d/3}",
+            Bound::PermuteN => "(1 - 1/n)u",
+            Bound::Mop => "eps + X",
+            Bound::Aop => "d + eps - X",
+            Bound::Oop => "d + eps",
+            Bound::Pair => "d + 2eps",
+        }
+    }
+
+    /// Evaluates the formula at `p`.
+    #[must_use]
+    pub fn eval(self, p: &Params) -> SimDuration {
+        match self {
+            Bound::D => p.d(),
+            Bound::HalfU => p.u() / 2,
+            Bound::DPlusM => p.d() + p.m(),
+            Bound::PermuteN => lb_permute(p.n(), p.u()),
+            Bound::Mop => p.eps() + p.x(),
+            Bound::Aop => p.d() + p.eps() - p.x(),
+            Bound::Oop => p.d() + p.eps(),
+            Bound::Pair => p.d() + p.eps() * 2,
+        }
+    }
 }
 
 /// Theorem D.1 lower bound for operation types with `k` pairwise
-/// last-distinguishable instances (write, enqueue, push at `k = n`):
-/// `(1 − 1/k)·u`.
+/// last-distinguishable instances: `(1 − 1/k)·u`.
 ///
 /// # Panics
 ///
@@ -38,72 +99,28 @@ pub fn lb_permute(k: usize, u: SimDuration) -> SimDuration {
     u.mul_frac(k as u64 - 1, k as u64)
 }
 
-/// Theorem E.1 lower bound for the sum `|OP| + |AOP|` where `OP` is an
-/// immediately-self-commuting, eventually non-self-commuting,
-/// *non-overwriting* pure mutator and `AOP` a pure accessor
-/// (enqueue+peek, push+peek, insert+depth): `d + min{ε, u, d/3}`.
-#[must_use]
-pub fn lb_pair_non_overwriting(p: &Params) -> SimDuration {
-    p.d() + slack_m(p)
-}
-
-/// The pair lower bound when the mutator *overwrites* (write+read) or
-/// eventually self-commutes (insert/remove on a set): `d` (Kosa /
-/// Lipton–Sandberg; the thesis leaves the `+2ε` gap open).
-#[must_use]
-pub fn lb_pair_overwriting(p: &Params) -> SimDuration {
-    p.d()
-}
-
-/// Upper bound for `OOP` operations in Algorithm 1: `d + ε`
-/// (Theorem D.2 of Chapter V).
+/// [`Bound::Oop`] evaluated: `d + ε`.
 #[must_use]
 pub fn ub_oop(p: &Params) -> SimDuration {
-    p.d() + p.eps()
+    Bound::Oop.eval(p)
 }
 
-/// Exact time for pure mutators in Algorithm 1: `ε + X`.
+/// [`Bound::Mop`] evaluated: `ε + X`.
 #[must_use]
 pub fn ub_mop(p: &Params) -> SimDuration {
-    p.eps() + p.x()
+    Bound::Mop.eval(p)
 }
 
-/// Exact time for pure accessors in Algorithm 1: `d + ε − X`.
+/// [`Bound::Aop`] evaluated: `d + ε − X`.
 #[must_use]
 pub fn ub_aop(p: &Params) -> SimDuration {
-    p.d() + p.eps() - p.x()
-}
-
-/// `|MOP| + |AOP| = d + 2ε` in Algorithm 1 (Theorem D.1 of Chapter V),
-/// independent of `X`.
-#[must_use]
-pub fn ub_pair(p: &Params) -> SimDuration {
-    p.d() + p.eps() * 2
+    Bound::Aop.eval(p)
 }
 
 /// The folklore baseline: every operation in `≤ 2d`.
 #[must_use]
 pub fn ub_centralized(p: &Params) -> SimDuration {
     p.d() * 2
-}
-
-/// Previous (pre-thesis) lower bound for INSC operations: `d` (Kosa).
-#[must_use]
-pub fn prev_lb_insc(p: &Params) -> SimDuration {
-    p.d()
-}
-
-/// Previous lower bound for write-like mutators: `u/2` (Attiya–Welch).
-#[must_use]
-pub fn prev_lb_mutator(p: &Params) -> SimDuration {
-    p.u() / 2
-}
-
-/// Previous lower bound for mutator+accessor pairs: `d`
-/// (Lipton–Sandberg / Kosa).
-#[must_use]
-pub fn prev_lb_pair(p: &Params) -> SimDuration {
-    p.d()
 }
 
 /// Whether the Theorem C.1 bound is *tight* for these parameters
@@ -114,226 +131,72 @@ pub fn insc_bound_tight(p: &Params) -> bool {
 }
 
 /// One row of a Chapter VI table: an operation (or operation pair), its
-/// previous lower bound, the thesis's lower bound, and the thesis's upper
-/// bound, all as formula strings plus evaluators.
-#[derive(Clone)]
+/// previous lower bound, the thesis's lower bound (`None` where the paper
+/// lists none, as for `read` in Table I) and the thesis's upper bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableRow {
     /// Operation name as printed in the paper ("dequeue", "write + read").
     pub operation: &'static str,
-    /// Previous lower bound, formula text.
-    pub prev_lb_text: &'static str,
-    /// New lower bound, formula text.
-    pub new_lb_text: &'static str,
-    /// Upper bound, formula text.
-    pub ub_text: &'static str,
-    /// Previous lower bound, evaluated (`None` when the paper lists none,
-    /// as for `read` in Table I's new-lower-bound column).
-    pub prev_lb: fn(&Params) -> Option<SimDuration>,
-    /// New lower bound, evaluated.
-    pub new_lb: fn(&Params) -> Option<SimDuration>,
-    /// Upper bound, evaluated.
-    pub ub: fn(&Params) -> Option<SimDuration>,
+    /// Previous lower bound.
+    pub prev_lb: Bound,
+    /// New lower bound.
+    pub new_lb: Option<Bound>,
+    /// Upper bound.
+    pub ub: Bound,
 }
 
-impl core::fmt::Debug for TableRow {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("TableRow")
-            .field("operation", &self.operation)
-            .field("prev_lb", &self.prev_lb_text)
-            .field("new_lb", &self.new_lb_text)
-            .field("ub", &self.ub_text)
-            .finish()
+fn row(operation: &'static str, prev_lb: Bound, new_lb: Option<Bound>, ub: Bound) -> TableRow {
+    TableRow {
+        operation,
+        prev_lb,
+        new_lb,
+        ub,
     }
-}
-
-fn some_prev_insc(p: &Params) -> Option<SimDuration> {
-    Some(prev_lb_insc(p))
-}
-fn some_prev_mut(p: &Params) -> Option<SimDuration> {
-    Some(prev_lb_mutator(p))
-}
-fn some_prev_pair(p: &Params) -> Option<SimDuration> {
-    Some(prev_lb_pair(p))
-}
-fn some_lb_insc(p: &Params) -> Option<SimDuration> {
-    Some(lb_strongly_insc(p))
-}
-fn some_lb_perm_n(p: &Params) -> Option<SimDuration> {
-    Some(lb_permute(p.n(), p.u()))
-}
-fn some_lb_pair_now(p: &Params) -> Option<SimDuration> {
-    Some(lb_pair_non_overwriting(p))
-}
-fn some_lb_pair_ow(p: &Params) -> Option<SimDuration> {
-    Some(lb_pair_overwriting(p))
-}
-fn none_lb(_p: &Params) -> Option<SimDuration> {
-    None
-}
-fn some_ub_oop(p: &Params) -> Option<SimDuration> {
-    Some(ub_oop(p))
-}
-fn some_ub_mop(p: &Params) -> Option<SimDuration> {
-    Some(ub_mop(p))
-}
-fn some_ub_aop(p: &Params) -> Option<SimDuration> {
-    Some(ub_aop(p))
-}
-fn some_ub_pair(p: &Params) -> Option<SimDuration> {
-    Some(ub_pair(p))
 }
 
 /// Table I — read/write/read-modify-write register.
 #[must_use]
 pub fn table_register() -> Vec<TableRow> {
+    use Bound::*;
     vec![
-        TableRow {
-            operation: "read-modify-write",
-            prev_lb_text: "d",
-            new_lb_text: "d + min{eps, u, d/3}",
-            ub_text: "d + eps",
-            prev_lb: some_prev_insc,
-            new_lb: some_lb_insc,
-            ub: some_ub_oop,
-        },
-        TableRow {
-            operation: "write",
-            prev_lb_text: "u/2",
-            new_lb_text: "(1 - 1/n)u",
-            ub_text: "eps (+X)",
-            prev_lb: some_prev_mut,
-            new_lb: some_lb_perm_n,
-            ub: some_ub_mop,
-        },
-        TableRow {
-            operation: "read",
-            prev_lb_text: "u/2",
-            new_lb_text: "-",
-            ub_text: "d + eps - X",
-            prev_lb: some_prev_mut,
-            new_lb: none_lb,
-            ub: some_ub_aop,
-        },
-        TableRow {
-            operation: "write + read",
-            prev_lb_text: "d",
-            new_lb_text: "d",
-            ub_text: "d + 2eps",
-            prev_lb: some_prev_pair,
-            new_lb: some_lb_pair_ow,
-            ub: some_ub_pair,
-        },
+        row("read-modify-write", D, Some(DPlusM), Oop),
+        row("write", HalfU, Some(PermuteN), Mop),
+        row("read", HalfU, None, Aop),
+        row("write + read", D, Some(D), Pair),
     ]
 }
 
 /// Table II — FIFO queue.
 #[must_use]
 pub fn table_queue() -> Vec<TableRow> {
+    use Bound::*;
     vec![
-        TableRow {
-            operation: "enqueue",
-            prev_lb_text: "u/2",
-            new_lb_text: "(1 - 1/n)u",
-            ub_text: "eps (+X)",
-            prev_lb: some_prev_mut,
-            new_lb: some_lb_perm_n,
-            ub: some_ub_mop,
-        },
-        TableRow {
-            operation: "dequeue",
-            prev_lb_text: "d",
-            new_lb_text: "d + min{eps, u, d/3}",
-            ub_text: "d + eps",
-            prev_lb: some_prev_insc,
-            new_lb: some_lb_insc,
-            ub: some_ub_oop,
-        },
-        TableRow {
-            operation: "enqueue + peek",
-            prev_lb_text: "d",
-            new_lb_text: "d + min{eps, u, d/3}",
-            ub_text: "d + 2eps",
-            prev_lb: some_prev_pair,
-            new_lb: some_lb_pair_now,
-            ub: some_ub_pair,
-        },
+        row("enqueue", HalfU, Some(PermuteN), Mop),
+        row("dequeue", D, Some(DPlusM), Oop),
+        row("enqueue + peek", D, Some(DPlusM), Pair),
     ]
 }
 
 /// Table III — LIFO stack.
 #[must_use]
 pub fn table_stack() -> Vec<TableRow> {
+    use Bound::*;
     vec![
-        TableRow {
-            operation: "push",
-            prev_lb_text: "u/2",
-            new_lb_text: "(1 - 1/n)u",
-            ub_text: "eps (+X)",
-            prev_lb: some_prev_mut,
-            new_lb: some_lb_perm_n,
-            ub: some_ub_mop,
-        },
-        TableRow {
-            operation: "pop",
-            prev_lb_text: "d",
-            new_lb_text: "d + min{eps, u, d/3}",
-            ub_text: "d + eps",
-            prev_lb: some_prev_insc,
-            new_lb: some_lb_insc,
-            ub: some_ub_oop,
-        },
-        TableRow {
-            operation: "push + peek",
-            prev_lb_text: "d",
-            new_lb_text: "d + min{eps, u, d/3}",
-            ub_text: "d + 2eps",
-            prev_lb: some_prev_pair,
-            new_lb: some_lb_pair_now,
-            ub: some_ub_pair,
-        },
+        row("push", HalfU, Some(PermuteN), Mop),
+        row("pop", D, Some(DPlusM), Oop),
+        row("push + peek", D, Some(DPlusM), Pair),
     ]
 }
 
 /// Table IV — rooted tree.
 #[must_use]
 pub fn table_tree() -> Vec<TableRow> {
+    use Bound::*;
     vec![
-        TableRow {
-            operation: "insert",
-            prev_lb_text: "u/2",
-            new_lb_text: "(1 - 1/n)u",
-            ub_text: "eps (+X)",
-            prev_lb: some_prev_mut,
-            new_lb: some_lb_perm_n,
-            ub: some_ub_mop,
-        },
-        TableRow {
-            operation: "delete",
-            prev_lb_text: "u/2",
-            new_lb_text: "(1 - 1/n)u",
-            ub_text: "eps (+X)",
-            prev_lb: some_prev_mut,
-            new_lb: some_lb_perm_n,
-            ub: some_ub_mop,
-        },
-        TableRow {
-            operation: "insert + depth",
-            prev_lb_text: "d",
-            new_lb_text: "d + min{eps, u, d/3}",
-            ub_text: "d + 2eps",
-            prev_lb: some_prev_pair,
-            new_lb: some_lb_pair_now,
-            ub: some_ub_pair,
-        },
-        TableRow {
-            operation: "delete + depth",
-            prev_lb_text: "d",
-            new_lb_text: "d + min{eps, u, d/3}",
-            ub_text: "d + 2eps",
-            prev_lb: some_prev_pair,
-            new_lb: some_lb_pair_now,
-            ub: some_ub_pair,
-        },
+        row("insert", HalfU, Some(PermuteN), Mop),
+        row("delete", HalfU, Some(PermuteN), Mop),
+        row("insert + depth", D, Some(DPlusM), Pair),
+        row("delete + depth", D, Some(DPlusM), Pair),
     ]
 }
 
@@ -353,26 +216,30 @@ mod tests {
     #[test]
     fn formulas_evaluate() {
         let p = params();
-        assert_eq!(lb_strongly_insc(&p), ticks(110));
-        assert_eq!(lb_permute(3, p.u()), ticks(20));
+        let at = |b: Bound| b.eval(&p);
+        assert_eq!(at(Bound::D), ticks(90));
+        assert_eq!(at(Bound::HalfU), ticks(15));
+        assert_eq!(at(Bound::DPlusM), ticks(110));
+        assert_eq!(at(Bound::PermuteN), ticks(20));
         assert_eq!(lb_permute(2, p.u()), ticks(15));
-        assert_eq!(lb_pair_non_overwriting(&p), ticks(110));
-        assert_eq!(lb_pair_overwriting(&p), ticks(90));
-        assert_eq!(ub_oop(&p), ticks(110));
-        assert_eq!(ub_mop(&p), ticks(20));
-        assert_eq!(ub_aop(&p), ticks(110));
-        assert_eq!(ub_pair(&p), ticks(130));
+        assert_eq!(at(Bound::Mop), ticks(20));
+        assert_eq!(at(Bound::Aop), ticks(110));
+        assert_eq!(at(Bound::Oop), ticks(110));
+        assert_eq!(at(Bound::Pair), ticks(130));
         assert_eq!(ub_centralized(&p), ticks(180));
-        assert_eq!(prev_lb_insc(&p), ticks(90));
-        assert_eq!(prev_lb_mutator(&p), ticks(15));
     }
 
     #[test]
     fn new_bounds_improve_on_previous() {
-        let p = params();
-        assert!(lb_strongly_insc(&p) > prev_lb_insc(&p));
-        assert!(lb_permute(p.n(), p.u()) > prev_lb_mutator(&p));
-        assert!(lb_pair_non_overwriting(&p) > prev_lb_pair(&p));
+        for row in [table_register(), table_queue(), table_stack(), table_tree()].concat() {
+            if let Some(new_lb) = row.new_lb.filter(|&b| b != Bound::D) {
+                assert!(
+                    new_lb.eval(&params()) > row.prev_lb.eval(&params()),
+                    "{}",
+                    row.operation
+                );
+            }
+        }
     }
 
     #[test]
@@ -388,9 +255,9 @@ mod tests {
     fn upper_bounds_meet_lower_bounds_when_tight() {
         let p = params();
         // OOP: lb = d + m, ub = d + eps; tight when eps = m.
-        assert_eq!(lb_strongly_insc(&p), ub_oop(&p));
+        assert_eq!(Bound::DPlusM.eval(&p), Bound::Oop.eval(&p));
         // Mutators: lb = (1-1/n)u = eps at optimal skew = ub at X=0.
-        assert_eq!(lb_permute(p.n(), p.u()), ub_mop(&p));
+        assert_eq!(Bound::PermuteN.eval(&p), Bound::Mop.eval(&p));
     }
 
     #[test]
@@ -398,16 +265,28 @@ mod tests {
         // |MOP| + |AOP| = (eps + X) + (d + eps - X) = d + 2eps for all X.
         for x in [0u64, 10, 40] {
             let p = params().with_x(ticks(x)).unwrap();
-            assert_eq!(ub_mop(&p) + ub_aop(&p), ub_pair(&p));
+            assert_eq!(ub_mop(&p) + ub_aop(&p), Bound::Pair.eval(&p));
+        }
+    }
+
+    #[test]
+    fn upper_matches_the_per_class_evaluators() {
+        // The per-class `ub_*` functions are what callers outside the
+        // workspace use; `Bound::upper` must agree with them everywhere.
+        for x in [0u64, 10, 25, 40] {
+            let p = params().with_x(ticks(x)).unwrap();
+            assert_eq!(Bound::upper(OpClass::PureMutator).eval(&p), ub_mop(&p));
+            assert_eq!(Bound::upper(OpClass::PureAccessor).eval(&p), ub_aop(&p));
+            assert_eq!(Bound::upper(OpClass::Other).eval(&p), ub_oop(&p));
         }
     }
 
     #[test]
     fn algorithm_beats_centralized_for_all_classes() {
         let p = params();
-        assert!(ub_oop(&p) < ub_centralized(&p));
-        assert!(ub_mop(&p) < ub_centralized(&p));
-        assert!(ub_aop(&p) < ub_centralized(&p));
+        for class in [OpClass::PureMutator, OpClass::PureAccessor, OpClass::Other] {
+            assert!(Bound::upper(class).eval(&p) < ub_centralized(&p));
+        }
     }
 
     #[test]
@@ -417,14 +296,10 @@ mod tests {
         assert_eq!(table_stack().len(), 3);
         assert_eq!(table_tree().len(), 4);
         let p = params();
-        for row in table_register()
-            .iter()
-            .chain(table_queue().iter())
-            .chain(table_stack().iter())
-            .chain(table_tree().iter())
-        {
+        for row in [table_register(), table_queue(), table_stack(), table_tree()].concat() {
             // Every row's bounds are consistent: lb ≤ ub where both exist.
-            if let (Some(lb), Some(ub)) = ((row.new_lb)(&p), (row.ub)(&p)) {
+            if let Some(lb) = row.new_lb {
+                let (lb, ub) = (lb.eval(&p), row.ub.eval(&p));
                 assert!(lb <= ub, "{}: lb {lb:?} > ub {ub:?}", row.operation);
             }
         }

@@ -23,7 +23,7 @@ use skewbound_sim::history::History;
 use skewbound_spec::classify::{accessor_witness, check_class_consistency, mutator_witness};
 use skewbound_spec::seqspec::{OpClass, SequentialSpec};
 
-use crate::bounds;
+use crate::bounds::Bound;
 use crate::params::Params;
 use crate::timestamp::Timestamp;
 
@@ -128,21 +128,19 @@ impl<S: SequentialSpec> Invariant<S> for ResponseBounds {
                 continue;
             };
             let class = view.spec.class(&rec.op);
-            let (label, bound) = match class {
-                OpClass::PureMutator => ("MOP", bounds::ub_mop(view.params)),
-                OpClass::PureAccessor => ("AOP", bounds::ub_aop(view.params)),
-                OpClass::Other => ("OOP", bounds::ub_oop(view.params)),
-            };
+            let formula = Bound::upper(class);
+            let bound = formula.eval(view.params);
             if latency > bound {
                 out.push(InvariantViolation {
                     invariant: <Self as Invariant<S>>::name(self),
                     detail: format!(
-                        "{} op {:?} ({:?}) responded in {} ticks, above the \
-                         |{label}| bound of {} ticks",
+                        "{} op {:?} ({:?}) responded in {} ticks, above its \
+                         {} bound of {} ticks",
                         rec.pid,
                         rec.op,
                         class,
                         latency.as_ticks(),
+                        formula.text(),
                         bound.as_ticks()
                     ),
                 });

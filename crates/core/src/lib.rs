@@ -66,10 +66,9 @@ pub mod timestamp;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use crate::analysis::{
-        analyze_group, analyze_pair, e1_hypothesis_witness, DerivedLower, DerivedPairLower,
-        DerivedUpper, GroupAnalysis, OpGroup, PairAnalysis,
+        analyze_group, analyze_pair, e1_hypothesis_witness, GroupAnalysis, OpGroup, PairAnalysis,
     };
-    pub use crate::bounds;
+    pub use crate::bounds::{self, Bound};
     pub use crate::centralized::{CentralMsg, Centralized};
     pub use crate::foils::LocalFirstReplica;
     pub use crate::harness::run_history;

@@ -166,6 +166,25 @@ pub fn check_history_stats<S: SequentialSpec>(
         history.is_complete(),
         "linearizability is defined over complete histories"
     );
+    search(spec, history, limits)
+}
+
+/// The one search behind [`check_history_stats`] and
+/// [`check_pending`](crate::pending::check_pending). It succeeds once
+/// every *completed* operation is linearized: an operation with no
+/// response may be taken, with whatever response the specification
+/// gives, or left out, which is Herlihy & Wing's completion of a history
+/// with pending invocations. On a complete history that is every
+/// operation, taken with its recorded response.
+///
+/// # Panics
+///
+/// Panics if the history has more than 128 operations.
+pub(crate) fn search<S: SequentialSpec>(
+    spec: &S,
+    history: &History<S::Op, S::Resp>,
+    limits: CheckLimits,
+) -> (CheckOutcome, CheckStats) {
     let n = history.len();
     assert!(n <= 128, "checker supports at most 128 operations, got {n}");
     if n == 0 {
@@ -181,18 +200,18 @@ pub fn check_history_stats<S: SequentialSpec>(
     let records = history.records();
     let (predecessors, successors) = precedence(records);
     let ready = initial_ready(&predecessors);
-
-    let full: u128 = if n == 128 {
-        u128::MAX
-    } else {
-        (1u128 << n) - 1
-    };
+    let mut target = 0u128;
+    for (i, rec) in records.iter().enumerate() {
+        if rec.response.is_some() {
+            target |= 1u128 << i;
+        }
+    }
     let mut dfs = Dfs {
         spec,
         records,
         predecessors: &predecessors,
         successors: &successors,
-        full,
+        target,
         interner: StateInterner::with_capacity(n * 8),
         // Pre-size the memo table: node counts grow superlinearly in n,
         // and growth rehashes are pure overhead on the hot path.
@@ -252,7 +271,7 @@ pub fn check_history_stats<S: SequentialSpec>(
 /// immediate ones are those that did not respond before `M` — the
 /// prefix minus a shorter prefix. That is `O(n log n)` plus one pass
 /// over the immediate pairs to turn them round into successor masks.
-pub(crate) fn precedence<O, R>(records: &[OpRecord<O, R>]) -> (Vec<u128>, Vec<u128>) {
+fn precedence<O, R>(records: &[OpRecord<O, R>]) -> (Vec<u128>, Vec<u128>) {
     let n = records.len();
     let mut by_response: Vec<(u64, usize)> = records
         .iter()
@@ -315,7 +334,8 @@ struct Dfs<'a, S: SequentialSpec> {
     records: &'a [OpRecord<S::Op, S::Resp>],
     predecessors: &'a [u128],
     successors: &'a [u128],
-    full: u128,
+    /// The completed ops: the search is done once all are taken.
+    target: u128,
     interner: StateInterner<S::State>,
     seen: SeenSet,
     order: Vec<OpId>,
@@ -335,7 +355,7 @@ impl<S: SequentialSpec> Dfs<'_, S> {
         if self.nodes > self.max_nodes {
             return DfsOutcome::NodeLimit;
         }
-        if taken == self.full {
+        if taken & self.target == self.target {
             return DfsOutcome::Found;
         }
         if self.order.len() > self.longest_prefix.len() {
@@ -348,7 +368,8 @@ impl<S: SequentialSpec> Dfs<'_, S> {
             candidates &= candidates - 1;
             let rec = &self.records[i];
             let (next_state, resp) = self.spec.apply(state, &rec.op);
-            if Some(&resp) != rec.resp() {
+            // A pending op takes whatever the specification returns.
+            if rec.resp().is_some_and(|r| *r != resp) {
                 continue;
             }
             let bit = 1u128 << i;

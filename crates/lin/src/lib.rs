@@ -37,8 +37,5 @@ pub use checker::{
     check_history, check_history_brute_force, check_history_stats, check_history_with,
     validate_linearization, CheckLimits, CheckOutcome, CheckStats, Linearization, Violation,
 };
-pub use multi::{
-    check_multi_object, check_multi_object_with, check_namespace, check_namespace_with,
-    flatten_batches, split_history, MultiOutcome, NsOutcome,
-};
+pub use multi::{check_namespace, check_namespace_with, flatten_batches, split_history, NsOutcome};
 pub use pending::{check_pending, check_pending_with};

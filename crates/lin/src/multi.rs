@@ -8,18 +8,16 @@
 //! spaces multiply instead of compound.
 //!
 //! [`split_history`] projects a history onto object keys;
-//! [`check_namespace`] and [`check_multi_object`] apply the
-//! decomposition to [`Namespace`](skewbound_spec::namespace::Namespace)
-//! and [`MultiObject`](skewbound_spec::combinators::MultiObject)
-//! histories. Both split in one pass that copies each record once,
-//! straight into its key's sub-history with the key stripped off.
+//! [`check_namespace`] applies the decomposition to
+//! [`Namespace`](skewbound_spec::namespace::Namespace) histories,
+//! splitting in one pass that copies each record once, straight into its
+//! key's sub-history with the key stripped off.
 
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
 use fxhash::FxHashMap;
 use skewbound_sim::history::History;
-use skewbound_spec::combinators::IndexedOp;
 use skewbound_spec::namespace::NsOp;
 use skewbound_spec::seqspec::SequentialSpec;
 
@@ -121,7 +119,10 @@ pub fn check_namespace_with<S: SequentialSpec>(
     limits: CheckLimits,
 ) -> NsOutcome {
     NsOutcome {
-        per_key: check_by_key(inner, history, limits, |op| (op.key, op.op.clone())),
+        per_key: split_projected(history, |op| (op.key, op.op.clone()))
+            .into_iter()
+            .map(|(key, sub)| (key, check_history_with(inner, &sub, limits)))
+            .collect(),
     }
 }
 
@@ -172,90 +173,12 @@ where
     buckets
 }
 
-/// The one per-key path of [`check_namespace_with`] and
-/// [`check_multi_object_with`]: split by `split`'s key, projecting each
-/// operation down to the inner spec's, and check every key on its own.
-fn check_by_key<S, O, K, F>(
-    inner: &S,
-    history: &History<O, S::Resp>,
-    limits: CheckLimits,
-    split: F,
-) -> Vec<(K, CheckOutcome)>
-where
-    S: SequentialSpec,
-    K: Ord + Hash + Clone,
-    F: FnMut(&O) -> (K, S::Op),
-{
-    split_projected(history, split)
-        .into_iter()
-        .map(|(key, sub)| (key, check_history_with(inner, &sub, limits)))
-        .collect()
-}
-
-/// Per-object outcome of a locality-based multi-object check.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiOutcome {
-    /// The outcome for each object index that appeared in the history.
-    pub per_object: Vec<(usize, CheckOutcome)>,
-}
-
-impl MultiOutcome {
-    /// `true` when every object's sub-history is linearizable — by
-    /// locality, exactly when the whole multi-object history is.
-    #[must_use]
-    pub fn is_linearizable(&self) -> bool {
-        self.per_object.iter().all(|(_, o)| o.is_linearizable())
-    }
-
-    /// Indices of objects whose sub-histories are violations.
-    #[must_use]
-    pub fn violating_objects(&self) -> Vec<usize> {
-        self.per_object
-            .iter()
-            .filter(|(_, o)| o.is_violation())
-            .map(|(i, _)| *i)
-            .collect()
-    }
-}
-
-/// Checks a [`MultiObject`](skewbound_spec::combinators::MultiObject)
-/// history by locality: each object's sub-history is checked against the
-/// inner spec independently.
-///
-/// # Panics
-///
-/// Panics if the history is incomplete.
-#[must_use]
-pub fn check_multi_object<S: SequentialSpec>(
-    inner: &S,
-    history: &History<IndexedOp<S::Op>, S::Resp>,
-) -> MultiOutcome {
-    check_multi_object_with(inner, history, CheckLimits::default())
-}
-
-/// [`check_multi_object`] with explicit limits.
-///
-/// # Panics
-///
-/// Panics if the history is incomplete.
-#[must_use]
-pub fn check_multi_object_with<S: SequentialSpec>(
-    inner: &S,
-    history: &History<IndexedOp<S::Op>, S::Resp>,
-    limits: CheckLimits,
-) -> MultiOutcome {
-    MultiOutcome {
-        per_object: check_by_key(inner, history, limits, |op| (op.index, op.op.clone())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checker::check_history;
     use skewbound_sim::ids::ProcessId;
     use skewbound_sim::time::SimTime;
-    use skewbound_spec::combinators::MultiObject;
     use skewbound_spec::prelude::*;
 
     fn p(i: u32) -> ProcessId {
@@ -266,11 +189,11 @@ mod tests {
         SimTime::from_ticks(x)
     }
 
-    fn at(index: usize, op: QueueOp<i64>) -> IndexedOp<QueueOp<i64>> {
-        IndexedOp { index, op }
+    fn at(key: u64, op: QueueOp<i64>) -> NsOp<QueueOp<i64>> {
+        NsOp::new(key, op)
     }
 
-    fn two_queue_history(dup: bool) -> History<IndexedOp<QueueOp<i64>>, QueueResp<i64>> {
+    fn two_queue_history(dup: bool) -> History<NsOp<QueueOp<i64>>, QueueResp<i64>> {
         let mut h = History::new();
         let ids = [
             h.record_invoke(p(0), at(0, QueueOp::Enqueue(1)), t(0)),
@@ -294,7 +217,7 @@ mod tests {
     #[test]
     fn split_partitions_by_key() {
         let h = two_queue_history(false);
-        let parts = split_history(&h, |op| op.index);
+        let parts = split_history(&h, |op| op.key);
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].0, 0);
         assert_eq!(parts[0].1.len(), 2);
@@ -338,10 +261,10 @@ mod tests {
     #[test]
     fn locality_agrees_with_full_check() {
         let inner: Queue<i64> = Queue::new();
-        let full_spec = MultiObject::new(inner, 2);
+        let full_spec = Namespace::new(inner);
         for dup in [false, true] {
             let h = two_queue_history(dup);
-            let local = check_multi_object(&inner, &h);
+            let local = check_namespace(&inner, &h);
             let full = check_history(&full_spec, &h);
             assert_eq!(
                 local.is_linearizable(),
@@ -354,16 +277,16 @@ mod tests {
     #[test]
     fn violation_blame_is_isolated() {
         let inner: Queue<i64> = Queue::new();
-        let out = check_multi_object(&inner, &two_queue_history(true));
+        let out = check_namespace(&inner, &two_queue_history(true));
         assert!(!out.is_linearizable());
-        assert_eq!(out.violating_objects(), vec![1]);
+        assert_eq!(out.violating_keys(), vec![1]);
     }
 
     #[test]
     fn empty_history_linearizable() {
         let inner: Queue<i64> = Queue::new();
-        let h: History<IndexedOp<QueueOp<i64>>, QueueResp<i64>> = History::new();
-        assert!(check_multi_object(&inner, &h).is_linearizable());
+        let h: History<NsOp<QueueOp<i64>>, QueueResp<i64>> = History::new();
+        assert!(check_namespace(&inner, &h).is_linearizable());
     }
 
     #[test]

@@ -7,18 +7,15 @@
 //! never took effect) or assigned some response (it took effect before
 //! the cut) — such that the completion is legal and respects real time.
 //!
-//! [`check_pending`] implements that: pending operations are optional
-//! DFS choices whose responses come from the specification rather than
-//! the record, and a run is accepted as soon as all *completed*
-//! operations are linearized (remaining pending ops are then the
-//! "removed" ones).
+//! [`check_pending`] is the complete-history checker's search with its
+//! goal relaxed to the *completed* operations: a pending operation may be
+//! linearized with the specification's response, and the pending ones
+//! left untaken when the search succeeds are the removed invocations.
 
 use skewbound_sim::history::History;
-use skewbound_sim::ids::OpId;
 use skewbound_spec::seqspec::SequentialSpec;
 
-use crate::checker::{precedence, CheckLimits, CheckOutcome, Linearization, Violation};
-use crate::intern::{SeenSet, StateInterner};
+use crate::checker::{search, CheckLimits, CheckOutcome};
 
 /// Checks a possibly-incomplete history: pending invocations may be
 /// linearized (with the specification's response) or dropped.
@@ -48,76 +45,7 @@ pub fn check_pending_with<S: SequentialSpec>(
     history: &History<S::Op, S::Resp>,
     limits: CheckLimits,
 ) -> CheckOutcome {
-    let n = history.len();
-    assert!(n <= 128, "checker supports at most 128 operations, got {n}");
-    if n == 0 {
-        return CheckOutcome::Linearizable(Linearization {
-            order: Vec::new(),
-            nodes: 0,
-        });
-    }
-
-    let records = history.records();
-    let (predecessors, _) = precedence(records);
-    let completed_mask: u128 = records
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.response.is_some())
-        .map(|(i, _)| 1u128 << i)
-        .sum();
-
-    // Same hash-consed memo representation as the complete-history
-    // checker: `(taken, interned state id)` under fxhash.
-    let mut interner: StateInterner<S::State> = StateInterner::new();
-    let mut seen: SeenSet = SeenSet::default();
-    let mut stack: Vec<(u128, S::State, Vec<OpId>)> = vec![(0, spec.initial(), Vec::new())];
-    let mut nodes = 0u64;
-    let mut longest_prefix: Vec<OpId> = Vec::new();
-
-    while let Some((taken, state, order)) = stack.pop() {
-        nodes += 1;
-        if nodes > limits.max_nodes {
-            return CheckOutcome::Unknown { nodes };
-        }
-        // Done once every *completed* operation is linearized; pending
-        // ones not taken are the removed invocations.
-        if taken & completed_mask == completed_mask {
-            return CheckOutcome::Linearizable(Linearization { order, nodes });
-        }
-        if order.len() > longest_prefix.len() {
-            longest_prefix = order.clone();
-        }
-        for (i, rec) in records.iter().enumerate() {
-            let bit = 1u128 << i;
-            if taken & bit != 0 {
-                continue;
-            }
-            if predecessors[i] & !taken != 0 {
-                continue;
-            }
-            let (next_state, resp) = spec.apply(&state, &rec.op);
-            // Completed operations must return their recorded response;
-            // pending ones take whatever the specification gives.
-            if let Some(expected) = rec.resp() {
-                if *expected != resp {
-                    continue;
-                }
-            }
-            let next_taken = taken | bit;
-            let state_id = interner.intern(&next_state);
-            if seen.insert((next_taken, state_id)) {
-                let mut next_order = order.clone();
-                next_order.push(rec.id);
-                stack.push((next_taken, next_state, next_order));
-            }
-        }
-    }
-
-    CheckOutcome::NotLinearizable(Violation {
-        total_ops: n,
-        longest_prefix,
-        nodes,
-    })
+    search(spec, history, limits).0
 }
 
 #[cfg(test)]

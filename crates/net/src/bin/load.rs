@@ -16,12 +16,12 @@
 //! the latency percentiles next to the paper's `d + ε` and `2d`
 //! reference lines. Exits nonzero if any key's history fails the check.
 
-use std::collections::BTreeMap;
 use std::process::exit;
 use std::sync::{Barrier, Mutex};
 
 use skewbound_core::params::Params;
-use skewbound_lin::checker::check_history;
+use skewbound_lin::checker::CheckOutcome;
+use skewbound_lin::multi::check_namespace;
 use skewbound_net::runtime::{tighten_timer_slack, NetClient, TimeBase};
 use skewbound_net::wire::{Decode, Encode};
 use skewbound_sim::history::History;
@@ -134,10 +134,9 @@ fn parse_args() -> Args {
 
 /// One completed operation as the client observed it.
 struct Rec<S: SequentialSpec> {
-    key: u64,
     pid: ProcessId,
     invoked: u64,
-    op: S::Op,
+    op: NsOp<S::Op>,
     resp: S::Resp,
     responded: u64,
 }
@@ -167,15 +166,13 @@ where
                 while session < args.sessions {
                     let key = session % args.keys;
                     for i in 0..args.ops {
-                        let op = gen(session, i);
-                        let wire_op = NsOp::new(key, op.clone());
+                        let op = NsOp::new(key, gen(session, i));
                         let invoked = base.now_ticks();
                         let resp: S::Resp = client
-                            .invoke(&wire_op)
+                            .invoke(&op)
                             .unwrap_or_else(|e| fail(&format!("invoke on {server}: {e}")));
                         let responded = base.now_ticks();
                         local.push(Rec {
-                            key,
                             pid: ProcessId::new(w as u32),
                             invoked,
                             op,
@@ -205,27 +202,30 @@ where
         .collect();
     let total_ops = records.len() as u64;
 
-    // Rebuild each key's history in client-observed real-time order and
-    // check it against the object's sequential spec. A key of the
+    // One namespace history in client-observed real-time order, checked
+    // key by key against the object's sequential spec: a key of the
     // namespace is an independent object, so per-key checking is exact.
-    let mut by_key: BTreeMap<u64, History<S::Op, S::Resp>> = BTreeMap::new();
+    let mut history = History::new();
     for r in records {
-        let h = by_key.entry(r.key).or_default();
-        let id = h.record_invoke(r.pid, r.op, SimTime::from_ticks(r.invoked));
-        h.record_response(id, r.resp, SimTime::from_ticks(r.responded));
+        let (invoked, responded) = (
+            SimTime::from_ticks(r.invoked),
+            SimTime::from_ticks(r.responded),
+        );
+        history.record_complete(r.pid, r.op, invoked, r.resp, responded);
     }
-    let mut keys_checked = 0u64;
-    let mut failures = 0u64;
-    for (key, history) in &by_key {
-        let outcome = check_history(inner, history);
-        if outcome.is_linearizable() {
-            keys_checked += 1;
-        } else {
-            failures += 1;
-            eprintln!(
+    let outcome = check_namespace(inner, &history);
+    let keys = outcome.per_key.len();
+    let mut keys_checked = 0;
+    for (key, verdict) in &outcome.per_key {
+        match verdict {
+            CheckOutcome::Linearizable(_) => keys_checked += 1,
+            CheckOutcome::NotLinearizable(v) => eprintln!(
                 "skewbound-load: key {key} is NOT linearizable over {} ops",
-                history.len()
-            );
+                v.total_ops
+            ),
+            CheckOutcome::Unknown { nodes } => {
+                eprintln!("skewbound-load: key {key} is undecided after {nodes} search nodes");
+            }
         }
     }
 
@@ -238,16 +238,16 @@ where
         args.object,
         args.sessions,
         total_ops,
-        by_key.len(),
+        keys,
         keys_checked,
-        by_key.len(),
+        keys,
         latency.p50.as_ticks(),
         latency.p99.as_ticks(),
         latency.max.as_ticks(),
         (args.params.d() + args.params.eps()).as_ticks(),
         (args.params.d() * 2).as_ticks(),
     );
-    i32::from(failures > 0)
+    i32::from(keys_checked < keys)
 }
 
 fn main() {

@@ -3,105 +3,19 @@
 //! The thesis's linearizability definition (Chapter III §B.4) is stated
 //! over runs containing operations on *many* objects: a permutation `π`
 //! of all operations such that, **for each object `O`**, the restriction
-//! of `π` to `O`'s operations is legal. These combinators express such
-//! systems as ordinary [`SequentialSpec`]s, so the whole stack —
-//! Algorithm 1, the checker, the workloads — works on multi-object
-//! systems unchanged:
+//! of `π` to `O`'s operations is legal. Such systems are ordinary
+//! [`SequentialSpec`]s, so the whole stack — Algorithm 1, the checker,
+//! the workloads — works on them unchanged:
 //!
-//! * [`MultiObject`] — a fixed-size array of same-typed objects,
-//!   addressed by index;
+//! * [`Namespace`](crate::namespace::Namespace) — any number of
+//!   same-typed objects, addressed by key;
 //! * [`ProductSpec`] — two differently-typed objects side by side.
 //!
 //! Herlihy & Wing's *locality* theorem says a history is linearizable iff
 //! each per-object sub-history is; the integration tests exercise that as
 //! an executable property of these combinators.
 
-use core::fmt;
-
 use crate::seqspec::{OpClass, SequentialSpec};
-
-/// An operation on object `index` of a [`MultiObject`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct IndexedOp<O> {
-    /// Which object (0-based).
-    pub index: usize,
-    /// The inner operation.
-    pub op: O,
-}
-
-/// A system of `k` same-typed objects addressed by index.
-///
-/// # Examples
-///
-/// ```
-/// use skewbound_spec::combinators::{IndexedOp, MultiObject};
-/// use skewbound_spec::prelude::*;
-///
-/// let bank = MultiObject::new(Counter::default(), 3); // three accounts
-/// let s0 = bank.initial();
-/// let (s1, _) = bank.apply(&s0, &IndexedOp { index: 1, op: CounterOp::Add(50) });
-/// let (_, r) = bank.apply(&s1, &IndexedOp { index: 1, op: CounterOp::Read });
-/// assert_eq!(r, CounterResp::Value(50));
-/// let (_, r0) = bank.apply(&s1, &IndexedOp { index: 0, op: CounterOp::Read });
-/// assert_eq!(r0, CounterResp::Value(0));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiObject<S> {
-    inner: S,
-    count: usize,
-}
-
-impl<S: SequentialSpec> MultiObject<S> {
-    /// A system of `count` copies of `inner`, each starting at the inner
-    /// spec's initial state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count == 0`.
-    #[must_use]
-    pub fn new(inner: S, count: usize) -> Self {
-        assert!(count > 0, "need at least one object");
-        MultiObject { inner, count }
-    }
-
-    /// Number of objects.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// The inner single-object specification.
-    #[must_use]
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: SequentialSpec> SequentialSpec for MultiObject<S> {
-    type State = Vec<S::State>;
-    type Op = IndexedOp<S::Op>;
-    type Resp = S::Resp;
-
-    fn initial(&self) -> Vec<S::State> {
-        (0..self.count).map(|_| self.inner.initial()).collect()
-    }
-
-    fn apply(&self, state: &Vec<S::State>, op: &IndexedOp<S::Op>) -> (Vec<S::State>, S::Resp) {
-        assert!(
-            op.index < self.count,
-            "object index {} out of range",
-            op.index
-        );
-        let (sub, resp) = self.inner.apply(&state[op.index], &op.op);
-        let mut next = state.clone();
-        next[op.index] = sub;
-        (next, resp)
-    }
-
-    fn class(&self, op: &IndexedOp<S::Op>) -> OpClass {
-        self.inner.class(&op.op)
-    }
-}
 
 /// An operation on one side of a [`ProductSpec`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -196,90 +110,50 @@ impl<A: SequentialSpec, B: SequentialSpec> SequentialSpec for ProductSpec<A, B> 
     }
 }
 
-impl<O: fmt::Display> fmt::Display for IndexedOp<O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "obj{}.{}", self.index, self.op)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::counter::{Counter, CounterOp, CounterResp};
+    use crate::namespace::{Namespace, NsOp};
     use crate::queue::{Queue, QueueOp, QueueResp};
 
-    fn at(index: usize, op: CounterOp) -> IndexedOp<CounterOp> {
-        IndexedOp { index, op }
+    fn at<O>(key: u64, op: O) -> NsOp<O> {
+        NsOp::new(key, op)
     }
 
     #[test]
     fn objects_are_independent() {
-        let spec = MultiObject::new(Counter::default(), 3);
+        let spec = Namespace::new(Counter::default());
         let s = spec.state_after(
             &spec.initial(),
             &[at(0, CounterOp::Add(1)), at(2, CounterOp::Add(5))],
         );
-        assert_eq!(s, vec![1, 0, 5]);
+        assert_eq!(s, [(0, 1), (2, 5)].into());
     }
 
     #[test]
     fn ops_on_different_objects_commute() {
-        let spec = MultiObject::new(Queue::<i64>::new(), 2);
-        let e0 = IndexedOp {
-            index: 0,
-            op: QueueOp::Enqueue(1),
-        };
-        let e1 = IndexedOp {
-            index: 1,
-            op: QueueOp::Enqueue(2),
-        };
+        let spec = Namespace::new(Queue::<i64>::new());
+        let (e0, e1) = (at(0, QueueOp::Enqueue(1)), at(1, QueueOp::Enqueue(2)));
         assert!(spec.equivalent_after(&spec.initial(), &[e0.clone(), e1.clone()], &[e1, e0]));
     }
 
     #[test]
     fn ops_on_same_object_keep_semantics() {
-        let spec = MultiObject::new(Queue::<i64>::new(), 2);
+        let spec = Namespace::new(Queue::<i64>::new());
         let s = spec.state_after(
             &spec.initial(),
-            &[
-                IndexedOp {
-                    index: 1,
-                    op: QueueOp::Enqueue(1),
-                },
-                IndexedOp {
-                    index: 1,
-                    op: QueueOp::Enqueue(2),
-                },
-            ],
+            &[at(1, QueueOp::Enqueue(1)), at(1, QueueOp::Enqueue(2))],
         );
-        let (_, r) = spec.apply(
-            &s,
-            &IndexedOp {
-                index: 1,
-                op: QueueOp::Dequeue,
-            },
-        );
+        let (_, r) = spec.apply(&s, &at(1, QueueOp::Dequeue));
         assert_eq!(r, QueueResp::Value(Some(1)));
-        let (_, r0) = spec.apply(
-            &s,
-            &IndexedOp {
-                index: 0,
-                op: QueueOp::Dequeue,
-            },
-        );
+        let (_, r0) = spec.apply(&s, &at(0, QueueOp::Dequeue));
         assert_eq!(r0, QueueResp::Value(None));
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn index_bounds_checked() {
-        let spec = MultiObject::new(Counter::default(), 2);
-        let _ = spec.apply(&spec.initial(), &at(5, CounterOp::Read));
-    }
-
-    #[test]
     fn classes_delegate() {
-        let spec = MultiObject::new(Counter::default(), 2);
+        let spec = Namespace::new(Counter::default());
         assert_eq!(spec.class(&at(0, CounterOp::Add(1))), OpClass::PureMutator);
         assert_eq!(spec.class(&at(1, CounterOp::Read)), OpClass::PureAccessor);
     }

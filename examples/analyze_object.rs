@@ -65,7 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for group in &groups {
         let a = analyze_group(&spec, &states, group);
         let upper = a.upper.eval(&params);
-        consistent &= a.lower.eval(&params).is_none_or(|lower| lower <= upper);
+        let lower = a.lower.map(|b| b.eval(&params));
+        consistent &= lower.is_none_or(|lower| lower <= upper);
         println!(
             "{:<8} {:<14} {:>8} {:>8} {:>10} {:>22} {:>16}",
             a.name,
@@ -75,10 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             a.overwriter,
             format!(
                 "{} = {}",
-                a.lower.text(),
-                a.lower
-                    .eval(&params)
-                    .map_or_else(|| "-".into(), |d| d.as_ticks().to_string())
+                a.lower.map_or("-", Bound::text),
+                lower.map_or_else(|| "-".into(), |d| d.as_ticks().to_string())
             ),
             format!("{} = {}", a.upper.text(), upper.as_ticks()),
         );

@@ -1,5 +1,5 @@
 //! A multi-object system on real threads: bank accounts as a
-//! `MultiObject<Counter>`, one teller per process driven by a
+//! `Namespace<Counter>`, one teller per process driven by a
 //! closed-loop `Driver` on the thread runtime, with the final history
 //! checked per-object (Herlihy–Wing locality).
 //!
@@ -9,7 +9,7 @@
 
 use skewbound_core::params::Params;
 use skewbound_core::replica::Replica;
-use skewbound_lin::multi::check_multi_object;
+use skewbound_lin::multi::check_namespace;
 use skewbound_sim::clock::ClockAssignment;
 use skewbound_sim::delay::UniformDelay;
 use skewbound_sim::ids::ProcessId;
@@ -18,7 +18,7 @@ use skewbound_sim::time::SimDuration;
 use skewbound_sim::workload::ClosedLoop;
 use skewbound_spec::prelude::*;
 
-const ACCOUNTS: usize = 3;
+const ACCOUNTS: u64 = 3;
 const TELLERS: usize = 3;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SimDuration::from_ticks(1_000),
         SimDuration::ZERO,
     )?;
-    let spec = MultiObject::new(Counter::default(), ACCOUNTS);
+    let spec = Namespace::new(Counter::default());
 
     println!("{TELLERS} teller processes over {ACCOUNTS} accounts, {params} (1 tick = 1 µs)");
 
@@ -36,22 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // next one, then a balance inquiry on its account: a closed loop of
     // seven operations per teller process.
     let mut tellers = ClosedLoop::new(ProcessId::all(TELLERS).collect(), 7, 99, |pid, idx, _| {
-        let teller = pid.index();
+        let teller = pid.index() as u64;
         let (from, to) = (teller % ACCOUNTS, (teller + 1) % ACCOUNTS);
         let amount = 10 * (teller as i64 + 1);
         match idx {
-            6 => IndexedOp {
-                index: from,
-                op: CounterOp::Read,
-            },
-            _ if idx % 2 == 0 => IndexedOp {
-                index: from,
-                op: CounterOp::Add(-amount),
-            },
-            _ => IndexedOp {
-                index: to,
-                op: CounterOp::Add(amount),
-            },
+            6 => NsOp::new(from, CounterOp::Read),
+            _ if idx % 2 == 0 => NsOp::new(from, CounterOp::Add(-amount)),
+            _ => NsOp::new(to, CounterOp::Add(amount)),
         }
     });
     let history = rt::run_history(
@@ -62,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     for rec in history.records() {
         if rec.op.op == CounterOp::Read {
-            println!("teller read account {}: {:?}", rec.op.index, rec.resp());
+            println!("teller read account {}: {:?}", rec.op.key, rec.resp());
         }
     }
     println!("\n{} operations recorded", history.len());
@@ -81,13 +72,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Per-object linearizability (equivalent to whole-system
     // linearizability by locality).
-    let outcome = check_multi_object(&Counter::default(), &history);
+    let outcome = check_namespace(&Counter::default(), &history);
     println!(
         "per-account linearizability: {}",
         if outcome.is_linearizable() {
             "all accounts OK".to_string()
         } else {
-            format!("VIOLATION in accounts {:?}", outcome.violating_objects())
+            format!("VIOLATION in accounts {:?}", outcome.violating_keys())
         }
     );
     assert!(outcome.is_linearizable());

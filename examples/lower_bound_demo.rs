@@ -7,7 +7,7 @@
 //! cargo run -p skewbound-examples --bin lower_bound_demo
 //! ```
 
-use skewbound_core::bounds;
+use skewbound_core::bounds::Bound;
 use skewbound_core::foils::{eager_accessor_group, eager_group, fast_mutator_group};
 use skewbound_core::params::Params;
 use skewbound_core::replica::Replica;
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     println!(
         "Theorem C.1 — dequeue lower bound d + min{{eps,u,d/3}} = {}:",
-        bounds::lb_strongly_insc(&params).as_ticks()
+        Bound::DPlusM.eval(&params).as_ticks()
     );
     let family = insc_dequeue_family(&params);
     let honest = probe(&family, || Replica::group(Queue::<i64>::new(), &params));
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     // Theorem D.1: write needs (1 - 1/k)u.
     // ------------------------------------------------------------------
-    let lb = bounds::lb_permute(params.n(), params.u());
+    let lb = Bound::PermuteN.eval(&params);
     println!(
         "\nTheorem D.1 — write lower bound (1 - 1/n)u = {}:",
         lb.as_ticks()
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     println!(
         "\nTheorem E.1 — |enqueue| + |peek| lower bound {}:",
-        bounds::lb_pair_non_overwriting(&params).as_ticks()
+        Bound::DPlusM.eval(&params).as_ticks()
     );
     let honest_w = measure_single_op_latency(
         || Replica::group(Queue::<i64>::new(), &params),
@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     println!(
         "  honest (sum = d + 2eps = {}): {}",
-        bounds::ub_pair(&params).as_ticks(),
+        Bound::Pair.eval(&params).as_ticks(),
         verdict(honest.all_passed())
     );
     let make_foil =

@@ -1,12 +1,13 @@
 //! Multi-object systems: the thesis's linearizability definition is
 //! per-object ("for each object O, the restriction of π to O is legal").
-//! The `MultiObject`/`ProductSpec` combinators express such systems, and
+//! `Namespace` and `ProductSpec` express such systems, and
 //! Herlihy & Wing's locality theorem — a history is linearizable iff
 //! every per-object sub-history is — holds executably.
 
 use skewbound_core::replica::Replica;
 use skewbound_integration::{assert_linearizable, default_params};
 use skewbound_lin::checker::check_history;
+use skewbound_lin::multi::split_history;
 use skewbound_sim::clock::ClockAssignment;
 use skewbound_sim::delay::UniformDelay;
 use skewbound_sim::engine::Simulation;
@@ -16,41 +17,29 @@ use skewbound_sim::time::SimTime;
 use skewbound_sim::workload::ClosedLoop;
 use skewbound_spec::prelude::*;
 
-type MultiQ = MultiObject<Queue<i64>>;
+type MultiQ = Namespace<Queue<i64>>;
+type MultiHistory = History<NsOp<QueueOp<i64>>, QueueResp<i64>>;
 
-fn sub_history(
-    history: &History<IndexedOp<QueueOp<i64>>, QueueResp<i64>>,
-    index: usize,
-) -> History<QueueOp<i64>, QueueResp<i64>> {
-    let mut sub = History::new();
-    let mut pending = Vec::new();
-    for rec in history.records() {
-        if rec.op.index != index {
-            continue;
-        }
-        let id = sub.record_invoke(rec.pid, rec.op.op.clone(), rec.invoked_at);
-        pending.push((id, rec.response.clone()));
-    }
-    for (id, resp) in pending {
-        let (r, t) = resp.expect("complete history");
-        sub.record_response(id, r, t);
-    }
-    sub
+/// Object `key`'s sub-history, with the key stripped off.
+fn sub_history(history: &MultiHistory, key: u64) -> History<QueueOp<i64>, QueueResp<i64>> {
+    split_history(history, |op| op.key)
+        .into_iter()
+        .find(|(k, _)| *k == key)
+        .map(|(_, sub)| sub.map(|op| op.op.clone(), Clone::clone))
+        .expect("key present")
 }
 
-fn run_multi(seed: u64) -> History<IndexedOp<QueueOp<i64>>, QueueResp<i64>> {
+fn run_multi(seed: u64) -> MultiHistory {
     let params = default_params();
     let n = params.n();
-    let spec = MultiQ::new(Queue::new(), 2);
+    let spec = MultiQ::new(Queue::new());
     let mut driver = ClosedLoop::new(ProcessId::all(n).collect(), 6, seed, |pid, idx, _rng| {
-        IndexedOp {
-            index: (pid.index() + idx) % 2,
-            op: match idx % 3 {
-                0 => QueueOp::Enqueue((pid.index() * 100 + idx) as i64),
-                1 => QueueOp::Dequeue,
-                _ => QueueOp::Peek,
-            },
-        }
+        let op = match idx % 3 {
+            0 => QueueOp::Enqueue((pid.index() * 100 + idx) as i64),
+            1 => QueueOp::Dequeue,
+            _ => QueueOp::Peek,
+        };
+        NsOp::new(((pid.index() + idx) % 2) as u64, op)
     });
     let mut sim = Simulation::new(
         Replica::group(spec, &params),
@@ -65,7 +54,7 @@ fn run_multi(seed: u64) -> History<IndexedOp<QueueOp<i64>>, QueueResp<i64>> {
 fn multi_object_system_is_linearizable() {
     for seed in 0..4 {
         let history = run_multi(seed);
-        assert_linearizable(&MultiQ::new(Queue::new(), 2), &history);
+        assert_linearizable(&MultiQ::new(Queue::new()), &history);
     }
 }
 
@@ -74,7 +63,7 @@ fn locality_each_subhistory_linearizable() {
     // Forward direction of locality: the full multi-object history is
     // linearizable, so each per-object restriction must be too.
     let history = run_multi(7);
-    assert_linearizable(&MultiQ::new(Queue::new(), 2), &history);
+    assert_linearizable(&MultiQ::new(Queue::new()), &history);
     for index in 0..2 {
         let sub = sub_history(&history, index);
         assert!(
@@ -89,11 +78,11 @@ fn locality_violation_in_one_object_breaks_the_whole() {
     // Hand-build a two-object history where object 0 is fine and object
     // 1 dequeues the same element twice: the full history must be
     // rejected, and the blame isolates to object 1's sub-history.
-    let spec = MultiQ::new(Queue::new(), 2);
-    let mut h: History<IndexedOp<QueueOp<i64>>, QueueResp<i64>> = History::new();
+    let spec = MultiQ::new(Queue::new());
+    let mut h: MultiHistory = History::new();
     let p = ProcessId::new;
     let t = SimTime::from_ticks;
-    let at = |index: usize, op: QueueOp<i64>| IndexedOp { index, op };
+    let at = NsOp::new;
 
     let ids = [
         h.record_invoke(p(0), at(0, QueueOp::Enqueue(1)), t(0)),
