@@ -83,6 +83,13 @@ if grep -rnE --include='*.rs' "$formulas" crates examples tests | grep -v '^crat
 fi
 echo "bounds: every formula literal lives in core::bounds"
 
+echo "== timers are only set (the model has no timer cancellation) =="
+if grep -rnE --include='*.rs' 'cancel_timer|TimerCancel|"timer-cancel"' crates examples tests; then
+  echo "timer cancellation is spelled in the tree; actors only set timers, and every timer fires" >&2
+  exit 1
+fi
+echo "timers: no cancel_timer, TimerCancel or \"timer-cancel\""
+
 echo "== TCP loopback smoke (3-process mesh + closed-loop load + trace audit) =="
 cargo build --release -q -p skewbound-net
 net_dir=target/netsmoke

@@ -19,7 +19,7 @@ use skewbound_core::replica::Replica;
 use skewbound_lin::{check_history, validate_linearization, CheckOutcome};
 use skewbound_sim::actor::Actor;
 use skewbound_sim::clock::ClockAssignment;
-use skewbound_sim::delay::{DelayBounds, DelayModel, FixedDelay, MsgMeta, UniformDelay};
+use skewbound_sim::delay::{DelayBounds, DelayModel, FixedDelay, UniformDelay};
 use skewbound_sim::engine::Simulation;
 use skewbound_sim::history::History;
 use skewbound_sim::ids::ProcessId;
@@ -48,32 +48,11 @@ enum DelaySpec {
 }
 
 impl DelaySpec {
-    fn build(self, bounds: DelayBounds) -> GridDelay {
+    fn build(self, bounds: DelayBounds) -> Box<dyn DelayModel> {
         match self {
-            DelaySpec::Maximal => GridDelay::Fixed(FixedDelay::maximal(bounds)),
-            DelaySpec::Minimal => GridDelay::Fixed(FixedDelay::minimal(bounds)),
-            DelaySpec::Seeded(seed) => GridDelay::Uniform(UniformDelay::new(bounds, seed)),
-        }
-    }
-}
-
-enum GridDelay {
-    Fixed(FixedDelay),
-    Uniform(UniformDelay),
-}
-
-impl DelayModel for GridDelay {
-    fn delay(&mut self, meta: MsgMeta) -> SimDuration {
-        match self {
-            GridDelay::Fixed(m) => m.delay(meta),
-            GridDelay::Uniform(m) => m.delay(meta),
-        }
-    }
-
-    fn bounds(&self) -> DelayBounds {
-        match self {
-            GridDelay::Fixed(m) => m.bounds(),
-            GridDelay::Uniform(m) => m.bounds(),
+            DelaySpec::Maximal => Box::new(FixedDelay::maximal(bounds)),
+            DelaySpec::Minimal => Box::new(FixedDelay::minimal(bounds)),
+            DelaySpec::Seeded(seed) => Box::new(UniformDelay::new(bounds, seed)),
         }
     }
 }

@@ -58,54 +58,51 @@ pub struct RunView<'a, S: SequentialSpec> {
     pub executed_orders: &'a [Vec<Timestamp>],
 }
 
-/// A checkable per-run protocol invariant.
-pub trait Invariant<S: SequentialSpec> {
-    /// Stable name, used in certificates and lint output.
-    fn name(&self) -> &'static str;
-    /// Checks the run, appending one violation per piece of evidence.
-    fn check(&self, view: &RunView<'_, S>, out: &mut Vec<InvariantViolation>);
+/// Runs the per-run protocol invariants over the run and collects the
+/// violations: `timestamps-monotone`, then `response-bounds`.
+#[must_use]
+pub fn check_invariants<S: SequentialSpec>(view: &RunView<'_, S>) -> Vec<InvariantViolation> {
+    let mut out = Vec::new();
+    timestamps_monotone(view, &mut out);
+    response_bounds(view, &mut out);
+    out
 }
 
 /// Lemma C.10: each replica executes operations in strictly ascending
 /// timestamp order, and at quiescence every replica has executed the
 /// same sequence.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TimestampsMonotone;
-
-impl<S: SequentialSpec> Invariant<S> for TimestampsMonotone {
-    fn name(&self) -> &'static str {
-        "timestamps-monotone"
-    }
-
-    fn check(&self, view: &RunView<'_, S>, out: &mut Vec<InvariantViolation>) {
-        for (pid, order) in view.executed_orders.iter().enumerate() {
-            for w in order.windows(2) {
-                if w[0] >= w[1] {
-                    out.push(InvariantViolation {
-                        invariant: <Self as Invariant<S>>::name(self),
-                        detail: format!(
-                            "p{pid} executed {:?} before {:?} (timestamps must be \
-                             strictly ascending per replica)",
-                            w[0], w[1]
-                        ),
-                    });
-                }
+fn timestamps_monotone<S: SequentialSpec>(
+    view: &RunView<'_, S>,
+    out: &mut Vec<InvariantViolation>,
+) {
+    const NAME: &str = "timestamps-monotone";
+    for (pid, order) in view.executed_orders.iter().enumerate() {
+        for w in order.windows(2) {
+            if w[0] >= w[1] {
+                out.push(InvariantViolation {
+                    invariant: NAME,
+                    detail: format!(
+                        "p{pid} executed {:?} before {:?} (timestamps must be \
+                         strictly ascending per replica)",
+                        w[0], w[1]
+                    ),
+                });
             }
         }
-        if let Some(first) = view.executed_orders.first() {
-            for (pid, order) in view.executed_orders.iter().enumerate().skip(1) {
-                if order != first {
-                    out.push(InvariantViolation {
-                        invariant: <Self as Invariant<S>>::name(self),
-                        detail: format!(
-                            "p0 and p{pid} disagree on the executed order at \
-                             quiescence ({} vs {} ops; Lemma C.10 requires \
-                             identical sequences)",
-                            first.len(),
-                            order.len()
-                        ),
-                    });
-                }
+    }
+    if let Some(first) = view.executed_orders.first() {
+        for (pid, order) in view.executed_orders.iter().enumerate().skip(1) {
+            if order != first {
+                out.push(InvariantViolation {
+                    invariant: NAME,
+                    detail: format!(
+                        "p0 and p{pid} disagree on the executed order at \
+                         quiescence ({} vs {} ops; Lemma C.10 requires \
+                         identical sequences)",
+                        first.len(),
+                        order.len()
+                    ),
+                });
             }
         }
     }
@@ -114,59 +111,30 @@ impl<S: SequentialSpec> Invariant<S> for TimestampsMonotone {
 /// Chapter V response-time upper bounds per operation class: pure
 /// mutators within `ε + X`, pure accessors within `d + ε − X`, everything
 /// else within `d + ε`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ResponseBounds;
-
-impl<S: SequentialSpec> Invariant<S> for ResponseBounds {
-    fn name(&self) -> &'static str {
-        "response-bounds"
-    }
-
-    fn check(&self, view: &RunView<'_, S>, out: &mut Vec<InvariantViolation>) {
-        for rec in view.history.records() {
-            let Some(latency) = rec.latency() else {
-                continue;
-            };
-            let class = view.spec.class(&rec.op);
-            let formula = Bound::upper(class);
-            let bound = formula.eval(view.params);
-            if latency > bound {
-                out.push(InvariantViolation {
-                    invariant: <Self as Invariant<S>>::name(self),
-                    detail: format!(
-                        "{} op {:?} ({:?}) responded in {} ticks, above its \
-                         {} bound of {} ticks",
-                        rec.pid,
-                        rec.op,
-                        class,
-                        latency.as_ticks(),
-                        formula.text(),
-                        bound.as_ticks()
-                    ),
-                });
-            }
+fn response_bounds<S: SequentialSpec>(view: &RunView<'_, S>, out: &mut Vec<InvariantViolation>) {
+    for rec in view.history.records() {
+        let Some(latency) = rec.latency() else {
+            continue;
+        };
+        let class = view.spec.class(&rec.op);
+        let formula = Bound::upper(class);
+        let bound = formula.eval(view.params);
+        if latency > bound {
+            out.push(InvariantViolation {
+                invariant: "response-bounds",
+                detail: format!(
+                    "{} op {:?} ({:?}) responded in {} ticks, above its \
+                     {} bound of {} ticks",
+                    rec.pid,
+                    rec.op,
+                    class,
+                    latency.as_ticks(),
+                    formula.text(),
+                    bound.as_ticks()
+                ),
+            });
         }
     }
-}
-
-/// The standard per-run invariant set.
-#[must_use]
-pub fn standard_invariants<S: SequentialSpec>() -> Vec<Box<dyn Invariant<S>>> {
-    vec![Box::new(TimestampsMonotone), Box::new(ResponseBounds)]
-}
-
-/// Runs every invariant in `invariants` over the run and collects the
-/// violations.
-#[must_use]
-pub fn check_invariants<S: SequentialSpec>(
-    view: &RunView<'_, S>,
-    invariants: &[Box<dyn Invariant<S>>],
-) -> Vec<InvariantViolation> {
-    let mut out = Vec::new();
-    for inv in invariants {
-        inv.check(view, &mut out);
-    }
-    out
 }
 
 /// Static routing-consistency lint: cross-checks the operation classes
@@ -295,7 +263,7 @@ mod tests {
             history: &history,
             executed_orders: &orders,
         };
-        let violations = check_invariants(&view, &standard_invariants());
+        let violations = check_invariants(&view);
         assert!(violations.is_empty(), "violations: {violations:?}");
 
         // A batch's ops share ⟨time, pid⟩ and carry a contiguous seq run
@@ -307,7 +275,7 @@ mod tests {
             ..view
         };
         let mut out = Vec::new();
-        Invariant::<Queue<i64>>::check(&TimestampsMonotone, &view, &mut out);
+        timestamps_monotone(&view, &mut out);
         assert!(out.is_empty(), "contiguous batch run flagged: {out:?}");
     }
 
@@ -337,7 +305,7 @@ mod tests {
             executed_orders: &orders,
         };
         let mut out = Vec::new();
-        Invariant::<Queue<i64>>::check(&TimestampsMonotone, &view, &mut out);
+        timestamps_monotone(&view, &mut out);
         assert!(
             out.iter().any(|v| v.invariant == "timestamps-monotone"),
             "reversed order must be flagged: {out:?}"
@@ -350,7 +318,7 @@ mod tests {
             ..view
         };
         let mut out = Vec::new();
-        Invariant::<Queue<i64>>::check(&TimestampsMonotone, &view, &mut out);
+        timestamps_monotone(&view, &mut out);
         assert!(!out.is_empty(), "swapped batch seqs must be flagged");
     }
 
@@ -377,7 +345,7 @@ mod tests {
             executed_orders: &[],
         };
         let mut out = Vec::new();
-        Invariant::<Queue<i64>>::check(&ResponseBounds, &view, &mut out);
+        response_bounds(&view, &mut out);
         assert!(
             out.iter().any(|v| v.invariant == "response-bounds"),
             "2d dequeue must exceed the d + ε OOP bound: {out:?}"

@@ -16,8 +16,8 @@
 //! * `SB103` — per ordered `(sender, receiver)` channel, deliveries
 //!   occur in send order (a warning: the delay models may legitimately
 //!   reorder, but an inversion under a FIFO-claiming model is a bug);
-//! * `SB104` — every timer set is eventually fired or cancelled, and
-//!   every fire/cancel refers to an armed timer;
+//! * `SB104` — every timer set is eventually fired, and every fire
+//!   refers to an armed timer;
 //! * `SB105` — the engine's `leaked_payloads` counter is zero: no item
 //!   is left on a node's agenda or invocation queue at quiescence.
 //!
@@ -311,25 +311,20 @@ pub fn audit_events(events: &[Json], cfg: &AuditConfig) -> (Report, AuditSummary
                     ));
                 }
             }
-            "timer-fire" | "timer-cancel" => {
-                let verb = if kind == "timer-fire" {
-                    "fired"
-                } else {
-                    "cancelled"
-                };
+            "timer-fire" => {
                 if let Some(id) = ev.get("timer").and_then(Json::as_num) {
                     if armed.remove(&(pid, id)).is_none() {
                         diags.push(Diagnostic::new(
                             "SB104",
                             format!("line {line}"),
-                            format!("timer {id} at p{pid} was {verb} but never set"),
+                            format!("timer {id} at p{pid} was fired but never set"),
                         ));
                     }
                 } else {
                     diags.push(Diagnostic::new(
                         "SB104",
                         format!("line {line}"),
-                        format!("{kind} record is missing its timer id"),
+                        "timer-fire record is missing its timer id".to_string(),
                     ));
                 }
             }
@@ -362,7 +357,7 @@ pub fn audit_events(events: &[Json], cfg: &AuditConfig) -> (Report, AuditSummary
         diags.push(Diagnostic::new(
             "SB104",
             format!("line {line}"),
-            format!("timer {id} at p{pid} was set but never fired or cancelled"),
+            format!("timer {id} at p{pid} was set but never fired"),
         ));
     }
     // FIFO pass: within each ordered channel, deliveries sorted by send

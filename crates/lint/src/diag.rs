@@ -82,8 +82,8 @@ pub fn catalog() -> &'static [RuleMeta] {
             code: "SB104",
             name: "timer-discipline",
             severity: Severity::Error,
-            summary: "every timer set is eventually fired or cancelled, and \
-                      fires/cancels refer to armed timers",
+            summary: "every timer set is eventually fired, and every fire \
+                      refers to an armed timer",
         },
         RuleMeta {
             code: "SB105",

@@ -4,9 +4,9 @@
 //!
 //! The sink buffers lines in memory; callers write the buffer wherever
 //! they like (`skewlint --trace <path>`, `skewbound-serve --trace
-//! <path>`). Every line is an object with a `"kind"` field — the seven
+//! <path>`). Every line is an object with a `"kind"` field — the six
 //! node kinds (`invoke`, `respond`, `send`, `deliver`, `timer-set`,
-//! `timer-fire`, `timer-cancel`) plus `counter` for stage counters — so
+//! `timer-fire`) plus `counter` for stage counters — so
 //! a reader can dispatch on one key without a schema in hand. Lines
 //! parse back through [`crate::json::parse_lines`]. A caller that hands
 //! the sink to an engine and wants the lines back keeps an
@@ -55,9 +55,6 @@ pub fn event_json(event: &TraceEvent) -> Json {
         TraceEventKind::Timer { id, tag } => {
             members.push(("timer", num_u64(id.as_u64())));
             members.push(("tag", Json::Str(tag.clone())));
-        }
-        TraceEventKind::TimerCancel { id } => {
-            members.push(("timer", num_u64(id.as_u64())));
         }
     }
     obj(members)
@@ -224,13 +221,6 @@ mod tests {
                 },
                 "timer-fire",
                 "tag",
-            ),
-            (
-                TraceEventKind::TimerCancel {
-                    id: TimerId::new(4),
-                },
-                "timer-cancel",
-                "timer",
             ),
         ];
         for (kind, label, field) in kinds {

@@ -317,7 +317,7 @@ pub fn validate_certificate(text: &str) -> Result<(), String> {
         let off = off
             .as_num()
             .ok_or_else(|| format!("clock_offsets[{i}] must be a number"))?;
-        if off.abs() > eps {
+        if !u64::try_from(eps).is_ok_and(|eps| off.unsigned_abs() <= eps) {
             return Err(format!(
                 "clock_offsets[{i}] = {off} exceeds the skew bound ε = {eps}"
             ));
@@ -450,6 +450,13 @@ mod tests {
         let mut skewed = ok.clone();
         skewed.clock_offsets[1] = -1_601;
         assert!(validate_certificate(&skewed.to_json())
+            .unwrap_err()
+            .contains("skew bound"));
+
+        // |i64::MIN| does not fit an i64: it must not wrap past the check.
+        let mut unbounded = ok.clone();
+        unbounded.clock_offsets[1] = i64::MIN;
+        assert!(validate_certificate(&unbounded.to_json())
             .unwrap_err()
             .contains("skew bound"));
 

@@ -29,7 +29,7 @@
 //! [`minimize`] shrinks to a locally-minimal failing configuration for
 //! certificate emission.
 
-use skewbound_core::invariants::{check_invariants, standard_invariants, RunView};
+use skewbound_core::invariants::{check_invariants, RunView};
 use skewbound_core::params::Params;
 use skewbound_lin::checker::{check_history_stats, CheckLimits, CheckOutcome};
 use skewbound_shift::exhaustive::{
@@ -72,8 +72,6 @@ pub struct McConfig<S: SequentialSpec> {
     pub independence: Independence,
     /// Hard cap on executed schedules across the whole exploration.
     pub max_schedules: u64,
-    /// Limits for the per-run linearizability check.
-    pub check_limits: CheckLimits,
     /// Stop at the first violating run instead of exploring on.
     pub stop_at_first_violation: bool,
     /// Worker threads for the exploration frontier. `None` defers to the
@@ -106,7 +104,6 @@ impl<S: SequentialSpec> McConfig<S> {
             probe_states,
             independence: Independence::Dpor,
             max_schedules: 1_000_000,
-            check_limits: CheckLimits::default(),
             stop_at_first_violation: false,
             workers: None,
         }
@@ -596,9 +593,10 @@ where
                 RunVerdict::Unknown
             } else {
                 let lin_verdict = if let Some(table) = table {
-                    table.check(spec, history, config.check_limits)
+                    table.check(spec, history, CheckLimits::default())
                 } else {
-                    let (outcome, stats) = check_history_stats(spec, history, config.check_limits);
+                    let (outcome, stats) =
+                        check_history_stats(spec, history, CheckLimits::default());
                     check_stats = Some(stats);
                     match outcome {
                         CheckOutcome::Linearizable(_) => CachedVerdict::Linearizable,
@@ -621,7 +619,7 @@ where
                             history,
                             executed_orders: &executed_orders,
                         };
-                        let violations = check_invariants(&view, &standard_invariants());
+                        let violations = check_invariants(&view);
                         match violations.into_iter().next() {
                             Some(v) => RunVerdict::Violation(ViolationKind::Invariant {
                                 name: v.invariant.to_owned(),

@@ -30,7 +30,7 @@
 //! pruning decisions and verdicts are therefore bit-identical with and
 //! without the table, at any thread count — hit/miss counters are the
 //! only observable difference, and `McReport` treats those as advisory.
-//! Protocol invariants (`TimestampsMonotone`, `ResponseBounds`) *do*
+//! Protocol invariants (`timestamps-monotone`, `response-bounds`) *do*
 //! read raw timestamps, so they are always re-evaluated; they are linear
 //! scans, cheap next to the checker's DFS.
 

@@ -8,15 +8,17 @@
 //! new timer settings.
 //!
 //! [`Actor`] is that transition function in sans-io form: handlers mutate
-//! `self` (the state) and record outputs through a [`Context`]. The same
+//! `self` (the state) and record outputs through a [`Context`], which
+//! offers exactly the model's three kinds: a response
+//! ([`Context::respond`]), sends, and timer settings
+//! ([`Context::set_timer`]; a timer once set always fires). The same
 //! actor therefore runs unchanged under the deterministic discrete-event
 //! engine ([`crate::engine`]) and the real-thread runtime ([`crate::rt`]).
 
 use core::fmt;
 
-use crate::ids::{ProcessId, TimerId};
+use crate::ids::ProcessId;
 use crate::time::{ClockTime, SimDuration};
-use crate::timers::TimerSlab;
 
 /// A process in the message-passing system.
 ///
@@ -80,8 +82,7 @@ pub trait Actor: Sized {
 pub(crate) struct Effects<A: Actor> {
     /// One delivery batch per send, in send order.
     pub(crate) batches: Vec<(ProcessId, Vec<A::Msg>)>,
-    pub(crate) timers: Vec<(TimerId, SimDuration, A::Timer)>,
-    pub(crate) cancels: Vec<TimerId>,
+    pub(crate) timers: Vec<(SimDuration, A::Timer)>,
     pub(crate) response: Option<A::Resp>,
 }
 
@@ -90,7 +91,6 @@ impl<A: Actor> Effects<A> {
         Effects {
             batches: Vec::new(),
             timers: Vec::new(),
-            cancels: Vec::new(),
             response: None,
         }
     }
@@ -100,7 +100,6 @@ impl<A: Actor> Effects<A> {
     pub(crate) fn clear(&mut self) {
         self.batches.clear();
         self.timers.clear();
-        self.cancels.clear();
         self.response = None;
     }
 }
@@ -122,7 +121,6 @@ pub struct Context<'a, A: Actor> {
     pid: ProcessId,
     n: usize,
     clock: ClockTime,
-    timer_slab: &'a mut TimerSlab,
     effects: &'a mut Effects<A>,
 }
 
@@ -141,14 +139,12 @@ impl<'a, A: Actor> Context<'a, A> {
         pid: ProcessId,
         n: usize,
         clock: ClockTime,
-        timer_slab: &'a mut TimerSlab,
         effects: &'a mut Effects<A>,
     ) -> Self {
         Context {
             pid,
             n,
             clock,
-            timer_slab,
             effects,
         }
     }
@@ -236,21 +232,13 @@ impl<'a, A: Actor> Context<'a, A> {
     }
 
     /// Sets a timer that fires `delay` later (clocks have no drift, so a
-    /// clock-time delay equals a real-time delay). Returns an id usable
-    /// with [`Context::cancel_timer`].
+    /// clock-time delay equals a real-time delay). Timers are only set:
+    /// as in the model, a timer once set always fires.
     ///
     /// A zero delay fires at the current instant, after all effects of the
     /// current handler are applied.
-    pub fn set_timer(&mut self, delay: SimDuration, timer: A::Timer) -> TimerId {
-        let id = self.timer_slab.alloc();
-        self.effects.timers.push((id, delay, timer));
-        id
-    }
-
-    /// Cancels a pending timer. Cancelling an already-fired or unknown
-    /// timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.effects.cancels.push(id);
+    pub fn set_timer(&mut self, delay: SimDuration, timer: A::Timer) {
+        self.effects.timers.push((delay, timer));
     }
 
     /// Responds to the pending operation at this process.
@@ -293,17 +281,12 @@ mod tests {
 
     fn ctx_harness<F: FnOnce(&mut Context<'_, Echo>)>(f: F) -> Effects<Echo> {
         let mut effects = Effects::new();
-        let mut slab = TimerSlab::new();
-        {
-            let mut ctx = Context::new(
-                ProcessId::new(0),
-                3,
-                ClockTime::from_ticks(5),
-                &mut slab,
-                &mut effects,
-            );
-            f(&mut ctx);
-        }
+        f(&mut Context::new(
+            ProcessId::new(0),
+            3,
+            ClockTime::from_ticks(5),
+            &mut effects,
+        ));
         effects
     }
 
@@ -322,16 +305,6 @@ mod tests {
     #[should_panic(expected = "do not send to themselves")]
     fn self_send_rejected() {
         ctx_harness(|ctx| ctx.send(ProcessId::new(0), 1));
-    }
-
-    #[test]
-    fn timer_ids_are_unique() {
-        let effects = ctx_harness(|ctx| {
-            let a = ctx.set_timer(SimDuration::from_ticks(1), ());
-            let b = ctx.set_timer(SimDuration::from_ticks(2), ());
-            assert_ne!(a, b);
-        });
-        assert_eq!(effects.timers.len(), 2);
     }
 
     #[test]
@@ -381,14 +354,7 @@ mod tests {
         }
         let mut actor = Collect::default();
         let mut effects = Effects::new();
-        let mut slab = TimerSlab::new();
-        let mut ctx = Context::new(
-            ProcessId::new(1),
-            3,
-            ClockTime::from_ticks(0),
-            &mut slab,
-            &mut effects,
-        );
+        let mut ctx = Context::new(ProcessId::new(1), 3, ClockTime::from_ticks(0), &mut effects);
         actor.on_message_batch(ProcessId::new(0), vec![3, 1, 2], &mut ctx);
         assert_eq!(actor.0, vec![3, 1, 2]);
     }

@@ -156,12 +156,6 @@ impl<T, M, O> Agenda<T, M, O> {
         self.items.insert(i, ((at, seq), item));
     }
 
-    /// Removes timer `id` if it is still armed.
-    pub fn cancel(&mut self, id: TimerId) {
-        self.items
-            .retain(|(_, item)| !matches!(item, Due::Timer(t, _) if *t == id));
-    }
-
     /// The key `(tick, seq)` of the first item in agenda order.
     #[must_use]
     pub fn head(&self) -> Option<(u64, u64)> {
@@ -569,22 +563,6 @@ mod tests {
         assert!(agenda.pop_due(2 * MS).is_none());
         assert_eq!(agenda.head(), Some((3 * MS, 1)));
         assert!(!agenda.is_empty());
-    }
-
-    #[test]
-    fn cancel_removes_only_the_named_timer() {
-        let mut agenda = TestAgenda::new();
-        agenda.file(0, 0, timer(1, "a"));
-        agenda.file(0, 1, timer(2, "b"));
-        // A batch whose first id equals a timer id is not a timer.
-        agenda.file(0, 2, batch(1));
-        agenda.cancel(id(1));
-        agenda.cancel(id(9)); // never armed: a no-op
-        assert_eq!(
-            drain(&mut agenda, 0),
-            vec![(0, timer(2, "b")), (0, batch(1))]
-        );
-        assert_eq!(agenda.head(), None);
     }
 
     /// Arms a timer of `delay` ticks when a message is delivered, and

@@ -4,7 +4,7 @@
 //! and the served binary run too — on one virtual clock. It decides
 //! only *which* node acts next; the node decides *what* an activation
 //! does (handler dispatch, effect draining, the one-pending-op
-//! invariant, timer generations, trace emission, history recording —
+//! invariant, timer ids, trace emission, history recording —
 //! see [`crate::node`]). All nodes share one [`Transport`] on virtual
 //! time: it draws every delay from the one [`DelayModel`] in global send
 //! order, allocates message ids from 0 across the run, draws every
@@ -149,8 +149,7 @@ pub enum EventView<'a, A: Actor> {
         /// The payloads, in send order.
         msgs: &'a [A::Msg],
     },
-    /// A timer expiry at `pid` (a cancel takes the expiry off the
-    /// agenda, so the policy never sees a stale one).
+    /// A timer expiry at `pid`.
     Timer {
         /// Stable event identity within a deterministic replay.
         seq: u64,
@@ -383,7 +382,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     }
 
     /// Attaches a [`TraceSink`]; every subsequent node event (invoke,
-    /// send, deliver, timer-set, timer-fire, timer-cancel, respond) is
+    /// send, deliver, timer-set, timer-fire, respond) is
     /// emitted to it, stamped with real time, local clock reading and
     /// process id, followed by the end-of-run counters. Replaces any
     /// previously attached sink. To read an in-memory sink back, attach
@@ -816,49 +815,6 @@ mod tests {
         assert_eq!(rec.responded_at(), Some(SimTime::from_ticks(10)));
     }
 
-    /// An actor that cancels its own first timer; only the second fires.
-    #[derive(Debug, Default)]
-    struct Canceller {
-        fired: Vec<u32>,
-    }
-
-    impl Actor for Canceller {
-        type Msg = ();
-        type Op = ();
-        type Resp = ();
-        type Timer = u32;
-
-        fn on_invoke(&mut self, _op: (), ctx: &mut Context<'_, Self>) {
-            let first = ctx.set_timer(SimDuration::from_ticks(5), 1);
-            ctx.set_timer(SimDuration::from_ticks(6), 2);
-            ctx.cancel_timer(first);
-        }
-
-        fn on_message(&mut self, _: ProcessId, _: (), _: &mut Context<'_, Self>) {}
-
-        fn on_timer(&mut self, timer: u32, ctx: &mut Context<'_, Self>) {
-            self.fired.push(timer);
-            if timer == 2 {
-                ctx.respond(());
-            }
-        }
-    }
-
-    #[test]
-    fn cancelled_timer_never_fires() {
-        let mut sim = Simulation::new(
-            vec![Canceller::default()],
-            ClockAssignment::zero(1),
-            FixedDelay::maximal(bounds()),
-        );
-        sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, ());
-        let report = sim.run().unwrap();
-        assert_eq!(sim.actor(ProcessId::new(0)).fired, vec![2]);
-        // The cancel pruned the first expiry: the run is the invocation
-        // and the second timer.
-        assert_eq!(report.events, 2);
-    }
-
     #[test]
     fn clock_offsets_visible_to_actors() {
         #[derive(Debug, Default)]
@@ -1071,33 +1027,5 @@ mod tests {
         );
         sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, 1);
         assert_eq!(sim.run_scheduled(&mut AbortAll), Err(SimError::PolicyAbort));
-    }
-
-    #[test]
-    fn scheduled_run_filters_stale_timer_batches() {
-        // The canceller's first timer is cancelled at set time, which
-        // takes its expiry off the agenda: the scheduled path never
-        // presents it as a choice.
-        struct CountBatches {
-            multi: u32,
-        }
-        impl<A: Actor> SchedulePolicy<A> for CountBatches {
-            fn choose(&mut self, _: SimTime, enabled: &[EventView<'_, A>]) -> ScheduleDecision {
-                if enabled.len() > 1 {
-                    self.multi += 1;
-                }
-                ScheduleDecision::Take(0)
-            }
-        }
-        let mut sim = Simulation::new(
-            vec![Canceller::default()],
-            ClockAssignment::zero(1),
-            FixedDelay::maximal(bounds()),
-        );
-        sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, ());
-        let mut policy = CountBatches { multi: 0 };
-        sim.run_scheduled(&mut policy).unwrap();
-        assert_eq!(sim.actor(ProcessId::new(0)).fired, vec![2]);
-        assert_eq!(policy.multi, 0, "no batch should contain the stale expiry");
     }
 }

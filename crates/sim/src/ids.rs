@@ -31,9 +31,9 @@ pub struct OpId(u64);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgId(u64);
 
-/// Identifies a pending timer at a process. Returned by
-/// [`Context::set_timer`](crate::actor::Context::set_timer) and accepted by
-/// [`Context::cancel_timer`](crate::actor::Context::cancel_timer).
+/// Identifies an armed timer at a process in traces: minted by the node
+/// when it arms a [`Context::set_timer`](crate::actor::Context::set_timer)
+/// timer, and carried by that timer's set and fire events.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(u64);
 

@@ -12,8 +12,7 @@
 //! For every activation (start-of-run, invocation, delivery batch,
 //! timer expiry) the node performs, in a fixed order:
 //!
-//! 1. invariant enforcement (one pending operation per process, stale
-//!    timer filtering via slab generations);
+//! 1. invariant enforcement (one pending operation per process);
 //! 2. structured trace emission ([`TraceEventKind`]) stamped with the
 //!    activation's real time and local clock reading, into the
 //!    `Option<&mut dyn TraceSink>` every entry takes — with `None` the
@@ -21,10 +20,10 @@
 //!    allocates nothing for tracing;
 //! 3. the actor handler itself, through a [`Context`];
 //! 4. draining the resulting effects: sends go to the transport, timers
-//!    are armed on the agenda at the activation's instant plus their
-//!    delay, cancels prune the agenda and retire slab generations,
-//!    responses are committed to the [`History`] the entry is handed
-//!    (the invocation too, at the activation's instant).
+//!    get their slab ids and are armed on the agenda at the activation's
+//!    instant plus their delay, responses are committed to the
+//!    [`History`] the entry is handed (the invocation too, at the
+//!    activation's instant).
 //!
 //! [`NodeCore::step`] is the node's one step: fire every agenda item
 //! due by `now`, each anchored at its own instant, then admit one queued
@@ -83,9 +82,7 @@ pub struct NodeCore<A: Actor, T = ()> {
     pid: ProcessId,
     n: usize,
     actor: A,
-    /// Timer liveness: generation-stamped ids, O(1) integer compares
-    /// (see [`crate::timers`]). One slab per node — ids are only ever
-    /// cancelled by the process that set them.
+    /// Mints the ids of the node's timers (see [`crate::timers`]).
     timers: TimerSlab,
     /// The at-most-one-pending-operation invariant of Chapter III §A.
     pending_op: Option<OpId>,
@@ -292,11 +289,7 @@ impl<A: Actor, T> NodeCore<A, T> {
                 });
             }
             Due::Timer(id, timer) => {
-                // A cancel prunes the agenda, so a retired id never gets
-                // here; the slab check keeps the invariant local.
-                if !self.timers.fire(id) {
-                    return Ok(None);
-                }
+                self.timers.fire(id);
                 if let Some(sink) = trace.as_deref_mut() {
                     let tag = format!("{timer:?}");
                     emit(sink, self.pid, stamp, TraceEventKind::Timer { id, tag });
@@ -321,15 +314,15 @@ impl<A: Actor, T> NodeCore<A, T> {
         F: FnOnce(&mut A, &mut Context<'_, A>),
     {
         self.scratch.clear();
-        let mut ctx = Context::new(self.pid, self.n, clock, &mut self.timers, &mut self.scratch);
+        let mut ctx = Context::new(self.pid, self.n, clock, &mut self.scratch);
         f(&mut self.actor, &mut ctx);
     }
 
     /// Drains the activation's effects in the model's fixed order:
-    /// sends, timer arms, timer cancels, then the response. Sends and
-    /// arms draw their agenda sequence numbers from the transport in
-    /// that order. Returns the operation the activation completed, if
-    /// any.
+    /// sends, timer arms, then the response. Sends and arms draw their
+    /// agenda sequence numbers from the transport in that order, and
+    /// each arm mints its timer's id in [`Context::set_timer`] order.
+    /// Returns the operation the activation completed, if any.
     ///
     /// On the first transport failure the error propagates and the rest
     /// of the activation's effects are dropped by the next `run` (a
@@ -359,9 +352,8 @@ impl<A: Actor, T> NodeCore<A, T> {
             }
         }
 
-        for (id, delay, timer) in self.scratch.timers.drain(..) {
-            // The id is already live in the slab (allocated by
-            // `Context::set_timer`); the agenda schedules the expiry.
+        for (delay, timer) in self.scratch.timers.drain(..) {
+            let id = self.timers.alloc();
             if let Some(sink) = trace.as_deref_mut() {
                 let tag = format!("{timer:?}");
                 emit(
@@ -373,15 +365,6 @@ impl<A: Actor, T> NodeCore<A, T> {
             }
             let at = transport.expiry(pid, anchor, delay);
             self.agenda.file(at, transport.seq(), Due::Timer(id, timer));
-        }
-
-        for id in self.scratch.cancels.drain(..) {
-            if self.timers.cancel(id) {
-                self.agenda.cancel(id);
-                if let Some(sink) = trace.as_deref_mut() {
-                    emit(sink, pid, stamp, TraceEventKind::TimerCancel { id });
-                }
-            }
         }
 
         let Some(resp) = self.scratch.response.take() else {

@@ -232,7 +232,6 @@ mod tests {
     use super::*;
     use crate::actor::Context;
     use crate::delay::{DelayBounds, UniformDelay};
-    use crate::ids::TimerId;
     use crate::time::{SimDuration, SimTime};
     use crate::workload::{ClosedLoop, Script};
 
@@ -439,99 +438,6 @@ mod tests {
         assert_eq!(history.records()[1].resp(), Some(&3));
         // The timer wait is 1 ms; latency must be at least that.
         assert!(history.records()[0].latency().unwrap().as_ticks() >= 1000);
-    }
-
-    /// A second invocation at a process whose first is still in flight
-    /// is rejected; invocations at another process at the same instant,
-    /// and at the same process once it has responded, are not.
-    #[test]
-    fn overlapping_async_invocations_rejected() {
-        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
-        // Both due at time zero: the driver loop issues them in one pass,
-        // before any completion can be filed, so the overlap is certain.
-        let mut overlapping = at_zero(1).at(p0, SimTime::ZERO, 2);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run(
-                vec![TimerEcho, TimerEcho],
-                bounds(1000, 500),
-                &mut overlapping,
-            )
-        }));
-        let payload = outcome.expect_err("overlapping invocations at p0 must be rejected");
-        let message = payload
-            .downcast_ref::<String>()
-            .expect("the panic carries a message");
-        assert!(
-            message.contains("another operation is pending"),
-            "{message}"
-        );
-        // A different process is unaffected, and p0 accepts new work
-        // once its first operation has responded.
-        let mut disjoint =
-            at_zero(1)
-                .at(p1, SimTime::ZERO, 3)
-                .at(p0, SimTime::from_ticks(250_000), 4);
-        let history = run(vec![TimerEcho, TimerEcho], bounds(1000, 500), &mut disjoint);
-        assert!(history.is_complete());
-        assert_eq!(history.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "another operation is pending")]
-    fn overlapping_invoke_async_panics() {
-        let mut script = at_zero(1).at(ProcessId::new(0), SimTime::ZERO, 2);
-        run(vec![TimerEcho], bounds(1000, 500), &mut script);
-    }
-
-    /// Op 0 arms a timer and responds when it fires (remembering the id);
-    /// op 1 cancels the remembered — by then already fired — timer and
-    /// responds with the fire count.
-    #[derive(Debug, Default)]
-    struct CancelRace {
-        armed: Option<TimerId>,
-        fired: u32,
-    }
-
-    impl Actor for CancelRace {
-        type Msg = ();
-        type Op = u32;
-        type Resp = u32;
-        type Timer = ();
-
-        fn on_invoke(&mut self, op: u32, ctx: &mut Context<'_, Self>) {
-            match op {
-                0 => self.armed = Some(ctx.set_timer(SimDuration::from_ticks(1000), ())),
-                _ => {
-                    if let Some(id) = self.armed {
-                        ctx.cancel_timer(id);
-                    }
-                    ctx.respond(self.fired);
-                }
-            }
-        }
-        fn on_message(&mut self, _: ProcessId, _: (), _: &mut Context<'_, Self>) {}
-        fn on_timer(&mut self, _t: (), ctx: &mut Context<'_, Self>) {
-            self.fired += 1;
-            ctx.respond(self.fired);
-        }
-    }
-
-    /// Cancelling a timer *after* it fired must be a no-op: the slab id
-    /// is stale by then, so the cancel neither panics nor disturbs later
-    /// timers — the invariant the engine's generation scheme promises,
-    /// checked here on the real-thread runtime where the fire and the
-    /// cancel race through separate queue hops.
-    #[test]
-    fn cancel_after_fire_is_a_noop() {
-        // Op 0 responds when its timer fires; op 1 cancels the fired
-        // timer's stale id; a fresh arm still works after it.
-        let mut driver = ClosedLoop::new(vec![ProcessId::new(0)], 3, 11, |_, idx, _| {
-            u32::from(idx == 1)
-        });
-        let history = run(vec![CancelRace::default()], bounds(1000, 500), &mut driver);
-        assert!(history.is_complete());
-        let resps: Vec<_> = history.records().iter().map(|r| r.resp()).collect();
-        assert_eq!(resps, [Some(&1), Some(&1), Some(&2)]);
     }
 
     /// Arms a long timer and responds immediately, leaving the timer

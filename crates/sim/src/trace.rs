@@ -2,9 +2,10 @@
 //!
 //! Tracing is off by default (the measurement workloads stay allocation
 //! light). A node emits every invocation, response, send, delivery,
-//! timer arm, firing and cancel into the `Option<&mut dyn TraceSink>`
-//! its entries take, each event stamped with its real time, the local
-//! clock reading of the process it happened at, and the process id.
+//! timer arm and timer firing — the six event kinds — into the
+//! `Option<&mut dyn TraceSink>` its entries take, each event stamped
+//! with its real time, the local clock reading of the process it
+//! happened at, and the process id.
 //! `None` is the gate: the disabled path constructs nothing, so runs
 //! without tracing stay allocation-free. The engine holds one owned
 //! sink ([`Simulation::set_trace_sink`](crate::engine::Simulation::set_trace_sink));
@@ -58,9 +59,8 @@ pub enum TraceEventKind {
     /// A timer being armed.
     TimerSet {
         /// The slab handle of the armed timer; matches the later
-        /// [`Timer`](TraceEventKind::Timer) or
-        /// [`TimerCancel`](TraceEventKind::TimerCancel) event, so
-        /// offline auditors can pair set/fire/cancel per timer.
+        /// [`Timer`](TraceEventKind::Timer) event, so offline auditors
+        /// can pair set and fire per timer.
         id: TimerId,
         /// `Debug` rendering of the timer tag.
         tag: String,
@@ -73,12 +73,6 @@ pub enum TraceEventKind {
         id: TimerId,
         /// `Debug` rendering of the timer tag.
         tag: String,
-    },
-    /// A live timer being cancelled (stale cancels of already-fired
-    /// timers are not traced — they are no-ops).
-    TimerCancel {
-        /// The slab handle assigned when the timer was set.
-        id: TimerId,
     },
 }
 
@@ -94,7 +88,6 @@ impl TraceEventKind {
             TraceEventKind::Recv { .. } => "deliver",
             TraceEventKind::TimerSet { .. } => "timer-set",
             TraceEventKind::Timer { .. } => "timer-fire",
-            TraceEventKind::TimerCancel { .. } => "timer-cancel",
         }
     }
 }
@@ -126,7 +119,6 @@ impl fmt::Display for TraceEvent {
                 write!(f, "TSET    {tag} +{delay} ({id:?})")
             }
             TraceEventKind::Timer { id, tag } => write!(f, "TIMER   {tag} ({id:?})"),
-            TraceEventKind::TimerCancel { id } => write!(f, "TCANCEL {id:?}"),
         }
     }
 }
@@ -384,13 +376,6 @@ mod tests {
             }
             .label(),
             "timer-fire"
-        );
-        assert_eq!(
-            TraceEventKind::TimerCancel {
-                id: TimerId::new(0),
-            }
-            .label(),
-            "timer-cancel"
         );
     }
 

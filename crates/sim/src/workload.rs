@@ -420,6 +420,52 @@ mod tests {
         );
     }
 
+    /// One pending operation per process, checked on `drive` alone: an
+    /// invocation at a process whose first is still pending panics;
+    /// invocations at other processes at the same instant, and at the
+    /// same process once it has responded, are accepted. Every
+    /// invocation responds at once, on the `done` channel the test holds.
+    #[test]
+    fn drive_admits_one_pending_operation_per_process() {
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let (tx, rx) = channel();
+        let base = TimeBase::new(TimeBase::epoch_now_micros());
+        let mut overlapping = Script::new()
+            .at(p0, SimTime::ZERO, 0)
+            .at(p0, SimTime::ZERO, 1);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drive(&mut overlapping, base, &rx, |_, _: u32| {})
+        }));
+        let payload = outcome.expect_err("overlapping invocations at p0 must be rejected");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the panic carries a message");
+        assert!(
+            message.contains("another operation is pending"),
+            "{message}"
+        );
+
+        let base = TimeBase::new(TimeBase::epoch_now_micros());
+        let mut disjoint = Script::new()
+            .at(p0, SimTime::ZERO, 0)
+            .at(p1, SimTime::ZERO, 1)
+            .at(p0, SimTime::from_ticks(1_000), 2);
+        let mut invoked = Vec::new();
+        let history = drive(&mut disjoint, base, &rx, |pid, op| {
+            let at = SimTime::from_ticks(base.now_ticks());
+            invoked.push((op, at));
+            tx.send((pid, (), at)).unwrap();
+        });
+        assert!(history.is_complete());
+        assert_eq!(history.len(), 3);
+        let (op, at) = invoked[2];
+        assert_eq!(op, 2, "p0's second invocation comes last");
+        assert!(
+            at >= SimTime::from_ticks(1_000),
+            "invoked at {at}, before it was due"
+        );
+    }
+
     #[test]
     fn weighted_index_respects_zero_weight() {
         let mut rng = StdRng::seed_from_u64(3);
