@@ -440,6 +440,48 @@ mod tests {
         assert!(history.records()[0].latency().unwrap().as_ticks() >= 1000);
     }
 
+    /// A second invocation at a process whose first is still in flight
+    /// is rejected; invocations at another process at the same instant,
+    /// and at the same process once it has responded, are not.
+    #[test]
+    fn overlapping_async_invocations_rejected() {
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        // Both due at time zero: the driver loop issues them in one pass,
+        // before any completion can be filed, so the overlap is certain.
+        let mut overlapping = at_zero(1).at(p0, SimTime::ZERO, 2);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(
+                vec![TimerEcho, TimerEcho],
+                bounds(1000, 500),
+                &mut overlapping,
+            )
+        }));
+        let payload = outcome.expect_err("overlapping invocations at p0 must be rejected");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the panic carries a message");
+        assert!(
+            message.contains("another operation is pending"),
+            "{message}"
+        );
+        // A different process is unaffected, and p0 accepts new work
+        // once its first operation has responded.
+        let mut disjoint =
+            at_zero(1)
+                .at(p1, SimTime::ZERO, 3)
+                .at(p0, SimTime::from_ticks(250_000), 4);
+        let history = run(vec![TimerEcho, TimerEcho], bounds(1000, 500), &mut disjoint);
+        assert!(history.is_complete());
+        assert_eq!(history.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "another operation is pending")]
+    fn overlapping_invoke_async_panics() {
+        let mut script = at_zero(1).at(ProcessId::new(0), SimTime::ZERO, 2);
+        run(vec![TimerEcho], bounds(1000, 500), &mut script);
+    }
+
     /// Arms a long timer and responds immediately, leaving the timer
     /// pending at shutdown.
     #[derive(Debug, Default)]
