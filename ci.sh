@@ -34,11 +34,17 @@ echo "== shard golden (fixed-value histories, forced 4-worker pool) =="
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-core shard
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test shard reduced_engine_sharded_pins_the_checker_node_count
 
+# Run logs stay inside the build tree: one directory per checkout, so
+# two checkouts running this script on one host never share a log.
+log_dir=target/ci-logs
+rm -rf "$log_dir"
+mkdir -p "$log_dir"
+
 echo "== examples (every binary runs to its verdict line) =="
 cargo build --release -q -p skewbound-examples
 while read -r example verdict; do
-  ./target/release/"$example" > "/tmp/example-$example.log"
-  last=$(grep -v '^$' "/tmp/example-$example.log" | tail -n 1)
+  ./target/release/"$example" > "$log_dir/example-$example.log"
+  last=$(grep -v '^$' "$log_dir/example-$example.log" | tail -n 1)
   if [ "$last" != "$verdict" ]; then
     echo "example $example ended with '$last', expected '$verdict'" >&2
     exit 1
@@ -189,8 +195,8 @@ for attempt in 1 2 3; do
     | sort -t: -k3 -n >"$net_dir/merged.jsonl"
   if cargo run --release -q -p skewbound-mc --bin skewlint -- \
     audit "$net_dir/merged.jsonl" --window "$net_d,$net_u" \
-    | tee /tmp/skewlint-net.log \
-    && grep -q '^audit: OK$' /tmp/skewlint-net.log; then
+    | tee "$log_dir/skewlint-net.log" \
+    && grep -q '^audit: OK$' "$log_dir/skewlint-net.log"; then
     net_audit_ok=1
     break
   fi

@@ -41,13 +41,12 @@
 //! transport-level batching in isolation.
 
 use core::fmt;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use skewbound_sim::actor::{Actor, Context};
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::time::SimDuration;
-use skewbound_spec::namespace::{Namespace, NsOp};
+use skewbound_spec::namespace::{Namespace, NsOp, NsState};
 use skewbound_spec::seqspec::{OpClass, SequentialSpec};
 
 use crate::params::Params;
@@ -185,7 +184,7 @@ impl<S: SequentialSpec> NsReplica<S> {
 
     /// Per-key local states (absent keys are at the inner initial state).
     #[must_use]
-    pub fn local_states(&self) -> &BTreeMap<u64, S::State> {
+    pub fn local_states(&self) -> &NsState<S::State> {
         self.core.local()
     }
 
@@ -417,7 +416,7 @@ mod tests {
             .collect();
         assert_eq!(states[0], states[1]);
         assert_eq!(states[1], states[2]);
-        assert_eq!(states[0].get(&9), Some(&3));
+        assert_eq!(states[0].get(9), Some(&3));
         // Three broadcast writes → three executions on every replica.
         assert!((0..3).all(|i| sim.actor(p(i)).executed() == 3));
     }

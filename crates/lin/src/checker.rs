@@ -212,10 +212,13 @@ pub(crate) fn search<S: SequentialSpec>(
         predecessors: &predecessors,
         successors: &successors,
         target,
-        interner: StateInterner::with_capacity(n * 8),
-        // Pre-size the memo table: node counts grow superlinearly in n,
-        // and growth rehashes are pure overhead on the hot path.
-        seen: SeenSet::with_capacity_and_hasher(n * 64, fxhash::FxBuildHasher::default()),
+        // Size both tables for one walk down the DFS, `n + 1` nodes:
+        // that is all a linearizable history without backtracking
+        // visits, and what the checker mostly sees. Backtracking grows
+        // them by doubling. A larger guess allocates, and marks empty,
+        // buckets the walk never touches.
+        interner: StateInterner::with_capacity(n + 1),
+        seen: SeenSet::with_capacity_and_hasher(n + 1, fxhash::FxBuildHasher::default()),
         // One shared order buffer, pushed/popped along the DFS path
         // instead of cloned per node (histories are ≤ 128 ops, so the
         // recursion depth is bounded).

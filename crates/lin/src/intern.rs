@@ -127,4 +127,20 @@ mod tests {
             3
         );
     }
+
+    #[test]
+    fn namespace_states_intern_regardless_of_key_order() {
+        use skewbound_spec::prelude::*;
+
+        let ns = Namespace::new(RmwRegister::default());
+        let writes: Vec<_> = (0..48)
+            .map(|k| NsOp::new(k, RmwOp::Write(k as i64 + 1)))
+            .collect();
+        let reversed: Vec<_> = writes.iter().rev().cloned().collect();
+        let mut i = StateInterner::new();
+        let up = i.intern(&ns.state_after(&ns.initial(), &writes));
+        let down = i.intern(&ns.state_after(&ns.initial(), &reversed));
+        assert_eq!(up, down);
+        assert_eq!(i.len(), 1);
+    }
 }

@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::counter::{Counter, CounterOp, CounterResp};
     pub use crate::deque::{Deque, DequeOp, DequeResp};
     pub use crate::kv::{KvOp, KvResp, KvStore};
-    pub use crate::namespace::{Namespace, NsOp, ShardRouter};
+    pub use crate::namespace::{Namespace, NsOp, NsState, ShardRouter};
     pub use crate::queue::{Queue, QueueOp, QueueResp};
     pub use crate::register::{
         RegOp, RegResp, RmwKind, RmwOp, RmwRegister, RmwResp, RwRegister, Value,

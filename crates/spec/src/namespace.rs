@@ -10,12 +10,21 @@
 //! independent replica groups and still check each shard with the plain
 //! per-history checker.
 //!
+//! The state, [`NsState`], is a hash map: a replica's execute pass and
+//! every accessor touch one key per operation, and nothing needs the
+//! keys in order, so a lookup is one hash probe rather than a B-tree
+//! descent. It stays canonical (initial-state objects are absent) and
+//! its `Eq`, `Hash` and `Debug` depend only on the set of entries, never
+//! on how the map laid them out.
+//!
 //! [`ShardRouter`] is the `ObjectId → shard` map used by both the shard
 //! runner (to partition the key universe) and workload generators (to
 //! keep every generated op inside its shard's key set).
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use core::fmt;
+use core::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::HashMap;
 
 use crate::seqspec::{OpClass, SequentialSpec};
 
@@ -37,13 +46,83 @@ impl<O> NsOp<O> {
     }
 }
 
-/// The namespace specification: every key addresses an independent copy
-/// of the `inner` object.
+/// The state of a [`Namespace`]: each key's object state, with every
+/// object that is in the inner initial state left out.
 ///
-/// The state is canonical: keys whose object is in the inner initial
-/// state are *absent* from the map, so two states are semantically equal
-/// iff they are structurally equal (the property sequence-equivalence
-/// checking relies on).
+/// Leaving initial-state objects out makes the representation
+/// canonical, so two states are semantically equal iff they are `==`
+/// (the property sequence-equivalence checking relies on). The entries
+/// live in a std [`HashMap`] with its default, randomly keyed hasher:
+/// keys reach a served replica from its clients, and a fixed hash would
+/// let a client pick keys that all land in one bucket. Its iteration
+/// order therefore differs between maps and runs, so `Hash` combines
+/// per-entry hashes with a wrapping sum, and `Debug` prints the entries
+/// in ascending key order. Only [`Namespace`] builds and changes one,
+/// which is what keeps it canonical.
+///
+/// # Examples
+///
+/// ```
+/// use skewbound_spec::prelude::*;
+///
+/// let ns = Namespace::new(RmwRegister::default());
+/// let s = ns.state_after(
+///     &ns.initial(),
+///     &[NsOp::new(7, RmwOp::Write(3)), NsOp::new(2, RmwOp::Write(9))],
+/// );
+/// assert_eq!(s.get(7), Some(&3));
+/// assert_eq!(s.get(40), None, "key 40 is at the initial state");
+/// assert_eq!(format!("{s:?}"), "{2: 9, 7: 3}");
+/// ```
+#[derive(Clone, PartialEq, Eq)]
+pub struct NsState<T>(HashMap<u64, T>);
+
+impl<T> NsState<T> {
+    /// The object state of `key`, or `None` when it is at the inner
+    /// initial state.
+    #[must_use]
+    pub fn get(&self, key: u64) -> Option<&T> {
+        self.0.get(&key)
+    }
+
+    /// Number of objects not at the inner initial state.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `true` when every object is at the inner initial state.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl<T: Hash> Hash for NsState<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // A sum is order-independent, so equal maps hash equally
+        // whatever order they iterate in. Each entry is hashed with
+        // fixed keys, so the sum does not depend on the map's own.
+        let fixed = BuildHasherDefault::<DefaultHasher>::default();
+        let sum = self
+            .0
+            .iter()
+            .fold(0u64, |sum, entry| sum.wrapping_add(fixed.hash_one(entry)));
+        state.write_usize(self.0.len());
+        state.write_u64(sum);
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for NsState<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut entries: Vec<_> = self.0.iter().collect();
+        entries.sort_unstable_by_key(|&(key, _)| *key);
+        f.debug_map().entries(entries).finish()
+    }
+}
+
+/// The namespace specification: every key addresses an independent copy
+/// of the `inner` object. Its state is an [`NsState`].
 ///
 /// # Examples
 ///
@@ -79,25 +158,17 @@ impl<S: SequentialSpec> Namespace<S> {
 }
 
 impl<S: SequentialSpec> SequentialSpec for Namespace<S> {
-    type State = BTreeMap<u64, S::State>;
+    type State = NsState<S::State>;
     type Op = NsOp<S::Op>;
     type Resp = S::Resp;
 
     fn initial(&self) -> Self::State {
-        BTreeMap::new()
+        NsState(HashMap::new())
     }
 
     fn apply(&self, state: &Self::State, op: &Self::Op) -> (Self::State, Self::Resp) {
-        let init = self.inner.initial();
-        let before = state.get(&op.key).unwrap_or(&init);
-        let (after, resp) = self.inner.apply(before, &op.op);
         let mut next = state.clone();
-        if after == init {
-            // Keep the map canonical: initial-state objects are absent.
-            next.remove(&op.key);
-        } else {
-            next.insert(op.key, after);
-        }
+        let resp = self.apply_mut(&mut next, op);
         (next, resp)
     }
 
@@ -105,7 +176,7 @@ impl<S: SequentialSpec> SequentialSpec for Namespace<S> {
     /// a long-lived replica pays per operation, not per key ever seen.
     fn apply_mut(&self, state: &mut Self::State, op: &Self::Op) -> Self::Resp {
         let init = self.inner.initial();
-        match state.entry(op.key) {
+        match state.0.entry(op.key) {
             Entry::Occupied(mut slot) => {
                 let resp = self.inner.apply_mut(slot.get_mut(), &op.op);
                 if *slot.get() == init {
@@ -126,7 +197,7 @@ impl<S: SequentialSpec> SequentialSpec for Namespace<S> {
     }
 
     fn peek(&self, state: &Self::State, op: &Self::Op) -> Self::Resp {
-        match state.get(&op.key) {
+        match state.0.get(&op.key) {
             Some(object) => self.inner.peek(object, &op.op),
             None => self.inner.peek(&self.inner.initial(), &op.op),
         }
@@ -199,6 +270,8 @@ fn splitmix64(mut x: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::queue::{Queue, QueueOp};
     use crate::register::{RmwKind, RmwOp, RmwRegister, RmwResp};
@@ -254,16 +327,19 @@ mod tests {
         assert_eq!(s, ns.initial());
     }
 
-    /// Drives one seeded operation sequence through the in-place
-    /// overrides and through `apply` (which the trait defaults are
-    /// written in terms of) side by side: same responses, same state,
-    /// map canonical after every step.
+    /// Drives one seeded operation sequence through `peek`, `apply_mut`
+    /// and `apply`, and checks each against a reference model kept
+    /// here: a `BTreeMap` of per-key states stepped with the inner
+    /// spec, initial-state objects removed. Same responses, same
+    /// entries after every step; since the model is canonical, so is
+    /// the state.
     fn assert_in_place_matches_apply<S, G>(ns: &Namespace<S>, seed: u64, steps: usize, gen: G)
     where
         S: SequentialSpec,
         G: Fn(u64) -> S::Op,
     {
         let init = ns.inner().initial();
+        let mut model: BTreeMap<u64, S::State> = BTreeMap::new();
         let mut in_place = ns.initial();
         let mut by_apply = ns.initial();
         let mut x = seed;
@@ -271,23 +347,36 @@ mod tests {
             x = splitmix64(x);
             // Few keys, so entries are revisited, emptied and refilled.
             let op = NsOp::new(x % 5, gen(x >> 8));
-            let (next, resp) = ns.apply(&by_apply, &op);
+            let (after, expected) = ns
+                .inner()
+                .apply(model.get(&op.key).unwrap_or(&init), &op.op);
+            if after == init {
+                model.remove(&op.key);
+            } else {
+                model.insert(op.key, after);
+            }
             assert_eq!(
                 ns.peek(&in_place, &op),
-                resp,
+                expected,
                 "peek, seed {seed} step {step}"
             );
             assert_eq!(
                 ns.apply_mut(&mut in_place, &op),
-                resp,
+                expected,
                 "apply_mut, seed {seed} step {step}"
             );
+            let (next, resp) = ns.apply(&by_apply, &op);
+            assert_eq!(resp, expected, "apply, seed {seed} step {step}");
             by_apply = next;
-            assert_eq!(in_place, by_apply, "state, seed {seed} step {step}");
-            assert!(
-                in_place.values().all(|object| *object != init),
-                "an initial-state object stayed in the map, seed {seed} step {step}"
-            );
+            for state in [&in_place, &by_apply] {
+                assert_eq!(state.len(), model.len(), "seed {seed} step {step}");
+                assert!(
+                    model
+                        .iter()
+                        .all(|(&key, object)| state.get(key) == Some(object)),
+                    "state {state:?} is not the model {model:?}, seed {seed} step {step}"
+                );
+            }
         }
     }
 
@@ -313,6 +402,55 @@ mod tests {
                 _ => QueueOp::Peek,
             });
         }
+    }
+
+    #[test]
+    fn insertion_order_does_not_show() {
+        let ns = ns();
+        // Keys 1024 apart share their low bits, so under a weak hash
+        // they would collide and iterate in insertion order.
+        let writes: Vec<_> = (0..48)
+            .map(|i| NsOp::new(i * 1024, RmwOp::Write(i as i64 + 1)))
+            .collect();
+        let reversed: Vec<_> = writes.iter().rev().cloned().collect();
+        let up = ns.state_after(&ns.initial(), &writes);
+        let down = ns.state_after(&ns.initial(), &reversed);
+        assert_eq!(up, down);
+        assert_eq!(hash_of(&up), hash_of(&down));
+        assert_eq!(format!("{up:?}"), format!("{down:?}"));
+    }
+
+    #[test]
+    fn emptied_state_hashes_like_initial() {
+        let ns = ns();
+        // Many keys written and written back: the map's table has grown,
+        // but the state is the never-touched one, hash included.
+        let there: Vec<_> = (0..48).map(|k| NsOp::new(k, RmwOp::Write(1))).collect();
+        let back: Vec<_> = (0..48).map(|k| NsOp::new(k, RmwOp::Write(0))).collect();
+        let s = ns.state_after(&ns.state_after(&ns.initial(), &there), &back);
+        assert!(s.is_empty());
+        assert_eq!(s, ns.initial());
+        assert_eq!(hash_of(&s), hash_of(&ns.initial()));
+    }
+
+    fn hash_of<T: Hash>(value: &T) -> u64 {
+        BuildHasherDefault::<DefaultHasher>::default().hash_one(value)
+    }
+
+    #[test]
+    fn debug_lists_keys_in_ascending_order() {
+        let ns = ns();
+        let mut ops = vec![
+            NsOp::new(7, RmwOp::Write(3)),
+            NsOp::new(1, RmwOp::Write(5)),
+            NsOp::new(2, RmwOp::Write(9)),
+        ];
+        // Forty more keys written and written back grow the table, so
+        // its bucket order is not key order.
+        ops.extend((100..140).map(|k| NsOp::new(k, RmwOp::Write(1))));
+        ops.extend((100..140).map(|k| NsOp::new(k, RmwOp::Write(0))));
+        let s = ns.state_after(&ns.initial(), &ops);
+        assert_eq!(format!("{s:?}"), "{1: 5, 2: 9, 7: 3}");
     }
 
     #[test]

@@ -207,12 +207,14 @@ mod tests {
         // The namespace the replicas serve: reads, writes and RMWs over
         // three keys, so both same-key and cross-key pairs are seen.
         // States are canonical maps (initial-valued keys are absent).
+        let ns = Namespace::new(RmwRegister::default());
+        let write = |key, v| NsOp::new(key, RmwOp::Write(v));
         check_class_consistency(
-            &Namespace::new(RmwRegister::default()),
+            &ns,
             &[
-                std::collections::BTreeMap::new(),
-                std::collections::BTreeMap::from([(7, 5)]),
-                std::collections::BTreeMap::from([(7, 1), (40, -3)]),
+                ns.initial(),
+                ns.state_after(&ns.initial(), &[write(7, 5)]),
+                ns.state_after(&ns.initial(), &[write(7, 1), write(40, -3)]),
             ],
             &[
                 NsOp::new(7, RmwOp::Read),
