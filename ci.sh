@@ -96,6 +96,13 @@ if grep -rnE --include='*.rs' 'cancel_timer|TimerCancel|"timer-cancel"' crates e
 fi
 echo "timers: no cancel_timer, TimerCancel or \"timer-cancel\""
 
+echo "== one verdict path (every explored run is checked directly, no verdict cache) =="
+if grep -rnE --include='*.rs' 'TranspositionTable|CachedVerdict|mc::table' crates examples tests; then
+  echo "a linearizability verdict cache is spelled in the tree; mc checks every run with check_history_stats" >&2
+  exit 1
+fi
+echo "mc: no TranspositionTable, CachedVerdict or mc::table"
+
 echo "== TCP loopback smoke (3-process mesh + closed-loop load + trace audit) =="
 cargo build --release -q -p skewbound-net
 net_dir=target/netsmoke

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use skewbound_core::centralized::Centralized;
 use skewbound_core::params::Params;
 use skewbound_core::replica::Replica;
-use skewbound_lin::{check_history, validate_linearization, CheckOutcome};
+use skewbound_lin::{check_history, validate_linearization, CheckOutcome, MAX_OPS};
 use skewbound_sim::actor::Actor;
 use skewbound_sim::clock::ClockAssignment;
 use skewbound_sim::delay::{DelayBounds, DelayModel, FixedDelay, UniformDelay};
@@ -83,8 +83,8 @@ fn grid_points(params: &Params, delay_specs: &[DelaySpec]) -> Vec<GridPoint> {
     points
 }
 
-/// Checks one run's history against the spec. Histories beyond the
-/// checker's 128-op bitmask are skipped rather than split, keeping the
+/// Checks one run's history against the spec. Histories longer than the
+/// checker's [`MAX_OPS`] are skipped rather than split, keeping the
 /// measurement unbiased.
 ///
 /// # Panics
@@ -93,7 +93,7 @@ fn grid_points(params: &Params, delay_specs: &[DelaySpec]) -> Vec<GridPoint> {
 /// point simulates a correct implementation, so a violation here is an
 /// engine or implementation bug, not a measurement result.
 fn check_linearizable<S: SequentialSpec>(spec: &S, history: &History<S::Op, S::Resp>) {
-    if history.len() > 128 {
+    if history.len() > MAX_OPS {
         return;
     }
     match check_history(spec, history) {

@@ -34,8 +34,8 @@ pub mod multi;
 pub mod pending;
 
 pub use checker::{
-    check_history, check_history_brute_force, check_history_stats, check_history_with,
-    validate_linearization, CheckLimits, CheckOutcome, CheckStats, Linearization, Violation,
+    check_history, check_history_brute_force, check_history_stats, validate_linearization,
+    CheckLimits, CheckOutcome, CheckStats, Linearization, Violation, MAX_OPS,
 };
-pub use multi::{check_namespace, check_namespace_with, flatten_batches, split_history, NsOutcome};
-pub use pending::{check_pending, check_pending_with};
+pub use multi::{check_namespace, flatten_batches, split_history, NsOutcome};
+pub use pending::check_pending;

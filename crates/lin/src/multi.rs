@@ -21,7 +21,7 @@ use skewbound_sim::history::History;
 use skewbound_spec::namespace::NsOp;
 use skewbound_spec::seqspec::SequentialSpec;
 
-use crate::checker::{check_history_with, CheckLimits, CheckOutcome};
+use crate::checker::{check_history, CheckOutcome};
 
 /// Expands a *batched* history — each record invoking a `Vec` of
 /// operations and receiving a `Vec` of responses — into the op-level
@@ -104,24 +104,10 @@ pub fn check_namespace<S: SequentialSpec>(
     inner: &S,
     history: &History<NsOp<S::Op>, S::Resp>,
 ) -> NsOutcome {
-    check_namespace_with(inner, history, CheckLimits::default())
-}
-
-/// [`check_namespace`] with explicit limits.
-///
-/// # Panics
-///
-/// Panics if the history is incomplete.
-#[must_use]
-pub fn check_namespace_with<S: SequentialSpec>(
-    inner: &S,
-    history: &History<NsOp<S::Op>, S::Resp>,
-    limits: CheckLimits,
-) -> NsOutcome {
     NsOutcome {
         per_key: split_projected(history, |op| (op.key, op.op.clone()))
             .into_iter()
-            .map(|(key, sub)| (key, check_history_with(inner, &sub, limits)))
+            .map(|(key, sub)| (key, check_history(inner, &sub)))
             .collect(),
     }
 }

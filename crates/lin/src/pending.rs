@@ -25,27 +25,14 @@ use crate::checker::{search, CheckLimits, CheckOutcome};
 ///
 /// # Panics
 ///
-/// Panics if the history has more than 128 operations.
+/// Panics if the history has more than
+/// [`MAX_OPS`](crate::checker::MAX_OPS) operations.
 #[must_use]
 pub fn check_pending<S: SequentialSpec>(
     spec: &S,
     history: &History<S::Op, S::Resp>,
 ) -> CheckOutcome {
-    check_pending_with(spec, history, CheckLimits::default())
-}
-
-/// [`check_pending`] with explicit limits.
-///
-/// # Panics
-///
-/// Panics if the history has more than 128 operations.
-#[must_use]
-pub fn check_pending_with<S: SequentialSpec>(
-    spec: &S,
-    history: &History<S::Op, S::Resp>,
-    limits: CheckLimits,
-) -> CheckOutcome {
-    search(spec, history, limits).0
+    search(spec, history, CheckLimits::default()).0
 }
 
 #[cfg(test)]

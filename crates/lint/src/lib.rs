@@ -5,7 +5,7 @@
 //! The paper's bounds are conditional: Algorithm 1's `d + ε` accessor
 //! bound holds only if the transport respects the `[d−u, d]` delivery
 //! window, and its timestamp order only if every send is delivered
-//! exactly once. A run's seven-kind trace records what the transport and
+//! exactly once. A run's six-kind trace records what the transport and
 //! the timers actually did, on any of the three backends; this crate
 //! writes that trace and checks it:
 //!

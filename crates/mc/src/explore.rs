@@ -31,7 +31,7 @@
 
 use skewbound_core::invariants::{check_invariants, RunView};
 use skewbound_core::params::Params;
-use skewbound_lin::checker::{check_history_stats, CheckLimits, CheckOutcome};
+use skewbound_lin::checker::{check_history_stats, CheckLimits, CheckOutcome, MAX_OPS};
 use skewbound_shift::exhaustive::{
     verify_send_order_independence, AssignmentExhausted, EnumeratedDelay,
 };
@@ -45,7 +45,6 @@ use skewbound_spec::classify::immediately_non_commuting;
 use skewbound_spec::seqspec::SequentialSpec;
 
 use crate::model::ModelActor;
-use crate::table::{CachedVerdict, TranspositionTable};
 
 /// The independence relation the explorer prunes with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,11 +244,12 @@ pub struct McReport {
     pub wall_nanos: u64,
     /// Worker threads the frontier actually used (advisory).
     pub workers: usize,
-    /// Distinct precedence structures in the transposition table
-    /// (advisory: thread-timing dependent when workers race).
+    /// Always 0: every run is checked directly, with no verdict cache.
+    /// Kept only because the benchmark harness still reads it as
+    /// `mc.table.entries`; the next benchmark change deletes it together
+    /// with its `mc.table.*` metrics (ROADMAP item 11).
     pub table_entries: u64,
-    /// Linearizability checks served from the transposition table
-    /// (advisory: thread-timing dependent).
+    /// Always 0, like [`McReport::table_entries`], and deleted with it.
     pub table_hits: u64,
 }
 
@@ -278,8 +278,8 @@ impl McReport {
     /// `true` when `other` reports the same exploration *results*: every
     /// deterministic field matches (messages, cells, schedules, pruned,
     /// off-space, unknown, capped, explored states, violations). The
-    /// advisory timing/table fields are deliberately excluded — this is
-    /// the thread-count determinism contract.
+    /// advisory timing and worker fields are deliberately excluded —
+    /// this is the thread-count determinism contract.
     #[must_use]
     pub fn same_results(&self, other: &McReport) -> bool {
         self.messages == other.messages
@@ -537,10 +537,7 @@ impl DigitCounter {
 /// streams into it, followed after the run by the linearizability
 /// checker's `"check"`-stage counters (`nodes`, `memo_hits`,
 /// `max_frontier_depth`); a caller that wants the sink back keeps an
-/// `Rc` clone of it. The optional shared [`TranspositionTable`] serves
-/// the linearizability verdict from memoized precedence structures;
-/// verdicts are identical with or without it (see `table`'s module
-/// docs).
+/// `Rc` clone of it.
 #[allow(clippy::too_many_arguments)]
 fn run_one<A, F>(
     spec: &A::Spec,
@@ -552,7 +549,6 @@ fn run_one<A, F>(
     digits: &[usize],
     plan: &[usize],
     sink: Option<Box<dyn TraceSink>>,
-    table: Option<&TranspositionTable<A::Spec>>,
 ) -> RunOutcome<A::Spec>
 where
     A: ModelActor,
@@ -589,27 +585,17 @@ where
                 RunVerdict::OffSpace(exhausted)
             } else if !history.is_complete() {
                 RunVerdict::Violation(ViolationKind::IncompleteHistory)
-            } else if history.len() > 128 {
+            } else if history.len() > MAX_OPS {
                 RunVerdict::Unknown
             } else {
-                let lin_verdict = if let Some(table) = table {
-                    table.check(spec, history, CheckLimits::default())
-                } else {
-                    let (outcome, stats) =
-                        check_history_stats(spec, history, CheckLimits::default());
-                    check_stats = Some(stats);
-                    match outcome {
-                        CheckOutcome::Linearizable(_) => CachedVerdict::Linearizable,
-                        CheckOutcome::NotLinearizable(_) => CachedVerdict::NotLinearizable,
-                        CheckOutcome::Unknown { .. } => CachedVerdict::Unknown,
-                    }
-                };
-                match lin_verdict {
-                    CachedVerdict::NotLinearizable => {
+                let (outcome, stats) = check_history_stats(spec, history, CheckLimits::default());
+                check_stats = Some(stats);
+                match outcome {
+                    CheckOutcome::NotLinearizable(_) => {
                         RunVerdict::Violation(ViolationKind::NotLinearizable)
                     }
-                    CachedVerdict::Unknown => RunVerdict::Unknown,
-                    CachedVerdict::Linearizable => {
+                    CheckOutcome::Unknown { .. } => RunVerdict::Unknown,
+                    CheckOutcome::Linearizable(_) => {
                         let executed_orders: Vec<_> = ProcessId::all(params.n())
                             .filter_map(|pid| sim.actor(pid).executed_order().map(<[_]>::to_vec))
                             .collect();
@@ -677,7 +663,6 @@ where
         delay_digits,
         choices,
         sink,
-        None,
     )
 }
 
@@ -768,7 +753,6 @@ pub(crate) fn explore_unit<A, F>(
     start_plan: &[usize],
     lock_depth: usize,
     budget: u64,
-    table: &TranspositionTable<A::Spec>,
 ) -> UnitOutcome
 where
     A: ModelActor,
@@ -805,7 +789,6 @@ where
             digits,
             &plan,
             None,
-            Some(table),
         );
         out.schedules += 1;
         out.events += outcome.events;
@@ -917,7 +900,6 @@ where
             &config.clock_choices[violation.clock_idx],
             digits,
             choices,
-            None,
             None,
         );
         matches!(&outcome.verdict, RunVerdict::Violation(k) if k.same_kind(kind))

@@ -6,13 +6,12 @@
 //! scoped worker pool in the style of
 //! [`skewbound_sim::par::run_grid`]: workers claim units from a shared
 //! frontier (smallest canonical coordinate first), explore them with
-//! [`crate::explore`]'s replay DFS, and share one
-//! [`TranspositionTable`] so linearizability verdicts memoized by one
-//! worker serve all of them.
+//! [`crate::explore`]'s replay DFS, each run checked directly for
+//! linearizability.
 //!
 //! ## The determinism contract
 //!
-//! Parallel execution is treated as *best-effort cache warming*: after
+//! Parallel execution is treated as *best-effort precomputation*: after
 //! the pool drains, a single-threaded **merge walk** revisits every unit
 //! in canonical order — ascending clock index, then delay code, then
 //! DFS plan — and absorbs each unit's result into the report. A unit
@@ -53,7 +52,6 @@ use skewbound_spec::seqspec::SequentialSpec;
 
 use crate::explore::{explore_unit, preflight, DigitCounter, McConfig, McReport, UnitOutcome};
 use crate::model::ModelActor;
-use crate::table::TranspositionTable;
 
 /// One work unit: a DFS subtree of one grid cell. `plan == []` with
 /// `lock_depth == 0` is the whole fresh cell; a split sibling carries
@@ -150,9 +148,9 @@ impl FrontierState {
 ///
 /// Work is fanned out over this module's work-stealing frontier (worker
 /// count from [`McConfig::workers`], else `SKEWBOUND_THREADS` / one per
-/// core) with a shared [`TranspositionTable`]; results are merged in
-/// canonical cell order, so the report is bit-identical at any thread
-/// count. A delay-dependent send pattern (detected up front by
+/// core); results are merged in canonical cell order, so the report is
+/// bit-identical at any thread count. A delay-dependent send pattern
+/// (detected up front by
 /// [`skewbound_shift::exhaustive::verify_send_order_independence`])
 /// yields a report with a single
 /// [`ViolationKind::SendOrderDivergence`](crate::ViolationKind) violation
@@ -189,7 +187,6 @@ where
     let clock_count = config.clock_choices.len();
     let workers = config.workers.unwrap_or_else(par::available_workers).max(1);
     let budget = config.max_schedules;
-    let table: TranspositionTable<A::Spec> = TranspositionTable::new();
 
     let frontier = Mutex::new(FrontierState {
         pending: BTreeMap::new(),
@@ -238,7 +235,6 @@ where
                     &unit.plan,
                     unit.lock_depth,
                     unit_budget,
-                    &table,
                 )
             }));
             match outcome {
@@ -270,11 +266,7 @@ where
                         .push((unit, outcome));
                 }
                 Err(payload) => {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
+                    let message = par::panic_message(payload.as_ref());
                     let mut first = first_panic.lock().expect("panic slot poisoned");
                     if first.as_ref().is_none_or(|(u, _)| unit < *u) {
                         *first = Some((unit, message));
@@ -360,8 +352,7 @@ where
             }
             // No worker reached this unit, or its recorded run does not
             // land on the canonical cut: re-explore inline with the
-            // exact remaining budget. The shared table makes the re-run
-            // cheap — every verdict is already memoized.
+            // exact remaining budget.
             _ => explore_unit(
                 spec,
                 make_actors,
@@ -373,7 +364,6 @@ where
                 &unit.plan,
                 unit.lock_depth,
                 remaining,
-                &table,
             ),
         };
         report.cells += outcome.cells;
@@ -405,7 +395,5 @@ where
     }
 
     report.wall_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    report.table_entries = table.entries();
-    report.table_hits = table.hits();
     report
 }

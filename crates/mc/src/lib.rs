@@ -19,7 +19,8 @@
 //!   independence relation) and executed timestamp orders (for the
 //!   Lemma C.10 invariant);
 //! * protocol invariants from [`skewbound_core::invariants`] checked on
-//!   every explored run, next to full linearizability checking;
+//!   every explored run, next to a direct linearizability check of each
+//!   run (one `check_history_stats` call; no verdict cache);
 //! * [`certificate`] — minimized, replay-confirmed counterexample
 //!   certificates in a stable JSON schema, via `skewbound_lint::json`;
 //! * `skewlint` (in `src/bin`) — writes the certificates of the
@@ -60,7 +61,6 @@ pub mod certificate;
 pub mod explore;
 pub mod frontier;
 pub mod model;
-pub mod table;
 
 pub use certificate::{certify, validate_certificate, CertRecord, Certificate, SCHEMA};
 pub use explore::{
@@ -69,4 +69,3 @@ pub use explore::{
 };
 pub use frontier::model_check;
 pub use model::ModelActor;
-pub use table::{CachedVerdict, TranspositionTable};

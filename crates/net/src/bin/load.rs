@@ -20,7 +20,7 @@ use std::process::exit;
 use std::sync::{Barrier, Mutex};
 
 use skewbound_core::params::Params;
-use skewbound_lin::checker::CheckOutcome;
+use skewbound_lin::checker::{CheckOutcome, MAX_OPS};
 use skewbound_lin::multi::check_namespace;
 use skewbound_net::runtime::{tighten_timer_slack, NetClient, TimeBase};
 use skewbound_net::wire::{Decode, Encode};
@@ -111,14 +111,16 @@ fn parse_args() -> Args {
     }
     .unwrap_or_else(|e| fail(&format!("invalid parameters: {e}")));
     // The checker's taken-set is a 128-bit mask: histories longer than
-    // 128 operations cannot be checked, so the per-key load must not
-    // exceed it.
+    // `MAX_OPS` operations cannot be checked, so the per-key load must
+    // not exceed it.
     match sessions.div_ceil(keys).checked_mul(ops) {
-        Some(per_key) if per_key <= 128 => {}
+        Some(per_key) if per_key <= MAX_OPS as u64 => {}
         Some(per_key) => fail(&format!(
-            "~{per_key} ops per key exceeds the checker's 128-op limit; raise --keys"
+            "~{per_key} ops per key exceeds the checker's {MAX_OPS}-op limit; raise --keys"
         )),
-        None => fail("ops per key overflow u64, far past the checker's 128-op limit"),
+        None => fail(&format!(
+            "ops per key overflow u64, far past the checker's {MAX_OPS}-op limit"
+        )),
     }
 
     Args {

@@ -65,7 +65,11 @@ pub fn available_workers() -> usize {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message a caught panic carries: its `&str` or `String` payload,
+/// else a placeholder. The model checker's frontier reports its workers'
+/// panics with this too.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -77,11 +81,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs `f` over every job and returns the results in input order.
 ///
-/// With more than one worker, jobs are claimed from an atomic cursor by
-/// a scoped thread pool; with one worker (or one job, or sequential mode
-/// via `SKEWBOUND_THREADS=1`) they run inline on the calling thread. Either
-/// way the result vector is ordered by job index, so a deterministic `f`
-/// yields byte-identical output regardless of the worker count.
+/// Jobs are claimed from an atomic cursor by one worker loop. With more
+/// than one worker a scoped thread pool runs that loop; with one worker
+/// (or one job, or sequential mode via `SKEWBOUND_THREADS=1`) the calling
+/// thread runs it inline. Either way the result vector is ordered by job
+/// index, so a deterministic `f` yields byte-identical output regardless
+/// of the worker count.
 ///
 /// # Panics
 ///
@@ -95,55 +100,48 @@ where
     R: Send,
     F: Fn(usize, &I) -> R + Sync,
 {
-    let grid_panic =
-        |(index, message): (usize, String)| -> ! { panic!("grid job {index} panicked: {message}") };
-    let workers = worker_count(jobs.len());
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(jobs.len());
-        for (index, job) in jobs.iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(index, job))) {
-                Ok(r) => out.push(r),
-                Err(payload) => grid_panic((index, panic_message(payload.as_ref()))),
-            }
-        }
-        return out;
-    }
-
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::new();
     slots.resize_with(jobs.len(), || None);
     let slots = Mutex::new(slots);
     let first_panic: Mutex<Option<(usize, String)>> = Mutex::new(None);
 
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= jobs.len() {
-                        break;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| f(index, &jobs[index]))) {
-                        Ok(r) => local.push((index, r)),
-                        Err(payload) => {
-                            let mut first = first_panic.lock().unwrap();
-                            if first.as_ref().is_none_or(|&(i, _)| index < i) {
-                                *first = Some((index, panic_message(payload.as_ref())));
-                            }
-                        }
+    let run_worker = || {
+        let mut local: Vec<(usize, R)> = Vec::new();
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= jobs.len() {
+                break;
+            }
+            match catch_unwind(AssertUnwindSafe(|| f(index, &jobs[index]))) {
+                Ok(r) => local.push((index, r)),
+                Err(payload) => {
+                    let mut first = first_panic.lock().unwrap();
+                    if first.as_ref().is_none_or(|&(i, _)| index < i) {
+                        *first = Some((index, panic_message(payload.as_ref())));
                     }
                 }
-                let mut slots = slots.lock().unwrap();
-                for (index, r) in local {
-                    slots[index] = Some(r);
-                }
-            });
+            }
         }
-    });
+        let mut slots = slots.lock().unwrap();
+        for (index, r) in local {
+            slots[index] = Some(r);
+        }
+    };
 
-    if let Some(panic) = first_panic.into_inner().unwrap() {
-        grid_panic(panic);
+    let workers = worker_count(jobs.len());
+    if workers <= 1 {
+        run_worker();
+    } else {
+        thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(run_worker);
+            }
+        });
+    }
+
+    if let Some((index, message)) = first_panic.into_inner().unwrap() {
+        panic!("grid job {index} panicked: {message}");
     }
     slots
         .into_inner()

@@ -109,19 +109,26 @@ fn parallel_results_match_sequential_and_panics_surface() {
     assert!(seq_corners.all_passed(), "{:?}", seq_corners.violations);
 
     // A panicking job surfaces as a panic carrying the job's message,
-    // and the pool shuts down cleanly (no hang, no abort).
+    // and the pool shuts down cleanly (no hang, no abort), whether the
+    // worker loop runs inline or on a pool.
     let jobs: Vec<u32> = (0..64).collect();
-    let caught = std::panic::catch_unwind(|| {
-        par::run_grid(&jobs, |_, &j| {
-            assert!(j != 40, "job 40 exploded");
-            j
-        })
-    });
-    let msg = *caught
-        .expect_err("panic must propagate to the caller")
-        .downcast::<String>()
-        .expect("panic payload is the job's message");
-    assert!(msg.contains("job 40 exploded"), "got: {msg}");
+    for threads in ["1", "4"] {
+        std::env::set_var("SKEWBOUND_THREADS", threads);
+        let caught = std::panic::catch_unwind(|| {
+            par::run_grid(&jobs, |_, &j| {
+                assert!(j != 40, "job 40 exploded");
+                j
+            })
+        });
+        let msg = *caught
+            .expect_err("panic must propagate to the caller")
+            .downcast::<String>()
+            .expect("panic payload is the job's message");
+        assert!(
+            msg.contains("grid job 40 panicked: job 40 exploded"),
+            "SKEWBOUND_THREADS={threads}, got: {msg}"
+        );
+    }
 
     std::env::remove_var("SKEWBOUND_THREADS");
 }
