@@ -10,23 +10,21 @@
 //! The checker is a Wing & Gong-style depth-first search over the set of
 //! "taken" operations: at each step, any not-yet-taken operation all of
 //! whose real-time predecessors are taken may be linearized next, provided
-//! its recorded response matches what the specification returns. A
-//! `(taken-set, state)` memo table prunes re-exploration, which makes the
-//! search practical for the history sizes the experiments produce.
+//! its recorded response matches what the specification returns.
 //!
-//! Three hot-path engineering choices keep the per-node cost flat in the
-//! history size (see DESIGN.md §7):
+//! A `(taken-set, state)` memo table prunes re-exploration. It holds only
+//! configurations whose subtree was searched in vain (Lowe, "Testing for
+//! Linearizability", CPE 2017), recorded as their node returns. That is
+//! exact: every other node entered so far is on the DFS path, with a
+//! smaller taken-set than any extension looked up, or ended the search.
+//! So a walk that never backtracks allocates no table.
 //!
-//! * states are hash-consed through a [`StateInterner`], so the memo set
-//!   stores 20-byte `(u128, u32)` keys instead of cloned states;
-//! * both tables hash with [`fxhash`] instead of SipHash;
-//! * each node iterates a precomputed *ready-set* bitmask (ops whose
-//!   real-time predecessors are all taken) via `trailing_zeros`, instead
-//!   of scanning all `n` records. The mask is maintained incrementally
-//!   from per-op successor masks. Candidates are still visited in
-//!   ascending index order, so outcomes (witnesses, violation
-//!   certificates, node counts) are bit-identical to the scanning
-//!   implementation.
+//! Per-node cost stays flat in the history size (DESIGN.md §7): states
+//! are hash-consed through a [`StateInterner`] into 20-byte `(u128, u32)`
+//! keys hashed with [`fxhash`]; candidates pop in ascending index order
+//! off a *ready-set* bitmask kept from per-op successor masks; and
+//! [`check_namespace`](crate::multi::check_namespace) reuses one set of
+//! precedence and order buffers for every key.
 
 use skewbound_sim::history::{History, OpRecord};
 use skewbound_sim::ids::OpId;
@@ -158,11 +156,26 @@ pub fn check_history_stats<S: SequentialSpec>(
         history.is_complete(),
         "linearizability is defined over complete histories"
     );
-    search(spec, history, limits)
+    search(&mut Buffers::default(), spec, history, limits)
 }
 
-/// The one search behind [`check_history_stats`] and
-/// [`check_pending`](crate::pending::check_pending). It succeeds once
+/// The vectors one search fills: the precedence build's five and the DFS
+/// order. A caller checking many histories in a row keeps one `Buffers`,
+/// so they grow to the longest history once instead of being allocated
+/// per history; each search clears what it uses.
+#[derive(Debug, Default)]
+pub(crate) struct Buffers {
+    by_response: Vec<(u64, usize)>,
+    prefix: Vec<u128>,
+    latest: Vec<u64>,
+    predecessors: Vec<u128>,
+    successors: Vec<u128>,
+    order: Vec<OpId>,
+}
+
+/// The one search behind [`check_history_stats`],
+/// [`check_pending`](crate::pending::check_pending) and
+/// [`check_namespace`](crate::multi::check_namespace). It succeeds once
 /// every *completed* operation is linearized: an operation with no
 /// response may be taken, with whatever response the specification
 /// gives, or left out, which is Herlihy & Wing's completion of a history
@@ -173,6 +186,7 @@ pub fn check_history_stats<S: SequentialSpec>(
 ///
 /// Panics if the history has more than [`MAX_OPS`] operations.
 pub(crate) fn search<S: SequentialSpec>(
+    buffers: &mut Buffers,
     spec: &S,
     history: &History<S::Op, S::Resp>,
     limits: CheckLimits,
@@ -193,31 +207,37 @@ pub(crate) fn search<S: SequentialSpec>(
     }
 
     let records = history.records();
-    let (predecessors, successors) = precedence(records);
-    let ready = initial_ready(&predecessors);
+    precedence(records, buffers);
+    let Buffers {
+        predecessors,
+        successors,
+        order,
+        ..
+    } = buffers;
+    let ready = initial_ready(predecessors);
     let mut target = 0u128;
     for (i, rec) in records.iter().enumerate() {
         if rec.response.is_some() {
             target |= 1u128 << i;
         }
     }
+    // One shared order buffer, pushed/popped along the DFS path instead
+    // of cloned per node (histories are ≤ 128 ops, so the recursion
+    // depth is bounded).
+    order.clear();
+    order.reserve(n);
     let mut dfs = Dfs {
         spec,
         records,
-        predecessors: &predecessors,
-        successors: &successors,
+        predecessors,
+        successors,
         target,
-        // Size both tables for one walk down the DFS, `n + 1` nodes:
-        // that is all a linearizable history without backtracking
-        // visits, and what the checker mostly sees. Backtracking grows
-        // them by doubling. A larger guess allocates, and marks empty,
-        // buckets the walk never touches.
-        interner: StateInterner::with_capacity(n + 1),
-        seen: SeenSet::with_capacity_and_hasher(n + 1, fxhash::FxBuildHasher::default()),
-        // One shared order buffer, pushed/popped along the DFS path
-        // instead of cloned per node (histories are ≤ 128 ops, so the
-        // recursion depth is bounded).
-        order: Vec::with_capacity(n),
+        // Fresh and empty: only backtracking fills them, and a table
+        // kept from a key that backtracked would cost its whole capacity
+        // to clear for every key after it.
+        interner: StateInterner::new(),
+        seen: SeenSet::default(),
+        order,
         longest_prefix: Vec::new(),
         nodes: 0,
         memo_hits: 0,
@@ -233,7 +253,7 @@ pub(crate) fn search<S: SequentialSpec>(
     };
     let outcome = match result {
         DfsOutcome::Found => CheckOutcome::Linearizable(Linearization {
-            order: dfs.order,
+            order: std::mem::take(dfs.order),
             nodes: dfs.nodes,
         }),
         DfsOutcome::NodeLimit => CheckOutcome::Unknown { nodes: dfs.nodes },
@@ -260,38 +280,52 @@ pub(crate) fn search<S: SequentialSpec>(
 /// the history (every op precedes all sufficiently-late ops), which
 /// would put an `O(n)` scan back into every DFS node.
 ///
-/// Both come from one sort of the ops by response instant, a pending op
-/// last (it precedes nothing). Op `j`'s predecessors are the prefix of
-/// that order that responded before `j` was invoked, found by binary
-/// search, and their set is a prefix OR. A predecessor `i` is
+/// Both land in `buffers`, from one sort of the ops by response instant,
+/// a pending op last (it precedes nothing). Op `j`'s predecessors are the
+/// prefix of that order that responded before `j` was invoked, found by
+/// binary search, and their set is a prefix OR. A predecessor `i` is
 /// non-immediate exactly when some other predecessor was invoked after
 /// `i` responded; so with `M` the latest invocation in the prefix, the
 /// immediate ones are those that did not respond before `M` — the
 /// prefix minus a shorter prefix. That is `O(n log n)` plus one pass
 /// over the immediate pairs to turn them round into successor masks.
-fn precedence<O, R>(records: &[OpRecord<O, R>]) -> (Vec<u128>, Vec<u128>) {
+fn precedence<O, R>(records: &[OpRecord<O, R>], buffers: &mut Buffers) {
     let n = records.len();
-    let mut by_response: Vec<(u64, usize)> = records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r.responded_at().map_or(u64::MAX, SimTime::as_ticks), i))
-        .collect();
+    let Buffers {
+        by_response,
+        prefix,
+        latest,
+        predecessors,
+        successors,
+        ..
+    } = buffers;
+    by_response.clear();
+    by_response.extend(
+        records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.responded_at().map_or(u64::MAX, SimTime::as_ticks), i)),
+    );
     by_response.sort_unstable();
     // prefix[k]: the first k ops of that order; latest[k]: the latest
     // invocation among them.
-    let mut prefix = Vec::with_capacity(n + 1);
-    let mut latest = Vec::with_capacity(n + 1);
+    prefix.clear();
+    latest.clear();
+    prefix.reserve(n + 1);
+    latest.reserve(n + 1);
     let (mut mask, mut last) = (0u128, 0u64);
     prefix.push(mask);
     latest.push(last);
-    for &(_, i) in &by_response {
+    for &(_, i) in by_response.iter() {
         mask |= 1u128 << i;
         last = last.max(records[i].invoked_at.as_ticks());
         prefix.push(mask);
         latest.push(last);
     }
-    let mut predecessors = vec![0u128; n];
-    let mut successors = vec![0u128; n];
+    predecessors.clear();
+    predecessors.resize(n, 0);
+    successors.clear();
+    successors.resize(n, 0);
     for (j, rec) in records.iter().enumerate() {
         let invoked = rec.invoked_at.as_ticks();
         let p = by_response.partition_point(|&(at, _)| at < invoked);
@@ -304,7 +338,6 @@ fn precedence<O, R>(records: &[OpRecord<O, R>]) -> (Vec<u128>, Vec<u128>) {
             successors[i] |= 1u128 << j;
         }
     }
-    (predecessors, successors)
 }
 
 /// The ops ready at the empty prefix: those with no predecessors.
@@ -334,9 +367,10 @@ struct Dfs<'a, S: SequentialSpec> {
     successors: &'a [u128],
     /// The completed ops: the search is done once all are taken.
     target: u128,
+    /// The memo set: configurations whose subtree holds no witness.
     interner: StateInterner<S::State>,
     seen: SeenSet,
-    order: Vec<OpId>,
+    order: &'a mut Vec<OpId>,
     longest_prefix: Vec<OpId>,
     nodes: u64,
     memo_hits: u64,
@@ -356,10 +390,6 @@ impl<S: SequentialSpec> Dfs<'_, S> {
         if taken & self.target == self.target {
             return DfsOutcome::Found;
         }
-        if self.order.len() > self.longest_prefix.len() {
-            self.longest_prefix.clear();
-            self.longest_prefix.extend_from_slice(&self.order);
-        }
         let mut candidates = ready;
         while candidates != 0 {
             let i = candidates.trailing_zeros() as usize;
@@ -372,28 +402,41 @@ impl<S: SequentialSpec> Dfs<'_, S> {
             }
             let bit = 1u128 << i;
             let next_taken = taken | bit;
-            let state_id = self.interner.intern(&next_state);
-            if self.seen.insert((next_taken, state_id)) {
-                // Taking i may ready some of its successors: those whose
-                // remaining predecessors are now all taken.
-                let mut next_ready = ready & !bit;
-                let mut newly = self.successors[i] & !next_taken;
-                while newly != 0 {
-                    let j = newly.trailing_zeros() as usize;
-                    newly &= newly - 1;
-                    if self.predecessors[j] & !next_taken == 0 {
-                        next_ready |= 1u128 << j;
-                    }
-                }
-                self.order.push(rec.id);
-                match self.explore(next_taken, next_ready, &next_state) {
-                    DfsOutcome::Exhausted => {
-                        self.order.pop();
-                    }
-                    done => return done,
-                }
-            } else {
+            if !self.seen.is_empty()
+                && self
+                    .interner
+                    .get(&next_state)
+                    .is_some_and(|id| self.seen.contains(&(next_taken, id)))
+            {
                 self.memo_hits += 1;
+                continue;
+            }
+            // Taking i may ready some of its successors: those whose
+            // remaining predecessors are now all taken.
+            let mut next_ready = ready & !bit;
+            let mut newly = self.successors[i] & !next_taken;
+            while newly != 0 {
+                let j = newly.trailing_zeros() as usize;
+                newly &= newly - 1;
+                if self.predecessors[j] & !next_taken == 0 {
+                    next_ready |= 1u128 << j;
+                }
+            }
+            self.order.push(rec.id);
+            match self.explore(next_taken, next_ready, &next_state) {
+                DfsOutcome::Exhausted => {
+                    // Postorder: the deepest prefixes are leaves, so the
+                    // first one past the record is also the first in
+                    // preorder.
+                    if self.order.len() > self.longest_prefix.len() {
+                        self.longest_prefix.clear();
+                        self.longest_prefix.extend_from_slice(self.order);
+                    }
+                    self.order.pop();
+                    let id = self.interner.intern(&next_state);
+                    self.seen.insert((next_taken, id));
+                }
+                done => return done,
             }
         }
         DfsOutcome::Exhausted
@@ -594,7 +637,9 @@ mod tests {
         // Random histories up to the 128-op mask edge, in no particular
         // invocation order, with instants drawn from a span short enough
         // to tie often and one op in eight left pending.
+        // One set of buffers for every case, as a namespace check uses.
         let mut rng = StdRng::seed_from_u64(0x0123_4567_89AB_CDEF);
+        let mut buffers = Buffers::default();
         for case in 0..10_000 {
             let n = rng.gen_range(0..=128usize);
             let span = rng.gen_range(1..=2 * n as u64 + 2);
@@ -606,11 +651,11 @@ mod tests {
                     h.record_response(id, (), t(invoked + rng.gen_range(0..=span / 2)));
                 }
             }
-            let (predecessors, successors) = precedence(h.records());
+            precedence(h.records(), &mut buffers);
             let oracle = predecessor_masks(h.records());
-            assert_eq!(predecessors, oracle, "predecessors, case {case}");
+            assert_eq!(buffers.predecessors, oracle, "predecessors, case {case}");
             assert_eq!(
-                successors,
+                buffers.successors,
                 successor_masks(&oracle),
                 "successors, case {case}"
             );
@@ -830,6 +875,217 @@ mod tests {
             };
             assert_eq!(v.nodes, nodes, "{ops} ops");
         }
+    }
+
+    /// The entry-time memo search this module ran before it recorded
+    /// only exhausted nodes, kept as the oracle for
+    /// [`search`]: every node's `(taken-set, state)` goes into the memo
+    /// before it is explored, states uninterned, and the longest prefix
+    /// is copied on entry. Precedence comes from the quadratic masks.
+    fn entry_memo_search<S: SequentialSpec>(
+        spec: &S,
+        history: &History<S::Op, S::Resp>,
+        limits: CheckLimits,
+    ) -> (CheckOutcome, CheckStats) {
+        struct Oracle<'a, S: SequentialSpec> {
+            spec: &'a S,
+            records: &'a [OpRecord<S::Op, S::Resp>],
+            predecessors: Vec<u128>,
+            successors: Vec<u128>,
+            target: u128,
+            seen: std::collections::HashSet<(u128, S::State)>,
+            order: Vec<OpId>,
+            longest_prefix: Vec<OpId>,
+            stats: CheckStats,
+            max_nodes: u64,
+        }
+
+        impl<S: SequentialSpec> Oracle<'_, S> {
+            fn explore(&mut self, taken: u128, ready: u128, state: &S::State) -> DfsOutcome {
+                self.stats.nodes += 1;
+                let depth = self.order.len() as u64;
+                self.stats.max_frontier_depth = self.stats.max_frontier_depth.max(depth);
+                if self.stats.nodes > self.max_nodes {
+                    return DfsOutcome::NodeLimit;
+                }
+                if taken & self.target == self.target {
+                    return DfsOutcome::Found;
+                }
+                if self.order.len() > self.longest_prefix.len() {
+                    self.longest_prefix = self.order.clone();
+                }
+                let mut candidates = ready;
+                while candidates != 0 {
+                    let i = candidates.trailing_zeros() as usize;
+                    candidates &= candidates - 1;
+                    let rec = &self.records[i];
+                    let (next_state, resp) = self.spec.apply(state, &rec.op);
+                    if rec.resp().is_some_and(|r| *r != resp) {
+                        continue;
+                    }
+                    let next_taken = taken | 1u128 << i;
+                    if !self.seen.insert((next_taken, next_state.clone())) {
+                        self.stats.memo_hits += 1;
+                        continue;
+                    }
+                    let mut next_ready = ready & !(1u128 << i);
+                    for j in 0..self.records.len() {
+                        if self.successors[i] & !next_taken & 1u128 << j != 0
+                            && self.predecessors[j] & !next_taken == 0
+                        {
+                            next_ready |= 1u128 << j;
+                        }
+                    }
+                    self.order.push(rec.id);
+                    match self.explore(next_taken, next_ready, &next_state) {
+                        DfsOutcome::Exhausted => {
+                            self.order.pop();
+                        }
+                        done => return done,
+                    }
+                }
+                DfsOutcome::Exhausted
+            }
+        }
+
+        let records = history.records();
+        if records.is_empty() {
+            let empty = Linearization {
+                order: Vec::new(),
+                nodes: 0,
+            };
+            return (CheckOutcome::Linearizable(empty), CheckStats::default());
+        }
+        let predecessors = predecessor_masks(records);
+        let mut oracle = Oracle {
+            spec,
+            records,
+            successors: successor_masks(&predecessors),
+            target: (0..records.len())
+                .filter(|&i| records[i].response.is_some())
+                .fold(0, |t, i| t | 1u128 << i),
+            predecessors,
+            seen: std::collections::HashSet::new(),
+            order: Vec::new(),
+            longest_prefix: Vec::new(),
+            stats: CheckStats::default(),
+            max_nodes: limits.max_nodes,
+        };
+        let ready = initial_ready(&oracle.predecessors);
+        let result = oracle.explore(0, ready, &spec.initial());
+        let nodes = oracle.stats.nodes;
+        let outcome = match result {
+            DfsOutcome::Found => CheckOutcome::Linearizable(Linearization {
+                order: oracle.order,
+                nodes,
+            }),
+            DfsOutcome::NodeLimit => CheckOutcome::Unknown { nodes },
+            DfsOutcome::Exhausted => CheckOutcome::NotLinearizable(Violation {
+                total_ops: records.len(),
+                longest_prefix: oracle.longest_prefix,
+                nodes,
+            }),
+        };
+        (outcome, oracle.stats)
+    }
+
+    /// A random history of `n` ops drawn by `op`, in no particular
+    /// invocation order: each op is applied at a random instant of its
+    /// interval, which makes the history linearizable; then up to two
+    /// responses are swapped for what their ops return at other instants,
+    /// and on some draws some ops are left pending.
+    fn random_history<S: SequentialSpec>(
+        rng: &mut StdRng,
+        spec: &S,
+        n: usize,
+        mut op: impl FnMut(&mut StdRng) -> S::Op,
+    ) -> History<S::Op, S::Resp> {
+        let span = rng.gen_range(1..=2 * n as u64 + 2);
+        let ops: Vec<(S::Op, u64, u64)> = (0..n)
+            .map(|_| {
+                let invoked = rng.gen_range(0..span);
+                (op(rng), invoked, invoked + rng.gen_range(0..=span / 2))
+            })
+            .collect();
+        let mut by_instant: Vec<(u64, u64, usize)> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, (_, inv, resp))| (rng.gen_range(*inv..=*resp), rng.gen_range(0..u64::MAX), i))
+            .collect();
+        by_instant.sort_unstable();
+        let mut states = vec![spec.initial()];
+        let mut resps = vec![None; n];
+        for &(_, _, i) in &by_instant {
+            let (next, resp) = spec.apply(states.last().unwrap(), &ops[i].0);
+            resps[i] = Some(resp);
+            states.push(next);
+        }
+        for _ in 0..rng.gen_range(0..=2) {
+            if n > 0 {
+                let i = rng.gen_range(0..n);
+                let at = &states[rng.gen_range(0..states.len())];
+                resps[i] = Some(spec.apply(at, &ops[i].0).1);
+            }
+        }
+        let pending = if rng.gen_range(0..4) == 0 { 4 } else { 0 };
+        let mut h = History::new();
+        for (i, (op, invoked, responded)) in ops.into_iter().enumerate() {
+            let id = h.record_invoke(p(0), op, t(invoked));
+            if pending == 0 || rng.gen_range(0..pending) != 0 {
+                h.record_response(id, resps[i].take().unwrap(), t(responded));
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn exhausted_only_memo_matches_the_entry_time_oracle() {
+        // Register and queue histories, complete, violating and pending,
+        // a quarter of them under a node budget small enough to end in
+        // `Unknown`, all searched in one set of buffers: outcome and stats
+        // must agree field for field.
+        let mut rng = StdRng::seed_from_u64(0x05EE_D0F0_AC1E);
+        let (reg, queue) = (RwRegister::new(0), Queue::<i64>::new());
+        let mut seen = [0u32; 5]; // linearizable, violation, unknown, pending, memo hit
+        let mut buffers = Buffers::default();
+        for case in 0..10_000 {
+            let n = rng.gen_range(0..=12);
+            let limits = CheckLimits {
+                max_nodes: if rng.gen_range(0..4) == 0 {
+                    rng.gen_range(1..=30)
+                } else {
+                    CheckLimits::default().max_nodes
+                },
+            };
+            let (got, want, complete) = if case % 2 == 0 {
+                let h = random_history(&mut rng, &reg, n, |r| {
+                    if r.gen_range(0..2) == 0 {
+                        RegOp::Write(r.gen_range(0..3))
+                    } else {
+                        RegOp::Read
+                    }
+                });
+                let got = search(&mut buffers, &reg, &h, limits);
+                (got, entry_memo_search(&reg, &h, limits), h.is_complete())
+            } else {
+                let h = random_history(&mut rng, &queue, n, |r| match r.gen_range(0..4) {
+                    0 | 1 => QueueOp::Enqueue(r.gen_range(0..3)),
+                    2 => QueueOp::Dequeue,
+                    _ => QueueOp::Peek,
+                });
+                let got = search(&mut buffers, &queue, &h, limits);
+                (got, entry_memo_search(&queue, &h, limits), h.is_complete())
+            };
+            assert_eq!(got, want, "case {case}");
+            seen[match got.0 {
+                CheckOutcome::Linearizable(_) => 0,
+                CheckOutcome::NotLinearizable(_) => 1,
+                CheckOutcome::Unknown { .. } => 2,
+            }] += 1;
+            seen[3] += u32::from(!complete);
+            seen[4] += u32::from(got.1.memo_hits > 0);
+        }
+        assert!(seen.iter().all(|&k| k >= 200), "coverage {seen:?}");
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Hash-consing of specification states for the checker memo tables.
+//! Hash-consing of specification states for the checker memo table.
 //!
 //! The Wing & Gong memo set conceptually stores `(taken-set, state)`
-//! pairs. Storing the states themselves means every memo insertion
-//! clones a full `S::State` and every lookup re-hashes it alongside the
-//! 16-byte taken-set. A [`StateInterner`] replaces that with hash
-//! consing: each distinct state is assigned a dense `u32` id the first
-//! time it appears, and the memo set stores `(u128, u32)` — 20 bytes,
-//! hashed with [`fxhash`] in a handful of cycles, no clone unless the
-//! state is genuinely new.
+//! pairs, for the configurations the checker found exhausted (see
+//! [`checker`](crate::checker)). A [`StateInterner`] assigns each distinct
+//! state a dense `u32` id the first time it is recorded, so the memo set
+//! stores `(u128, u32)` — 20 bytes, hashed with [`fxhash`] in a handful
+//! of cycles — instead of cloned states. A lookup only reads the
+//! interner ([`StateInterner::get`]): an unseen state is in no entry.
 //!
 //! Interning preserves the memo set's semantics exactly: ids are
 //! injective over distinct states (equal states get equal ids, distinct
@@ -59,15 +58,6 @@ impl<T> StateInterner<T> {
         }
     }
 
-    /// Creates an empty interner with room for `capacity` states before
-    /// the first rehash.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        StateInterner {
-            ids: FxHashMap::with_capacity_and_hasher(capacity, fxhash::FxBuildHasher::default()),
-        }
-    }
-
     /// Number of distinct states interned so far.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -82,6 +72,12 @@ impl<T> StateInterner<T> {
 }
 
 impl<T: Hash + Eq + Clone> StateInterner<T> {
+    /// The id of `state` if it has been interned, without assigning one.
+    #[must_use]
+    pub fn get(&self, state: &T) -> Option<StateId> {
+        self.ids.get(state).copied()
+    }
+
     /// Returns the id for `state`, assigning (and cloning the state) only
     /// on first sight.
     ///
@@ -90,7 +86,7 @@ impl<T: Hash + Eq + Clone> StateInterner<T> {
     /// Panics after `u32::MAX` distinct states — unreachable in practice:
     /// the node limit caps the search long before.
     pub fn intern(&mut self, state: &T) -> StateId {
-        if let Some(&id) = self.ids.get(state) {
+        if let Some(id) = self.get(state) {
             return id;
         }
         let id = StateId::try_from(self.ids.len()).expect("more than u32::MAX distinct states");
@@ -107,9 +103,11 @@ mod tests {
     fn ids_are_dense_and_stable() {
         let mut i: StateInterner<u64> = StateInterner::new();
         assert!(i.is_empty());
+        assert_eq!(i.get(&10), None);
         assert_eq!(i.intern(&10), 0);
         assert_eq!(i.intern(&20), 1);
         assert_eq!(i.intern(&10), 0);
+        assert_eq!(i.get(&20), Some(1));
         assert_eq!(i.len(), 2);
     }
 

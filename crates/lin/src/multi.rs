@@ -10,8 +10,8 @@
 //! [`split_history`] projects a history onto object keys;
 //! [`check_namespace`] applies the decomposition to
 //! [`Namespace`](skewbound_spec::namespace::Namespace) histories,
-//! splitting in one pass that copies each record once, straight into its
-//! key's sub-history with the key stripped off.
+//! copying each record once, straight into its key's sub-history with
+//! the key stripped off, and checking every key in one set of buffers.
 
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
@@ -21,7 +21,7 @@ use skewbound_sim::history::History;
 use skewbound_spec::namespace::NsOp;
 use skewbound_spec::seqspec::SequentialSpec;
 
-use crate::checker::{check_history, CheckOutcome};
+use crate::checker::{search, Buffers, CheckLimits, CheckOutcome};
 
 /// Expands a *batched* history — each record invoking a `Vec` of
 /// operations and receiving a `Vec` of responses — into the op-level
@@ -104,10 +104,14 @@ pub fn check_namespace<S: SequentialSpec>(
     inner: &S,
     history: &History<NsOp<S::Op>, S::Resp>,
 ) -> NsOutcome {
+    let mut buffers = Buffers::default();
     NsOutcome {
-        per_key: split_projected(history, |op| (op.key, op.op.clone()))
+        per_key: split_projected(history, |op| op.key, |op| op.op.clone())
             .into_iter()
-            .map(|(key, sub)| (key, check_history(inner, &sub)))
+            .map(|(key, sub)| {
+                let (outcome, _) = search(&mut buffers, inner, &sub, CheckLimits::default());
+                (key, outcome)
+            })
             .collect(),
     }
 }
@@ -119,41 +123,54 @@ pub fn check_namespace<S: SequentialSpec>(
 /// # Panics
 ///
 /// Panics if the history is incomplete.
-pub fn split_history<O, R, K, F>(history: &History<O, R>, mut key: F) -> Vec<(K, History<O, R>)>
+pub fn split_history<O, R, K, F>(history: &History<O, R>, key: F) -> Vec<(K, History<O, R>)>
 where
     O: Clone,
     R: Clone,
     K: Ord + Hash + Clone,
     F: FnMut(&O) -> K,
 {
-    split_projected(history, |op| (key(op), op.clone()))
+    split_projected(history, key, O::clone)
 }
 
 /// [`split_history`] with each operation replaced by its projection as
-/// it is copied: `split` gives an operation's key and what its key's
-/// sub-history records instead of it. One hash lookup and one copy per
-/// record, then one sort of the distinct keys.
-fn split_projected<O, R, K, P, F>(history: &History<O, R>, mut split: F) -> Vec<(K, History<P, R>)>
+/// it is copied: `key` gives an operation's key and `project` what its
+/// key's sub-history records instead of it. A counting pass first, so
+/// each sub-history is allocated once at its final length; then one copy
+/// per record and one sort of the distinct keys.
+fn split_projected<O, R, K, P>(
+    history: &History<O, R>,
+    mut key: impl FnMut(&O) -> K,
+    mut project: impl FnMut(&O) -> P,
+) -> Vec<(K, History<P, R>)>
 where
     R: Clone,
     K: Ord + Hash + Clone,
-    F: FnMut(&O) -> (K, P),
 {
     let mut slot: FxHashMap<K, usize> = FxHashMap::default();
-    let mut buckets: Vec<(K, History<P, R>)> = Vec::new();
+    let mut sizes: Vec<(K, usize)> = Vec::new();
     for rec in history.records() {
-        let (k, op) = split(&rec.op);
-        let b = match slot.entry(k) {
-            Entry::Occupied(e) => *e.get(),
+        match slot.entry(key(&rec.op)) {
+            Entry::Occupied(e) => sizes[*e.get()].1 += 1,
             Entry::Vacant(e) => {
-                buckets.push((e.key().clone(), History::new()));
-                *e.insert(buckets.len() - 1)
+                sizes.push((e.key().clone(), 1));
+                e.insert(sizes.len() - 1);
             }
-        };
+        }
+    }
+    let mut buckets: Vec<(K, History<P, R>)> = sizes
+        .into_iter()
+        .map(|(k, len)| (k, History::with_capacity(len)))
+        .collect();
+    for rec in history.records() {
         let (resp, responded_at) = rec.response.as_ref().expect("complete histories only");
-        buckets[b]
-            .1
-            .record_complete(rec.pid, op, rec.invoked_at, resp.clone(), *responded_at);
+        buckets[slot[&key(&rec.op)]].1.record_complete(
+            rec.pid,
+            project(&rec.op),
+            rec.invoked_at,
+            resp.clone(),
+            *responded_at,
+        );
     }
     buckets.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     buckets
@@ -273,6 +290,88 @@ mod tests {
         let inner: Queue<i64> = Queue::new();
         let h: History<NsOp<QueueOp<i64>>, QueueResp<i64>> = History::new();
         assert!(check_namespace(&inner, &h).is_linearizable());
+    }
+
+    /// One key's ops as `(invoked, responded, op, response)`.
+    type KeyOps = Vec<(u64, u64, RegOp<i64>, RegResp<i64>)>;
+
+    /// The checker's memoization-stress shape: waves of 8 concurrent
+    /// writes of `0..8`, closed by a read that returns `last_read`.
+    fn memo_stress(total_ops: u64, last_read: i64) -> KeyOps {
+        let mut ops: KeyOps = (0..total_ops - 1)
+            .map(|i| {
+                let (wave, v) = (i / 8, i % 8);
+                (
+                    10 * wave,
+                    10 * wave + 5,
+                    RegOp::Write(v as i64),
+                    RegResp::Ack,
+                )
+            })
+            .collect();
+        let end = 10 * (total_ops - 1).div_ceil(8);
+        ops.push((end, end + 1, RegOp::Read, RegResp::Value(last_read)));
+        ops
+    }
+
+    #[test]
+    fn reused_buffers_carry_nothing_from_one_key_to_the_next() {
+        // A 128-op violating key that backtracks through 15 809 nodes,
+        // short clean keys, a second violation, then keys of 1 and 128
+        // ops; checked in one key order and then the reverse, each key
+        // must get what a fresh check of its sub-history gets.
+        let spec = RwRegister::new(0);
+        let mut keys = vec![memo_stress(128, i64::MIN)];
+        for len in 1..=4u64 {
+            keys.push(
+                (0..len)
+                    .flat_map(|i| {
+                        let v = i as i64;
+                        [
+                            (4 * i, 4 * i + 1, RegOp::Write(v), RegResp::Ack),
+                            (4 * i + 2, 4 * i + 3, RegOp::Read, RegResp::Value(v)),
+                        ]
+                    })
+                    .collect(),
+            );
+        }
+        keys.push(memo_stress(20, i64::MIN));
+        keys.push(vec![(0, 1, RegOp::Read, RegResp::Value(0))]);
+        keys.push(memo_stress(128, 6));
+        for reversed in [false, true] {
+            let mut h = History::new();
+            for (k, ops) in keys.iter().enumerate() {
+                let key = if reversed { keys.len() - 1 - k } else { k } as u64;
+                for (invoked, responded, op, resp) in ops {
+                    h.record_complete(
+                        p(0),
+                        NsOp::new(key, op.clone()),
+                        t(*invoked),
+                        resp.clone(),
+                        t(*responded),
+                    );
+                }
+            }
+            let fresh: Vec<(u64, CheckOutcome)> = split_history(&h, |op| op.key)
+                .into_iter()
+                .map(|(key, sub)| {
+                    let sub = sub.map(|op| op.op.clone(), Clone::clone);
+                    (key, check_history(&spec, &sub))
+                })
+                .collect();
+            let stress = usize::from(reversed) * (keys.len() - 1);
+            assert!(
+                matches!(&fresh[stress].1, CheckOutcome::NotLinearizable(v) if v.nodes == 15_809),
+                "{:?}",
+                fresh[stress].1
+            );
+            assert_eq!(fresh.iter().filter(|(_, o)| o.is_violation()).count(), 2);
+            assert_eq!(
+                check_namespace(&spec, &h).per_key,
+                fresh,
+                "reversed = {reversed}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use skewbound_sim::history::History;
 use skewbound_spec::seqspec::SequentialSpec;
 
-use crate::checker::{search, CheckLimits, CheckOutcome};
+use crate::checker::{search, Buffers, CheckLimits, CheckOutcome};
 
 /// Checks a possibly-incomplete history: pending invocations may be
 /// linearized (with the specification's response) or dropped.
@@ -32,7 +32,13 @@ pub fn check_pending<S: SequentialSpec>(
     spec: &S,
     history: &History<S::Op, S::Resp>,
 ) -> CheckOutcome {
-    search(spec, history, CheckLimits::default()).0
+    search(
+        &mut Buffers::default(),
+        spec,
+        history,
+        CheckLimits::default(),
+    )
+    .0
 }
 
 #[cfg(test)]
