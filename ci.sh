@@ -29,6 +29,8 @@ cargo test -q --workspace
 
 echo "== parallel grid determinism (forced 4-worker pool) =="
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test parallel_grid
+# The model checker's pinned counts through the frontier's split and merge.
+SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test model_check
 
 echo "== shard golden (fixed-value histories, forced 4-worker pool) =="
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-core shard

@@ -103,6 +103,15 @@ pub struct LocalFirstReplica<S: SequentialSpec> {
     local: S::State,
 }
 
+impl<S: SequentialSpec> Clone for LocalFirstReplica<S> {
+    fn clone(&self) -> Self {
+        LocalFirstReplica {
+            spec: Arc::clone(&self.spec),
+            local: self.local.clone(),
+        }
+    }
+}
+
 impl<S: SequentialSpec> fmt::Debug for LocalFirstReplica<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LocalFirstReplica")

@@ -194,6 +194,15 @@ struct Queued<S: SequentialSpec> {
     op: S::Op,
 }
 
+impl<S: SequentialSpec> Clone for Queued<S> {
+    fn clone(&self) -> Self {
+        Queued {
+            ts: self.ts,
+            op: self.op.clone(),
+        }
+    }
+}
+
 impl<S: SequentialSpec> PartialEq for Queued<S> {
     fn eq(&self, other: &Self) -> bool {
         self.ts == other.ts
@@ -225,6 +234,18 @@ pub(crate) struct ToExecute<S: SequentialSpec> {
     heap: BinaryHeap<Reverse<Queued<S>>>,
     /// Count of operations executed on the local copy (diagnostics).
     executed: u64,
+}
+
+// Manual impl: the spec is shared, so `S` itself need not be `Clone`.
+impl<S: SequentialSpec> Clone for ToExecute<S> {
+    fn clone(&self) -> Self {
+        ToExecute {
+            spec: Arc::clone(&self.spec),
+            local: self.local.clone(),
+            heap: self.heap.clone(),
+            executed: self.executed,
+        }
+    }
 }
 
 impl<S: SequentialSpec> ToExecute<S> {
@@ -358,6 +379,18 @@ pub struct Replica<S: SequentialSpec> {
     /// says this sequence is ascending and identical across replicas at
     /// quiescence; tests assert it.
     executed_order: Vec<Timestamp>,
+}
+
+impl<S: SequentialSpec> Clone for Replica<S> {
+    fn clone(&self) -> Self {
+        Replica {
+            core: self.core.clone(),
+            x: self.x,
+            profile: self.profile,
+            own_other_pending: self.own_other_pending,
+            executed_order: self.executed_order.clone(),
+        }
+    }
 }
 
 impl<S: SequentialSpec> fmt::Debug for Replica<S> {

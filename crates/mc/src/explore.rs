@@ -3,11 +3,17 @@
 //!
 //! Each grid cell fixes a clock assignment and one delay per message
 //! (replayed by [`EnumeratedDelay`]). Within a cell, a
-//! [`SchedulePolicy`] replays a recorded choice prefix and branches over
-//! every order of same-time event batches, turning the engine into a
-//! stateless model checker (re-execution instead of state snapshots, in
-//! the Verisoft tradition). [`crate::model_check`] drives the cells over
-//! the work-stealing frontier in [`crate::frontier`].
+//! [`SchedulePolicy`] branches over every order of same-time event
+//! batches, turning the engine into a model checker that, as in the
+//! VeriSoft tradition, stores no visited states. It does not re-execute
+//! prefixes either: at each choice point the policy pauses the run
+//! ([`ScheduleDecision::Yield`]) and the explorer keeps a
+//! [`Simulation::fork`] of it, so backtracking resumes that snapshot on
+//! the next branch instead of replaying the choices above it from
+//! t = 0. A worker holds at most one snapshot per choice depth. Only
+//! [`replay`] and [`minimize`] run a coordinate from t = 0.
+//! [`crate::model_check`] drives the cells over the work-stealing
+//! frontier in [`crate::frontier`].
 //!
 //! Exploration is pruned with **sleep sets**: after the branch executing
 //! event `a` before its sibling `b` has been fully explored, the branch
@@ -36,7 +42,9 @@ use skewbound_shift::exhaustive::{
     verify_send_order_independence, AssignmentExhausted, EnumeratedDelay,
 };
 use skewbound_sim::clock::ClockAssignment;
-use skewbound_sim::engine::{EventView, ScheduleDecision, SchedulePolicy, SimError, Simulation};
+use skewbound_sim::engine::{
+    EventView, ScheduleDecision, SchedulePolicy, SimError, SimReport, Simulation,
+};
 use skewbound_sim::history::History;
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::time::{SimDuration, SimTime};
@@ -367,16 +375,29 @@ pub struct ChoicePoint {
     pub chosen: usize,
 }
 
-/// A [`SchedulePolicy`] that replays a choice prefix, defaults to the
-/// first alternative beyond it, and maintains the sleep set.
+/// A [`SchedulePolicy`] that replays a choice prefix and maintains the
+/// sleep set. Beyond the prefix it takes the first alternative, except at
+/// choice points at depth `pause_from` or deeper: there it yields first
+/// ([`ScheduleDecision::Yield`]), so that the explorer can fork the run,
+/// and on the next call takes the branch the explorer put in `resume`.
 struct ReplayPolicy<'a, S: SequentialSpec> {
     spec: &'a S,
     states: &'a [S::State],
     independence: Independence,
     plan: &'a [usize],
+    /// `usize::MAX` for a run that never pauses.
+    pause_from: usize,
+    /// The branch to take at the choice point the run paused at.
+    resume: Option<usize>,
+    /// The alternatives at the choice point the run last paused at.
+    paused_alts: usize,
     depth: usize,
     trace: Vec<ChoicePoint>,
     sleep: Vec<(u64, EvKey<S::Op>)>,
+    /// Each batch's keys and non-sleeping candidates, in buffers reused
+    /// from step to step.
+    keys: Vec<EvKey<S::Op>>,
+    cands: Vec<usize>,
 }
 
 impl<'a, S: SequentialSpec> ReplayPolicy<'a, S> {
@@ -385,15 +406,21 @@ impl<'a, S: SequentialSpec> ReplayPolicy<'a, S> {
         states: &'a [S::State],
         independence: Independence,
         plan: &'a [usize],
+        pause_from: usize,
     ) -> Self {
         ReplayPolicy {
             spec,
             states,
             independence,
             plan,
+            pause_from,
+            resume: None,
+            paused_alts: 0,
             depth: 0,
             trace: Vec::new(),
             sleep: Vec::new(),
+            keys: Vec::new(),
+            cands: Vec::new(),
         }
     }
 }
@@ -403,10 +430,14 @@ where
     A: ModelActor,
 {
     fn choose(&mut self, _now: SimTime, enabled: &[EventView<'_, A>]) -> ScheduleDecision {
-        let keys: Vec<EvKey<A::Op>> = enabled.iter().map(key_of::<A>).collect();
-        let cands: Vec<usize> = (0..enabled.len())
-            .filter(|&i| !self.sleep.iter().any(|(seq, _)| *seq == enabled[i].seq()))
-            .collect();
+        self.keys.clear();
+        self.keys.extend(enabled.iter().map(key_of::<A>));
+        self.cands.clear();
+        let sleep = &self.sleep;
+        self.cands.extend(
+            (0..enabled.len()).filter(|&i| !sleep.iter().any(|(seq, _)| *seq == enabled[i].seq())),
+        );
+        let (keys, cands) = (&self.keys, &self.cands);
         if cands.is_empty() {
             // Every enabled event is asleep: any continuation is a
             // commutation of an already-explored schedule.
@@ -427,8 +458,15 @@ where
                 })
             });
             if branching {
-                let chosen = if self.depth < self.plan.len() {
-                    self.plan[self.depth]
+                let chosen = if let Some(&planned) = self.plan.get(self.depth) {
+                    planned
+                } else if let Some(resumed) = self.resume.take() {
+                    resumed
+                } else if self.depth >= self.pause_from {
+                    // Nothing is committed yet: the explorer keeps a fork
+                    // of the run from just before this point.
+                    self.paused_alts = cands.len();
+                    return ScheduleDecision::Yield;
                 } else {
                     0
                 };
@@ -457,12 +495,12 @@ where
             }
         };
         let chosen_idx = cands[pick];
-        let chosen_key = keys[chosen_idx].clone();
+        let chosen_key = &keys[chosen_idx];
         // Executing an event wakes every sleeping event dependent with it
         // (their orders relative to it now matter again).
         self.sleep.retain(|(seq, key)| {
             *seq != enabled[chosen_idx].seq()
-                && !dependent(self.independence, self.spec, self.states, key, &chosen_key)
+                && !dependent(self.independence, self.spec, self.states, key, chosen_key)
         });
         ScheduleDecision::Take(chosen_idx)
     }
@@ -532,9 +570,36 @@ impl DigitCounter {
     }
 }
 
-/// Runs one coordinate: a clock assignment, one delay digit per
-/// message and a schedule-choice plan. With a sink, every engine event
-/// streams into it, followed after the run by the linearizability
+/// The engine at t = 0 of one grid cell: the cell's clock assignment,
+/// one delay per message from its digits, and the script scheduled.
+fn new_sim<A, F>(
+    make_actors: &F,
+    params: &Params,
+    script: &[(ProcessId, SimTime, A::Op)],
+    config: &McConfig<A::Spec>,
+    clocks: &ClockAssignment,
+    digits: &[usize],
+) -> Simulation<A, EnumeratedDelay>
+where
+    A: ModelActor,
+    F: Fn() -> Vec<A>,
+{
+    let bounds = params.delay_bounds();
+    let assignment: Vec<SimDuration> = digits.iter().map(|&d| config.delay_choices[d]).collect();
+    let mut sim = Simulation::new(
+        make_actors(),
+        clocks.clone(),
+        EnumeratedDelay::new(bounds, assignment),
+    );
+    for (pid, at, op) in script {
+        sim.schedule_invoke(*pid, *at, op.clone());
+    }
+    sim
+}
+
+/// Runs one coordinate from t = 0: a clock assignment, one delay digit
+/// per message and a schedule-choice plan. With a sink, every engine
+/// event streams into it, followed after the run by the linearizability
 /// checker's `"check"`-stage counters (`nodes`, `memo_hits`,
 /// `max_frontier_depth`); a caller that wants the sink back keeps an
 /// `Rc` clone of it.
@@ -554,30 +619,40 @@ where
     A: ModelActor,
     F: Fn() -> Vec<A>,
 {
-    let bounds = params.delay_bounds();
-    let assignment: Vec<SimDuration> = digits.iter().map(|&d| config.delay_choices[d]).collect();
-    let mut sim = Simulation::new(
-        make_actors(),
-        clocks.clone(),
-        EnumeratedDelay::new(bounds, assignment),
-    );
+    let mut sim = new_sim(make_actors, params, script, config, clocks, digits);
     if let Some(sink) = sink {
         sim.set_trace_sink(sink);
     }
-    for (pid, at, op) in script {
-        sim.schedule_invoke(*pid, *at, op.clone());
-    }
-    let mut policy =
-        ReplayPolicy::<A::Spec>::new(spec, &config.probe_states, config.independence, plan);
-    let result = sim.run_scheduled(&mut policy);
-    let trace = policy.trace;
+    let (states, independence) = (&config.probe_states, config.independence);
+    let mut policy = ReplayPolicy::new(spec, states, independence, plan, usize::MAX);
+    let result = sim
+        .run_scheduled(&mut policy)
+        .map(|report| report.expect("a policy that never yields runs to the end"));
+    finish_run(spec, params, sim, result, digits, policy.trace)
+}
+
+/// Judges a run that has ended: its verdict from the engine's result,
+/// the delay model's coverage, the linearizability check and the
+/// protocol invariants, plus the history and the run's event count. An
+/// attached sink gets the check's counters.
+fn finish_run<A: ModelActor>(
+    spec: &A::Spec,
+    params: &Params,
+    mut sim: Simulation<A, EnumeratedDelay>,
+    result: Result<SimReport, SimError>,
+    digits: &[usize],
+    trace: Vec<ChoicePoint>,
+) -> RunOutcome<A::Spec> {
     let mut check_stats = None;
     let mut events = 0u64;
     let verdict = match result {
         Err(SimError::PolicyAbort) => RunVerdict::Pruned,
         // Internal invariant: the engine only fails on its own limits;
         // name the coordinate so a grid-sized exploration is debuggable.
-        Err(e) => panic!("model-checked run failed at delay digits {digits:?}, plan {plan:?}: {e}"),
+        Err(e) => {
+            let plan: Vec<usize> = trace.iter().map(|cp| cp.chosen).collect();
+            panic!("model-checked run failed at delay digits {digits:?}, plan {plan:?}: {e}")
+        }
         Ok(report) => {
             events = report.events;
             let history = sim.history();
@@ -732,6 +807,22 @@ pub(crate) struct UnitOutcome {
     /// Depth-0 sibling subtrees split off for other workers: `(plan,
     /// lock_depth)` pairs, in ascending plan order.
     pub spawned: Vec<(Vec<usize>, usize)>,
+    /// Every run's verdict, choices and event count, in DFS order.
+    #[cfg(test)]
+    pub runs: Vec<(RunVerdict, Vec<usize>, u64)>,
+}
+
+/// A run paused just before its choice point at `depth`: a fork of the
+/// engine and the sleep set in force there. The trace needs no copy:
+/// every run resumed from here shares its first `depth` choice points
+/// with the run that left it.
+struct Snapshot<A: ModelActor> {
+    sim: Simulation<A, EnumeratedDelay>,
+    sleep: Vec<(u64, EvKey<A::Op>)>,
+    depth: usize,
+    /// The next branch to take here, always `< alts`.
+    next: usize,
+    alts: usize,
 }
 
 /// Runs the DFS of one work unit: starts at `start_plan`, never
@@ -741,6 +832,14 @@ pub(crate) struct UnitOutcome {
 /// the first branch are split off as new units instead of being walked
 /// inline — the deterministic work-splitting rule (the split depends
 /// only on the cell's first trace, never on thread timing).
+///
+/// Only the unit's first run starts at t = 0. Every choice point a run
+/// reaches below the lock pauses it, and the unit keeps a fork of the
+/// run there on a stack with at most one snapshot per depth. To
+/// backtrack, it resumes the deepest snapshot on its next branch — the
+/// last branch takes the snapshot itself rather than a fork of it.
+/// Replays are deterministic, so the resumed run is exactly the run a
+/// replay of its choices from t = 0 would produce.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn explore_unit<A, F>(
     spec: &A::Spec,
@@ -769,84 +868,92 @@ where
         violations: Vec::new(),
         capped: false,
         spawned: Vec::new(),
+        #[cfg(test)]
+        runs: Vec::new(),
     };
     let clocks = &config.clock_choices[clock_idx];
-    let mut plan: Vec<usize> = start_plan.to_vec();
-    let mut lock = lock_depth;
-    let mut first = true;
+    let mut sim = new_sim(make_actors, params, script, config, clocks, digits);
+    // A fresh cell hands its depth-0 siblings to the frontier (every
+    // choice point has at least two alternatives), so no unit ever
+    // backtracks to depth 0.
+    let (states, independence) = (&config.probe_states, config.independence);
+    let pause_from = lock_depth.max(1);
+    let mut policy = ReplayPolicy::new(spec, states, independence, start_plan, pause_from);
+    let mut stack: Vec<Snapshot<A>> = Vec::new();
     loop {
         if out.schedules >= budget {
             out.capped = true;
             return out;
         }
-        let outcome = run_one(
-            spec,
-            make_actors,
-            params,
-            script,
-            config,
-            clocks,
-            digits,
-            &plan,
-            None,
-        );
-        out.schedules += 1;
-        out.events += outcome.events;
-        if fresh {
+        let result = loop {
+            match sim.run_scheduled(&mut policy) {
+                Ok(None) => {
+                    stack.push(Snapshot {
+                        sim: sim.fork(),
+                        sleep: policy.sleep.clone(),
+                        depth: policy.depth,
+                        next: 1,
+                        alts: policy.paused_alts,
+                    });
+                    policy.resume = Some(0);
+                }
+                Ok(Some(report)) => break Ok(report),
+                Err(e) => break Err(e),
+            }
+        };
+        let trace = core::mem::take(&mut policy.trace);
+        let outcome = finish_run(spec, params, sim, result, digits, trace);
+        if fresh && out.schedules == 0 {
             out.cells = 1;
-        }
-        if first && fresh {
             if let Some(cp0) = outcome.trace.first() {
                 // The cell's first decision has siblings: hand them to
                 // the frontier and keep only subtree 0 for ourselves.
-                for j in 1..cp0.alts {
-                    out.spawned.push((vec![j], 1));
-                }
-                if cp0.alts > 1 {
-                    lock = 1;
-                }
+                out.spawned.extend((1..cp0.alts).map(|j| (vec![j], 1)));
             }
         }
-        first = false;
-        let run_choices = outcome.choices();
+        out.schedules += 1;
+        out.events += outcome.events;
+        #[cfg(test)]
+        out.runs
+            .push((outcome.verdict.clone(), outcome.choices(), outcome.events));
         match outcome.verdict {
             RunVerdict::Clean => {}
             RunVerdict::Pruned => out.pruned += 1,
             RunVerdict::OffSpace(_) => out.off_space += 1,
             RunVerdict::Unknown => out.unknown += 1,
-            RunVerdict::Violation(kind) => {
+            RunVerdict::Violation(ref kind) => {
                 out.violations.push(McViolation {
                     clock_idx,
                     delay_digits: digits.to_vec(),
-                    choices: run_choices,
-                    kind,
+                    choices: outcome.choices(),
+                    kind: kind.clone(),
                 });
                 if config.stop_at_first_violation {
                     return out;
                 }
             }
         }
-        // Backtrack: advance the deepest choice point (at or below the
-        // lock) that still has an unexplored alternative; the prefix
-        // above it is kept, everything below falls back to
-        // default-first.
-        match next_plan_locked(&outcome.trace, lock) {
-            Some(next) => plan = next,
-            None => return out,
-        }
+        // Backtrack: resume the deepest choice point that still has an
+        // unexplored branch. The choices above it are kept; everything
+        // below it starts again from its first branch.
+        let Some(top) = stack.last_mut() else {
+            return out;
+        };
+        let (depth, branch) = (top.depth, top.next);
+        top.next += 1;
+        let (resumed, sleep) = if top.next == top.alts {
+            let top = stack.pop().expect("the stack has a top");
+            (top.sim, top.sleep)
+        } else {
+            (top.sim.fork(), top.sleep.clone())
+        };
+        sim = resumed;
+        policy.sleep = sleep;
+        policy.depth = depth;
+        policy.trace = outcome.trace;
+        policy.trace.truncate(depth);
+        policy.resume = Some(branch);
     }
-}
-
-fn next_plan_locked(trace: &[ChoicePoint], lock_depth: usize) -> Option<Vec<usize>> {
-    for depth in (lock_depth..trace.len()).rev() {
-        let cp = trace[depth];
-        if cp.chosen + 1 < cp.alts {
-            let mut plan: Vec<usize> = trace[..depth].iter().map(|c| c.chosen).collect();
-            plan.push(cp.chosen + 1);
-            return Some(plan);
-        }
-    }
-    None
 }
 
 /// Shrinks a violation to a locally-minimal failing configuration of the
@@ -957,4 +1064,337 @@ where
         },
         steps.get(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+
+    use skewbound_core::foils::LocalFirstReplica;
+    use skewbound_core::replica::Replica;
+    use skewbound_spec::probes;
+    use skewbound_spec::register::{RegOp, RmwOp, RmwRegister, RwRegister};
+
+    use super::*;
+    use crate::frontier::model_check;
+
+    type Script<Op> = Vec<(ProcessId, SimTime, Op)>;
+
+    fn params() -> Params {
+        Params::with_optimal_skew(
+            3,
+            SimDuration::from_ticks(9_000),
+            SimDuration::from_ticks(2_400),
+            SimDuration::ZERO,
+        )
+        .expect("valid parameters")
+    }
+
+    fn at(pid: u32, ticks: u64) -> (ProcessId, SimTime) {
+        (ProcessId::new(pid), SimTime::from_ticks(ticks))
+    }
+
+    /// Two waves of three concurrent register operations.
+    fn six_ops() -> Script<RmwOp> {
+        [
+            (at(0, 0), RmwOp::Write(11)),
+            (at(1, 0), RmwOp::Write(22)),
+            (at(2, 0), RmwOp::Read),
+            (at(0, 40_000), RmwOp::Read),
+            (at(1, 40_000), RmwOp::Write(33)),
+            (at(2, 40_000), RmwOp::Write(44)),
+        ]
+        .map(|((pid, t), op)| (pid, t, op))
+        .to_vec()
+    }
+
+    /// The oracle: a unit walked the stateless way, every schedule a
+    /// replay of its whole plan from t = 0 through [`run_one`], the plan
+    /// advanced at the deepest choice point (at or below the lock) with
+    /// an unexplored branch.
+    #[allow(clippy::too_many_arguments)]
+    fn replay_unit<A, F>(
+        spec: &A::Spec,
+        make_actors: &F,
+        params: &Params,
+        script: &[(ProcessId, SimTime, A::Op)],
+        config: &McConfig<A::Spec>,
+        clock_idx: usize,
+        digits: &[usize],
+        start_plan: &[usize],
+        lock_depth: usize,
+        budget: u64,
+    ) -> UnitOutcome
+    where
+        A: ModelActor,
+        F: Fn() -> Vec<A>,
+    {
+        let fresh = start_plan.is_empty() && lock_depth == 0;
+        let mut out = UnitOutcome {
+            cells: 0,
+            schedules: 0,
+            pruned: 0,
+            off_space: 0,
+            unknown: 0,
+            events: 0,
+            violations: Vec::new(),
+            capped: false,
+            spawned: Vec::new(),
+            runs: Vec::new(),
+        };
+        let clocks = &config.clock_choices[clock_idx];
+        let mut plan = start_plan.to_vec();
+        let mut lock = lock_depth;
+        loop {
+            if out.schedules >= budget {
+                out.capped = true;
+                return out;
+            }
+            let outcome = run_one(
+                spec,
+                make_actors,
+                params,
+                script,
+                config,
+                clocks,
+                digits,
+                &plan,
+                None,
+            );
+            if fresh && out.schedules == 0 {
+                out.cells = 1;
+                if let Some(cp0) = outcome.trace.first() {
+                    out.spawned.extend((1..cp0.alts).map(|j| (vec![j], 1)));
+                    lock = 1;
+                }
+            }
+            out.schedules += 1;
+            out.events += outcome.events;
+            out.runs
+                .push((outcome.verdict.clone(), outcome.choices(), outcome.events));
+            match &outcome.verdict {
+                RunVerdict::Clean => {}
+                RunVerdict::Pruned => out.pruned += 1,
+                RunVerdict::OffSpace(_) => out.off_space += 1,
+                RunVerdict::Unknown => out.unknown += 1,
+                RunVerdict::Violation(kind) => {
+                    out.violations.push(McViolation {
+                        clock_idx,
+                        delay_digits: digits.to_vec(),
+                        choices: outcome.choices(),
+                        kind: kind.clone(),
+                    });
+                    if config.stop_at_first_violation {
+                        return out;
+                    }
+                }
+            }
+            let trace = &outcome.trace;
+            let Some(depth) = (lock..trace.len())
+                .rev()
+                .find(|&k| trace[k].chosen + 1 < trace[k].alts)
+            else {
+                return out;
+            };
+            plan = trace[..depth].iter().map(|cp| cp.chosen).collect();
+            plan.push(trace[depth].chosen + 1);
+        }
+    }
+
+    type UnitFn<'a> = dyn Fn(usize, &[usize], &[usize], usize, u64) -> UnitOutcome + 'a;
+
+    /// Explores the whole grid one unit at a time in canonical order, as
+    /// the frontier's merge walk absorbs them, with `unit` walking each.
+    /// Returns the report and every run in exploration order.
+    fn walk<S: SequentialSpec>(
+        messages: usize,
+        config: &McConfig<S>,
+        unit: &UnitFn<'_>,
+    ) -> (McReport, Vec<(RunVerdict, Vec<usize>, u64)>) {
+        let mut report = McReport {
+            messages,
+            cells: 0,
+            schedules: 0,
+            pruned: 0,
+            off_space: 0,
+            unknown: 0,
+            capped: false,
+            explored_states: 0,
+            violations: Vec::new(),
+            wall_nanos: 0,
+            workers: 1,
+            table_entries: 0,
+            table_hits: 0,
+        };
+        let mut runs = Vec::new();
+        'grid: for clock_idx in 0..config.clock_choices.len() {
+            let mut cells = DigitCounter::new(config.delay_choices.len(), messages);
+            loop {
+                let digits = cells.current().to_vec();
+                let mut units = VecDeque::from([(Vec::new(), 0)]);
+                while let Some((plan, lock)) = units.pop_front() {
+                    let remaining = config.max_schedules - report.schedules;
+                    if remaining == 0 {
+                        report.capped = true;
+                        break 'grid;
+                    }
+                    let out = unit(clock_idx, &digits, &plan, lock, remaining);
+                    report.cells += out.cells;
+                    report.schedules += out.schedules;
+                    report.pruned += out.pruned;
+                    report.off_space += out.off_space;
+                    report.unknown += out.unknown;
+                    report.explored_states += out.events;
+                    let violated = !out.violations.is_empty();
+                    report.violations.extend(out.violations);
+                    runs.extend(out.runs);
+                    units.extend(out.spawned);
+                    if out.capped {
+                        report.capped = true;
+                        break 'grid;
+                    }
+                    if config.stop_at_first_violation && violated {
+                        break 'grid;
+                    }
+                }
+                if !cells.advance() {
+                    break;
+                }
+            }
+        }
+        (report, runs)
+    }
+
+    /// Walks the grid with the snapshot DFS and with the replay oracle
+    /// and requires the same run sequence and the same report, which must
+    /// also be what [`model_check`] reports at one and at two workers.
+    /// Every violation must reproduce through [`replay`]. Returns the
+    /// report.
+    fn agrees_with_the_oracle<A, F>(
+        spec: &A::Spec,
+        make_actors: &F,
+        params: &Params,
+        script: &[(ProcessId, SimTime, A::Op)],
+        config: &McConfig<A::Spec>,
+    ) -> McReport
+    where
+        A: ModelActor,
+        A::Spec: Clone + Sync,
+        <A::Spec as SequentialSpec>::State: Sync,
+        <A::Spec as SequentialSpec>::Op: Send + Sync,
+        <A::Spec as SequentialSpec>::Resp: Send + Sync,
+        F: Fn() -> Vec<A> + Sync,
+    {
+        let messages = preflight(make_actors, params, script, config).expect("send order");
+        let (dfs, dfs_runs) = walk(messages, config, &|c, d, p, l, b| {
+            explore_unit(spec, make_actors, params, script, config, c, d, p, l, b)
+        });
+        let (oracle, oracle_runs) = walk(messages, config, &|c, d, p, l, b| {
+            replay_unit(spec, make_actors, params, script, config, c, d, p, l, b)
+        });
+        assert_eq!(dfs_runs.len(), oracle_runs.len());
+        for (i, (a, b)) in dfs_runs.iter().zip(&oracle_runs).enumerate() {
+            assert_eq!(a, b, "schedule {i}: snapshot DFS against replay");
+        }
+        assert!(dfs.same_results(&oracle), "{dfs:?}\n{oracle:?}");
+        for workers in [1, 2] {
+            let mut config = config.clone();
+            config.workers = Some(workers);
+            let checked = model_check(spec, make_actors, params, script, &config);
+            assert!(checked.same_results(&oracle), "{workers} workers");
+        }
+        for v in &oracle.violations {
+            let again = replay(
+                spec,
+                make_actors,
+                params,
+                script,
+                config,
+                v.clock_idx,
+                &v.delay_digits,
+                &v.choices,
+                None,
+            );
+            assert_eq!(again.verdict, RunVerdict::Violation(v.kind.clone()));
+            assert_eq!(again.choices(), v.choices);
+        }
+        oracle
+    }
+
+    #[test]
+    fn snapshot_dfs_matches_replay_on_the_honest_register() {
+        let p = params();
+        let script = six_ops()[..3].to_vec();
+        let config = McConfig::corners(&p, probes::register_states());
+        let make = || Replica::group(RmwRegister::default(), &p);
+        let report = agrees_with_the_oracle(&RmwRegister::default(), &make, &p, &script, &config);
+        assert!(report.all_passed());
+        assert!(report.schedules > 10 * report.cells, "{report:?}");
+    }
+
+    #[test]
+    fn snapshot_dfs_matches_replay_on_every_violation_of_the_local_first_foil() {
+        let p = params();
+        let script = vec![
+            (ProcessId::new(0), SimTime::ZERO, RegOp::Write(1)),
+            (ProcessId::new(1), SimTime::ZERO, RegOp::Write(2)),
+            (ProcessId::new(2), SimTime::from_ticks(6_600), RegOp::Read),
+            (ProcessId::new(0), SimTime::from_ticks(9_000), RegOp::Read),
+        ];
+        let mut config = McConfig::corners(&p, probes::register_states());
+        config.stop_at_first_violation = false;
+        let make = || LocalFirstReplica::group(RwRegister::<i64>::default(), p.n());
+        let spec = RwRegister::<i64>::default();
+        let report = agrees_with_the_oracle(&spec, &make, &p, &script, &config);
+        assert!(report.violations.len() > 1, "{report:?}");
+        assert!(
+            report.violations.iter().any(|v| !v.choices.is_empty()),
+            "some violation sits below a choice point"
+        );
+    }
+
+    #[test]
+    fn snapshot_dfs_matches_replay_under_a_capped_budget() {
+        let p = params();
+        let mut config = McConfig::corners(&p, probes::register_states());
+        config.max_schedules = 1_500;
+        let make = || Replica::group(RmwRegister::default(), &p);
+        let report =
+            agrees_with_the_oracle(&RmwRegister::default(), &make, &p, &six_ops(), &config);
+        assert!(report.capped && report.schedules == 1_500);
+    }
+
+    #[test]
+    fn snapshot_dfs_matches_replay_on_a_split_unit() {
+        let p = params();
+        let script = six_ops();
+        let config = McConfig::corners(&p, probes::register_states());
+        let make = || Replica::group(RmwRegister::default(), &p);
+        let spec = RmwRegister::default();
+        let messages = preflight(&make, &p, &script, &config).expect("send order");
+        let digits = vec![0; messages];
+        let fresh = explore_unit(&spec, &make, &p, &script, &config, 0, &digits, &[], 0, 1);
+        let (plan, lock) = fresh.spawned.first().cloned().expect("a depth-0 split");
+        assert_eq!((plan.as_slice(), lock), (&[1][..], 1));
+        let unit = |explore: &UnitFn<'_>| explore(0, &digits, &plan, lock, 2_000);
+        let dfs = unit(&|c, d, p_, l, b| {
+            explore_unit(&spec, &make, &p, &script, &config, c, d, p_, l, b)
+        });
+        let oracle =
+            unit(&|c, d, p_, l, b| replay_unit(&spec, &make, &p, &script, &config, c, d, p_, l, b));
+        assert!(dfs.runs.len() > 100, "{} runs", dfs.runs.len());
+        assert!(dfs.runs.iter().all(|(_, choices, _)| choices[0] == 1));
+        assert_eq!(dfs.runs, oracle.runs);
+        assert_eq!(
+            (dfs.cells, dfs.schedules, dfs.pruned, dfs.events, dfs.capped),
+            (
+                oracle.cells,
+                oracle.schedules,
+                oracle.pruned,
+                oracle.events,
+                oracle.capped
+            )
+        );
+        assert!(dfs.spawned.is_empty() && oracle.spawned.is_empty());
+    }
 }

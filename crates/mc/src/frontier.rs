@@ -6,7 +6,7 @@
 //! scoped worker pool in the style of
 //! [`skewbound_sim::par::run_grid`]: workers claim units from a shared
 //! frontier (smallest canonical coordinate first), explore them with
-//! [`crate::explore`]'s replay DFS, each run checked directly for
+//! [`crate::explore`]'s snapshot-resume DFS, each run checked directly for
 //! linearizability.
 //!
 //! ## The determinism contract

@@ -8,7 +8,7 @@
 //! This crate checks that quantifier finitely, and [`model_check`] is its
 //! one exploration entry:
 //!
-//! * [`explore`] — replay-based depth-first exploration of **every**
+//! * [`explore`] — snapshot-resume depth-first exploration of **every**
 //!   delivery order among same-time events, on top of every delay and
 //!   clock corner, pruned with sleep sets over a commuting-delivery
 //!   independence relation (dynamic partial-order reduction);

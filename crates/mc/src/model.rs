@@ -16,8 +16,9 @@ use skewbound_spec::seqspec::SequentialSpec;
 
 /// An [`Actor`] the model checker can explore: its messages expose the
 /// operation they carry, and (optionally) its executed order is
-/// inspectable after a run.
-pub trait ModelActor: Actor {
+/// inspectable after a run. It is `Clone` so that the explorer can fork
+/// a run at a choice point and resume the copy on another branch.
+pub trait ModelActor: Actor + Clone {
     /// The sequential specification the implementation claims to
     /// linearize.
     type Spec: SequentialSpec<Op = Self::Op, Resp = Self::Resp>;

@@ -111,6 +111,14 @@ impl<A: Actor> Default for Effects<A> {
     }
 }
 
+/// A copy is a fresh, empty buffer: effects never outlive the activation
+/// that produced them, so between activations there is nothing to copy.
+impl<A: Actor> Clone for Effects<A> {
+    fn clone(&self) -> Self {
+        Effects::new()
+    }
+}
+
 /// Handler-side view of the runtime: local clock, message sends, timers and
 /// the operation response.
 ///

@@ -84,7 +84,7 @@ impl TimeBase {
 }
 
 /// One [`Agenda`] item.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Due<T, M, O> {
     /// Timer `id` expires.
     Timer(TimerId, T),
@@ -116,7 +116,7 @@ pub enum Due<T, M, O> {
 /// items, and a new one is almost always due after all of them, so
 /// filing is a push at the back, popping one at the front, and a
 /// node's buffer is allocated once per run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Agenda<T, M, O> {
     items: VecDeque<(Key, Due<T, M, O>)>,
 }

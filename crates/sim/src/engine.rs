@@ -221,6 +221,11 @@ pub enum ScheduleDecision {
     /// Abandon the whole run; [`Simulation::run_scheduled`] returns
     /// [`SimError::PolicyAbort`].
     Abort,
+    /// Fire nothing yet: [`Simulation::run_scheduled`] returns `Ok(None)`
+    /// with the batch still on the agendas, and the next call shows the
+    /// policy the same batch again. An explorer pauses here to keep a
+    /// [`Simulation::fork`] of the run before it commits to a branch.
+    Yield,
 }
 
 /// Chooses which of the events enabled at the current instant runs next.
@@ -291,6 +296,9 @@ pub struct Simulation<A: Actor, D: DelayModel> {
     started: bool,
     history: History<A::Op, A::Resp>,
     trace: Option<Box<dyn TraceSink>>,
+    /// Events fired by [`Simulation::run_scheduled`] so far, across every
+    /// call that paused and resumed the run.
+    events: u64,
 }
 
 /// The engine's [`Link`]: each batch a node sends waits here, keyed on
@@ -303,6 +311,17 @@ struct Outbox<A: Actor> {
     /// with every send, which checkers need and sweeps do not.
     log: Vec<MsgEvent>,
     log_messages: bool,
+}
+
+// Manual impl: `A` itself need not be `Clone`, only what it sends.
+impl<A: Actor> Clone for Outbox<A> {
+    fn clone(&self) -> Self {
+        Outbox {
+            sent: self.sent.clone(),
+            log: self.log.clone(),
+            log_messages: self.log_messages,
+        }
+    }
 }
 
 impl<A: Actor> Link<A::Msg> for Outbox<A> {
@@ -378,6 +397,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
             started: false,
             history: History::new(),
             trace: None,
+            events: 0,
         }
     }
 
@@ -531,6 +551,11 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     /// [`FifoPolicy`] this path produces exactly the run
     /// [`Simulation::run`] does.
     ///
+    /// Returns `Ok(Some(report))` at quiescence and `Ok(None)` when the
+    /// policy yields ([`ScheduleDecision::Yield`]); calling again resumes
+    /// at the batch it yielded on. The report's event count and the
+    /// [`MAX_EVENTS`] cap both span every call of the run.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::EventCapExceeded`] if the [`MAX_EVENTS`] cap
@@ -540,26 +565,37 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     /// # Panics
     ///
     /// Panics if the policy returns an out-of-range index.
-    pub fn run_scheduled<P>(&mut self, policy: &mut P) -> Result<SimReport, SimError>
+    pub fn run_scheduled<P>(&mut self, policy: &mut P) -> Result<Option<SimReport>, SimError>
+    where
+        P: SchedulePolicy<A> + ?Sized,
+    {
+        self.run_scheduled_capped(policy, MAX_EVENTS)
+    }
+
+    /// [`Simulation::run_scheduled`] with the event cap as an argument.
+    fn run_scheduled_capped<P>(
+        &mut self,
+        policy: &mut P,
+        cap: u64,
+    ) -> Result<Option<SimReport>, SimError>
     where
         P: SchedulePolicy<A> + ?Sized,
     {
         self.start_nodes()?;
-        let mut events = 0u64;
+        // One batch buffer for the whole call: each step fills it, and
+        // `recycle` hands its allocation on to the next step's borrow.
+        let mut spare: Vec<EventView<'_, A>> = Vec::new();
         while let Some(((at, _), _)) = self.next_event() {
             let (pid, seq) = {
-                let mut enabled: Vec<EventView<'_, A>> = self
-                    .nodes
-                    .iter()
-                    .flat_map(|node| {
-                        let pid = node.pid();
-                        node.agenda()
-                            .at(at)
-                            .map(move |(seq, item)| view(pid, seq, item))
-                    })
-                    .collect();
+                let mut enabled = recycle(spare);
+                enabled.extend(self.nodes.iter().flat_map(|node| {
+                    let pid = node.pid();
+                    node.agenda()
+                        .at(at)
+                        .map(move |(seq, item)| view(pid, seq, item))
+                }));
                 enabled.sort_unstable_by_key(EventView::seq);
-                match policy.choose(SimTime::from_ticks(at), &enabled) {
+                let picked = match policy.choose(SimTime::from_ticks(at), &enabled) {
                     ScheduleDecision::Take(i) => {
                         let chosen = enabled.get(i).unwrap_or_else(|| {
                             panic!("schedule policy chose event {i} of {}", enabled.len())
@@ -567,15 +603,18 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
                         (chosen.pid(), chosen.seq())
                     }
                     ScheduleDecision::Abort => return Err(SimError::PolicyAbort),
-                }
+                    ScheduleDecision::Yield => return Ok(None),
+                };
+                spare = recycle(enabled);
+                picked
             };
-            events += 1;
-            if events > MAX_EVENTS {
+            self.events += 1;
+            if self.events > cap {
                 return Err(SimError::EventCapExceeded);
             }
             self.fire(pid.index(), (at, seq), &mut NoDriver)?;
         }
-        Ok(self.finish(events))
+        Ok(Some(self.finish(self.events)))
     }
 
     /// The key of the least `(instant, seq)` agenda head across the
@@ -650,6 +689,36 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         }
         Ok(())
     }
+}
+
+impl<A: Actor + Clone, D: DelayModel + Clone> Simulation<A, D> {
+    /// A copy of the run as it stands, without its trace sink: the nodes,
+    /// the transport (delay model, id and seq counters, message log), the
+    /// history, the clock and the event count. Both copies continue
+    /// identically under identical inputs, so an explorer can keep a fork
+    /// at a branching point and resume it on another branch later instead
+    /// of replaying the run up to that point.
+    #[must_use]
+    pub fn fork(&self) -> Self {
+        Simulation {
+            nodes: self.nodes.clone(),
+            transport: self.transport.clone(),
+            now: self.now,
+            started: self.started,
+            history: self.history.clone(),
+            trace: None,
+            events: self.events,
+        }
+    }
+}
+
+/// Empties `views` and returns its allocation under a fresh borrow, so
+/// [`Simulation::run_scheduled`] allocates its batch buffer once per call
+/// instead of once per event. The collect reuses the buffer in place: the
+/// element type only changes its lifetime.
+fn recycle<'b, A: Actor>(mut views: Vec<EventView<'_, A>>) -> Vec<EventView<'b, A>> {
+    views.clear();
+    views.into_iter().map(|_| unreachable!()).collect()
 }
 
 /// Files every batch waiting in `outbox` onto its destination's agenda.
@@ -862,31 +931,39 @@ mod tests {
         let _ = sim.run();
     }
 
-    #[test]
-    fn event_cap_reported() {
-        #[derive(Debug)]
-        struct Looper;
-        impl Actor for Looper {
-            type Msg = ();
-            type Op = ();
-            type Resp = ();
-            type Timer = ();
-            fn on_invoke(&mut self, _op: (), ctx: &mut Context<'_, Self>) {
-                ctx.set_timer(SimDuration::from_ticks(1), ());
-            }
-            fn on_message(&mut self, _: ProcessId, _: (), _: &mut Context<'_, Self>) {}
-            fn on_timer(&mut self, _: (), ctx: &mut Context<'_, Self>) {
-                ctx.set_timer(SimDuration::from_ticks(1), ());
-            }
+    /// Re-arms a one-tick timer forever.
+    #[derive(Debug)]
+    struct Looper;
+
+    impl Actor for Looper {
+        type Msg = ();
+        type Op = ();
+        type Resp = ();
+        type Timer = ();
+        fn on_invoke(&mut self, _op: (), ctx: &mut Context<'_, Self>) {
+            ctx.set_timer(SimDuration::from_ticks(1), ());
         }
+        fn on_message(&mut self, _: ProcessId, _: (), _: &mut Context<'_, Self>) {}
+        fn on_timer(&mut self, _: (), ctx: &mut Context<'_, Self>) {
+            ctx.set_timer(SimDuration::from_ticks(1), ());
+        }
+    }
+
+    /// A run that never quiesces: one [`Looper`], invoked at t = 0.
+    fn looping() -> Simulation<Looper, FixedDelay> {
         let mut sim = Simulation::new(
             vec![Looper],
             ClockAssignment::zero(1),
             FixedDelay::maximal(bounds()),
         );
         sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, ());
+        sim
+    }
+
+    #[test]
+    fn event_cap_reported() {
         assert_eq!(
-            sim.run_capped(&mut crate::workload::NoDriver, 100),
+            looping().run_capped(&mut crate::workload::NoDriver, 100),
             Err(SimError::EventCapExceeded)
         );
     }
@@ -976,7 +1053,7 @@ mod tests {
         let plain_report = plain.run().unwrap();
         let mut hooked = build();
         let hooked_report = hooked.run_scheduled(&mut FifoPolicy).unwrap();
-        assert_eq!(plain_report, hooked_report);
+        assert_eq!(Some(plain_report), hooked_report);
         assert_eq!(plain.message_log(), hooked.message_log());
         assert_eq!(
             plain.history().records()[0].resp(),
@@ -1009,6 +1086,154 @@ mod tests {
             sim.actor(ProcessId::new(0)).seen,
             vec![5, 4, 3, 2, 1, 6],
             "the policy must be able to invert the default order"
+        );
+    }
+
+    /// Every process broadcasts its operation and answers, one timer
+    /// later, with what it has received: fixed delays make every
+    /// broadcast of a wave land in one same-time batch.
+    #[derive(Debug, Clone, Default)]
+    struct Flood {
+        seen: Vec<u32>,
+    }
+
+    impl Actor for Flood {
+        type Msg = u32;
+        type Op = u32;
+        type Resp = Vec<u32>;
+        type Timer = ();
+
+        fn on_invoke(&mut self, op: u32, ctx: &mut Context<'_, Self>) {
+            ctx.broadcast(op);
+            ctx.set_timer(SimDuration::from_ticks(20), ());
+        }
+
+        fn on_message(&mut self, _: ProcessId, msg: u32, _: &mut Context<'_, Self>) {
+            self.seen.push(msg);
+        }
+
+        fn on_timer(&mut self, (): (), ctx: &mut Context<'_, Self>) {
+            ctx.respond(self.seen.clone());
+        }
+    }
+
+    /// Two waves of three concurrent broadcasts, with the message log on.
+    fn flood() -> Simulation<Flood, FixedDelay> {
+        let mut sim = Simulation::new(
+            vec![Flood::default(); 3],
+            ClockAssignment::zero(3),
+            FixedDelay::maximal(bounds()),
+        );
+        sim.enable_msg_log();
+        for (i, pid) in ProcessId::all(3).enumerate() {
+            let i = u32::try_from(i).unwrap();
+            sim.schedule_invoke(pid, SimTime::ZERO, i);
+            sim.schedule_invoke(pid, SimTime::from_ticks(50), 10 + i);
+        }
+        sim
+    }
+
+    /// Yields on every batch, then takes its first event when shown it
+    /// again.
+    #[derive(Default)]
+    struct PauseEach {
+        yielded: bool,
+    }
+
+    impl<A: Actor> SchedulePolicy<A> for PauseEach {
+        fn choose(&mut self, _: SimTime, _: &[EventView<'_, A>]) -> ScheduleDecision {
+            self.yielded = !self.yielded;
+            if self.yielded {
+                ScheduleDecision::Yield
+            } else {
+                ScheduleDecision::Take(0)
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_paused_at_every_batch_equals_the_uninterrupted_run() {
+        let mut plain = flood();
+        let plain_report = plain.run_scheduled(&mut FifoPolicy).unwrap().unwrap();
+        let mut paused = flood();
+        let mut policy = PauseEach::default();
+        let mut pauses = 0;
+        let report = loop {
+            match paused.run_scheduled(&mut policy).unwrap() {
+                Some(report) => break report,
+                None => pauses += 1,
+            }
+        };
+        assert_eq!(report, plain_report);
+        assert_eq!(pauses, report.events, "one pause per fired event");
+        assert!(paused.history().is_complete());
+        assert_eq!(paused.history(), plain.history());
+        assert_eq!(paused.message_log(), plain.message_log());
+    }
+
+    #[test]
+    fn a_fork_continues_as_its_original_does() {
+        /// Yields once, before the batch after `after` fired events.
+        struct YieldAfter {
+            after: u64,
+            seen: u64,
+        }
+        impl<A: Actor> SchedulePolicy<A> for YieldAfter {
+            fn choose(&mut self, _: SimTime, _: &[EventView<'_, A>]) -> ScheduleDecision {
+                self.seen += 1;
+                if self.seen == self.after + 1 {
+                    ScheduleDecision::Yield
+                } else {
+                    ScheduleDecision::Take(0)
+                }
+            }
+        }
+        let mut original = flood();
+        let trace = std::rc::Rc::new(std::cell::RefCell::new(crate::trace::Trace::new()));
+        original.set_trace_sink(Box::new(std::rc::Rc::clone(&trace)));
+        let mut policy = YieldAfter { after: 7, seen: 0 };
+        assert_eq!(original.run_scheduled(&mut policy), Ok(None));
+        let mut fork = original.fork();
+        let traced = trace.borrow().len();
+        let fork_report = fork.run_scheduled(&mut FifoPolicy).unwrap().unwrap();
+        assert_eq!(
+            trace.borrow().len(),
+            traced,
+            "a fork leaves the sink behind"
+        );
+        let report = original.run_scheduled(&mut FifoPolicy).unwrap().unwrap();
+        assert!(trace.borrow().len() > traced);
+        assert_eq!(fork_report, report);
+        assert_eq!(fork.history(), original.history());
+        assert_eq!(fork.message_log(), original.message_log());
+        for pid in ProcessId::all(3) {
+            assert_eq!(fork.actor(pid).seen, original.actor(pid).seen);
+        }
+        // And both are the run that never paused.
+        let mut plain = flood();
+        assert_eq!(plain.run_scheduled(&mut FifoPolicy), Ok(Some(report)));
+        assert_eq!(plain.history(), original.history());
+    }
+
+    #[test]
+    fn the_event_cap_spans_resumed_calls() {
+        let mut sim = looping();
+        // Each call after the first fires exactly one event, so a count
+        // that restarted with every call would never reach the cap.
+        let mut policy = PauseEach::default();
+        let mut calls = 0;
+        let end = loop {
+            calls += 1;
+            assert!(calls <= 1_000, "the cap was never reached");
+            match sim.run_scheduled_capped(&mut policy, 100) {
+                Ok(None) => {}
+                end => break end,
+            }
+        };
+        assert_eq!(end, Err(SimError::EventCapExceeded));
+        assert_eq!(
+            calls, 102,
+            "the 101st event, in the 102nd call, breaks the cap"
         );
     }
 

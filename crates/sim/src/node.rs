@@ -78,6 +78,10 @@ pub type Item<A, T> = Due<<A as Actor>::Timer, <A as Actor>::Msg, (T, <A as Acto
 /// `T` is the token each invocation carries back to its caller with its
 /// response: nothing in process, the client's connection and request id
 /// on the socket mesh.
+///
+/// A clone is the node as it stands between two activations: the actor,
+/// its timer ids, its agenda, its queue and its pending operation.
+#[derive(Clone)]
 pub struct NodeCore<A: Actor, T = ()> {
     pid: ProcessId,
     n: usize,

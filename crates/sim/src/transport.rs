@@ -112,6 +112,7 @@ pub trait Link<M> {
 /// virtual time the activation's own instant, on a [`TimeBase`] the
 /// wall clock's reading, each read through the process's clock in the
 /// [`ClockAssignment`].
+#[derive(Clone)]
 pub struct Transport<D, L> {
     pub(crate) link: L,
     pub(crate) clocks: ClockAssignment,

@@ -210,6 +210,7 @@ fn tracing_does_not_change_the_run() {
             sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, 9);
             sim.schedule_invoke(ProcessId::new(1), SimTime::from_ticks(50), 12);
             sim.run_scheduled(&mut FifoPolicy)
+                .map(|report| report.expect("FifoPolicy never yields"))
         } else {
             let mut driver =
                 ClosedLoop::new(ProcessId::all(3).collect(), 4, 3, |_, i, _| i as u64 * 3);

@@ -193,7 +193,7 @@ fn wide_delay_grid_caps_instead_of_panicking() {
 /// `skewbound_shift::exhaustive`'s divergence test). The old explorer
 /// aborted the process; it must now return a report carrying a single
 /// `SendOrderDivergence` violation.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Relay;
 
 impl Actor for Relay {
@@ -281,7 +281,7 @@ fn send_order_divergence_is_reported_not_panicked() {
 /// does not read zero. The send-order dry runs use the first clock
 /// choice (zero skew), so every skewed clock cell requests one delay
 /// more than its assignment covers.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct ClockCounted;
 
 impl Actor for ClockCounted {

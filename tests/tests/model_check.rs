@@ -289,3 +289,41 @@ fn eager_timer_foil_is_caught_and_certified() {
     assert_eq!(traced.choices(), plain.choices());
     assert_eq!(traced.choices(), violation.choices);
 }
+
+/// The benchmark's `mc-register` shape: the default parameters (those of
+/// the benchmark) and two waves of three concurrent register operations,
+/// one per process, explored over the whole corner grid.
+/// Capped at 20 000 schedules, the counts are fixed values: a change to
+/// the exploration order, the sleep sets or event identity moves them.
+#[test]
+fn mc_register_script_pins_its_capped_counts() {
+    let p = default_params();
+    let script = [
+        (pid(0), t(0), RmwOp::Write(11)),
+        (pid(1), t(0), RmwOp::Write(22)),
+        (pid(2), t(0), RmwOp::Read),
+        (pid(0), t(40_000), RmwOp::Read),
+        (pid(1), t(40_000), RmwOp::Write(33)),
+        (pid(2), t(40_000), RmwOp::Write(44)),
+    ];
+    let mut config = McConfig::corners(&p, probes::register_states());
+    config.max_schedules = 20_000;
+    let report = model_check(
+        &RmwRegister::default(),
+        || Replica::group(RmwRegister::default(), &p),
+        &p,
+        &script,
+        &config,
+    );
+    assert!(report.capped);
+    assert!(report.violations.is_empty() && report.unknown == 0);
+    assert_eq!(
+        (
+            report.cells,
+            report.schedules,
+            report.pruned,
+            report.explored_states
+        ),
+        (1, 20_000, 15_996, 144_144)
+    );
+}
