@@ -29,8 +29,13 @@ cargo test -q --workspace
 
 echo "== parallel grid determinism (forced 4-worker pool) =="
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test parallel_grid
-# The model checker's pinned counts through the frontier's split and merge.
+# The model checker's pinned counts through the frontier's split and merge,
+# and on the inline path that starts no worker thread.
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-integration --test model_check
+SKEWBOUND_THREADS=1 cargo test -q -p skewbound-integration --test model_check
+
+echo "== explorer allocations per schedule (release, as the benchmark builds) =="
+cargo test --release -q -p skewbound-mc --test explore_allocations
 
 echo "== shard golden (fixed-value histories, forced 4-worker pool) =="
 SKEWBOUND_THREADS=4 cargo test -q -p skewbound-core shard

@@ -110,6 +110,13 @@ impl<S: SequentialSpec> Clone for LocalFirstReplica<S> {
             local: self.local.clone(),
         }
     }
+
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.spec, &source.spec) {
+            self.spec = Arc::clone(&source.spec);
+        }
+        self.local.clone_from(&source.local);
+    }
 }
 
 impl<S: SequentialSpec> fmt::Debug for LocalFirstReplica<S> {

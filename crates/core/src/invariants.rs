@@ -55,7 +55,7 @@ pub struct RunView<'a, S: SequentialSpec> {
     /// Per-replica executed timestamp orders, for implementations that
     /// expose them (Algorithm 1 replicas do; foils need not — an empty
     /// slice skips the timestamp invariants rather than failing them).
-    pub executed_orders: &'a [Vec<Timestamp>],
+    pub executed_orders: &'a [&'a [Timestamp]],
 }
 
 /// Runs the per-run protocol invariants over the run and collects the
@@ -257,6 +257,7 @@ mod tests {
         let params = params();
         let (history, orders) = honest_run(&params);
         let spec = Queue::<i64>::new();
+        let orders = slices(&orders);
         let view = RunView {
             params: &params,
             spec: &spec,
@@ -268,15 +269,18 @@ mod tests {
 
         // A batch's ops share ⟨time, pid⟩ and carry a contiguous seq run
         // from 0; such an order is strictly ascending, so it passes.
-        let batched =
-            vec![batch_order(&[(1, 0, 0), (2, 1, 0), (2, 1, 1), (2, 1, 2), (3, 0, 0)]); 3];
+        let batched = batch_order(&[(1, 0, 0), (2, 1, 0), (2, 1, 1), (2, 1, 2), (3, 0, 0)]);
         let view = RunView {
-            executed_orders: &batched,
+            executed_orders: &[batched.as_slice(); 3],
             ..view
         };
         let mut out = Vec::new();
         timestamps_monotone(&view, &mut out);
         assert!(out.is_empty(), "contiguous batch run flagged: {out:?}");
+    }
+
+    fn slices(orders: &[Vec<Timestamp>]) -> Vec<&[Timestamp]> {
+        orders.iter().map(Vec::as_slice).collect()
     }
 
     fn batch_order(ts: &[(i64, u32, u32)]) -> Vec<Timestamp> {
@@ -298,6 +302,7 @@ mod tests {
         // Corrupt one replica's order.
         orders[0].reverse();
         let spec = Queue::<i64>::new();
+        let orders = slices(&orders);
         let view = RunView {
             params: &params,
             spec: &spec,
@@ -312,9 +317,9 @@ mod tests {
         );
 
         // Within one batch (same ⟨time, pid⟩) the seq run must ascend too.
-        let swapped = vec![batch_order(&[(5, 1, 1), (5, 1, 0)]); 3];
+        let swapped = batch_order(&[(5, 1, 1), (5, 1, 0)]);
         let view = RunView {
-            executed_orders: &swapped,
+            executed_orders: &[swapped.as_slice(); 3],
             ..view
         };
         let mut out = Vec::new();

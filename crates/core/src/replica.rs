@@ -201,6 +201,11 @@ impl<S: SequentialSpec> Clone for Queued<S> {
             op: self.op.clone(),
         }
     }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.ts = source.ts;
+        self.op.clone_from(&source.op);
+    }
 }
 
 impl<S: SequentialSpec> PartialEq for Queued<S> {
@@ -245,6 +250,17 @@ impl<S: SequentialSpec> Clone for ToExecute<S> {
             heap: self.heap.clone(),
             executed: self.executed,
         }
+    }
+
+    /// Refills the copy in place. The spec is the group's: it is only
+    /// re-pointed (and its count touched) when `source` has another one.
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.spec, &source.spec) {
+            self.spec = Arc::clone(&source.spec);
+        }
+        self.local.clone_from(&source.local);
+        self.heap.clone_from(&source.heap);
+        self.executed = source.executed;
     }
 }
 
@@ -390,6 +406,13 @@ impl<S: SequentialSpec> Clone for Replica<S> {
             own_other_pending: self.own_other_pending,
             executed_order: self.executed_order.clone(),
         }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.core.clone_from(&source.core);
+        (self.x, self.profile) = (source.x, source.profile);
+        self.own_other_pending = source.own_other_pending;
+        self.executed_order.clone_from(&source.executed_order);
     }
 }
 
@@ -614,6 +637,47 @@ mod tests {
 
     fn t(x: u64) -> SimTime {
         SimTime::from_ticks(x)
+    }
+
+    #[test]
+    fn a_refilled_replica_equals_a_cloned_one() {
+        let ts = |i: i64| Timestamp::new(ClockTime::from_ticks(i), p(0));
+        // Its own spec, `queued + executed` enqueues queued and the first
+        // `executed` of them run, with an own operation pending when any
+        // are left.
+        let replica = |queued: i64, executed: i64| {
+            let mut r = Replica::new(Queue::<i64>::new(), &params());
+            r.core
+                .push_all((0..queued + executed).map(|i| (ts(i), QueueOp::Enqueue(i))));
+            let mut order = Vec::new();
+            r.core
+                .execute_up_to(ts(executed), false, |at, _| order.push(at));
+            r.executed_order = order;
+            r.own_other_pending = (queued > 0).then(|| ts(executed));
+            r
+        };
+        let replicas = [replica(0, 0), replica(2, 1), replica(0, 4), replica(5, 3)];
+        let show = |r: &Replica<Queue<i64>>| {
+            let queued: Vec<_> = r.core.heap.clone().into_sorted_vec();
+            let queued: Vec<_> = queued.iter().map(|Reverse(q)| (q.ts, &q.op)).collect();
+            format!(
+                "{:?} {queued:?} {} {:?} {:?} {:?} {:?}",
+                r.core.local,
+                r.core.executed,
+                r.x,
+                r.profile,
+                r.own_other_pending,
+                r.executed_order
+            )
+        };
+        for source in &replicas {
+            for dest in &replicas {
+                let mut refilled = dest.clone();
+                refilled.clone_from(source);
+                assert_eq!(show(&refilled), show(&source.clone()));
+                assert!(Arc::ptr_eq(&refilled.core.spec, &source.core.spec));
+            }
+        }
     }
 
     #[test]

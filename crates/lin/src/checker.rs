@@ -142,12 +142,27 @@ pub fn check_history<S: SequentialSpec>(
 /// # Panics
 ///
 /// Same conditions as [`check_history`].
-// Out of line on purpose: the model checker calls this once per explored
-// run from its monomorphised explore loop, and inlined there this body
-// only grows that loop (`mc-register` measured about 12 % slower).
-#[inline(never)]
 #[must_use]
 pub fn check_history_stats<S: SequentialSpec>(
+    spec: &S,
+    history: &History<S::Op, S::Resp>,
+    limits: CheckLimits,
+) -> (CheckOutcome, CheckStats) {
+    check_history_in(&mut CheckBuffers::default(), spec, history, limits)
+}
+
+/// [`check_history_stats`] in the caller's `buffers`. A caller that
+/// checks many histories in a row keeps one [`CheckBuffers`] and hands
+/// each outcome back to it ([`CheckBuffers::reclaim`]); once the buffers
+/// have grown to the longest history, a check that does not backtrack
+/// allocates nothing.
+///
+/// # Panics
+///
+/// Same conditions as [`check_history`].
+#[must_use]
+pub fn check_history_in<S: SequentialSpec>(
+    buffers: &mut CheckBuffers,
     spec: &S,
     history: &History<S::Op, S::Resp>,
     limits: CheckLimits,
@@ -156,21 +171,32 @@ pub fn check_history_stats<S: SequentialSpec>(
         history.is_complete(),
         "linearizability is defined over complete histories"
     );
-    search(&mut Buffers::default(), spec, history, limits)
+    search(buffers, spec, history, limits)
 }
 
 /// The vectors one search fills: the precedence build's five and the DFS
-/// order. A caller checking many histories in a row keeps one `Buffers`,
-/// so they grow to the longest history once instead of being allocated
-/// per history; each search clears what it uses.
+/// order. A caller checking many histories in a row keeps one, so they
+/// grow to the longest history once instead of being allocated per
+/// history; each search clears what it uses.
 #[derive(Debug, Default)]
-pub(crate) struct Buffers {
+pub struct CheckBuffers {
     by_response: Vec<(u64, usize)>,
     prefix: Vec<u128>,
     latest: Vec<u64>,
     predecessors: Vec<u128>,
     successors: Vec<u128>,
     order: Vec<OpId>,
+}
+
+impl CheckBuffers {
+    /// Takes back the witness order of a linearizable `outcome`: a
+    /// search hands its order buffer out as the witness, and the next
+    /// search reuses it from here.
+    pub fn reclaim(&mut self, outcome: CheckOutcome) {
+        if let CheckOutcome::Linearizable(lin) = outcome {
+            self.order = lin.order;
+        }
+    }
 }
 
 /// The one search behind [`check_history_stats`],
@@ -186,7 +212,7 @@ pub(crate) struct Buffers {
 ///
 /// Panics if the history has more than [`MAX_OPS`] operations.
 pub(crate) fn search<S: SequentialSpec>(
-    buffers: &mut Buffers,
+    buffers: &mut CheckBuffers,
     spec: &S,
     history: &History<S::Op, S::Resp>,
     limits: CheckLimits,
@@ -208,7 +234,7 @@ pub(crate) fn search<S: SequentialSpec>(
 
     let records = history.records();
     precedence(records, buffers);
-    let Buffers {
+    let CheckBuffers {
         predecessors,
         successors,
         order,
@@ -289,9 +315,9 @@ pub(crate) fn search<S: SequentialSpec>(
 /// immediate ones are those that did not respond before `M` — the
 /// prefix minus a shorter prefix. That is `O(n log n)` plus one pass
 /// over the immediate pairs to turn them round into successor masks.
-fn precedence<O, R>(records: &[OpRecord<O, R>], buffers: &mut Buffers) {
+fn precedence<O, R>(records: &[OpRecord<O, R>], buffers: &mut CheckBuffers) {
     let n = records.len();
-    let Buffers {
+    let CheckBuffers {
         by_response,
         prefix,
         latest,
@@ -639,7 +665,7 @@ mod tests {
         // to tie often and one op in eight left pending.
         // One set of buffers for every case, as a namespace check uses.
         let mut rng = StdRng::seed_from_u64(0x0123_4567_89AB_CDEF);
-        let mut buffers = Buffers::default();
+        let mut buffers = CheckBuffers::default();
         for case in 0..10_000 {
             let n = rng.gen_range(0..=128usize);
             let span = rng.gen_range(1..=2 * n as u64 + 2);
@@ -1047,7 +1073,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x05EE_D0F0_AC1E);
         let (reg, queue) = (RwRegister::new(0), Queue::<i64>::new());
         let mut seen = [0u32; 5]; // linearizable, violation, unknown, pending, memo hit
-        let mut buffers = Buffers::default();
+        let mut buffers = CheckBuffers::default();
         for case in 0..10_000 {
             let n = rng.gen_range(0..=12);
             let limits = CheckLimits {

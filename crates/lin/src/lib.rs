@@ -34,8 +34,9 @@ pub mod multi;
 pub mod pending;
 
 pub use checker::{
-    check_history, check_history_brute_force, check_history_stats, validate_linearization,
-    CheckLimits, CheckOutcome, CheckStats, Linearization, Violation, MAX_OPS,
+    check_history, check_history_brute_force, check_history_in, check_history_stats,
+    validate_linearization, CheckBuffers, CheckLimits, CheckOutcome, CheckStats, Linearization,
+    Violation, MAX_OPS,
 };
 pub use multi::{check_namespace, flatten_batches, split_history, NsOutcome};
 pub use pending::check_pending;

@@ -21,7 +21,7 @@ use skewbound_sim::history::History;
 use skewbound_spec::namespace::NsOp;
 use skewbound_spec::seqspec::SequentialSpec;
 
-use crate::checker::{search, Buffers, CheckLimits, CheckOutcome};
+use crate::checker::{search, CheckBuffers, CheckLimits, CheckOutcome};
 
 /// Expands a *batched* history — each record invoking a `Vec` of
 /// operations and receiving a `Vec` of responses — into the op-level
@@ -104,7 +104,7 @@ pub fn check_namespace<S: SequentialSpec>(
     inner: &S,
     history: &History<NsOp<S::Op>, S::Resp>,
 ) -> NsOutcome {
-    let mut buffers = Buffers::default();
+    let mut buffers = CheckBuffers::default();
     NsOutcome {
         per_key: split_projected(history, |op| op.key, |op| op.op.clone())
             .into_iter()

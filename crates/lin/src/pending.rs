@@ -15,7 +15,7 @@
 use skewbound_sim::history::History;
 use skewbound_spec::seqspec::SequentialSpec;
 
-use crate::checker::{search, Buffers, CheckLimits, CheckOutcome};
+use crate::checker::{search, CheckBuffers, CheckLimits, CheckOutcome};
 
 /// Checks a possibly-incomplete history: pending invocations may be
 /// linearized (with the specification's response) or dropped.
@@ -33,7 +33,7 @@ pub fn check_pending<S: SequentialSpec>(
     history: &History<S::Op, S::Resp>,
 ) -> CheckOutcome {
     search(
-        &mut Buffers::default(),
+        &mut CheckBuffers::default(),
         spec,
         history,
         CheckLimits::default(),

@@ -7,11 +7,16 @@
 //! batches, turning the engine into a model checker that, as in the
 //! VeriSoft tradition, stores no visited states. It does not re-execute
 //! prefixes either: at each choice point the policy pauses the run
-//! ([`ScheduleDecision::Yield`]) and the explorer keeps a
-//! [`Simulation::fork`] of it, so backtracking resumes that snapshot on
-//! the next branch instead of replaying the choices above it from
-//! t = 0. A worker holds at most one snapshot per choice depth. Only
-//! [`replay`] and [`minimize`] run a coordinate from t = 0.
+//! ([`ScheduleDecision::Yield`]) and the explorer keeps a fork of it, so
+//! backtracking resumes that snapshot on the next branch instead of
+//! replaying the choices above it from t = 0. Nor does it drop a run: a
+//! finished one is judged in place and refilled as the next fork
+//! ([`Simulation::fork_from`]), and retired snapshot slots are the pool
+//! new snapshots refill. A worker holds one slot per choice depth it has
+//! reached, plus the run in flight. A schedule allocates only its new
+//! sends' payloads and, when clean, the list of replica orders the
+//! invariants read. Only [`replay`] and [`minimize`] run a coordinate
+//! from t = 0.
 //! [`crate::model_check`] drives the cells over the work-stealing
 //! frontier in [`crate::frontier`].
 //!
@@ -37,7 +42,9 @@
 
 use skewbound_core::invariants::{check_invariants, RunView};
 use skewbound_core::params::Params;
-use skewbound_lin::checker::{check_history_stats, CheckLimits, CheckOutcome, MAX_OPS};
+use skewbound_lin::checker::{
+    check_history_in, CheckBuffers, CheckLimits, CheckOutcome, CheckStats, MAX_OPS,
+};
 use skewbound_shift::exhaustive::{
     verify_send_order_independence, AssignmentExhausted, EnumeratedDelay,
 };
@@ -526,8 +533,13 @@ impl<S: SequentialSpec> RunOutcome<S> {
     /// exact run.
     #[must_use]
     pub fn choices(&self) -> Vec<usize> {
-        self.trace.iter().map(|cp| cp.chosen).collect()
+        choices(&self.trace)
     }
+}
+
+/// The branch taken at each choice point of `trace`.
+fn choices(trace: &[ChoicePoint]) -> Vec<usize> {
+    trace.iter().map(|cp| cp.chosen).collect()
 }
 
 /// Mixed-radix counter over delay assignments: digit `i` (index into
@@ -628,71 +640,16 @@ where
     let result = sim
         .run_scheduled(&mut policy)
         .map(|report| report.expect("a policy that never yields runs to the end"));
-    finish_run(spec, params, sim, result, digits, policy.trace)
-}
-
-/// Judges a run that has ended: its verdict from the engine's result,
-/// the delay model's coverage, the linearizability check and the
-/// protocol invariants, plus the history and the run's event count. An
-/// attached sink gets the check's counters.
-fn finish_run<A: ModelActor>(
-    spec: &A::Spec,
-    params: &Params,
-    mut sim: Simulation<A, EnumeratedDelay>,
-    result: Result<SimReport, SimError>,
-    digits: &[usize],
-    trace: Vec<ChoicePoint>,
-) -> RunOutcome<A::Spec> {
-    let mut check_stats = None;
-    let mut events = 0u64;
-    let verdict = match result {
-        Err(SimError::PolicyAbort) => RunVerdict::Pruned,
-        // Internal invariant: the engine only fails on its own limits;
-        // name the coordinate so a grid-sized exploration is debuggable.
-        Err(e) => {
-            let plan: Vec<usize> = trace.iter().map(|cp| cp.chosen).collect();
-            panic!("model-checked run failed at delay digits {digits:?}, plan {plan:?}: {e}")
-        }
-        Ok(report) => {
-            events = report.events;
-            let history = sim.history();
-            if let Err(exhausted) = sim.delays().check_exhausted() {
-                RunVerdict::OffSpace(exhausted)
-            } else if !history.is_complete() {
-                RunVerdict::Violation(ViolationKind::IncompleteHistory)
-            } else if history.len() > MAX_OPS {
-                RunVerdict::Unknown
-            } else {
-                let (outcome, stats) = check_history_stats(spec, history, CheckLimits::default());
-                check_stats = Some(stats);
-                match outcome {
-                    CheckOutcome::NotLinearizable(_) => {
-                        RunVerdict::Violation(ViolationKind::NotLinearizable)
-                    }
-                    CheckOutcome::Unknown { .. } => RunVerdict::Unknown,
-                    CheckOutcome::Linearizable(_) => {
-                        let executed_orders: Vec<_> = ProcessId::all(params.n())
-                            .filter_map(|pid| sim.actor(pid).executed_order().map(<[_]>::to_vec))
-                            .collect();
-                        let view = RunView {
-                            params,
-                            spec,
-                            history,
-                            executed_orders: &executed_orders,
-                        };
-                        let violations = check_invariants(&view);
-                        match violations.into_iter().next() {
-                            Some(v) => RunVerdict::Violation(ViolationKind::Invariant {
-                                name: v.invariant.to_owned(),
-                                detail: v.detail,
-                            }),
-                            None => RunVerdict::Clean,
-                        }
-                    }
-                }
-            }
-        }
-    };
+    let mut buffers = CheckBuffers::default();
+    let (verdict, events, check_stats) = judge(
+        spec,
+        params,
+        &sim,
+        result,
+        digits,
+        &policy.trace,
+        &mut buffers,
+    );
     if let (Some(mut sink), Some(stats)) = (sim.take_trace_sink(), check_stats) {
         sink.counter("check", "nodes", stats.nodes);
         sink.counter("check", "memo_hits", stats.memo_hits);
@@ -701,9 +658,74 @@ fn finish_run<A: ModelActor>(
     RunOutcome {
         verdict,
         history: sim.into_history(),
-        trace,
+        trace: policy.trace,
         events,
     }
+}
+
+/// Judges a run that has ended, reading it where it stands: its verdict
+/// from the engine's result, the delay model's coverage, the
+/// linearizability check (searched in `buffers`) and the protocol
+/// invariants, with the run's event count and the check's counters.
+fn judge<A: ModelActor>(
+    spec: &A::Spec,
+    params: &Params,
+    sim: &Simulation<A, EnumeratedDelay>,
+    result: Result<SimReport, SimError>,
+    digits: &[usize],
+    trace: &[ChoicePoint],
+    buffers: &mut CheckBuffers,
+) -> (RunVerdict, u64, Option<CheckStats>) {
+    let report = match result {
+        Ok(report) => report,
+        Err(SimError::PolicyAbort) => return (RunVerdict::Pruned, 0, None),
+        // Internal invariant: the engine only fails on its own limits;
+        // name the coordinate so a grid-sized exploration is debuggable.
+        Err(e) => panic!(
+            "model-checked run failed at delay digits {digits:?}, plan {:?}: {e}",
+            choices(trace)
+        ),
+    };
+    let history = sim.history();
+    let mut check_stats = None;
+    let verdict = if let Err(exhausted) = sim.delays().check_exhausted() {
+        RunVerdict::OffSpace(exhausted)
+    } else if !history.is_complete() {
+        RunVerdict::Violation(ViolationKind::IncompleteHistory)
+    } else if history.len() > MAX_OPS {
+        RunVerdict::Unknown
+    } else {
+        let (outcome, stats) = check_history_in(buffers, spec, history, CheckLimits::default());
+        check_stats = Some(stats);
+        let verdict = match &outcome {
+            CheckOutcome::NotLinearizable(_) => {
+                RunVerdict::Violation(ViolationKind::NotLinearizable)
+            }
+            CheckOutcome::Unknown { .. } => RunVerdict::Unknown,
+            CheckOutcome::Linearizable(_) => {
+                let executed_orders: Vec<_> = ProcessId::all(params.n())
+                    .filter_map(|pid| sim.actor(pid).executed_order())
+                    .collect();
+                let view = RunView {
+                    params,
+                    spec,
+                    history,
+                    executed_orders: &executed_orders,
+                };
+                let violations = check_invariants(&view);
+                match violations.into_iter().next() {
+                    Some(v) => RunVerdict::Violation(ViolationKind::Invariant {
+                        name: v.invariant.to_owned(),
+                        detail: v.detail,
+                    }),
+                    None => RunVerdict::Clean,
+                }
+            }
+        };
+        buffers.reclaim(outcome);
+        verdict
+    };
+    (verdict, report.events, check_stats)
 }
 
 /// Re-executes the single run a violation (or any coordinate) names.
@@ -840,6 +862,15 @@ struct Snapshot<A: ModelActor> {
 /// last branch takes the snapshot itself rather than a fork of it.
 /// Replays are deterministic, so the resumed run is exactly the run a
 /// replay of its choices from t = 0 would produce.
+///
+/// Nothing is dropped along the way. A finished run is judged where it
+/// stands and then refilled ([`Simulation::fork_from`]) as the fork of
+/// the snapshot it backtracks to; a snapshot taken on its last branch
+/// leaves its stack slot to the run it replaces. Those retired slots
+/// above the live snapshots are the unit's pool: a new snapshot is
+/// refilled into one. Once the buffers have grown to the unit's runs, a
+/// schedule allocates only its new sends' payloads and, when clean, the
+/// list of replica orders the invariants read.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn explore_unit<A, F>(
     spec: &A::Spec,
@@ -879,7 +910,11 @@ where
     let (states, independence) = (&config.probe_states, config.independence);
     let pause_from = lock_depth.max(1);
     let mut policy = ReplayPolicy::new(spec, states, independence, start_plan, pause_from);
+    let mut buffers = CheckBuffers::default();
+    // The live snapshots are `stack[..live]`, deepest last; the slots
+    // above them are retired runs, kept for refilling.
     let mut stack: Vec<Snapshot<A>> = Vec::new();
+    let mut live = 0;
     loop {
         if out.schedules >= budget {
             out.capped = true;
@@ -888,45 +923,52 @@ where
         let result = loop {
             match sim.run_scheduled(&mut policy) {
                 Ok(None) => {
-                    stack.push(Snapshot {
-                        sim: sim.fork(),
-                        sleep: policy.sleep.clone(),
-                        depth: policy.depth,
-                        next: 1,
-                        alts: policy.paused_alts,
-                    });
+                    let (depth, alts) = (policy.depth, policy.paused_alts);
+                    if let Some(slot) = stack.get_mut(live) {
+                        slot.sim.fork_from(&sim);
+                        slot.sleep.clone_from(&policy.sleep);
+                        (slot.depth, slot.next, slot.alts) = (depth, 1, alts);
+                    } else {
+                        stack.push(Snapshot {
+                            sim: sim.fork(),
+                            sleep: policy.sleep.clone(),
+                            depth,
+                            next: 1,
+                            alts,
+                        });
+                    }
+                    live += 1;
                     policy.resume = Some(0);
                 }
                 Ok(Some(report)) => break Ok(report),
                 Err(e) => break Err(e),
             }
         };
-        let trace = core::mem::take(&mut policy.trace);
-        let outcome = finish_run(spec, params, sim, result, digits, trace);
+        let trace = &policy.trace;
+        let (verdict, events, _) = judge(spec, params, &sim, result, digits, trace, &mut buffers);
         if fresh && out.schedules == 0 {
             out.cells = 1;
-            if let Some(cp0) = outcome.trace.first() {
+            if let Some(cp0) = trace.first() {
                 // The cell's first decision has siblings: hand them to
                 // the frontier and keep only subtree 0 for ourselves.
                 out.spawned.extend((1..cp0.alts).map(|j| (vec![j], 1)));
             }
         }
         out.schedules += 1;
-        out.events += outcome.events;
+        out.events += events;
         #[cfg(test)]
-        out.runs
-            .push((outcome.verdict.clone(), outcome.choices(), outcome.events));
-        match outcome.verdict {
+        out.runs.push((verdict.clone(), choices(trace), events));
+        match verdict {
             RunVerdict::Clean => {}
             RunVerdict::Pruned => out.pruned += 1,
             RunVerdict::OffSpace(_) => out.off_space += 1,
             RunVerdict::Unknown => out.unknown += 1,
-            RunVerdict::Violation(ref kind) => {
+            RunVerdict::Violation(kind) => {
                 out.violations.push(McViolation {
                     clock_idx,
                     delay_digits: digits.to_vec(),
-                    choices: outcome.choices(),
-                    kind: kind.clone(),
+                    choices: choices(trace),
+                    kind,
                 });
                 if config.stop_at_first_violation {
                     return out;
@@ -936,21 +978,20 @@ where
         // Backtrack: resume the deepest choice point that still has an
         // unexplored branch. The choices above it are kept; everything
         // below it starts again from its first branch.
-        let Some(top) = stack.last_mut() else {
+        let Some(top) = live.checked_sub(1).map(|i| &mut stack[i]) else {
             return out;
         };
         let (depth, branch) = (top.depth, top.next);
         top.next += 1;
-        let (resumed, sleep) = if top.next == top.alts {
-            let top = stack.pop().expect("the stack has a top");
-            (top.sim, top.sleep)
+        if top.next == top.alts {
+            core::mem::swap(&mut sim, &mut top.sim);
+            core::mem::swap(&mut policy.sleep, &mut top.sleep);
+            live -= 1;
         } else {
-            (top.sim.fork(), top.sleep.clone())
-        };
-        sim = resumed;
-        policy.sleep = sleep;
+            sim.fork_from(&top.sim);
+            policy.sleep.clone_from(&top.sleep);
+        }
         policy.depth = depth;
-        policy.trace = outcome.trace;
         policy.trace.truncate(depth);
         policy.resume = Some(branch);
     }

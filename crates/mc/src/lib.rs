@@ -20,7 +20,7 @@
 //!   Lemma C.10 invariant);
 //! * protocol invariants from [`skewbound_core::invariants`] checked on
 //!   every explored run, next to a direct linearizability check of each
-//!   run (one `check_history_stats` call; no verdict cache);
+//!   run (one checker call in buffers the unit reuses; no verdict cache);
 //! * [`certificate`] — minimized, replay-confirmed counterexample
 //!   certificates in a stable JSON schema, via `skewbound_lint::json`;
 //! * `skewlint` (in `src/bin`) — writes the certificates of the

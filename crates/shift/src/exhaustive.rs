@@ -59,11 +59,28 @@ impl std::error::Error for AssignmentExhausted {}
 
 /// A delay model that replays a fixed per-message assignment, in global
 /// send order.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EnumeratedDelay {
     bounds: DelayBounds,
     assignment: Vec<SimDuration>,
     next: usize,
+}
+
+/// `clone_from` refills the assignment in place: an explorer forking
+/// runs of one grid cell into retired ones copies it without allocating.
+impl Clone for EnumeratedDelay {
+    fn clone(&self) -> Self {
+        EnumeratedDelay {
+            bounds: self.bounds,
+            assignment: self.assignment.clone(),
+            next: self.next,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        (self.bounds, self.next) = (source.bounds, source.next);
+        self.assignment.clone_from(&source.assignment);
+    }
 }
 
 impl EnumeratedDelay {
@@ -241,6 +258,33 @@ mod tests {
             SimDuration::ZERO,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn a_refilled_enumerated_delay_equals_a_cloned_one() {
+        let bounds = params().delay_bounds();
+        let meta = MsgMeta {
+            from: ProcessId::new(0),
+            to: ProcessId::new(1),
+        };
+        // `len` assigned delays, `drawn` of them (or past them) used up.
+        let model = |len: usize, drawn: usize| {
+            let corner = |i: usize| [bounds.min(), bounds.max()][i % 2];
+            let mut model = EnumeratedDelay::new(bounds, (0..len).map(corner).collect());
+            for _ in 0..drawn {
+                model.delay(meta);
+            }
+            model
+        };
+        let models = [model(0, 0), model(3, 2), model(6, 7), model(2, 0)];
+        for source in &models {
+            for dest in &models {
+                let mut refilled = dest.clone();
+                refilled.clone_from(source);
+                assert_eq!(format!("{refilled:?}"), format!("{:?}", source.clone()));
+                assert_eq!(refilled.check_exhausted(), source.check_exhausted());
+            }
+        }
     }
 
     #[test]

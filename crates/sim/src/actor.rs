@@ -117,6 +117,10 @@ impl<A: Actor> Clone for Effects<A> {
     fn clone(&self) -> Self {
         Effects::new()
     }
+
+    fn clone_from(&mut self, _source: &Self) {
+        self.clear();
+    }
 }
 
 /// Handler-side view of the runtime: local clock, message sends, timers and

@@ -32,12 +32,26 @@ use crate::time::{ClockOffset, SimDuration, SimTime};
 /// let clocks = ClockAssignment::zero(4);
 /// assert_eq!(clocks.max_skew(), SimDuration::ZERO);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ClockAssignment {
     offsets: Vec<ClockOffset>,
     /// Per-process clock rate as a rational `num/den`; `(1, 1)` = no
     /// drift.
     rates: Vec<(u64, u64)>,
+}
+
+impl Clone for ClockAssignment {
+    fn clone(&self) -> Self {
+        ClockAssignment {
+            offsets: self.offsets.clone(),
+            rates: self.rates.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.offsets.clone_from(&source.offsets);
+        self.rates.clone_from(&source.rates);
+    }
 }
 
 impl ClockAssignment {

@@ -116,9 +116,47 @@ pub enum Due<T, M, O> {
 /// items, and a new one is almost always due after all of them, so
 /// filing is a push at the back, popping one at the front, and a
 /// node's buffer is allocated once per run.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Agenda<T, M, O> {
     items: VecDeque<(Key, Due<T, M, O>)>,
+}
+
+impl<T: Clone, M: Clone, O: Clone> Clone for Agenda<T, M, O> {
+    fn clone(&self) -> Self {
+        Agenda {
+            items: self.items.clone(),
+        }
+    }
+
+    /// Refills the ring in place: the items both agendas have are
+    /// overwritten item by item (a batch over a batch keeps its payload
+    /// vector), then the rest are dropped or appended.
+    fn clone_from(&mut self, source: &Self) {
+        self.items.truncate(source.items.len());
+        let kept = self.items.len();
+        for ((key, item), (k, i)) in self.items.iter_mut().zip(&source.items) {
+            *key = *k;
+            match (item, i) {
+                (
+                    Due::Batch {
+                        from,
+                        first_id,
+                        msgs,
+                    },
+                    Due::Batch {
+                        from: f,
+                        first_id: id,
+                        msgs: m,
+                    },
+                ) => {
+                    (*from, *first_id) = (*f, *id);
+                    msgs.clone_from(m);
+                }
+                (item, i) => *item = i.clone(),
+            }
+        }
+        self.items.extend(source.items.range(kept..).cloned());
+    }
 }
 
 /// An agenda key: the tick an item is due at, then its seq.
@@ -499,6 +537,48 @@ mod tests {
 
     fn drain(agenda: &mut TestAgenda, now: u64) -> Vec<(u64, Due<&'static str, u8, ()>)> {
         std::iter::from_fn(|| agenda.pop_due(now)).collect()
+    }
+
+    #[test]
+    fn a_refilled_agenda_equals_a_cloned_one() {
+        let filled = |items: &[(u64, Due<&'static str, u8, ()>)]| {
+            let mut agenda = TestAgenda::new();
+            for (seq, (at, item)) in (0..).zip(items) {
+                agenda.file(*at, seq, item.clone());
+            }
+            agenda
+        };
+        let long = Due::Batch {
+            from: P,
+            first_id: msg(9),
+            msgs: vec![1, 2, 3, 4],
+        };
+        let agendas = [
+            TestAgenda::new(),
+            filled(&[(MS, batch(1))]),
+            filled(&[
+                (MS, timer(2, "t")),
+                (MS, long.clone()),
+                (2 * MS, Due::Invoke(())),
+            ]),
+            filled(&[
+                (MS, long.clone()),
+                (2 * MS, batch(3)),
+                (3 * MS, timer(5, "u")),
+                (3 * MS, Due::Invoke(())),
+                (4 * MS, long),
+            ]),
+        ];
+        crate::assert_clone_from_is_clone(&agendas, |agenda| format!("{agenda:?}"));
+        // A batch refilled from a batch keeps its payload vector.
+        let first_payload = |agenda: &TestAgenda| match agenda.items.front() {
+            Some((_, Due::Batch { msgs, .. })) => msgs.as_ptr(),
+            other => panic!("{other:?} is not a batch"),
+        };
+        let mut refilled = agendas[3].clone();
+        let kept = first_payload(&refilled);
+        refilled.clone_from(&agendas[1]);
+        assert_eq!(first_payload(&refilled), kept);
     }
 
     #[test]

@@ -299,6 +299,36 @@ pub struct Simulation<A: Actor, D: DelayModel> {
     /// Events fired by [`Simulation::run_scheduled`] so far, across every
     /// call that paused and resumed the run.
     events: u64,
+    /// [`Simulation::run_scheduled`]'s batch buffer between calls, empty,
+    /// kept for its allocation (see [`Parked`]).
+    spare: Vec<EventView<'static, Parked>>,
+}
+
+/// The element type of the batch buffer between two calls of
+/// [`Simulation::run_scheduled`]. Views borrow the agendas, so the
+/// buffer cannot be kept under their own type; an actor whose every type
+/// is `()` lays its views out as any actor's are (a seq, pids, an id, a
+/// reference and a slice), so [`recycle`] moves the allocation between
+/// the two in place.
+enum Parked {}
+
+impl Actor for Parked {
+    type Msg = ();
+    type Op = ();
+    type Resp = ();
+    type Timer = ();
+
+    fn on_invoke(&mut self, (): (), _: &mut crate::actor::Context<'_, Self>) {
+        match *self {}
+    }
+
+    fn on_message(&mut self, _: ProcessId, (): (), _: &mut crate::actor::Context<'_, Self>) {
+        match *self {}
+    }
+
+    fn on_timer(&mut self, (): (), _: &mut crate::actor::Context<'_, Self>) {
+        match *self {}
+    }
 }
 
 /// The engine's [`Link`]: each batch a node sends waits here, keyed on
@@ -321,6 +351,12 @@ impl<A: Actor> Clone for Outbox<A> {
             log: self.log.clone(),
             log_messages: self.log_messages,
         }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.sent.clone_from(&source.sent);
+        self.log.clone_from(&source.log);
+        self.log_messages = source.log_messages;
     }
 }
 
@@ -398,6 +434,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
             history: History::new(),
             trace: None,
             events: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -582,9 +619,10 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         P: SchedulePolicy<A> + ?Sized,
     {
         self.start_nodes()?;
-        // One batch buffer for the whole call: each step fills it, and
-        // `recycle` hands its allocation on to the next step's borrow.
-        let mut spare: Vec<EventView<'_, A>> = Vec::new();
+        // One batch buffer for the whole run: each step fills it, and
+        // `recycle` hands its allocation on to the next step's borrow, or
+        // back to `self.spare` for the next call.
+        let mut spare: Vec<EventView<'_, A>> = recycle(core::mem::take(&mut self.spare));
         while let Some(((at, _), _)) = self.next_event() {
             let (pid, seq) = {
                 let mut enabled = recycle(spare);
@@ -595,17 +633,24 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
                         .map(move |(seq, item)| view(pid, seq, item))
                 }));
                 enabled.sort_unstable_by_key(EventView::seq);
-                let picked = match policy.choose(SimTime::from_ticks(at), &enabled) {
+                let decision = policy.choose(SimTime::from_ticks(at), &enabled);
+                let picked = match decision {
                     ScheduleDecision::Take(i) => {
                         let chosen = enabled.get(i).unwrap_or_else(|| {
                             panic!("schedule policy chose event {i} of {}", enabled.len())
                         });
-                        (chosen.pid(), chosen.seq())
+                        Some((chosen.pid(), chosen.seq()))
                     }
-                    ScheduleDecision::Abort => return Err(SimError::PolicyAbort),
-                    ScheduleDecision::Yield => return Ok(None),
+                    ScheduleDecision::Abort | ScheduleDecision::Yield => None,
                 };
                 spare = recycle(enabled);
+                let Some(picked) = picked else {
+                    self.spare = recycle(spare);
+                    return match decision {
+                        ScheduleDecision::Yield => Ok(None),
+                        _ => Err(SimError::PolicyAbort),
+                    };
+                };
                 picked
             };
             self.events += 1;
@@ -614,6 +659,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
             }
             self.fire(pid.index(), (at, seq), &mut NoDriver)?;
         }
+        self.spare = recycle(spare);
         Ok(Some(self.finish(self.events)))
     }
 
@@ -708,15 +754,30 @@ impl<A: Actor + Clone, D: DelayModel + Clone> Simulation<A, D> {
             history: self.history.clone(),
             trace: None,
             events: self.events,
+            spare: Vec::new(),
         }
+    }
+
+    /// Turns `self` into a [`Simulation::fork`] of `source`, whatever run
+    /// it held before, reusing its buffers (`clone_from` all the way
+    /// down), and detaches its trace sink. An explorer that refills
+    /// retired runs this way forks without allocating once the buffers
+    /// have grown to the runs it explores.
+    pub fn fork_from(&mut self, source: &Self) {
+        self.nodes.clone_from(&source.nodes);
+        self.transport.clone_from(&source.transport);
+        self.history.clone_from(&source.history);
+        (self.now, self.started, self.events) = (source.now, source.started, source.events);
+        self.trace = None;
     }
 }
 
-/// Empties `views` and returns its allocation under a fresh borrow, so
-/// [`Simulation::run_scheduled`] allocates its batch buffer once per call
+/// Empties `views` and returns its allocation under a fresh borrow (and
+/// possibly another actor type, see [`Parked`]), so
+/// [`Simulation::run_scheduled`] allocates its batch buffer once per run
 /// instead of once per event. The collect reuses the buffer in place: the
-/// element type only changes its lifetime.
-fn recycle<'b, A: Actor>(mut views: Vec<EventView<'_, A>>) -> Vec<EventView<'b, A>> {
+/// element type only changes its lifetime, or nothing of its layout.
+fn recycle<'b, A: Actor, B: Actor>(mut views: Vec<EventView<'_, A>>) -> Vec<EventView<'b, B>> {
     views.clear();
     views.into_iter().map(|_| unreachable!()).collect()
 }
@@ -1119,18 +1180,60 @@ mod tests {
 
     /// Two waves of three concurrent broadcasts, with the message log on.
     fn flood() -> Simulation<Flood, FixedDelay> {
+        flood_waves(2)
+    }
+
+    /// `waves` waves of three concurrent broadcasts, 50 ticks apart, with
+    /// the message log on.
+    fn flood_waves(waves: u32) -> Simulation<Flood, FixedDelay> {
         let mut sim = Simulation::new(
             vec![Flood::default(); 3],
             ClockAssignment::zero(3),
             FixedDelay::maximal(bounds()),
         );
         sim.enable_msg_log();
-        for (i, pid) in ProcessId::all(3).enumerate() {
-            let i = u32::try_from(i).unwrap();
-            sim.schedule_invoke(pid, SimTime::ZERO, i);
-            sim.schedule_invoke(pid, SimTime::from_ticks(50), 10 + i);
+        for wave in 0..waves {
+            for (i, pid) in ProcessId::all(3).enumerate() {
+                let i = u32::try_from(i).unwrap();
+                let at = SimTime::from_ticks(50 * u64::from(wave));
+                sim.schedule_invoke(pid, at, 10 * wave + i);
+            }
         }
         sim
+    }
+
+    /// Yields once, before the batch after `after` fired events.
+    struct YieldAfter {
+        after: u64,
+        seen: u64,
+    }
+
+    impl<A: Actor> SchedulePolicy<A> for YieldAfter {
+        fn choose(&mut self, _: SimTime, _: &[EventView<'_, A>]) -> ScheduleDecision {
+            self.seen += 1;
+            if self.seen == self.after + 1 {
+                ScheduleDecision::Yield
+            } else {
+                ScheduleDecision::Take(0)
+            }
+        }
+    }
+
+    /// Takes the first event of every batch, logging the seq of every
+    /// event it is shown.
+    #[derive(Default)]
+    struct SeqLog(Vec<u64>);
+
+    impl<A: Actor> SchedulePolicy<A> for SeqLog {
+        fn choose(&mut self, _: SimTime, enabled: &[EventView<'_, A>]) -> ScheduleDecision {
+            self.0.extend(enabled.iter().map(EventView::seq));
+            ScheduleDecision::Take(0)
+        }
+    }
+
+    /// A sink that keeps its events for the test to read back.
+    fn shared_trace() -> std::rc::Rc<std::cell::RefCell<crate::trace::Trace>> {
+        std::rc::Rc::new(std::cell::RefCell::new(crate::trace::Trace::new()))
     }
 
     /// Yields on every batch, then takes its first event when shown it
@@ -1172,24 +1275,58 @@ mod tests {
     }
 
     #[test]
+    fn the_batch_buffer_outlives_a_paused_call() {
+        let mut sim = flood();
+        let mut policy = PauseEach::default();
+        assert_eq!(sim.run_scheduled(&mut policy), Ok(None));
+        let buffer =
+            |sim: &Simulation<Flood, FixedDelay>| (sim.spare.as_ptr(), sim.spare.capacity());
+        let mut kept = buffer(&sim);
+        assert!(kept.1 > 0, "the paused call hands its buffer back");
+        while sim.run_scheduled(&mut policy).unwrap().is_none() {
+            // Only a larger batch than any before moves the buffer.
+            let now = buffer(&sim);
+            assert!(now == kept || now.1 > kept.1, "{now:?} after {kept:?}");
+            kept = now;
+        }
+        assert_eq!(buffer(&sim), kept, "the last call keeps it too");
+    }
+
+    #[test]
+    fn a_refilled_fork_continues_as_a_fresh_fork() {
+        let mut source = flood();
+        let mut policy = YieldAfter { after: 7, seen: 0 };
+        assert_eq!(source.run_scheduled(&mut policy), Ok(None));
+        // The destination ran another, longer run to its end, logging
+        // every send into a sink.
+        let mut refilled = flood_waves(4);
+        let trace = shared_trace();
+        refilled.set_trace_sink(Box::new(std::rc::Rc::clone(&trace)));
+        refilled.run_scheduled(&mut FifoPolicy).unwrap().unwrap();
+        assert!(refilled.history().len() > source.history().len());
+        assert!(refilled.message_log().len() > source.message_log().len());
+        let traced = trace.borrow().len();
+
+        refilled.fork_from(&source);
+        let mut fresh = source.fork();
+        let (mut seqs, mut fresh_seqs) = (SeqLog::default(), SeqLog::default());
+        let fresh_report = fresh.run_scheduled(&mut fresh_seqs).unwrap().unwrap();
+        let report = refilled.run_scheduled(&mut seqs).unwrap().unwrap();
+        assert_eq!(report, fresh_report);
+        assert_eq!(seqs.0, fresh_seqs.0, "events keep their identities");
+        assert_eq!(refilled.history(), fresh.history());
+        assert_eq!(refilled.message_log(), fresh.message_log());
+        for pid in ProcessId::all(3) {
+            assert_eq!(refilled.actor(pid).seen, fresh.actor(pid).seen);
+        }
+        assert_eq!(trace.borrow().len(), traced, "the old sink hears nothing");
+        assert!(refilled.take_trace_sink().is_none());
+    }
+
+    #[test]
     fn a_fork_continues_as_its_original_does() {
-        /// Yields once, before the batch after `after` fired events.
-        struct YieldAfter {
-            after: u64,
-            seen: u64,
-        }
-        impl<A: Actor> SchedulePolicy<A> for YieldAfter {
-            fn choose(&mut self, _: SimTime, _: &[EventView<'_, A>]) -> ScheduleDecision {
-                self.seen += 1;
-                if self.seen == self.after + 1 {
-                    ScheduleDecision::Yield
-                } else {
-                    ScheduleDecision::Take(0)
-                }
-            }
-        }
         let mut original = flood();
-        let trace = std::rc::Rc::new(std::cell::RefCell::new(crate::trace::Trace::new()));
+        let trace = shared_trace();
         original.set_trace_sink(Box::new(std::rc::Rc::clone(&trace)));
         let mut policy = YieldAfter { after: 7, seen: 0 };
         assert_eq!(original.run_scheduled(&mut policy), Ok(None));

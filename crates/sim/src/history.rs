@@ -70,9 +70,21 @@ impl<O, R> OpRecord<O, R> {
 /// assert!(h.is_complete());
 /// assert_eq!(h.max_latency().unwrap().as_ticks(), 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct History<O, R> {
     records: Vec<OpRecord<O, R>>,
+}
+
+impl<O: Clone, R: Clone> Clone for History<O, R> {
+    fn clone(&self) -> Self {
+        History {
+            records: self.records.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.records.clone_from(&source.records);
+    }
 }
 
 impl<O, R> Default for History<O, R> {
@@ -263,6 +275,22 @@ mod tests {
 
     fn t(x: u64) -> SimTime {
         SimTime::from_ticks(x)
+    }
+
+    #[test]
+    fn a_refilled_history_equals_a_cloned_one() {
+        let history = |ops: u32| {
+            let mut h: History<&str, u32> = History::new();
+            for i in 0..ops {
+                let id = h.record_invoke(ProcessId::new(i % 3), "op", t(i.into()));
+                if i % 2 == 0 {
+                    h.record_response(id, i, t(u64::from(i) + 5));
+                }
+            }
+            h
+        };
+        let histories = [history(0), history(2), history(5)];
+        crate::assert_clone_from_is_clone(&histories, |h| format!("{h:?}"));
     }
 
     #[test]

@@ -90,3 +90,17 @@ pub mod prelude {
     pub use crate::transport::{TransportError, WireTransport};
     pub use crate::workload::{ClosedLoop, Driver, NoDriver, Script};
 }
+
+/// Asserts that `clone_from` refills each of `values` into a copy of each
+/// other one, as `clone` copies it: so every destination is refilled from
+/// longer, shorter and emptier sources. `show` renders what is compared.
+#[cfg(test)]
+pub(crate) fn assert_clone_from_is_clone<T: Clone>(values: &[T], show: impl Fn(&T) -> String) {
+    for source in values {
+        for dest in values {
+            let mut refilled = dest.clone();
+            refilled.clone_from(source);
+            assert_eq!(show(&refilled), show(&source.clone()));
+        }
+    }
+}

@@ -81,7 +81,7 @@ pub type Item<A, T> = Due<<A as Actor>::Timer, <A as Actor>::Msg, (T, <A as Acto
 ///
 /// A clone is the node as it stands between two activations: the actor,
 /// its timer ids, its agenda, its queue and its pending operation.
-#[derive(Clone)]
+/// `clone_from` refills a node in place, keeping its buffers.
 pub struct NodeCore<A: Actor, T = ()> {
     pid: ProcessId,
     n: usize,
@@ -99,6 +99,32 @@ pub struct NodeCore<A: Actor, T = ()> {
     queue: VecDeque<(T, A::Op)>,
     /// The token of the pending operation.
     in_flight: Option<T>,
+}
+
+impl<A: Actor + Clone, T: Clone> Clone for NodeCore<A, T> {
+    fn clone(&self) -> Self {
+        NodeCore {
+            pid: self.pid,
+            n: self.n,
+            actor: self.actor.clone(),
+            timers: self.timers.clone(),
+            pending_op: self.pending_op,
+            scratch: self.scratch.clone(),
+            agenda: self.agenda.clone(),
+            queue: self.queue.clone(),
+            in_flight: self.in_flight.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        (self.pid, self.n, self.pending_op) = (source.pid, source.n, source.pending_op);
+        self.actor.clone_from(&source.actor);
+        self.timers.clone_from(&source.timers);
+        self.scratch.clone_from(&source.scratch);
+        self.agenda.clone_from(&source.agenda);
+        self.queue.clone_from(&source.queue);
+        self.in_flight.clone_from(&source.in_flight);
+    }
 }
 
 impl<A: Actor, T> fmt::Debug for NodeCore<A, T> {
@@ -407,5 +433,87 @@ fn report<T, O, R>(
         let rec = history.get(op_id).expect("completed op is recorded");
         let (resp, at) = rec.response.as_ref().expect("completed op has a response");
         done(token, resp, *at);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Remembers every invocation it sees.
+    #[derive(Debug, Clone, Default)]
+    struct Tally {
+        seen: Vec<u32>,
+    }
+
+    impl Actor for Tally {
+        type Msg = u8;
+        type Op = u32;
+        type Resp = u32;
+        type Timer = &'static str;
+
+        fn on_invoke(&mut self, op: u32, ctx: &mut Context<'_, Self>) {
+            self.seen.push(op);
+            ctx.respond(op);
+        }
+
+        fn on_message(&mut self, _: ProcessId, _: u8, _: &mut Context<'_, Self>) {}
+
+        fn on_timer(&mut self, _: &'static str, _: &mut Context<'_, Self>) {}
+    }
+
+    /// A node with `k` items of each kind on its agenda (each timer on a
+    /// slot retired once before), `k` queued invocations and, for odd
+    /// `k`, an operation pending.
+    fn node(k: u32) -> NodeCore<Tally, u8> {
+        let actor = Tally {
+            seen: (0..k).collect(),
+        };
+        let mut node = NodeCore::new(ProcessId::new(1), 3, actor);
+        for i in 0..k {
+            let (at, seq, token) = (u64::from(i), 3 * u64::from(i), u8::try_from(i).unwrap());
+            let fired = node.timers.alloc();
+            node.timers.fire(fired);
+            let armed = node.timers.alloc();
+            node.file(at, seq, Due::Timer(armed, "t"));
+            let msgs = vec![7; i as usize + 1];
+            let first_id = MsgId::new(at);
+            let from = ProcessId::new(0);
+            node.file(
+                at,
+                seq + 1,
+                Due::Batch {
+                    from,
+                    first_id,
+                    msgs,
+                },
+            );
+            node.file(at, seq + 2, Due::Invoke((token, i)));
+            node.enqueue(token, i);
+        }
+        if k % 2 == 1 {
+            node.pending_op = Some(OpId::new(k.into()));
+            node.in_flight = Some(9);
+        }
+        node
+    }
+
+    #[test]
+    fn a_refilled_node_equals_a_cloned_one() {
+        let nodes = [node(0), node(1), node(2), node(5)];
+        crate::assert_clone_from_is_clone(&nodes, |node| {
+            format!(
+                "{:?} {} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+                node.pid,
+                node.n,
+                node.actor,
+                node.timers,
+                node.pending_op,
+                node.scratch,
+                node.agenda,
+                node.queue,
+                node.in_flight
+            )
+        });
     }
 }

@@ -27,10 +27,24 @@ use crate::ids::TimerId;
 /// let c = slab.alloc(); // slot 0 again, under generation 1
 /// assert_eq!(c.as_u64(), 1 << 32);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct TimerSlab {
     generations: Vec<u32>,
     free: Vec<u32>,
+}
+
+impl Clone for TimerSlab {
+    fn clone(&self) -> Self {
+        TimerSlab {
+            generations: self.generations.clone(),
+            free: self.free.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.generations.clone_from(&source.generations);
+        self.free.clone_from(&source.free);
+    }
 }
 
 impl TimerSlab {
@@ -87,6 +101,25 @@ mod tests {
         let c = slab.alloc();
         assert_eq!((c.slot(), c.generation()), (0, 1));
         assert_eq!(c.as_u64(), 1 << 32);
+    }
+
+    #[test]
+    fn a_refilled_slab_equals_a_cloned_one() {
+        let slab = |armed: usize, fired: &[usize]| {
+            let mut slab = TimerSlab::default();
+            let ids: Vec<_> = (0..armed).map(|_| slab.alloc()).collect();
+            for &i in fired {
+                slab.fire(ids[i]);
+            }
+            slab
+        };
+        let slabs = [
+            TimerSlab::default(),
+            slab(1, &[]),
+            slab(3, &[1]),
+            slab(6, &[0, 4, 2]),
+        ];
+        crate::assert_clone_from_is_clone(&slabs, |slab| format!("{slab:?}"));
     }
 
     #[test]

@@ -112,7 +112,6 @@ pub trait Link<M> {
 /// virtual time the activation's own instant, on a [`TimeBase`] the
 /// wall clock's reading, each read through the process's clock in the
 /// [`ClockAssignment`].
-#[derive(Clone)]
 pub struct Transport<D, L> {
     pub(crate) link: L,
     pub(crate) clocks: ClockAssignment,
@@ -124,6 +123,30 @@ pub struct Transport<D, L> {
     msg_prefix: u64,
     pub(crate) next_msg: u64,
     next_seq: u64,
+}
+
+impl<D: Clone, L: Clone> Clone for Transport<D, L> {
+    fn clone(&self) -> Self {
+        Transport {
+            link: self.link.clone(),
+            clocks: self.clocks.clone(),
+            base: self.base,
+            delays: self.delays.clone(),
+            bounds: self.bounds,
+            msg_prefix: self.msg_prefix,
+            next_msg: self.next_msg,
+            next_seq: self.next_seq,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.link.clone_from(&source.link);
+        self.clocks.clone_from(&source.clocks);
+        self.delays.clone_from(&source.delays);
+        (self.base, self.bounds) = (source.base, source.bounds);
+        (self.msg_prefix, self.next_msg, self.next_seq) =
+            (source.msg_prefix, source.next_msg, source.next_seq);
+    }
 }
 
 impl<D, L> fmt::Debug for Transport<D, L> {
