@@ -110,6 +110,18 @@ if grep -rnE --include='*.rs' 'TranspositionTable|CachedVerdict|mc::table' crate
 fi
 echo "mc: no TranspositionTable, CachedVerdict or mc::table"
 
+echo "== one run loop (run, run_with and run_scheduled share the engine's loop) =="
+if grep -rnE 'run_capped|run_scheduled_capped' crates; then
+  echo "a second engine run loop is spelled under crates/; every entry calls Simulation::run_loop" >&2
+  exit 1
+fi
+loops=$(grep -cE 'while let .*self\.next_event\(\)' crates/sim/src/engine.rs || true)
+if [ "$loops" -gt 1 ]; then
+  echo "crates/sim/src/engine.rs has $loops loops over self.next_event(); keep one" >&2
+  exit 1
+fi
+echo "engine: one loop over next_event, no run_capped or run_scheduled_capped"
+
 echo "== TCP loopback smoke (3-process mesh + closed-loop load + trace audit) =="
 cargo build --release -q -p skewbound-net
 net_dir=target/netsmoke

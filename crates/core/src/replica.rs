@@ -194,19 +194,7 @@ struct Queued<S: SequentialSpec> {
     op: S::Op,
 }
 
-impl<S: SequentialSpec> Clone for Queued<S> {
-    fn clone(&self) -> Self {
-        Queued {
-            ts: self.ts,
-            op: self.op.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.ts = source.ts;
-        self.op.clone_from(&source.op);
-    }
-}
+skewbound_sim::clone_fields!([S: SequentialSpec] Queued<S> { ts, op });
 
 impl<S: SequentialSpec> PartialEq for Queued<S> {
     fn eq(&self, other: &Self) -> bool {
@@ -397,24 +385,9 @@ pub struct Replica<S: SequentialSpec> {
     executed_order: Vec<Timestamp>,
 }
 
-impl<S: SequentialSpec> Clone for Replica<S> {
-    fn clone(&self) -> Self {
-        Replica {
-            core: self.core.clone(),
-            x: self.x,
-            profile: self.profile,
-            own_other_pending: self.own_other_pending,
-            executed_order: self.executed_order.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.core.clone_from(&source.core);
-        (self.x, self.profile) = (source.x, source.profile);
-        self.own_other_pending = source.own_other_pending;
-        self.executed_order.clone_from(&source.executed_order);
-    }
-}
+skewbound_sim::clone_fields!([S: SequentialSpec] Replica<S> {
+    core, x, profile, own_other_pending, executed_order
+});
 
 impl<S: SequentialSpec> fmt::Debug for Replica<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

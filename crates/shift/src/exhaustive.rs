@@ -66,22 +66,9 @@ pub struct EnumeratedDelay {
     next: usize,
 }
 
-/// `clone_from` refills the assignment in place: an explorer forking
-/// runs of one grid cell into retired ones copies it without allocating.
-impl Clone for EnumeratedDelay {
-    fn clone(&self) -> Self {
-        EnumeratedDelay {
-            bounds: self.bounds,
-            assignment: self.assignment.clone(),
-            next: self.next,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        (self.bounds, self.next) = (source.bounds, source.next);
-        self.assignment.clone_from(&source.assignment);
-    }
-}
+// `clone_from` refills the assignment in place: an explorer forking
+// runs of one grid cell into retired ones copies it without allocating.
+skewbound_sim::clone_fields!([] EnumeratedDelay { bounds, assignment, next });
 
 impl EnumeratedDelay {
     /// Creates a model assigning `assignment[i]` to the `i`-th message

@@ -40,19 +40,7 @@ pub struct ClockAssignment {
     rates: Vec<(u64, u64)>,
 }
 
-impl Clone for ClockAssignment {
-    fn clone(&self) -> Self {
-        ClockAssignment {
-            offsets: self.offsets.clone(),
-            rates: self.rates.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.offsets.clone_from(&source.offsets);
-        self.rates.clone_from(&source.rates);
-    }
-}
+crate::clone_fields!([] ClockAssignment { offsets, rates });
 
 impl ClockAssignment {
     /// All clocks equal to real time (a perfectly synchronous system).

@@ -12,7 +12,9 @@
 //! each sent batch onto its destination's agenda at `sent + delay`. An
 //! invocation is an agenda item at its instant. So the least
 //! `(instant, seq)` head across the nodes' agendas is the run's next
-//! event, and the engine fires exactly that item.
+//! event. One run loop fires it: [`Simulation::run_with`] fires that head,
+//! and [`Simulation::run_scheduled`] shows a [`SchedulePolicy`] every item
+//! at its instant and fires the one the policy picks.
 //!
 //! Identical inputs (actors, clocks, delay model, schedule, driver)
 //! always produce identical runs: events at equal real times are
@@ -45,8 +47,8 @@ use crate::trace::TraceSink;
 use crate::transport::{Link, Transport, TransportError};
 use crate::workload::{Driver, NoDriver};
 
-/// The run loops abort after this many processed events (guards
-/// against actors that set timers forever).
+/// The run loop aborts after this many processed events, counted across
+/// every call of a run (guards against actors that set timers forever).
 pub const MAX_EVENTS: u64 = 10_000_000;
 
 /// Errors surfaced by [`Simulation::run`].
@@ -89,7 +91,7 @@ impl std::error::Error for SimError {}
 /// scenario, so two runs of the same scenario compare equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimReport {
-    /// Number of events processed.
+    /// Number of events processed, across every call of the run.
     pub events: u64,
     /// Real time of the last processed event.
     pub end_time: SimTime,
@@ -296,11 +298,11 @@ pub struct Simulation<A: Actor, D: DelayModel> {
     started: bool,
     history: History<A::Op, A::Resp>,
     trace: Option<Box<dyn TraceSink>>,
-    /// Events fired by [`Simulation::run_scheduled`] so far, across every
-    /// call that paused and resumed the run.
+    /// Events fired so far, across every call that paused and resumed
+    /// the run.
     events: u64,
-    /// [`Simulation::run_scheduled`]'s batch buffer between calls, empty,
-    /// kept for its allocation (see [`Parked`]).
+    /// The run loop's batch buffer between calls, empty, kept for its
+    /// allocation (see [`Parked`]).
     spare: Vec<EventView<'static, Parked>>,
 }
 
@@ -343,22 +345,8 @@ struct Outbox<A: Actor> {
     log_messages: bool,
 }
 
-// Manual impl: `A` itself need not be `Clone`, only what it sends.
-impl<A: Actor> Clone for Outbox<A> {
-    fn clone(&self) -> Self {
-        Outbox {
-            sent: self.sent.clone(),
-            log: self.log.clone(),
-            log_messages: self.log_messages,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.sent.clone_from(&source.sent);
-        self.log.clone_from(&source.log);
-        self.log_messages = source.log_messages;
-    }
-}
+// `A` itself need not be `Clone`, only what it sends.
+crate::clone_fields!([A: Actor] Outbox<A> { sent, log, log_messages });
 
 impl<A: Actor> Link<A::Msg> for Outbox<A> {
     fn hand_off(
@@ -543,8 +531,14 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     }
 
     /// Runs to quiescence, consulting `driver` for closed-loop workloads:
-    /// the driver's initial invocations are scheduled first, and each
-    /// response may trigger a follow-up invocation.
+    /// each response may trigger a follow-up invocation. The engine's
+    /// one run loop with no policy: it fires the least `(instant, seq)`
+    /// head and builds no [`EventView`]s.
+    ///
+    /// The driver's initial invocations are scheduled once, when the run
+    /// starts (before the nodes' `on_start` hooks); a later call on a run
+    /// already started only continues it. The report's event count and
+    /// the [`MAX_EVENTS`] cap both span every call of the run.
     ///
     /// # Errors
     ///
@@ -554,33 +548,14 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     where
         Dr: Driver<A::Op, A::Resp> + ?Sized,
     {
-        self.run_capped(driver, MAX_EVENTS)
-    }
-
-    /// [`Simulation::run_with`] with the event cap as an argument, so the
-    /// cap's error path can be tested without ten million events.
-    fn run_capped<Dr>(&mut self, driver: &mut Dr, cap: u64) -> Result<SimReport, SimError>
-    where
-        Dr: Driver<A::Op, A::Resp> + ?Sized,
-    {
-        for (pid, at, op) in driver.initial() {
-            self.schedule_invoke(pid, at, op);
-        }
-        self.start_nodes()?;
-        let mut events = 0u64;
-        while let Some((key, i)) = self.next_event() {
-            events += 1;
-            if events > cap {
-                return Err(SimError::EventCapExceeded);
-            }
-            self.fire(i, key, driver)?;
-        }
-        Ok(self.finish(events))
+        let report = self.run_loop(driver, None::<&mut FifoPolicy>, MAX_EVENTS)?;
+        Ok(report.expect("only a policy pauses a run"))
     }
 
     /// Runs to quiescence with no driver, consulting `policy` for the
     /// order of same-time events — the replayable scheduler hook for
-    /// model-checking explorers.
+    /// model-checking explorers. It is the one run loop of
+    /// [`Simulation::run_with`], shown the policy at every step.
     ///
     /// At every step the policy is shown *every* node's agenda items at
     /// the minimal real time, in the engine's `seq` order, and the one
@@ -590,8 +565,8 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     ///
     /// Returns `Ok(Some(report))` at quiescence and `Ok(None)` when the
     /// policy yields ([`ScheduleDecision::Yield`]); calling again resumes
-    /// at the batch it yielded on. The report's event count and the
-    /// [`MAX_EVENTS`] cap both span every call of the run.
+    /// at the batch it yielded on. As for [`Simulation::run_with`], the
+    /// report's event count and the [`MAX_EVENTS`] cap span every call.
     ///
     /// # Errors
     ///
@@ -606,40 +581,46 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     where
         P: SchedulePolicy<A> + ?Sized,
     {
-        self.run_scheduled_capped(policy, MAX_EVENTS)
+        self.run_loop(&mut NoDriver, Some(policy), MAX_EVENTS)
     }
 
-    /// [`Simulation::run_scheduled`] with the event cap as an argument.
-    fn run_scheduled_capped<P>(
+    /// The engine's one run loop, with the event cap as an argument so
+    /// the cap's error path can be tested without ten million events.
+    /// With no `policy` it fires the least head; with one, it fires the
+    /// event the policy picks from the same-time batch, or stops where the
+    /// policy yields or aborts.
+    fn run_loop<Dr, P>(
         &mut self,
-        policy: &mut P,
+        driver: &mut Dr,
+        mut policy: Option<&mut P>,
         cap: u64,
     ) -> Result<Option<SimReport>, SimError>
     where
+        Dr: Driver<A::Op, A::Resp> + ?Sized,
         P: SchedulePolicy<A> + ?Sized,
     {
-        self.start_nodes()?;
+        self.start(driver)?;
         // One batch buffer for the whole run: each step fills it, and
         // `recycle` hands its allocation on to the next step's borrow, or
         // back to `self.spare` for the next call.
         let mut spare: Vec<EventView<'_, A>> = recycle(core::mem::take(&mut self.spare));
-        while let Some(((at, _), _)) = self.next_event() {
-            let (pid, seq) = {
+        while let Some((mut key, mut i)) = self.next_event() {
+            if let Some(policy) = policy.as_deref_mut() {
                 let mut enabled = recycle(spare);
                 enabled.extend(self.nodes.iter().flat_map(|node| {
                     let pid = node.pid();
                     node.agenda()
-                        .at(at)
+                        .at(key.0)
                         .map(move |(seq, item)| view(pid, seq, item))
                 }));
                 enabled.sort_unstable_by_key(EventView::seq);
-                let decision = policy.choose(SimTime::from_ticks(at), &enabled);
+                let decision = policy.choose(SimTime::from_ticks(key.0), &enabled);
                 let picked = match decision {
                     ScheduleDecision::Take(i) => {
                         let chosen = enabled.get(i).unwrap_or_else(|| {
                             panic!("schedule policy chose event {i} of {}", enabled.len())
                         });
-                        Some((chosen.pid(), chosen.seq()))
+                        Some((chosen.pid().index(), chosen.seq()))
                     }
                     ScheduleDecision::Abort | ScheduleDecision::Yield => None,
                 };
@@ -651,16 +632,16 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
                         _ => Err(SimError::PolicyAbort),
                     };
                 };
-                picked
-            };
+                (i, key.1) = picked;
+            }
             self.events += 1;
             if self.events > cap {
                 return Err(SimError::EventCapExceeded);
             }
-            self.fire(pid.index(), (at, seq), &mut NoDriver)?;
+            self.fire(i, key, driver)?;
         }
         self.spare = recycle(spare);
-        Ok(Some(self.finish(self.events)))
+        Ok(Some(self.finish()))
     }
 
     /// The key of the least `(instant, seq)` agenda head across the
@@ -678,8 +659,8 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     }
 
     /// Emits the end-of-run counters and builds the report.
-    fn finish(&mut self, events: u64) -> SimReport {
-        let leaked = self.backlog();
+    fn finish(&mut self) -> SimReport {
+        let (events, leaked) = (self.events, self.backlog());
         if let Some(sink) = self.trace.as_deref_mut() {
             sink.counter("engine", "events", events);
             sink.counter("engine", "messages", self.transport.next_msg);
@@ -694,13 +675,20 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         }
     }
 
-    /// Runs every node's `on_start` hook once, at the start of the first
-    /// run call.
-    fn start_nodes(&mut self) -> Result<(), SimError> {
+    /// Starts the run at the first run call, and only then: schedules the
+    /// driver's initial invocations, then runs every node's `on_start`
+    /// hook.
+    fn start<Dr>(&mut self, driver: &mut Dr) -> Result<(), SimError>
+    where
+        Dr: Driver<A::Op, A::Resp> + ?Sized,
+    {
         if self.started {
             return Ok(());
         }
         self.started = true;
+        for (pid, at, op) in driver.initial() {
+            self.schedule_invoke(pid, at, op);
+        }
         for i in 0..self.nodes.len() {
             let trace = self.trace.as_deref_mut();
             let now = self.now.as_ticks();
@@ -851,6 +839,7 @@ mod tests {
     use crate::actor::Context;
     use crate::delay::{DelayBounds, FixedDelay};
     use crate::time::SimDuration;
+    use crate::workload::ClosedLoop;
 
     /// Ping-pong: an invocation at p0 sends to p1, which echoes back; p0
     /// then responds with the round-trip count.
@@ -1024,7 +1013,7 @@ mod tests {
     #[test]
     fn event_cap_reported() {
         assert_eq!(
-            looping().run_capped(&mut crate::workload::NoDriver, 100),
+            looping().run_loop(&mut NoDriver, None::<&mut FifoPolicy>, 100),
             Err(SimError::EventCapExceeded)
         );
     }
@@ -1065,7 +1054,7 @@ mod tests {
         // Interleaved times, heavy same-tick ties and instants at the top
         // of the time domain (clock readings are `i64`, so that is
         // `i64::MAX`): the pop order is ascending time, then schedule
-        // order, on both run loops.
+        // order, with and without a policy.
         let last = i64::MAX as u64;
         let script = [
             (7, 1),
@@ -1254,24 +1243,60 @@ mod tests {
         }
     }
 
+    /// A closed loop over the three [`Flood`] processes, three operations
+    /// each: every response invokes the process's next broadcast.
+    fn flood_loop() -> impl Driver<u32, Vec<u32>> {
+        ClosedLoop::new(ProcessId::all(3).collect(), 3, 7, |pid, i, _| {
+            u32::try_from(10 * i + pid.index()).unwrap()
+        })
+    }
+
     #[test]
     fn a_run_paused_at_every_batch_equals_the_uninterrupted_run() {
-        let mut plain = flood();
-        let plain_report = plain.run_scheduled(&mut FifoPolicy).unwrap().unwrap();
-        let mut paused = flood();
-        let mut policy = PauseEach::default();
-        let mut pauses = 0;
-        let report = loop {
-            match paused.run_scheduled(&mut policy).unwrap() {
-                Some(report) => break report,
-                None => pauses += 1,
-            }
-        };
-        assert_eq!(report, plain_report);
-        assert_eq!(pauses, report.events, "one pause per fired event");
-        assert!(paused.history().is_complete());
-        assert_eq!(paused.history(), plain.history());
-        assert_eq!(paused.message_log(), plain.message_log());
+        // A scripted run, and a closed-loop one: a driver and a policy
+        // together, the driver's first operations filed at the first call
+        // only and its follow-ups from inside the paused loop.
+        type Input = (
+            Simulation<Flood, FixedDelay>,
+            Box<dyn Driver<u32, Vec<u32>>>,
+        );
+        let inputs: [(fn() -> Input, usize); 2] = [
+            (|| (flood(), Box::new(NoDriver)), 6),
+            (|| (flood_waves(0), Box::new(flood_loop())), 9),
+        ];
+        for (input, ops) in inputs {
+            let (mut plain, mut driver) = input();
+            let plain_report = plain.run_with(&mut *driver).unwrap();
+            let (mut paused, mut driver) = input();
+            let mut policy = PauseEach::default();
+            let mut pauses = 0;
+            let report = loop {
+                match paused.run_loop(&mut *driver, Some(&mut policy), MAX_EVENTS) {
+                    Ok(Some(report)) => break report,
+                    end => assert_eq!(end, Ok(None)),
+                }
+                pauses += 1;
+            };
+            assert_eq!(report, plain_report);
+            assert_eq!(pauses, report.events, "one pause per fired event");
+            assert!(paused.history().is_complete());
+            assert_eq!(paused.history().len(), ops);
+            assert_eq!(paused.history(), plain.history());
+            assert_eq!(paused.message_log(), plain.message_log());
+        }
+    }
+
+    #[test]
+    fn a_finished_closed_loop_run_is_not_restarted() {
+        let mut sim = flood_waves(0);
+        let mut driver = flood_loop();
+        let report = sim.run_with(&mut driver).unwrap();
+        let history = sim.history().clone();
+        assert_eq!(history.len(), 9);
+        // The driver's first operations are filed once, when the run
+        // starts: a second call finds nothing left to fire.
+        assert_eq!(sim.run_with(&mut driver), Ok(report));
+        assert_eq!(sim.history(), &history);
     }
 
     #[test]
@@ -1362,7 +1387,7 @@ mod tests {
         let end = loop {
             calls += 1;
             assert!(calls <= 1_000, "the cap was never reached");
-            match sim.run_scheduled_capped(&mut policy, 100) {
+            match sim.run_loop(&mut NoDriver, Some(&mut policy), 100) {
                 Ok(None) => {}
                 end => break end,
             }

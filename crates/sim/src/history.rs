@@ -75,17 +75,7 @@ pub struct History<O, R> {
     records: Vec<OpRecord<O, R>>,
 }
 
-impl<O: Clone, R: Clone> Clone for History<O, R> {
-    fn clone(&self) -> Self {
-        History {
-            records: self.records.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.records.clone_from(&source.records);
-    }
-}
+crate::clone_fields!([O: Clone, R: Clone] History<O, R> { records });
 
 impl<O, R> Default for History<O, R> {
     fn default() -> Self {

@@ -91,6 +91,40 @@ pub mod prelude {
     pub use crate::workload::{ClosedLoop, Driver, NoDriver, Script};
 }
 
+/// Implements `Clone` for a struct field by field, with a `clone_from`
+/// that refills each field through the field's own `clone_from`, so a
+/// copy refilled from another run reuses its buffers all the way down.
+/// The impl's generics go in brackets, then the type and every field:
+///
+/// ```
+/// struct Run<T> {
+///     name: String,
+///     events: Vec<T>,
+/// }
+/// skewbound_sim::clone_fields!([T: Clone] Run<T> { name, events });
+///
+/// let source = Run { name: "a".to_owned(), events: vec![1, 2, 3] };
+/// let mut refilled = Run { name: String::new(), events: Vec::with_capacity(8) };
+/// let buffer = refilled.events.as_ptr();
+/// refilled.clone_from(&source);
+/// assert_eq!((&refilled.name[..], &refilled.events[..]), ("a", &[1, 2, 3][..]));
+/// assert_eq!(refilled.events.as_ptr(), buffer);
+/// ```
+#[macro_export]
+macro_rules! clone_fields {
+    ([$($generics:tt)*] $ty:ty { $($field:ident),+ $(,)? }) => {
+        impl<$($generics)*> Clone for $ty {
+            fn clone(&self) -> Self {
+                Self { $($field: Clone::clone(&self.$field)),+ }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                $(Clone::clone_from(&mut self.$field, &source.$field);)+
+            }
+        }
+    };
+}
+
 /// Asserts that `clone_from` refills each of `values` into a copy of each
 /// other one, as `clone` copies it: so every destination is refilled from
 /// longer, shorter and emptier sources. `show` renders what is compared.

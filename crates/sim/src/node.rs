@@ -101,31 +101,9 @@ pub struct NodeCore<A: Actor, T = ()> {
     in_flight: Option<T>,
 }
 
-impl<A: Actor + Clone, T: Clone> Clone for NodeCore<A, T> {
-    fn clone(&self) -> Self {
-        NodeCore {
-            pid: self.pid,
-            n: self.n,
-            actor: self.actor.clone(),
-            timers: self.timers.clone(),
-            pending_op: self.pending_op,
-            scratch: self.scratch.clone(),
-            agenda: self.agenda.clone(),
-            queue: self.queue.clone(),
-            in_flight: self.in_flight.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        (self.pid, self.n, self.pending_op) = (source.pid, source.n, source.pending_op);
-        self.actor.clone_from(&source.actor);
-        self.timers.clone_from(&source.timers);
-        self.scratch.clone_from(&source.scratch);
-        self.agenda.clone_from(&source.agenda);
-        self.queue.clone_from(&source.queue);
-        self.in_flight.clone_from(&source.in_flight);
-    }
-}
+crate::clone_fields!([A: Actor + Clone, T: Clone] NodeCore<A, T> {
+    pid, n, actor, timers, pending_op, scratch, agenda, queue, in_flight
+});
 
 impl<A: Actor, T> fmt::Debug for NodeCore<A, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

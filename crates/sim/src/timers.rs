@@ -33,19 +33,7 @@ pub struct TimerSlab {
     free: Vec<u32>,
 }
 
-impl Clone for TimerSlab {
-    fn clone(&self) -> Self {
-        TimerSlab {
-            generations: self.generations.clone(),
-            free: self.free.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.generations.clone_from(&source.generations);
-        self.free.clone_from(&source.free);
-    }
-}
+crate::clone_fields!([] TimerSlab { generations, free });
 
 impl TimerSlab {
     /// Creates an empty slab with room for `capacity` concurrently

@@ -125,29 +125,9 @@ pub struct Transport<D, L> {
     next_seq: u64,
 }
 
-impl<D: Clone, L: Clone> Clone for Transport<D, L> {
-    fn clone(&self) -> Self {
-        Transport {
-            link: self.link.clone(),
-            clocks: self.clocks.clone(),
-            base: self.base,
-            delays: self.delays.clone(),
-            bounds: self.bounds,
-            msg_prefix: self.msg_prefix,
-            next_msg: self.next_msg,
-            next_seq: self.next_seq,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.link.clone_from(&source.link);
-        self.clocks.clone_from(&source.clocks);
-        self.delays.clone_from(&source.delays);
-        (self.base, self.bounds) = (source.base, source.bounds);
-        (self.msg_prefix, self.next_msg, self.next_seq) =
-            (source.msg_prefix, source.next_msg, source.next_seq);
-    }
-}
+crate::clone_fields!([D: Clone, L: Clone] Transport<D, L> {
+    link, clocks, base, delays, bounds, msg_prefix, next_msg, next_seq
+});
 
 impl<D, L> fmt::Debug for Transport<D, L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
