@@ -122,6 +122,13 @@ if [ "$loops" -gt 1 ]; then
 fi
 echo "engine: one loop over next_event, no run_capped or run_scheduled_capped"
 
+echo "== one record of messages (the trace carries each message, the delay model each draw) =="
+if grep -rnE 'enable_msg_log|message_log|log_messages' crates examples tests; then
+  echo "an engine message log is spelled in the tree; read messages with Trace::messages" >&2
+  exit 1
+fi
+echo "messages: no enable_msg_log, message_log or log_messages"
+
 echo "== TCP loopback smoke (3-process mesh + closed-loop load + trace audit) =="
 cargo build --release -q -p skewbound-net
 net_dir=target/netsmoke

@@ -2,7 +2,7 @@
 //!
 //! A violation found by [`crate::model_check`] is only as good
 //! as its reproducibility: a [`Certificate`] pins down the exact run —
-//! clock offsets, per-message delays in global send order, and the
+//! clock offsets, per-draw delays in global send order, and the
 //! branch taken at every schedule choice point — together with the
 //! observed history and the violated property. [`certify`] first shrinks
 //! the coordinate with [`crate::explore::minimize`], then re-executes it
@@ -71,7 +71,7 @@ pub struct Certificate {
     pub x: u64,
     /// Per-process clock offsets, ticks (signed).
     pub clock_offsets: Vec<i64>,
-    /// Per-message delays in global send order, ticks.
+    /// Per-draw delays (one per sent batch) in global send order, ticks.
     pub delay_ticks: Vec<u64>,
     /// Branch taken at each schedule choice point.
     pub schedule_choices: Vec<usize>,

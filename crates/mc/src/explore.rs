@@ -76,7 +76,9 @@ pub enum Independence {
 /// Grid, limits and relation for [`crate::model_check`].
 #[derive(Debug, Clone)]
 pub struct McConfig<S: SequentialSpec> {
-    /// Delay values each message may take (all within `[d − u, d]`).
+    /// Delay values each delay draw may take (all within `[d − u, d]`).
+    /// A run draws one delay per sent batch, a single send being a batch
+    /// of one.
     pub delay_choices: Vec<SimDuration>,
     /// Clock assignments to explore (all within skew `ε`).
     pub clock_choices: Vec<ClockAssignment>,
@@ -217,7 +219,7 @@ pub enum RunVerdict {
 pub struct McViolation {
     /// Index into [`McConfig::clock_choices`].
     pub clock_idx: usize,
-    /// Per-message indices into [`McConfig::delay_choices`], in global
+    /// Per-draw indices into [`McConfig::delay_choices`], in global
     /// send order.
     pub delay_digits: Vec<usize>,
     /// Branch taken at each schedule choice point, in order.
@@ -229,7 +231,8 @@ pub struct McViolation {
 /// What [`crate::model_check`] explored and found.
 #[derive(Debug, Clone)]
 pub struct McReport {
-    /// Messages per run (delay-assignment dimensionality).
+    /// Delay draws per run, one per sent batch (delay-assignment
+    /// dimensionality).
     pub messages: usize,
     /// `clock × delay` grid cells visited.
     pub cells: u64,
@@ -245,8 +248,7 @@ pub struct McReport {
     /// Exploration hit [`McConfig::max_schedules`] before finishing.
     pub capped: bool,
     /// Engine events executed across all completed (non-pruned) runs —
-    /// the deterministic work measure behind
-    /// [`McReport::explored_states_per_sec`].
+    /// the deterministic work measure of the exploration.
     pub explored_states: u64,
     /// Every violating run found (first per cell under
     /// `stop_at_first_violation`), in canonical cell order: ascending
@@ -275,19 +277,6 @@ impl McReport {
     #[must_use]
     pub fn all_passed(&self) -> bool {
         self.violations.is_empty() && self.unknown == 0 && self.off_space == 0 && !self.capped
-    }
-
-    /// Exploration throughput: engine events per wall-clock second.
-    /// Advisory (derived from `wall_nanos`).
-    #[must_use]
-    pub fn explored_states_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.explored_states as f64 * 1e9 / self.wall_nanos as f64
-        }
     }
 
     /// `true` when `other` reports the same exploration *results*: every

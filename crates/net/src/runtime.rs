@@ -854,24 +854,29 @@ mod tests {
         let mut client = NetClient::connect(mesh.addrs[0]).unwrap();
         assert_eq!(client.invoke::<i64, i64>(&42).unwrap(), 42);
         let recorded = stop_all(mesh);
-        let events: Vec<_> = recorded.iter().flat_map(|r| r.trace.events()).collect();
-        let count = |want: &str| events.iter().filter(|e| e.kind.label() == want).count();
+        let mut merged = Trace::new();
+        for e in recorded.iter().flat_map(|r| r.trace.events()) {
+            merged.event(e);
+        }
+        let count = |want: &str| {
+            let events = merged.events().iter();
+            events.filter(|e| e.kind.label() == want).count()
+        };
         assert_eq!(count("invoke"), 1);
         assert_eq!(count("respond"), 1);
         assert_eq!(count("send"), 3);
         assert_eq!(count("deliver"), 3);
-        for e in &events {
-            if let TraceEventKind::Send { to, msg, .. } = &e.kind {
-                let delivered = events
-                    .iter()
-                    .filter(|d| {
-                        d.pid == *to
-                            && d.at >= e.at
-                            && matches!(&d.kind, TraceEventKind::Recv { msg: m, .. } if m == msg)
-                    })
-                    .count();
-                assert_eq!(delivered, 1, "send {msg:?} should deliver once at {to}");
-            }
+        // Three pairs out of three sends and three deliveries: each send
+        // is delivered exactly once (`messages` panics on a delivery
+        // stamped before its send).
+        let messages = merged.messages();
+        assert_eq!(messages.len(), 3);
+        for m in &messages {
+            let at_recipient = recorded[m.to.index()].trace.events().iter().any(|e| {
+                e.at == m.recv_at
+                    && matches!(e.kind, TraceEventKind::Recv { msg, .. } if msg == m.id)
+            });
+            assert!(at_recipient, "{m:?} should deliver at {}", m.to);
         }
     }
 

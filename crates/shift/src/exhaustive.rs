@@ -1,24 +1,25 @@
 //! The delay side of exhaustive exploration: a delay model that replays
-//! one enumerated per-message assignment, and the check that makes such
-//! an enumeration sound.
+//! one enumerated assignment of delay draws, and the check that makes
+//! such an enumeration sound.
 //!
 //! The lower-bound theorems quantify over all admissible runs; the
 //! scenario families encode the specific runs their proofs construct.
 //! The model checker (`skewbound-mc`'s `model_check`) goes further for
-//! small configurations: it enumerates every combination of per-message
-//! delays (from a chosen grid, e.g. `{d − u, d}`) and every clock
-//! assignment from a chosen set, replaying each assignment with
+//! small configurations: it enumerates every combination of delays
+//! (from a chosen grid, e.g. `{d − u, d}`) for the run's delay draws —
+//! one per sent batch, a single send being a batch of one — and every
+//! clock assignment from a chosen set, replaying each assignment with
 //! [`EnumeratedDelay`] — turning "the checker found no violation" into
 //! "no violation exists within this finite run space".
 //!
 //! This works because, for the implementations in this workspace, the
-//! *number and order of message sends* is delay-independent (replicas
+//! *number and order of delay draws* is delay-independent (replicas
 //! broadcast on invocation only), so a dry run under any delay model
-//! discovers the message count, and the delay grid then spans the whole
+//! discovers the draw count, and the delay grid then spans the whole
 //! space. That assumption is **verified**, not trusted:
 //! [`verify_send_order_independence`] executes two dry runs under the
 //! opposite-extreme delay models and fails with a diagnostic if their
-//! send sequences differ.
+//! `(from, to)` draw sequences differ.
 
 use skewbound_sim::actor::Actor;
 use skewbound_sim::clock::ClockAssignment;
@@ -57,8 +58,8 @@ impl core::fmt::Display for AssignmentExhausted {
 
 impl std::error::Error for AssignmentExhausted {}
 
-/// A delay model that replays a fixed per-message assignment, in global
-/// send order.
+/// A delay model that replays a fixed assignment, one delay per draw,
+/// in global send order.
 #[derive(Debug)]
 pub struct EnumeratedDelay {
     bounds: DelayBounds,
@@ -71,8 +72,8 @@ pub struct EnumeratedDelay {
 skewbound_sim::clone_fields!([] EnumeratedDelay { bounds, assignment, next });
 
 impl EnumeratedDelay {
-    /// Creates a model assigning `assignment[i]` to the `i`-th message
-    /// sent in the run.
+    /// Creates a model assigning `assignment[i]` to the run's `i`-th
+    /// delay draw (its `i`-th sent batch).
     ///
     /// # Panics
     ///
@@ -100,7 +101,7 @@ impl EnumeratedDelay {
     /// # Errors
     ///
     /// Returns [`AssignmentExhausted`] when the run requested more delays
-    /// than were assigned; those extra messages silently took the maximal
+    /// than were assigned; those extra draws silently took the maximal
     /// delay `d`, so the run is *admissible* but outside the enumerated
     /// space.
     pub fn check_exhausted(&self) -> Result<(), AssignmentExhausted> {
@@ -130,20 +131,21 @@ impl DelayModel for EnumeratedDelay {
     }
 }
 
-/// First divergence between the send sequences of the two extreme dry
-/// runs, as reported by [`verify_send_order_independence`].
+/// First divergence between the delay-draw sequences of the two extreme
+/// dry runs, as reported by [`verify_send_order_independence`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendOrderDivergence {
-    /// Index into the global send order at which the runs differ.
+    /// Index into the global order of delay draws (one per sent batch)
+    /// at which the runs differ.
     pub index: usize,
-    /// `(from, to)` of the `index`-th send under `FixedDelay::minimal`,
-    /// if that run sent that many messages.
+    /// `(from, to)` of the `index`-th draw under `FixedDelay::minimal`,
+    /// if that run drew that many delays.
     pub under_minimal: Option<(ProcessId, ProcessId)>,
-    /// `(from, to)` of the `index`-th send under `FixedDelay::maximal`.
+    /// `(from, to)` of the `index`-th draw under `FixedDelay::maximal`.
     pub under_maximal: Option<(ProcessId, ProcessId)>,
-    /// Total sends under the minimal-delay run.
+    /// Total draws under the minimal-delay run.
     pub minimal_count: usize,
-    /// Total sends under the maximal-delay run.
+    /// Total draws under the maximal-delay run.
     pub maximal_count: usize,
 }
 
@@ -166,18 +168,36 @@ impl core::fmt::Display for SendOrderDivergence {
 
 impl std::error::Error for SendOrderDivergence {}
 
+/// A fixed delay that records the `(from, to)` of every draw, in draw
+/// order.
+struct Recording {
+    inner: FixedDelay,
+    draws: Vec<(ProcessId, ProcessId)>,
+}
+
+impl DelayModel for Recording {
+    fn delay(&mut self, meta: MsgMeta) -> SimDuration {
+        self.draws.push((meta.from, meta.to));
+        self.inner.delay(meta)
+    }
+
+    fn bounds(&self) -> DelayBounds {
+        self.inner.bounds()
+    }
+}
+
 /// Verifies — rather than assumes — that the implementation's send
 /// pattern is delay-independent: runs the scripted scenario twice, under
 /// `FixedDelay::minimal` and `FixedDelay::maximal` (the opposite extremes
-/// of the admissible space), and compares the global `(from, to)` send
-/// sequences.
+/// of the admissible space), and compares the global `(from, to)`
+/// sequences of their delay draws, one per sent batch.
 ///
-/// On success returns the (common) message count, which is exactly the
+/// On success returns the (common) draw count, which is exactly the
 /// dimensionality an enumerated delay grid needs.
 ///
 /// # Errors
 ///
-/// Returns [`SendOrderDivergence`] describing the first differing send
+/// Returns [`SendOrderDivergence`] describing the first differing draw
 /// when the sequences differ.
 ///
 /// # Panics
@@ -194,25 +214,20 @@ where
     A::Op: Clone,
     F: Fn() -> Vec<A>,
 {
-    let dry = |maximal: bool| {
-        let delays = if maximal {
-            FixedDelay::maximal(bounds)
-        } else {
-            FixedDelay::minimal(bounds)
+    let dry = |inner: FixedDelay| {
+        let delays = Recording {
+            inner,
+            draws: Vec::new(),
         };
         let mut sim = Simulation::new(make_actors(), clocks.clone(), delays);
-        sim.enable_msg_log();
         for (pid, at, op) in script {
             sim.schedule_invoke(*pid, *at, op.clone());
         }
         sim.run().expect("dry run failed");
-        sim.message_log()
-            .iter()
-            .map(|m| (m.from, m.to))
-            .collect::<Vec<_>>()
+        sim.delays().draws.clone()
     };
-    let lo = dry(false);
-    let hi = dry(true);
+    let lo = dry(FixedDelay::minimal(bounds));
+    let hi = dry(FixedDelay::maximal(bounds));
     if lo == hi {
         return Ok(hi.len());
     }

@@ -1,31 +1,31 @@
 //! Extracting runs-as-data from executed simulations.
 //!
 //! The `shift` machinery manipulates runs abstractly; this module bridges
-//! from the engine: any executed [`Simulation`] can be turned into a
-//! [`Run`] (views with invoke/respond/send/recv steps, message table,
-//! clock offsets) and then checked for admissibility, shifted, or
-//! chopped. This closes the loop of Chapter IV: the runs the proofs
-//! reason about and the runs the simulator executes are the same objects.
+//! from the engine: any executed [`Simulation`] and the [`Trace`] it
+//! emitted can be turned into a [`Run`] (views with
+//! invoke/respond/send/recv steps, message table, clock offsets) and
+//! then checked for admissibility, shifted, or chopped. This closes the
+//! loop of Chapter IV: the runs the proofs reason about and the runs the
+//! simulator executes are the same objects.
 
 use skewbound_sim::actor::Actor;
 use skewbound_sim::delay::DelayModel;
 use skewbound_sim::engine::Simulation;
 use skewbound_sim::ids::ProcessId;
+use skewbound_sim::trace::Trace;
 
 use crate::run::{Message, Run, RunTime, Step, StepKind, View};
 
-/// Builds a [`Run`] from an executed simulation.
+/// Builds a [`Run`] from an executed simulation and the trace of its
+/// whole run (attached before it started).
 ///
 /// Views contain every invocation, response, send and receive at their
-/// real times; each view ends one tick after the last global event (the
-/// run is complete, so all messages are delivered and admissibility's
+/// real times; the messages are the trace's [`Trace::messages`]. Each
+/// view ends one tick after the last global event (the run is complete,
+/// so all messages are delivered and admissibility's
 /// undelivered-message clause is vacuous).
-///
-/// The simulation must have been run with message logging enabled
-/// ([`Simulation::enable_msg_log`]) — with it off the reconstructed run
-/// would silently have no send/receive steps.
 #[must_use]
-pub fn run_from_sim<A, D>(sim: &Simulation<A, D>) -> Run
+pub fn run_from_sim<A, D>(sim: &Simulation<A, D>, trace: &Trace) -> Run
 where
     A: Actor,
     D: DelayModel,
@@ -43,8 +43,8 @@ where
             events.push((at, rec.pid, StepKind::Respond(format!("{:?}", rec.op))));
         }
     }
-    let mut msgs = Vec::with_capacity(sim.message_log().len());
-    for (idx, m) in sim.message_log().iter().enumerate() {
+    let mut msgs = Vec::new();
+    for (idx, m) in trace.messages().iter().enumerate() {
         let sent = RunTime(i64::try_from(m.sent_at.as_ticks()).expect("fits"));
         let recv = RunTime(i64::try_from(m.recv_at.as_ticks()).expect("fits"));
         events.push((sent, m.from, StepKind::Send(idx)));
@@ -70,6 +70,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use skewbound_core::params::Params;
     use skewbound_core::replica::Replica;
     use skewbound_sim::clock::ClockAssignment;
@@ -87,14 +90,16 @@ mod tests {
         .unwrap()
     }
 
-    fn executed_sim() -> Simulation<Replica<Queue<i64>>, UniformDelay> {
+    /// The run of an enqueue and a dequeue, extracted with its trace.
+    fn executed_run() -> Run {
         let p = params();
         let mut sim = Simulation::new(
             Replica::group(Queue::<i64>::new(), &p),
             ClockAssignment::spread(3, p.eps()),
             UniformDelay::new(p.delay_bounds(), 5),
         );
-        sim.enable_msg_log();
+        let trace = Rc::new(RefCell::new(Trace::new()));
+        sim.set_trace_sink(Box::new(Rc::clone(&trace)));
         sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, QueueOp::Enqueue(1));
         sim.schedule_invoke(
             ProcessId::new(1),
@@ -102,14 +107,14 @@ mod tests {
             QueueOp::Dequeue,
         );
         sim.run().unwrap();
-        sim
+        let trace = trace.borrow();
+        run_from_sim(&sim, &trace)
     }
 
     #[test]
     fn extracted_run_is_admissible() {
         let p = params();
-        let sim = executed_sim();
-        let run = run_from_sim(&sim);
+        let run = executed_run();
         run.check_admissible(p.delay_bounds(), i64::try_from(p.eps().as_ticks()).unwrap())
             .unwrap();
         assert!(run.all_delivered());
@@ -118,8 +123,7 @@ mod tests {
 
     #[test]
     fn extracted_run_has_all_events() {
-        let sim = executed_sim();
-        let run = run_from_sim(&sim);
+        let run = executed_run();
         let invokes: usize = run
             .views()
             .iter()
@@ -145,8 +149,7 @@ mod tests {
         // unchanged (formula 4.1 with equal x's) — an executable
         // instance of Claim B.3.
         let p = params();
-        let sim = executed_sim();
-        let run = run_from_sim(&sim);
+        let run = executed_run();
         let shifted = crate::shiftop::shift_run(&run, &[100, 100, 100]);
         shifted
             .check_admissible(p.delay_bounds(), i64::try_from(p.eps().as_ticks()).unwrap())
@@ -159,8 +162,7 @@ mod tests {
         // must push some delay out of range — the modified-shift setup,
         // on a real executed run.
         let p = params();
-        let sim = executed_sim();
-        let run = run_from_sim(&sim);
+        let run = executed_run();
         let too_much = i64::try_from(p.u().as_ticks()).unwrap() * 2;
         let shifted = crate::shiftop::shift_run(&run, &[too_much, 0, 0]);
         assert!(shifted
@@ -170,8 +172,7 @@ mod tests {
 
     #[test]
     fn skew_violation_detected_on_real_run() {
-        let sim = executed_sim();
-        let run = run_from_sim(&sim);
+        let run = executed_run();
         // Claim admissibility with a tighter eps than the actual spread.
         assert!(run
             .check_admissible(

@@ -100,26 +100,6 @@ pub struct SimReport {
     pub leaked_payloads: u64,
 }
 
-/// Metadata of one message transmission (payload omitted).
-///
-/// This is the raw material from which the `shift` crate reconstructs
-/// runs-as-data for admissibility checking and chopping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MsgEvent {
-    /// Run-unique message id.
-    pub id: MsgId,
-    /// Sender.
-    pub from: ProcessId,
-    /// Recipient.
-    pub to: ProcessId,
-    /// Real send time.
-    pub sent_at: SimTime,
-    /// Assigned delay.
-    pub delay: SimDuration,
-    /// Real delivery time (`sent_at + delay`).
-    pub recv_at: SimTime,
-}
-
 /// Read-only view of one schedulable event, as presented to a
 /// [`SchedulePolicy`] by [`Simulation::run_scheduled`].
 ///
@@ -335,18 +315,13 @@ impl Actor for Parked {
 
 /// The engine's [`Link`]: each batch a node sends waits here, keyed on
 /// its delivery instant and seq, until the activation that sent it
-/// returns and the engine files it onto the destination's agenda. It
-/// logs every message's metadata when asked.
+/// returns and the engine files it onto the destination's agenda.
 struct Outbox<A: Actor> {
     sent: Vec<(ProcessId, u64, u64, Item<A, ()>)>,
-    /// Send metadata, recorded only while `log_messages` — the log grows
-    /// with every send, which checkers need and sweeps do not.
-    log: Vec<MsgEvent>,
-    log_messages: bool,
 }
 
 // `A` itself need not be `Clone`, only what it sends.
-crate::clone_fields!([A: Actor] Outbox<A> { sent, log, log_messages });
+crate::clone_fields!([A: Actor] Outbox<A> { sent });
 
 impl<A: Actor> Link<A::Msg> for Outbox<A> {
     fn hand_off(
@@ -359,21 +334,7 @@ impl<A: Actor> Link<A::Msg> for Outbox<A> {
         seq: u64,
         msgs: Vec<A::Msg>,
     ) -> Result<(), TransportError> {
-        let (sent_at, delay) = (SimTime::from_ticks(sent), SimDuration::from_ticks(delay));
-        let recv_at = sent_at + delay;
-        if self.log_messages {
-            // The log stays per-message (checkers pair ids one-to-one);
-            // all entries of a batch share the send/recv instants.
-            self.log
-                .extend((first_id.as_u64()..).take(msgs.len()).map(|id| MsgEvent {
-                    id: MsgId::new(id),
-                    from,
-                    to,
-                    sent_at,
-                    delay,
-                    recv_at,
-                }));
-        }
+        let recv_at = SimTime::from_ticks(sent) + SimDuration::from_ticks(delay);
         let batch = Due::Batch {
             from,
             first_id,
@@ -408,8 +369,6 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         let n = actors.len();
         let outbox = Outbox {
             sent: Vec::with_capacity(n),
-            log: Vec::new(),
-            log_messages: false,
         };
         Simulation {
             nodes: ProcessId::all(n)
@@ -472,26 +431,6 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
     #[must_use]
     pub fn into_history(self) -> History<A::Op, A::Resp> {
         self.history
-    }
-
-    /// Turns on message-metadata logging: every subsequent send appends
-    /// a [`MsgEvent`] to [`Simulation::message_log`]. Off by default —
-    /// the log grows with every send, which run-reconstruction and
-    /// checkers need but measurement sweeps should not pay for. Call
-    /// before running; sends made while disabled are not logged.
-    pub fn enable_msg_log(&mut self) {
-        let outbox = &mut self.transport.link;
-        outbox.log_messages = true;
-        // Every broadcast appends n − 1 entries.
-        outbox.log.reserve(16 * self.nodes.len());
-    }
-
-    /// Metadata of every message sent while logging was enabled (see
-    /// [`Simulation::enable_msg_log`]), in send order. Empty when
-    /// logging was never enabled.
-    #[must_use]
-    pub fn message_log(&self) -> &[MsgEvent] {
-        &self.transport.link.log
     }
 
     /// The delay model — e.g. to inspect an enumerated model's state
@@ -727,11 +666,12 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
 
 impl<A: Actor + Clone, D: DelayModel + Clone> Simulation<A, D> {
     /// A copy of the run as it stands, without its trace sink: the nodes,
-    /// the transport (delay model, id and seq counters, message log), the
-    /// history, the clock and the event count. Both copies continue
-    /// identically under identical inputs, so an explorer can keep a fork
-    /// at a branching point and resume it on another branch later instead
-    /// of replaying the run up to that point.
+    /// the transport (delay model, id and seq counters), the history, the
+    /// clock and the event count. Both copies continue identically under
+    /// identical inputs, so an explorer can keep a fork at a branching
+    /// point and resume it on another branch later instead of replaying
+    /// the run up to that point. The fork records no messages: attach a
+    /// sink to it to trace the rest of its run.
     #[must_use]
     pub fn fork(&self) -> Self {
         Simulation {
@@ -801,7 +741,7 @@ fn view<A: Actor>(pid: ProcessId, seq: u64, item: &Item<A, ()>) -> EventView<'_,
 /// backend of the one harness signature the thread runtime
 /// ([`crate::rt::run_history`]) and the socket mesh
 /// (`skewbound_net::runtime::run_history`) share. Go to [`Simulation`]
-/// for the final actor states, the message log or a trace.
+/// for the final actor states or a trace (which carries the messages).
 ///
 /// # Errors
 ///
@@ -881,7 +821,8 @@ mod tests {
             ClockAssignment::zero(2),
             FixedDelay::maximal(bounds()),
         );
-        sim.enable_msg_log();
+        let trace = shared_trace();
+        sim.set_trace_sink(Box::new(std::rc::Rc::clone(&trace)));
         sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, ());
         let report = sim.run().unwrap();
         assert!(sim.history().is_complete());
@@ -890,8 +831,9 @@ mod tests {
         // Round trip at delay d = 10 each way.
         assert_eq!(rec.latency().unwrap().as_ticks(), 20);
         assert_eq!(report.end_time, SimTime::from_ticks(20));
-        assert_eq!(sim.message_log().len(), 2);
-        assert_eq!(sim.message_log()[0].delay.as_ticks(), 10);
+        let messages = trace.borrow().messages();
+        assert_eq!(messages.len(), 2);
+        assert_eq!(messages[0].delay.as_ticks(), 10);
     }
 
     /// An actor that responds via a timer after a fixed local delay.
@@ -1095,16 +1037,20 @@ mod tests {
                 ClockAssignment::zero(2),
                 FixedDelay::maximal(bounds()),
             );
-            sim.enable_msg_log();
+            let trace = shared_trace();
+            sim.set_trace_sink(Box::new(std::rc::Rc::clone(&trace)));
             sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, ());
-            sim
+            (sim, trace)
         };
-        let mut plain = build();
+        let (mut plain, plain_trace) = build();
         let plain_report = plain.run().unwrap();
-        let mut hooked = build();
+        let (mut hooked, hooked_trace) = build();
         let hooked_report = hooked.run_scheduled(&mut FifoPolicy).unwrap();
         assert_eq!(Some(plain_report), hooked_report);
-        assert_eq!(plain.message_log(), hooked.message_log());
+        assert_eq!(
+            plain_trace.borrow().messages(),
+            hooked_trace.borrow().messages()
+        );
         assert_eq!(
             plain.history().records()[0].resp(),
             hooked.history().records()[0].resp()
@@ -1167,20 +1113,18 @@ mod tests {
         }
     }
 
-    /// Two waves of three concurrent broadcasts, with the message log on.
+    /// Two waves of three concurrent broadcasts.
     fn flood() -> Simulation<Flood, FixedDelay> {
         flood_waves(2)
     }
 
-    /// `waves` waves of three concurrent broadcasts, 50 ticks apart, with
-    /// the message log on.
+    /// `waves` waves of three concurrent broadcasts, 50 ticks apart.
     fn flood_waves(waves: u32) -> Simulation<Flood, FixedDelay> {
         let mut sim = Simulation::new(
             vec![Flood::default(); 3],
             ClockAssignment::zero(3),
             FixedDelay::maximal(bounds()),
         );
-        sim.enable_msg_log();
         for wave in 0..waves {
             for (i, pid) in ProcessId::all(3).enumerate() {
                 let i = u32::try_from(i).unwrap();
@@ -1266,8 +1210,12 @@ mod tests {
         ];
         for (input, ops) in inputs {
             let (mut plain, mut driver) = input();
+            let plain_trace = shared_trace();
+            plain.set_trace_sink(Box::new(std::rc::Rc::clone(&plain_trace)));
             let plain_report = plain.run_with(&mut *driver).unwrap();
             let (mut paused, mut driver) = input();
+            let trace = shared_trace();
+            paused.set_trace_sink(Box::new(std::rc::Rc::clone(&trace)));
             let mut policy = PauseEach::default();
             let mut pauses = 0;
             let report = loop {
@@ -1282,7 +1230,7 @@ mod tests {
             assert!(paused.history().is_complete());
             assert_eq!(paused.history().len(), ops);
             assert_eq!(paused.history(), plain.history());
-            assert_eq!(paused.message_log(), plain.message_log());
+            assert_eq!(trace.borrow().messages(), plain_trace.borrow().messages());
         }
     }
 
@@ -1322,30 +1270,33 @@ mod tests {
         let mut source = flood();
         let mut policy = YieldAfter { after: 7, seen: 0 };
         assert_eq!(source.run_scheduled(&mut policy), Ok(None));
-        // The destination ran another, longer run to its end, logging
-        // every send into a sink.
+        // The destination ran another, longer run to its end, tracing
+        // every event into a sink.
         let mut refilled = flood_waves(4);
         let trace = shared_trace();
         refilled.set_trace_sink(Box::new(std::rc::Rc::clone(&trace)));
         refilled.run_scheduled(&mut FifoPolicy).unwrap().unwrap();
         assert!(refilled.history().len() > source.history().len());
-        assert!(refilled.message_log().len() > source.message_log().len());
         let traced = trace.borrow().len();
 
         refilled.fork_from(&source);
+        assert!(refilled.take_trace_sink().is_none());
         let mut fresh = source.fork();
+        let (rest, fresh_rest) = (shared_trace(), shared_trace());
+        refilled.set_trace_sink(Box::new(std::rc::Rc::clone(&rest)));
+        fresh.set_trace_sink(Box::new(std::rc::Rc::clone(&fresh_rest)));
         let (mut seqs, mut fresh_seqs) = (SeqLog::default(), SeqLog::default());
         let fresh_report = fresh.run_scheduled(&mut fresh_seqs).unwrap().unwrap();
         let report = refilled.run_scheduled(&mut seqs).unwrap().unwrap();
         assert_eq!(report, fresh_report);
         assert_eq!(seqs.0, fresh_seqs.0, "events keep their identities");
         assert_eq!(refilled.history(), fresh.history());
-        assert_eq!(refilled.message_log(), fresh.message_log());
+        assert!(!rest.borrow().messages().is_empty());
+        assert_eq!(rest.borrow().messages(), fresh_rest.borrow().messages());
         for pid in ProcessId::all(3) {
             assert_eq!(refilled.actor(pid).seen, fresh.actor(pid).seen);
         }
         assert_eq!(trace.borrow().len(), traced, "the old sink hears nothing");
-        assert!(refilled.take_trace_sink().is_none());
     }
 
     #[test]
@@ -1357,17 +1308,24 @@ mod tests {
         assert_eq!(original.run_scheduled(&mut policy), Ok(None));
         let mut fork = original.fork();
         let traced = trace.borrow().len();
+        let fork_rest = shared_trace();
+        fork.set_trace_sink(Box::new(std::rc::Rc::clone(&fork_rest)));
         let fork_report = fork.run_scheduled(&mut FifoPolicy).unwrap().unwrap();
         assert_eq!(
             trace.borrow().len(),
             traced,
             "a fork leaves the sink behind"
         );
+        // The original keeps its sink; a fresh one hears the rest of its
+        // run.
+        assert!(original.take_trace_sink().is_some());
+        let rest = shared_trace();
+        original.set_trace_sink(Box::new(std::rc::Rc::clone(&rest)));
         let report = original.run_scheduled(&mut FifoPolicy).unwrap().unwrap();
-        assert!(trace.borrow().len() > traced);
         assert_eq!(fork_report, report);
         assert_eq!(fork.history(), original.history());
-        assert_eq!(fork.message_log(), original.message_log());
+        assert!(!rest.borrow().messages().is_empty());
+        assert_eq!(fork_rest.borrow().messages(), rest.borrow().messages());
         for pid in ProcessId::all(3) {
             assert_eq!(fork.actor(pid).seen, original.actor(pid).seen);
         }

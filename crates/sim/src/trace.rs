@@ -13,7 +13,8 @@
 //!
 //! [`Trace`] is the in-memory sink. It renders either as a chronological
 //! log or as per-process lanes — handy when staring at an adversarial
-//! run trying to see *why* a foil's history fell apart. A caller that
+//! run trying to see *why* a foil's history fell apart — and it is a
+//! run's one record of its messages ([`Trace::messages`]). A caller that
 //! wants its sink back after handing it over keeps an
 //! `Rc<RefCell<_>>` clone, which is itself a [`TraceSink`]. The
 //! JSON-lines writer the offline auditor reads lives in
@@ -22,6 +23,8 @@
 use core::cell::RefCell;
 use core::fmt;
 use std::rc::Rc;
+
+use fxhash::FxHashMap;
 
 use crate::ids::{MsgId, ProcessId, TimerId};
 use crate::time::{ClockTime, SimDuration, SimTime};
@@ -44,7 +47,8 @@ pub enum TraceEventKind {
     Send {
         /// Recipient.
         to: ProcessId,
-        /// Message id (matches the message log).
+        /// Message id (matches the later
+        /// [`Recv`](TraceEventKind::Recv) event's).
         msg: MsgId,
         /// `Debug` rendering of the payload.
         payload: String,
@@ -160,6 +164,27 @@ impl<T: TraceSink + ?Sized> TraceSink for Rc<RefCell<T>> {
     }
 }
 
+/// One delivered message, as [`Trace::messages`] pairs it from its
+/// `send` and `deliver` events (payload omitted).
+///
+/// This is the raw material from which the `shift` crate reconstructs
+/// runs-as-data for admissibility checking and chopping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MsgEvent {
+    /// Run-unique message id.
+    pub id: MsgId,
+    /// Sender.
+    pub from: ProcessId,
+    /// Recipient.
+    pub to: ProcessId,
+    /// Real send time.
+    pub sent_at: SimTime,
+    /// The delay the message took (`recv_at − sent_at`).
+    pub delay: SimDuration,
+    /// Real delivery time.
+    pub recv_at: SimTime,
+}
+
 /// A recorded trace: the in-memory [`TraceSink`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
@@ -195,6 +220,43 @@ impl Trace {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// Every delivered message, in id order: each `send` event paired
+    /// with the `deliver` event of the same message id. A message only
+    /// has a delay once delivered, so a send with no delivery in the
+    /// trace (still in flight when the run stopped) is left out, and so
+    /// is a delivery whose send the trace lacks (sent before the sink
+    /// was attached).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a delivery is stamped before its send.
+    #[must_use]
+    pub fn messages(&self) -> Vec<MsgEvent> {
+        let mut sent = FxHashMap::default();
+        for e in &self.events {
+            if let TraceEventKind::Send { to, msg, .. } = e.kind {
+                sent.insert(msg, (e.pid, to, e.at));
+            }
+        }
+        let mut out = Vec::with_capacity(sent.len());
+        for e in &self.events {
+            if let TraceEventKind::Recv { msg, .. } = e.kind {
+                if let Some((from, to, sent_at)) = sent.remove(&msg) {
+                    out.push(MsgEvent {
+                        id: msg,
+                        from,
+                        to,
+                        sent_at,
+                        delay: e.at - sent_at,
+                        recv_at: e.at,
+                    });
+                }
+            }
+        }
+        out.sort_unstable_by_key(|m| m.id);
+        out
     }
 
     /// Events at one process only.
@@ -311,6 +373,53 @@ mod tests {
         assert!(text.contains("INVOKE  deq"));
         assert!(text.contains("SEND    -> p1"));
         assert!(text.contains("RECV    <- p0"));
+    }
+
+    #[test]
+    fn messages_pair_sends_with_deliveries_in_id_order() {
+        let send = |at, from, to, msg| {
+            ev(
+                t(at),
+                p(from),
+                TraceEventKind::Send {
+                    to: p(to),
+                    msg: MsgId::new(msg),
+                    payload: String::new(),
+                },
+            )
+        };
+        let recv = |at, from, to, msg| {
+            ev(
+                t(at),
+                p(to),
+                TraceEventKind::Recv {
+                    from: p(from),
+                    msg: MsgId::new(msg),
+                },
+            )
+        };
+        let mut tr = Trace::new();
+        // Message 1 is delivered before message 0; message 2 never is;
+        // message 3's send is not in the trace.
+        for e in [
+            send(0, 0, 1, 0),
+            send(2, 1, 0, 1),
+            send(3, 0, 2, 2),
+            recv(5, 1, 0, 1),
+            recv(6, 2, 1, 3),
+            recv(7, 0, 1, 0),
+        ] {
+            tr.event(&e);
+        }
+        let msg = |id, from, to, sent, recv| MsgEvent {
+            id: MsgId::new(id),
+            from: p(from),
+            to: p(to),
+            sent_at: t(sent),
+            delay: SimDuration::from_ticks(recv - sent),
+            recv_at: t(recv),
+        };
+        assert_eq!(tr.messages(), [msg(0, 0, 1, 0, 7), msg(1, 1, 0, 2, 5)]);
     }
 
     #[test]

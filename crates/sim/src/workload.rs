@@ -66,7 +66,6 @@ pub struct ClosedLoop<O, F> {
     gen: F,
     ops_per_process: usize,
     processes: Vec<ProcessId>,
-    start: SimTime,
     gap: SimDuration,
     issued: Vec<usize>,
     rng: StdRng,
@@ -97,19 +96,11 @@ where
             gen,
             ops_per_process,
             processes,
-            start: SimTime::ZERO,
             gap: SimDuration::ZERO,
             issued,
             rng: StdRng::seed_from_u64(seed),
             _marker: core::marker::PhantomData,
         }
-    }
-
-    /// Sets the common start time of the first invocations.
-    #[must_use]
-    pub fn starting_at(mut self, start: SimTime) -> Self {
-        self.start = start;
-        self
     }
 
     /// Sets the think time between a response and the next invocation.
@@ -137,7 +128,7 @@ where
             let pid = self.processes[i];
             let op = (self.gen)(pid, 0, &mut self.rng);
             self.issued[i] = 1;
-            out.push((pid, self.start, op));
+            out.push((pid, SimTime::ZERO, op));
         }
         out
     }

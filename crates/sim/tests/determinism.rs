@@ -86,7 +86,7 @@ fn different_seeds_usually_differ() {
 }
 
 #[test]
-fn message_log_is_reproducible() {
+fn traced_messages_are_reproducible() {
     let bounds = DelayBounds::new(SimDuration::from_ticks(100), SimDuration::from_ticks(40));
     let build = || {
         let mut sim = Simulation::new(
@@ -94,12 +94,13 @@ fn message_log_is_reproducible() {
             ClockAssignment::zero(2),
             UniformDelay::new(bounds, 9),
         );
-        sim.enable_msg_log();
+        let trace = Rc::new(RefCell::new(Trace::new()));
+        sim.set_trace_sink(Box::new(Rc::clone(&trace)));
         sim.schedule_invoke(ProcessId::new(0), SimTime::ZERO, 27);
         sim.run().unwrap();
-        let log = sim.message_log().to_vec();
-        assert!(!log.is_empty(), "logging was enabled before the run");
-        log
+        let messages = trace.borrow().messages();
+        assert!(!messages.is_empty(), "the sink was attached before the run");
+        messages
     };
     assert_eq!(build(), build());
 }
@@ -190,7 +191,7 @@ fn trace_sink_receives_stamped_events_and_counters() {
 }
 
 /// Attaching a sink changes nothing a run produces: the same scenario
-/// traced and untraced gives an equal history, message log and report,
+/// traced and untraced gives an equal history and report,
 /// on the closed-loop hot path and on the scheduled path alike.
 #[test]
 fn tracing_does_not_change_the_run() {
@@ -201,7 +202,6 @@ fn tracing_does_not_change_the_run() {
             ClockAssignment::spread(3, SimDuration::from_ticks(30)),
             UniformDelay::new(bounds, 11),
         );
-        sim.enable_msg_log();
         let trace = Rc::new(RefCell::new(Trace::new()));
         if traced {
             sim.set_trace_sink(Box::new(Rc::clone(&trace)));
@@ -218,7 +218,7 @@ fn tracing_does_not_change_the_run() {
         }
         .unwrap();
         assert_eq!(trace.borrow().is_empty(), !traced);
-        (report, sim.message_log().to_vec(), sim.into_history())
+        (report, sim.into_history())
     };
     for scheduled in [false, true] {
         assert_eq!(
@@ -236,11 +236,11 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// Fixed values, not a second run of the same build: the message log,
-/// the rendered trace, the history and the event count of a run of
-/// single sends (broadcasts and their fan-out) and timers over skewed
-/// clocks and random delays. A change to delay draws, message ids,
-/// event order or trace output shows up here, where the run-twice
+/// Fixed values, not a second run of the same build: the trace's
+/// messages, the rendered trace, the history and the event count of a
+/// run of single sends (broadcasts and their fan-out) and timers over
+/// skewed clocks and random delays. A change to delay draws, message
+/// ids, event order or trace output shows up here, where the run-twice
 /// tests above would stay green.
 #[test]
 fn single_send_run_matches_golden() {
@@ -250,7 +250,6 @@ fn single_send_run_matches_golden() {
         ClockAssignment::spread(3, SimDuration::from_ticks(30)),
         UniformDelay::new(bounds, 12345),
     );
-    sim.enable_msg_log();
     let trace = Rc::new(RefCell::new(Trace::new()));
     sim.set_trace_sink(Box::new(Rc::clone(&trace)));
     for i in 0..6u64 {
@@ -262,7 +261,7 @@ fn single_send_run_matches_golden() {
     }
     let report = sim.run().unwrap();
     let digests = [
-        fnv1a(&format!("{:?}", sim.message_log())),
+        fnv1a(&format!("{:?}", trace.borrow().messages())),
         fnv1a(&trace.borrow().render()),
         fnv1a(&format!("{:?}", sim.history().records())),
     ];

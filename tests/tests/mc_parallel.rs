@@ -4,8 +4,12 @@
 //! at the same canonical coordinate at every worker count. The
 //! grid-arithmetic panics of the sequential explorer (u64 overflow on
 //! wide delay grids, process-aborting send-order divergence) must
-//! surface as `capped` reports and structured violations, and a run
-//! that leaves the enumerated delay space must fail the report.
+//! surface as `capped` reports and structured violations, a run that
+//! leaves the enumerated delay space must fail the report, and the
+//! delay grid has one dimension per delay draw.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use skewbound_core::foils::LocalFirstReplica;
 use skewbound_core::replica::Replica;
@@ -13,9 +17,13 @@ use skewbound_integration::default_params;
 use skewbound_mc::{
     certify, model_check, validate_certificate, McConfig, McReport, ModelActor, ViolationKind,
 };
+use skewbound_shift::exhaustive::EnumeratedDelay;
 use skewbound_sim::actor::{Actor, Context};
+use skewbound_sim::clock::ClockAssignment;
+use skewbound_sim::engine::Simulation;
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::time::SimTime;
+use skewbound_sim::trace::Trace;
 use skewbound_spec::prelude::*;
 use skewbound_spec::probes;
 
@@ -329,4 +337,67 @@ fn runs_off_the_enumerated_delay_space_fail_the_report() {
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert!(report.off_space > 0, "skewed clock cells send one more");
     assert!(!report.all_passed(), "off-space runs must fail the report");
+}
+
+/// Sends each operation to every peer as one two-message batch: one
+/// delay draw per peer carries two messages.
+#[derive(Debug, Clone, Default)]
+struct Batched;
+
+impl Actor for Batched {
+    type Msg = u8;
+    type Op = u8;
+    type Resp = u8;
+    type Timer = ();
+
+    fn on_invoke(&mut self, op: u8, ctx: &mut Context<'_, Self>) {
+        ctx.broadcast_batch(&[op, op]);
+        ctx.respond(op);
+    }
+
+    fn on_message(&mut self, _from: ProcessId, _msg: u8, _ctx: &mut Context<'_, Self>) {}
+
+    fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
+}
+
+impl ModelActor for Batched {
+    type Spec = EchoSpec;
+
+    fn payload_op(_msg: &u8) -> Option<&u8> {
+        None
+    }
+}
+
+/// The delay grid has one dimension per delay draw, which is one per
+/// sent batch: a batch of two messages is one cell digit, not two.
+#[test]
+fn the_delay_grid_spans_draws_not_messages() {
+    let p = default_params();
+    let script = [(pid(0), t(0), 1u8), (pid(1), t(20_000), 2u8)];
+    // What one run draws and sends, counted by the delay model and the
+    // trace.
+    let mut sim = Simulation::new(
+        vec![Batched; 3],
+        ClockAssignment::zero(3),
+        EnumeratedDelay::new(p.delay_bounds(), Vec::new()),
+    );
+    let trace = Rc::new(RefCell::new(Trace::new()));
+    sim.set_trace_sink(Box::new(Rc::clone(&trace)));
+    for (pid, at, op) in script {
+        sim.schedule_invoke(pid, at, op);
+    }
+    sim.run().unwrap();
+    let draws = sim.delays().requested();
+    assert_eq!(draws, 4, "two operations, each a batch to two peers");
+    assert_eq!(trace.borrow().messages().len(), 2 * draws);
+
+    let mut config = McConfig::corners(&p, vec![()]);
+    config.workers = Some(1);
+    let report = model_check(&EchoSpec, || vec![Batched; 3], &p, &script, &config);
+    assert_eq!(report.messages, draws);
+    let base = config.delay_choices.len() as u64;
+    let clocks = config.clock_choices.len() as u64;
+    assert_eq!(report.cells, clocks * base.pow(4));
+    assert_eq!(report.off_space, 0);
+    assert!(report.all_passed(), "{report:?}");
 }
