@@ -129,6 +129,13 @@ if grep -rnE 'enable_msg_log|message_log|log_messages' crates examples tests; th
 fi
 echo "messages: no enable_msg_log, message_log or log_messages"
 
+echo "== the mesh sleeps until something happens (no poll timeouts in net::tcp) =="
+if grep -nE 'POLL|set_read_timeout|set_nonblocking|ClientGone' crates/net/src/tcp.rs; then
+  echo "crates/net/src/tcp.rs polls; every mesh thread blocks on its socket, queue or listener and stops when that closes" >&2
+  exit 1
+fi
+echo "net::tcp: no POLL, set_read_timeout, set_nonblocking or ClientGone"
+
 echo "== TCP loopback smoke (3-process mesh + closed-loop load + trace audit) =="
 cargo build --release -q -p skewbound-net
 net_dir=target/netsmoke

@@ -27,17 +27,6 @@ impl Object {
     /// All four objects.
     pub const ALL: [Object; 4] = [Object::Register, Object::Queue, Object::Stack, Object::Tree];
 
-    /// A short machine-friendly name.
-    #[must_use]
-    pub fn short_name(self) -> &'static str {
-        match self {
-            Object::Register => "register",
-            Object::Queue => "queue",
-            Object::Stack => "stack",
-            Object::Tree => "tree",
-        }
-    }
-
     /// The paper's table number.
     #[must_use]
     pub fn table_name(self) -> &'static str {
@@ -217,37 +206,6 @@ impl TableReport {
         out
     }
 
-    /// Renders the table as CSV (header + one row per operation), for
-    /// machine consumption.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let p = &self.params;
-        let mut out = String::from(
-            "object,operation,prev_lb_formula,prev_lb,new_lb_formula,new_lb,\
-             ub_formula,ub,measured_algorithm1,measured_centralized\n",
-        );
-        let opt = |v: Option<skewbound_sim::time::SimDuration>| {
-            v.map_or_else(String::new, |d| d.as_ticks().to_string())
-        };
-        // Formula texts contain commas (`min{eps, u, d/3}`); keep the CSV
-        // flat by swapping them for semicolons.
-        for r in &self.rows {
-            let [prev, new, ub] =
-                cells(&r.row, p).map(|(t, v)| format!("{},{}", t.replace(", ", "; "), opt(v)));
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                self.object.short_name(),
-                r.row.operation,
-                prev,
-                new,
-                ub,
-                opt(r.measured),
-                opt(r.measured_centralized),
-            ));
-        }
-        out
-    }
-
     /// Checks the paper's claims against the measurements:
     ///
     /// * measured Algorithm 1 latency within its upper-bound formula;
@@ -334,25 +292,6 @@ mod tests {
         let text = report.render();
         assert!(text.contains("read-modify-write"));
         assert!(text.contains("measured(A1)"));
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let report = table_report(Object::Queue, &params(), 4);
-        let csv = report.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4); // header + 3 rows
-        assert!(lines[0].starts_with("object,operation"));
-        assert!(csv.contains("enqueue + peek"));
-        // The mutator bound keeps the tables' `eps (+X)` spelling.
-        assert_eq!(
-            lines[1],
-            "queue,enqueue,u/2,1200,(1 - 1/n)u,1600,eps (+X),1600,1600,18000"
-        );
-        // Every data line has the full column count.
-        for line in &lines[1..] {
-            assert_eq!(line.split(',').count(), 10, "{line}");
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`tcp`] — the socket mesh implementing the byte-oriented
 //!   [`WireTransport`](skewbound_sim::transport::WireTransport) half of
 //!   the transport split: one writer thread per peer with coalesced
-//!   (writev-style) sends and reconnect-with-backoff, an acceptor that
+//!   (writev-style) sends and a fixed-interval redial, an acceptor that
 //!   sorts inbound connections into peers and clients by their hello
 //!   frame, and per-sender watermark dedup making reconnect resends
 //!   exactly-once.

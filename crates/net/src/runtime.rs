@@ -213,7 +213,6 @@ where
             }
             _ => None,
         },
-        RawEvent::ClientGone { .. } => None,
     }
 }
 
@@ -350,7 +349,7 @@ impl NetClient {
         );
         self.stream.write_all(&frame)?;
         loop {
-            let Some(body) = next_frame(&mut self.stream, &mut self.frames, None)? else {
+            let Some(body) = next_frame(&mut self.stream, &mut self.frames)? else {
                 return Err(io::Error::new(
                     ErrorKind::UnexpectedEof,
                     "server closed the connection before responding",

@@ -11,23 +11,30 @@
 //! queue on an in-memory channel and the writer drains everything
 //! available into a single `write_all` (writev-style coalescing — one
 //! syscall carries many frames under load). The writer dials lazily and
-//! reconnects with doubling backoff; a frame is only dropped from its
-//! queue after a successful write, so delivery is at-least-once across
-//! reconnects. The read side deduplicates by the frame header's
-//! monotone per-sender message id (a watermark that survives
-//! reconnects), upgrading at-least-once to exactly-once.
+//! redials every `REDIAL` (20 ms) while the peer is down; a frame is only
+//! dropped from its queue after a successful write, so delivery is
+//! at-least-once across reconnects. The read side deduplicates by the
+//! frame header's monotone per-sender message id (a watermark that
+//! survives reconnects), upgrading at-least-once to exactly-once.
+//!
+//! Every thread blocks on the one thing it serves and stops when that
+//! thing closes: a reader in `read` on its connection, a writer in
+//! `recv` on its queue, the acceptor in `accept`. [`TcpMesh::shutdown`]
+//! closes each of them: it shuts every inbound connection down, sends
+//! every writer a stop through its own queue, and dials the listener
+//! once so the acceptor sees the mesh closing.
 //!
 //! The mesh is deliberately *dumb*: it moves opaque frames. Decoding,
 //! delay holds, and replica semantics live in [`crate::runtime`].
 
 use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::transport::{TransportError, WireTransport};
@@ -39,15 +46,14 @@ pub(crate) const ROLE_PEER: u8 = 0;
 /// Hello-payload role tag: the dialer is a client session.
 const ROLE_CLIENT: u8 = 1;
 
-/// Initial reconnect backoff; doubles per failed dial up to
-/// [`BACKOFF_MAX`].
-const BACKOFF_START: Duration = Duration::from_millis(20);
-/// Reconnect backoff ceiling.
-const BACKOFF_MAX: Duration = Duration::from_millis(500);
-/// Poll interval for the non-blocking acceptor and idle read loops.
-const POLL: Duration = Duration::from_millis(20);
+/// How long a writer waits before dialing a peer it could not reach
+/// again, and the acceptor before accepting again after an error.
+const REDIAL: Duration = Duration::from_millis(20);
 /// Bytes asked of a socket per read; a larger burst takes several.
 const READ_CHUNK: usize = 4096;
+
+/// What a writer's queue carries: a frame to write, or `None`, stop.
+type WriterTx = Sender<Option<Vec<u8>>>;
 
 /// One raw, undecoded arrival surfaced by the mesh.
 #[derive(Debug)]
@@ -72,11 +78,24 @@ pub enum RawEvent {
         /// The frame payload (one encoded operation, or empty).
         payload: Vec<u8>,
     },
-    /// Client connection `conn` closed.
-    ClientGone {
-        /// The closed connection's id.
-        conn: u64,
-    },
+}
+
+/// What the acceptor and the readers share with the mesh.
+struct Inbound {
+    /// The write half of every open inbound connection, peer or client,
+    /// hello or not; `None` once the mesh is closing.
+    conns: Mutex<Option<HashMap<u64, TcpStream>>>,
+    /// Per sender pid, the highest message id forwarded from it, shared
+    /// by the readers of its successive connections.
+    watermarks: Vec<AtomicU64>,
+}
+
+impl Inbound {
+    /// Forgets connection `conn` and returns its write half.
+    fn remove(&self, conn: u64) -> Option<TcpStream> {
+        let mut conns = self.conns.lock().expect("connection map poisoned");
+        conns.as_mut()?.remove(&conn)
+    }
 }
 
 /// A bound-but-not-yet-connected mesh: the listener exists (so peers
@@ -115,48 +134,50 @@ impl MeshListener {
     ///
     /// # Errors
     ///
-    /// Propagates listener configuration failures.
+    /// Propagates the listener's address query failure.
     pub fn start(self, peers: &[(ProcessId, SocketAddr)]) -> std::io::Result<TcpMesh> {
         let MeshListener { pid, listener } = self;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
+        // Shutdown dials this address to wake the acceptor; a listener
+        // bound to every interface is reached on loopback.
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let (event_tx, event_rx) = channel::<RawEvent>();
-        let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-        // Watermarks are indexed by sender pid and shared across the
-        // read loops of successive reconnects.
+        // Watermarks are indexed by sender pid.
         let max_pid = peers
             .iter()
             .map(|(p, _)| p.index())
             .max()
             .unwrap_or(0)
             .max(pid.index());
-        let watermarks: Arc<Vec<AtomicU64>> =
-            Arc::new((0..=max_pid).map(|_| AtomicU64::new(0)).collect());
+        let inbound = Arc::new(Inbound {
+            conns: Mutex::new(Some(HashMap::new())),
+            watermarks: (0..=max_pid).map(|_| AtomicU64::new(0)).collect(),
+        });
 
         let mut handles = Vec::new();
-        let mut peer_txs: Vec<Option<Sender<Vec<u8>>>> = vec![None; max_pid + 1];
+        let mut peer_txs: Vec<Option<WriterTx>> = vec![None; max_pid + 1];
         for &(peer, addr) in peers {
-            let (tx, rx) = channel::<Vec<u8>>();
+            let (tx, rx) = channel();
             peer_txs[peer.index()] = Some(tx);
-            let stop = Arc::clone(&stop);
             handles.push(
                 thread::Builder::new()
                     .name(format!("net-writer-{pid}-to-{peer}"))
-                    .spawn(move || writer_loop(pid, addr, &rx, &stop))
+                    .spawn(move || writer_loop(pid, addr, &rx))
                     .expect("spawn writer thread"),
             );
         }
 
         {
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            let watermarks = Arc::clone(&watermarks);
+            let inbound = Arc::clone(&inbound);
             handles.push(
                 thread::Builder::new()
                     .name(format!("net-accept-{pid}"))
-                    .spawn(move || {
-                        acceptor_loop(pid, &listener, &event_tx, &conns, &watermarks, &stop)
-                    })
+                    .spawn(move || acceptor_loop(pid, &listener, &event_tx, &inbound))
                     .expect("spawn acceptor thread"),
             );
         }
@@ -164,9 +185,9 @@ impl MeshListener {
         Ok(TcpMesh {
             pid,
             peer_txs,
-            conns,
+            inbound,
+            wake_addr,
             event_rx,
-            stop,
             handles,
         })
     }
@@ -177,12 +198,12 @@ impl MeshListener {
 /// server loop drains.
 pub struct TcpMesh {
     pid: ProcessId,
-    peer_txs: Vec<Option<Sender<Vec<u8>>>>,
-    /// The write half of every open inbound connection, peer or client.
-    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
+    peer_txs: Vec<Option<WriterTx>>,
+    inbound: Arc<Inbound>,
+    /// The listener's address, dialed once by [`TcpMesh::shutdown`].
+    wake_addr: SocketAddr,
     /// Every raw arrival, in arrival order: the server loop's inbox.
     pub(crate) event_rx: Receiver<RawEvent>,
-    stop: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -225,7 +246,10 @@ impl TcpMesh {
     /// Returns `false` (and forgets the connection) if the client is
     /// gone — a vanished client is not an error for the server.
     pub fn send_to_client(&self, conn: u64, frame: &[u8]) -> bool {
-        let mut conns = self.conns.lock().expect("connection map poisoned");
+        let mut conns = self.inbound.conns.lock().expect("connection map poisoned");
+        let Some(conns) = conns.as_mut() else {
+            return false;
+        };
         let Some(stream) = conns.get_mut(&conn) else {
             return false;
         };
@@ -239,12 +263,7 @@ impl TcpMesh {
     /// Closes inbound connection `conn`, peer or client, and forgets it:
     /// what the server does to a connection whose frames do not decode.
     pub(crate) fn drop_conn(&self, conn: u64) {
-        if let Some(stream) = self
-            .conns
-            .lock()
-            .expect("connection map poisoned")
-            .remove(&conn)
-        {
+        if let Some(stream) = self.inbound.remove(conn) {
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
@@ -252,10 +271,23 @@ impl TcpMesh {
     /// Stops every mesh thread and joins them. Called on server exit
     /// after the drain; queued-but-unwritten peer frames are abandoned
     /// at this point (the drain protocol guarantees there are none).
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.peer_txs.clear(); // disconnect writer channels
-        for h in self.handles.drain(..) {
+    /// A [`PeerSender`] that outlives the mesh only fails its sends.
+    pub fn shutdown(self) {
+        let open = self
+            .inbound
+            .conns
+            .lock()
+            .expect("connection map poisoned")
+            .take();
+        for stream in open.into_iter().flat_map(HashMap::into_values) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        // The acceptor sees the closed map at its next accept.
+        let _ = TcpStream::connect(self.wake_addr);
+        for tx in self.peer_txs.iter().flatten() {
+            let _ = tx.send(None);
+        }
+        for h in self.handles {
             let _ = h.join();
         }
     }
@@ -265,7 +297,7 @@ impl TcpMesh {
 /// per-peer writer threads.
 pub struct PeerSender {
     pid: ProcessId,
-    peer_txs: Vec<Option<Sender<Vec<u8>>>>,
+    peer_txs: Vec<Option<WriterTx>>,
 }
 
 impl core::fmt::Debug for PeerSender {
@@ -283,16 +315,15 @@ impl WireTransport for PeerSender {
             .get(to.index())
             .and_then(Option::as_ref)
             .ok_or(TransportError::PeerUnreachable { to })?;
-        tx.send(frame.to_vec())
+        tx.send(Some(frame.to_vec()))
             .map_err(|_| TransportError::PeerUnreachable { to })
     }
 }
 
 /// Reads `stream` into `frames` until a whole frame body is buffered
 /// and pops it: the one reassembly path of the mesh's readers and of
-/// [`NetClient`](crate::runtime::NetClient). A read timeout only
-/// re-checks `stop`; the partial frame stays in `frames`, so a timeout in
-/// the middle of a frame loses no bytes. `Ok(None)` means EOF or `stop`.
+/// [`NetClient`](crate::runtime::NetClient). A frame split across reads
+/// stays in `frames` until its last byte arrives. `Ok(None)` means EOF.
 ///
 /// # Errors
 ///
@@ -302,7 +333,6 @@ impl WireTransport for PeerSender {
 pub(crate) fn next_frame(
     stream: &mut TcpStream,
     frames: &mut FrameBuf,
-    stop: Option<&AtomicBool>,
 ) -> io::Result<Option<Vec<u8>>> {
     loop {
         if let Some(body) = frames
@@ -311,18 +341,11 @@ pub(crate) fn next_frame(
         {
             return Ok(Some(body));
         }
-        if stop.is_some_and(|s| s.load(Ordering::Acquire)) {
-            return Ok(None);
-        }
         let mut chunk = [0u8; READ_CHUNK];
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(None),
             Ok(n) => frames.feed(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
@@ -354,31 +377,27 @@ pub fn client_hello() -> Vec<u8> {
     hello_frame(ROLE_CLIENT, ProcessId::new(0))
 }
 
-/// One peer writer thread: dial with backoff, send the hello, then
-/// drain the frame queue — coalescing everything already buffered into
-/// a single write. On a write failure the unwritten tail is carried
-/// into the next connection, giving at-least-once delivery.
-fn writer_loop(pid: ProcessId, addr: SocketAddr, rx: &Receiver<Vec<u8>>, stop: &AtomicBool) {
-    let mut backoff = BACKOFF_START;
+/// One peer writer thread: dial, send the hello, then drain the frame
+/// queue — coalescing everything already buffered into a single write —
+/// until a stop arrives. On a write failure the unwritten tail is
+/// carried into the next connection, giving at-least-once delivery.
+fn writer_loop(pid: ProcessId, addr: SocketAddr, rx: &Receiver<Option<Vec<u8>>>) {
     // Frames accepted from the channel but not yet written.
     let mut unsent: Vec<u8> = Vec::new();
-    'reconnect: while !stop.load(Ordering::Acquire) {
-        let mut stream = match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
-            Ok(s) => s,
-            Err(_) => {
-                // Keep draining the queue into the retry buffer while the
-                // peer is down so senders never block; bound the sleep so
-                // shutdown stays responsive.
-                while let Ok(frame) = rx.try_recv() {
-                    unsent.extend_from_slice(&frame);
+    'redial: loop {
+        let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_secs(1)) else {
+            // Keep taking frames while the peer is down so senders never
+            // block, and see a stop at once.
+            let redial_at = Instant::now() + REDIAL;
+            loop {
+                match rx.recv_timeout(redial_at.saturating_duration_since(Instant::now())) {
+                    Ok(Some(frame)) => unsent.extend_from_slice(&frame),
+                    Err(RecvTimeoutError::Timeout) => continue 'redial,
+                    Ok(None) | Err(RecvTimeoutError::Disconnected) => return,
                 }
-                thread::sleep(backoff.min(POLL));
-                backoff = (backoff * 2).min(BACKOFF_MAX);
-                continue;
             }
         };
         let _ = stream.set_nodelay(true);
-        backoff = BACKOFF_START;
         if stream.write_all(&hello_frame(ROLE_PEER, pid)).is_err() {
             continue;
         }
@@ -386,73 +405,71 @@ fn writer_loop(pid: ProcessId, addr: SocketAddr, rx: &Receiver<Vec<u8>>, stop: &
             // Block for the next frame, then opportunistically coalesce
             // everything else already queued into the same write.
             if unsent.is_empty() {
-                match rx.recv_timeout(POLL) {
-                    Ok(frame) => unsent.extend_from_slice(&frame),
-                    Err(RecvTimeoutError::Timeout) => {
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return,
+                match rx.recv() {
+                    Ok(Some(frame)) => unsent.extend_from_slice(&frame),
+                    Ok(None) | Err(_) => return,
                 }
             }
-            while let Ok(frame) = rx.try_recv() {
-                unsent.extend_from_slice(&frame);
+            while let Ok(next) = rx.try_recv() {
+                match next {
+                    Some(frame) => unsent.extend_from_slice(&frame),
+                    None => return,
+                }
             }
             match stream.write_all(&unsent) {
                 Ok(()) => unsent.clear(),
                 // Keep `unsent` for the next connection: the receiver
                 // discards the torn tail of this one and dedups any
                 // fully received prefix by message id.
-                Err(_) => continue 'reconnect,
+                Err(_) => continue 'redial,
             }
         }
     }
 }
 
-/// The acceptor: polls the non-blocking listener, reads each inbound
-/// connection's hello, and spawns the matching read loop.
+/// The acceptor: registers each inbound connection, then spawns its
+/// reader; exits at the first accept after the mesh starts closing, and
+/// joins the readers.
 fn acceptor_loop(
     pid: ProcessId,
     listener: &TcpListener,
     event_tx: &Sender<RawEvent>,
-    conns: &Arc<Mutex<HashMap<u64, TcpStream>>>,
-    watermarks: &Arc<Vec<AtomicU64>>,
-    stop: &Arc<AtomicBool>,
+    inbound: &Arc<Inbound>,
 ) {
     let mut next_conn: u64 = 1;
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let conn = next_conn;
-                next_conn += 1;
-                let event_tx = event_tx.clone();
-                let conns = Arc::clone(conns);
-                let watermarks = Arc::clone(watermarks);
-                let stop = Arc::clone(stop);
-                readers.push(
-                    thread::Builder::new()
-                        .name(format!("net-read-{conn}"))
-                        .spawn(move || {
-                            read_connection(
-                                pid,
-                                stream,
-                                conn,
-                                &event_tx,
-                                &conns,
-                                &watermarks,
-                                &stop,
-                            );
-                        })
-                        .expect("spawn read thread"),
-                );
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
-        }
+    loop {
+        let accepted = listener.accept();
+        let mut conns = inbound.conns.lock().expect("connection map poisoned");
+        let Some(open) = conns.as_mut() else {
+            break;
+        };
+        let Ok((stream, _)) = accepted else {
+            // An accept that fails (say, out of descriptors) is retried
+            // after a pause, not at once.
+            drop(conns);
+            thread::sleep(REDIAL);
+            continue;
+        };
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        let conn = next_conn;
+        next_conn += 1;
+        open.insert(conn, handle);
+        drop(conns);
+        let _ = stream.set_nodelay(true);
+        let event_tx = event_tx.clone();
+        let inbound = Arc::clone(inbound);
+        readers.push(
+            thread::Builder::new()
+                .name(format!("net-read-{conn}"))
+                .spawn(move || {
+                    read_connection(pid, stream, conn, &event_tx, &inbound);
+                    inbound.remove(conn);
+                })
+                .expect("spawn read thread"),
+        );
     }
     for h in readers {
         let _ = h.join();
@@ -460,22 +477,23 @@ fn acceptor_loop(
 }
 
 /// Reads one inbound connection of process `pid`: hello first, then
-/// frames forever.
+/// frames until EOF, a socket error or a frame that does not decode.
+/// A peer's frames pass its watermark first: message ids are monotone
+/// per sender and a batch spans `msg_id .. msg_id + batch`, so the
+/// watermark is the highest id seen and a reconnect resend falls at or
+/// under it.
 fn read_connection(
     pid: ProcessId,
     mut stream: TcpStream,
     conn: u64,
     event_tx: &Sender<RawEvent>,
-    conns: &Arc<Mutex<HashMap<u64, TcpStream>>>,
-    watermarks: &Arc<Vec<AtomicU64>>,
-    stop: &Arc<AtomicBool>,
+    inbound: &Inbound,
 ) {
-    let _ = stream.set_read_timeout(Some(POLL));
     // One buffer for the connection's life: bytes that arrive with the
     // hello belong to the frames after it.
     let mut frames = FrameBuf::default();
     // The hello decides the connection's role.
-    let Ok(Some(hello)) = next_frame(&mut stream, &mut frames, Some(stop)) else {
+    let Ok(Some(hello)) = next_frame(&mut stream, &mut frames) else {
         return;
     };
     let Ok((header, payload)) = decode_frame(&hello) else {
@@ -485,8 +503,7 @@ fn read_connection(
         return;
     }
     let mut rd = Rd::new(payload);
-    let role = rd.u8("hello role");
-    let peer = match role {
+    let peer = match rd.u8("hello role") {
         Ok(ROLE_PEER) => {
             let Ok(raw_pid) = rd.u32("hello pid") else {
                 return;
@@ -495,7 +512,7 @@ fn read_connection(
             // Only a peer of the mesh has a watermark. Without one, a
             // resent frame would skip dedup and reach the agenda twice.
             // No process dials itself.
-            let Some(mark) = watermarks.get(from.index()).filter(|_| from != pid) else {
+            let Some(mark) = inbound.watermarks.get(from.index()).filter(|_| from != pid) else {
                 return;
             };
             Some((from, mark))
@@ -503,82 +520,36 @@ fn read_connection(
         Ok(ROLE_CLIENT) => None,
         _ => return,
     };
-    if let Ok(handle) = stream.try_clone() {
-        conns
-            .lock()
-            .expect("connection map poisoned")
-            .insert(conn, handle);
-    }
-    match peer {
-        Some((from, mark)) => {
-            read_peer_frames(&mut stream, &mut frames, conn, from, event_tx, mark, stop);
-        }
-        None => read_client_frames(&mut stream, &mut frames, conn, event_tx, stop),
-    }
-    conns.lock().expect("connection map poisoned").remove(&conn);
-    if peer.is_none() {
-        let _ = event_tx.send(RawEvent::ClientGone { conn });
-    }
-}
-
-/// Forwards peer frames, dropping watermark-stale duplicates (reconnect
-/// resends). Message ids are monotone per sender and a batch spans
-/// `msg_id .. msg_id + batch`, so the watermark is the highest id seen.
-fn read_peer_frames(
-    stream: &mut TcpStream,
-    frames: &mut FrameBuf,
-    conn: u64,
-    from: ProcessId,
-    event_tx: &Sender<RawEvent>,
-    mark: &AtomicU64,
-    stop: &AtomicBool,
-) {
-    while let Ok(Some(body)) = next_frame(stream, frames, Some(stop)) {
+    while let Ok(Some(body)) = next_frame(&mut stream, &mut frames) {
         let Ok((header, payload)) = decode_frame(&body) else {
             return; // corrupt stream; drop the connection
         };
-        let top = header
-            .msg_id
-            .saturating_add(u64::from(header.batch.max(1)) - 1);
-        // The watermark only ever advances; `fetch_max` returns the
-        // previous value, so a stale frame is detected atomically.
-        if mark.fetch_max(top, Ordering::AcqRel) >= top {
-            continue;
-        }
-        if event_tx
-            .send(RawEvent::Peer {
+        let payload = payload.to_vec();
+        let event = match peer {
+            Some((from, mark)) => {
+                let top = header
+                    .msg_id
+                    .saturating_add(u64::from(header.batch.max(1)) - 1);
+                // The watermark only ever advances; `fetch_max` returns
+                // the previous value, so a stale frame is detected
+                // atomically.
+                if mark.fetch_max(top, Ordering::AcqRel) >= top {
+                    continue;
+                }
+                RawEvent::Peer {
+                    conn,
+                    from,
+                    header,
+                    payload,
+                }
+            }
+            None => RawEvent::Client {
                 conn,
-                from,
                 header,
-                payload: payload.to_vec(),
-            })
-            .is_err()
-        {
-            return;
-        }
-    }
-}
-
-/// Forwards client frames until the session closes.
-fn read_client_frames(
-    stream: &mut TcpStream,
-    frames: &mut FrameBuf,
-    conn: u64,
-    event_tx: &Sender<RawEvent>,
-    stop: &AtomicBool,
-) {
-    while let Ok(Some(body)) = next_frame(stream, frames, Some(stop)) {
-        let Ok((header, payload)) = decode_frame(&body) else {
-            return;
+                payload,
+            },
         };
-        if event_tx
-            .send(RawEvent::Client {
-                conn,
-                header,
-                payload: payload.to_vec(),
-            })
-            .is_err()
-        {
+        if event_tx.send(event).is_err() {
             return;
         }
     }
@@ -588,9 +559,26 @@ fn read_client_frames(
 mod tests {
     use super::*;
 
+    /// How long a raw connection pauses between the two halves of a
+    /// frame: well past any scheduling hiccup, so the reader has
+    /// certainly consumed the first half on its own.
+    const PAUSE: Duration = Duration::from_millis(60);
+
+    /// A peer frame with message id `msg_id` and a one-byte payload.
+    fn peer_frame(msg_id: u64) -> Vec<u8> {
+        let header = FrameHeader {
+            kind: FrameKind::Peer,
+            msg_id,
+            sent_at_micros: 0,
+            delay_micros: 0,
+            batch: 1,
+        };
+        encode_frame(&header, &[msg_id as u8])
+    }
+
     /// A raw peer connection says hello, then sends one `Peer` frame in
-    /// two writes split at `split` with a pause of three read timeouts
-    /// between them; the mesh must still surface the frame intact.
+    /// two writes split at `split` with a pause between them; the mesh
+    /// must still surface the frame intact.
     fn frame_survives_a_pause_at(split: Option<usize>) {
         let listener = MeshListener::bind(ProcessId::new(0), "127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -615,7 +603,7 @@ mod tests {
         let frame = encode_frame(&header, &payload);
         let (first, rest) = frame.split_at(split.unwrap_or(frame.len()));
         raw.write_all(first).unwrap();
-        thread::sleep(3 * POLL);
+        thread::sleep(PAUSE);
         raw.write_all(rest).unwrap();
 
         let got = mesh.recv_timeout(Duration::from_secs(1));
@@ -635,17 +623,111 @@ mod tests {
     }
 
     #[test]
-    fn read_timeout_inside_the_length_prefix_loses_nothing() {
+    fn pause_inside_the_length_prefix_loses_nothing() {
         frame_survives_a_pause_at(Some(2));
     }
 
     #[test]
-    fn read_timeout_inside_the_header_loses_nothing() {
+    fn pause_inside_the_header_loses_nothing() {
         frame_survives_a_pause_at(Some(10));
     }
 
     #[test]
     fn unsplit_frame_after_a_pause_is_delivered() {
         frame_survives_a_pause_at(None);
+    }
+
+    /// Process 0's mesh starts before process 1 listens, and three
+    /// frames queue while its dials fail. Once process 1 is up they
+    /// arrive there exactly once and in order: the writer carries them
+    /// across failed dials, and a resend after a torn connection would
+    /// fall under the reader's watermark.
+    #[test]
+    fn frames_sent_before_the_peer_listens_arrive_once_in_order() {
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        // Reserve an address for process 1, and free it until it binds.
+        let addr1 = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let l0 = MeshListener::bind(p0, "127.0.0.1:0").unwrap();
+        let addr0 = l0.local_addr().unwrap();
+        let m0 = l0.start(&[(p1, addr1)]).unwrap();
+        let mut tx = m0.peer_sender();
+        for id in 1..=3 {
+            tx.send_frame(p1, &peer_frame(id)).unwrap();
+        }
+        thread::sleep(Duration::from_millis(100));
+        let m1 = MeshListener::bind(p1, addr1)
+            .unwrap()
+            .start(&[(p0, addr0)])
+            .unwrap();
+        let mut got = Vec::new();
+        while let Some(event) = m1.recv_timeout(Duration::from_secs(2)) {
+            match event {
+                RawEvent::Peer { from, header, .. } => got.push((from, header.msg_id)),
+                other => panic!("expected peer frames, got {other:?}"),
+            }
+            if got.len() == 3 {
+                // Anything more would be a duplicate.
+                if let Some(extra) = m1.recv_timeout(4 * REDIAL) {
+                    panic!("a fourth arrival: {extra:?}");
+                }
+                break;
+            }
+        }
+        m0.shutdown();
+        m1.shutdown();
+        assert_eq!(got, vec![(p0, 1), (p0, 2), (p0, 3)]);
+    }
+
+    /// Runs `shutdown` on a thread and asserts that it returns within a
+    /// second.
+    fn shuts_down_within_a_second(mesh: TcpMesh) {
+        let (done_tx, done_rx) = channel();
+        thread::spawn(move || {
+            mesh.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "shutdown did not return within a second"
+        );
+    }
+
+    /// A writer stops on its stop message, not on its queue closing: a
+    /// `PeerSender` clone that outlives the mesh must not hold shutdown.
+    #[test]
+    fn shutdown_returns_while_a_peer_sender_lives() {
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let l0 = MeshListener::bind(p0, "127.0.0.1:0").unwrap();
+        let l1 = MeshListener::bind(p1, "127.0.0.1:0").unwrap();
+        let (a0, a1) = (l0.local_addr().unwrap(), l1.local_addr().unwrap());
+        let m0 = l0.start(&[(p1, a1)]).unwrap();
+        let m1 = l1.start(&[(p0, a0)]).unwrap();
+        let mut tx = m0.peer_sender();
+        tx.send_frame(p1, &peer_frame(1)).unwrap();
+        assert!(matches!(
+            m1.recv_timeout(Duration::from_secs(2)),
+            Some(RawEvent::Peer { .. })
+        ));
+        shuts_down_within_a_second(m1);
+        shuts_down_within_a_second(m0);
+        // The sender outlived the mesh: its sends now fail.
+        assert!(tx.send_frame(p1, &peer_frame(2)).is_err());
+    }
+
+    /// A connection that never says hello is registered all the same,
+    /// so shutdown closes it and joins its reader.
+    #[test]
+    fn shutdown_returns_while_a_silent_connection_is_open() {
+        let listener = MeshListener::bind(ProcessId::new(0), "127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mesh = listener.start(&[]).unwrap();
+        let silent = TcpStream::connect(addr).unwrap();
+        // Let the acceptor take it and its reader block in `read`.
+        thread::sleep(Duration::from_millis(50));
+        shuts_down_within_a_second(mesh);
+        drop(silent);
     }
 }

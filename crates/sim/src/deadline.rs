@@ -242,8 +242,9 @@ impl<T, M, O> Agenda<T, M, O> {
     }
 }
 
-/// How long a node with no deadline ahead waits between looks at its
-/// state.
+/// How often a draining node looks at `busy` while an operation it has
+/// to answer for is pending elsewhere: the thread runtime's in-flight
+/// flags clear without a message.
 const IDLE_POLL: Duration = Duration::from_millis(10);
 
 /// One node on the wall clock: a [`NodeCore`], its [`Transport`] on a
@@ -317,7 +318,8 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
     ///    elsewhere;
     /// 4. waits for the next arrival or the step's next deadline,
     ///    polling the last stretch only while an operation is pending
-    ///    here.
+    ///    here. With neither a deadline nor a drain to watch, it blocks
+    ///    until the next arrival.
     ///
     /// Every completion is handed to `done` with its invocation's token,
     /// its response and its response instant.
@@ -406,7 +408,11 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
     /// neither here nor, as the caller reports through `busy`, anywhere
     /// it still has to answer for — and it has been quiet for the grace
     /// period since its last arrival or activity: then `None`.
-    /// Otherwise, how long the run loop may wait before looking again.
+    ///
+    /// Otherwise, the cap on the run loop's wait before it looks again:
+    /// the rest of the grace period while quiet, [`IDLE_POLL`] while
+    /// draining on `busy`, and `Duration::MAX`, no cap, when only an
+    /// arrival or the step's next deadline can change anything.
     fn drain_wait(&mut self, busy: bool) -> Option<Duration> {
         let idle = !busy && self.core.pending_op().is_none() && self.core.backlog() == 0;
         if !idle {
@@ -416,7 +422,8 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
             Some(grace) if idle => grace
                 .checked_sub(self.quiet_since.get_or_insert_with(Instant::now).elapsed())
                 .filter(|left| !left.is_zero()),
-            _ => Some(IDLE_POLL),
+            Some(_) if busy => Some(IDLE_POLL),
+            _ => Some(Duration::MAX),
         }
     }
 }
@@ -446,8 +453,10 @@ fn sleep_before_spin(left: Duration, may_spin: bool) -> Option<Duration> {
 
 /// Waits on `rx` until an event arrives or the wait ends, whichever is
 /// first. The wait ends at `deadline`, or `cap` from now if that is
-/// sooner (or there is no deadline). An arrival returns at once;
-/// `Err(Timeout)` is never returned before the end of the wait.
+/// sooner (or there is no deadline). A `cap` of `Duration::MAX` never
+/// ends it: `recv_timeout` then blocks as `recv` does. An arrival
+/// returns at once; `Err(Timeout)` is never returned before the end of
+/// the wait.
 ///
 /// With `may_spin`, a wait that ends on its deadline and is at least
 /// eight margins long sleeps to one margin before the deadline and
@@ -466,13 +475,12 @@ fn wait<E>(
     cap: Duration,
     may_spin: bool,
 ) -> Result<E, RecvTimeoutError> {
-    let Some(deadline) = deadline else {
+    // No deadline, or one beyond the cap: the cap ends the wait.
+    let within_cap = |d: &Instant| d.saturating_duration_since(Instant::now()) <= cap;
+    let Some(deadline) = deadline.filter(within_cap) else {
         return rx.recv_timeout(cap);
     };
     let left = deadline.saturating_duration_since(Instant::now());
-    if left > cap {
-        return rx.recv_timeout(cap);
-    }
     let Some(sleep) = sleep_before_spin(left, may_spin) else {
         return rx.recv_timeout(left);
     };
@@ -931,6 +939,21 @@ mod tests {
         assert!(took >= 2 * WAIT && took < Duration::from_secs(1));
     }
 
+    /// With no deadline and a cap of `Duration::MAX` nothing times out:
+    /// the wait ends at the arrival, however late.
+    #[test]
+    fn an_uncapped_wait_without_a_deadline_ends_only_at_an_arrival() {
+        let (tx, rx) = channel::<u32>();
+        let start = Instant::now();
+        let sender = thread::spawn(move || {
+            thread::sleep(20 * WAIT);
+            tx.send(7).unwrap();
+        });
+        assert_eq!(wait(&rx, None, Duration::MAX, true), Ok(7));
+        assert!(start.elapsed() >= 20 * WAIT);
+        sender.join().unwrap();
+    }
+
     #[test]
     fn waits_under_eight_margins_take_the_plain_sleep_branch() {
         let threshold = SPIN_MARGIN * MIN_MARGINS_TO_SPIN;
@@ -970,6 +993,10 @@ mod tests {
         let start = Instant::now();
         assert_eq!(
             wait(&rx, Some(deadline), Duration::from_secs(5), true),
+            Err(RecvTimeoutError::Disconnected)
+        );
+        assert_eq!(
+            wait(&rx, None, Duration::MAX, true),
             Err(RecvTimeoutError::Disconnected)
         );
         assert!(start.elapsed() < Duration::from_secs(1));
