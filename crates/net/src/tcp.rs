@@ -10,8 +10,8 @@
 //! Per peer, a dedicated **writer thread** owns the socket: frames
 //! queue on an in-memory channel and the writer drains everything
 //! available into a single `write_all` (writev-style coalescing — one
-//! syscall carries many frames under load). The writer dials lazily and
-//! redials every `REDIAL` (20 ms) while the peer is down; a frame is only
+//! syscall carries many frames under load). The writer dials when it
+//! starts and redials every `REDIAL` (20 ms) while the peer is down; a frame is only
 //! dropped from its queue after a successful write, so delivery is
 //! at-least-once across reconnects. The read side deduplicates by the
 //! frame header's monotone per-sender message id (a watermark that
@@ -21,8 +21,9 @@
 //! thing closes: a reader in `read` on its connection, a writer in
 //! `recv` on its queue, the acceptor in `accept`. [`TcpMesh::shutdown`]
 //! closes each of them: it shuts every inbound connection down, sends
-//! every writer a stop through its own queue, and dials the listener
-//! once so the acceptor sees the mesh closing.
+//! every writer a stop through its own queue (behind the frames already
+//! queued, which are written first), and dials the listener so the
+//! acceptor sees the mesh closing.
 //!
 //! The mesh is deliberately *dumb*: it moves opaque frames. Decoding,
 //! delay holds, and replica semantics live in [`crate::runtime`].
@@ -49,6 +50,9 @@ const ROLE_CLIENT: u8 = 1;
 /// How long a writer waits before dialing a peer it could not reach
 /// again, and the acceptor before accepting again after an error.
 const REDIAL: Duration = Duration::from_millis(20);
+/// How many times shutdown dials its own listener to wake the acceptor,
+/// `REDIAL` apart, before it gives up on joining it.
+const WAKE_DIALS: u32 = 25;
 /// Bytes asked of a socket per read; a larger burst takes several.
 const READ_CHUNK: usize = 4096;
 
@@ -159,12 +163,12 @@ impl MeshListener {
             watermarks: (0..=max_pid).map(|_| AtomicU64::new(0)).collect(),
         });
 
-        let mut handles = Vec::new();
+        let mut writers = Vec::new();
         let mut peer_txs: Vec<Option<WriterTx>> = vec![None; max_pid + 1];
         for &(peer, addr) in peers {
             let (tx, rx) = channel();
             peer_txs[peer.index()] = Some(tx);
-            handles.push(
+            writers.push(
                 thread::Builder::new()
                     .name(format!("net-writer-{pid}-to-{peer}"))
                     .spawn(move || writer_loop(pid, addr, &rx))
@@ -172,15 +176,13 @@ impl MeshListener {
             );
         }
 
-        {
+        let acceptor = {
             let inbound = Arc::clone(&inbound);
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("net-accept-{pid}"))
-                    .spawn(move || acceptor_loop(pid, &listener, &event_tx, &inbound))
-                    .expect("spawn acceptor thread"),
-            );
-        }
+            thread::Builder::new()
+                .name(format!("net-accept-{pid}"))
+                .spawn(move || acceptor_loop(pid, &listener, &event_tx, &inbound))
+                .expect("spawn acceptor thread")
+        };
 
         Ok(TcpMesh {
             pid,
@@ -188,7 +190,8 @@ impl MeshListener {
             inbound,
             wake_addr,
             event_rx,
-            handles,
+            writers,
+            acceptor,
         })
     }
 }
@@ -204,7 +207,8 @@ pub struct TcpMesh {
     wake_addr: SocketAddr,
     /// Every raw arrival, in arrival order: the server loop's inbox.
     pub(crate) event_rx: Receiver<RawEvent>,
-    handles: Vec<JoinHandle<()>>,
+    writers: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl core::fmt::Debug for TcpMesh {
@@ -269,9 +273,10 @@ impl TcpMesh {
     }
 
     /// Stops every mesh thread and joins them. Called on server exit
-    /// after the drain; queued-but-unwritten peer frames are abandoned
-    /// at this point (the drain protocol guarantees there are none).
-    /// A [`PeerSender`] that outlives the mesh only fails its sends.
+    /// after the drain. Peer frames queued before the call are still
+    /// written to peers that are up; those for a peer that is down are
+    /// abandoned. A [`PeerSender`] that outlives the mesh only fails
+    /// its sends.
     pub fn shutdown(self) {
         let open = self
             .inbound
@@ -282,13 +287,23 @@ impl TcpMesh {
         for stream in open.into_iter().flat_map(HashMap::into_values) {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        // The acceptor sees the closed map at its next accept.
-        let _ = TcpStream::connect(self.wake_addr);
         for tx in self.peer_txs.iter().flatten() {
             let _ = tx.send(None);
         }
-        for h in self.handles {
+        for h in self.writers {
             let _ = h.join();
+        }
+        // The acceptor sees the closed map at its next accept. If no
+        // dial gets through (say, the process is out of descriptors), it
+        // stays blocked in `accept` and is left running, not joined.
+        let woke = (0..WAKE_DIALS).any(|i| {
+            if i > 0 {
+                thread::sleep(REDIAL);
+            }
+            TcpStream::connect(self.wake_addr).is_ok()
+        });
+        if woke {
+            let _ = self.acceptor.join();
         }
     }
 }
@@ -381,6 +396,8 @@ pub fn client_hello() -> Vec<u8> {
 /// queue — coalescing everything already buffered into a single write —
 /// until a stop arrives. On a write failure the unwritten tail is
 /// carried into the next connection, giving at-least-once delivery.
+/// Frames queued before the stop are written before the writer returns,
+/// unless the peer is down; then they are abandoned with it.
 fn writer_loop(pid: ProcessId, addr: SocketAddr, rx: &Receiver<Option<Vec<u8>>>) {
     // Frames accepted from the channel but not yet written.
     let mut unsent: Vec<u8> = Vec::new();
@@ -410,13 +427,23 @@ fn writer_loop(pid: ProcessId, addr: SocketAddr, rx: &Receiver<Option<Vec<u8>>>)
                     Ok(None) | Err(_) => return,
                 }
             }
+            let mut stop = false;
             while let Ok(next) = rx.try_recv() {
                 match next {
                     Some(frame) => unsent.extend_from_slice(&frame),
-                    None => return,
+                    None => {
+                        // The stop comes after the frames queued before
+                        // it; write those first.
+                        stop = true;
+                        break;
+                    }
                 }
             }
-            match stream.write_all(&unsent) {
+            let written = stream.write_all(&unsent);
+            if stop {
+                return;
+            }
+            match written {
                 Ok(()) => unsent.clear(),
                 // Keep `unsent` for the next connection: the receiver
                 // discards the torn tail of this one and dedups any
@@ -640,8 +667,7 @@ mod tests {
     /// Process 0's mesh starts before process 1 listens, and three
     /// frames queue while its dials fail. Once process 1 is up they
     /// arrive there exactly once and in order: the writer carries them
-    /// across failed dials, and a resend after a torn connection would
-    /// fall under the reader's watermark.
+    /// across failed dials.
     #[test]
     fn frames_sent_before_the_peer_listens_arrive_once_in_order() {
         let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
@@ -679,6 +705,72 @@ mod tests {
         m0.shutdown();
         m1.shutdown();
         assert_eq!(got, vec![(p0, 1), (p0, 2), (p0, 3)]);
+    }
+
+    /// A peer's resend on a new connection falls under the watermark its
+    /// earlier connection left: frames 1 and 2, then 2 and 3 after a
+    /// reconnect, surface as 1, 2, 3.
+    #[test]
+    fn a_resend_on_a_new_connection_falls_under_the_watermark() {
+        let p1 = ProcessId::new(1);
+        let listener = MeshListener::bind(ProcessId::new(0), "127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Process 1 must be a peer of the mesh for its hello to count;
+        // nothing reads from its listener.
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mesh = listener.start(&[(p1, peer.local_addr().unwrap())]).unwrap();
+        let mut got = Vec::new();
+        for (ids, fresh) in [([1, 2], 2), ([2, 3], 1)] {
+            let mut raw = TcpStream::connect(addr).unwrap();
+            raw.write_all(&hello_frame(ROLE_PEER, p1)).unwrap();
+            for id in ids {
+                raw.write_all(&peer_frame(id)).unwrap();
+            }
+            // The first connection's frames are in before the second
+            // one opens, as when a writer redials after a torn write.
+            for _ in 0..fresh {
+                match mesh.recv_timeout(Duration::from_secs(2)) {
+                    Some(RawEvent::Peer { from, header, .. }) => got.push((from, header.msg_id)),
+                    other => panic!("expected a peer frame, got {other:?}"),
+                }
+            }
+        }
+        let extra = mesh.recv_timeout(PAUSE);
+        mesh.shutdown();
+        assert!(extra.is_none(), "a resent frame got through: {extra:?}");
+        assert_eq!(got, vec![(p1, 1), (p1, 2), (p1, 3)]);
+    }
+
+    /// A frame queued just before `shutdown` still reaches its peer:
+    /// the writer's stop waits behind it in the queue. This is a
+    /// ping-pong whose echo side shuts down right after its last echo;
+    /// rounds repeat the race between the writer's wake-up and the stop.
+    #[test]
+    fn a_frame_sent_just_before_shutdown_arrives() {
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        for round in 0..20 {
+            let l0 = MeshListener::bind(p0, "127.0.0.1:0").unwrap();
+            let l1 = MeshListener::bind(p1, "127.0.0.1:0").unwrap();
+            let (a0, a1) = (l0.local_addr().unwrap(), l1.local_addr().unwrap());
+            let m0 = l0.start(&[(p1, a1)]).unwrap();
+            let m1 = l1.start(&[(p0, a0)]).unwrap();
+            let mut tx = m0.peer_sender();
+            // The first frame sets the connection up, so the writer is
+            // blocked in `recv` when the last one is queued.
+            tx.send_frame(p1, &peer_frame(1)).unwrap();
+            assert!(matches!(
+                m1.recv_timeout(Duration::from_secs(2)),
+                Some(RawEvent::Peer { .. })
+            ));
+            tx.send_frame(p1, &peer_frame(2)).unwrap();
+            m0.shutdown();
+            let got = m1.recv_timeout(Duration::from_secs(2));
+            m1.shutdown();
+            match got {
+                Some(RawEvent::Peer { header, .. }) if header.msg_id == 2 => {}
+                other => panic!("round {round}: expected frame 2, got {other:?}"),
+            }
+        }
     }
 
     /// Runs `shutdown` on a thread and asserts that it returns within a
