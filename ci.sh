@@ -129,12 +129,27 @@ if grep -rnE 'enable_msg_log|message_log|log_messages' crates examples tests; th
 fi
 echo "messages: no enable_msg_log, message_log or log_messages"
 
-echo "== the mesh sleeps until something happens (no poll timeouts in net::tcp) =="
-if grep -nE 'POLL|set_read_timeout|set_nonblocking|ClientGone' crates/net/src/tcp.rs; then
-  echo "crates/net/src/tcp.rs polls; every mesh thread blocks on its socket, queue or listener and stops when that closes" >&2
+echo "== one readiness loop per server (net::tcp: no poll timeouts, writer threads only, one unsafe file) =="
+if grep -nwE 'POLL|set_read_timeout|ClientGone' crates/net/src/tcp.rs; then
+  echo "crates/net/src/tcp.rs polls on a timeout; the node thread waits on its sockets and every writer on its queue" >&2
   exit 1
 fi
-echo "net::tcp: no POLL, set_read_timeout, set_nonblocking or ClientGone"
+# Outside its tests, net::tcp spawns writer threads and nothing else:
+# the node thread accepts and reads every inbound connection itself.
+tcp_src=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' crates/net/src/tcp.rs)
+spawns=$(grep -cE '\.spawn\(' <<<"$tcp_src" || true)
+writers=$(grep -cE '\.name\(format!\("net-writer-' <<<"$tcp_src" || true)
+if grep -nE 'net-accept|net-read' <<<"$tcp_src" || [ "$spawns" -ne 1 ] || [ "$writers" -ne 1 ]; then
+  echo "crates/net/src/tcp.rs spawns $spawns thread kind(s), $writers named net-writer-*; only writers may run beside the node thread" >&2
+  exit 1
+fi
+# The one unsafe block of the library code is net::tcp's ppoll call.
+unsafe_files=$(grep -rlw 'unsafe' crates/*/src | sort)
+if [ "$unsafe_files" != "crates/net/src/tcp.rs" ]; then
+  echo "unsafe is spelled outside crates/net/src/tcp.rs (or nowhere):" $unsafe_files >&2
+  exit 1
+fi
+echo "net::tcp: no POLL, set_read_timeout or ClientGone; writer threads only; unsafe only in net::tcp"
 
 echo "== TCP loopback smoke (3-process mesh + closed-loop load + trace audit) =="
 cargo build --release -q -p skewbound-net

@@ -15,10 +15,12 @@
 //! * [`tcp`] — the socket mesh implementing the byte-oriented
 //!   [`WireTransport`](skewbound_sim::transport::WireTransport) half of
 //!   the transport split: one writer thread per peer with coalesced
-//!   (writev-style) sends and a fixed-interval redial, an acceptor that
-//!   sorts inbound connections into peers and clients by their hello
-//!   frame, and per-sender watermark dedup making reconnect resends
-//!   exactly-once.
+//!   (writev-style) sends and a fixed-interval redial; and, as the node
+//!   thread's [`Inbox`](skewbound_sim::deadline::Inbox), one `ppoll`
+//!   over the listener and every inbound connection, after which that
+//!   thread itself accepts, reads, sorts connections into peers and
+//!   clients by their hello frame, and dedups by per-sender watermark,
+//!   making reconnect resends exactly-once.
 //! * [`runtime`] — the typed layer: the [`Link`](skewbound_sim::transport::Link)
 //!   that encodes each outgoing batch into one frame for the node the
 //!   engine and the real-thread runtime run too
@@ -26,7 +28,7 @@
 //!   timers and held deliveries, one queue of invocations, one step),
 //!   in the one wall-clock run loop,
 //!   [`WallNode::run`](skewbound_sim::deadline::WallNode::run),
-//!   the server — that loop over the mesh's arrivals, which files
+//!   the server — that loop waiting on the mesh itself, which files
 //!   them and answers each client request; generic over the actor and
 //!   the delay model, shared by the `skewbound-serve` binary and the
 //!   loopback harness `runtime::run_history` — and the blocking client

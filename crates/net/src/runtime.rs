@@ -224,8 +224,9 @@ where
 /// clock runs at its offset in `clocks`; its sends draw from `delays`.
 /// Returns the server-side history.
 ///
-/// The server is the one wall-clock loop, [`WallNode::run`], over the
-/// mesh's arrivals: client requests queue on the node and are admitted
+/// The server is the one wall-clock loop, [`WallNode::run`], with the
+/// mesh as its inbox: the calling thread waits on the mesh's sockets and
+/// reads them itself. Client requests queue on the node and are admitted
 /// one at a time, timers and held batches fire in one `(instant, seq)`
 /// order, each anchored at its own instant, and each response goes back
 /// to the connection and request id it answers. Trace stamps stay
@@ -272,7 +273,7 @@ where
     let mut node = WallNode::new(NodeCore::new(cfg.pid, cfg.n, actor), transport);
     let mut dropped = 0;
     node.run(
-        &mesh.event_rx,
+        mesh,
         sink.as_deref_mut(),
         |node, event| {
             if let Some(conn) = accept(event, node, grace) {

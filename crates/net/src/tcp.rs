@@ -17,26 +17,33 @@
 //! frame header's monotone per-sender message id (a watermark that
 //! survives reconnects), upgrading at-least-once to exactly-once.
 //!
-//! Every thread blocks on the one thing it serves and stops when that
-//! thing closes: a reader in `read` on its connection, a writer in
-//! `recv` on its queue, the acceptor in `accept`. [`TcpMesh::shutdown`]
-//! closes each of them: it shuts every inbound connection down, sends
-//! every writer a stop through its own queue (behind the frames already
-//! queued, which are written first), and dials the listener so the
-//! acceptor sees the mesh closing.
+//! The inbound side has no thread of its own. The mesh is the node
+//! thread's [`Inbox`]: each wait is one `ppoll(2)` over the listener and
+//! every inbound connection, all nonblocking, with the deadline as a
+//! nanosecond `timespec`; the thread that waited then accepts, reads,
+//! reassembles and dedups what is ready itself, so an arrival wakes one
+//! thread, the one that serves it. A writer blocks in `recv` on its
+//! queue. [`TcpMesh::shutdown`] closes the listener and every inbound
+//! connection, then sends every writer a stop through its own queue
+//! (behind the frames already queued, which are written first).
 //!
 //! The mesh is deliberately *dumb*: it moves opaque frames. Decoding,
 //! delay holds, and replica semantics live in [`crate::runtime`].
+//!
+//! `ppoll` is declared here by hand: this module holds the crate's one
+//! `unsafe` block, the call itself.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::ffi::{c_int, c_long, c_short, c_ulong, c_void};
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use skewbound_sim::deadline::Inbox;
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::transport::{TransportError, WireTransport};
 
@@ -48,11 +55,8 @@ pub(crate) const ROLE_PEER: u8 = 0;
 const ROLE_CLIENT: u8 = 1;
 
 /// How long a writer waits before dialing a peer it could not reach
-/// again, and the acceptor before accepting again after an error.
+/// again, and the node before accepting again after an accept error.
 const REDIAL: Duration = Duration::from_millis(20);
-/// How many times shutdown dials its own listener to wake the acceptor,
-/// `REDIAL` apart, before it gives up on joining it.
-const WAKE_DIALS: u32 = 25;
 /// Bytes asked of a socket per read; a larger burst takes several.
 const READ_CHUNK: usize = 4096;
 
@@ -84,21 +88,12 @@ pub enum RawEvent {
     },
 }
 
-/// What the acceptor and the readers share with the mesh.
-struct Inbound {
-    /// The write half of every open inbound connection, peer or client,
-    /// hello or not; `None` once the mesh is closing.
-    conns: Mutex<Option<HashMap<u64, TcpStream>>>,
-    /// Per sender pid, the highest message id forwarded from it, shared
-    /// by the readers of its successive connections.
-    watermarks: Vec<AtomicU64>,
-}
-
-impl Inbound {
-    /// Forgets connection `conn` and returns its write half.
-    fn remove(&self, conn: u64) -> Option<TcpStream> {
-        let mut conns = self.conns.lock().expect("connection map poisoned");
-        conns.as_mut()?.remove(&conn)
+impl RawEvent {
+    /// The connection it arrived on.
+    fn conn(&self) -> u64 {
+        match *self {
+            RawEvent::Peer { conn, .. } | RawEvent::Client { conn, .. } => conn,
+        }
     }
 }
 
@@ -133,24 +128,16 @@ impl MeshListener {
         self.listener.local_addr()
     }
 
-    /// Starts the mesh: spawns the acceptor and one writer thread per
-    /// entry of `peers` (every *other* process and its address).
+    /// Starts the mesh: spawns one writer thread per entry of `peers`
+    /// (every *other* process and its address). Inbound connections are
+    /// accepted and read by whichever thread waits on the mesh.
     ///
     /// # Errors
     ///
-    /// Propagates the listener's address query failure.
+    /// Propagates the failure to make the listener nonblocking.
     pub fn start(self, peers: &[(ProcessId, SocketAddr)]) -> std::io::Result<TcpMesh> {
         let MeshListener { pid, listener } = self;
-        // Shutdown dials this address to wake the acceptor; a listener
-        // bound to every interface is reached on loopback.
-        let mut wake_addr = listener.local_addr()?;
-        if wake_addr.ip().is_unspecified() {
-            wake_addr.set_ip(match wake_addr {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        let (event_tx, event_rx) = channel::<RawEvent>();
+        listener.set_nonblocking(true)?;
         // Watermarks are indexed by sender pid.
         let max_pid = peers
             .iter()
@@ -158,10 +145,6 @@ impl MeshListener {
             .max()
             .unwrap_or(0)
             .max(pid.index());
-        let inbound = Arc::new(Inbound {
-            conns: Mutex::new(Some(HashMap::new())),
-            watermarks: (0..=max_pid).map(|_| AtomicU64::new(0)).collect(),
-        });
 
         let mut writers = Vec::new();
         let mut peer_txs: Vec<Option<WriterTx>> = vec![None; max_pid + 1];
@@ -176,39 +159,35 @@ impl MeshListener {
             );
         }
 
-        let acceptor = {
-            let inbound = Arc::clone(&inbound);
-            thread::Builder::new()
-                .name(format!("net-accept-{pid}"))
-                .spawn(move || acceptor_loop(pid, &listener, &event_tx, &inbound))
-                .expect("spawn acceptor thread")
+        let sockets = Sockets {
+            pid,
+            listener,
+            accept_after: None,
+            conns: Vec::new(),
+            next_conn: 1,
+            watermarks: vec![0; max_pid + 1],
+            arrived: VecDeque::new(),
+            just_polled: false,
+            fds: Vec::new(),
         };
-
         Ok(TcpMesh {
             pid,
             peer_txs,
-            inbound,
-            wake_addr,
-            event_rx,
+            sockets: RefCell::new(sockets),
             writers,
-            acceptor,
         })
     }
 }
 
 /// A running socket mesh for one process: writer threads to every peer,
-/// an acceptor sorting inbound connections, and the raw-event queue the
-/// server loop drains.
+/// and the listener and inbound connections the waiting thread reads.
 pub struct TcpMesh {
     pid: ProcessId,
     peer_txs: Vec<Option<WriterTx>>,
-    inbound: Arc<Inbound>,
-    /// The listener's address, dialed once by [`TcpMesh::shutdown`].
-    wake_addr: SocketAddr,
-    /// Every raw arrival, in arrival order: the server loop's inbox.
-    pub(crate) event_rx: Receiver<RawEvent>,
+    /// Borrowed by one wait, one client write or one hang-up at a time:
+    /// the mesh is read from a single thread.
+    sockets: RefCell<Sockets>,
     writers: Vec<JoinHandle<()>>,
-    acceptor: JoinHandle<()>,
 }
 
 impl core::fmt::Debug for TcpMesh {
@@ -241,69 +220,391 @@ impl TcpMesh {
         }
     }
 
-    /// Waits up to `timeout` for the next raw arrival.
+    /// Waits up to `timeout` for the next raw arrival, reading the
+    /// sockets on the calling thread.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<RawEvent> {
-        self.event_rx.recv_timeout(timeout).ok()
+        self.recv_within(timeout).ok()
     }
 
     /// Writes one already-encoded frame to client connection `conn`.
     /// Returns `false` (and forgets the connection) if the client is
-    /// gone — a vanished client is not an error for the server.
+    /// gone — a vanished client is not an error for the server. The
+    /// socket is nonblocking, so a client that leaves its responses
+    /// unread until its socket buffer fills is gone too: the node never
+    /// blocks on a client.
     pub fn send_to_client(&self, conn: u64, frame: &[u8]) -> bool {
-        let mut conns = self.inbound.conns.lock().expect("connection map poisoned");
-        let Some(conns) = conns.as_mut() else {
+        let conns = &mut self.sockets.borrow_mut().conns;
+        let Some(i) = conns.iter().position(|c| c.id == conn) else {
             return false;
         };
-        let Some(stream) = conns.get_mut(&conn) else {
-            return false;
-        };
-        if stream.write_all(frame).is_err() {
-            conns.remove(&conn);
+        if conns[i].stream.write_all(frame).is_err() {
+            conns.swap_remove(i);
             return false;
         }
         true
     }
 
-    /// Closes inbound connection `conn`, peer or client, and forgets it:
-    /// what the server does to a connection whose frames do not decode.
+    /// Closes inbound connection `conn`, peer or client, and forgets it
+    /// with the arrivals read from it and not yet taken: what the server
+    /// does to a connection whose frames do not decode.
     pub(crate) fn drop_conn(&self, conn: u64) {
-        if let Some(stream) = self.inbound.remove(conn) {
-            let _ = stream.shutdown(Shutdown::Both);
+        let mut sockets = self.sockets.borrow_mut();
+        sockets.conns.retain(|c| c.id != conn);
+        sockets.arrived.retain(|e| e.conn() != conn);
+    }
+
+    /// Closes the listener and every inbound connection, then stops the
+    /// writer threads and joins them. Called on server exit after the
+    /// drain. Peer frames queued before the call are still written to
+    /// peers that are up; those for a peer that is down are abandoned.
+    /// A [`PeerSender`] that outlives the mesh only fails its sends.
+    pub fn shutdown(self) {
+        let TcpMesh {
+            peer_txs,
+            sockets,
+            writers,
+            ..
+        } = self;
+        drop(sockets);
+        for tx in peer_txs.iter().flatten() {
+            let _ = tx.send(None);
+        }
+        for h in writers {
+            let _ = h.join();
+        }
+    }
+}
+
+/// The node thread's inbox on the mesh. Arrivals already read are taken
+/// first; otherwise a wait is one `ppoll` over the listener and every
+/// inbound connection, after which the waiting thread reads what is
+/// ready, and so is a take, except right after a wait, which has just
+/// looked. Nothing disconnects it: it only times out.
+impl Inbox for TcpMesh {
+    type Event = RawEvent;
+
+    fn recv_within(&self, timeout: Duration) -> Result<RawEvent, RecvTimeoutError> {
+        // `None`: a timeout past any instant, which never ends the wait.
+        let end = Instant::now().checked_add(timeout);
+        let mut sockets = self.sockets.borrow_mut();
+        loop {
+            if let Some(event) = sockets.arrived.pop_front() {
+                return Ok(event);
+            }
+            if end.is_some_and(|end| Instant::now() >= end) {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            sockets.read_ready(end);
+            sockets.just_polled = true;
         }
     }
 
-    /// Stops every mesh thread and joins them. Called on server exit
-    /// after the drain. Peer frames queued before the call are still
-    /// written to peers that are up; those for a peer that is down are
-    /// abandoned. A [`PeerSender`] that outlives the mesh only fails
-    /// its sends.
-    pub fn shutdown(self) {
-        let open = self
-            .inbound
-            .conns
-            .lock()
-            .expect("connection map poisoned")
-            .take();
-        for stream in open.into_iter().flat_map(HashMap::into_values) {
-            let _ = stream.shutdown(Shutdown::Both);
+    fn try_take(&self) -> Result<RawEvent, TryRecvError> {
+        let mut sockets = self.sockets.borrow_mut();
+        if sockets.arrived.is_empty() && !std::mem::take(&mut sockets.just_polled) {
+            sockets.read_ready(Some(Instant::now()));
         }
-        for tx in self.peer_txs.iter().flatten() {
-            let _ = tx.send(None);
+        sockets.arrived.pop_front().ok_or(TryRecvError::Empty)
+    }
+}
+
+/// The inbound side of a mesh: its listener, every open inbound
+/// connection, and the arrivals read but not yet taken.
+struct Sockets {
+    pid: ProcessId,
+    listener: TcpListener,
+    /// Set after an accept error: the listener sits out of the waits
+    /// until then, instead of waking each one at once.
+    accept_after: Option<Instant>,
+    /// Every open inbound connection, peer or client, hello or not.
+    conns: Vec<Conn>,
+    next_conn: u64,
+    /// Per sender pid, the highest message id surfaced from it, kept
+    /// across its successive connections.
+    watermarks: Vec<u64>,
+    arrived: VecDeque<RawEvent>,
+    /// Set when a wait has just read every socket its `ppoll` reported.
+    /// The take that finds nothing left then skips a second `ppoll`
+    /// (0.5 µs): the drain [`WallNode::run`] makes after each wait,
+    /// which sits on every timer's path.
+    ///
+    /// [`WallNode::run`]: skewbound_sim::deadline::WallNode::run
+    just_polled: bool,
+    /// The wait's poll set: the listener, then `conns` in order.
+    fds: Vec<PollFd>,
+}
+
+impl Sockets {
+    /// Waits until the listener or a connection is ready or `end` passes
+    /// (`None`: no end), then reads every ready connection once and
+    /// accepts every waiting one. A wait may end early, with nothing
+    /// read, when a paused listener is due back.
+    fn read_ready(&mut self, end: Option<Instant>) {
+        let now = Instant::now();
+        let paused = self.accept_after.filter(|&at| at > now);
+        self.accept_after = paused;
+        let end = match (end, paused) {
+            (Some(end), Some(at)) => Some(end.min(at)),
+            (end, at) => end.or(at),
+        };
+        let Sockets {
+            pid,
+            listener,
+            conns,
+            watermarks,
+            arrived,
+            fds,
+            ..
+        } = self;
+        fds.clear();
+        // poll(2) skips a negative descriptor.
+        fds.push(PollFd::new(paused.map_or(listener.as_raw_fd(), |_| -1)));
+        fds.extend(conns.iter().map(|c| PollFd::new(c.stream.as_raw_fd())));
+        if ready_within(fds, end, ppoll_fds) == 0 {
+            return;
         }
-        for h in self.writers {
-            let _ = h.join();
+        let mut revents = fds[1..].iter().map(|fd| fd.revents);
+        conns.retain_mut(|conn| revents.next() == Some(0) || conn.read(*pid, watermarks, arrived));
+        if fds[0].revents != 0 {
+            self.accept_waiting();
         }
-        // The acceptor sees the closed map at its next accept. If no
-        // dial gets through (say, the process is out of descriptors), it
-        // stays blocked in `accept` and is left running, not joined.
-        let woke = (0..WAKE_DIALS).any(|i| {
-            if i > 0 {
-                thread::sleep(REDIAL);
+    }
+
+    /// Accepts every connection waiting on the listener.
+    fn accept_waiting(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    self.conns.push(Conn {
+                        id: self.next_conn,
+                        stream,
+                        frames: FrameBuf::default(),
+                        role: Role::Hello,
+                    });
+                    self.next_conn += 1;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(_) => {
+                    // Out of descriptors, say: retry after a pause, not
+                    // at every wait.
+                    self.accept_after = Some(Instant::now() + REDIAL);
+                    return;
+                }
             }
-            TcpStream::connect(self.wake_addr).is_ok()
-        });
-        if woke {
-            let _ = self.acceptor.join();
+        }
+    }
+}
+
+/// What an inbound connection has said it is.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    /// Nothing yet: its first frame must be a hello.
+    Hello,
+    /// A peer replica of the mesh.
+    Peer(ProcessId),
+    /// A client session.
+    Client,
+}
+
+/// One inbound connection and the bytes of its next frame.
+struct Conn {
+    id: u64,
+    stream: TcpStream,
+    /// One buffer for the connection's life: a frame split across reads
+    /// waits here for its last byte, and bytes that arrive with the
+    /// hello belong to the frames after it.
+    frames: FrameBuf,
+    role: Role,
+}
+
+impl Conn {
+    /// Reads what the socket has once and files every whole frame in
+    /// `arrived`. Returns `false` when the connection is to be dropped:
+    /// EOF, a socket error, a frame that does not decode, or a first
+    /// frame that is not the hello of a client or of a peer of process
+    /// `pid`'s mesh. A peer's frames pass its watermark first: message
+    /// ids are monotone per sender and a batch spans
+    /// `msg_id .. msg_id + batch`, so the watermark is the highest id
+    /// seen and a reconnect resend falls at or under it.
+    fn read(
+        &mut self,
+        pid: ProcessId,
+        watermarks: &mut [u64],
+        arrived: &mut VecDeque<RawEvent>,
+    ) -> bool {
+        let mut chunk = [0u8; READ_CHUNK];
+        match self.stream.read(&mut chunk) {
+            Ok(0) => return false,
+            Ok(n) => self.frames.feed(&chunk[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                return true
+            }
+            Err(_) => return false,
+        }
+        loop {
+            let Ok(popped) = self.frames.pop() else {
+                return false;
+            };
+            let Some(body) = popped else {
+                return true;
+            };
+            let Ok((header, payload)) = decode_frame(&body) else {
+                return false; // corrupt stream; drop the connection
+            };
+            let conn = self.id;
+            match self.role {
+                Role::Hello => match hello_role(pid, watermarks.len(), header, payload) {
+                    Some(role) => self.role = role,
+                    None => return false,
+                },
+                Role::Peer(from) => {
+                    let top = header
+                        .msg_id
+                        .saturating_add(u64::from(header.batch.max(1)) - 1);
+                    let mark = &mut watermarks[from.index()];
+                    if *mark >= top {
+                        continue;
+                    }
+                    *mark = top;
+                    arrived.push_back(RawEvent::Peer {
+                        conn,
+                        from,
+                        header,
+                        payload: payload.to_vec(),
+                    });
+                }
+                Role::Client => arrived.push_back(RawEvent::Client {
+                    conn,
+                    header,
+                    payload: payload.to_vec(),
+                }),
+            }
+        }
+    }
+}
+
+/// The role a connection's first frame gives it at process `pid`, whose
+/// watermarks cover pids below `peers`: `None` unless the frame is a
+/// client hello or the hello of a peer of the mesh. Only a peer of the
+/// mesh has a watermark; without one, a resent frame would skip dedup
+/// and reach the agenda twice. No process dials itself.
+fn hello_role(pid: ProcessId, peers: usize, header: FrameHeader, payload: &[u8]) -> Option<Role> {
+    if header.kind != FrameKind::Hello {
+        return None;
+    }
+    let mut rd = Rd::new(payload);
+    match rd.u8("hello role").ok()? {
+        ROLE_PEER => {
+            let from = ProcessId::new(rd.u32("hello pid").ok()?);
+            (from.index() < peers && from != pid).then_some(Role::Peer(from))
+        }
+        ROLE_CLIENT => Some(Role::Client),
+        _ => None,
+    }
+}
+
+/// `struct pollfd` of poll(2).
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+/// `POLLIN`: there is data to read (or, on a listener, a connection to
+/// accept). Errors and hang-ups are reported whatever is asked.
+const POLLIN: c_short = 0x001;
+
+impl PollFd {
+    /// Watches `fd` for reading.
+    fn new(fd: c_int) -> Self {
+        PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        }
+    }
+}
+
+/// `struct timespec`: `time_t` and `long` are both `long` on the 64-bit
+/// Linux targets.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+extern "C" {
+    /// ppoll(2): waits until an entry of `fds` is ready, `timeout` (null:
+    /// no limit) passes, or a signal interrupts it; a null `sigmask`
+    /// keeps the thread's signal mask.
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: c_ulong,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
+}
+
+/// One `ppoll` over `fds` for up to `timeout` (`None`: no limit), to the
+/// nanosecond: `poll`'s whole milliseconds would make every
+/// sub-millisecond timer up to a millisecond late. Returns the number of
+/// ready entries, 0 on a timeout, which may come up to 0.1 % early.
+///
+/// The kernel lets a `ppoll` timeout fire late by its own slack estimate,
+/// 0.1 % of the timeout (20 µs on a 20 ms wait; a futex wait keeps the
+/// thread's 1 ns timer slack instead). Asking for 1000/1001 of the wait
+/// puts that latest wake-up on the deadline; [`ready_within`] waits out
+/// the rest of one that comes earlier.
+fn ppoll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+    let timeout = timeout.map(|t| t - t / 1001).map(|t| Timespec {
+        tv_sec: c_long::try_from(t.as_secs()).unwrap_or(c_long::MAX),
+        tv_nsec: c_long::from(t.subsec_nanos()),
+    });
+    let timeout_ptr = timeout
+        .as_ref()
+        .map_or(std::ptr::null(), |t| t as *const Timespec);
+    let nfds = c_ulong::try_from(fds.len()).expect("a poll set fits nfds_t");
+    // SAFETY: `fds` is a live, exclusively borrowed slice of `nfds`
+    // `#[repr(C)]` pollfd entries, which ppoll only reads and whose
+    // `revents` it writes; `timeout_ptr` is null or points to a
+    // `timespec` that outlives the call; a null `sigmask` is allowed.
+    // Nothing is kept past the call.
+    let ready = unsafe { ppoll(fds.as_mut_ptr(), nfds, timeout_ptr, std::ptr::null()) };
+    usize::try_from(ready).map_err(|_| io::Error::last_os_error())
+}
+
+/// Waits through `sys` (ppoll(2) outside the tests) until an entry of
+/// `fds` is ready or `end` passes (`None`: no end), and returns the
+/// number ready: 0 only once `end` has passed. A wait a signal
+/// interrupts, or one that returns empty before `end`, is restarted for
+/// what is left of it.
+///
+/// # Panics
+///
+/// Panics if `sys` fails otherwise: the poll set itself is wrong.
+fn ready_within(
+    fds: &mut [PollFd],
+    end: Option<Instant>,
+    mut sys: impl FnMut(&mut [PollFd], Option<Duration>) -> io::Result<usize>,
+) -> usize {
+    loop {
+        let left = end.map(|end| end.saturating_duration_since(Instant::now()));
+        match sys(fds, left) {
+            Ok(0) if end.is_some_and(|end| Instant::now() < end) => {}
+            Ok(ready) => return ready,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => panic!("ppoll over {} sockets failed: {e}", fds.len()),
         }
     }
 }
@@ -336,7 +637,7 @@ impl WireTransport for PeerSender {
 }
 
 /// Reads `stream` into `frames` until a whole frame body is buffered
-/// and pops it: the one reassembly path of the mesh's readers and of
+/// and pops it: the blocking reassembly path of
 /// [`NetClient`](crate::runtime::NetClient). A frame split across reads
 /// stays in `frames` until its last byte arrives. `Ok(None)` means EOF.
 ///
@@ -450,134 +751,6 @@ fn writer_loop(pid: ProcessId, addr: SocketAddr, rx: &Receiver<Option<Vec<u8>>>)
                 // fully received prefix by message id.
                 Err(_) => continue 'redial,
             }
-        }
-    }
-}
-
-/// The acceptor: registers each inbound connection, then spawns its
-/// reader; exits at the first accept after the mesh starts closing, and
-/// joins the readers.
-fn acceptor_loop(
-    pid: ProcessId,
-    listener: &TcpListener,
-    event_tx: &Sender<RawEvent>,
-    inbound: &Arc<Inbound>,
-) {
-    let mut next_conn: u64 = 1;
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        let accepted = listener.accept();
-        let mut conns = inbound.conns.lock().expect("connection map poisoned");
-        let Some(open) = conns.as_mut() else {
-            break;
-        };
-        let Ok((stream, _)) = accepted else {
-            // An accept that fails (say, out of descriptors) is retried
-            // after a pause, not at once.
-            drop(conns);
-            thread::sleep(REDIAL);
-            continue;
-        };
-        let Ok(handle) = stream.try_clone() else {
-            continue;
-        };
-        let conn = next_conn;
-        next_conn += 1;
-        open.insert(conn, handle);
-        drop(conns);
-        let _ = stream.set_nodelay(true);
-        let event_tx = event_tx.clone();
-        let inbound = Arc::clone(inbound);
-        readers.push(
-            thread::Builder::new()
-                .name(format!("net-read-{conn}"))
-                .spawn(move || {
-                    read_connection(pid, stream, conn, &event_tx, &inbound);
-                    inbound.remove(conn);
-                })
-                .expect("spawn read thread"),
-        );
-    }
-    for h in readers {
-        let _ = h.join();
-    }
-}
-
-/// Reads one inbound connection of process `pid`: hello first, then
-/// frames until EOF, a socket error or a frame that does not decode.
-/// A peer's frames pass its watermark first: message ids are monotone
-/// per sender and a batch spans `msg_id .. msg_id + batch`, so the
-/// watermark is the highest id seen and a reconnect resend falls at or
-/// under it.
-fn read_connection(
-    pid: ProcessId,
-    mut stream: TcpStream,
-    conn: u64,
-    event_tx: &Sender<RawEvent>,
-    inbound: &Inbound,
-) {
-    // One buffer for the connection's life: bytes that arrive with the
-    // hello belong to the frames after it.
-    let mut frames = FrameBuf::default();
-    // The hello decides the connection's role.
-    let Ok(Some(hello)) = next_frame(&mut stream, &mut frames) else {
-        return;
-    };
-    let Ok((header, payload)) = decode_frame(&hello) else {
-        return;
-    };
-    if header.kind != FrameKind::Hello {
-        return;
-    }
-    let mut rd = Rd::new(payload);
-    let peer = match rd.u8("hello role") {
-        Ok(ROLE_PEER) => {
-            let Ok(raw_pid) = rd.u32("hello pid") else {
-                return;
-            };
-            let from = ProcessId::new(raw_pid);
-            // Only a peer of the mesh has a watermark. Without one, a
-            // resent frame would skip dedup and reach the agenda twice.
-            // No process dials itself.
-            let Some(mark) = inbound.watermarks.get(from.index()).filter(|_| from != pid) else {
-                return;
-            };
-            Some((from, mark))
-        }
-        Ok(ROLE_CLIENT) => None,
-        _ => return,
-    };
-    while let Ok(Some(body)) = next_frame(&mut stream, &mut frames) {
-        let Ok((header, payload)) = decode_frame(&body) else {
-            return; // corrupt stream; drop the connection
-        };
-        let payload = payload.to_vec();
-        let event = match peer {
-            Some((from, mark)) => {
-                let top = header
-                    .msg_id
-                    .saturating_add(u64::from(header.batch.max(1)) - 1);
-                // The watermark only ever advances; `fetch_max` returns
-                // the previous value, so a stale frame is detected
-                // atomically.
-                if mark.fetch_max(top, Ordering::AcqRel) >= top {
-                    continue;
-                }
-                RawEvent::Peer {
-                    conn,
-                    from,
-                    header,
-                    payload,
-                }
-            }
-            None => RawEvent::Client {
-                conn,
-                header,
-                payload,
-            },
-        };
-        if event_tx.send(event).is_err() {
-            return;
         }
     }
 }
@@ -809,17 +982,217 @@ mod tests {
         assert!(tx.send_frame(p1, &peer_frame(2)).is_err());
     }
 
-    /// A connection that never says hello is registered all the same,
-    /// so shutdown closes it and joins its reader.
+    /// A connection that never says hello is accepted all the same, so
+    /// shutdown closes it with the rest.
     #[test]
     fn shutdown_returns_while_a_silent_connection_is_open() {
         let listener = MeshListener::bind(ProcessId::new(0), "127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let mesh = listener.start(&[]).unwrap();
         let silent = TcpStream::connect(addr).unwrap();
-        // Let the acceptor take it and its reader block in `read`.
+        // Let a wait accept it.
         thread::sleep(Duration::from_millis(50));
+        assert!(mesh.recv_timeout(Duration::from_millis(10)).is_none());
         shuts_down_within_a_second(mesh);
         drop(silent);
+    }
+
+    /// The socket wait's contract is the channel wait's
+    /// (`skewbound_sim::deadline`'s tests), through the same
+    /// [`wait`](skewbound_sim::deadline::wait) over a mesh with no peers.
+    mod socket_wait {
+        use super::*;
+        use skewbound_sim::deadline::{poll_until, wait};
+
+        /// Long enough for `wait` to sleep, then spin: at least eight
+        /// margins of 150 µs.
+        const SPIN_BRANCH: Duration = Duration::from_millis(5);
+        const WAIT: Duration = Duration::from_millis(1);
+
+        /// A mesh of process 0 with no peers, and its address.
+        fn lone_mesh() -> (TcpMesh, SocketAddr) {
+            let listener = MeshListener::bind(ProcessId::new(0), "127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            (listener.start(&[]).unwrap(), addr)
+        }
+
+        /// A client request frame with request id `req_id`.
+        fn request(req_id: u64) -> Vec<u8> {
+            let header = FrameHeader {
+                kind: FrameKind::ClientReq,
+                msg_id: req_id,
+                sent_at_micros: 0,
+                delay_micros: 0,
+                batch: 0,
+            };
+            encode_frame(&header, &[req_id as u8; 3])
+        }
+
+        /// Takes the next arrival, which must be client request `req_id`
+        /// on connection `conn`.
+        fn expect_request(mesh: &TcpMesh, conn: u64, req_id: u64) {
+            match mesh.recv_timeout(Duration::from_secs(2)) {
+                Some(RawEvent::Client {
+                    conn: c,
+                    header,
+                    payload,
+                }) => {
+                    assert_eq!((c, header.msg_id), (conn, req_id));
+                    assert_eq!(payload, [req_id as u8; 3]);
+                }
+                other => panic!("expected request {req_id} on {conn}, got {other:?}"),
+            }
+        }
+
+        #[test]
+        fn never_times_out_before_its_deadline() {
+            let (mesh, _) = lone_mesh();
+            for may_spin in [false, true] {
+                let deadline = Instant::now() + SPIN_BRANCH;
+                let got = wait(&mesh, Some(deadline), Duration::from_secs(1), may_spin);
+                assert!(matches!(got, Err(RecvTimeoutError::Timeout)), "{got:?}");
+                assert!(Instant::now() >= deadline, "timed out early");
+            }
+            // Under a millisecond too: the timeout is not rounded to one.
+            let deadline = Instant::now() + Duration::from_micros(300);
+            let got = wait(&mesh, Some(deadline), Duration::from_secs(1), false);
+            assert!(matches!(got, Err(RecvTimeoutError::Timeout)), "{got:?}");
+            assert!(Instant::now() >= deadline, "timed out early");
+            // A deadline already in the past times out at once.
+            let past = Instant::now();
+            let got = wait(&mesh, Some(past), Duration::from_secs(1), true);
+            assert!(matches!(got, Err(RecvTimeoutError::Timeout)), "{got:?}");
+            mesh.shutdown();
+        }
+
+        /// A request sent while the wait polls is returned at once. The
+        /// polling phase is entered directly, with a deadline far enough
+        /// out that only the arrival can end it; the client holds back
+        /// until the poller says it is about to start.
+        #[test]
+        fn an_arrival_during_the_spin_phase_returns_at_once() {
+            let (mesh, addr) = lone_mesh();
+            let (ready_tx, ready_rx) = channel::<()>();
+            let client = thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                ready_rx.recv().unwrap();
+                stream.write_all(&client_hello()).unwrap();
+                stream.write_all(&request(42)).unwrap();
+                stream
+            });
+            let start = Instant::now();
+            ready_tx.send(()).unwrap();
+            let got = poll_until(&mesh, start + Duration::from_secs(30));
+            let _stream = client.join().unwrap();
+            assert!(
+                matches!(got, Ok(RawEvent::Client { header, .. }) if header.msg_id == 42),
+                "{got:?}"
+            );
+            assert!(start.elapsed() < Duration::from_secs(10));
+            mesh.shutdown();
+        }
+
+        #[test]
+        fn a_cap_ends_a_wait_without_a_deadline() {
+            let (mesh, _) = lone_mesh();
+            let start = Instant::now();
+            let got = wait(&mesh, None, 2 * WAIT, true);
+            assert!(matches!(got, Err(RecvTimeoutError::Timeout)), "{got:?}");
+            assert!(start.elapsed() >= 2 * WAIT);
+            // A deadline beyond the cap: the cap ends the wait first.
+            let start = Instant::now();
+            let far = start + Duration::from_secs(60);
+            let got = wait(&mesh, Some(far), 2 * WAIT, true);
+            assert!(matches!(got, Err(RecvTimeoutError::Timeout)), "{got:?}");
+            let took = start.elapsed();
+            assert!(took >= 2 * WAIT && took < Duration::from_secs(1));
+            mesh.shutdown();
+        }
+
+        /// A signal interrupting `ppoll` (`EINTR`) restarts the wait for
+        /// what is left of it, and so does a wake-up that comes back
+        /// empty before the end: the wait still ends on its deadline.
+        /// The interruptions are injected in front of the real call.
+        #[test]
+        fn an_interrupted_wait_is_restarted() {
+            let mut calls = 0;
+            let interrupted = |fds: &mut [PollFd], left: Option<Duration>| {
+                calls += 1;
+                match calls {
+                    1 | 2 => Err(io::Error::from(ErrorKind::Interrupted)),
+                    3 => Ok(0),
+                    _ => ppoll_fds(fds, left),
+                }
+            };
+            let end = Instant::now() + 20 * WAIT;
+            assert_eq!(ready_within(&mut [], Some(end), interrupted), 0);
+            assert!(Instant::now() >= end, "an interrupted wait ended early");
+            assert_eq!(calls, 4);
+
+            // Interrupted while a socket is ready: the restart finds it.
+            let (mesh, addr) = lone_mesh();
+            let _pending = TcpStream::connect(addr).unwrap();
+            let listener = mesh.sockets.borrow().listener.as_raw_fd();
+            let mut fds = [PollFd::new(listener)];
+            let mut calls = 0;
+            let once = |fds: &mut [PollFd], left: Option<Duration>| {
+                calls += 1;
+                if calls == 1 {
+                    return Err(io::Error::from(ErrorKind::Interrupted));
+                }
+                ppoll_fds(fds, left)
+            };
+            let end = Instant::now() + Duration::from_secs(5);
+            assert_eq!(ready_within(&mut fds, Some(end), once), 1);
+            assert_ne!(fds[0].revents, 0);
+            mesh.shutdown();
+        }
+
+        /// Two client sessions whose frames arrive split inside their
+        /// headers, interleaved with each other, are each reassembled on
+        /// their own connection.
+        #[test]
+        fn interleaved_split_frames_of_two_sessions_are_each_reassembled() {
+            let (mesh, addr) = lone_mesh();
+            let mut a = TcpStream::connect(addr).unwrap();
+            a.write_all(&client_hello()).unwrap();
+            let mut b = TcpStream::connect(addr).unwrap();
+            b.write_all(&client_hello()).unwrap();
+            let (fa, fb) = (request(1), request(2));
+            let (a1, a2) = fa.split_at(10);
+            let (b1, b2) = fb.split_at(7);
+            // Each wait reads the half sent before it, and nothing
+            // surfaces until a frame is whole.
+            for (stream, half) in [(&mut a, a1), (&mut b, b1)] {
+                stream.write_all(half).unwrap();
+                assert!(mesh.recv_timeout(PAUSE).is_none(), "half a frame surfaced");
+            }
+            b.write_all(b2).unwrap();
+            expect_request(&mesh, 2, 2);
+            a.write_all(a2).unwrap();
+            expect_request(&mesh, 1, 1);
+            mesh.shutdown();
+        }
+
+        /// A session that sends half a frame and closes is dropped; the
+        /// other session keeps being served.
+        #[test]
+        fn half_a_frame_then_close_drops_only_that_connection() {
+            let (mesh, addr) = lone_mesh();
+            let mut torn = TcpStream::connect(addr).unwrap();
+            torn.write_all(&client_hello()).unwrap();
+            let mut kept = TcpStream::connect(addr).unwrap();
+            kept.write_all(&client_hello()).unwrap();
+            kept.write_all(&request(1)).unwrap();
+            expect_request(&mesh, 2, 1);
+            torn.write_all(&request(9)[..12]).unwrap();
+            drop(torn);
+            assert!(mesh.recv_timeout(PAUSE).is_none(), "a torn frame surfaced");
+            let open: Vec<u64> = mesh.sockets.borrow().conns.iter().map(|c| c.id).collect();
+            assert_eq!(open, [2], "the torn connection is still open");
+            kept.write_all(&request(2)).unwrap();
+            expect_request(&mesh, 2, 2);
+            mesh.shutdown();
+        }
     }
 }

@@ -1,7 +1,10 @@
 //! An idle `skewbound-serve` sleeps: once its last operation's timers
 //! have fired, none of its threads wakes until something arrives. A
-//! replica's only scheduled work is its timers; the mesh threads block
-//! on their socket, queue or listener and the node thread on its inbox.
+//! replica's only scheduled work is its timers; the writer threads block
+//! on their queues and the node thread on its own sockets. And it runs
+//! three threads, whatever the number of sessions: the node thread,
+//! which accepts and reads every inbound connection itself, and one
+//! writer per peer.
 //!
 //! The count is the kernel's `voluntary_ctxt_switches` summed over one
 //! server's threads (`/proc/PID/task/*/status`), so the test runs only
@@ -63,6 +66,12 @@ fn connect(addr: SocketAddr) -> NetClient {
     }
 }
 
+/// The number of threads of process `pid`.
+fn threads(pid: u32) -> usize {
+    let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).expect("read the task list");
+    tasks.count()
+}
+
 /// The voluntary context switches of every thread of process `pid`.
 fn voluntary_switches(pid: u32) -> u64 {
     let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).expect("read the task list");
@@ -120,12 +129,19 @@ fn an_idle_server_takes_no_periodic_wakeups() {
         matches!(resp, RegResp::Ack),
         "a write answers Ack: {resp:?}"
     );
+    // With two peers connected and a client session open: the node
+    // thread and two writers.
+    let server = servers.0[0].id();
+    assert_eq!(
+        threads(server),
+        3,
+        "a server of three runs the node thread and one writer per peer"
+    );
     drop(client);
     // Its last timer fires by d + eps after the write, its last
     // delivery by d after the last send: 200 ms covers both.
     thread::sleep(Duration::from_millis(200));
 
-    let server = servers.0[0].id();
     let before = voluntary_switches(server);
     thread::sleep(WINDOW);
     let after = voluntary_switches(server);

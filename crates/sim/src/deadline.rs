@@ -15,7 +15,7 @@
 //! * [`WallNode`] is one node on the wall clock: its
 //!   [`NodeCore`], its own [`Transport`], its history and its drain
 //!   state. [`WallNode::run`] is the one wall-clock run loop; the
-//!   backends differ only in what arrives on its inbox. Each pass files
+//!   backends differ only in its [`Inbox`]. Each pass files
 //!   the arrivals, runs the node's one step
 //!   ([`NodeCore::step`]) at the wall clock's tick — every due item
 //!   anchored at its own instant, so the lateness of one wake-up is not
@@ -251,10 +251,10 @@ const IDLE_POLL: Duration = Duration::from_millis(10);
 /// [`TimeBase`], its history and the state of its drain.
 ///
 /// [`WallNode::run`] is the one wall-clock run loop. Its callers differ
-/// only in their inboxes — a worker's channel on threads, a socket mesh
-/// across processes — and in the token each invocation carries back to
-/// its caller: nothing on threads, the client's connection and request
-/// id on the mesh.
+/// only in their [`Inbox`] — a worker's channel on threads, the node's
+/// own sockets across processes — and in the token each invocation
+/// carries back to its caller: nothing on threads, the client's
+/// connection and request id on the mesh.
 pub struct WallNode<A: Actor, L, D, T> {
     core: NodeCore<A, T>,
     transport: Transport<D, L>,
@@ -327,11 +327,11 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
     /// # Errors
     ///
     /// Propagates the transport's send failures.
-    pub fn run<E>(
+    pub fn run<I: Inbox + ?Sized>(
         &mut self,
-        inbox: &Receiver<E>,
+        inbox: &I,
         mut sink: Option<&mut (dyn TraceSink + '_)>,
-        mut file: impl FnMut(&mut Self, E),
+        mut file: impl FnMut(&mut Self, I::Event),
         busy: impl Fn() -> bool,
         mut done: impl FnMut(T, &A::Resp, SimTime),
     ) -> Result<(), TransportError> {
@@ -344,7 +344,8 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
         )?;
         let mut woken_by = None;
         loop {
-            for event in woken_by.take().into_iter().chain(inbox.try_iter()) {
+            let arrived = std::iter::from_fn(|| inbox.try_take().ok());
+            for event in woken_by.take().into_iter().chain(arrived) {
                 file(self, event);
             }
             let next = self.core.step(
@@ -429,11 +430,13 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
 }
 
 /// How far ahead of a deadline [`wait`] stops sleeping and starts
-/// polling. Sized at the p90 of the wake-up latency of a
-/// `recv_timeout` under a 1 ns timer slack on the 2-vCPU Firecracker
-/// host the benchmark bounds were sized on (p50 ≈ 100 µs, p90 ≈ 150 µs:
-/// an idle vCPU has to be woken by the host first), so nine sleeps in
-/// ten are awake before the deadline and the poll ends on it.
+/// polling. Sized at the p90 of the wake-up latency of a timed inbox
+/// wait — measured on a channel's `recv_timeout`; the mesh's `ppoll`
+/// sleeps on the same kernel timer — under a 1 ns timer slack on the
+/// 2-vCPU Firecracker host the benchmark bounds were sized on
+/// (p50 ≈ 100 µs, p90 ≈ 150 µs: an idle vCPU has to be woken by the
+/// host first), so nine sleeps in ten are awake before the deadline and
+/// the poll ends on it.
 const SPIN_MARGIN: Duration = Duration::from_micros(150);
 
 /// A wait must be at least this many margins long before [`wait`]
@@ -445,56 +448,104 @@ const SPIN_MARGIN: Duration = Duration::from_micros(150);
 /// gets dearer — see EXPERIMENTS.md.)
 const MIN_MARGINS_TO_SPIN: u32 = 8;
 
+/// What [`WallNode::run`] waits on: a worker's channel on threads, the
+/// node's own sockets on the mesh. An inbox offers the two primitive
+/// waits, with the errors of [`Receiver`]'s; [`wait`] is the one policy
+/// over them.
+pub trait Inbox {
+    /// One arrival.
+    type Event;
+
+    /// Waits up to `timeout` for the next arrival; `Duration::MAX` waits
+    /// without limit. Never reports a timeout before `timeout` has
+    /// passed.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeoutError::Timeout`] once `timeout` has passed,
+    /// [`RecvTimeoutError::Disconnected`] when nothing can arrive any
+    /// more.
+    fn recv_within(&self, timeout: Duration) -> Result<Self::Event, RecvTimeoutError>;
+
+    /// Takes an arrival that is already here, without waiting.
+    ///
+    /// # Errors
+    ///
+    /// [`TryRecvError::Empty`] when there is none,
+    /// [`TryRecvError::Disconnected`] when nothing can arrive any more.
+    fn try_take(&self) -> Result<Self::Event, TryRecvError>;
+}
+
+impl<E> Inbox for Receiver<E> {
+    type Event = E;
+
+    fn recv_within(&self, timeout: Duration) -> Result<E, RecvTimeoutError> {
+        self.recv_timeout(timeout)
+    }
+
+    fn try_take(&self) -> Result<E, TryRecvError> {
+        self.try_recv()
+    }
+}
+
 /// For a wait of `left` up to its deadline: how long to sleep before
 /// polling, or `None` to sleep all the way.
 fn sleep_before_spin(left: Duration, may_spin: bool) -> Option<Duration> {
     (may_spin && left >= SPIN_MARGIN * MIN_MARGINS_TO_SPIN).then(|| left - SPIN_MARGIN)
 }
 
-/// Waits on `rx` until an event arrives or the wait ends, whichever is
-/// first. The wait ends at `deadline`, or `cap` from now if that is
-/// sooner (or there is no deadline). A `cap` of `Duration::MAX` never
-/// ends it: `recv_timeout` then blocks as `recv` does. An arrival
-/// returns at once; `Err(Timeout)` is never returned before the end of
-/// the wait.
+/// Waits on `inbox` until an event arrives or the wait ends, whichever
+/// is first: the one wait of [`WallNode::run`], whatever its inbox. The
+/// wait ends at `deadline`, or `cap` from now if that is sooner (or
+/// there is no deadline). A `cap` of `Duration::MAX` never ends it: the
+/// inbox then blocks until an arrival. An arrival returns at once;
+/// `Err(Timeout)` is never returned before the end of the wait.
 ///
 /// With `may_spin`, a wait that ends on its deadline and is at least
 /// eight margins long sleeps to one margin before the deadline and
-/// polls the rest, so the timeout is reported within a microsecond or
-/// so of the deadline instead of a scheduler wake-up later. Callers
-/// pass `may_spin` only while a late wake-up costs somebody latency (an
-/// operation is pending at this node).
+/// polls the rest ([`poll_until`]), so the timeout is reported within a
+/// microsecond or so of the deadline instead of a scheduler wake-up
+/// later. Callers pass `may_spin` only while a late wake-up costs
+/// somebody latency (an operation is pending at this node).
 ///
 /// # Errors
 ///
 /// [`RecvTimeoutError::Timeout`] at the end of the wait,
-/// [`RecvTimeoutError::Disconnected`] as soon as every sender is gone.
-fn wait<E>(
-    rx: &Receiver<E>,
+/// [`RecvTimeoutError::Disconnected`] as soon as the inbox reports it.
+pub fn wait<I: Inbox + ?Sized>(
+    inbox: &I,
     deadline: Option<Instant>,
     cap: Duration,
     may_spin: bool,
-) -> Result<E, RecvTimeoutError> {
+) -> Result<I::Event, RecvTimeoutError> {
     // No deadline, or one beyond the cap: the cap ends the wait.
     let within_cap = |d: &Instant| d.saturating_duration_since(Instant::now()) <= cap;
     let Some(deadline) = deadline.filter(within_cap) else {
-        return rx.recv_timeout(cap);
+        return inbox.recv_within(cap);
     };
     let left = deadline.saturating_duration_since(Instant::now());
     let Some(sleep) = sleep_before_spin(left, may_spin) else {
-        return rx.recv_timeout(left);
+        return inbox.recv_within(left);
     };
-    match rx.recv_timeout(sleep) {
-        Err(RecvTimeoutError::Timeout) => poll_until(rx, deadline),
+    match inbox.recv_within(sleep) {
+        Err(RecvTimeoutError::Timeout) => poll_until(inbox, deadline),
         arrived_or_closed => arrived_or_closed,
     }
 }
 
-/// The polling end of [`wait`]: looks at `rx` without blocking until an
-/// event arrives or `deadline` passes.
-fn poll_until<E>(rx: &Receiver<E>, deadline: Instant) -> Result<E, RecvTimeoutError> {
+/// The polling end of [`wait`]: looks at `inbox` without blocking until
+/// an event arrives or `deadline` passes.
+///
+/// # Errors
+///
+/// [`RecvTimeoutError::Timeout`] once `deadline` has passed,
+/// [`RecvTimeoutError::Disconnected`] as soon as the inbox reports it.
+pub fn poll_until<I: Inbox + ?Sized>(
+    inbox: &I,
+    deadline: Instant,
+) -> Result<I::Event, RecvTimeoutError> {
     loop {
-        match rx.try_recv() {
+        match inbox.try_take() {
             Ok(event) => return Ok(event),
             Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
             Err(TryRecvError::Empty) => {}
