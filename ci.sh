@@ -129,6 +129,13 @@ if grep -rnE 'enable_msg_log|message_log|log_messages' crates examples tests; th
 fi
 echo "messages: no enable_msg_log, message_log or log_messages"
 
+echo "== one Algorithm 1 front-end (batches run on Replica<Batch<S>>, no second replica) =="
+if grep -rlw 'ToExecute' crates/*/src | grep -v '^crates/core/src/replica.rs$' || grep -rni 'nsreplica' crates/*/src; then
+  echo "a second front-end over ToExecute is spelled under crates/*/src; invoke batches through Replica<Batch<S>>" >&2
+  exit 1
+fi
+echo "core: ToExecute only in core::replica, no nsreplica"
+
 echo "== one readiness loop per server (net::tcp: no poll timeouts, writer threads only, one unsafe file) =="
 if grep -nwE 'POLL|set_read_timeout|ClientGone' crates/net/src/tcp.rs; then
   echo "crates/net/src/tcp.rs polls on a timeout; the node thread waits on its sockets and every writer on its queue" >&2

@@ -6,12 +6,12 @@
 //! * [`replica::Replica`] — **Algorithm 1**, a linearizable
 //!   implementation of an arbitrary data type that beats the folklore
 //!   `2d` bound: pure mutators respond in `ε + X`, pure accessors in
-//!   `d + ε − X`, and everything else in at most `d + ε`;
-//! * [`nsreplica::NsReplica`] — the same algorithm invoked in
-//!   class-homogeneous batches over a keyed namespace. The two are
-//!   invocation front-ends over one crate-private `To_Execute` core in
-//!   [`replica`]: there is one local copy, one priority queue and one
-//!   execute pass in this crate;
+//!   `d + ε − X`, and everything else in at most `d + ε`. A batch is one
+//!   operation of the spec `skewbound_spec::combinators::Batch`, so
+//!   batched invocation is `Replica<Batch<S>>` and this crate has one
+//!   implementation of the algorithm;
+//! * [`shard`] — independent `Replica<Batch<Namespace<_>>>` groups, one
+//!   per shard of a keyed namespace, each on its own engine;
 //! * [`centralized::Centralized`] — the `2d` folklore baseline;
 //! * [`foils`] — deliberately too-fast implementations used by the
 //!   lower-bound experiments (they *must* fail, and do);
@@ -57,7 +57,6 @@ pub mod centralized;
 pub mod foils;
 pub mod harness;
 pub mod invariants;
-pub mod nsreplica;
 pub mod params;
 pub mod replica;
 pub mod shard;
@@ -72,7 +71,6 @@ pub mod prelude {
     pub use crate::centralized::{CentralMsg, Centralized};
     pub use crate::foils::LocalFirstReplica;
     pub use crate::harness::run_history;
-    pub use crate::nsreplica::{NsReplica, NsTimer};
     pub use crate::params::{ParamError, Params};
     pub use crate::replica::{OpMsg, Replica, ReplicaTimer, TimerProfile};
     pub use crate::shard::{

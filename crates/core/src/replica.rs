@@ -25,11 +25,12 @@
 //! `|AOP| = d + ε − X` (Theorems D.1/D.2 of Chapter V).
 //!
 //! The local copy, `To_Execute` and the execute pass are one
-//! crate-private struct, `ToExecute`, defined here. [`Replica`] (one
-//! operation at a time, all three classes) and
-//! [`NsReplica`](crate::nsreplica::NsReplica) (class-homogeneous batches
-//! over a keyed namespace) are the two invocation front-ends over it and
-//! share the broadcast message [`OpMsg`].
+//! crate-private struct, `ToExecute`, defined here; [`Replica`] is the
+//! one front-end over it. Batched invocation needs no second one: a
+//! batch is an operation of the spec `Batch<S>`
+//! (`skewbound_spec::combinators`), whose class is the class Algorithm 1
+//! answers it by, so `Replica<Batch<S>>` runs batches with one timestamp,
+//! one message and one timer per role each.
 //!
 //! [`TimerProfile`] isolates the four wait durations so that the
 //! lower-bound experiments can build *foils* — replicas that wait less
@@ -216,9 +217,8 @@ impl<S: SequentialSpec> Ord for Queued<S> {
 /// The part of Algorithm 1 that does not depend on how operations are
 /// invoked: the local copy of the object, the `To_Execute` priority
 /// queue, the timestamp-ordered execute pass and the non-committing
-/// read. [`Replica`] and [`NsReplica`](crate::nsreplica::NsReplica) are
-/// invocation front-ends over it; each owns its timer enum, so setting
-/// the hold timer is left to them.
+/// read. [`Replica`] owns the timers, so setting the hold timer is left
+/// to it.
 pub(crate) struct ToExecute<S: SequentialSpec> {
     /// The sequential specification, shared by every replica of a group
     /// (and across scenario-grid runs) instead of cloned per process.
@@ -967,5 +967,172 @@ mod tests {
         assert_eq!(records[1].resp(), Some(&QueueResp::Value(Some(7))));
         assert_eq!(records[2].resp(), Some(&QueueResp::Value(Some(7))));
         assert_eq!(sim.actor(p(1)).local_state(), &vec![7]);
+    }
+
+    // Batched invocation: a batch is one operation of `Batch<S>`, so the
+    // batched replica is `Replica<Batch<Namespace<_>>>`.
+
+    use crate::shard::NsBatch;
+
+    fn batch_group(params: &Params) -> Vec<Replica<Batch<Namespace<RmwRegister>>>> {
+        Replica::group(Batch::new(Namespace::new(RmwRegister::default())), params)
+    }
+
+    fn writes(pairs: &[(u64, i64)]) -> NsBatch {
+        pairs
+            .iter()
+            .map(|&(key, v)| NsOp::new(key, RmwOp::Write(v)))
+            .collect()
+    }
+
+    fn run_batches(invocations: Vec<(u32, u64, NsBatch)>) -> History<NsBatch, Vec<RmwResp>> {
+        let params = params();
+        let mut sim = Simulation::new(
+            batch_group(&params),
+            ClockAssignment::zero(3),
+            UniformDelay::new(params.delay_bounds(), 7),
+        );
+        for (pid, at, batch) in invocations {
+            sim.schedule_invoke(p(pid), t(at), batch);
+        }
+        sim.run().unwrap();
+        sim.into_history()
+    }
+
+    #[test]
+    fn batched_mutators_are_visible_to_later_accessors() {
+        let h = run_batches(vec![
+            (0, 0, writes(&[(1, 10), (2, 20)])),
+            (1, 0, writes(&[(3, 30)])),
+            (
+                2,
+                1_000,
+                [1, 2, 3].map(|key| NsOp::new(key, RmwOp::Read)).into(),
+            ),
+        ]);
+        assert!(h.is_complete());
+        assert_eq!(
+            h.records()[2].resp(),
+            Some(&vec![
+                RmwResp::Value(10),
+                RmwResp::Value(20),
+                RmwResp::Value(30)
+            ])
+        );
+    }
+
+    #[test]
+    fn mutator_batch_responds_at_eps_plus_x() {
+        let h = run_batches(vec![(0, 0, writes(&[(1, 10), (2, 20)]))]);
+        assert_eq!(h.records()[0].resp(), Some(&vec![RmwResp::Ack; 2]));
+        assert_eq!(
+            h.records()[0].latency().unwrap(),
+            crate::bounds::ub_mop(&params())
+        );
+    }
+
+    #[test]
+    fn replicas_converge_per_key() {
+        let params = params();
+        let mut sim = Simulation::new(
+            batch_group(&params),
+            ClockAssignment::zero(3),
+            UniformDelay::new(params.delay_bounds(), 3),
+        );
+        sim.schedule_invoke(p(0), t(0), writes(&[(5, 1)]));
+        sim.schedule_invoke(p(1), t(10), writes(&[(5, 2)]));
+        sim.schedule_invoke(p(2), t(20), writes(&[(9, 3)]));
+        sim.run().unwrap();
+        let state = sim.actor(p(0)).local_state().clone();
+        for i in ProcessId::all(3) {
+            assert_eq!(sim.actor(i).local_state(), &state, "replica {i}");
+            // Three broadcast batches, three executions on every replica.
+            assert_eq!(sim.actor(i).executed(), 3);
+        }
+        assert_eq!(state.get(9), Some(&3));
+    }
+
+    #[test]
+    fn one_op_batches_match_single_ops() {
+        // A pure-op workload invoked as one-op batches and as single ops
+        // on `Replica<Namespace<_>>` yields the same history, record for
+        // record, instants included.
+        use rand::rngs::StdRng;
+        use rand::Rng;
+
+        let params = Params::with_optimal_skew(
+            3,
+            SimDuration::from_ticks(100),
+            SimDuration::from_ticks(30),
+            SimDuration::from_ticks(7),
+        )
+        .unwrap();
+        let gen = |_pid: ProcessId, _idx: usize, rng: &mut StdRng| {
+            let key = rng.gen_range(0..5);
+            if rng.gen_bool(0.5) {
+                NsOp::new(key, RmwOp::Write(rng.gen_range(1..100)))
+            } else {
+                NsOp::new(key, RmwOp::Read)
+            }
+        };
+        let pids: Vec<_> = ProcessId::all(3).collect();
+        let clocks = || ClockAssignment::spread(3, params.eps());
+        let delays = || FixedDelay::maximal(params.delay_bounds());
+
+        let batches = crate::harness::run_history(
+            batch_group(&params),
+            clocks(),
+            delays(),
+            &mut ClosedLoop::new(pids.clone(), 40, 23, |p, i, r: &mut StdRng| {
+                vec![gen(p, i, r)]
+            }),
+        )
+        .unwrap();
+        let singles = crate::harness::run_history(
+            Replica::group(Namespace::new(RmwRegister::default()), &params),
+            clocks(),
+            delays(),
+            &mut ClosedLoop::new(pids, 40, 23, gen),
+        )
+        .unwrap();
+
+        assert_eq!(batches.len(), 120);
+        assert_eq!(batches.len(), singles.len());
+        let mut classes = [0usize; 2];
+        for (b, s) in batches.records().iter().zip(singles.records()) {
+            assert_eq!(b.pid, s.pid);
+            assert_eq!(b.op, vec![s.op.clone()]);
+            assert_eq!(b.invoked_at, s.invoked_at);
+            let (resp, at) = s.response.clone().expect("complete history");
+            assert_eq!(b.response, Some((vec![resp], at)));
+            classes[usize::from(matches!(s.op.op, RmwOp::Read))] += 1;
+        }
+        assert!(classes.iter().all(|&c| c > 20), "both classes exercised");
+    }
+
+    #[test]
+    fn mixed_and_oop_batches_answer_within_d_plus_eps() {
+        // A batch that mixes classes, or holds an `OOP`, is an `OOP`: it
+        // is broadcast and answered when it executes.
+        let fetch_add = |key| NsOp::new(key, RmwOp::Rmw(RmwKind::FetchAdd(1)));
+        let h = run_batches(vec![
+            (0, 0, writes(&[(0, 5)])),
+            (
+                1,
+                100,
+                vec![NsOp::new(0, RmwOp::Write(1)), NsOp::new(1, RmwOp::Read)],
+            ),
+            (2, 100, vec![fetch_add(0), fetch_add(1)]),
+            (0, 300, vec![NsOp::new(1, RmwOp::Read), fetch_add(0)]),
+        ]);
+        let bound = crate::bounds::ub_oop(&params());
+        for rec in &h.records()[1..] {
+            assert!(rec.latency().unwrap() <= bound, "{rec:?}");
+        }
+        let gate = skewbound_lin::multi::check_namespace(
+            &RmwRegister::default(),
+            &skewbound_lin::multi::flatten_batches(&h),
+        );
+        assert!(gate.is_linearizable(), "{gate:?}");
     }
 }

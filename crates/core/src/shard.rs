@@ -3,8 +3,9 @@
 //!
 //! Algorithm 1's timestamp order is per object, so a namespace of
 //! independent keyed objects partitions cleanly: each shard owns the
-//! keys [`ShardRouter`] routes to it, runs its *own* replica group on
-//! its own engine (own event heap, own payload slabs, own RNG
+//! keys [`ShardRouter`] routes to it, runs its *own* replica group —
+//! `Replica<Batch<Namespace<RmwRegister>>>`, one batch per invocation —
+//! on its own engine (own event heap, own payload slabs, own RNG
 //! stream — no shared allocation, no shared lock), and produces its own
 //! complete history. Per-shard histories are checked independently with
 //! [`check_namespace`](../../skewbound_lin/multi/fn.check_namespace.html)-style
@@ -34,11 +35,12 @@ use skewbound_sim::ids::ProcessId;
 use skewbound_sim::par::run_grid;
 use skewbound_sim::time::SimDuration;
 use skewbound_sim::workload::ClosedLoop;
-use skewbound_spec::namespace::{NsOp, ShardRouter};
+use skewbound_spec::combinators::Batch;
+use skewbound_spec::namespace::{Namespace, NsOp, ShardRouter};
 use skewbound_spec::register::{RmwOp, RmwRegister, RmwResp};
 
-use crate::nsreplica::NsReplica;
 use crate::params::Params;
+use crate::replica::Replica;
 
 /// A batch of keyed register operations — the invocation unit of the
 /// sharded workload.
@@ -63,7 +65,8 @@ pub struct ShardWorkload {
     pub batches_per_process: usize,
     /// Operations per batch.
     pub batch: usize,
-    /// Frame broadcasts as delivery batches (`true`) or per-op messages.
+    /// Invoke `batch` operations at a time (`true`), or the same number
+    /// of operations one at a time, as one-op batches (`false`).
     pub batched: bool,
     /// Workload seed; each shard derives its own stream from it.
     pub seed: u64,
@@ -168,11 +171,14 @@ pub fn run_shard(workload: &ShardWorkload, shard: usize) -> ShardOutcome {
     );
     let params = shard_params(workload.processes);
     let pids: Vec<ProcessId> = (0..workload.processes).map(ProcessId::new).collect();
-    let batch = workload.batch.max(1);
+    let (batch, batches) = match workload.batch.max(1) {
+        size if workload.batched => (size, workload.batches_per_process),
+        size => (1, workload.batches_per_process * size),
+    };
     let gen_keys = Arc::clone(&keys);
     let mut driver = ClosedLoop::new(
         pids,
-        workload.batches_per_process,
+        batches,
         workload.seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         move |_pid: ProcessId, index: usize, rng: &mut StdRng| -> NsBatch {
             // Alternate pure-mutator and pure-accessor batches; keys are
@@ -191,7 +197,7 @@ pub fn run_shard(workload: &ShardWorkload, shard: usize) -> ShardOutcome {
         },
     );
     let mut sim = Simulation::new(
-        NsReplica::group(RmwRegister::default(), &params, workload.batched),
+        Replica::group(Batch::new(Namespace::new(RmwRegister::default())), &params),
         ClockAssignment::zero(workload.processes as usize),
         FixedDelay::maximal(params.delay_bounds()),
     );
@@ -307,34 +313,46 @@ mod tests {
     #[test]
     fn shard_run_matches_golden() {
         // Fixed values, not a second run of the same build: a change to
-        // timestamps, timer placement, framing or response instants
-        // shows up here, where the run-twice determinism test above
-        // would stay green. Framing moves the event count only; the
-        // histories are the same.
-        const DIGESTS: [u64; 2] = [0xe32c_bc0b_f2be_8929, 0x73b7_6d7d_ae9d_b37c];
-        for (batched, events) in [(true, 60), (false, 108)] {
+        // timestamps, timer placement or response instants shows up
+        // here, where the run-twice determinism test above would stay
+        // green. Unbatched, the same number of operations runs as
+        // one-op batches, so its histories are pinned separately.
+        let rows = [
+            (
+                true,
+                [(60, 0xe32c_bc0b_f2be_8929), (60, 0x73b7_6d7d_ae9d_b37c)],
+            ),
+            (
+                false,
+                [(180, 0xbcca_7213_4e35_2373), (180, 0xfe95_28c1_b6af_b8ac)],
+            ),
+        ];
+        for (batched, want) in rows {
             let outcomes = run_sharded(&workload(2, batched));
-            assert_eq!(outcomes.len(), DIGESTS.len());
-            for (out, want) in outcomes.iter().zip(DIGESTS) {
-                assert_eq!(
-                    (out.run.events, digest(&out.history)),
-                    (events, want),
-                    "batched={batched} shard={}",
-                    out.shard
-                );
-            }
+            let got: Vec<_> = outcomes
+                .iter()
+                .map(|out| (out.run.events, digest(&out.history)))
+                .collect();
+            assert_eq!(got, want, "batched={batched}");
         }
     }
 
     #[test]
-    fn batching_does_not_change_shard_histories() {
-        let on = run_sharded(&workload(2, true));
-        let off = run_sharded(&workload(2, false));
-        for (x, y) in on.iter().zip(&off) {
-            for (rx, ry) in x.history.records().iter().zip(y.history.records()) {
-                assert_eq!(rx.op, ry.op);
-                assert_eq!(rx.response, ry.response);
-            }
+    fn unbatched_runs_the_same_operations_one_at_a_time() {
+        let batched = run_sharded(&workload(2, true));
+        let unbatched = run_sharded(&workload(2, false));
+        for (on, off) in batched.iter().zip(&unbatched) {
+            let ops = |out: &ShardOutcome| -> usize {
+                out.history.records().iter().map(|r| r.op.len()).sum()
+            };
+            assert_eq!(ops(on), 3 * 4 * 3);
+            assert_eq!(ops(off), ops(on));
+            assert_eq!(off.history.len(), ops(off), "one op per batch");
+            let gate = skewbound_lin::multi::check_namespace(
+                &RmwRegister::default(),
+                &skewbound_lin::multi::flatten_batches(&off.history),
+            );
+            assert!(gate.is_linearizable(), "shard {}: {gate:?}", off.shard);
         }
     }
 

@@ -5,11 +5,11 @@
 //! Pure accessors get the timestamp `⟨local_time − X, pid⟩`, "pretending"
 //! they were invoked `X` earlier (Chapter V §A.2).
 //!
-//! Batched invocations (the sharded namespace layer) need several
-//! timestamps from one `⟨clock, pid⟩` instant, so the timestamp carries a
-//! third `seq` component that orders ops *within* one batch. Single-op
-//! timestamps always use `seq = 0`, which compares and prints exactly as
-//! the paper's two-component timestamps.
+//! The timestamp also carries a third `seq` component, ordered after the
+//! pid. Every timestamp this crate makes has `seq = 0`, which compares and
+//! prints exactly as the paper's two-component timestamps: a batch is one
+//! operation with one timestamp. The wire format carries `seq` so that
+//! decoders accept any value.
 
 use core::fmt;
 
@@ -17,7 +17,7 @@ use skewbound_sim::ids::ProcessId;
 use skewbound_sim::time::{ClockTime, SimDuration};
 
 /// A totally ordered operation timestamp: clock time first, process id as
-/// tie-breaker, then the batch sequence number.
+/// tie-breaker, then `seq`.
 ///
 /// # Examples
 ///
@@ -37,9 +37,8 @@ pub struct Timestamp {
     pub time: ClockTime,
     /// The invoking process.
     pub pid: ProcessId,
-    /// Position within a batched invocation; `0` for single ops. Ordered
-    /// after `pid`, so a batch's ops form a contiguous run in timestamp
-    /// order that no foreign timestamp can interleave.
+    /// A tiebreak after `pid`. Every timestamp Algorithm 1 makes has
+    /// `seq = 0`; the field is kept because the wire format carries it.
     pub seq: u32,
 }
 
@@ -50,8 +49,7 @@ impl Timestamp {
         Timestamp { time, pid, seq: 0 }
     }
 
-    /// Creates the timestamp of the `seq`-th op in a batch invoked at
-    /// `time`.
+    /// Creates a timestamp with an explicit `seq` tiebreak.
     #[must_use]
     pub fn with_seq(time: ClockTime, pid: ProcessId, seq: u32) -> Self {
         Timestamp { time, pid, seq }
@@ -64,16 +62,6 @@ impl Timestamp {
             time: time - x,
             pid,
             seq: 0,
-        }
-    }
-
-    /// The accessor timestamp of the `seq`-th op in a batch.
-    #[must_use]
-    pub fn accessor_with_seq(time: ClockTime, x: SimDuration, pid: ProcessId, seq: u32) -> Self {
-        Timestamp {
-            time: time - x,
-            pid,
-            seq,
         }
     }
 }
@@ -134,8 +122,8 @@ mod tests {
         let t = |c: i64, p: u32, s: u32| {
             Timestamp::with_seq(ClockTime::from_ticks(c), ProcessId::new(p), s)
         };
-        // Batch ops are contiguous: nothing from another process can sort
-        // between ⟨5,p1,#0⟩ and ⟨5,p1,#2⟩.
+        // `seq` orders after the pid: nothing from another process can
+        // sort between ⟨5,p1,#0⟩ and ⟨5,p1,#2⟩.
         assert!(t(5, 1, 0) < t(5, 1, 1) && t(5, 1, 1) < t(5, 1, 2));
         assert!(t(5, 1, 2) < t(5, 2, 0));
         assert_eq!(

@@ -61,7 +61,7 @@ pub mod tree;
 pub mod prelude {
     pub use crate::array::{ArrayOp, ArrayResp, UpdateNextArray};
     pub use crate::catalog::ObjectKind;
-    pub use crate::combinators::{EitherOp, EitherResp, ProductSpec};
+    pub use crate::combinators::{Batch, EitherOp, EitherResp, ProductSpec};
     pub use crate::counter::{Counter, CounterOp, CounterResp};
     pub use crate::deque::{Deque, DequeOp, DequeResp};
     pub use crate::kv::{KvOp, KvResp, KvStore};

@@ -6,10 +6,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use skewbound_core::bounds;
+use skewbound_core::bounds::{self, Bound};
 use skewbound_core::params::Params;
 use skewbound_core::replica::Replica;
 use skewbound_integration::assert_linearizable;
+use skewbound_lin::{check_namespace, flatten_batches};
 use skewbound_sim::clock::ClockAssignment;
 use skewbound_sim::delay::UniformDelay;
 use skewbound_sim::engine::Simulation;
@@ -189,4 +190,63 @@ fn executed_orders_identical_and_ascending() {
             assert_eq!(sim.actor(pid).executed_order(), &order0[..]);
         }
     }
+}
+
+/// Batched invocation is Algorithm 1 over `Batch<S>`: batches of queue
+/// operations on a few keys, of any class mix (dequeue is an `OOP`, so
+/// is any batch that mixes classes), each answer within the bound of the
+/// batch's class, the flattened history is linearizable key by key, and
+/// the replicas converge.
+#[test]
+fn mixed_class_batches_stay_within_bounds() {
+    let mut classes = [0usize; 3];
+    for case in 0..30u64 {
+        let mut rng = StdRng::seed_from_u64(0x0EEE ^ case);
+        let params = gen_params(&mut rng);
+        let seed = rng.gen_range(0u64..1_000);
+        let n = params.n();
+        let mut driver = ClosedLoop::new(ProcessId::all(n).collect(), 4, seed, |pid, idx, rng| {
+            (0..rng.gen_range(1..=3))
+                .map(|j| {
+                    let op = match rng.gen_range(0..3) {
+                        0 => QueueOp::Enqueue((pid.index() * 100 + idx * 10 + j) as i64),
+                        1 => QueueOp::Dequeue,
+                        _ => QueueOp::Peek,
+                    };
+                    NsOp::new(rng.gen_range(0..3), op)
+                })
+                .collect::<Vec<_>>()
+        });
+        let spec = Batch::new(Namespace::new(Queue::<i64>::new()));
+        let mut sim = Simulation::new(
+            Replica::group(spec.clone(), &params),
+            ClockAssignment::spread(n, params.eps()),
+            UniformDelay::new(params.delay_bounds(), seed),
+        );
+        sim.run_with(&mut driver).expect("run");
+        let history = sim.history();
+        assert!(history.is_complete());
+        for rec in history.records() {
+            let class = spec.class(&rec.op);
+            classes[class as usize] += 1;
+            let bound = Bound::upper(class).eval(&params);
+            assert!(
+                rec.latency().unwrap() <= bound,
+                "case {case}: {:?} took {} > {class:?} bound {}",
+                rec.op,
+                rec.latency().unwrap().as_ticks(),
+                bound.as_ticks()
+            );
+        }
+        let gate = check_namespace(&Queue::<i64>::new(), &flatten_batches(history));
+        assert!(gate.is_linearizable(), "case {case}: {gate:?}");
+        let s0 = sim.actor(ProcessId::new(0)).local_state().clone();
+        for pid in ProcessId::all(n) {
+            assert_eq!(sim.actor(pid).local_state(), &s0, "case {case}");
+        }
+    }
+    assert!(
+        classes.iter().all(|&c| c > 10),
+        "every class exercised: {classes:?}"
+    );
 }
