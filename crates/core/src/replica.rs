@@ -1110,11 +1110,36 @@ mod tests {
         assert!(classes.iter().all(|&c| c > 20), "both classes exercised");
     }
 
+    /// Every batch after the first is an `OOP`: it is broadcast and
+    /// answered when it executes, so within `d + eps`, and the flattened
+    /// history is linearizable per key.
+    fn assert_oop_batches_within_d_plus_eps(h: &History<NsBatch, Vec<RmwResp>>) {
+        let bound = crate::bounds::ub_oop(&params());
+        for rec in &h.records()[1..] {
+            assert!(rec.latency().unwrap() <= bound, "{rec:?}");
+        }
+        let gate = skewbound_lin::multi::check_namespace(
+            &RmwRegister::default(),
+            &skewbound_lin::multi::flatten_batches(h),
+        );
+        assert!(gate.is_linearizable(), "{gate:?}");
+    }
+
     #[test]
-    fn mixed_and_oop_batches_answer_within_d_plus_eps() {
-        // A batch that mixes classes, or holds an `OOP`, is an `OOP`: it
-        // is broadcast and answered when it executes.
+    fn oop_batches_answer_within_d_plus_eps() {
+        // A batch that holds an `OOP` is an `OOP`.
         let fetch_add = |key| NsOp::new(key, RmwOp::Rmw(RmwKind::FetchAdd(1)));
+        let h = run_batches(vec![
+            (0, 0, writes(&[(0, 5)])),
+            (2, 100, vec![fetch_add(0), fetch_add(1)]),
+            (0, 300, vec![NsOp::new(1, RmwOp::Read), fetch_add(0)]),
+        ]);
+        assert_oop_batches_within_d_plus_eps(&h);
+    }
+
+    #[test]
+    fn mixed_batches_answer_within_d_plus_eps() {
+        // A batch that mixes mutators and accessors is an `OOP` too.
         let h = run_batches(vec![
             (0, 0, writes(&[(0, 5)])),
             (
@@ -1122,17 +1147,12 @@ mod tests {
                 100,
                 vec![NsOp::new(0, RmwOp::Write(1)), NsOp::new(1, RmwOp::Read)],
             ),
-            (2, 100, vec![fetch_add(0), fetch_add(1)]),
-            (0, 300, vec![NsOp::new(1, RmwOp::Read), fetch_add(0)]),
+            (
+                2,
+                300,
+                vec![NsOp::new(0, RmwOp::Read), NsOp::new(1, RmwOp::Write(2))],
+            ),
         ]);
-        let bound = crate::bounds::ub_oop(&params());
-        for rec in &h.records()[1..] {
-            assert!(rec.latency().unwrap() <= bound, "{rec:?}");
-        }
-        let gate = skewbound_lin::multi::check_namespace(
-            &RmwRegister::default(),
-            &skewbound_lin::multi::flatten_batches(&h),
-        );
-        assert!(gate.is_linearizable(), "{gate:?}");
+        assert_oop_batches_within_d_plus_eps(&h);
     }
 }
