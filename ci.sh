@@ -158,6 +158,14 @@ if [ "$unsafe_files" != "crates/net/src/tcp.rs" ]; then
 fi
 echo "net::tcp: no POLL, set_read_timeout or ClientGone; writer threads only; unsafe only in net::tcp"
 
+echo "== a served node keeps no per-op records (WallNode forgets what it answered) =="
+if grep -nE 'fn into_history' crates/sim/src/deadline.rs \
+  || awk '/^pub fn run_server/,/^where/' crates/net/src/runtime.rs | grep -n 'History'; then
+  echo "a wall-clock node hands back a history; run_server returns the served count and complete" >&2
+  exit 1
+fi
+echo "deadline: no into_history; run_server returns no History"
+
 echo "== TCP loopback smoke (3-process mesh + closed-loop load + trace audit) =="
 cargo build --release -q -p skewbound-net
 net_dir=target/netsmoke
@@ -230,7 +238,23 @@ if ! grep -q ' linearizable=32/32 ' "$net_dir/load.log"; then
   echo "loopback load did not check all 32 keys linearizable" >&2
   exit 1
 fi
-echo "loopback load: 1000 sessions, 32/32 keys linearizable"
+# The servers' counts add up to what the load ran, and each server
+# exits with nothing pending or queued.
+load_ops=$(grep -oE ' ops=[0-9]+' "$net_dir/load.log" | cut -d= -f2)
+served_ops=0
+for i in 0 1 2; do
+  summary=$(grep '^skewbound-serve ' "$net_dir/serve$i.log" || true)
+  if [[ "$summary" != *' complete=true'* ]]; then
+    echo "server $i did not exit complete: '$summary'" >&2
+    exit 1
+  fi
+  served_ops=$((served_ops + $(grep -oE ' ops=[0-9]+' <<<"$summary" | cut -d= -f2)))
+done
+if [ "$served_ops" -ne "$load_ops" ]; then
+  echo "the servers served $served_ops operations, the load ran $load_ops" >&2
+  exit 1
+fi
+echo "loopback load: 1000 sessions, 32/32 keys linearizable, $served_ops ops served, every server complete"
 
 # The other two served objects through the same binaries: every codec
 # skewbound-serve carries crosses a real socket.

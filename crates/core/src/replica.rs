@@ -381,7 +381,8 @@ pub struct Replica<S: SequentialSpec> {
     own_other_pending: Option<Timestamp>,
     /// Timestamps of executed operations, in execution order. Lemma C.10
     /// says this sequence is ascending and identical across replicas at
-    /// quiescence; tests assert it.
+    /// quiescence; the engine's checks assert it. The wall clock clears
+    /// it after every step ([`Actor::forget_past`]).
     executed_order: Vec<Timestamp>,
 }
 
@@ -476,7 +477,8 @@ impl<S: SequentialSpec> Replica<S> {
     ///
     /// Lemma C.10: every replica executes the broadcast operations in
     /// ascending timestamp order, so at quiescence this sequence is
-    /// identical on all replicas.
+    /// identical on all replicas. Whole on the engine, which never calls
+    /// [`Actor::forget_past`]; the wall clock clears it after every step.
     #[must_use]
     pub fn executed_order(&self) -> &[Timestamp] {
         &self.executed_order
@@ -585,6 +587,12 @@ impl<S: SequentialSpec> Actor for Replica<S> {
                 ctx.respond(self.core.peek(&op));
             }
         }
+    }
+
+    /// Clears the execution order: a served replica keeps no timestamp
+    /// of an operation it has executed.
+    fn forget_past(&mut self) {
+        self.executed_order.clear();
     }
 }
 
@@ -949,6 +957,28 @@ mod tests {
         for i in 1..3 {
             assert_eq!(sim.actor(p(i)).executed_order(), &order0[..], "replica {i}");
         }
+    }
+
+    /// `forget_past` clears the execution order and nothing else: the
+    /// local copy and the count of executed operations stay.
+    #[test]
+    fn forget_past_clears_the_executed_order() {
+        let params = params();
+        let mut sim = Simulation::new(
+            Replica::group(Queue::<i64>::new(), &params),
+            ClockAssignment::zero(3),
+            FixedDelay::maximal(params.delay_bounds()),
+        );
+        for i in 0..3u64 {
+            sim.schedule_invoke(p(0), t(i * 400), QueueOp::Enqueue(i as i64));
+        }
+        sim.run().unwrap();
+        let mut replica = sim.actor(p(1)).clone();
+        assert_eq!(replica.executed_order().len(), 3);
+        replica.forget_past();
+        assert!(replica.executed_order().is_empty());
+        assert_eq!(replica.executed(), 3);
+        assert_eq!(replica.local_state(), sim.actor(p(1)).local_state());
     }
 
     #[test]

@@ -14,11 +14,14 @@
 //! client-observed real-time order — is checked for linearizability
 //! against the object's sequential spec, and one summary line reports
 //! the latency percentiles next to the paper's `d + ε` and `2d`
-//! reference lines. Exits nonzero if any key's history fails the check.
+//! reference lines, then each class's (`mop_`, `aop_`, `oop_`) p50 and
+//! p99 and their excess over the class's own bound. Exits nonzero if any
+//! key's history fails the check.
 
 use std::process::exit;
 use std::sync::{Barrier, Mutex};
 
+use skewbound_core::bounds::Bound;
 use skewbound_core::params::Params;
 use skewbound_lin::checker::{CheckOutcome, MAX_OPS};
 use skewbound_lin::multi::check_namespace;
@@ -33,7 +36,7 @@ use skewbound_spec::kv::{KvOp, KvStore};
 use skewbound_spec::namespace::NsOp;
 use skewbound_spec::queue::{Queue, QueueOp};
 use skewbound_spec::register::{RegOp, RwRegister};
-use skewbound_spec::seqspec::SequentialSpec;
+use skewbound_spec::seqspec::{OpClass, SequentialSpec};
 
 const USAGE: &str = "usage: skewbound-load --server ADDR [--server ADDR ...] \
     --object register|queue|kv --d MICROS --u MICROS [--eps MICROS] [--x MICROS] \
@@ -202,6 +205,7 @@ where
         .iter()
         .map(|r| SimDuration::from_ticks(r.responded - r.invoked))
         .collect();
+    let classes: Vec<OpClass> = records.iter().map(|r| inner.class(&r.op.op)).collect();
     let total_ops = records.len() as u64;
 
     // One namespace history in client-observed real-time order, checked
@@ -236,7 +240,7 @@ where
     };
     println!(
         "skewbound-load object={} sessions={} ops={} keys={} linearizable={}/{} \
-         p50={}us p99={}us max={}us (d+eps={}us, 2d={}us)",
+         p50={}us p99={}us max={}us (d+eps={}us, 2d={}us){}",
         args.object,
         args.sessions,
         total_ops,
@@ -248,8 +252,37 @@ where
         latency.max.as_ticks(),
         (args.params.d() + args.params.eps()).as_ticks(),
         (args.params.d() * 2).as_ticks(),
+        per_class(&latencies, &classes, &args.params),
     );
     i32::from(keys_checked < keys)
+}
+
+/// The summary line's per-class fields: for each class the load ran, in
+/// the order MOP, AOP, OOP, its p50 and p99 latency and their excess
+/// over the class's own bound ([`Bound::upper`]; negative when under it).
+fn per_class(latencies: &[SimDuration], classes: &[OpClass], params: &Params) -> String {
+    let mut fields = String::new();
+    for (class, name) in [
+        (OpClass::PureMutator, "mop"),
+        (OpClass::PureAccessor, "aop"),
+        (OpClass::Other, "oop"),
+    ] {
+        let of_class: Vec<SimDuration> = (latencies.iter().zip(classes))
+            .filter_map(|(&latency, &c)| (c == class).then_some(latency))
+            .collect();
+        let Some(latency) = LatencySummary::from_latencies(&of_class) else {
+            continue;
+        };
+        let (p50, p99) = (latency.p50.as_ticks(), latency.p99.as_ticks());
+        let bound = Bound::upper(class).eval(params).as_ticks();
+        let excess = |t: u64| t as i64 - bound as i64;
+        fields += &format!(
+            " {name}_p50={p50}us {name}_p99={p99}us {name}_excess_p50={}us {name}_excess_p99={}us",
+            excess(p50),
+            excess(p99)
+        );
+    }
+    fields
 }
 
 fn main() {

@@ -190,7 +190,7 @@ where
     let mut sink = JsonLinesSink::new();
     let sink_ref: Option<&mut dyn TraceSink> = args.trace.as_ref().map(|_| &mut sink as _);
     let clocks = ClockAssignment::zero(n);
-    let history = run_server(replica, &cfg, &clocks, delays, &mesh, sink_ref);
+    let (ops, complete) = run_server(replica, &cfg, &clocks, delays, &mesh, sink_ref);
     mesh.shutdown();
 
     if let Some(path) = &args.trace {
@@ -199,10 +199,7 @@ where
     }
     println!(
         "skewbound-serve pid={} object={} ops={} complete={}",
-        args.pid,
-        args.object,
-        history.len(),
-        history.is_complete()
+        args.pid, args.object, ops, complete
     );
 }
 

@@ -222,7 +222,10 @@ where
 /// quiet (`d` the model's maximum delay) — by which point every frame
 /// another replica sent before its own drain has long arrived. Its local
 /// clock runs at its offset in `clocks`; its sends draw from `delays`.
-/// Returns the server-side history.
+/// Returns the number of operations it answered, and `complete`: `true`
+/// when no operation was left pending or queued at exit. It keeps no
+/// record of an operation it has answered, so its memory does not grow
+/// with the operations it serves.
 ///
 /// The server is the one wall-clock loop, [`WallNode::run`], with the
 /// mesh as its inbox: the calling thread waits on the mesh's sockets and
@@ -249,7 +252,7 @@ pub fn run_server<A, D>(
     delays: D,
     mesh: &TcpMesh,
     mut sink: Option<&mut dyn TraceSink>,
-) -> History<A::Op, A::Resp>
+) -> (u64, bool)
 where
     A: Actor,
     A::Msg: Encode + Decode,
@@ -291,7 +294,7 @@ where
                 batch: 0,
             };
             // A vanished client is not a server error; the operation
-            // still executed and is in the history.
+            // still executed and is counted.
             let _ = mesh.send_to_client(conn, &encode_frame(&header, &to_bytes(resp)));
         },
     )
@@ -299,7 +302,7 @@ where
     if let Some(sink) = sink.filter(|_| dropped > 0) {
         sink.counter("net", "dropped_conns", dropped);
     }
-    node.into_history()
+    (node.served(), node.is_idle())
 }
 
 /// A blocking closed-loop client of one server: one operation in

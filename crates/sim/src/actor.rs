@@ -75,6 +75,14 @@ pub trait Actor: Sized {
 
     /// A timer set earlier via [`Context::set_timer`] went off.
     fn on_timer(&mut self, timer: Self::Timer, ctx: &mut Context<'_, Self>);
+
+    /// Drops what the actor keeps only so that a finished run can be
+    /// checked, such as a replica's execution order. The wall-clock loop
+    /// ([`WallNode::run`](crate::deadline::WallNode::run)) calls it after
+    /// every step, so a node that serves for as long as it runs does not
+    /// grow; the engine never calls it, so its checks see everything.
+    /// The default keeps everything.
+    fn forget_past(&mut self) {}
 }
 
 /// Output buffer filled by one handler activation.

@@ -12,18 +12,18 @@
 //!   invocations scheduled at an instant, keyed on `(tick, seq)`, and
 //!   pops them in that one order: instant first, then the sequence
 //!   number the transport drew when the item was sent, armed or held.
-//! * [`WallNode`] is one node on the wall clock: its
-//!   [`NodeCore`], its own [`Transport`], its history and its drain
-//!   state. [`WallNode::run`] is the one wall-clock run loop; the
-//!   backends differ only in its [`Inbox`]. Each pass files
-//!   the arrivals, runs the node's one step
+//! * [`WallNode`] is one node on the wall clock: its [`NodeCore`], its
+//!   own [`Transport`], the record of its operation in flight, the
+//!   count of those it served and its drain state. [`WallNode::run`] is
+//!   the one wall-clock run loop; the backends differ only in its
+//!   [`Inbox`]. Each pass files the arrivals, runs the node's one step
 //!   ([`NodeCore::step`]) at the wall clock's tick — every due item
 //!   anchored at its own instant, so the lateness of one wake-up is not
-//!   inherited by the next — applies the drain rule, and waits for the
-//!   next deadline. The wait never reports a timeout early, and while
-//!   an operation is pending at the node it trades a bounded slice of
-//!   CPU for punctuality: sleep to one margin (150 µs) short of the
-//!   deadline, then poll.
+//!   inherited by the next — forgets what the step completed, applies
+//!   the drain rule, and waits for the next deadline. The wait never
+//!   reports a timeout early, and while an operation is pending at the
+//!   node it trades a bounded slice of CPU for punctuality: sleep to
+//!   one margin (150 µs) short of the deadline, then poll.
 
 use core::fmt;
 use std::collections::VecDeque;
@@ -248,7 +248,11 @@ impl<T, M, O> Agenda<T, M, O> {
 const IDLE_POLL: Duration = Duration::from_millis(10);
 
 /// One node on the wall clock: a [`NodeCore`], its [`Transport`] on a
-/// [`TimeBase`], its history and the state of its drain.
+/// [`TimeBase`], the record of its operation in flight, the count of the
+/// operations it served and the state of its drain. Nothing it keeps
+/// grows with the operations it serves: a run's checked history is
+/// recorded by its invoker ([`workload::drive`](crate::workload::drive)
+/// on threads and on the mesh's loopback harness).
 ///
 /// [`WallNode::run`] is the one wall-clock run loop. Its callers differ
 /// only in their [`Inbox`] — a worker's channel on threads, the node's
@@ -259,8 +263,12 @@ pub struct WallNode<A: Actor, L, D, T> {
     core: NodeCore<A, T>,
     transport: Transport<D, L>,
     base: TimeBase,
-    /// Every invocation this node ran, with its response.
+    /// The record of the operation in flight: the step files each
+    /// invocation and response here, and the run loop forgets the
+    /// completed ones once the step has handed them to `done`.
     history: History<A::Op, A::Resp>,
+    /// The operations this node has answered.
+    served: u64,
     /// The drain's grace period, once the node has been told to stop.
     grace: Option<Duration>,
     /// Since when the node has been idle with no arrival, for the
@@ -290,16 +298,23 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
             base: transport.base.expect("a wall node runs on a time base"),
             transport,
             history: History::new(),
+            served: 0,
             grace: None,
             quiet_since: None,
         }
     }
 
-    /// The node's history: every invocation it ran, stamped at the
-    /// node, with its response.
+    /// The number of operations this node has answered.
     #[must_use]
-    pub fn into_history(self) -> History<A::Op, A::Resp> {
-        self.history
+    pub fn served(&self) -> u64 {
+        self.served
+    }
+
+    /// `true` when no operation is pending or queued here and nothing is
+    /// on the agenda: what the drain rule waits for.
+    #[must_use]
+    pub fn is_idle(&self) -> bool {
+        self.core.pending_op().is_none() && self.core.backlog() == 0
     }
 
     /// The one wall-clock run loop: starts the node, then serves
@@ -313,10 +328,12 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
     ///    clock's tick: every due agenda item, then the first queued
     ///    invocation once no operation is pending (the model's one
     ///    pending operation per process);
-    /// 3. exits by the drain rule, where `busy` reports whether an
+    /// 3. forgets the operations the step completed, counting them, and
+    ///    has the actor forget its past ([`Actor::forget_past`]);
+    /// 4. exits by the drain rule, where `busy` reports whether an
     ///    operation this node still has to answer for is pending
     ///    elsewhere;
-    /// 4. waits for the next arrival or the step's next deadline,
+    /// 5. waits for the next arrival or the step's next deadline,
     ///    polling the last stretch only while an operation is pending
     ///    here. With neither a deadline nor a drain to watch, it blocks
     ///    until the next arrival.
@@ -355,6 +372,8 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
                 &mut self.history,
                 &mut done,
             )?;
+            self.served += self.history.forget_completed();
+            self.core.actor_mut().forget_past();
             let Some(cap) = self.drain_wait(busy()) else {
                 return Ok(());
             };
@@ -415,7 +434,7 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
     /// draining on `busy`, and `Duration::MAX`, no cap, when only an
     /// arrival or the step's next deadline can change anything.
     fn drain_wait(&mut self, busy: bool) -> Option<Duration> {
-        let idle = !busy && self.core.pending_op().is_none() && self.core.backlog() == 0;
+        let idle = !busy && self.is_idle();
         if !idle {
             self.quiet_since = None;
         }
@@ -929,6 +948,110 @@ mod tests {
         assert!(node.hold(at, from, msg(2), vec![()]));
         assert!(node.hold(at + 1, from, msg(1), vec![()]));
         assert_eq!(node.core.backlog(), 3, "the rejected duplicate is held");
+    }
+
+    /// Tells `admitted` of every invocation it starts and answers it
+    /// when the next delivery arrives; remembers what it answered until
+    /// it is told to forget its past.
+    #[derive(Debug)]
+    struct Gate {
+        admitted: std::sync::mpsc::Sender<u32>,
+        pending: Option<u32>,
+        answered: Vec<u32>,
+    }
+
+    impl Actor for Gate {
+        type Msg = ();
+        type Op = u32;
+        type Resp = u32;
+        type Timer = ();
+
+        fn on_invoke(&mut self, op: u32, _ctx: &mut Context<'_, Self>) {
+            self.pending = Some(op);
+            self.admitted.send(op).unwrap();
+        }
+        fn on_message(&mut self, _from: ProcessId, _msg: (), ctx: &mut Context<'_, Self>) {
+            let op = self.pending.take().expect("a pending op");
+            self.answered.push(op);
+            ctx.respond(op);
+        }
+        fn on_timer(&mut self, _t: (), _ctx: &mut Context<'_, Self>) {}
+        fn forget_past(&mut self) {
+            self.answered.clear();
+        }
+    }
+
+    /// What the test's client thread puts in a [`Gate`] node's inbox.
+    enum GateEvent {
+        Invoke(u32),
+        /// Checks the node while its operation is pending, having served
+        /// this many.
+        Probe(u64),
+        /// A delivery with this first id, which answers the pending op.
+        Release(u64),
+        Stop,
+    }
+
+    /// `N` operations through the wall-clock loop on a channel inbox,
+    /// each queued while the one before is pending, so the node is never
+    /// idle until the last: it is not idle while one is queued or
+    /// pending, it holds the one record in flight, and the actor has
+    /// forgotten its past. At exit it holds none and has served `N`.
+    #[test]
+    fn a_wall_node_keeps_only_the_record_in_flight() {
+        const N: u32 = 50;
+        let (tx, rx) = channel();
+        let (admitted_tx, admitted_rx) = channel();
+        let (done_tx, done_rx) = channel();
+        let base = TimeBase::new(TimeBase::epoch_now_micros());
+        let transport = Transport::new(P, NoLink, base, ClockAssignment::zero(2), one_tick());
+        let gate = Gate {
+            admitted: admitted_tx,
+            pending: None,
+            answered: Vec::new(),
+        };
+        let mut node = WallNode::new(NodeCore::new(P, 2, gate), transport);
+        assert!(node.is_idle());
+        let client = thread::spawn(move || {
+            tx.send(GateEvent::Invoke(0)).unwrap();
+            for op in 0..N {
+                assert_eq!(admitted_rx.recv().unwrap(), op);
+                if op + 1 < N {
+                    tx.send(GateEvent::Invoke(op + 1)).unwrap();
+                }
+                tx.send(GateEvent::Probe(op.into())).unwrap();
+                tx.send(GateEvent::Release(op.into())).unwrap();
+                assert_eq!(done_rx.recv().unwrap(), op);
+            }
+            tx.send(GateEvent::Stop).unwrap();
+        });
+        let file = |node: &mut WallNode<Gate, NoLink, FixedDelay, u32>, event| match event {
+            GateEvent::Invoke(op) => {
+                node.enqueue(op, op);
+                assert!(!node.is_idle(), "an operation is queued");
+            }
+            GateEvent::Probe(served) => {
+                assert!(node.core.pending_op().is_some());
+                assert!(!node.is_idle(), "an operation is pending");
+                assert_eq!(node.history.len(), 1, "only the record in flight");
+                assert_eq!(node.served(), served);
+                assert!(node.core.actor().answered.is_empty(), "the past is kept");
+            }
+            GateEvent::Release(id) => {
+                let at = node.base.now_ticks();
+                assert!(node.hold(at, ProcessId::new(0), msg(id), vec![()]));
+            }
+            GateEvent::Stop => node.stop(Duration::ZERO),
+        };
+        let done = |token, resp: &u32, _| {
+            assert_eq!(token, *resp);
+            done_tx.send(token).unwrap();
+        };
+        node.run(&rx, None, file, || false, done).unwrap();
+        client.join().unwrap();
+        assert_eq!(node.served(), u64::from(N));
+        assert!(node.history.is_empty());
+        assert!(node.is_idle());
     }
 
     /// An event sent while `wait` polls is returned at once. The

@@ -145,6 +145,12 @@ impl<A: Actor, T> NodeCore<A, T> {
         &self.actor
     }
 
+    /// Mutable access to the actor state, for the wall-clock loop's
+    /// [`Actor::forget_past`].
+    pub(crate) fn actor_mut(&mut self) -> &mut A {
+        &mut self.actor
+    }
+
     /// The pending operation, if one is in flight at this process.
     #[must_use]
     pub fn pending_op(&self) -> Option<OpId> {
