@@ -158,13 +158,19 @@ if [ "$unsafe_files" != "crates/net/src/tcp.rs" ]; then
 fi
 echo "net::tcp: no POLL, set_read_timeout or ClientGone; writer threads only; unsafe only in net::tcp"
 
-echo "== a served node keeps no per-op records (WallNode forgets what it answered) =="
-if grep -nE 'fn into_history' crates/sim/src/deadline.rs \
+echo "== a node keeps no history (the engine records the run; a served node only counts) =="
+for f in crates/sim/src/node.rs crates/sim/src/deadline.rs; do
+  if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" | grep 'History'; then
+    echo "$f names History outside its tests: the engine records the run, not the node" >&2
+    exit 1
+  fi
+done
+if grep -rn 'forget_completed' crates/ \
   || awk '/^pub fn run_server/,/^where/' crates/net/src/runtime.rs | grep -n 'History'; then
-  echo "a wall-clock node hands back a history; run_server returns the served count and complete" >&2
+  echo "a served node records and forgets, or run_server hands back a history" >&2
   exit 1
 fi
-echo "deadline: no into_history; run_server returns no History"
+echo "node, deadline: no History; no forget_completed; run_server returns no History"
 
 echo "== TCP loopback smoke (3-process mesh + closed-loop load + trace audit) =="
 cargo build --release -q -p skewbound-net

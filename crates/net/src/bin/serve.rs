@@ -14,6 +14,13 @@
 //! full structured event trace is written as JSON lines on exit — the
 //! same schema the engine emits, so `skewlint audit` consumes it
 //! directly.
+//!
+//! On exit it prints one summary line,
+//! `skewbound-serve pid=… object=… ops=N complete=true`: `ops` is the
+//! number of operations it answered. `complete` is true by
+//! construction, since the server exits only once drained with nothing
+//! pending or queued; the field stays for the line's readers (`ci.sh`
+//! and the benchmark's mesh driver).
 
 use std::net::SocketAddr;
 use std::process::exit;
@@ -190,7 +197,7 @@ where
     let mut sink = JsonLinesSink::new();
     let sink_ref: Option<&mut dyn TraceSink> = args.trace.as_ref().map(|_| &mut sink as _);
     let clocks = ClockAssignment::zero(n);
-    let (ops, complete) = run_server(replica, &cfg, &clocks, delays, &mesh, sink_ref);
+    let ops = run_server(replica, &cfg, &clocks, delays, &mesh, sink_ref);
     mesh.shutdown();
 
     if let Some(path) = &args.trace {
@@ -198,8 +205,8 @@ where
             .unwrap_or_else(|e| fail(&format!("cannot write trace {path}: {e}")));
     }
     println!(
-        "skewbound-serve pid={} object={} ops={} complete={}",
-        args.pid, args.object, ops, complete
+        "skewbound-serve pid={} object={} ops={ops} complete=true",
+        args.pid, args.object
     );
 }
 

@@ -222,8 +222,8 @@ where
 /// quiet (`d` the model's maximum delay) — by which point every frame
 /// another replica sent before its own drain has long arrived. Its local
 /// clock runs at its offset in `clocks`; its sends draw from `delays`.
-/// Returns the number of operations it answered, and `complete`: `true`
-/// when no operation was left pending or queued at exit. It keeps no
+/// Returns the number of operations it answered. It exits only through
+/// the drain, so no operation is left pending or queued; it keeps no
 /// record of an operation it has answered, so its memory does not grow
 /// with the operations it serves.
 ///
@@ -252,7 +252,7 @@ pub fn run_server<A, D>(
     delays: D,
     mesh: &TcpMesh,
     mut sink: Option<&mut dyn TraceSink>,
-) -> (u64, bool)
+) -> u64
 where
     A: Actor,
     A::Msg: Encode + Decode,
@@ -295,14 +295,15 @@ where
             };
             // A vanished client is not a server error; the operation
             // still executed and is counted.
-            let _ = mesh.send_to_client(conn, &encode_frame(&header, &to_bytes(resp)));
+            let _ = mesh.send_to_client(conn, &encode_frame(&header, &to_bytes(&resp)));
         },
     )
     .expect("transport failed");
     if let Some(sink) = sink.filter(|_| dropped > 0) {
         sink.counter("net", "dropped_conns", dropped);
     }
-    (node.served(), node.is_idle())
+    assert!(node.is_idle(), "the drain left an operation behind");
+    node.served()
 }
 
 /// A blocking closed-loop client of one server: one operation in

@@ -13,17 +13,17 @@
 //!   pops them in that one order: instant first, then the sequence
 //!   number the transport drew when the item was sent, armed or held.
 //! * [`WallNode`] is one node on the wall clock: its [`NodeCore`], its
-//!   own [`Transport`], the record of its operation in flight, the
-//!   count of those it served and its drain state. [`WallNode::run`] is
-//!   the one wall-clock run loop; the backends differ only in its
-//!   [`Inbox`]. Each pass files the arrivals, runs the node's one step
-//!   ([`NodeCore::step`]) at the wall clock's tick — every due item
-//!   anchored at its own instant, so the lateness of one wake-up is not
-//!   inherited by the next — forgets what the step completed, applies
-//!   the drain rule, and waits for the next deadline. The wait never
-//!   reports a timeout early, and while an operation is pending at the
-//!   node it trades a bounded slice of CPU for punctuality: sleep to
-//!   one margin (150 µs) short of the deadline, then poll.
+//!   own [`Transport`], the count of the operations it served and its
+//!   drain state. [`WallNode::run`] is the one wall-clock run loop; the
+//!   backends differ only in its [`Inbox`]. Each pass files the
+//!   arrivals, runs the node's one step ([`NodeCore::step`]) at the wall
+//!   clock's tick — every due item anchored at its own instant, so the
+//!   lateness of one wake-up is not inherited by the next — counts what
+//!   the step completed, applies the drain rule, and waits for the next
+//!   deadline. The wait never reports a timeout early, and while an
+//!   operation is pending at the node it trades a bounded slice of CPU
+//!   for punctuality: sleep to one margin (150 µs) short of the
+//!   deadline, then poll.
 
 use core::fmt;
 use std::collections::VecDeque;
@@ -32,7 +32,6 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::actor::Actor;
 use crate::delay::DelayModel;
-use crate::history::History;
 use crate::ids::{MsgId, ProcessId, TimerId};
 use crate::node::NodeCore;
 use crate::time::{instant_to_sim, SimTime};
@@ -248,11 +247,11 @@ impl<T, M, O> Agenda<T, M, O> {
 const IDLE_POLL: Duration = Duration::from_millis(10);
 
 /// One node on the wall clock: a [`NodeCore`], its [`Transport`] on a
-/// [`TimeBase`], the record of its operation in flight, the count of the
-/// operations it served and the state of its drain. Nothing it keeps
-/// grows with the operations it serves: a run's checked history is
-/// recorded by its invoker ([`workload::drive`](crate::workload::drive)
-/// on threads and on the mesh's loopback harness).
+/// [`TimeBase`], the count of the operations it served and the state of
+/// its drain. Nothing it keeps grows with the operations it serves: a
+/// run's checked history is recorded by its invoker
+/// ([`workload::drive`](crate::workload::drive) on threads and on the
+/// mesh's loopback harness).
 ///
 /// [`WallNode::run`] is the one wall-clock run loop. Its callers differ
 /// only in their [`Inbox`] — a worker's channel on threads, the node's
@@ -263,10 +262,6 @@ pub struct WallNode<A: Actor, L, D, T> {
     core: NodeCore<A, T>,
     transport: Transport<D, L>,
     base: TimeBase,
-    /// The record of the operation in flight: the step files each
-    /// invocation and response here, and the run loop forgets the
-    /// completed ones once the step has handed them to `done`.
-    history: History<A::Op, A::Resp>,
     /// The operations this node has answered.
     served: u64,
     /// The drain's grace period, once the node has been told to stop.
@@ -297,7 +292,6 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
             core,
             base: transport.base.expect("a wall node runs on a time base"),
             transport,
-            history: History::new(),
             served: 0,
             grace: None,
             quiet_since: None,
@@ -314,7 +308,7 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
     /// on the agenda: what the drain rule waits for.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.core.pending_op().is_none() && self.core.backlog() == 0
+        !self.core.is_pending() && self.core.backlog() == 0
     }
 
     /// The one wall-clock run loop: starts the node, then serves
@@ -328,8 +322,8 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
     ///    clock's tick: every due agenda item, then the first queued
     ///    invocation once no operation is pending (the model's one
     ///    pending operation per process);
-    /// 3. forgets the operations the step completed, counting them, and
-    ///    has the actor forget its past ([`Actor::forget_past`]);
+    /// 3. counts the operations the step completed, and has the actor
+    ///    forget its past ([`Actor::forget_past`]);
     /// 4. exits by the drain rule, where `busy` reports whether an
     ///    operation this node still has to answer for is pending
     ///    elsewhere;
@@ -350,34 +344,32 @@ impl<A: Actor, L: Link<A::Msg>, D: DelayModel, T> WallNode<A, L, D, T> {
         mut sink: Option<&mut (dyn TraceSink + '_)>,
         mut file: impl FnMut(&mut Self, I::Event),
         busy: impl Fn() -> bool,
-        mut done: impl FnMut(T, &A::Resp, SimTime),
+        mut done: impl FnMut(T, A::Resp, SimTime),
     ) -> Result<(), TransportError> {
         let base = self.base;
-        self.core.start(
-            base.now_ticks(),
-            &mut self.transport,
-            sink.as_deref_mut(),
-            &mut self.history,
-        )?;
+        self.core
+            .start(base.now_ticks(), &mut self.transport, sink.as_deref_mut())?;
         let mut woken_by = None;
         loop {
             let arrived = std::iter::from_fn(|| inbox.try_take().ok());
             for event in woken_by.take().into_iter().chain(arrived) {
                 file(self, event);
             }
+            let served = &mut self.served;
             let next = self.core.step(
                 base.now_ticks(),
                 &mut self.transport,
                 sink.as_deref_mut(),
-                &mut self.history,
-                &mut done,
+                |token, resp, at| {
+                    *served += 1;
+                    done(token, resp, at);
+                },
             )?;
-            self.served += self.history.forget_completed();
             self.core.actor_mut().forget_past();
             let Some(cap) = self.drain_wait(busy()) else {
                 return Ok(());
             };
-            let may_spin = self.core.pending_op().is_some();
+            let may_spin = self.core.is_pending();
             let deadline = next.and_then(|t| base.instant_for(t));
             woken_by = wait(inbox, deadline, cap, may_spin).ok();
         }
@@ -775,12 +767,8 @@ mod tests {
     }
 
     /// A node of `actor` at process 1 of two on virtual time, with its
-    /// transport and its history.
-    type Virtual<A> = (
-        NodeCore<A, u32>,
-        Transport<FixedDelay, NoLink>,
-        History<<A as Actor>::Op, <A as Actor>::Resp>,
-    );
+    /// transport.
+    type Virtual<A> = (NodeCore<A, u32>, Transport<FixedDelay, NoLink>);
 
     /// A delivery of one message from process 0.
     fn delivery<Tm, O>() -> Due<Tm, (), O> {
@@ -793,18 +781,16 @@ mod tests {
 
     fn virtual_node<A: Actor<Msg = ()>>(actor: A) -> Virtual<A> {
         let transport = Transport::virtual_time(NoLink, ClockAssignment::zero(2), one_tick());
-        (NodeCore::new(P, 2, actor), transport, History::new())
+        (NodeCore::new(P, 2, actor), transport)
     }
 
     /// One step of `node` at `now`; returns the next deadline and the
     /// tokens of the operations it completed.
     fn step<A: Actor<Msg = ()>>(node: &mut Virtual<A>, now: u64) -> (Option<u64>, Vec<u32>) {
         let mut done = Vec::new();
-        let (core, transport, history) = node;
+        let (core, transport) = node;
         let next = core
-            .step(now, transport, None, history, |token, _, _| {
-                done.push(token)
-            })
+            .step(now, transport, None, |token, _, _| done.push(token))
             .unwrap();
         (next, done)
     }
@@ -852,8 +838,8 @@ mod tests {
     fn anchored_chain_lands_on_the_sum_of_its_delays() {
         for lateness in [0, 2 * MS, 400 * MS] {
             let mut node = virtual_node(Chain);
-            let (core, transport, history) = &mut node;
-            core.start(0, transport, None, history).unwrap();
+            let (core, transport) = &mut node;
+            core.start(0, transport, None).unwrap();
             assert_eq!(step(&mut node, 0).0, Some(5 * MS));
             assert_eq!(step(&mut node, 5 * MS + lateness).0, Some(505 * MS));
         }
@@ -883,8 +869,8 @@ mod tests {
     #[test]
     fn nothing_is_due_before_its_instant() {
         let mut node = virtual_node(FarTimer);
-        let (core, transport, history) = &mut node;
-        core.start(0, transport, None, history).unwrap();
+        let (core, transport) = &mut node;
+        core.start(0, transport, None).unwrap();
         let deliver_at = 200 * MS;
         node.0.file(deliver_at, 1, delivery());
         assert_eq!(step(&mut node, deliver_at - 1).0, Some(deliver_at));
@@ -906,24 +892,15 @@ mod tests {
         node.0.enqueue(3, 30);
         for now in [0, MS / 2, MS - 1] {
             assert_eq!(step(&mut node, now), (Some(MS), vec![]));
-            assert_eq!(node.2.len(), 1, "admitted while an op was pending");
+            assert_eq!(node.0.backlog(), 3, "admitted while an op was pending");
         }
-        // The first responds at MS; the second starts in the same step.
+        // The first responds at MS; the second starts in the same step,
+        // so its timer is due a delay later.
         assert_eq!(step(&mut node, MS), (Some(2 * MS), vec![1]));
-        let invoked: Vec<_> = node
-            .2
-            .records()
-            .iter()
-            .map(|r| (r.op, r.invoked_at))
-            .collect();
-        assert_eq!(
-            invoked,
-            [(10, SimTime::ZERO), (20, SimTime::from_ticks(MS))]
-        );
         assert_eq!(node.0.backlog(), 2, "the third waits on the second");
         assert_eq!(step(&mut node, 2 * MS), (Some(3 * MS), vec![2]));
         assert_eq!(step(&mut node, 3 * MS), (None, vec![3]));
-        assert!(node.2.is_complete());
+        assert!(!node.0.is_pending());
     }
 
     /// A wall node of `FarTimer` at process 1 of two that never sends.
@@ -995,8 +972,8 @@ mod tests {
     /// `N` operations through the wall-clock loop on a channel inbox,
     /// each queued while the one before is pending, so the node is never
     /// idle until the last: it is not idle while one is queued or
-    /// pending, it holds the one record in flight, and the actor has
-    /// forgotten its past. At exit it holds none and has served `N`.
+    /// pending, it counts what it served, and the actor has forgotten its
+    /// past. At exit it is idle and has served `N`.
     #[test]
     fn a_wall_node_keeps_only_the_record_in_flight() {
         const N: u32 = 50;
@@ -1031,9 +1008,8 @@ mod tests {
                 assert!(!node.is_idle(), "an operation is queued");
             }
             GateEvent::Probe(served) => {
-                assert!(node.core.pending_op().is_some());
+                assert!(node.core.is_pending());
                 assert!(!node.is_idle(), "an operation is pending");
-                assert_eq!(node.history.len(), 1, "only the record in flight");
                 assert_eq!(node.served(), served);
                 assert!(node.core.actor().answered.is_empty(), "the past is kept");
             }
@@ -1043,14 +1019,13 @@ mod tests {
             }
             GateEvent::Stop => node.stop(Duration::ZERO),
         };
-        let done = |token, resp: &u32, _| {
-            assert_eq!(token, *resp);
+        let done = |token, resp, _| {
+            assert_eq!(token, resp);
             done_tx.send(token).unwrap();
         };
         node.run(&rx, None, file, || false, done).unwrap();
         client.join().unwrap();
         assert_eq!(node.served(), u64::from(N));
-        assert!(node.history.is_empty());
         assert!(node.is_idle());
     }
 

@@ -4,16 +4,19 @@
 //! and the served binary run too — on one virtual clock. It decides
 //! only *which* node acts next; the node decides *what* an activation
 //! does (handler dispatch, effect draining, the one-pending-op
-//! invariant, timer ids, trace emission, history recording —
-//! see [`crate::node`]). All nodes share one [`Transport`] on virtual
-//! time: it draws every delay from the one [`DelayModel`] in global send
-//! order, allocates message ids from 0 across the run, draws every
-//! agenda sequence number from one run-wide counter, and its link files
-//! each sent batch onto its destination's agenda at `sent + delay`. An
-//! invocation is an agenda item at its instant. So the least
-//! `(instant, seq)` head across the nodes' agendas is the run's next
-//! event. One run loop fires it: [`Simulation::run_with`] fires that head,
-//! and [`Simulation::run_scheduled`] shows a [`SchedulePolicy`] every item
+//! invariant, timer ids, trace emission — see [`crate::node`]). The
+//! engine observes the run from outside, as the model's checker does:
+//! it records each invocation in the [`History`] at the instant it
+//! fires, and each response the node hands back. All nodes share one
+//! [`Transport`] on virtual time: it draws every delay from the one
+//! [`DelayModel`] in global send order, allocates message ids from 0
+//! across the run, draws every agenda sequence number from one run-wide
+//! counter, and its link files each sent batch onto its destination's
+//! agenda at `sent + delay`. An invocation is an agenda item at its
+//! instant. So the least `(instant, seq)` head across the nodes'
+//! agendas is the run's next event. One run loop fires it:
+//! [`Simulation::run_with`] fires that head, and
+//! [`Simulation::run_scheduled`] shows a [`SchedulePolicy`] every item
 //! at its instant and fires the one the policy picks.
 //!
 //! Identical inputs (actors, clocks, delay model, schedule, driver)
@@ -40,7 +43,7 @@ use crate::clock::ClockAssignment;
 use crate::deadline::Due;
 use crate::delay::DelayModel;
 use crate::history::History;
-use crate::ids::{MsgId, ProcessId};
+use crate::ids::{MsgId, OpId, ProcessId};
 use crate::node::{Item, NodeCore};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceSink;
@@ -277,6 +280,8 @@ pub struct Simulation<A: Actor, D: DelayModel> {
     now: SimTime,
     started: bool,
     history: History<A::Op, A::Resp>,
+    /// Each node's operation in flight, by its id in `history`.
+    pending: Vec<Option<OpId>>,
     trace: Option<Box<dyn TraceSink>>,
     /// Events fired so far, across every call that paused and resumed
     /// the run.
@@ -379,6 +384,7 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
             now: SimTime::ZERO,
             started: false,
             history: History::new(),
+            pending: vec![None; n],
             trace: None,
             events: 0,
             spare: Vec::new(),
@@ -631,32 +637,39 @@ impl<A: Actor, D: DelayModel> Simulation<A, D> {
         for i in 0..self.nodes.len() {
             let trace = self.trace.as_deref_mut();
             let now = self.now.as_ticks();
-            self.nodes[i].start(now, &mut self.transport, trace, &mut self.history)?;
+            self.nodes[i].start(now, &mut self.transport, trace)?;
             file_sent(&mut self.nodes, &mut self.transport.link);
         }
         Ok(())
     }
 
     /// Advances time to the item under `key` at node `i` and fires it,
-    /// then files what it sent. If it completed an operation, consults
-    /// the driver for the follow-up invocation of the closed loop; the
-    /// operation and response are borrowed from the history — no
-    /// per-response clones on the hot path.
+    /// then files what it sent. Records an invocation at the instant it
+    /// fires and a response when the node hands one back. If it completed
+    /// an operation, consults the driver for the follow-up invocation of
+    /// the closed loop; the operation and response are borrowed from the
+    /// history — no per-response clones on the hot path.
     fn fire<Dr>(&mut self, i: usize, key: (u64, u64), driver: &mut Dr) -> Result<(), SimError>
     where
         Dr: Driver<A::Op, A::Resp> + ?Sized,
     {
         self.now = SimTime::from_ticks(key.0);
-        let trace = self.trace.as_deref_mut();
         let node = &mut self.nodes[i];
-        let completed = node.fire(key, &mut self.transport, trace, &mut self.history)?;
         let pid = node.pid();
+        let item = node.take(key).expect("an item is filed under the key");
+        if let Due::Invoke(((), op)) = &item {
+            self.pending[i] = Some(self.history.record_invoke(pid, op.clone(), self.now));
+        }
+        let trace = self.trace.as_deref_mut();
+        let completed = node.fire(key.0, item, &mut self.transport, trace)?;
         file_sent(&mut self.nodes, &mut self.transport.link);
-        let Some(((), op_id)) = completed else {
+        let Some(((), resp, at)) = completed else {
             return Ok(());
         };
+        let op_id = self.pending[i].take().expect("recorded at invocation");
+        self.history.record_response(op_id, resp, at);
         let rec = self.history.get(op_id).expect("recorded at invocation");
-        let resp = rec.resp().expect("completed activations have a response");
+        let resp = rec.resp().expect("just recorded");
         if let Some((gap, next_op)) = driver.next(pid, &rec.op, resp, self.now) {
             self.schedule_invoke(pid, self.now + gap, next_op);
         }
@@ -680,6 +693,7 @@ impl<A: Actor + Clone, D: DelayModel + Clone> Simulation<A, D> {
             now: self.now,
             started: self.started,
             history: self.history.clone(),
+            pending: self.pending.clone(),
             trace: None,
             events: self.events,
             spare: Vec::new(),
@@ -695,6 +709,7 @@ impl<A: Actor + Clone, D: DelayModel + Clone> Simulation<A, D> {
         self.nodes.clone_from(&source.nodes);
         self.transport.clone_from(&source.transport);
         self.history.clone_from(&source.history);
+        self.pending.clone_from(&source.pending);
         (self.now, self.started, self.events) = (source.now, source.started, source.events);
         self.trace = None;
     }
@@ -1083,6 +1098,40 @@ mod tests {
             vec![5, 4, 3, 2, 1, 6],
             "the policy must be able to invert the default order"
         );
+    }
+
+    /// The history is recorded as the run fires, not as it is scheduled:
+    /// of two invocations at one instant at different processes, the one
+    /// a policy fires first is record 0, with id 0 and its firing instant.
+    #[test]
+    fn history_ids_follow_fire_order() {
+        struct TakeSecond;
+        impl<A: Actor> SchedulePolicy<A> for TakeSecond {
+            fn choose(&mut self, _: SimTime, enabled: &[EventView<'_, A>]) -> ScheduleDecision {
+                ScheduleDecision::Take(enabled.len().min(2) - 1)
+            }
+        }
+        let mut sim = Simulation::new(
+            vec![Recorder::default(), Recorder::default()],
+            ClockAssignment::zero(2),
+            FixedDelay::maximal(bounds()),
+        );
+        sim.schedule_invoke(ProcessId::new(0), SimTime::from_ticks(5), 1);
+        sim.schedule_invoke(ProcessId::new(1), SimTime::from_ticks(5), 2);
+        sim.run_scheduled(&mut TakeSecond).unwrap();
+        let records = sim.history().records();
+        let fired: Vec<_> = (records.iter())
+            .map(|r| (r.id, r.pid, r.op, r.invoked_at))
+            .collect();
+        let at = SimTime::from_ticks(5);
+        assert_eq!(
+            fired,
+            [
+                (OpId::new(0), ProcessId::new(1), 2, at),
+                (OpId::new(1), ProcessId::new(0), 1, at)
+            ]
+        );
+        assert!(sim.history().is_complete());
     }
 
     /// Every process broadcasts its operation and answers, one timer

@@ -73,13 +73,9 @@ impl<O, R> OpRecord<O, R> {
 #[derive(Debug, PartialEq, Eq)]
 pub struct History<O, R> {
     records: Vec<OpRecord<O, R>>,
-    /// The id of `records[0]`: how many records
-    /// [`History::forget_completed`] has dropped, 0 in a history kept
-    /// whole.
-    first: u64,
 }
 
-crate::clone_fields!([O: Clone, R: Clone] History<O, R> { records, first });
+crate::clone_fields!([O: Clone, R: Clone] History<O, R> { records });
 
 impl<O, R> Default for History<O, R> {
     fn default() -> Self {
@@ -93,7 +89,6 @@ impl<O, R> History<O, R> {
     pub fn new() -> Self {
         History {
             records: Vec::new(),
-            first: 0,
         }
     }
 
@@ -103,7 +98,6 @@ impl<O, R> History<O, R> {
     pub fn with_capacity(capacity: usize) -> Self {
         History {
             records: Vec::with_capacity(capacity),
-            first: 0,
         }
     }
 
@@ -114,7 +108,7 @@ impl<O, R> History<O, R> {
 
     /// Appends an invocation and returns its id.
     pub fn record_invoke(&mut self, pid: ProcessId, op: O, at: SimTime) -> OpId {
-        let id = self.next_id();
+        let id = OpId::new(self.records.len() as u64);
         self.records.push(OpRecord {
             id,
             pid,
@@ -144,7 +138,7 @@ impl<O, R> History<O, R> {
             responded_at >= invoked_at,
             "operation responded before its invocation"
         );
-        let id = self.next_id();
+        let id = OpId::new(self.records.len() as u64);
         self.records.push(OpRecord {
             id,
             pid,
@@ -162,8 +156,9 @@ impl<O, R> History<O, R> {
     /// Panics if `id` is unknown or already responded: both indicate an
     /// engine bug or a malformed hand-built history.
     pub fn record_response(&mut self, id: OpId, resp: R, at: SimTime) {
-        let rec = (id.as_u64().checked_sub(self.first))
-            .and_then(|i| self.records.get_mut(i as usize))
+        let rec = self
+            .records
+            .get_mut(id.as_u64() as usize)
             .expect("response for unknown operation id");
         assert!(rec.response.is_none(), "operation {id:?} responded twice");
         assert!(
@@ -194,28 +189,7 @@ impl<O, R> History<O, R> {
     /// The record with the given id.
     #[must_use]
     pub fn get(&self, id: OpId) -> Option<&OpRecord<O, R>> {
-        let i = id.as_u64().checked_sub(self.first)?;
-        self.records.get(i as usize)
-    }
-
-    /// Drops the completed records in front of the first pending one,
-    /// keeping the capacity, and returns how many it dropped. Ids go on
-    /// counting where they were, so a pending operation still takes its
-    /// response. A node that serves for as long as it runs keeps only
-    /// its operation in flight this way; what is left is no history to
-    /// check.
-    pub(crate) fn forget_completed(&mut self) -> u64 {
-        let done = (self.records.iter())
-            .position(|r| r.response.is_none())
-            .unwrap_or(self.records.len());
-        self.records.drain(..done);
-        self.first += done as u64;
-        done as u64
-    }
-
-    /// The id the next record takes.
-    fn next_id(&self) -> OpId {
-        OpId::new(self.first + self.records.len() as u64)
+        self.records.get(id.as_u64() as usize)
     }
 
     /// `true` when every invocation has a matching response — the
@@ -223,11 +197,6 @@ impl<O, R> History<O, R> {
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.records.iter().all(|r| r.response.is_some())
-    }
-
-    /// Iterates over completed operations only.
-    pub fn completed(&self) -> impl Iterator<Item = &OpRecord<O, R>> {
-        self.records.iter().filter(|r| r.response.is_some())
     }
 
     /// The worst-case (maximum) latency over completed operations.
@@ -281,7 +250,6 @@ impl<O, R> History<O, R> {
                     response: r.response.as_ref().map(|(resp, t)| (fr(resp), *t)),
                 })
                 .collect(),
-            first: self.first,
         }
     }
 }
@@ -308,26 +276,6 @@ mod tests {
         };
         let histories = [history(0), history(2), history(5)];
         crate::assert_clone_from_is_clone(&histories, |h| format!("{h:?}"));
-    }
-
-    /// Forgetting drops the completed records in front of the first
-    /// pending one; ids keep counting, and the pending one still takes
-    /// its response.
-    #[test]
-    fn forgotten_records_keep_the_ids_counting() {
-        let mut h: History<&str, u32> = History::new();
-        let a = h.record_invoke(ProcessId::new(0), "w", t(0));
-        h.record_response(a, 0, t(5));
-        let b = h.record_invoke(ProcessId::new(0), "r", t(6));
-        assert_eq!(h.forget_completed(), 1);
-        assert_eq!(h.forget_completed(), 0, "a pending record stays");
-        assert_eq!((h.len(), h.get(a)), (1, None));
-        h.record_response(b, 1, t(9));
-        assert_eq!(h.get(b).unwrap().resp(), Some(&1));
-        assert_eq!(h.forget_completed(), 1);
-        assert!(h.is_empty());
-        let c = h.record_invoke(ProcessId::new(0), "w", t(10));
-        assert_eq!((c, h.records()[0].id), (OpId::new(2), OpId::new(2)));
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! 3. the actor handler itself, through a [`Context`];
 //! 4. draining the resulting effects: sends go to the transport, timers
 //!    get their slab ids and are armed on the agenda at the activation's
-//!    instant plus their delay, responses are committed to the
-//!    [`History`] the entry is handed (the invocation too, at the
-//!    activation's instant).
+//!    instant plus their delay, and a response ends the pending
+//!    operation and is handed back with its token and instant. The node
+//!    records no history: whoever runs it observes the run (the engine
+//!    records each invocation and response, a served node only counts).
 //!
 //! [`NodeCore::step`] is the node's one step: fire every agenda item
 //! due by `now`, each anchored at its own instant, then admit one queued
@@ -41,8 +42,7 @@ use std::collections::VecDeque;
 use crate::actor::{Actor, Context, Effects};
 use crate::deadline::{Agenda, Due};
 use crate::delay::DelayModel;
-use crate::history::History;
-use crate::ids::{MsgId, OpId, ProcessId};
+use crate::ids::{MsgId, ProcessId};
 use crate::time::{ClockTime, SimTime};
 use crate::timers::TimerSlab;
 use crate::trace::{TraceEvent, TraceEventKind, TraceSink};
@@ -88,8 +88,6 @@ pub struct NodeCore<A: Actor, T = ()> {
     actor: A,
     /// Mints the ids of the node's timers (see [`crate::timers`]).
     timers: TimerSlab,
-    /// The at-most-one-pending-operation invariant of Chapter III §A.
-    pending_op: Option<OpId>,
     /// Reused effect buffer: every activation borrows it, fills it and
     /// hands it back drained, so steady-state activations allocate
     /// nothing for their effects.
@@ -97,19 +95,20 @@ pub struct NodeCore<A: Actor, T = ()> {
     agenda: Agenda<A::Timer, A::Msg, (T, A::Op)>,
     /// Invocations not yet admitted, in arrival order, with their tokens.
     queue: VecDeque<(T, A::Op)>,
-    /// The token of the pending operation.
+    /// The token of the pending operation: the
+    /// at-most-one-pending-operation invariant of Chapter III §A.
     in_flight: Option<T>,
 }
 
 crate::clone_fields!([A: Actor + Clone, T: Clone] NodeCore<A, T> {
-    pid, n, actor, timers, pending_op, scratch, agenda, queue, in_flight
+    pid, n, actor, timers, scratch, agenda, queue, in_flight
 });
 
 impl<A: Actor, T> fmt::Debug for NodeCore<A, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NodeCore")
             .field("pid", &self.pid)
-            .field("pending_op", &self.pending_op)
+            .field("pending", &self.in_flight.is_some())
             .field("agenda", &self.agenda.len())
             .field("queued", &self.queue.len())
             .finish_non_exhaustive()
@@ -125,7 +124,6 @@ impl<A: Actor, T> NodeCore<A, T> {
             n,
             actor,
             timers: TimerSlab::with_capacity(2),
-            pending_op: None,
             scratch: Effects::new(),
             agenda: Agenda::new(),
             queue: VecDeque::new(),
@@ -151,10 +149,10 @@ impl<A: Actor, T> NodeCore<A, T> {
         &mut self.actor
     }
 
-    /// The pending operation, if one is in flight at this process.
+    /// `true` while an operation is in flight at this process.
     #[must_use]
-    pub fn pending_op(&self) -> Option<OpId> {
-        self.pending_op
+    pub fn is_pending(&self) -> bool {
+        self.in_flight.is_some()
     }
 
     /// The node's agenda.
@@ -190,11 +188,10 @@ impl<A: Actor, T> NodeCore<A, T> {
         now: u64,
         transport: &mut Transport<D, L>,
         trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut History<A::Op, A::Resp>,
     ) -> Result<(), TransportError> {
         let stamp = transport.stamp(self.pid, now);
         self.run(stamp.clock, |actor, ctx| actor.on_start(ctx));
-        self.apply_effects(now, stamp, transport, trace, history)?;
+        self.apply_effects(now, stamp, transport, trace)?;
         Ok(())
     }
 
@@ -214,21 +211,22 @@ impl<A: Actor, T> NodeCore<A, T> {
         now: u64,
         transport: &mut Transport<D, L>,
         mut trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut History<A::Op, A::Resp>,
-        mut done: impl FnMut(T, &A::Resp, SimTime),
+        mut done: impl FnMut(T, A::Resp, SimTime),
     ) -> Result<Option<u64>, TransportError> {
+        let mut report = |completed: Option<_>| {
+            if let Some((token, resp, at)) = completed {
+                done(token, resp, at);
+            }
+        };
         while let Some((at, item)) = self.agenda.pop_due(now) {
-            let completed = self.activate(at, item, transport, trace.as_deref_mut(), history)?;
-            report(completed, history, &mut done);
+            report(self.fire(at, item, transport, trace.as_deref_mut())?);
         }
-        if self.pending_op.is_none() {
+        if !self.is_pending() {
             if let Some(invocation) = self.queue.pop_front() {
-                let item = Due::Invoke(invocation);
-                let completed = self.activate(now, item, transport, trace, history)?;
-                report(completed, history, &mut done);
+                report(self.fire(now, Due::Invoke(invocation), transport, trace)?);
             }
         }
-        let admissible = self.pending_op.is_none() && !self.queue.is_empty();
+        let admissible = !self.is_pending() && !self.queue.is_empty();
         Ok(if admissible {
             Some(now)
         } else {
@@ -236,9 +234,16 @@ impl<A: Actor, T> NodeCore<A, T> {
         })
     }
 
-    /// Takes the agenda item under `key` off the agenda and runs it,
-    /// anchored at its instant. Returns the token and the id of the
-    /// operation it completed, if any.
+    /// Takes the agenda item under `key` off the agenda, for
+    /// [`NodeCore::fire`].
+    pub fn take(&mut self, key: (u64, u64)) -> Option<Item<A, T>> {
+        self.agenda.take(key)
+    }
+
+    /// Runs `item` — one taken off the agenda, or an admitted invocation —
+    /// as one activation anchored at tick `anchor`. Returns the token, the
+    /// response and the response instant of the operation it completed,
+    /// if any.
     ///
     /// # Errors
     ///
@@ -246,42 +251,25 @@ impl<A: Actor, T> NodeCore<A, T> {
     ///
     /// # Panics
     ///
-    /// Panics if nothing is filed under `key`, or the item is an
-    /// invocation while another operation is pending.
+    /// Panics if the item is an invocation while another operation is
+    /// pending.
     pub fn fire<D: DelayModel, L: Link<A::Msg>>(
-        &mut self,
-        key: (u64, u64),
-        transport: &mut Transport<D, L>,
-        trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut History<A::Op, A::Resp>,
-    ) -> Result<Option<(T, OpId)>, TransportError> {
-        let item = self
-            .agenda
-            .take(key)
-            .expect("an item is filed under the key");
-        self.activate(key.0, item, transport, trace, history)
-    }
-
-    /// Runs one activation anchored at tick `anchor`.
-    fn activate<D: DelayModel, L: Link<A::Msg>>(
         &mut self,
         anchor: u64,
         item: Item<A, T>,
         transport: &mut Transport<D, L>,
         mut trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut History<A::Op, A::Resp>,
-    ) -> Result<Option<(T, OpId)>, TransportError> {
+    ) -> Result<Option<(T, A::Resp, SimTime)>, TransportError> {
         let stamp = transport.stamp(self.pid, anchor);
         match item {
             Due::Invoke((token, op)) => {
-                if self.pending_op.is_some() {
+                if self.is_pending() {
                     overlapping_invocation(self.pid);
                 }
                 if let Some(sink) = trace.as_deref_mut() {
                     let op = format!("{op:?}");
                     emit(sink, self.pid, stamp, TraceEventKind::Invoke { op });
                 }
-                self.pending_op = Some(history.record_invoke(self.pid, op.clone(), stamp.now));
                 self.in_flight = Some(token);
                 self.run(stamp.clock, |actor, ctx| actor.on_invoke(op, ctx));
             }
@@ -311,14 +299,7 @@ impl<A: Actor, T> NodeCore<A, T> {
                 self.run(stamp.clock, |actor, ctx| actor.on_timer(timer, ctx));
             }
         }
-        let completed = self.apply_effects(anchor, stamp, transport, trace, history)?;
-        Ok(completed.map(|op_id| {
-            let token = self
-                .in_flight
-                .take()
-                .expect("only admitted operations complete");
-            (token, op_id)
-        }))
+        self.apply_effects(anchor, stamp, transport, trace)
     }
 
     /// Runs one handler against the reusable scratch [`Effects`] buffer,
@@ -336,7 +317,8 @@ impl<A: Actor, T> NodeCore<A, T> {
     /// sends, timer arms, then the response. Sends and arms draw their
     /// agenda sequence numbers from the transport in that order, and
     /// each arm mints its timer's id in [`Context::set_timer`] order.
-    /// Returns the operation the activation completed, if any.
+    /// Returns the token, response and instant of the operation the
+    /// activation completed, if any.
     ///
     /// On the first transport failure the error propagates and the rest
     /// of the activation's effects are dropped by the next `run` (a
@@ -348,8 +330,7 @@ impl<A: Actor, T> NodeCore<A, T> {
         stamp: Stamp,
         transport: &mut Transport<D, L>,
         mut trace: Option<&mut (dyn TraceSink + '_)>,
-        history: &mut History<A::Op, A::Resp>,
-    ) -> Result<Option<OpId>, TransportError> {
+    ) -> Result<Option<(T, A::Resp, SimTime)>, TransportError> {
         let pid = self.pid;
         for (to, msgs) in self.scratch.batches.drain(..) {
             let Some(sink) = trace.as_deref_mut() else {
@@ -384,16 +365,15 @@ impl<A: Actor, T> NodeCore<A, T> {
         let Some(resp) = self.scratch.response.take() else {
             return Ok(None);
         };
-        let op_id = self
-            .pending_op
+        let token = self
+            .in_flight
             .take()
             .unwrap_or_else(|| panic!("{pid}: response with no pending operation"));
         if let Some(sink) = trace {
             let resp = format!("{resp:?}");
             emit(sink, pid, stamp, TraceEventKind::Respond { resp });
         }
-        history.record_response(op_id, resp, stamp.now);
-        Ok(Some(op_id))
+        Ok(Some((token, resp, stamp.now)))
     }
 }
 
@@ -405,19 +385,6 @@ fn emit(sink: &mut dyn TraceSink, pid: ProcessId, stamp: Stamp, kind: TraceEvent
         pid,
         kind,
     });
-}
-
-/// Hands a completion to `done` with its token, response and instant.
-fn report<T, O, R>(
-    completed: Option<(T, OpId)>,
-    history: &History<O, R>,
-    done: &mut impl FnMut(T, &R, SimTime),
-) {
-    if let Some((token, op_id)) = completed {
-        let rec = history.get(op_id).expect("completed op is recorded");
-        let (resp, at) = rec.response.as_ref().expect("completed op has a response");
-        done(token, resp, *at);
-    }
 }
 
 #[cfg(test)]
@@ -476,7 +443,6 @@ mod tests {
             node.enqueue(token, i);
         }
         if k % 2 == 1 {
-            node.pending_op = Some(OpId::new(k.into()));
             node.in_flight = Some(9);
         }
         node
@@ -487,12 +453,11 @@ mod tests {
         let nodes = [node(0), node(1), node(2), node(5)];
         crate::assert_clone_from_is_clone(&nodes, |node| {
             format!(
-                "{:?} {} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+                "{:?} {} {:?} {:?} {:?} {:?} {:?} {:?}",
                 node.pid,
                 node.n,
                 node.actor,
                 node.timers,
-                node.pending_op,
                 node.scratch,
                 node.agenda,
                 node.queue,

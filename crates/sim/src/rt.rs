@@ -207,9 +207,9 @@ where
                 // Clear the flag *before* announcing, so a follow-up
                 // invocation never races it. A closed end means the
                 // driver is gone; not an error here.
-                let done = |(), resp: &A::Resp, at| {
+                let done = |(), resp, at| {
                     in_flight[pid.index()].store(false, Ordering::Release);
-                    let _ = done_tx.send((pid, resp.clone(), at));
+                    let _ = done_tx.send((pid, resp, at));
                 };
                 node.run(&rx, None, file, busy, done)
                     .expect("the thread link never fails a send");
