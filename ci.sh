@@ -136,18 +136,16 @@ if grep -rlw 'ToExecute' crates/*/src | grep -v '^crates/core/src/replica.rs$' |
 fi
 echo "core: ToExecute only in core::replica, no nsreplica"
 
-echo "== one readiness loop per server (net::tcp: no poll timeouts, writer threads only, one unsafe file) =="
+echo "== one thread per server (net::tcp: no poll timeouts, no threads, no queues, one unsafe file) =="
 if grep -nwE 'POLL|set_read_timeout|ClientGone' crates/net/src/tcp.rs; then
-  echo "crates/net/src/tcp.rs polls on a timeout; the node thread waits on its sockets and every writer on its queue" >&2
+  echo "crates/net/src/tcp.rs polls on a timeout; the node thread waits on its own sockets" >&2
   exit 1
 fi
-# Outside its tests, net::tcp spawns writer threads and nothing else:
-# the node thread accepts and reads every inbound connection itself.
-tcp_src=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' crates/net/src/tcp.rs)
-spawns=$(grep -cE '\.spawn\(' <<<"$tcp_src" || true)
-writers=$(grep -cE '\.name\(format!\("net-writer-' <<<"$tcp_src" || true)
-if grep -nE 'net-accept|net-read' <<<"$tcp_src" || [ "$spawns" -ne 1 ] || [ "$writers" -ne 1 ]; then
-  echo "crates/net/src/tcp.rs spawns $spawns thread kind(s), $writers named net-writer-*; only writers may run beside the node thread" >&2
+# Outside its tests, net::tcp starts no thread and hands nothing across
+# threads: the node thread dials, writes, accepts and reads every socket.
+tcp_src=$(awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/net/src/tcp.rs)
+if grep -E '\.spawn\(|net-writer-|mpsc|writer_loop|WriterTx' <<<"$tcp_src"; then
+  echo "crates/net/src/tcp.rs spawns a thread, names a writer, keeps a writer queue or imports mpsc; the node thread writes its own peers" >&2
   exit 1
 fi
 # The one unsafe block of the library code is net::tcp's ppoll call.
@@ -156,7 +154,7 @@ if [ "$unsafe_files" != "crates/net/src/tcp.rs" ]; then
   echo "unsafe is spelled outside crates/net/src/tcp.rs (or nowhere):" $unsafe_files >&2
   exit 1
 fi
-echo "net::tcp: no POLL, set_read_timeout or ClientGone; writer threads only; unsafe only in net::tcp"
+echo "net::tcp: no POLL, set_read_timeout or ClientGone; no spawn, net-writer-, writer_loop, WriterTx or mpsc; unsafe only in net::tcp"
 
 echo "== a node keeps no history (the engine records the run; a served node only counts) =="
 for f in crates/sim/src/node.rs crates/sim/src/deadline.rs; do

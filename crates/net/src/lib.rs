@@ -12,15 +12,16 @@
 //!   byte stream, and [`wire::Encode`]/[`wire::Decode`] for the
 //!   messages of the served objects (register, queue, kv). No serde;
 //!   the byte layout is part of the protocol.
-//! * [`tcp`] — the socket mesh implementing the byte-oriented
-//!   [`WireTransport`](skewbound_sim::transport::WireTransport) half of
-//!   the transport split: one writer thread per peer with coalesced
-//!   (writev-style) sends and a fixed-interval redial; and, as the node
-//!   thread's [`Inbox`](skewbound_sim::deadline::Inbox), one `ppoll`
-//!   over the listener and every inbound connection, after which that
-//!   thread itself accepts, reads, sorts connections into peers and
-//!   clients by their hello frame, and dedups by per-sender watermark,
-//!   making reconnect resends exactly-once.
+//! * [`tcp`] — the socket mesh, run by the node thread alone: as the
+//!   byte-oriented [`WireTransport`](skewbound_sim::transport::WireTransport)
+//!   half of the transport split, a send writes a peer's frame at once
+//!   and keeps what the socket does not take; as its
+//!   [`Inbox`](skewbound_sim::deadline::Inbox), one `ppoll` over the
+//!   listener, every inbound connection and every peer with bytes left,
+//!   after which that thread itself writes on, redials, accepts, reads,
+//!   sorts connections into peers and clients by their hello frame, and
+//!   dedups by per-sender watermark, making reconnect resends
+//!   exactly-once.
 //! * [`runtime`] — the typed layer: the [`Link`](skewbound_sim::transport::Link)
 //!   that encodes each outgoing batch into one frame for the node the
 //!   engine and the real-thread runtime run too

@@ -79,12 +79,13 @@ pub fn tighten_timer_slack() {
 
 /// The mesh's [`Transport`]: the wall-clock transport the thread
 /// runtime uses too, handing each batch to a [`PeerSender`] as one
-/// encoded frame.
-pub type NetTransport<D> = Transport<D, PeerSender>;
+/// encoded frame, which the node thread writes to the peer's socket
+/// itself.
+pub type NetTransport<'a, D> = Transport<D, PeerSender<'a>>;
 
 /// A batch travels as one [`FrameKind::Peer`] frame stamped with its
 /// send tick and injected delay; the receiver holds it until their sum.
-impl<M: Encode> Link<M> for PeerSender {
+impl<M: Encode> Link<M> for PeerSender<'_> {
     fn hand_off(
         &mut self,
         _from: ProcessId,
@@ -164,13 +165,14 @@ impl ServerConfig {
 /// token `(connection, request id)`, a `Bye` as the order to stop after
 /// `grace` of quiet. Returns the connection to hang up on when the
 /// arrival is malformed: a client operation that does not decode, or a
-/// peer batch whose messages or delivery instant do not. Anyone can
-/// open a connection and claim a pid, so that is input to reject, never
-/// a reason to stop serving.
+/// peer batch whose messages do not decode or whose delivery tick is
+/// not at most `latest`. Anyone can open a connection and claim a pid,
+/// so that is input to reject, never a reason to stop serving.
 fn accept<A, L, D>(
     event: RawEvent,
     node: &mut WallNode<A, L, D, (u64, u64)>,
     grace: Duration,
+    latest: u64,
 ) -> Option<u64>
 where
     A: Actor,
@@ -186,9 +188,9 @@ where
             header,
             payload,
         } => {
-            let deliver_at = header
-                .sent_at_micros
-                .checked_add(u64::from(header.delay_micros));
+            let deliver_at = (header.sent_at_micros)
+                .checked_add(u64::from(header.delay_micros))
+                .filter(|&at| at <= latest);
             let held = decode_batch(&payload, header.batch as usize)
                 .ok()
                 .zip(deliver_at)
@@ -235,9 +237,13 @@ where
 /// to the connection and request id it answers. Trace stamps stay
 /// actual time.
 ///
-/// A malformed arrival — a client operation, a peer batch or a peer
-/// delivery instant that does not decode — drops that frame and its
-/// connection, and the server keeps serving. With a sink attached, their
+/// A malformed arrival — a client operation or a peer batch that does
+/// not decode, or a peer batch due more than `2·d` past the receiver's
+/// tick (`d` the network's [`ServerConfig::bounds`] maximum) — drops that
+/// frame and its connection, and the server keeps serving. An honest
+/// batch is due at most `d` after its send, so only a forged one is
+/// dropped, which could otherwise hold the drain for as long as its
+/// `u32` delay says: up to 71 minutes. With a sink attached, their
 /// number is reported as the `net`/`dropped_conns` counter when nonzero.
 ///
 /// # Panics
@@ -271,6 +277,7 @@ where
         draw.max()
     );
     let grace = Duration::from_micros(2 * bounds.max().as_ticks());
+    let horizon = 2 * cfg.bounds.max().as_ticks();
     let base = TimeBase::new(cfg.epoch_micros);
     let transport = NetTransport::new(cfg.pid, mesh.peer_sender(), base, clocks.clone(), delays);
     let mut node = WallNode::new(NodeCore::new(cfg.pid, cfg.n, actor), transport);
@@ -279,7 +286,7 @@ where
         mesh,
         sink.as_deref_mut(),
         |node, event| {
-            if let Some(conn) = accept(event, node, grace) {
+            if let Some(conn) = accept(event, node, grace, base.now_ticks() + horizon) {
                 mesh.drop_conn(conn);
                 dropped += 1;
             }
@@ -714,6 +721,32 @@ mod tests {
         assert_eq!(write_then_stop(mesh), [("net", "dropped_conns", 1)]);
     }
 
+    /// A connection that says hello as an in-mesh pid and then sends a
+    /// batch that decodes but is due `u32::MAX` µs after its send, 71
+    /// minutes, costs that connection: held, it would keep the server
+    /// from draining until then.
+    #[test]
+    fn peer_batch_due_past_twice_d_drops_the_connection() {
+        let mesh = two_register_servers();
+        let msg: OpMsg<RwRegister<i64>> = OpMsg {
+            op: RegOp::Write(5),
+            ts: Timestamp::with_seq(ClockTime::from_ticks(1_000), ProcessId::new(1), 1),
+        };
+        let header = FrameHeader {
+            delay_micros: u32::MAX,
+            ..header(FrameKind::Peer, 1)
+        };
+        let mut bytes = crate::tcp::hello_frame(crate::tcp::ROLE_PEER, ProcessId::new(1));
+        bytes.extend_from_slice(&encode_frame(&header, &encode_batch(&[msg])));
+        let mut forged = TcpStream::connect(mesh.addrs[0]).unwrap();
+        forged.write_all(&bytes).unwrap();
+        assert!(
+            hangs_up(&mut forged),
+            "the server did not hang up on the far-future batch"
+        );
+        assert_eq!(write_then_stop(mesh), [("net", "dropped_conns", 1)]);
+    }
+
     /// The replica-to-replica golden of `wire_props.rs` (one namespaced
     /// register write), and the same message as a three-message batch.
     fn golden_peer_frames() -> Vec<Vec<u8>> {
@@ -756,7 +789,9 @@ mod tests {
         let (mut held, mut dropped) = (0, 0);
         for seed in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let base = TimeBase::new(TimeBase::epoch_now_micros());
+            // The goldens were sent at tick 1 000 000: start the clock
+            // there, so that a frame is held or dropped by its bytes.
+            let base = TimeBase::new(TimeBase::epoch_now_micros() - 1_000_000);
             let replica = Replica::new(RegisterNs::default(), &params);
             let mut node = lone_node(replica, base);
             for _ in 0..8 {
@@ -783,7 +818,8 @@ mod tests {
                         header,
                         payload: payload.to_vec(),
                     };
-                    match accept(event, &mut node, Duration::ZERO) {
+                    let latest = base.now_ticks() + 2 * params.delay_bounds().max().as_ticks();
+                    match accept(event, &mut node, Duration::ZERO, latest) {
                         Some(_) => dropped += 1,
                         None => held += 1,
                     }

@@ -7,25 +7,23 @@
 //! [`FrameKind::Hello`]): peer replicas announce their process id,
 //! client sessions get a locally assigned connection id.
 //!
-//! Per peer, a dedicated **writer thread** owns the socket: frames
-//! queue on an in-memory channel and the writer drains everything
-//! available into a single `write_all` (writev-style coalescing — one
-//! syscall carries many frames under load). The writer dials when it
-//! starts and redials every `REDIAL` (20 ms) while the peer is down; a frame is only
-//! dropped from its queue after a successful write, so delivery is
-//! at-least-once across reconnects. The read side deduplicates by the
-//! frame header's monotone per-sender message id (a watermark that
-//! survives reconnects), upgrading at-least-once to exactly-once.
+//! The mesh runs no thread: the one thread that uses it reads and writes
+//! every socket. A send ([`PeerSender`]) appends its frame to the peer's
+//! outbound buffer and writes at once what the nonblocking socket takes.
+//! A wait ([`Inbox`]) is one `ppoll(2)` over the listener, every inbound
+//! connection and every peer with bytes left (for `POLLOUT`), with the
+//! deadline as a nanosecond `timespec`; the thread that waited then
+//! accepts, reads, reassembles and dedups what is ready, and writes on
+//! to the peers that take more. A send or a wait dials a peer with no
+//! connection once its redial instant has passed, at most once every
+//! `REDIAL` (20 ms), and a wait ends by that instant.
 //!
-//! The inbound side has no thread of its own. The mesh is the node
-//! thread's [`Inbox`]: each wait is one `ppoll(2)` over the listener and
-//! every inbound connection, all nonblocking, with the deadline as a
-//! nanosecond `timespec`; the thread that waited then accepts, reads,
-//! reassembles and dedups what is ready itself, so an arrival wakes one
-//! thread, the one that serves it. A writer blocks in `recv` on its
-//! queue. [`TcpMesh::shutdown`] closes the listener and every inbound
-//! connection, then sends every writer a stop through its own queue
-//! (behind the frames already queued, which are written first).
+//! A peer's buffer clears once the kernel has taken all of it. Until
+//! then it survives a failed write and is resent whole, after the hello,
+//! on the next connection, so delivery is at-least-once across
+//! reconnects. The read side deduplicates by the frame header's monotone
+//! per-sender message id (a watermark that survives reconnects),
+//! upgrading at-least-once to exactly-once.
 //!
 //! The mesh is deliberately *dumb*: it moves opaque frames. Decoding,
 //! delay holds, and replica semantics live in [`crate::runtime`].
@@ -39,11 +37,9 @@ use std::ffi::{c_int, c_long, c_short, c_ulong, c_void};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use skewbound_sim::deadline::Inbox;
+use skewbound_sim::deadline::{Inbox, RecvTimeoutError, TryRecvError};
 use skewbound_sim::ids::ProcessId;
 use skewbound_sim::transport::{TransportError, WireTransport};
 
@@ -54,14 +50,15 @@ pub(crate) const ROLE_PEER: u8 = 0;
 /// Hello-payload role tag: the dialer is a client session.
 const ROLE_CLIENT: u8 = 1;
 
-/// How long a writer waits before dialing a peer it could not reach
-/// again, and the node before accepting again after an accept error.
+/// How long the mesh waits before dialing a peer again, or accepting
+/// again after an accept error; and the longest one dial may block the
+/// thread that makes it. A loopback dial is refused or accepted within
+/// microseconds, so the bound only matters for an address that does not
+/// answer: that dial is given up after one redial period instead of
+/// stalling the node's timers for as long as the network stays silent.
 const REDIAL: Duration = Duration::from_millis(20);
 /// Bytes asked of a socket per read; a larger burst takes several.
 const READ_CHUNK: usize = 4096;
-
-/// What a writer's queue carries: a frame to write, or `None`, stop.
-type WriterTx = Sender<Option<Vec<u8>>>;
 
 /// One raw, undecoded arrival surfaced by the mesh.
 #[derive(Debug)]
@@ -99,7 +96,7 @@ impl RawEvent {
 
 /// A bound-but-not-yet-connected mesh: the listener exists (so peers
 /// can already dial us and park in the OS accept queue) and its
-/// ephemeral port is known, but no threads run yet. Two-phase startup
+/// ephemeral port is known, but nothing is dialed yet. Two-phase startup
 /// lets a test bind `n` listeners on port 0 first, then hand every
 /// process the full address list.
 #[derive(Debug)]
@@ -128,9 +125,9 @@ impl MeshListener {
         self.listener.local_addr()
     }
 
-    /// Starts the mesh: spawns one writer thread per entry of `peers`
-    /// (every *other* process and its address). Inbound connections are
-    /// accepted and read by whichever thread waits on the mesh.
+    /// Starts the mesh with one outbound entry per element of `peers`
+    /// (every *other* process and its address), each due for a dial at
+    /// once: the first send or wait on the mesh makes it.
     ///
     /// # Errors
     ///
@@ -145,20 +142,7 @@ impl MeshListener {
             .max()
             .unwrap_or(0)
             .max(pid.index());
-
-        let mut writers = Vec::new();
-        let mut peer_txs: Vec<Option<WriterTx>> = vec![None; max_pid + 1];
-        for &(peer, addr) in peers {
-            let (tx, rx) = channel();
-            peer_txs[peer.index()] = Some(tx);
-            writers.push(
-                thread::Builder::new()
-                    .name(format!("net-writer-{pid}-to-{peer}"))
-                    .spawn(move || writer_loop(pid, addr, &rx))
-                    .expect("spawn writer thread"),
-            );
-        }
-
+        let now = Instant::now();
         let sockets = Sockets {
             pid,
             listener,
@@ -169,35 +153,37 @@ impl MeshListener {
             arrived: VecDeque::new(),
             just_polled: false,
             fds: Vec::new(),
+            peers: peers
+                .iter()
+                .map(|&(to, addr)| Peer {
+                    to,
+                    addr,
+                    stream: None,
+                    unsent: Vec::new(),
+                    written: 0,
+                    dial_at: now,
+                })
+                .collect(),
         };
         Ok(TcpMesh {
-            pid,
-            peer_txs,
             sockets: RefCell::new(sockets),
-            writers,
         })
     }
 }
 
-/// A running socket mesh for one process: writer threads to every peer,
-/// and the listener and inbound connections the waiting thread reads.
+/// A running socket mesh for one process: its listener, its inbound
+/// connections and a connection to every peer, all read and written by
+/// the thread that uses the mesh.
 pub struct TcpMesh {
-    pid: ProcessId,
-    peer_txs: Vec<Option<WriterTx>>,
-    /// Borrowed by one wait, one client write or one hang-up at a time:
-    /// the mesh is read from a single thread.
+    /// Borrowed by one wait, one send, one client write or one hang-up
+    /// at a time.
     sockets: RefCell<Sockets>,
-    writers: Vec<JoinHandle<()>>,
 }
 
 impl core::fmt::Debug for TcpMesh {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("TcpMesh")
-            .field("pid", &self.pid)
-            .field(
-                "peers",
-                &self.peer_txs.iter().filter(|t| t.is_some()).count(),
-            )
+            .field("pid", &self.pid())
             .finish_non_exhaustive()
     }
 }
@@ -206,18 +192,15 @@ impl TcpMesh {
     /// The local process id.
     #[must_use]
     pub fn pid(&self) -> ProcessId {
-        self.pid
+        self.sockets.borrow().pid
     }
 
-    /// A detachable peer-frame sender implementing
-    /// [`WireTransport`] — the half the server's transport holds while
-    /// the server loop keeps the mesh itself for receiving.
+    /// The [`WireTransport`] that writes this mesh's peer frames: the
+    /// half the server's transport holds while the server loop waits on
+    /// the mesh itself.
     #[must_use]
-    pub fn peer_sender(&self) -> PeerSender {
-        PeerSender {
-            pid: self.pid,
-            peer_txs: self.peer_txs.clone(),
-        }
+    pub fn peer_sender(&self) -> PeerSender<'_> {
+        PeerSender { mesh: self }
     }
 
     /// Waits up to `timeout` for the next raw arrival, reading the
@@ -253,33 +236,29 @@ impl TcpMesh {
         sockets.arrived.retain(|e| e.conn() != conn);
     }
 
-    /// Closes the listener and every inbound connection, then stops the
-    /// writer threads and joins them. Called on server exit after the
-    /// drain. Peer frames queued before the call are still written to
-    /// peers that are up; those for a peer that is down are abandoned.
-    /// A [`PeerSender`] that outlives the mesh only fails its sends.
+    /// Closes the listener and every inbound connection, then writes
+    /// out, blocking, what is still queued to each peer it is connected
+    /// to; what is queued to a peer that is down is abandoned. Called on
+    /// server exit after the drain.
     pub fn shutdown(self) {
-        let TcpMesh {
-            peer_txs,
-            sockets,
-            writers,
-            ..
-        } = self;
-        drop(sockets);
-        for tx in peer_txs.iter().flatten() {
-            let _ = tx.send(None);
-        }
-        for h in writers {
-            let _ = h.join();
+        let Sockets { peers, .. } = self.sockets.into_inner();
+        for peer in peers {
+            if let Some(mut stream) = peer.stream {
+                let left = &peer.unsent[peer.written..];
+                let _ = stream
+                    .set_nonblocking(false)
+                    .and_then(|()| stream.write_all(left));
+            }
         }
     }
 }
 
 /// The node thread's inbox on the mesh. Arrivals already read are taken
-/// first; otherwise a wait is one `ppoll` over the listener and every
-/// inbound connection, after which the waiting thread reads what is
-/// ready, and so is a take, except right after a wait, which has just
-/// looked. Nothing disconnects it: it only times out.
+/// first; otherwise a wait is one `ppoll` over the listener, every
+/// inbound connection and every peer with bytes left, after which the
+/// waiting thread reads and writes what is ready, and so is a take,
+/// except right after a wait, which has just looked. Nothing disconnects
+/// it: it only times out.
 impl Inbox for TcpMesh {
     type Event = RawEvent;
 
@@ -308,8 +287,8 @@ impl Inbox for TcpMesh {
     }
 }
 
-/// The inbound side of a mesh: its listener, every open inbound
-/// connection, and the arrivals read but not yet taken.
+/// Every socket of a mesh: its listener, every open inbound connection,
+/// the arrivals read but not yet taken, and the outbound side.
 struct Sockets {
     pid: ProcessId,
     listener: TcpListener,
@@ -330,41 +309,67 @@ struct Sockets {
     ///
     /// [`WallNode::run`]: skewbound_sim::deadline::WallNode::run
     just_polled: bool,
-    /// The wait's poll set: the listener, then `conns` in order.
+    /// The wait's poll set: the listener, then `conns` in order, then
+    /// the peers with bytes left in order.
     fds: Vec<PollFd>,
+    /// One outbound entry per peer.
+    peers: Vec<Peer>,
 }
 
 impl Sockets {
-    /// Waits until the listener or a connection is ready or `end` passes
-    /// (`None`: no end), then reads every ready connection once and
-    /// accepts every waiting one. A wait may end early, with nothing
-    /// read, when a paused listener is due back.
+    /// Dials the peers that are due, then waits until the listener, a
+    /// connection or a peer with bytes left is ready or `end` passes
+    /// (`None`: no end), then reads every ready connection once, writes
+    /// on to every ready peer and accepts every waiting connection. A
+    /// wait may end early, with nothing read, when a paused listener or
+    /// a redial is due.
     fn read_ready(&mut self, end: Option<Instant>) {
-        let now = Instant::now();
-        let paused = self.accept_after.filter(|&at| at > now);
-        self.accept_after = paused;
-        let end = match (end, paused) {
-            (Some(end), Some(at)) => Some(end.min(at)),
-            (end, at) => end.or(at),
-        };
         let Sockets {
             pid,
             listener,
+            accept_after,
             conns,
             watermarks,
             arrived,
             fds,
+            peers,
             ..
         } = self;
+        for peer in peers.iter_mut().filter(|p| p.stream.is_none()) {
+            peer.flush(*pid);
+        }
+        let now = Instant::now();
+        *accept_after = accept_after.filter(|&at| at > now);
+        let redial = (peers.iter().filter(|p| p.stream.is_none()))
+            .map(|p| p.dial_at)
+            .min();
+        // `None` is no end, so the wait ends at the earliest of the rest.
+        let end = [end, *accept_after, redial].into_iter().flatten().min();
         fds.clear();
         // poll(2) skips a negative descriptor.
-        fds.push(PollFd::new(paused.map_or(listener.as_raw_fd(), |_| -1)));
-        fds.extend(conns.iter().map(|c| PollFd::new(c.stream.as_raw_fd())));
+        let listening = accept_after.map_or(listener.as_raw_fd(), |_| -1);
+        fds.push(PollFd::new(listening, POLLIN));
+        fds.extend(
+            conns
+                .iter()
+                .map(|c| PollFd::new(c.stream.as_raw_fd(), POLLIN)),
+        );
+        fds.extend(
+            peers
+                .iter()
+                .filter_map(Peer::writing)
+                .map(|fd| PollFd::new(fd, POLLOUT)),
+        );
         if ready_within(fds, end, ppoll_fds) == 0 {
             return;
         }
         let mut revents = fds[1..].iter().map(|fd| fd.revents);
         conns.retain_mut(|conn| revents.next() == Some(0) || conn.read(*pid, watermarks, arrived));
+        for peer in peers.iter_mut().filter(|p| p.writing().is_some()) {
+            if revents.next() != Some(0) {
+                peer.flush(*pid);
+            }
+        }
         if fds[0].revents != 0 {
             self.accept_waiting();
         }
@@ -402,6 +407,71 @@ impl Sockets {
             }
         }
     }
+}
+
+/// One peer's outbound side: its connection, if any, and the frames the
+/// kernel has not yet taken all of.
+struct Peer {
+    to: ProcessId,
+    addr: SocketAddr,
+    stream: Option<TcpStream>,
+    /// Whole frames, the first starting at byte 0: kept until the kernel
+    /// has taken every byte, and resent whole on the next connection.
+    unsent: Vec<u8>,
+    /// How much of `unsent` the kernel has taken on `stream`.
+    written: usize,
+    /// When a peer with no connection is dialed next.
+    dial_at: Instant,
+}
+
+impl Peer {
+    /// The descriptor to wait on for `POLLOUT`: a connection with bytes
+    /// left to write.
+    fn writing(&self) -> Option<c_int> {
+        let stream = self.stream.as_ref()?;
+        (self.written < self.unsent.len()).then(|| stream.as_raw_fd())
+    }
+
+    /// Dials the peer if it has no connection and its redial instant has
+    /// passed, then writes of `unsent` what the kernel takes without
+    /// blocking. A failed write drops the connection; it is dialed again
+    /// once `REDIAL` has passed since its own dial.
+    fn flush(&mut self, pid: ProcessId) {
+        if self.stream.is_none() {
+            if Instant::now() < self.dial_at {
+                return;
+            }
+            self.stream = dial(self.addr, pid);
+            self.written = 0;
+            self.dial_at = Instant::now() + REDIAL;
+        }
+        let Some(stream) = &mut self.stream else {
+            return;
+        };
+        while self.written < self.unsent.len() {
+            match stream.write(&self.unsent[self.written..]) {
+                Ok(n) if n > 0 => self.written += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                _ => {
+                    self.stream = None;
+                    return;
+                }
+            }
+        }
+        self.unsent.clear();
+        self.written = 0;
+    }
+}
+
+/// Connects to `addr` within `REDIAL` and says hello as peer `pid`.
+/// Returns the connection, nonblocking, or `None` if any step fails.
+fn dial(addr: SocketAddr, pid: ProcessId) -> Option<TcpStream> {
+    let mut stream = TcpStream::connect_timeout(&addr, REDIAL).ok()?;
+    let _ = stream.set_nodelay(true);
+    stream.write_all(&hello_frame(ROLE_PEER, pid)).ok()?;
+    stream.set_nonblocking(true).ok()?;
+    Some(stream)
 }
 
 /// What an inbound connection has said it is.
@@ -524,13 +594,15 @@ struct PollFd {
 /// `POLLIN`: there is data to read (or, on a listener, a connection to
 /// accept). Errors and hang-ups are reported whatever is asked.
 const POLLIN: c_short = 0x001;
+/// `POLLOUT`: a write would not block.
+const POLLOUT: c_short = 0x004;
 
 impl PollFd {
-    /// Watches `fd` for reading.
-    fn new(fd: c_int) -> Self {
+    /// Watches `fd` for `events`.
+    fn new(fd: c_int, events: c_short) -> Self {
         PollFd {
             fd,
-            events: POLLIN,
+            events,
             revents: 0,
         }
     }
@@ -609,30 +681,22 @@ fn ready_within(
     }
 }
 
-/// The sending half of a [`TcpMesh`]: cloneable channel ends into the
-/// per-peer writer threads.
-pub struct PeerSender {
-    pid: ProcessId,
-    peer_txs: Vec<Option<WriterTx>>,
+/// The sending half of a [`TcpMesh`]: it borrows the mesh, so it sends
+/// from the thread that waits on the mesh.
+#[derive(Debug)]
+pub struct PeerSender<'a> {
+    mesh: &'a TcpMesh,
 }
 
-impl core::fmt::Debug for PeerSender {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("PeerSender")
-            .field("pid", &self.pid)
-            .finish()
-    }
-}
-
-impl WireTransport for PeerSender {
+impl WireTransport for PeerSender<'_> {
     fn send_frame(&mut self, to: ProcessId, frame: &[u8]) -> Result<(), TransportError> {
-        let tx = self
-            .peer_txs
-            .get(to.index())
-            .and_then(Option::as_ref)
+        let mut sockets = self.mesh.sockets.borrow_mut();
+        let pid = sockets.pid;
+        let peer = (sockets.peers.iter_mut().find(|p| p.to == to))
             .ok_or(TransportError::PeerUnreachable { to })?;
-        tx.send(Some(frame.to_vec()))
-            .map_err(|_| TransportError::PeerUnreachable { to })
+        peer.unsent.extend_from_slice(frame);
+        peer.flush(pid);
+        Ok(())
     }
 }
 
@@ -693,79 +757,20 @@ pub fn client_hello() -> Vec<u8> {
     hello_frame(ROLE_CLIENT, ProcessId::new(0))
 }
 
-/// One peer writer thread: dial, send the hello, then drain the frame
-/// queue — coalescing everything already buffered into a single write —
-/// until a stop arrives. On a write failure the unwritten tail is
-/// carried into the next connection, giving at-least-once delivery.
-/// Frames queued before the stop are written before the writer returns,
-/// unless the peer is down; then they are abandoned with it.
-fn writer_loop(pid: ProcessId, addr: SocketAddr, rx: &Receiver<Option<Vec<u8>>>) {
-    // Frames accepted from the channel but not yet written.
-    let mut unsent: Vec<u8> = Vec::new();
-    'redial: loop {
-        let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_secs(1)) else {
-            // Keep taking frames while the peer is down so senders never
-            // block, and see a stop at once.
-            let redial_at = Instant::now() + REDIAL;
-            loop {
-                match rx.recv_timeout(redial_at.saturating_duration_since(Instant::now())) {
-                    Ok(Some(frame)) => unsent.extend_from_slice(&frame),
-                    Err(RecvTimeoutError::Timeout) => continue 'redial,
-                    Ok(None) | Err(RecvTimeoutError::Disconnected) => return,
-                }
-            }
-        };
-        let _ = stream.set_nodelay(true);
-        if stream.write_all(&hello_frame(ROLE_PEER, pid)).is_err() {
-            continue;
-        }
-        loop {
-            // Block for the next frame, then opportunistically coalesce
-            // everything else already queued into the same write.
-            if unsent.is_empty() {
-                match rx.recv() {
-                    Ok(Some(frame)) => unsent.extend_from_slice(&frame),
-                    Ok(None) | Err(_) => return,
-                }
-            }
-            let mut stop = false;
-            while let Ok(next) = rx.try_recv() {
-                match next {
-                    Some(frame) => unsent.extend_from_slice(&frame),
-                    None => {
-                        // The stop comes after the frames queued before
-                        // it; write those first.
-                        stop = true;
-                        break;
-                    }
-                }
-            }
-            let written = stream.write_all(&unsent);
-            if stop {
-                return;
-            }
-            match written {
-                Ok(()) => unsent.clear(),
-                // Keep `unsent` for the next connection: the receiver
-                // discards the torn tail of this one and dedups any
-                // fully received prefix by message id.
-                Err(_) => continue 'redial,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::channel;
+    use std::thread;
 
     /// How long a raw connection pauses between the two halves of a
     /// frame: well past any scheduling hiccup, so the reader has
     /// certainly consumed the first half on its own.
     const PAUSE: Duration = Duration::from_millis(60);
 
-    /// A peer frame with message id `msg_id` and a one-byte payload.
-    fn peer_frame(msg_id: u64) -> Vec<u8> {
+    /// A peer frame with message id `msg_id` and a payload of `len`
+    /// bytes, each the id's low byte.
+    fn peer_frame(msg_id: u64, len: usize) -> Vec<u8> {
         let header = FrameHeader {
             kind: FrameKind::Peer,
             msg_id,
@@ -773,7 +778,21 @@ mod tests {
             delay_micros: 0,
             batch: 1,
         };
-        encode_frame(&header, &[msg_id as u8])
+        encode_frame(&header, &vec![msg_id as u8; len])
+    }
+
+    /// Moves `mesh` to a thread that waits on it, and so dials, redials
+    /// and writes on, until the returned sender says stop; then the
+    /// thread shuts the mesh down.
+    fn keep_waiting(mesh: TcpMesh) -> (std::sync::mpsc::Sender<()>, thread::JoinHandle<()>) {
+        let (stop_tx, stop_rx) = channel();
+        let waiter = thread::spawn(move || {
+            while stop_rx.try_recv().is_err() {
+                assert!(mesh.recv_timeout(PAUSE).is_none(), "nothing is sent here");
+            }
+            mesh.shutdown();
+        });
+        (stop_tx, waiter)
     }
 
     /// A raw peer connection says hello, then sends one `Peer` frame in
@@ -839,8 +858,8 @@ mod tests {
 
     /// Process 0's mesh starts before process 1 listens, and three
     /// frames queue while its dials fail. Once process 1 is up they
-    /// arrive there exactly once and in order: the writer carries them
-    /// across failed dials.
+    /// arrive there exactly once and in order: the waits on process 0's
+    /// mesh redial and carry them across the failed dials.
     #[test]
     fn frames_sent_before_the_peer_listens_arrive_once_in_order() {
         let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
@@ -854,8 +873,9 @@ mod tests {
         let m0 = l0.start(&[(p1, addr1)]).unwrap();
         let mut tx = m0.peer_sender();
         for id in 1..=3 {
-            tx.send_frame(p1, &peer_frame(id)).unwrap();
+            tx.send_frame(p1, &peer_frame(id, 1)).unwrap();
         }
+        let (stop, waiter) = keep_waiting(m0);
         thread::sleep(Duration::from_millis(100));
         let m1 = MeshListener::bind(p1, addr1)
             .unwrap()
@@ -875,9 +895,53 @@ mod tests {
                 break;
             }
         }
-        m0.shutdown();
+        stop.send(()).unwrap();
+        waiter.join().unwrap();
         m1.shutdown();
         assert_eq!(got, vec![(p0, 1), (p0, 2), (p0, 3)]);
+    }
+
+    /// A burst larger than the socket buffers, 8 MB of 64 KB frames, is
+    /// sent while the receiving mesh does not read: the sends write what
+    /// the kernel takes and keep the rest. Once the receiver reads, and
+    /// the waits on the sender's mesh write on at each `POLLOUT`, every
+    /// frame arrives whole, in order and exactly once.
+    #[test]
+    fn a_burst_past_the_socket_buffers_arrives_whole_in_order_once() {
+        const FRAMES: u64 = 128;
+        const LEN: usize = 64 * 1024;
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let l0 = MeshListener::bind(p0, "127.0.0.1:0").unwrap();
+        let l1 = MeshListener::bind(p1, "127.0.0.1:0").unwrap();
+        let (a0, a1) = (l0.local_addr().unwrap(), l1.local_addr().unwrap());
+        let m0 = l0.start(&[(p1, a1)]).unwrap();
+        let m1 = l1.start(&[(p0, a0)]).unwrap();
+        let mut tx = m0.peer_sender();
+        for id in 1..=FRAMES {
+            tx.send_frame(p1, &peer_frame(id, LEN)).unwrap();
+        }
+        let left = m0.sockets.borrow().peers[0].writing().is_some();
+        assert!(left, "the socket buffers took the whole burst");
+        let (stop, waiter) = keep_waiting(m0);
+        for id in 1..=FRAMES {
+            match m1.recv_timeout(Duration::from_secs(5)) {
+                Some(RawEvent::Peer {
+                    from,
+                    header,
+                    payload,
+                    ..
+                }) => {
+                    assert_eq!((from, header.msg_id), (p0, id));
+                    assert!(payload == vec![id as u8; LEN], "frame {id} arrived torn");
+                }
+                other => panic!("expected frame {id}, got {other:?}"),
+            }
+        }
+        let extra = m1.recv_timeout(PAUSE);
+        stop.send(()).unwrap();
+        waiter.join().unwrap();
+        m1.shutdown();
+        assert!(extra.is_none(), "a frame arrived twice: {extra:?}");
     }
 
     /// A peer's resend on a new connection falls under the watermark its
@@ -897,10 +961,10 @@ mod tests {
             let mut raw = TcpStream::connect(addr).unwrap();
             raw.write_all(&hello_frame(ROLE_PEER, p1)).unwrap();
             for id in ids {
-                raw.write_all(&peer_frame(id)).unwrap();
+                raw.write_all(&peer_frame(id, 1)).unwrap();
             }
             // The first connection's frames are in before the second
-            // one opens, as when a writer redials after a torn write.
+            // one opens, as when a peer redials after a failed write.
             for _ in 0..fresh {
                 match mesh.recv_timeout(Duration::from_secs(2)) {
                     Some(RawEvent::Peer { from, header, .. }) => got.push((from, header.msg_id)),
@@ -914,10 +978,10 @@ mod tests {
         assert_eq!(got, vec![(p1, 1), (p1, 2), (p1, 3)]);
     }
 
-    /// A frame queued just before `shutdown` still reaches its peer:
-    /// the writer's stop waits behind it in the queue. This is a
-    /// ping-pong whose echo side shuts down right after its last echo;
-    /// rounds repeat the race between the writer's wake-up and the stop.
+    /// A frame sent just before `shutdown` still reaches its peer: the
+    /// send writes it, and shutdown writes out whatever the socket had
+    /// not taken. This is a ping-pong whose echo side shuts down right
+    /// after its last echo, repeated over rounds.
     #[test]
     fn a_frame_sent_just_before_shutdown_arrives() {
         let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
@@ -928,14 +992,13 @@ mod tests {
             let m0 = l0.start(&[(p1, a1)]).unwrap();
             let m1 = l1.start(&[(p0, a0)]).unwrap();
             let mut tx = m0.peer_sender();
-            // The first frame sets the connection up, so the writer is
-            // blocked in `recv` when the last one is queued.
-            tx.send_frame(p1, &peer_frame(1)).unwrap();
+            // The first frame dials and sets the connection up.
+            tx.send_frame(p1, &peer_frame(1, 1)).unwrap();
             assert!(matches!(
                 m1.recv_timeout(Duration::from_secs(2)),
                 Some(RawEvent::Peer { .. })
             ));
-            tx.send_frame(p1, &peer_frame(2)).unwrap();
+            tx.send_frame(p1, &peer_frame(2, 1)).unwrap();
             m0.shutdown();
             let got = m1.recv_timeout(Duration::from_secs(2));
             m1.shutdown();
@@ -958,28 +1021,6 @@ mod tests {
             done_rx.recv_timeout(Duration::from_secs(1)).is_ok(),
             "shutdown did not return within a second"
         );
-    }
-
-    /// A writer stops on its stop message, not on its queue closing: a
-    /// `PeerSender` clone that outlives the mesh must not hold shutdown.
-    #[test]
-    fn shutdown_returns_while_a_peer_sender_lives() {
-        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
-        let l0 = MeshListener::bind(p0, "127.0.0.1:0").unwrap();
-        let l1 = MeshListener::bind(p1, "127.0.0.1:0").unwrap();
-        let (a0, a1) = (l0.local_addr().unwrap(), l1.local_addr().unwrap());
-        let m0 = l0.start(&[(p1, a1)]).unwrap();
-        let m1 = l1.start(&[(p0, a0)]).unwrap();
-        let mut tx = m0.peer_sender();
-        tx.send_frame(p1, &peer_frame(1)).unwrap();
-        assert!(matches!(
-            m1.recv_timeout(Duration::from_secs(2)),
-            Some(RawEvent::Peer { .. })
-        ));
-        shuts_down_within_a_second(m1);
-        shuts_down_within_a_second(m0);
-        // The sender outlived the mesh: its sends now fail.
-        assert!(tx.send_frame(p1, &peer_frame(2)).is_err());
     }
 
     /// A connection that never says hello is accepted all the same, so
@@ -1133,7 +1174,7 @@ mod tests {
             let (mesh, addr) = lone_mesh();
             let _pending = TcpStream::connect(addr).unwrap();
             let listener = mesh.sockets.borrow().listener.as_raw_fd();
-            let mut fds = [PollFd::new(listener)];
+            let mut fds = [PollFd::new(listener, POLLIN)];
             let mut calls = 0;
             let once = |fds: &mut [PollFd], left: Option<Duration>| {
                 calls += 1;

@@ -65,9 +65,9 @@ static GLOBAL: Live = Live;
 const WARM: u64 = 1_000;
 const OPS: u64 = 3_000;
 /// How far the live heap may move between the readings: what is in
-/// flight at either one (held batches, frames on a writer's queue), not
-/// a record per operation: a node that kept a record and three
-/// timestamps a write grew by 360 KiB over the 2 000.
+/// flight at either one (held batches, bytes a peer socket has not yet
+/// taken), not a record per operation: a node that kept a record and
+/// three timestamps a write grew by 360 KiB over the 2 000.
 const SLACK: i64 = 4 << 10;
 
 /// A server per process of Algorithm 1's register replica group on a

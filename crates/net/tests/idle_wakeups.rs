@@ -1,10 +1,9 @@
 //! An idle `skewbound-serve` sleeps: once its last operation's timers
-//! have fired, none of its threads wakes until something arrives. A
-//! replica's only scheduled work is its timers; the writer threads block
-//! on their queues and the node thread on its own sockets. And it runs
-//! three threads, whatever the number of sessions: the node thread,
-//! which accepts and reads every inbound connection itself, and one
-//! writer per peer.
+//! have fired, it does not wake until something arrives. A replica's
+//! only scheduled work is its timers, and the node thread blocks on its
+//! own sockets. And it runs one thread, whatever the number of peers and
+//! sessions: the node thread, which dials and writes its peers and
+//! accepts and reads every inbound connection itself.
 //!
 //! The count is the kernel's `voluntary_ctxt_switches` summed over one
 //! server's threads (`/proc/PID/task/*/status`), so the test runs only
@@ -130,13 +129,9 @@ fn an_idle_server_takes_no_periodic_wakeups() {
         "a write answers Ack: {resp:?}"
     );
     // With two peers connected and a client session open: the node
-    // thread and two writers.
+    // thread alone.
     let server = servers.0[0].id();
-    assert_eq!(
-        threads(server),
-        3,
-        "a server of three runs the node thread and one writer per peer"
-    );
+    assert_eq!(threads(server), 1, "a server runs the node thread alone");
     drop(client);
     // Its last timer fires by d + eps after the write, its last
     // delivery by d after the last send: 200 ms covers both.

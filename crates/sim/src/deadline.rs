@@ -27,7 +27,9 @@
 
 use core::fmt;
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::Receiver;
+/// The errors of an [`Inbox`]'s waits: [`Receiver`]'s own.
+pub use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::actor::Actor;

@@ -37,12 +37,12 @@ use crate::time::{SimDuration, SimTime};
 /// The in-process links (the engine's agendas, the thread runtime's
 /// worker channels) never fail — their queues are unbounded and
 /// intra-process. The socket mesh surfaces the one real failure it has:
-/// a peer it holds no writer for. Encoding cannot fail, and a send after
-/// shutdown finds no writer either.
+/// a destination that is not one of its peers. Encoding cannot fail, and
+/// a send to a peer that is down is queued for its next connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
-    /// No live connection to `to` and reconnection is not (yet)
-    /// possible.
+    /// `to` is not a destination the link can reach: on the socket mesh,
+    /// not one of its peers.
     PeerUnreachable {
         /// The unreachable destination.
         to: ProcessId,
@@ -66,7 +66,7 @@ impl std::error::Error for TransportError {}
 /// frame (the `wire` codec in `skewbound-net`) and hands the bytes
 /// here; the receiver decodes frames arriving from peers back into
 /// typed messages.
-pub trait WireTransport: Send {
+pub trait WireTransport {
     /// Queues one encoded frame for delivery to `to`. Queuing is
     /// asynchronous: `Ok` means the frame was accepted for
     /// (re)transmission, not that the peer received it. Delivery is
